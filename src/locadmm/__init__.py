@@ -1,10 +1,10 @@
 """Distributed range-based localization by consensus splitting.
 
-Two barrier-synchronous per-node solvers (a full-state one and a low-storage
-rewriting that reproduces its iterates), the matrix-free operators they are
-built from, the diagnostics that make their convergence behavior
-measurable, dense brute-force oracles for validation, and a command-line
-harness.
+Two distributed solvers (a full-state one and a low-storage rewriting that
+reproduces its iterates), specified node by node and run on edge arrays,
+the matrix-free operators they are built from, the diagnostics that make
+their convergence behavior measurable, dense brute-force oracles for
+validation, and a command-line harness.
 """
 
 from .engine import IterationEvent, RunResult

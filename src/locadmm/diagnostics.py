@@ -134,7 +134,7 @@ def potential(
     ||z - z_prev||^2`` in the proximal metric ]. The proximal metric is
     evaluated through :func:`~locadmm.structured_ops.apply_cBtB` divided by
     ``c``. Needs the half-step blocks and the lagged state, which run hooks
-    expose at every barrier.
+    expose after every iteration.
     """
     total = augmented_lagrangian(states_t, d_node, c)
     for i in range(len(states_t)):

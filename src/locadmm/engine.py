@@ -1,23 +1,28 @@
-"""Bulk-synchronous execution of per-node updates.
+"""What the solvers hand their callers, and the per-iteration finite check.
 
-Both solvers run the same discipline: within an iteration, per-node tasks
-read only the previous iteration's (immutable) snapshots and each write one
-slot of the next snapshot, so results are identical for any worker count.
-Hooks fire single-threaded at the barrier after every iteration.
+Both solvers advance every node at once: each per-edge field is one
+``(E, dim)`` array in the graph's :class:`~locadmm.network.EdgeLayout`
+order, the neighbor exchange is one gather, and per-node sums add a node's
+rows in the order the per-node closed forms do, so the iterates are
+bit-identical to those closed forms applied node by node. Hooks and results
+see per-node state lists whose arrays are views over those edge arrays.
+Every iteration allocates fresh arrays, so a view handed out never changes
+afterwards.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
+from .errors import NonFiniteValue
+
 
 @dataclass(frozen=True)
 class IterationEvent:
-    """Barrier snapshot handed to hooks.
+    """Snapshot handed to hooks after every iteration.
 
     ``states`` and ``states_prev`` are full per-node state lists (for the
     low-storage solver these are reconstructed views); ``ztilde`` carries the
@@ -45,50 +50,22 @@ class RunResult:
     trace: object = None
 
 
-class NodeScheduler:
-    """Maps a per-node function over contiguous node chunks.
+def check_finite(t: int, src: np.ndarray, p: np.ndarray, **edge_fields: np.ndarray) -> None:
+    """Raise :class:`NonFiniteValue` if any state coordinate is NaN or infinite.
 
-    With ``threads <= 1`` this is a plain loop; otherwise chunks run on a
-    thread pool. Each output slot is written exactly once, so the result is
-    independent of scheduling.
+    ``p`` holds one row per node and every edge field one row per directed
+    edge, owned by node ``src[row]``. The message names iteration ``t``, the
+    lowest node holding a bad value, and that node's first bad field in
+    argument order.
     """
-
-    def __init__(self, num_nodes: int, threads: int = 1):
-        self.num_nodes = num_nodes
-        self.threads = max(1, int(threads))
-        self._pool = None
-        self._bounds: list[tuple[int, int]] = []
-        if self.threads > 1 and num_nodes > 1:
-            workers = min(self.threads, num_nodes)
-            self._pool = ThreadPoolExecutor(max_workers=workers)
-            step = -(-num_nodes // workers)
-            self._bounds = [
-                (lo, min(lo + step, num_nodes)) for lo in range(0, num_nodes, step)
-            ]
-
-    def map(self, fn: Callable[[int], object]) -> list:
-        out: list = [None] * self.num_nodes
-        if self._pool is None:
-            for i in range(self.num_nodes):
-                out[i] = fn(i)
-            return out
-
-        def chunk(lo: int, hi: int) -> None:
-            for i in range(lo, hi):
-                out[i] = fn(i)
-
-        futures = [self._pool.submit(chunk, lo, hi) for lo, hi in self._bounds]
-        for fut in futures:
-            fut.result()
-        return out
-
-    def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-
-    def __enter__(self) -> "NodeScheduler":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
+    fields = {"p": p, **edge_fields}
+    if all(np.isfinite(a).all() for a in fields.values()):
+        return
+    first_bad = {}
+    for name, a in fields.items():
+        rows = np.flatnonzero(~np.isfinite(a).all(axis=1))
+        if rows.size:
+            first_bad[name] = int(rows.min() if name == "p" else src[rows].min())
+    node = min(first_bad.values())
+    field = next(name for name, i in first_bad.items() if i == node)
+    raise NonFiniteValue(f"non-finite {field} at node {node}, iteration {t}")

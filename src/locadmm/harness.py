@@ -26,6 +26,8 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_DIVERGED = 2
 
+THREADS_HELP = "kept for compatibility; has no effect"
+
 
 @dataclass
 class RunConfig:
@@ -42,7 +44,6 @@ class RunConfig:
     u0: str = "zeros"
     seed: int = 0
     metrics: tuple = diagnostics.DEFAULT_METRICS
-    threads: int = 1
 
     def __post_init__(self):
         if self.algo not in ("full", "lite"):
@@ -111,7 +112,6 @@ def execute_run(graph, truth, measurements, config: RunConfig, record_wall=False
         config.iters,
         seed=config.seed,
         hook=recorder,
-        threads=config.threads,
     )
     result.trace = recorder.trace
     return result, recorder, bounds
@@ -174,7 +174,6 @@ def _cmd_run(args) -> int:
         u0=args.u0,
         seed=_seed(args),
         metrics=metrics,
-        threads=args.threads,
     )
     try:
         result, recorder, _ = execute_run(
@@ -227,7 +226,6 @@ def _cmd_sweep(args) -> int:
                     u0=args.u0,
                     seed=seed,
                     metrics=("rmse", "F") if truth is not None else ("F",),
-                    threads=args.threads,
                 )
                 try:
                     _, recorder, _ = execute_run(graph, truth, measurements, config)
@@ -315,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="comma list, or 'all'/'none'")
     run.add_argument("--wall", action="store_true",
                      help="record wall time (breaks byte reproducibility)")
-    run.add_argument("--threads", type=int, default=os.cpu_count() or 1)
+    run.add_argument("--threads", type=int, help=THREADS_HELP)
     run.add_argument("--trace")
     run.add_argument("--est")
     run.set_defaults(func=_cmd_run)
@@ -332,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--init-hi", type=float, default=1.0)
     sweep.add_argument("--u0", choices=("zeros", "half", "directions"), default="zeros")
     sweep.add_argument("--seed", type=int, default=0)
-    sweep.add_argument("--threads", type=int, default=os.cpu_count() or 1)
+    sweep.add_argument("--threads", type=int, help=THREADS_HELP)
     sweep.add_argument("--out")
     sweep.set_defaults(func=_cmd_sweep)
 

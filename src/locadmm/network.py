@@ -8,10 +8,12 @@ data plus pure functions; instances are safe to share read-only.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -153,6 +155,104 @@ class NetworkGraph:
         """Total directed-edge count, twice the number of edges."""
         return sum(len(nbrs) for nbrs in self.neighbors)
 
+    @cached_property
+    def layout(self) -> "EdgeLayout":
+        """Flat per-edge addressing, built on first use and kept."""
+        return EdgeLayout.build(self)
+
+
+@dataclass(frozen=True, eq=False)
+class EdgeLayout:
+    """Flat addressing of a graph's directed edges.
+
+    Node ``i`` owns rows ``offsets[i]:offsets[i+1]`` in sorted-neighbor
+    order, so one ``(E, dim)`` array stacks every node's ``(degree, dim)``
+    per-edge field. Row ``e`` runs from node ``src[e]`` to node ``dst[e]``,
+    and ``rev[e]`` is the row of the reverse edge: the gather ``x[rev]``
+    hands every node the rows its neighbors hold toward it.
+
+    With the nodes ranked by falling degree (node ``i`` has rank
+    ``rank[i]``), ``columns[m]`` lists row ``offsets[i] + m`` of every node
+    with degree above ``m``, in rank order; so column ``m`` covers the
+    first ``len(columns[m])`` ranks.
+
+    The solvers gather with ``np.take(x, idx, axis=0)``: it equals
+    ``x[idx]`` but runs several times faster on ``(E, dim)`` arrays.
+    """
+
+    offsets: np.ndarray
+    src: np.ndarray
+    rev: np.ndarray
+    degrees: np.ndarray
+    anchor_idx: np.ndarray
+    anchor_pos: np.ndarray
+    rank: np.ndarray
+    columns: tuple[np.ndarray, ...]
+
+    @classmethod
+    def build(cls, graph: NetworkGraph) -> "EdgeLayout":
+        n = graph.num_nodes
+        degrees = np.fromiter(map(len, graph.neighbors), dtype=np.intp, count=n)
+        offsets = np.zeros(n + 1, dtype=np.intp)
+        np.cumsum(degrees, out=offsets[1:])
+        num_edges = int(offsets[-1])
+        dst = np.fromiter(
+            itertools.chain.from_iterable(graph.neighbors), dtype=np.intp, count=num_edges
+        )
+        rev_pos = np.fromiter(
+            itertools.chain.from_iterable(graph.rev_pos), dtype=np.intp, count=num_edges
+        )
+        by_degree = np.argsort(-degrees, kind="stable")
+        ranked = degrees[by_degree]
+        starts = offsets[by_degree]
+        anchor_pos = (
+            np.stack(list(graph.anchors.values()))
+            if graph.anchors
+            else np.zeros((0, graph.dim))
+        )
+        return cls(
+            offsets=offsets,
+            src=np.repeat(np.arange(n, dtype=np.intp), degrees),
+            rev=offsets[dst] + rev_pos,
+            degrees=degrees,
+            anchor_idx=np.fromiter(graph.anchors, dtype=np.intp, count=len(graph.anchors)),
+            anchor_pos=anchor_pos,
+            rank=np.argsort(by_degree),
+            columns=tuple(
+                starts[: np.count_nonzero(ranked > m)] + m for m in range(int(ranked[0]))
+            ),
+        )
+
+    @property
+    def num_nodes(self) -> int:
+        return len(self.degrees)
+
+    @property
+    def num_edges(self) -> int:
+        return len(self.src)
+
+    @property
+    def dst(self) -> np.ndarray:
+        return self.src[self.rev]
+
+    def node_sum(self, x: np.ndarray) -> np.ndarray:
+        """Per node, the sum of its rows of the edge field ``x``.
+
+        Rows are added one degree column at a time, starting from zero and
+        in row order, which is the order ``x[rows].sum(axis=0)`` adds one
+        node's block in; the result is bit-identical to that per-node sum
+        (``np.add.reduceat`` is not: it groups the additions differently).
+        """
+        acc = np.zeros((self.num_nodes,) + x.shape[1:])
+        for col in self.columns:
+            acc[: len(col)] += np.take(x, col, axis=0)
+        return np.take(acc, self.rank, axis=0)
+
+    def split(self, x: np.ndarray) -> list[np.ndarray]:
+        """Per-node views of the rows of the edge field ``x``."""
+        bounds = self.offsets.tolist()
+        return [x[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+
 
 @dataclass(frozen=True)
 class GroundTruth:
@@ -203,6 +303,13 @@ class MeasurementSet:
             np.array([self.value(i, j) for j in graph.neighbors[i]])
             for i in range(graph.num_nodes)
         ]
+
+    def edge_ranges(self, graph: NetworkGraph) -> np.ndarray:
+        """Ranges of every directed edge, in the graph's edge-layout order."""
+        return np.array(
+            [self.value(i, j) for i, nbrs in enumerate(graph.neighbors) for j in nbrs],
+            dtype=float,
+        )
 
     @property
     def max_range(self) -> float:

@@ -3,28 +3,27 @@
 One iteration per node: a diagonal half-step on the stacked block
 ``(p, z^-, z^+)``, a broadcast of the two replica rows per neighbor, the
 closed-form combine that lands the replicas back on the consensus set, the
-ball-projected direction update, and the dual ascent step. States are
-immutable per iteration; see :mod:`locadmm.engine` for the execution
-contract.
+ball-projected direction update, and the dual ascent step. The per-node
+functions below are the specification; :func:`run_full` applies them to
+every node at once on edge arrays (see :mod:`locadmm.engine`).
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .engine import IterationEvent, NodeScheduler, RunResult
+from .engine import IterationEvent, RunResult, check_finite
 from .errors import (
     DisconnectedGraph,
+    InvalidInit,
     InvalidInitSpec,
     InvalidParameter,
     MissingMessage,
-    NonFiniteValue,
 )
-from .network import NetworkGraph, MeasurementSet
+from .network import EdgeLayout, MeasurementSet, NetworkGraph
 from .structured_ops import NodeBlockVector, PenaltyParams, project_ball
 
 
@@ -95,31 +94,128 @@ def consensus_blocks(positions: np.ndarray, graph: NetworkGraph) -> list[NodeBlo
     return blocks
 
 
+def edge_directions(positions: np.ndarray, layout: EdgeLayout) -> np.ndarray:
+    """Unit direction rows ``(x_i - x_j)/||x_i - x_j||`` per directed edge
+    ``(i, j)``; zero rows where the two positions coincide."""
+    diff = np.take(positions, layout.src, axis=0) - np.take(positions, layout.dst, axis=0)
+    # Each row's matmul with itself is the dot product np.linalg.norm takes of
+    # one row; (diff * diff).sum(axis=1) rounds differently.
+    norm = np.sqrt(np.matmul(diff[:, None, :], diff[:, :, None])[:, 0, 0])
+    rows = np.zeros_like(diff)
+    moved = norm > 0.0
+    rows[moved] = diff[moved] / norm[moved, None]
+    return rows
+
+
 def initial_directions(positions: np.ndarray, graph: NetworkGraph) -> list[np.ndarray]:
-    """Unit direction rows ``(x_i - x_j)/||x_i - x_j||`` per node; zero rows
-    where the two positions coincide."""
-    fields = []
-    for i in range(graph.num_nodes):
-        rows = np.zeros((len(graph.neighbors[i]), graph.dim))
-        for k, j in enumerate(graph.neighbors[i]):
-            diff = np.asarray(positions[i], dtype=float) - np.asarray(positions[j], dtype=float)
-            norm = float(np.linalg.norm(diff))
-            if norm > 0.0:
-                rows[k] = diff / norm
-        fields.append(rows)
-    return fields
+    """Per node, the rows of :func:`edge_directions`."""
+    return graph.layout.split(edge_directions(as_positions(positions, graph), graph.layout))
 
 
-def _initial_u(spec: InitSpec, graph: NetworkGraph) -> list[np.ndarray]:
-    if spec.u_init == "zeros":
-        return [np.zeros((len(n), graph.dim)) for n in graph.neighbors]
-    if spec.u_init == "half":
-        return [np.full((len(n), graph.dim), 0.5) for n in graph.neighbors]
-    if spec.u_init == "directions":
-        if spec.positions is None:
-            raise InvalidInitSpec("u_init 'directions' needs positions")
-        return initial_directions(spec.positions, graph)
-    raise InvalidInitSpec(f"unknown u_init {spec.u_init!r}")
+def as_positions(positions, graph: NetworkGraph) -> np.ndarray:
+    """A float copy of a ``(num_nodes, dim)`` position map."""
+    if positions is None:
+        raise InvalidInit("positional initialization needs a positions array")
+    pos = np.array(positions, dtype=float)
+    if pos.shape != (graph.num_nodes, graph.dim):
+        raise InvalidInit(f"positions shape {pos.shape} does not match the graph")
+    return pos
+
+
+def initial_fields(
+    graph: NetworkGraph, spec: InitSpec, seed: int = 0, *, positional: bool = False
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Iteration-zero ``(p, z^-, z^+, u)``: positions ``(num_nodes, dim)`` and
+    edge fields ``(E, dim)`` in the graph's edge-layout order.
+
+    ``positional`` builds the replicas from a position map, as the
+    low-storage solver needs: ``uniform`` draws one position per node, and
+    ``directions`` points along those start positions. Otherwise ``uniform``
+    draws every block coordinate, node by node (p, then the z^- rows, then
+    the z^+ rows) from one seeded generator, and ``directions`` points along
+    ``spec.positions``.
+    """
+    if spec.kind not in InitSpec.KINDS:
+        raise InvalidInitSpec(f"unknown init kind {spec.kind!r}")
+    if spec.u_init not in InitSpec.U_KINDS:
+        raise InvalidInitSpec(f"unknown u_init {spec.u_init!r}")
+    lay = graph.layout
+    n, dim, num_edges = graph.num_nodes, graph.dim, lay.num_edges
+
+    if spec.kind == "from_positions":
+        pos = as_positions(spec.positions, graph)
+    elif spec.kind == "zeros":
+        pos = np.zeros((n, dim))
+    else:
+        if not (spec.lo < spec.hi):
+            raise InvalidInitSpec(f"uniform bounds [{spec.lo}, {spec.hi}) are empty")
+        rng = np.random.default_rng(seed)
+        pos = rng.uniform(spec.lo, spec.hi, (n, dim)) if positional else None
+
+    if pos is not None:
+        p = pos
+        z_minus = np.take(pos, lay.src, axis=0)
+        z_plus = np.take(pos, lay.dst, axis=0)
+    else:
+        # Node i's draws start at row i + 2 offsets[i]: its p row, then its
+        # z^- rows, then its z^+ rows.
+        rows = rng.uniform(spec.lo, spec.hi, (n + 2 * num_edges, dim))
+        minus_rows = lay.src + lay.offsets[lay.src] + 1 + np.arange(num_edges)
+        p = np.take(rows, np.arange(n) + 2 * lay.offsets[:-1], axis=0)
+        z_minus = np.take(rows, minus_rows, axis=0)
+        z_plus = np.take(rows, minus_rows + lay.degrees[lay.src], axis=0)
+
+    u = initial_u(spec.u_init, pos if positional else spec.positions, graph)
+    return p, z_minus, z_plus, u
+
+
+def initial_u(u_init: str, positions, graph: NetworkGraph) -> np.ndarray:
+    """Iteration-zero direction rows as one edge field: ``zeros``, ``half``
+    (all coordinates 0.5), or ``directions`` along ``positions``."""
+    shape = (graph.layout.num_edges, graph.dim)
+    if u_init == "zeros":
+        return np.zeros(shape)
+    if u_init == "half":
+        return np.full(shape, 0.5)
+    if u_init != "directions":
+        raise InvalidInitSpec(f"unknown u_init {u_init!r}")
+    if positions is None:
+        raise InvalidInitSpec("u_init 'directions' needs positions")
+    return edge_directions(as_positions(positions, graph), graph.layout)
+
+
+def node_blocks(
+    layout: EdgeLayout, p: np.ndarray, z_minus: np.ndarray, z_plus: np.ndarray
+) -> list[NodeBlockVector]:
+    """Per-node blocks viewing rows of the stacked arrays."""
+    return [
+        NodeBlockVector(p[i], zm, zp)
+        for i, (zm, zp) in enumerate(zip(layout.split(z_minus), layout.split(z_plus)))
+    ]
+
+
+def full_states(
+    layout: EdgeLayout,
+    p: np.ndarray,
+    z_minus: np.ndarray,
+    z_plus: np.ndarray,
+    u: np.ndarray,
+    lam: np.ndarray,
+) -> list[FullNodeState]:
+    """Per-node states viewing rows of the stacked arrays."""
+    return [
+        FullNodeState(blk, u_i, lam_i)
+        for blk, u_i, lam_i in zip(
+            node_blocks(layout, p, z_minus, z_plus), layout.split(u), layout.split(lam)
+        )
+    ]
+
+
+def stack_edge_rows(rows: Sequence[np.ndarray], layout: EdgeLayout, what: str) -> np.ndarray:
+    """Concatenate per-node ``(degree, ...)`` arrays into one edge field."""
+    if [len(r) for r in rows] != layout.degrees.tolist():
+        raise InvalidInit(f"{what} rows do not match the node degrees")
+    return np.concatenate(rows)
 
 
 def init_full(graph: NetworkGraph, config: InitSpec, seed: int = 0) -> list[FullNodeState]:
@@ -128,42 +224,8 @@ def init_full(graph: NetworkGraph, config: InitSpec, seed: int = 0) -> list[Full
     Uniform draws walk the nodes in order (p, then z^- rows, then z^+ rows)
     from one seeded generator, so identical arguments give identical state.
     """
-    if config.kind not in InitSpec.KINDS:
-        raise InvalidInitSpec(f"unknown init kind {config.kind!r}")
-    if config.u_init not in InitSpec.U_KINDS:
-        raise InvalidInitSpec(f"unknown u_init {config.u_init!r}")
-
-    if config.kind == "from_positions":
-        if config.positions is None:
-            raise InvalidInitSpec("from_positions needs a positions array")
-        pos = np.asarray(config.positions, dtype=float)
-        if pos.shape != (graph.num_nodes, graph.dim):
-            raise InvalidInitSpec(f"positions shape {pos.shape} does not match the graph")
-        blocks = consensus_blocks(pos, graph)
-    elif config.kind == "zeros":
-        blocks = [
-            NodeBlockVector.zeros(len(nbrs), graph.dim) for nbrs in graph.neighbors
-        ]
-    else:
-        if not (config.lo < config.hi):
-            raise InvalidInitSpec(f"uniform bounds [{config.lo}, {config.hi}) are empty")
-        rng = np.random.default_rng(seed)
-        blocks = []
-        for nbrs in graph.neighbors:
-            k = len(nbrs)
-            blocks.append(
-                NodeBlockVector(
-                    rng.uniform(config.lo, config.hi, graph.dim),
-                    rng.uniform(config.lo, config.hi, (k, graph.dim)),
-                    rng.uniform(config.lo, config.hi, (k, graph.dim)),
-                )
-            )
-
-    u0 = _initial_u(config, graph)
-    return [
-        FullNodeState(blocks[i], u0[i], np.zeros((len(graph.neighbors[i]), graph.dim)))
-        for i in range(graph.num_nodes)
-    ]
+    p, z_minus, z_plus, u = initial_fields(graph, config, seed)
+    return full_states(graph.layout, p, z_minus, z_plus, u, np.zeros_like(u))
 
 
 def local_halfstep(
@@ -261,19 +323,6 @@ def update_lambda(state: FullNodeState, z_new: NodeBlockVector, c: float) -> np.
     return state.lam + c * (z_new.p[None, :] - z_new.z_minus)
 
 
-def _check_finite(state: FullNodeState, t: int, i: int) -> None:
-    # A single chained sum: any inf/NaN coordinate poisons it.
-    total = (
-        float(state.block.p.sum())
-        + float(state.block.z_minus.sum())
-        + float(state.block.z_plus.sum())
-        + float(state.u.sum())
-        + float(state.lam.sum())
-    )
-    if not math.isfinite(total):
-        raise NonFiniteValue(f"non-finite state at node {i}, iteration {t}")
-
-
 def require_solvable(graph: NetworkGraph) -> None:
     if not graph.connected:
         raise DisconnectedGraph("solver requires a connected graph")
@@ -292,52 +341,73 @@ def run_full(
     hook=None,
     threads: int = 1,
 ) -> RunResult:
-    """Run the full-state solver for a fixed number of barrier rounds.
+    """Run the full-state solver for a fixed number of iterations.
 
     ``init`` is an :class:`InitSpec` or an explicit state list. ``hook`` is
-    invoked single-threaded at every barrier with an
+    invoked after every iteration with an
     :class:`~locadmm.engine.IterationEvent`; iteration 0 fires before any
-    update. Deterministic for fixed inputs, independent of ``threads``.
+    update. Every node advances at once on edge arrays, bit-identical to
+    :func:`local_halfstep`, :func:`gather_inbox`, :func:`combine_z`,
+    :func:`update_u` and :func:`update_lambda` applied node by node.
+    Deterministic for fixed inputs; ``threads`` is accepted for
+    compatibility and ignored.
 
     Raises
     ------
     NonFiniteValue
-        As soon as any state coordinate diverges to NaN/inf.
+        As soon as any state coordinate diverges to NaN/inf, naming the
+        iteration, node and field.
     """
     require_solvable(graph)
     if iters < 1:
         raise InvalidParameter(f"iters must be >= 1, got {iters}")
-    states = init if isinstance(init, list) else init_full(graph, init, seed)
-    d_node = measurements.node_ranges(graph)
+    lay = graph.layout
+    if isinstance(init, list):
+        if len(init) != graph.num_nodes:
+            raise InvalidInit(f"expected {graph.num_nodes} node states, got {len(init)}")
+        p = np.stack([s.block.p for s in init])
+        z_minus = stack_edge_rows([s.block.z_minus for s in init], lay, "z_minus")
+        z_plus = stack_edge_rows([s.block.z_plus for s in init], lay, "z_plus")
+        u = stack_edge_rows([s.u for s in init], lay, "u")
+        lam = stack_edge_rows([s.lam for s in init], lay, "lam")
+    else:
+        p, z_minus, z_plus, u = initial_fields(graph, init, seed)
+        lam = np.zeros_like(u)
     c, rho = params.c, params.rho
-    anchors = graph.anchors
-    comm_per_iter = 2 * graph.dim * graph.sum_degree
+    src, rev = lay.src, lay.rev
+    d = measurements.edge_ranges(graph)[:, None]
+    d_rho = d / rho
+    denom = (2.0 * (c + 1.0) * lay.degrees)[:, None]
+    comm_per_iter = 2 * graph.dim * lay.num_edges
 
-    with NodeScheduler(graph.num_nodes, threads) as sched:
+    states = None
+    if hook is not None:
+        states = init if isinstance(init, list) else full_states(lay, p, z_minus, z_plus, u, lam)
+        hook(IterationEvent(0, states, None, None, 0))
+    for t in range(1, iters + 1):
+        # half-step (local_halfstep)
+        p_src = np.take(p, src, axis=0)
+        base_minus = p_src + z_minus
+        base_plus = p_src + z_plus
+        du = d * u
+        p = lay.node_sum(du - lam + c * base_minus + base_plus) / denom
+        p[lay.anchor_idx] = lay.anchor_pos
+        zm_t = lam / (2.0 * c) + base_minus / 2.0
+        zp_t = -du / 2.0 + base_plus / 2.0
+        # exchange and combine (gather_inbox, combine_z)
+        z_minus = (c * zm_t + np.take(zp_t, rev, axis=0)) / (c + 1.0)
+        z_plus = (zp_t + c * np.take(zm_t, rev, axis=0)) / (c + 1.0)
+        # direction and dual steps (update_u, update_lambda)
+        p_src = np.take(p, src, axis=0)
+        u = project_ball(u + d_rho * (p_src - z_plus))
+        lam = lam + c * (p_src - z_minus)
+        check_finite(t, src, p, z_minus=z_minus, z_plus=z_plus, u=u, lam=lam)
         if hook is not None:
-            hook(IterationEvent(0, states, None, None, 0))
-        for t in range(1, iters + 1):
-            ztilde = sched.map(
-                lambda i: local_halfstep(states[i], d_node[i], c, anchors.get(i))
-            )
+            states_prev = states
+            states = full_states(lay, p, z_minus, z_plus, u, lam)
+            ztilde = node_blocks(lay, p, zm_t, zp_t)
+            hook(IterationEvent(t, states, states_prev, ztilde, comm_per_iter))
 
-            def advance(i: int) -> FullNodeState:
-                inbox = gather_inbox(ztilde, graph, i)
-                z_new = combine_z(
-                    ztilde[i], inbox, c, node=i, neighbors=graph.neighbors[i]
-                )
-                new = FullNodeState(
-                    z_new,
-                    update_u(states[i], z_new, d_node[i], rho),
-                    update_lambda(states[i], z_new, c),
-                )
-                _check_finite(new, t, i)
-                return new
-
-            new_states = sched.map(advance)
-            states_prev, states = states, new_states
-            if hook is not None:
-                hook(IterationEvent(t, states, states_prev, ztilde, comm_per_iter))
-
-    estimates = np.stack([s.block.p for s in states])
-    return RunResult(states=states, estimates=estimates)
+    return RunResult(
+        states=full_states(lay, p, z_minus, z_plus, u, lam), estimates=p.copy()
+    )

@@ -10,21 +10,24 @@ replica rows, with identical volume.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .engine import IterationEvent, NodeScheduler, RunResult
-from .errors import InvalidInit, InvalidParameter, MissingMessage, NonFiniteValue
-from .network import MeasurementSet, NetworkGraph
+from .engine import IterationEvent, RunResult, check_finite
+from .errors import InvalidInit, InvalidParameter, MissingMessage
+from .network import EdgeLayout, MeasurementSet, NetworkGraph
 from .solver_full import (
     FullNodeState,
     InitSpec,
-    _initial_u,
+    as_positions,
     consensus_blocks,
+    full_states,
+    initial_fields,
+    initial_u,
     require_solvable,
+    stack_edge_rows,
 )
 from .structured_ops import NodeBlockVector, PenaltyParams, project_ball
 
@@ -77,51 +80,45 @@ def init_lite(
     ``"directions"``) or an explicit per-node list of ``(degree, dim)``
     arrays.
     """
-    pos = np.asarray(positions, dtype=float)
-    if pos.shape != (graph.num_nodes, graph.dim):
-        raise InvalidInit(f"positions shape {pos.shape} does not match the graph")
+    lay = graph.layout
+    pos = as_positions(positions, graph)
     if isinstance(u_init, str):
-        u0 = _initial_u(
-            InitSpec(kind="from_positions", positions=pos, u_init=u_init), graph
-        )
+        u = initial_u(u_init, pos, graph)
     else:
-        u0 = [np.asarray(u, dtype=float) for u in u_init]
-        if len(u0) != graph.num_nodes:
+        if len(u_init) != graph.num_nodes:
             raise InvalidInit("u_init must cover every node")
-    d_node = measurements.node_ranges(graph)
+        u = stack_edge_rows([np.asarray(x, dtype=float) for x in u_init], lay, "u_init")
+    d = measurements.edge_ranges(graph)
+    alpha, beta = start_accumulators(lay, pos, u, d, c)
+    return lite_states(lay, pos, u, np.zeros_like(u), alpha, beta, d)
 
-    states = []
-    for i in range(graph.num_nodes):
-        nbrs = graph.neighbors[i]
-        x_i = pos[i]
-        x_nbr = (
-            np.stack([pos[j] for j in nbrs]) if nbrs else np.zeros((0, graph.dim))
+
+def start_accumulators(
+    layout: EdgeLayout, pos: np.ndarray, u: np.ndarray, d: np.ndarray, c: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """``alpha0`` and ``beta0`` as edge fields, for duals at zero."""
+    x_i = np.take(pos, layout.src, axis=0)
+    x_j = np.take(pos, layout.dst, axis=0)
+    return c * (x_i + x_i), -(d[:, None] * u) + x_i + x_j
+
+
+def lite_states(
+    layout: EdgeLayout,
+    p: np.ndarray,
+    u: np.ndarray,
+    lam: np.ndarray,
+    alpha: np.ndarray,
+    beta: np.ndarray,
+    d: np.ndarray,
+) -> list[LiteNodeState]:
+    """Per-node states viewing rows of the stacked arrays."""
+    split = layout.split
+    return [
+        LiteNodeState(p=p[i], u=u_i, lam=lam_i, alpha=a_i, beta=b_i, d=d_i)
+        for i, (u_i, lam_i, a_i, b_i, d_i) in enumerate(
+            zip(split(u), split(lam), split(alpha), split(beta), split(d))
         )
-        du = d_node[i][:, None] * u0[i]
-        states.append(
-            LiteNodeState(
-                p=x_i.copy(),
-                u=u0[i].copy(),
-                lam=np.zeros((len(nbrs), graph.dim)),
-                alpha=c * (x_i[None, :] + np.tile(x_i, (len(nbrs), 1))),
-                beta=-du + x_i[None, :] + x_nbr,
-                d=d_node[i].copy(),
-            )
-        )
-    return states
-
-
-def _check_finite_lite(state: LiteNodeState, t: int, i: int) -> None:
-    # A single chained sum: any inf/NaN coordinate poisons it.
-    total = (
-        float(state.p.sum())
-        + float(state.u.sum())
-        + float(state.lam.sum())
-        + float(state.alpha.sum())
-        + float(state.beta.sum())
-    )
-    if not math.isfinite(total):
-        raise NonFiniteValue(f"non-finite state at node {i}, iteration {t}")
+    ]
 
 
 def step_lite(
@@ -254,7 +251,7 @@ def run_lite(
     hook=None,
     threads: int = 1,
 ) -> RunResult:
-    """Run the low-storage solver for a fixed number of barrier rounds.
+    """Run the low-storage solver for a fixed number of iterations.
 
     The recursion needs consensus-feasible replicas at start, so positional
     initialization is mandatory: ``from_positions`` uses the given map,
@@ -262,54 +259,67 @@ def run_lite(
     position per node (unlike the full solver's per-coordinate block draw).
     Hooks receive reconstructed full-state views; the half-step scratch is
     not reconstructed, so potential-function recording is unavailable here.
+    Every node advances at once on edge arrays, bit-identical to
+    :func:`step_lite` and :func:`full_view`; ``threads`` is accepted for
+    compatibility and ignored.
     """
     require_solvable(graph)
     if iters < 1:
         raise InvalidParameter(f"iters must be >= 1, got {iters}")
     c, rho = params.c, params.rho
+    lay = graph.layout
 
     if isinstance(init, list):
-        states = init
+        if len(init) != graph.num_nodes:
+            raise InvalidInit(f"expected {graph.num_nodes} node states, got {len(init)}")
+        p = np.stack([s.p for s in init])
+        u = stack_edge_rows([s.u for s in init], lay, "u")
+        lam = stack_edge_rows([s.lam for s in init], lay, "lam")
+        alpha = stack_edge_rows([s.alpha for s in init], lay, "alpha")
+        beta = stack_edge_rows([s.beta for s in init], lay, "beta")
+        d = stack_edge_rows([s.d for s in init], lay, "d")
     else:
-        if init.kind == "from_positions":
-            if init.positions is None:
-                raise InvalidInit("from_positions needs a positions array")
-            pos = np.asarray(init.positions, dtype=float)
-        elif init.kind == "zeros":
-            pos = np.zeros((graph.num_nodes, graph.dim))
-        elif init.kind == "uniform":
-            if not (init.lo < init.hi):
-                raise InvalidInit(f"uniform bounds [{init.lo}, {init.hi}) are empty")
-            rng = np.random.default_rng(seed)
-            pos = rng.uniform(init.lo, init.hi, (graph.num_nodes, graph.dim))
-        else:
-            raise InvalidInit(f"unknown init kind {init.kind!r}")
-        u_init = init.u_init
-        if u_init == "directions" and init.kind != "from_positions":
-            u_init = _initial_u(
-                InitSpec(kind="from_positions", positions=pos, u_init="directions"),
-                graph,
-            )
-        states = init_lite(graph, pos, u_init, c, measurements)
+        p, _, _, u = initial_fields(graph, init, seed, positional=True)
+        d = measurements.edge_ranges(graph)
+        alpha, beta = start_accumulators(lay, p, u, d, c)
+        lam = np.zeros_like(u)
 
-    comm_per_iter = 2 * graph.dim * graph.sum_degree
+    src, rev = lay.src, lay.rev
+    scale = 2.0 * (c + 1.0)
+    neg_d = -d[:, None]
+    d_rho = (d / rho)[:, None]
+    d_rho_scale = (d / (rho * scale))[:, None]
+    denom = (scale * lay.degrees)[:, None]
+    comm_per_iter = 2 * graph.dim * lay.num_edges
 
-    with NodeScheduler(graph.num_nodes, threads) as sched:
-        view = full_view(states, None, graph, c) if hook is not None else None
+    view = None
+    if hook is not None:
+        x_i, x_j = np.take(p, src, axis=0), np.take(p, lay.dst, axis=0)
+        view = full_states(lay, p, x_i, x_j, u, lam)
+        hook(IterationEvent(0, view, None, None, 0))
+    for t in range(1, iters + 1):
+        # exchange, then _advance_node on every node
+        alpha_in = np.take(alpha, rev, axis=0)
+        beta_in = np.take(beta, rev, axis=0)
+        du = d[:, None] * u
+        p = lay.node_sum(2.0 * du - 2.0 * lam + alpha + beta) / denom
+        p[lay.anchor_idx] = lay.anchor_pos
+        p_src = np.take(p, src, axis=0)
+        plus_sum = beta + alpha_in
+        u = project_ball(u + d_rho * p_src - d_rho_scale * plus_sum)
+        # z^+ of the full-state view, by reconstruct_blocks
+        z_plus = plus_sum / scale
+        alpha_prev = alpha
+        beta = neg_d * u + p_src + z_plus
+        alpha = lam + 2.0 * c * p_src
+        lam = lam + c * p_src - (c / scale) * (alpha_prev + beta_in)
+        check_finite(t, src, p, u=u, lam=lam, alpha=alpha, beta=beta)
         if hook is not None:
-            hook(IterationEvent(0, view, None, None, 0))
-        for t in range(1, iters + 1):
-            def advance(i: int) -> LiteNodeState:
-                new = _advance_node(states, graph, c, rho, i)
-                _check_finite_lite(new, t, i)
-                return new
+            view_prev = view
+            z_minus = (alpha_prev + beta_in) / scale
+            view = full_states(lay, p, z_minus, z_plus, u, lam)
+            hook(IterationEvent(t, view, view_prev, None, comm_per_iter))
 
-            new_states = sched.map(advance)
-            states_prev, states = states, new_states
-            if hook is not None:
-                view_prev = view
-                view = full_view(states, states_prev, graph, c)
-                hook(IterationEvent(t, view, view_prev, None, comm_per_iter))
-
-    estimates = np.stack([s.p for s in states])
-    return RunResult(states=states, estimates=estimates)
+    return RunResult(
+        states=lite_states(lay, p, u, lam, alpha, beta, d), estimates=p.copy()
+    )

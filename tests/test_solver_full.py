@@ -3,6 +3,7 @@ import pytest
 
 from locadmm import oracle
 from locadmm import structured_ops as ops
+from locadmm.engine import check_finite
 from locadmm.errors import (
     InvalidInitSpec,
     InvalidParameter,
@@ -30,6 +31,7 @@ from locadmm.solver_full import (
     update_lambda,
     update_u,
 )
+from locadmm.solver_lite import run_lite
 from locadmm.structured_ops import NodeBlockVector, PenaltyParams
 
 from conftest import exact_measurements, make_graph, random_connected_graph
@@ -479,12 +481,29 @@ class TestRunFull:
         assert np.abs(out.p - closed).max() < 1e-12
 
     def test_nonfinite_aborts(self, triangle):
-        # an absurd feasibility penalty overflows the half-step immediately
+        # an absurd feasibility penalty overflows within a few iterations;
+        # the error names the iteration, the first bad node and its field
         graph, truth, meas = triangle
         spec = InitSpec(kind="uniform", u_init="half")
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(NonFiniteValue):
-                run_full(graph, meas, PenaltyParams(1e308, 0.1), spec, 10, seed=0)
+        for runner, where in (
+            (run_full, "non-finite lam at node 1, iteration 4"),
+            (run_lite, "non-finite u at node 0, iteration 1"),
+        ):
+            with np.errstate(over="ignore", invalid="ignore"):
+                with pytest.raises(NonFiniteValue, match=f"^{where}$"):
+                    runner(graph, meas, PenaltyParams(1e308, 0.1), spec, 10, seed=0)
+
+    def test_nonfinite_names_first_node_and_field(self):
+        src = np.array([0, 1, 1, 2])
+        p, u, lam = np.zeros((3, 2)), np.zeros((4, 2)), np.zeros((4, 2))
+        check_finite(5, src, p, u=u, lam=lam)
+        p[2, 1] = np.nan
+        lam[1, 0] = np.inf
+        with pytest.raises(NonFiniteValue, match="^non-finite lam at node 1, iteration 5$"):
+            check_finite(5, src, p, u=u, lam=lam)
+        u[2, 1] = -np.inf
+        with pytest.raises(NonFiniteValue, match="^non-finite u at node 1, iteration 5$"):
+            check_finite(5, src, p, u=u, lam=lam)
 
     def test_message_volume_per_node(self, triangle):
         graph, truth, meas = triangle
