@@ -5,7 +5,9 @@ trace can record: the stationarity gap, the direction-update gap, the
 feasibility gap, the combined optimality gap that certifies a KKT point at
 zero, the augmented Lagrangian, the potential that decreases monotonically
 under the parameter bounds, and the bounds themselves. All functions are
-pure over state snapshots.
+pure over state snapshots. They take per-node state lists, stack them into
+``(E, dim)`` edge arrays with rows in node order, and evaluate the closed
+forms of :mod:`locadmm.structured_ops` on every edge at once.
 """
 
 from __future__ import annotations
@@ -17,54 +19,59 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .engine import IterationEvent
+from .engine import IterationEvent, quiet_fp
 from .errors import InvalidParameter, NonFiniteValue
 from .network import GroundTruth, MeasurementSet, NetworkGraph, rmse
-from .structured_ops import (
-    NodeBlockVector,
-    PenaltyParams,
-    apply_A,
-    apply_At,
-    apply_cBtB,
-    grad_F_z,
-    objective_F,
-    project_consensus,
-)
+from .structured_ops import PenaltyParams, project_consensus_edges
 
 TRACE_COLUMNS = ("t", "rmse", "S", "U", "P", "F", "L", "potential", "comm_scalars", "wall_ms")
 DEFAULT_METRICS = ("rmse", "S", "U", "P", "F", "L")
 
 
+def _stack(blocks, *rows):
+    """Concatenate per-node lists into arrays with rows in node order: the
+    node rows ``p``, the edge fields ``p_src`` (row ``e`` repeats the ``p``
+    of the node owning edge row ``e``), ``z^-`` and ``z^+`` of ``blocks``,
+    then each list in ``rows``."""
+    p = np.stack([b.p for b in blocks])
+    p_src = np.repeat(p, [b.degree for b in blocks], axis=0)
+    fields = ([b.z_minus for b in blocks], [b.z_plus for b in blocks]) + rows
+    return (p, p_src, *map(np.concatenate, fields))
+
+
+def _stack_states(states, *rows):
+    """:func:`_stack` of full node states, with ``u`` and ``lam`` first in ``rows``."""
+    return _stack([s.block for s in states], [s.u for s in states], [s.lam for s in states], *rows)
+
+
+def _sq(a: np.ndarray) -> float:
+    return float((a * a).sum())
+
+
+def _grad_lagrangian(graph: NetworkGraph, p_src, z_plus, u, lam, d):
+    """``grad F(z, u) + A^T lam`` (:func:`~locadmm.structured_ops.grad_F_z`,
+    :func:`~locadmm.structured_ops.apply_At`) as p-block rows and z^-, z^+
+    edge fields, from the per-edge loss residual ``(p - z^+) - d u``."""
+    resid = p_src - z_plus - d * u
+    return graph.layout.node_sum(resid + lam), -lam, -resid
+
+
 def stationarity_gap(states, graph: NetworkGraph, d_node) -> float:
     """Sum over nodes of ``||grad F(z, u) + A^T lam||^2``; zero together with
     the other gaps exactly at a KKT point."""
-    total = 0.0
-    for i in range(graph.num_nodes):
-        g = grad_F_z(states[i].block, states[i].u, d_node[i])
-        a = apply_At(states[i].lam)
-        flat = np.concatenate(
-            [g.p + a.p, (g.z_minus + a.z_minus).ravel(), (g.z_plus + a.z_plus).ravel()]
-        )
-        total += float(flat @ flat)
-    return total
+    _, p_src, _, z_plus, u, lam, d = _stack_states(states, d_node)
+    return sum(map(_sq, _grad_lagrangian(graph, p_src, z_plus, u, lam, d[:, None])))
 
 
 def primal_diff_gap(u_now: Sequence[np.ndarray], u_prev: Sequence[np.ndarray]) -> float:
     """Sum over nodes of ``||u_t - u_{t-1}||^2``."""
-    total = 0.0
-    for a, b in zip(u_now, u_prev):
-        diff = a - b
-        total += float((diff * diff).sum())
-    return total
+    return _sq(np.concatenate(u_now) - np.concatenate(u_prev))
 
 
 def feasibility_gap(states) -> float:
     """Sum over nodes of ``||A z||^2``: squared self-replica residuals."""
-    total = 0.0
-    for st in states:
-        r = apply_A(st.block)
-        total += float((r * r).sum())
-    return total
+    _, p_src, z_minus, _ = _stack([s.block for s in states])
+    return _sq(p_src - z_minus)
 
 
 def optimality_gap(states, u_prev, graph: NetworkGraph, d_node) -> float:
@@ -75,31 +82,18 @@ def optimality_gap(states, u_prev, graph: NetworkGraph, d_node) -> float:
     Zero exactly at a KKT point; the caller supplies the previous
     iteration's direction field.
     """
-    shifted = []
-    for i in range(graph.num_nodes):
-        g = grad_F_z(states[i].block, states[i].u, d_node[i])
-        a = apply_At(states[i].lam)
-        blk = states[i].block
-        shifted.append(
-            NodeBlockVector(
-                blk.p - (g.p + a.p),
-                blk.z_minus - (g.z_minus + a.z_minus),
-                blk.z_plus - (g.z_plus + a.z_plus),
-            )
-        )
-    projected = project_consensus(shifted, graph)
-    total = 0.0
-    for i in range(graph.num_nodes):
-        blk = states[i].block
-        dp = blk.p - projected[i].p
-        dm = blk.z_minus - projected[i].z_minus
-        dpl = blk.z_plus - projected[i].z_plus
-        total += float((dp * dp).sum() + (dm * dm).sum() + (dpl * dpl).sum())
-        r = apply_A(blk)
-        total += float((r * r).sum())
-        du = states[i].u - u_prev[i]
-        total += float((du * du).sum())
-    return total
+    p, p_src, z_minus, z_plus, u, lam, d, u_prev = _stack_states(states, d_node, u_prev)
+    g_p, g_minus, g_plus = _grad_lagrangian(graph, p_src, z_plus, u, lam, d[:, None])
+    proj_p, proj_minus, proj_plus = project_consensus_edges(
+        graph.layout, p - g_p, z_minus - g_minus, z_plus - g_plus
+    )
+    return (
+        _sq(p - proj_p)
+        + _sq(z_minus - proj_minus)
+        + _sq(z_plus - proj_plus)
+        + _sq(p_src - z_minus)
+        + _sq(u - u_prev)
+    )
 
 
 def augmented_lagrangian(states, d_node, c: float) -> float:
@@ -108,13 +102,10 @@ def augmented_lagrangian(states, d_node, c: float) -> float:
     The ball indicator contributes nothing because the solvers keep every
     direction row feasible.
     """
-    total = 0.0
-    for i, st in enumerate(states):
-        r = apply_A(st.block)
-        total += objective_F(st.block, st.u, d_node[i])
-        total += float((st.lam * r).sum())
-        total += 0.5 * c * float((r * r).sum())
-    return total
+    _, p_src, z_minus, z_plus, u, lam, d = _stack_states(states, d_node)
+    qz = p_src - z_plus
+    az = p_src - z_minus
+    return float((0.5 * qz * qz - d[:, None] * u * qz + lam * az + 0.5 * c * az * az).sum())
 
 
 def potential(
@@ -131,35 +122,22 @@ def potential(
 
     Augmented Lagrangian plus per-node ``(c/2) [ kappa1 ||A z~||^2 +
     kappa2 ||A z||^2 + (rho / 2c) ||u - u_prev||^2 + (kappa1 + kappa2)
-    ||z - z_prev||^2`` in the proximal metric ]. The proximal metric is
-    evaluated through :func:`~locadmm.structured_ops.apply_cBtB` divided by
-    ``c``. Needs the half-step blocks and the lagged state, which run hooks
-    expose after every iteration.
+    ||z - z_prev||^2`` in the proximal metric ]. That metric, ``c B^T B``
+    of :func:`~locadmm.structured_ops.apply_cBtB` over ``c``, is a sum over
+    edges of ``|dp + dz^-_j|^2 + |dp + dz^+_j|^2 / c``. Needs the half-step
+    blocks and the lagged state, which run hooks expose after every iteration.
     """
-    total = augmented_lagrangian(states_t, d_node, c)
-    for i in range(len(states_t)):
-        r_tilde = apply_A(ztilde_t[i])
-        r_now = apply_A(states_t[i].block)
-        du = states_t[i].u - states_prev[i].u
-        blk_t, blk_p = states_t[i].block, states_prev[i].block
-        dz = NodeBlockVector(
-            blk_t.p - blk_p.p,
-            blk_t.z_minus - blk_p.z_minus,
-            blk_t.z_plus - blk_p.z_plus,
-        )
-        bb = apply_cBtB(dz, c)
-        quad = (
-            float(dz.p @ bb.p)
-            + float((dz.z_minus * bb.z_minus).sum())
-            + float((dz.z_plus * bb.z_plus).sum())
-        ) / c
-        total += 0.5 * c * (
-            kappa1 * float((r_tilde * r_tilde).sum())
-            + kappa2 * float((r_now * r_now).sum())
-            + (rho / (2.0 * c)) * float((du * du).sum())
-            + (kappa1 + kappa2) * quad
-        )
-    return total
+    _, p_src, z_minus, z_plus, u, _ = _stack_states(states_t)
+    _, p_src_prev, z_minus_prev, z_plus_prev, u_prev, _ = _stack_states(states_prev)
+    _, zt_src, zt_minus, _ = _stack(ztilde_t)
+    dp = p_src - p_src_prev
+    quad = _sq(dp + (z_minus - z_minus_prev)) + _sq(dp + (z_plus - z_plus_prev)) / c
+    return augmented_lagrangian(states_t, d_node, c) + 0.5 * c * (
+        kappa1 * _sq(zt_src - zt_minus)
+        + kappa2 * _sq(p_src - z_minus)
+        + (rho / (2.0 * c)) * _sq(u - u_prev)
+        + (kappa1 + kappa2) * quad
+    )
 
 
 @dataclass(frozen=True)
@@ -354,33 +332,34 @@ class TraceRecorder:
         m = self.metrics
         row = TraceRow(t=event.t, comm_scalars=event.comm_scalars)
         states = event.states
-        if "rmse" in m:
-            est = np.stack([s.block.p for s in states])
-            row.rmse = rmse(est, self.truth, self.graph)
-        if "S" in m:
-            row.S = stationarity_gap(states, self.graph, self.d_node)
-        if "P" in m:
-            row.P = feasibility_gap(states)
-        if "L" in m:
-            row.L = augmented_lagrangian(states, self.d_node, self.params.c)
-        if event.states_prev is not None:
-            u_prev = [s.u for s in event.states_prev]
-            if "U" in m:
-                row.U = primal_diff_gap([s.u for s in states], u_prev)
-            if "F" in m:
-                row.F = optimality_gap(states, u_prev, self.graph, self.d_node)
-            if "potential" in m and event.ztilde is not None:
-                k1, k2 = self.potential_coeffs
-                row.potential = potential(
-                    states,
-                    event.states_prev,
-                    event.ztilde,
-                    self.d_node,
-                    k1,
-                    k2,
-                    self.params.c,
-                    self.params.rho,
-                )
+        with quiet_fp():
+            if "rmse" in m:
+                est = np.stack([s.block.p for s in states])
+                row.rmse = rmse(est, self.truth, self.graph)
+            if "S" in m:
+                row.S = stationarity_gap(states, self.graph, self.d_node)
+            if "P" in m:
+                row.P = feasibility_gap(states)
+            if "L" in m:
+                row.L = augmented_lagrangian(states, self.d_node, self.params.c)
+            if event.states_prev is not None:
+                u_prev = [s.u for s in event.states_prev]
+                if "U" in m:
+                    row.U = primal_diff_gap([s.u for s in states], u_prev)
+                if "F" in m:
+                    row.F = optimality_gap(states, u_prev, self.graph, self.d_node)
+                if "potential" in m and event.ztilde is not None:
+                    k1, k2 = self.potential_coeffs
+                    row.potential = potential(
+                        states,
+                        event.states_prev,
+                        event.ztilde,
+                        self.d_node,
+                        k1,
+                        k2,
+                        self.params.c,
+                        self.params.rho,
+                    )
         if "wall" in m:
             row.wall_ms = (time.perf_counter() - self._t0) * 1e3
         self.trace.append(row)

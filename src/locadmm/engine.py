@@ -69,3 +69,10 @@ def check_finite(t: int, src: np.ndarray, p: np.ndarray, **edge_fields: np.ndarr
     node = min(first_bad.values())
     field = next(name for name, i in first_bad.items() if i == node)
     raise NonFiniteValue(f"non-finite {field} at node {node}, iteration {t}")
+
+
+def quiet_fp() -> np.errstate:
+    """NumPy's floating-point warnings off. The solver updates and the trace
+    recorder run under it, so a divergence is reported once, by
+    :func:`check_finite` or the trace's own check, not at every overflow."""
+    return np.errstate(over="ignore", invalid="ignore", divide="ignore")

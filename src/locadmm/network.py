@@ -130,12 +130,9 @@ class NetworkGraph:
             rev_pos=rev_pos,
         )
 
-    def degree(self, i: int) -> int:
-        return len(self.neighbors[i])
-
     @property
     def degrees(self) -> np.ndarray:
-        return np.array([len(nbrs) for nbrs in self.neighbors])
+        return self.layout.degrees.copy()
 
     @property
     def num_anchors(self) -> int:
@@ -144,16 +141,16 @@ class NetworkGraph:
     @property
     def avg_degree(self) -> float:
         """Mean neighbor count (1/N) sum_i N_i."""
-        return float(sum(len(nbrs) for nbrs in self.neighbors)) / self.num_nodes
+        return float(self.sum_degree) / self.num_nodes
 
     @property
     def max_degree(self) -> int:
-        return max(len(nbrs) for nbrs in self.neighbors)
+        return int(self.layout.degrees.max())
 
     @property
     def sum_degree(self) -> int:
         """Total directed-edge count, twice the number of edges."""
-        return sum(len(nbrs) for nbrs in self.neighbors)
+        return self.layout.num_edges
 
     @cached_property
     def layout(self) -> "EdgeLayout":
@@ -299,10 +296,7 @@ class MeasurementSet:
 
     def node_ranges(self, graph: NetworkGraph) -> list[np.ndarray]:
         """Per node, ranges to each neighbor in sorted-neighbor order."""
-        return [
-            np.array([self.value(i, j) for j in graph.neighbors[i]])
-            for i in range(graph.num_nodes)
-        ]
+        return graph.layout.split(self.edge_ranges(graph))
 
     def edge_ranges(self, graph: NetworkGraph) -> np.ndarray:
         """Ranges of every directed edge, in the graph's edge-layout order."""

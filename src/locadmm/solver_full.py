@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .engine import IterationEvent, RunResult, check_finite
+from .engine import IterationEvent, RunResult, check_finite, quiet_fp
 from .errors import (
     DisconnectedGraph,
     InvalidInit,
@@ -24,7 +24,7 @@ from .errors import (
     MissingMessage,
 )
 from .network import EdgeLayout, MeasurementSet, NetworkGraph
-from .structured_ops import NodeBlockVector, PenaltyParams, project_ball
+from .structured_ops import NodeBlockVector, PenaltyParams, node_blocks, project_ball
 
 
 @dataclass(frozen=True)
@@ -182,16 +182,6 @@ def initial_u(u_init: str, positions, graph: NetworkGraph) -> np.ndarray:
     if positions is None:
         raise InvalidInitSpec("u_init 'directions' needs positions")
     return edge_directions(as_positions(positions, graph), graph.layout)
-
-
-def node_blocks(
-    layout: EdgeLayout, p: np.ndarray, z_minus: np.ndarray, z_plus: np.ndarray
-) -> list[NodeBlockVector]:
-    """Per-node blocks viewing rows of the stacked arrays."""
-    return [
-        NodeBlockVector(p[i], zm, zp)
-        for i, (zm, zp) in enumerate(zip(layout.split(z_minus), layout.split(z_plus)))
-    ]
 
 
 def full_states(
@@ -376,7 +366,8 @@ def run_full(
     c, rho = params.c, params.rho
     src, rev = lay.src, lay.rev
     d = measurements.edge_ranges(graph)[:, None]
-    d_rho = d / rho
+    with quiet_fp():
+        d_rho = d / rho
     denom = (2.0 * (c + 1.0) * lay.degrees)[:, None]
     comm_per_iter = 2 * graph.dim * lay.num_edges
 
@@ -385,22 +376,23 @@ def run_full(
         states = init if isinstance(init, list) else full_states(lay, p, z_minus, z_plus, u, lam)
         hook(IterationEvent(0, states, None, None, 0))
     for t in range(1, iters + 1):
-        # half-step (local_halfstep)
-        p_src = np.take(p, src, axis=0)
-        base_minus = p_src + z_minus
-        base_plus = p_src + z_plus
-        du = d * u
-        p = lay.node_sum(du - lam + c * base_minus + base_plus) / denom
-        p[lay.anchor_idx] = lay.anchor_pos
-        zm_t = lam / (2.0 * c) + base_minus / 2.0
-        zp_t = -du / 2.0 + base_plus / 2.0
-        # exchange and combine (gather_inbox, combine_z)
-        z_minus = (c * zm_t + np.take(zp_t, rev, axis=0)) / (c + 1.0)
-        z_plus = (zp_t + c * np.take(zm_t, rev, axis=0)) / (c + 1.0)
-        # direction and dual steps (update_u, update_lambda)
-        p_src = np.take(p, src, axis=0)
-        u = project_ball(u + d_rho * (p_src - z_plus))
-        lam = lam + c * (p_src - z_minus)
+        with quiet_fp():
+            # half-step (local_halfstep)
+            p_src = np.take(p, src, axis=0)
+            base_minus = p_src + z_minus
+            base_plus = p_src + z_plus
+            du = d * u
+            p = lay.node_sum(du - lam + c * base_minus + base_plus) / denom
+            p[lay.anchor_idx] = lay.anchor_pos
+            zm_t = lam / (2.0 * c) + base_minus / 2.0
+            zp_t = -du / 2.0 + base_plus / 2.0
+            # exchange and combine (gather_inbox, combine_z)
+            z_minus = (c * zm_t + np.take(zp_t, rev, axis=0)) / (c + 1.0)
+            z_plus = (zp_t + c * np.take(zm_t, rev, axis=0)) / (c + 1.0)
+            # direction and dual steps (update_u, update_lambda)
+            p_src = np.take(p, src, axis=0)
+            u = project_ball(u + d_rho * (p_src - z_plus))
+            lam = lam + c * (p_src - z_minus)
         check_finite(t, src, p, z_minus=z_minus, z_plus=z_plus, u=u, lam=lam)
         if hook is not None:
             states_prev = states

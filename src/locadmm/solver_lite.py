@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .engine import IterationEvent, RunResult, check_finite
+from .engine import IterationEvent, RunResult, check_finite, quiet_fp
 from .errors import InvalidInit, InvalidParameter, MissingMessage
 from .network import EdgeLayout, MeasurementSet, NetworkGraph
 from .solver_full import (
@@ -99,7 +99,8 @@ def start_accumulators(
     """``alpha0`` and ``beta0`` as edge fields, for duals at zero."""
     x_i = np.take(pos, layout.src, axis=0)
     x_j = np.take(pos, layout.dst, axis=0)
-    return c * (x_i + x_i), -(d[:, None] * u) + x_i + x_j
+    with quiet_fp():
+        return c * (x_i + x_i), -(d[:, None] * u) + x_i + x_j
 
 
 def lite_states(
@@ -287,8 +288,9 @@ def run_lite(
     src, rev = lay.src, lay.rev
     scale = 2.0 * (c + 1.0)
     neg_d = -d[:, None]
-    d_rho = (d / rho)[:, None]
-    d_rho_scale = (d / (rho * scale))[:, None]
+    with quiet_fp():
+        d_rho = (d / rho)[:, None]
+        d_rho_scale = (d / (rho * scale))[:, None]
     denom = (scale * lay.degrees)[:, None]
     comm_per_iter = 2 * graph.dim * lay.num_edges
 
@@ -298,25 +300,27 @@ def run_lite(
         view = full_states(lay, p, x_i, x_j, u, lam)
         hook(IterationEvent(0, view, None, None, 0))
     for t in range(1, iters + 1):
-        # exchange, then _advance_node on every node
-        alpha_in = np.take(alpha, rev, axis=0)
-        beta_in = np.take(beta, rev, axis=0)
-        du = d[:, None] * u
-        p = lay.node_sum(2.0 * du - 2.0 * lam + alpha + beta) / denom
-        p[lay.anchor_idx] = lay.anchor_pos
-        p_src = np.take(p, src, axis=0)
-        plus_sum = beta + alpha_in
-        u = project_ball(u + d_rho * p_src - d_rho_scale * plus_sum)
-        # z^+ of the full-state view, by reconstruct_blocks
-        z_plus = plus_sum / scale
-        alpha_prev = alpha
-        beta = neg_d * u + p_src + z_plus
-        alpha = lam + 2.0 * c * p_src
-        lam = lam + c * p_src - (c / scale) * (alpha_prev + beta_in)
+        with quiet_fp():
+            # exchange, then _advance_node on every node
+            alpha_in = np.take(alpha, rev, axis=0)
+            beta_in = np.take(beta, rev, axis=0)
+            du = d[:, None] * u
+            p = lay.node_sum(2.0 * du - 2.0 * lam + alpha + beta) / denom
+            p[lay.anchor_idx] = lay.anchor_pos
+            p_src = np.take(p, src, axis=0)
+            plus_sum = beta + alpha_in
+            u = project_ball(u + d_rho * p_src - d_rho_scale * plus_sum)
+            # z^+ of the full-state view, by reconstruct_blocks
+            z_plus = plus_sum / scale
+            alpha_prev = alpha
+            beta = neg_d * u + p_src + z_plus
+            alpha = lam + 2.0 * c * p_src
+            lam = lam + c * p_src - (c / scale) * (alpha_prev + beta_in)
+            if hook is not None:
+                z_minus = (alpha_prev + beta_in) / scale
         check_finite(t, src, p, u=u, lam=lam, alpha=alpha, beta=beta)
         if hook is not None:
             view_prev = view
-            z_minus = (alpha_prev + beta_in) / scale
             view = full_states(lay, p, z_minus, z_plus, u, lam)
             hook(IterationEvent(t, view, view_prev, None, comm_per_iter))
 

@@ -3,7 +3,9 @@
 Every operator here acts on one node's block of variables ``(p, z^-, z^+)``
 or on a per-edge field, and reduces to O(dim * degree) closed-form loops; no
 matrix is ever materialized. Per-edge fields are ``(degree, dim)`` arrays
-aligned with the graph's sorted neighbor lists.
+aligned with the graph's sorted neighbor lists. These closed forms are the
+specification the dense oracle and the tests check; the diagnostics and
+:func:`project_consensus_edges` evaluate them on ``(E, dim)`` edge arrays.
 
 Block-vector conventions, for a node with degree ``k`` in dimension ``n``:
 
@@ -21,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameter, MissingNode
+from .network import EdgeLayout
 
 
 @dataclass
@@ -186,6 +189,16 @@ def project_ball(f: np.ndarray) -> np.ndarray:
     return f / np.maximum(1.0, norms)[:, None]
 
 
+def node_blocks(
+    layout: EdgeLayout, p: np.ndarray, z_minus: np.ndarray, z_plus: np.ndarray
+) -> list[NodeBlockVector]:
+    """Per-node blocks viewing rows of the stacked arrays."""
+    return [
+        NodeBlockVector(p[i], zm, zp)
+        for i, (zm, zp) in enumerate(zip(layout.split(z_minus), layout.split(z_plus)))
+    ]
+
+
 def project_consensus(blocks, graph) -> list[NodeBlockVector]:
     """Euclidean (unweighted) projection onto the consensus-and-anchor set.
 
@@ -195,17 +208,25 @@ def project_consensus(blocks, graph) -> list[NodeBlockVector]:
     replaced by their average. Idempotent and non-expansive.
     """
     if len(blocks) != graph.num_nodes:
-        raise MissingNode(
-            f"expected {graph.num_nodes} blocks, got {len(blocks)}"
-        )
-    out = []
-    for i in range(graph.num_nodes):
-        p = graph.anchors[i].copy() if i in graph.anchors else blocks[i].p.copy()
-        out.append(NodeBlockVector(p, blocks[i].z_minus.copy(), blocks[i].z_plus.copy()))
-    for i in range(graph.num_nodes):
-        for k, j in enumerate(graph.neighbors[i]):
-            r = graph.rev_pos[i][k]
-            avg = (blocks[i].z_plus[k] + blocks[j].z_minus[r]) / 2.0
-            out[i].z_plus[k] = avg
-            out[j].z_minus[r] = avg
-    return out
+        raise MissingNode(f"expected {graph.num_nodes} blocks, got {len(blocks)}")
+    lay = graph.layout
+    projected = project_consensus_edges(
+        lay,
+        np.stack([b.p for b in blocks]),
+        np.concatenate([b.z_minus for b in blocks]),
+        np.concatenate([b.z_plus for b in blocks]),
+    )
+    return node_blocks(lay, *projected)
+
+
+def project_consensus_edges(
+    layout: EdgeLayout, p: np.ndarray, z_minus: np.ndarray, z_plus: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`project_consensus` on stacked arrays, returned as new arrays:
+    ``p`` has a row per node, ``z_minus`` and ``z_plus`` a row per edge in
+    ``layout`` order. Edge ``e``'s plus-replica and its reverse's minus-
+    replica both become ``avg[e] = (z_plus[e] + z_minus[rev[e]]) / 2``."""
+    p = p.copy()
+    p[layout.anchor_idx] = layout.anchor_pos
+    avg = (z_plus + np.take(z_minus, layout.rev, axis=0)) / 2.0
+    return p, np.take(avg, layout.rev, axis=0), avg

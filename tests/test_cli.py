@@ -1,6 +1,5 @@
 import os
 
-import numpy as np
 import pytest
 
 from locadmm import network
@@ -152,15 +151,18 @@ class TestRun:
                     a, b = float(cell_f), float(cell_l)
                     assert abs(a - b) <= 1e-9 * (1.0 + abs(a))
 
-    def test_divergence_exit_code(self, net_file, tmp_path):
-        with np.errstate(over="ignore", invalid="ignore"):
-            code = main(
-                [
-                    "run", "--net", str(net_file), "--c", "1e308", "--rho", "0.1",
-                    "--iters", "5", "--threads", "1",
-                ]
-            )
+    @pytest.mark.parametrize("algo", ["full", "lite"])
+    def test_divergence_exit_code(self, net_file, algo, capsys):
+        # the divergence is reported once, with no NumPy warning before it
+        code = main(
+            [
+                "run", "--net", str(net_file), "--algo", algo, "--c", "1e308",
+                "--rho", "0.1", "--iters", "5", "--threads", "1",
+            ]
+        )
         assert code == EXIT_DIVERGED
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("diverged: ")
 
 
 class TestSweep:

@@ -1,4 +1,5 @@
-"""Property tests: the edge-array solvers against the per-node specification.
+"""Property tests: the edge-array solvers and diagnostics against their
+specifications.
 
 Over random connected graphs (dimension 2 and 3, down to two nodes, with
 degree-1 leaves, and up to every node but one anchored), ``run_full`` must
@@ -7,7 +8,8 @@ update_lambda`` and ``run_lite`` must reproduce ``step_lite`` and
 ``full_view``, bit for bit at every iteration, from iteration-zero states
 built node by node as below. Along the way the combined replicas satisfy
 the consensus constraint bitwise, every direction row stays in the unit
-ball, and anchors stay pinned.
+ball, and anchors stay pinned. The diagnostics and the consensus projection
+must match the dense oracle on random states.
 """
 
 from dataclasses import fields, is_dataclass
@@ -16,6 +18,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from locadmm import diagnostics as dg
+from locadmm import oracle
 from locadmm.network import MeasurementSet, NetworkGraph
 from locadmm.solver_full import (
     FullNodeState,
@@ -29,15 +33,21 @@ from locadmm.solver_full import (
     update_u,
 )
 from locadmm.solver_lite import LiteNodeState, full_view, run_lite, step_lite
-from locadmm.structured_ops import NodeBlockVector, PenaltyParams
+from locadmm.structured_ops import (
+    NodeBlockVector,
+    PenaltyParams,
+    project_ball,
+    project_consensus,
+)
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
 
 @st.composite
-def instances(draw):
-    """A random connected instance, penalties, an init spec and a length."""
-    n = draw(st.integers(2, 12))
+def graphs(draw, max_nodes=12):
+    """A random connected graph with noisy ranges, and a seeded generator
+    for further draws."""
+    n = draw(st.integers(2, max_nodes))
     dim = draw(st.sampled_from([2, 3]))
     # a random tree (its leaves have degree 1) plus a few extra edges
     edges = {(draw(st.integers(0, k - 1)), k) for k in range(1, n)}
@@ -56,6 +66,14 @@ def instances(draw):
             for i, j in graph.edge_list
         }
     )
+    return graph, meas, rng
+
+
+@st.composite
+def instances(draw):
+    """A random connected instance, penalties, an init spec and a length."""
+    graph, meas, rng = draw(graphs())
+    n, dim = graph.num_nodes, graph.dim
     params = PenaltyParams(draw(st.floats(0.01, 2.0)), draw(st.floats(0.01, 2.0)))
     spec = InitSpec(
         kind=draw(st.sampled_from(InitSpec.KINDS)),
@@ -221,3 +239,78 @@ def test_run_lite_matches_per_node_spec(inst):
     head = run_lite(graph, meas, params, spec, 1, seed=seed).states
     if iters > 1:
         assert_same_bits(run_lite(graph, meas, params, head, iters - 1).states, states)
+
+
+def random_states(rng, graph):
+    """Full node states with normal entries and ball-feasible directions."""
+    return [
+        FullNodeState(
+            NodeBlockVector(
+                rng.normal(size=graph.dim),
+                rng.normal(size=(k, graph.dim)),
+                rng.normal(size=(k, graph.dim)),
+            ),
+            project_ball(rng.normal(size=(k, graph.dim))),
+            rng.normal(size=(k, graph.dim)),
+        )
+        for k in map(len, graph.neighbors)
+    ]
+
+
+@PROPERTY_SETTINGS
+@given(graphs(max_nodes=8), st.floats(0.01, 2.0), st.floats(0.01, 2.0), st.floats(1.0, 100.0))
+def test_diagnostics_match_dense_oracle(inst, c, rho, kappa):
+    graph, meas, rng = inst
+    d_node = meas.node_ranges(graph)
+    dense = oracle.build_dense(graph, meas, c)
+    now, prev, half = (random_states(rng, graph) for _ in range(3))
+    ztilde = [s.block for s in half]
+    k1, k2 = kappa, 3.0 * kappa
+
+    def close(got, want):
+        assert abs(got - want) <= 1e-9 * (1.0 + abs(want))
+
+    def sq(v):
+        return float(v @ v)
+
+    flat = [s.block.to_flat() for s in now]
+    qz = [q @ z for q, z in zip(dense.Q, flat)]
+    az = [a @ z for a, z in zip(dense.A, flat)]
+    du = [(a.u - b.u).ravel() for a, b in zip(now, prev)]
+    grad = [
+        dense.Q[i].T @ qz[i] - dense.Q[i].T @ dense.D[i] @ s.u.ravel() + dense.A[i].T @ s.lam.ravel()
+        for i, s in enumerate(now)
+    ]
+    lagrangian = sum(
+        0.5 * sq(qz[i])
+        - float(s.u.ravel() @ (dense.D[i] @ qz[i]))
+        + float(s.lam.ravel() @ az[i])
+        + 0.5 * c * sq(az[i])
+        for i, s in enumerate(now)
+    )
+    close(dg.stationarity_gap(now, graph, d_node), sum(map(sq, grad)))
+    close(dg.feasibility_gap(now), sum(map(sq, az)))
+    close(dg.primal_diff_gap([s.u for s in now], [s.u for s in prev]), sum(map(sq, du)))
+    close(dg.augmented_lagrangian(now, d_node, c), lagrangian)
+
+    shifted = [
+        NodeBlockVector.from_flat(z - g, len(nbrs), graph.dim)
+        for z, g, nbrs in zip(flat, grad, graph.neighbors)
+    ]
+    want = oracle.solve_z_subproblem_dense(shifted, c, graph, weighted=False)
+    for got, ref in zip(project_consensus(shifted, graph), want):
+        ref = ref.to_flat()
+        assert np.abs(got.to_flat() - ref).max() <= 1e-9 * (1.0 + np.abs(ref).max())
+    gap = sum(sq(z - w.to_flat()) + sq(r) + sq(v) for z, w, r, v in zip(flat, want, az, du))
+    close(dg.optimality_gap(now, [s.u for s in prev], graph, d_node), gap)
+
+    extra = 0.0
+    for i in range(graph.num_nodes):
+        dz = flat[i] - prev[i].block.to_flat()
+        extra += 0.5 * c * (
+            k1 * sq(dense.A[i] @ ztilde[i].to_flat())
+            + k2 * sq(az[i])
+            + (rho / (2.0 * c)) * sq(du[i])
+            + (k1 + k2) * float(dz @ (dense.cBtB[i] / c) @ dz)
+        )
+    close(dg.potential(now, prev, ztilde, d_node, k1, k2, c, rho), lagrangian + extra)

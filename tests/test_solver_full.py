@@ -489,9 +489,8 @@ class TestRunFull:
             (run_full, "non-finite lam at node 1, iteration 4"),
             (run_lite, "non-finite u at node 0, iteration 1"),
         ):
-            with np.errstate(over="ignore", invalid="ignore"):
-                with pytest.raises(NonFiniteValue, match=f"^{where}$"):
-                    runner(graph, meas, PenaltyParams(1e308, 0.1), spec, 10, seed=0)
+            with pytest.raises(NonFiniteValue, match=f"^{where}$"):
+                runner(graph, meas, PenaltyParams(1e308, 0.1), spec, 10, seed=0)
 
     def test_nonfinite_names_first_node_and_field(self):
         src = np.array([0, 1, 1, 2])
