@@ -5,9 +5,9 @@ trace can record: the stationarity gap, the direction-update gap, the
 feasibility gap, the combined optimality gap that certifies a KKT point at
 zero, the augmented Lagrangian, the potential that decreases monotonically
 under the parameter bounds, and the bounds themselves. All functions are
-pure over state snapshots. They take per-node state lists, stack them into
-``(E, dim)`` edge arrays with rows in node order, and evaluate the closed
-forms of :mod:`locadmm.structured_ops` on every edge at once.
+pure over state snapshots: ``EdgeStates`` as hooks get them, or per-node
+lists that ``EdgeStates.of`` stacks once. They evaluate the closed forms of
+:mod:`locadmm.structured_ops` on every edge of those ``(E, dim)`` arrays.
 """
 
 from __future__ import annotations
@@ -22,56 +22,39 @@ import numpy as np
 from .engine import IterationEvent, quiet_fp
 from .errors import InvalidParameter, NonFiniteValue
 from .network import GroundTruth, MeasurementSet, NetworkGraph, rmse
-from .structured_ops import PenaltyParams, project_consensus_edges
+from .structured_ops import EdgeBlocks, EdgeStates, PenaltyParams, edge_rows, project_consensus
 
 TRACE_COLUMNS = ("t", "rmse", "S", "U", "P", "F", "L", "potential", "comm_scalars", "wall_ms")
 DEFAULT_METRICS = ("rmse", "S", "U", "P", "F", "L")
-
-
-def _stack(blocks, *rows):
-    """Concatenate per-node lists into arrays with rows in node order: the
-    node rows ``p``, the edge fields ``p_src`` (row ``e`` repeats the ``p``
-    of the node owning edge row ``e``), ``z^-`` and ``z^+`` of ``blocks``,
-    then each list in ``rows``."""
-    p = np.stack([b.p for b in blocks])
-    p_src = np.repeat(p, [b.degree for b in blocks], axis=0)
-    fields = ([b.z_minus for b in blocks], [b.z_plus for b in blocks]) + rows
-    return (p, p_src, *map(np.concatenate, fields))
-
-
-def _stack_states(states, *rows):
-    """:func:`_stack` of full node states, with ``u`` and ``lam`` first in ``rows``."""
-    return _stack([s.block for s in states], [s.u for s in states], [s.lam for s in states], *rows)
 
 
 def _sq(a: np.ndarray) -> float:
     return float((a * a).sum())
 
 
-def _grad_lagrangian(graph: NetworkGraph, p_src, z_plus, u, lam, d):
+def _grad_lagrangian(graph: NetworkGraph, s: EdgeStates, d_node):
     """``grad F(z, u) + A^T lam`` (:func:`~locadmm.structured_ops.grad_F_z`,
     :func:`~locadmm.structured_ops.apply_At`) as p-block rows and z^-, z^+
     edge fields, from the per-edge loss residual ``(p - z^+) - d u``."""
-    resid = p_src - z_plus - d * u
-    return graph.layout.node_sum(resid + lam), -lam, -resid
+    resid = s.blocks.p_src - s.blocks.z_plus - edge_rows(d_node)[:, None] * s.u
+    return graph.layout.node_sum(resid + s.lam), -s.lam, -resid
 
 
 def stationarity_gap(states, graph: NetworkGraph, d_node) -> float:
     """Sum over nodes of ``||grad F(z, u) + A^T lam||^2``; zero together with
     the other gaps exactly at a KKT point."""
-    _, p_src, _, z_plus, u, lam, d = _stack_states(states, d_node)
-    return sum(map(_sq, _grad_lagrangian(graph, p_src, z_plus, u, lam, d[:, None])))
+    return sum(map(_sq, _grad_lagrangian(graph, EdgeStates.of(states), d_node)))
 
 
-def primal_diff_gap(u_now: Sequence[np.ndarray], u_prev: Sequence[np.ndarray]) -> float:
+def primal_diff_gap(u_now, u_prev) -> float:
     """Sum over nodes of ``||u_t - u_{t-1}||^2``."""
-    return _sq(np.concatenate(u_now) - np.concatenate(u_prev))
+    return _sq(edge_rows(u_now) - edge_rows(u_prev))
 
 
 def feasibility_gap(states) -> float:
     """Sum over nodes of ``||A z||^2``: squared self-replica residuals."""
-    _, p_src, z_minus, _ = _stack([s.block for s in states])
-    return _sq(p_src - z_minus)
+    b = EdgeStates.of(states).blocks
+    return _sq(b.p_src - b.z_minus)
 
 
 def optimality_gap(states, u_prev, graph: NetworkGraph, d_node) -> float:
@@ -82,17 +65,18 @@ def optimality_gap(states, u_prev, graph: NetworkGraph, d_node) -> float:
     Zero exactly at a KKT point; the caller supplies the previous
     iteration's direction field.
     """
-    p, p_src, z_minus, z_plus, u, lam, d, u_prev = _stack_states(states, d_node, u_prev)
-    g_p, g_minus, g_plus = _grad_lagrangian(graph, p_src, z_plus, u, lam, d[:, None])
-    proj_p, proj_minus, proj_plus = project_consensus_edges(
-        graph.layout, p - g_p, z_minus - g_minus, z_plus - g_plus
+    s = EdgeStates.of(states)
+    b = s.blocks
+    g_p, g_minus, g_plus = _grad_lagrangian(graph, s, d_node)
+    proj = project_consensus(
+        EdgeBlocks(b.offsets, b.p - g_p, b.z_minus - g_minus, b.z_plus - g_plus), graph
     )
     return (
-        _sq(p - proj_p)
-        + _sq(z_minus - proj_minus)
-        + _sq(z_plus - proj_plus)
-        + _sq(p_src - z_minus)
-        + _sq(u - u_prev)
+        _sq(b.p - proj.p)
+        + _sq(b.z_minus - proj.z_minus)
+        + _sq(b.z_plus - proj.z_plus)
+        + _sq(b.p_src - b.z_minus)
+        + _sq(s.u - edge_rows(u_prev))
     )
 
 
@@ -102,10 +86,11 @@ def augmented_lagrangian(states, d_node, c: float) -> float:
     The ball indicator contributes nothing because the solvers keep every
     direction row feasible.
     """
-    _, p_src, z_minus, z_plus, u, lam, d = _stack_states(states, d_node)
-    qz = p_src - z_plus
-    az = p_src - z_minus
-    return float((0.5 * qz * qz - d[:, None] * u * qz + lam * az + 0.5 * c * az * az).sum())
+    s = EdgeStates.of(states)
+    qz = s.blocks.p_src - s.blocks.z_plus
+    az = s.blocks.p_src - s.blocks.z_minus
+    du = edge_rows(d_node)[:, None] * s.u
+    return float((0.5 * qz * qz - du * qz + s.lam * az + 0.5 * c * az * az).sum())
 
 
 def potential(
@@ -127,15 +112,14 @@ def potential(
     edges of ``|dp + dz^-_j|^2 + |dp + dz^+_j|^2 / c``. Needs the half-step
     blocks and the lagged state, which run hooks expose after every iteration.
     """
-    _, p_src, z_minus, z_plus, u, _ = _stack_states(states_t)
-    _, p_src_prev, z_minus_prev, z_plus_prev, u_prev, _ = _stack_states(states_prev)
-    _, zt_src, zt_minus, _ = _stack(ztilde_t)
-    dp = p_src - p_src_prev
-    quad = _sq(dp + (z_minus - z_minus_prev)) + _sq(dp + (z_plus - z_plus_prev)) / c
-    return augmented_lagrangian(states_t, d_node, c) + 0.5 * c * (
-        kappa1 * _sq(zt_src - zt_minus)
-        + kappa2 * _sq(p_src - z_minus)
-        + (rho / (2.0 * c)) * _sq(u - u_prev)
+    now, prev = EdgeStates.of(states_t), EdgeStates.of(states_prev)
+    b, b_prev, half = now.blocks, prev.blocks, EdgeBlocks.of(ztilde_t)
+    dp = b.p_src - b_prev.p_src
+    quad = _sq(dp + (b.z_minus - b_prev.z_minus)) + _sq(dp + (b.z_plus - b_prev.z_plus)) / c
+    return augmented_lagrangian(now, d_node, c) + 0.5 * c * (
+        kappa1 * _sq(half.p_src - half.z_minus)
+        + kappa2 * _sq(b.p_src - b.z_minus)
+        + (rho / (2.0 * c)) * _sq(now.u - prev.u)
         + (kappa1 + kappa2) * quad
     )
 
@@ -171,9 +155,13 @@ def parameter_bounds(graph: NetworkGraph, measurements: MeasurementSet, c: float
     n_max = int(degrees.max())
     n_sum = int(degrees.sum())
     d_max = float(measurements.max_range)
-    tau = float(min((c + 1.0) ** 2 * k * k + c * c * k + k for k in degrees))
+    try:
+        c1_sq = (c + 1.0) ** 2
+    except OverflowError as exc:
+        raise InvalidParameter(f"c = {c} overflows the parameter bounds") from exc
+    tau = float(min(c1_sq * k * k + c * c * k + k for k in degrees))
     kappa1 = 6.0 * (n_max + 1.0) * (1.0 + 1.0 / c)
-    kappa2 = n_sum * graph.dim * (c + 1.0) ** 2 * (n_max + 1.0) * kappa1 / tau
+    kappa2 = n_sum * graph.dim * c1_sq * (n_max + 1.0) * kappa1 / tau
     rho_min = 4.0 * d_max * d_max * (kappa1 + kappa2)
     return ParameterBounds(
         kappa1_min=kappa1,
@@ -324,42 +312,34 @@ class TraceRecorder:
         self.truth = truth
         self.metrics = tuple(metrics)
         self.potential_coeffs = potential_coeffs
-        self.d_node = measurements.node_ranges(graph)
+        self.d = measurements.edge_ranges(graph)
         self.trace = IterationTrace(metadata=dict(metadata or {}))
         self._t0 = time.perf_counter()
 
     def __call__(self, event: IterationEvent) -> None:
         m = self.metrics
+        lay = self.graph.layout
         row = TraceRow(t=event.t, comm_scalars=event.comm_scalars)
-        states = event.states
+        states = EdgeStates.of(event.states, lay)
         with quiet_fp():
             if "rmse" in m:
-                est = np.stack([s.block.p for s in states])
-                row.rmse = rmse(est, self.truth, self.graph)
+                row.rmse = rmse(states.blocks.p, self.truth, self.graph)
             if "S" in m:
-                row.S = stationarity_gap(states, self.graph, self.d_node)
+                row.S = stationarity_gap(states, self.graph, self.d)
             if "P" in m:
                 row.P = feasibility_gap(states)
             if "L" in m:
-                row.L = augmented_lagrangian(states, self.d_node, self.params.c)
+                row.L = augmented_lagrangian(states, self.d, self.params.c)
             if event.states_prev is not None:
-                u_prev = [s.u for s in event.states_prev]
+                prev = EdgeStates.of(event.states_prev, lay)
                 if "U" in m:
-                    row.U = primal_diff_gap([s.u for s in states], u_prev)
+                    row.U = primal_diff_gap(states.u, prev.u)
                 if "F" in m:
-                    row.F = optimality_gap(states, u_prev, self.graph, self.d_node)
+                    row.F = optimality_gap(states, prev.u, self.graph, self.d)
                 if "potential" in m and event.ztilde is not None:
-                    k1, k2 = self.potential_coeffs
-                    row.potential = potential(
-                        states,
-                        event.states_prev,
-                        event.ztilde,
-                        self.d_node,
-                        k1,
-                        k2,
-                        self.params.c,
-                        self.params.rho,
-                    )
+                    half = EdgeBlocks.of(event.ztilde, lay)
+                    coeffs = (*self.potential_coeffs, self.params.c, self.params.rho)
+                    row.potential = potential(states, prev, half, self.d, *coeffs)
         if "wall" in m:
             row.wall_ms = (time.perf_counter() - self._t0) * 1e3
         self.trace.append(row)

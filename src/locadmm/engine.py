@@ -5,15 +5,15 @@ Both solvers advance every node at once: each per-edge field is one
 order, the neighbor exchange is one gather, and per-node sums add a node's
 rows in the order the per-node closed forms do, so the iterates are
 bit-identical to those closed forms applied node by node. Hooks and results
-see per-node state lists whose arrays are views over those edge arrays.
-Every iteration allocates fresh arrays, so a view handed out never changes
-afterwards.
+get those arrays themselves, as ``EdgeStates`` and ``EdgeBlocks``, which
+build per-node views only when indexed. Every iteration allocates fresh
+arrays, so state handed out never changes afterwards.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -24,16 +24,17 @@ from .errors import NonFiniteValue
 class IterationEvent:
     """Snapshot handed to hooks after every iteration.
 
-    ``states`` and ``states_prev`` are full per-node state lists (for the
-    low-storage solver these are reconstructed views); ``ztilde`` carries the
-    pre-projection half-step blocks when the solver produces them, else
-    ``None``. ``comm_scalars`` counts every scalar exchanged this iteration.
+    ``states`` and ``states_prev`` (the previous event's ``states``) are
+    ``EdgeStates``, with reconstructed replicas for the low-storage solver;
+    ``ztilde`` holds the pre-projection half-step ``EdgeBlocks`` when the
+    solver produces them, else ``None``. ``comm_scalars`` counts every
+    scalar exchanged this iteration.
     """
 
     t: int
-    states: list
-    states_prev: Optional[list]
-    ztilde: Optional[list]
+    states: Sequence
+    states_prev: Optional[Sequence]
+    ztilde: Optional[Sequence]
     comm_scalars: int
 
 
@@ -42,10 +43,11 @@ Hook = Callable[[IterationEvent], None]
 
 @dataclass
 class RunResult:
-    """Final solver output: per-node states, stacked position estimates, and
-    the recorded trace when metrics were requested."""
+    """Final solver output: node states (``EdgeStates``, or a per-node list
+    from the low-storage solver), stacked position estimates, and the
+    recorded trace when metrics were requested."""
 
-    states: list
+    states: Sequence
     estimates: np.ndarray
     trace: object = None
 

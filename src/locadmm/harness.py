@@ -304,16 +304,10 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--rho-scale", type=float, default=1.0,
                      help="multiplier on the auto bound (explore below it)")
     run.add_argument("--iters", type=int, required=True)
-    run.add_argument("--init", choices=("zeros", "uniform", "truth"), default="zeros")
-    run.add_argument("--init-lo", type=float, default=-1.0)
-    run.add_argument("--init-hi", type=float, default=1.0)
-    run.add_argument("--u0", choices=("zeros", "half", "directions"), default="zeros")
-    run.add_argument("--seed", type=int, default=0)
     run.add_argument("--metrics", default=",".join(diagnostics.DEFAULT_METRICS),
                      help="comma list, or 'all'/'none'")
     run.add_argument("--wall", action="store_true",
                      help="record wall time (breaks byte reproducibility)")
-    run.add_argument("--threads", type=int, help=THREADS_HELP)
     run.add_argument("--trace")
     run.add_argument("--est")
     run.set_defaults(func=_cmd_run)
@@ -325,14 +319,16 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--rho-list", required=True)
     sweep.add_argument("--seeds", default="")
     sweep.add_argument("--iters", type=int, required=True)
-    sweep.add_argument("--init", choices=("zeros", "uniform", "truth"), default="zeros")
-    sweep.add_argument("--init-lo", type=float, default=-1.0)
-    sweep.add_argument("--init-hi", type=float, default=1.0)
-    sweep.add_argument("--u0", choices=("zeros", "half", "directions"), default="zeros")
-    sweep.add_argument("--seed", type=int, default=0)
-    sweep.add_argument("--threads", type=int, help=THREADS_HELP)
     sweep.add_argument("--out")
     sweep.set_defaults(func=_cmd_sweep)
+
+    for cmd in (run, sweep):
+        cmd.add_argument("--init", choices=("zeros", "uniform", "truth"), default="zeros")
+        cmd.add_argument("--init-lo", type=float, default=-1.0)
+        cmd.add_argument("--init-hi", type=float, default=1.0)
+        cmd.add_argument("--u0", choices=("zeros", "half", "directions"), default="zeros")
+        cmd.add_argument("--seed", type=int, default=0)
+        cmd.add_argument("--threads", type=int, help=THREADS_HELP)
 
     check = sub.add_parser("oracle-check", help="dense-versus-closed-form battery")
     check.add_argument("--net", required=True)

@@ -11,7 +11,9 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import sys
 import warnings
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -425,17 +427,22 @@ def rmse(estimates, truth: GroundTruth, graph: NetworkGraph) -> float:
     ``estimates`` may be an ``(num_nodes, dim)`` array or a mapping
     node id -> position; anchor entries are ignored either way.
     """
-    free = [i for i in range(graph.num_nodes) if i not in graph.anchors]
-    if not free:
+    free = np.delete(np.arange(graph.num_nodes), graph.layout.anchor_idx)
+    if not free.size:
         raise EmptyFreeSet("every node is an anchor")
-    err2 = np.empty(len(free))
-    for k, i in enumerate(free):
-        try:
-            est = estimates[i]
-        except (KeyError, IndexError) as exc:
-            raise MissingPosition(f"no estimate for node {i}") from exc
-        delta = np.asarray(est, dtype=float) - truth.positions[i]
-        err2[k] = float(delta @ delta)
+    if isinstance(estimates, Mapping):
+        missing = [i for i in free if i not in estimates]
+        est = None if missing else [estimates[i] for i in free]
+    else:
+        est = np.asarray(estimates, dtype=float)
+        missing = free[free >= len(est)]
+        est = None if len(missing) else np.take(est, free, axis=0)
+    if est is None:
+        raise MissingPosition(f"no estimate for node {missing[0]}")
+    delta = np.asarray(est, dtype=float) - np.take(truth.positions, free, axis=0)
+    # Each row's matmul with itself rounds like delta[k] @ delta[k];
+    # (delta * delta).sum(axis=1) rounds differently.
+    err2 = np.matmul(delta[:, None, :], delta[:, :, None])[:, 0, 0]
     return math.sqrt(float(np.sum(err2)) / len(free))
 
 
@@ -493,24 +500,26 @@ def load_network(path):
     Raises
     ------
     ParseError
-        Malformed document, non-dense ids, duplicate or asymmetric edge
-        entries, anchor/truth mismatches; the message names the field.
+        Malformed document (also non-UTF-8 or wrongly typed), non-dense ids,
+        duplicate or asymmetric edges, anchor/truth mismatches; names the field.
     SchemaVersionMismatch
         Unknown ``schema_version``.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"not valid JSON: line {exc.lineno} col {exc.colno}") from exc
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"not valid JSON: line {exc.lineno} col {exc.colno}") from exc
+    except (ValueError, RecursionError) as exc:  # bad UTF-8, over-long integers, deep nesting
+        raise ParseError(f"not valid JSON: {exc}") from exc
 
     if not isinstance(doc, dict):
         raise ParseError("top level: expected an object")
     version = doc.get("schema_version")
-    if version != SCHEMA_VERSION:
+    if not _is_int(version) or version != SCHEMA_VERSION:
         raise SchemaVersionMismatch(f"schema_version: expected {SCHEMA_VERSION}, got {version!r}")
     dim = doc.get("dim")
-    if dim not in (2, 3):
+    if not _is_int(dim) or dim not in (2, 3):
         raise ParseError(f"dim: expected 2 or 3, got {dim!r}")
     raw_nodes = doc.get("nodes")
     if not isinstance(raw_nodes, list) or not raw_nodes:
@@ -528,7 +537,7 @@ def load_network(path):
         if not isinstance(entry, dict):
             raise ParseError(f"{where}: expected an object")
         nid = entry.get("id")
-        if not isinstance(nid, int) or not 0 <= nid < num_nodes:
+        if not _is_int(nid) or not 0 <= nid < num_nodes:
             raise ParseError(f"{where}.id: ids must be dense 0-based integers, got {nid!r}")
         if nid in seen_ids:
             raise ParseError(f"{where}.id: duplicate id {nid}")
@@ -548,15 +557,15 @@ def load_network(path):
         if not isinstance(entry, dict):
             raise ParseError(f"{where}: expected an object")
         i, j = entry.get("i"), entry.get("j")
-        if not (isinstance(i, int) and isinstance(j, int)):
+        if not (_is_int(i) and _is_int(j)):
             raise ParseError(f"{where}: i and j must be integers")
         if i == j or not (0 <= i < num_nodes and 0 <= j < num_nodes):
             raise ParseError(f"{where}: invalid edge ({i},{j})")
         dval = entry.get("d")
         if dval is not None:
-            if not isinstance(dval, (int, float)) or not math.isfinite(float(dval)) or dval < 0:
+            dval = _parse_number(dval, f"{where}.d")
+            if dval < 0:
                 raise ParseError(f"{where}.d: expected a finite non-negative number")
-            dval = float(dval)
         key = (min(i, j), max(i, j))
         if key in edges:
             prev = edges[key]
@@ -597,13 +606,18 @@ def load_network(path):
     return graph, truth, measurements
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _parse_number(raw, where: str) -> float:
+    """A finite JSON number: an integer or a float, not a boolean or string."""
+    if (_is_int(raw) or isinstance(raw, float)) and abs(raw) <= sys.float_info.max:
+        return float(raw)
+    raise ParseError(f"{where}: expected a finite number, got {raw!r:.40}")
+
+
 def _parse_vector(raw, dim: int, where: str) -> np.ndarray:
     if not isinstance(raw, list) or len(raw) != dim:
         raise ParseError(f"{where}: expected a list of {dim} numbers")
-    try:
-        vec = np.array([float(x) for x in raw])
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"{where}: expected numbers") from exc
-    if not np.all(np.isfinite(vec)):
-        raise ParseError(f"{where}: values must be finite")
-    return vec
+    return np.array([_parse_number(x, f"{where}[{k}]") for k, x in enumerate(raw)])

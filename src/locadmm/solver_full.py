@@ -10,6 +10,7 @@ every node at once on edge arrays (see :mod:`locadmm.engine`).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -24,19 +25,14 @@ from .errors import (
     MissingMessage,
 )
 from .network import EdgeLayout, MeasurementSet, NetworkGraph
-from .structured_ops import NodeBlockVector, PenaltyParams, node_blocks, project_ball
-
-
-@dataclass(frozen=True)
-class FullNodeState:
-    """Per-node state between iterations: block ``(p, z^-, z^+)``, ball-
-    feasible direction rows ``u``, and dual rows ``lam``. The half-step
-    scratch block lives outside the state, produced and consumed within one
-    iteration."""
-
-    block: NodeBlockVector
-    u: np.ndarray
-    lam: np.ndarray
+from .structured_ops import (
+    EdgeBlocks,
+    EdgeStates,
+    FullNodeState,
+    NodeBlockVector,
+    PenaltyParams,
+    project_ball,
+)
 
 
 @dataclass(frozen=True)
@@ -78,20 +74,11 @@ class InitSpec:
 def consensus_blocks(positions: np.ndarray, graph: NetworkGraph) -> list[NodeBlockVector]:
     """Consensus-feasible blocks from a position map: ``p_i = x_i``,
     ``z^-_{i,j} = x_i``, ``z^+_{i,j} = x_j``."""
-    blocks = []
-    for i in range(graph.num_nodes):
-        nbrs = graph.neighbors[i]
-        x_i = np.asarray(positions[i], dtype=float)
-        blocks.append(
-            NodeBlockVector(
-                x_i.copy(),
-                np.tile(x_i, (len(nbrs), 1)),
-                np.stack([np.asarray(positions[j], dtype=float) for j in nbrs])
-                if nbrs
-                else np.zeros((0, graph.dim)),
-            )
-        )
-    return blocks
+    pos = np.asarray(positions, dtype=float)
+    return [
+        NodeBlockVector(pos[i].copy(), np.tile(pos[i], (len(nbrs), 1)), pos[list(nbrs)])
+        for i, nbrs in enumerate(graph.neighbors)
+    ]
 
 
 def edge_directions(positions: np.ndarray, layout: EdgeLayout) -> np.ndarray:
@@ -105,11 +92,6 @@ def edge_directions(positions: np.ndarray, layout: EdgeLayout) -> np.ndarray:
     moved = norm > 0.0
     rows[moved] = diff[moved] / norm[moved, None]
     return rows
-
-
-def initial_directions(positions: np.ndarray, graph: NetworkGraph) -> list[np.ndarray]:
-    """Per node, the rows of :func:`edge_directions`."""
-    return graph.layout.split(edge_directions(as_positions(positions, graph), graph.layout))
 
 
 def as_positions(positions, graph: NetworkGraph) -> np.ndarray:
@@ -147,8 +129,8 @@ def initial_fields(
     elif spec.kind == "zeros":
         pos = np.zeros((n, dim))
     else:
-        if not (spec.lo < spec.hi):
-            raise InvalidInitSpec(f"uniform bounds [{spec.lo}, {spec.hi}) are empty")
+        if not (spec.lo < spec.hi and math.isfinite(spec.hi - spec.lo)):
+            raise InvalidInitSpec(f"uniform bounds [{spec.lo}, {spec.hi}) are empty or unbounded")
         rng = np.random.default_rng(seed)
         pos = rng.uniform(spec.lo, spec.hi, (n, dim)) if positional else None
 
@@ -184,38 +166,14 @@ def initial_u(u_init: str, positions, graph: NetworkGraph) -> np.ndarray:
     return edge_directions(as_positions(positions, graph), graph.layout)
 
 
-def full_states(
-    layout: EdgeLayout,
-    p: np.ndarray,
-    z_minus: np.ndarray,
-    z_plus: np.ndarray,
-    u: np.ndarray,
-    lam: np.ndarray,
-) -> list[FullNodeState]:
-    """Per-node states viewing rows of the stacked arrays."""
-    return [
-        FullNodeState(blk, u_i, lam_i)
-        for blk, u_i, lam_i in zip(
-            node_blocks(layout, p, z_minus, z_plus), layout.split(u), layout.split(lam)
-        )
-    ]
-
-
-def stack_edge_rows(rows: Sequence[np.ndarray], layout: EdgeLayout, what: str) -> np.ndarray:
-    """Concatenate per-node ``(degree, ...)`` arrays into one edge field."""
-    if [len(r) for r in rows] != layout.degrees.tolist():
-        raise InvalidInit(f"{what} rows do not match the node degrees")
-    return np.concatenate(rows)
-
-
-def init_full(graph: NetworkGraph, config: InitSpec, seed: int = 0) -> list[FullNodeState]:
+def init_full(graph: NetworkGraph, config: InitSpec, seed: int = 0) -> EdgeStates:
     """Build iteration-zero states for :func:`run_full`.
 
     Uniform draws walk the nodes in order (p, then z^- rows, then z^+ rows)
     from one seeded generator, so identical arguments give identical state.
     """
     p, z_minus, z_plus, u = initial_fields(graph, config, seed)
-    return full_states(graph.layout, p, z_minus, z_plus, u, np.zeros_like(u))
+    return EdgeStates(EdgeBlocks(graph.layout.offsets, p, z_minus, z_plus), u, np.zeros_like(u))
 
 
 def local_halfstep(
@@ -324,7 +282,7 @@ def run_full(
     graph: NetworkGraph,
     measurements: MeasurementSet,
     params: PenaltyParams,
-    init: InitSpec | list,
+    init: InitSpec | Sequence[FullNodeState],
     iters: int,
     *,
     seed: int = 0,
@@ -333,8 +291,9 @@ def run_full(
 ) -> RunResult:
     """Run the full-state solver for a fixed number of iterations.
 
-    ``init`` is an :class:`InitSpec` or an explicit state list. ``hook`` is
-    invoked after every iteration with an
+    ``init`` is an :class:`InitSpec`, an :class:`EdgeStates` (such as
+    ``RunResult.states``, to resume a run) or a per-node state list.
+    ``hook`` is invoked after every iteration with an
     :class:`~locadmm.engine.IterationEvent`; iteration 0 fires before any
     update. Every node advances at once on edge arrays, bit-identical to
     :func:`local_halfstep`, :func:`gather_inbox`, :func:`combine_z`,
@@ -352,17 +311,9 @@ def run_full(
     if iters < 1:
         raise InvalidParameter(f"iters must be >= 1, got {iters}")
     lay = graph.layout
-    if isinstance(init, list):
-        if len(init) != graph.num_nodes:
-            raise InvalidInit(f"expected {graph.num_nodes} node states, got {len(init)}")
-        p = np.stack([s.block.p for s in init])
-        z_minus = stack_edge_rows([s.block.z_minus for s in init], lay, "z_minus")
-        z_plus = stack_edge_rows([s.block.z_plus for s in init], lay, "z_plus")
-        u = stack_edge_rows([s.u for s in init], lay, "u")
-        lam = stack_edge_rows([s.lam for s in init], lay, "lam")
-    else:
-        p, z_minus, z_plus, u = initial_fields(graph, init, seed)
-        lam = np.zeros_like(u)
+    start = EdgeStates.of(init_full(graph, init, seed) if isinstance(init, InitSpec) else init, lay)
+    p, z_minus, z_plus = start.blocks.p, start.blocks.z_minus, start.blocks.z_plus
+    u, lam = start.u, start.lam
     c, rho = params.c, params.rho
     src, rev = lay.src, lay.rev
     d = measurements.edge_ranges(graph)[:, None]
@@ -371,9 +322,11 @@ def run_full(
     denom = (2.0 * (c + 1.0) * lay.degrees)[:, None]
     comm_per_iter = 2 * graph.dim * lay.num_edges
 
-    states = None
+    def stacked() -> EdgeStates:
+        return EdgeStates(EdgeBlocks(lay.offsets, p, z_minus, z_plus), u, lam)
+
+    states = start
     if hook is not None:
-        states = init if isinstance(init, list) else full_states(lay, p, z_minus, z_plus, u, lam)
         hook(IterationEvent(0, states, None, None, 0))
     for t in range(1, iters + 1):
         with quiet_fp():
@@ -395,11 +348,8 @@ def run_full(
             lam = lam + c * (p_src - z_minus)
         check_finite(t, src, p, z_minus=z_minus, z_plus=z_plus, u=u, lam=lam)
         if hook is not None:
-            states_prev = states
-            states = full_states(lay, p, z_minus, z_plus, u, lam)
-            ztilde = node_blocks(lay, p, zm_t, zp_t)
+            states_prev, states = states, stacked()
+            ztilde = EdgeBlocks(lay.offsets, p, zm_t, zp_t)
             hook(IterationEvent(t, states, states_prev, ztilde, comm_per_iter))
 
-    return RunResult(
-        states=full_states(lay, p, z_minus, z_plus, u, lam), estimates=p.copy()
-    )
+    return RunResult(states=stacked(), estimates=p.copy())

@@ -16,20 +16,25 @@ from typing import Optional
 import numpy as np
 
 from .engine import IterationEvent, RunResult, check_finite, quiet_fp
-from .errors import InvalidInit, InvalidParameter, MissingMessage
+from .errors import InvalidParameter, MissingMessage
 from .network import EdgeLayout, MeasurementSet, NetworkGraph
 from .solver_full import (
-    FullNodeState,
     InitSpec,
     as_positions,
     consensus_blocks,
-    full_states,
     initial_fields,
     initial_u,
     require_solvable,
-    stack_edge_rows,
 )
-from .structured_ops import NodeBlockVector, PenaltyParams, project_ball
+from .structured_ops import (
+    EdgeBlocks,
+    EdgeStates,
+    FullNodeState,
+    NodeBlockVector,
+    PenaltyParams,
+    edge_rows,
+    project_ball,
+)
 
 
 @dataclass(frozen=True)
@@ -85,9 +90,7 @@ def init_lite(
     if isinstance(u_init, str):
         u = initial_u(u_init, pos, graph)
     else:
-        if len(u_init) != graph.num_nodes:
-            raise InvalidInit("u_init must cover every node")
-        u = stack_edge_rows([np.asarray(x, dtype=float) for x in u_init], lay, "u_init")
+        u = edge_rows([np.asarray(x, dtype=float) for x in u_init], lay.offsets, "u_init")
     d = measurements.edge_ranges(graph)
     alpha, beta = start_accumulators(lay, pos, u, d, c)
     return lite_states(lay, pos, u, np.zeros_like(u), alpha, beta, d)
@@ -103,23 +106,10 @@ def start_accumulators(
         return c * (x_i + x_i), -(d[:, None] * u) + x_i + x_j
 
 
-def lite_states(
-    layout: EdgeLayout,
-    p: np.ndarray,
-    u: np.ndarray,
-    lam: np.ndarray,
-    alpha: np.ndarray,
-    beta: np.ndarray,
-    d: np.ndarray,
-) -> list[LiteNodeState]:
-    """Per-node states viewing rows of the stacked arrays."""
-    split = layout.split
-    return [
-        LiteNodeState(p=p[i], u=u_i, lam=lam_i, alpha=a_i, beta=b_i, d=d_i)
-        for i, (u_i, lam_i, a_i, b_i, d_i) in enumerate(
-            zip(split(u), split(lam), split(alpha), split(beta), split(d))
-        )
-    ]
+def lite_states(layout: EdgeLayout, p: np.ndarray, *fields: np.ndarray) -> list[LiteNodeState]:
+    """Per-node states viewing rows of ``p`` and of the edge fields ``u``,
+    ``lam``, ``alpha``, ``beta`` and ``d``, in that order."""
+    return [LiteNodeState(p[i], *rows) for i, rows in enumerate(zip(*map(layout.split, fields)))]
 
 
 def step_lite(
@@ -138,10 +128,7 @@ def step_lite(
         raise MissingMessage(
             f"expected {graph.num_nodes} node states, got {len(states)}"
         )
-    out: list[Optional[LiteNodeState]] = [None] * graph.num_nodes
-    for i in range(graph.num_nodes):
-        out[i] = _advance_node(states, graph, c, rho, i)
-    return out
+    return [_advance_node(states, graph, c, rho, i) for i in range(graph.num_nodes)]
 
 
 def _advance_node(
@@ -271,14 +258,11 @@ def run_lite(
     lay = graph.layout
 
     if isinstance(init, list):
-        if len(init) != graph.num_nodes:
-            raise InvalidInit(f"expected {graph.num_nodes} node states, got {len(init)}")
+        u, lam, alpha, beta, d = (
+            edge_rows([getattr(s, f) for s in init], lay.offsets, f)
+            for f in ("u", "lam", "alpha", "beta", "d")
+        )
         p = np.stack([s.p for s in init])
-        u = stack_edge_rows([s.u for s in init], lay, "u")
-        lam = stack_edge_rows([s.lam for s in init], lay, "lam")
-        alpha = stack_edge_rows([s.alpha for s in init], lay, "alpha")
-        beta = stack_edge_rows([s.beta for s in init], lay, "beta")
-        d = stack_edge_rows([s.d for s in init], lay, "d")
     else:
         p, _, _, u = initial_fields(graph, init, seed, positional=True)
         d = measurements.edge_ranges(graph)
@@ -297,7 +281,7 @@ def run_lite(
     view = None
     if hook is not None:
         x_i, x_j = np.take(p, src, axis=0), np.take(p, lay.dst, axis=0)
-        view = full_states(lay, p, x_i, x_j, u, lam)
+        view = EdgeStates(EdgeBlocks(lay.offsets, p, x_i, x_j), u, lam)
         hook(IterationEvent(0, view, None, None, 0))
     for t in range(1, iters + 1):
         with quiet_fp():
@@ -321,7 +305,7 @@ def run_lite(
         check_finite(t, src, p, u=u, lam=lam, alpha=alpha, beta=beta)
         if hook is not None:
             view_prev = view
-            view = full_states(lay, p, z_minus, z_plus, u, lam)
+            view = EdgeStates(EdgeBlocks(lay.offsets, p, z_minus, z_plus), u, lam)
             hook(IterationEvent(t, view, view_prev, None, comm_per_iter))
 
     return RunResult(

@@ -5,7 +5,9 @@ or on a per-edge field, and reduces to O(dim * degree) closed-form loops; no
 matrix is ever materialized. Per-edge fields are ``(degree, dim)`` arrays
 aligned with the graph's sorted neighbor lists. These closed forms are the
 specification the dense oracle and the tests check; the diagnostics and
-:func:`project_consensus_edges` evaluate them on ``(E, dim)`` edge arrays.
+:func:`project_consensus` evaluate them on ``(E, dim)`` edge arrays, which
+:class:`EdgeBlocks` and :class:`EdgeStates` hold for solvers, hooks and
+diagnostics alike.
 
 Block-vector conventions, for a node with degree ``k`` in dimension ``n``:
 
@@ -18,11 +20,14 @@ Block-vector conventions, for a node with degree ``k`` in dimension ``n``:
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
+from typing import Optional
 
 import numpy as np
 
-from .errors import InvalidParameter, MissingNode
+from .errors import InvalidInit, InvalidParameter, MissingNode
 from .network import EdgeLayout
 
 
@@ -79,6 +84,96 @@ class NodeBlockVector:
     @classmethod
     def zeros(cls, degree: int, dim: int) -> "NodeBlockVector":
         return cls(np.zeros(dim), np.zeros((degree, dim)), np.zeros((degree, dim)))
+
+
+@dataclass(frozen=True)
+class FullNodeState:
+    """Per-node state between iterations: block ``(p, z^-, z^+)``, ball-
+    feasible direction rows ``u``, and dual rows ``lam``. The half-step
+    scratch block lives outside the state, produced and consumed within one
+    iteration."""
+
+    block: NodeBlockVector
+    u: np.ndarray
+    lam: np.ndarray
+
+
+def edge_rows(rows, offsets=None, what: str = "rows") -> np.ndarray:
+    """``rows`` if it is one edge field, else its per-node ``(degree, ...)``
+    arrays stacked; node ``i`` must have ``offsets[i+1] - offsets[i]`` rows."""
+    if isinstance(rows, np.ndarray):
+        return rows
+    if offsets is not None and [len(r) for r in rows] != np.diff(offsets).tolist():
+        raise InvalidInit(f"{what} rows do not match the node degrees")
+    return np.concatenate(rows)
+
+
+@dataclass(frozen=True, eq=False)
+class EdgeBlocks(Sequence):
+    """Every node's block stacked: ``p`` has a row per node, ``z_minus`` and
+    ``z_plus`` a row per directed edge, node ``i`` owning rows
+    ``offsets[i]:offsets[i+1]`` (:class:`~locadmm.network.EdgeLayout` order).
+    ``blocks[i]`` builds node ``i``'s :class:`NodeBlockVector` of views."""
+
+    offsets: np.ndarray
+    p: np.ndarray
+    z_minus: np.ndarray
+    z_plus: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.p)
+
+    def __getitem__(self, i) -> NodeBlockVector:
+        rows = self.rows(i)
+        return NodeBlockVector(self.p[i], self.z_minus[rows], self.z_plus[rows])
+
+    def rows(self, i) -> slice:
+        """Node ``i``'s rows of every edge field."""
+        i = range(len(self))[i]
+        return slice(self.offsets[i], self.offsets[i + 1])
+
+    @cached_property
+    def p_src(self) -> np.ndarray:
+        """Row ``e`` is the ``p`` of the node owning edge row ``e``."""
+        return np.repeat(self.p, np.diff(self.offsets), axis=0)
+
+    @classmethod
+    def of(cls, blocks, layout: Optional[EdgeLayout] = None) -> "EdgeBlocks":
+        """``blocks`` if stacked, else its per-node blocks stacked, with the
+        row counts checked against ``layout`` when given."""
+        if isinstance(blocks, cls):
+            return blocks
+        offsets = np.cumsum([0] + [b.degree for b in blocks]) if layout is None else layout.offsets
+        z_minus, z_plus = (edge_rows([getattr(b, f) for b in blocks], offsets, f)
+                           for f in ("z_minus", "z_plus"))
+        return cls(offsets, np.stack([b.p for b in blocks]), z_minus, z_plus)
+
+
+@dataclass(frozen=True, eq=False)
+class EdgeStates(Sequence):
+    """Every node's :class:`FullNodeState` stacked: the blocks, and ``u`` and
+    ``lam`` as edge fields. ``states[i]`` builds node ``i``'s state of views."""
+
+    blocks: EdgeBlocks
+    u: np.ndarray
+    lam: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.blocks)
+
+    def __getitem__(self, i) -> FullNodeState:
+        rows = self.blocks.rows(i)
+        return FullNodeState(self.blocks[i], self.u[rows], self.lam[rows])
+
+    @classmethod
+    def of(cls, states, layout: Optional[EdgeLayout] = None) -> "EdgeStates":
+        """As :meth:`EdgeBlocks.of`, for states."""
+        if isinstance(states, cls):
+            return states
+        blocks = EdgeBlocks.of([s.block for s in states], layout)
+        u, lam = (edge_rows([getattr(s, f) for s in states], blocks.offsets, f)
+                  for f in ("u", "lam"))
+        return cls(blocks, u, lam)
 
 
 @dataclass(frozen=True)
@@ -189,44 +284,22 @@ def project_ball(f: np.ndarray) -> np.ndarray:
     return f / np.maximum(1.0, norms)[:, None]
 
 
-def node_blocks(
-    layout: EdgeLayout, p: np.ndarray, z_minus: np.ndarray, z_plus: np.ndarray
-) -> list[NodeBlockVector]:
-    """Per-node blocks viewing rows of the stacked arrays."""
-    return [
-        NodeBlockVector(p[i], zm, zp)
-        for i, (zm, zp) in enumerate(zip(layout.split(z_minus), layout.split(z_plus)))
-    ]
-
-
-def project_consensus(blocks, graph) -> list[NodeBlockVector]:
+def project_consensus(blocks, graph) -> EdgeBlocks:
     """Euclidean (unweighted) projection onto the consensus-and-anchor set.
 
     Anchor p-blocks are set to the anchor position and non-anchor p-blocks
     pass through; for every ordered pair ``(i, j)`` the plus-replica of
     ``i`` toward ``j`` and the minus-replica of ``j`` toward ``i`` are both
-    replaced by their average. Idempotent and non-expansive.
+    replaced by their average. Idempotent and non-expansive. ``blocks`` is
+    an :class:`EdgeBlocks` or a per-node list; the result is new arrays:
+    edge ``e``'s plus-replica and its reverse's minus-replica both become
+    ``avg[e] = (z_plus[e] + z_minus[rev[e]]) / 2``.
     """
     if len(blocks) != graph.num_nodes:
         raise MissingNode(f"expected {graph.num_nodes} blocks, got {len(blocks)}")
     lay = graph.layout
-    projected = project_consensus_edges(
-        lay,
-        np.stack([b.p for b in blocks]),
-        np.concatenate([b.z_minus for b in blocks]),
-        np.concatenate([b.z_plus for b in blocks]),
-    )
-    return node_blocks(lay, *projected)
-
-
-def project_consensus_edges(
-    layout: EdgeLayout, p: np.ndarray, z_minus: np.ndarray, z_plus: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`project_consensus` on stacked arrays, returned as new arrays:
-    ``p`` has a row per node, ``z_minus`` and ``z_plus`` a row per edge in
-    ``layout`` order. Edge ``e``'s plus-replica and its reverse's minus-
-    replica both become ``avg[e] = (z_plus[e] + z_minus[rev[e]]) / 2``."""
-    p = p.copy()
-    p[layout.anchor_idx] = layout.anchor_pos
-    avg = (z_plus + np.take(z_minus, layout.rev, axis=0)) / 2.0
-    return p, np.take(avg, layout.rev, axis=0), avg
+    b = EdgeBlocks.of(blocks, lay)
+    p = b.p.copy()
+    p[lay.anchor_idx] = lay.anchor_pos
+    avg = (b.z_plus + np.take(b.z_minus, lay.rev, axis=0)) / 2.0
+    return EdgeBlocks(lay.offsets, p, np.take(avg, lay.rev, axis=0), avg)

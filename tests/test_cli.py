@@ -165,6 +165,23 @@ class TestRun:
         assert len(err) == 1 and err[0].startswith("diverged: ")
 
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--algo", "full", "--c", "1e308", "--rho", "0.1", "--metrics", "all"],
+            ["--c", "1e308", "--rho", "auto"],
+            ["--c", "0.1", "--rho", "0.1", "--init", "uniform", "--init-lo=-1e308",
+             "--init-hi=1e308"],
+        ],
+        ids=["c-overflows-bounds", "c-overflows-auto-rho", "unbounded-uniform-init"],
+    )
+    def test_overflowing_parameters_are_invalid(self, net_file, flags, capsys):
+        code = main(["run", "--net", str(net_file), "--iters", "3", *flags])
+        assert code == EXIT_ERROR
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+
+
 class TestSweep:
     def test_grid_shape(self, net_file, tmp_path):
         out = tmp_path / "sweep.csv"

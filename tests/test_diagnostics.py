@@ -10,9 +10,10 @@ from locadmm.solver_full import (
     FullNodeState,
     InitSpec,
     consensus_blocks,
-    initial_directions,
+    init_full,
     run_full,
 )
+from locadmm.solver_lite import run_lite
 from locadmm.structured_ops import NodeBlockVector, PenaltyParams
 
 from conftest import exact_measurements, make_graph, random_connected_graph
@@ -21,12 +22,8 @@ from conftest import exact_measurements, make_graph, random_connected_graph
 def kkt_states(graph, truth, meas):
     """Zero-noise truth with measurement-consistent directions and zero duals
     is a point where every gap vanishes."""
-    blocks = consensus_blocks(truth.positions, graph)
-    dirs = initial_directions(truth.positions, graph)
-    return [
-        FullNodeState(blocks[i], dirs[i], np.zeros_like(dirs[i]))
-        for i in range(graph.num_nodes)
-    ]
+    spec = InitSpec(kind="from_positions", positions=truth.positions, u_init="directions")
+    return list(init_full(graph, spec))
 
 
 def random_states(rng, graph):
@@ -396,3 +393,28 @@ class TestTrace:
         graph, _, meas = triangle
         with pytest.raises(InvalidParameter):
             dg.TraceRecorder(graph, meas, PenaltyParams(1, 1), metrics=("rmse",))
+
+    @pytest.mark.parametrize("runner", [run_full, run_lite])
+    @pytest.mark.parametrize("metrics", [dg.DEFAULT_METRICS, dg.TRACE_COLUMNS[1:8]])
+    def test_recording_builds_no_per_node_views(self, runner, metrics, monkeypatch):
+        # the recorder reads the solvers' edge arrays; no per-node block or
+        # state is constructed anywhere in a recorded run
+        built = []
+        for cls in (NodeBlockVector, FullNodeState):
+            def counting(self, *args, _init=cls.__init__, **kwargs):
+                built.append(type(self).__name__)
+                _init(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__init__", counting)
+        graph, truth = random_connected_graph(np.random.default_rng(4), 12, num_anchors=3)
+        meas = exact_measurements(graph, truth.positions)
+        params = PenaltyParams(0.3, 0.2)
+        rec = dg.TraceRecorder(
+            graph, meas, params, truth=truth, metrics=metrics, potential_coeffs=(2.0, 3.0)
+        )
+        spec = InitSpec(kind="from_positions", positions=truth.positions, u_init="half")
+        runner(graph, meas, params, spec, 6, hook=rec)
+        assert len(rec.trace.rows) == 7
+        assert built == []
+        NodeBlockVector.zeros(1, 2)
+        assert built == ["NodeBlockVector"]

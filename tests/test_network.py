@@ -1,13 +1,17 @@
+import json
 import math
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from locadmm.errors import (
     ConnectivityFailure,
     EmptyFreeSet,
     InvalidParameter,
+    MissingPosition,
     ParseError,
     SchemaVersionMismatch,
 )
@@ -177,6 +181,29 @@ class TestRmse:
         graph, truth, _ = triangle
         assert rmse(truth.positions, truth, graph) == 0.0
 
+    def test_missing_estimate_named(self, triangle):
+        # the triangle's only free node is node 2
+        graph, truth, _ = triangle
+        with pytest.raises(MissingPosition, match="^no estimate for node 2$"):
+            rmse(truth.positions[:2], truth, graph)
+        with pytest.raises(MissingPosition, match="^no estimate for node 2$"):
+            rmse({0: truth.positions[0], 1: truth.positions[1]}, truth, graph)
+        assert rmse({2: truth.positions[2]}, truth, graph) == 0.0
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_bitwise_equal_to_per_node_dot_products(self, dim):
+        # the trace's rmse column must not move in the last bit
+        rng = np.random.default_rng(dim)
+        for _ in range(60):
+            positions = rng.uniform(0.0, 1.0, (40, dim))
+            anchors = {int(a): positions[a] for a in rng.permutation(40)[:5]}
+            graph = make_graph(dim, [(i, i + 1) for i in range(39)], anchors)
+            est = positions + rng.normal(0.0, 1.0, positions.shape) * 10.0 ** rng.integers(-6, 2)
+            deltas = [est[i] - positions[i] for i in range(40) if i not in anchors]
+            err2 = np.array([float(d @ d) for d in deltas])
+            want = math.sqrt(float(np.sum(err2)) / len(deltas))
+            assert rmse(est, GroundTruth(positions), graph) == want
+
     def test_hand_value(self):
         # two free nodes with errors (0.3, 0.4) and (0, 0):
         # sqrt((0.09 + 0.16) / 2) = sqrt(0.125)
@@ -334,3 +361,125 @@ class TestFileRoundTrip:
         )
         with pytest.raises(ParseError, match="anchor_pos"):
             load_network(path)
+
+
+# -- load_network fuzzing ------------------------------------------------------
+
+FUZZ_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+
+JSON_KINDS = {
+    "int": st.integers(-2, 12),
+    "float": st.floats(),
+    "bool": st.booleans(),
+    "str": st.text(max_size=3),
+    "null": st.none(),
+    "list": st.lists(st.integers(0, 3), max_size=3),
+    "object": st.dictionaries(st.text(max_size=2), st.integers(), max_size=2),
+}
+ACCEPTED = {"int": {"int"}, "number": {"int", "float"}, "bool": {"bool"}, "list": {"list"}}
+
+
+def _valid_doc():
+    graph, truth = generate_rgg(6, 2, 0.7, seed=3)
+    meas = measure(truth, graph, NoiseModel("additive-white", 0.01), seed=3)
+    return graph, truth, meas
+
+
+def _fields(doc):
+    """Every field of a network document: (path to its container, key, type)."""
+    top = (("schema_version", "int"), ("dim", "int"), ("nodes", "list"), ("edges", "list"))
+    for key, kind in top:
+        yield (), key, kind
+    for k, node in enumerate(doc["nodes"]):
+        yield ("nodes", k), "id", "int"
+        yield ("nodes", k), "anchor", "bool"
+        for vec in ("anchor_pos", "pos"):
+            if vec in node:
+                yield ("nodes", k), vec, "list"
+                for m in range(len(node[vec])):
+                    yield ("nodes", k, vec), m, "number"
+    for k in range(len(doc["edges"])):
+        for key, kind in (("i", "int"), ("j", "int"), ("d", "number")):
+            yield ("edges", k), key, kind
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    """A valid network file's bytes, its document, and a scratch path."""
+    root = tmp_path_factory.mktemp("fuzz")
+    save_network(root / "valid.json", *_valid_doc())
+    data = (root / "valid.json").read_bytes()
+    return data, json.loads(data), root / "case.json"
+
+
+def _load(path):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # a fuzzed edge list may disconnect the graph
+        return load_network(path)
+
+
+@st.composite
+def mistyped(draw, doc):
+    """The document with one field given a value of another JSON type, or
+    deleted."""
+    where, key, kind = draw(st.sampled_from(list(_fields(doc))))
+    doc = json.loads(json.dumps(doc))
+    container = doc
+    for step in where:
+        container = container[step]
+    if draw(st.booleans()) and isinstance(container, dict):
+        del container[key]
+    else:
+        wrong = sorted(set(JSON_KINDS) - ACCEPTED[kind])
+        container[key] = draw(st.sampled_from(wrong).flatmap(JSON_KINDS.get))
+    return doc
+
+
+class TestLoadNetworkFuzz:
+    def test_valid_file_loads(self, fuzz_files):
+        data, _, path = fuzz_files
+        path.write_bytes(data)
+        graph, truth, meas = _load(path)
+        assert graph.num_nodes == 6 and truth is not None and meas is not None
+
+    @FUZZ_SETTINGS
+    @given(data=st.data())
+    def test_wrong_type_or_missing_field_rejected(self, fuzz_files, data):
+        _, doc, path = fuzz_files
+        path.write_text(json.dumps(data.draw(mistyped(doc))), encoding="utf-8")
+        with pytest.raises((ParseError, SchemaVersionMismatch)):
+            _load(path)
+
+    @FUZZ_SETTINGS
+    @given(data=st.data())
+    def test_truncated_or_flipped_bytes(self, fuzz_files, data):
+        valid, _, path = fuzz_files
+        raw = bytearray(valid[: data.draw(st.integers(0, len(valid)), label="cut")])
+        flips = st.tuples(st.integers(0, max(len(raw) - 1, 0)), st.integers(1, 255))
+        for pos, mask in data.draw(st.lists(flips, max_size=4 if raw else 0), label="flips"):
+            raw[pos] ^= mask
+        path.write_bytes(bytes(raw))
+        try:
+            _load(path)
+        except (ParseError, SchemaVersionMismatch):
+            pass
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("dim", 2.0), ("d", True), ("id", True), ("pos", ["0.5", "0.5"]), ("d", 10**400)],
+        ids=["float-dim", "bool-d", "bool-id", "string-pos", "huge-int-d"],
+    )
+    def test_reported_mistypes(self, fuzz_files, field, value):
+        _, doc, path = fuzz_files
+        doc = json.loads(json.dumps(doc))
+        target = {"dim": doc, "d": doc["edges"][0], "id": doc["nodes"][1], "pos": doc["nodes"][1]}
+        target[field][field] = value
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(ParseError):
+            _load(path)
+
+    def test_non_utf8_bytes(self, fuzz_files):
+        valid, _, path = fuzz_files
+        path.write_bytes(valid.replace(b'"dim"', b'"d\xffm"'))
+        with pytest.raises(ParseError):
+            _load(path)

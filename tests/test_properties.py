@@ -9,10 +9,14 @@ update_lambda`` and ``run_lite`` must reproduce ``step_lite`` and
 built node by node as below. Along the way the combined replicas satisfy
 the consensus constraint bitwise, every direction row stays in the unit
 ball, and anchors stay pinned. The diagnostics and the consensus projection
-must match the dense oracle on random states.
+must match the dense oracle on random states. From a matched positional
+start the two solvers agree within criterion 1's tolerance, and both keep
+the exchange and storage accounting of criterion 7. The trace recorder
+gives the same trace whether it reads the solvers' stacked states or
+per-node state lists built by the spec.
 """
 
-from dataclasses import fields, is_dataclass
+from dataclasses import fields, is_dataclass, replace
 
 import numpy as np
 from hypothesis import given, settings
@@ -20,7 +24,8 @@ from hypothesis import strategies as st
 
 from locadmm import diagnostics as dg
 from locadmm import oracle
-from locadmm.network import MeasurementSet, NetworkGraph
+from locadmm.engine import IterationEvent
+from locadmm.network import GroundTruth, MeasurementSet, NetworkGraph
 from locadmm.solver_full import (
     FullNodeState,
     InitSpec,
@@ -32,7 +37,7 @@ from locadmm.solver_full import (
     update_lambda,
     update_u,
 )
-from locadmm.solver_lite import LiteNodeState, full_view, run_lite, step_lite
+from locadmm.solver_lite import LiteNodeState, full_view, run_lite, serialize_state, step_lite
 from locadmm.structured_ops import (
     NodeBlockVector,
     PenaltyParams,
@@ -314,3 +319,92 @@ def test_diagnostics_match_dense_oracle(inst, c, rho, kappa):
             + (k1 + k2) * float(dz @ (dense.cBtB[i] / c) @ dz)
         )
     close(dg.potential(now, prev, ztilde, d_node, k1, k2, c, rho), lagrangian + extra)
+
+
+@st.composite
+def matched_instances(draw):
+    """An instance whose start both solvers build alike: replicas from
+    positions (or all at the origin with no direction rows to point), duals
+    at zero, and penalties in criterion 1's range."""
+    graph, meas, _, spec, seed, iters = draw(instances())
+    if spec.kind == "uniform" or (spec.kind == "zeros" and spec.u_init == "directions"):
+        spec = replace(spec, kind="from_positions")
+    params = PenaltyParams(draw(st.floats(0.05, 1.0)), draw(st.floats(0.05, 1.0)))
+    return graph, meas, params, spec, seed, iters
+
+
+@PROPERTY_SETTINGS
+@given(matched_instances())
+def test_full_and_lite_agree_from_matched_start(inst):
+    graph, meas, params, spec, seed, iters = inst
+    full, lite = [], []
+    run_full(graph, meas, params, spec, iters, seed=seed, hook=full.append)
+    run_lite(graph, meas, params, spec, iters, seed=seed, hook=lite.append)
+    assert len(full) == len(lite) == iters + 1
+    for ev_f, ev_l in zip(full, lite):
+        # criterion 1's measure: (p, u, lam) gaps over 1 + the largest value
+        f, l = ev_f.states, ev_l.states
+        pairs = [(f.blocks.p, l.blocks.p), (f.u, l.u), (f.lam, l.lam)]
+        scale = 1.0 + max(np.abs(a).max(initial=0.0) for a, _ in pairs)
+        assert max(np.abs(a - b).max(initial=0.0) for a, b in pairs) / scale < 1e-9
+
+
+@PROPERTY_SETTINGS
+@given(instances())
+def test_exchange_and_storage_accounting(inst):
+    graph, meas, params, spec, seed, iters = inst
+    per_iter = 2 * graph.dim * graph.sum_degree
+    for runner in (run_full, run_lite):
+        events = []
+        result = runner(graph, meas, params, spec, iters, seed=seed, hook=events.append)
+        assert [e.comm_scalars for e in events] == [0] + [per_iter] * iters
+    stored = sum(serialize_state(s, params.c, params.rho).size for s in result.states)
+    assert stored == sum(4 * graph.dim * k + k + 3 for k in graph.degrees)
+
+
+def spec_events(graph, meas, params, spec, seed, iters, algo):
+    """Hook events as ``perfbench/traced.py`` builds them: per-node state
+    lists from the per-node spec, passed positionally."""
+    c, rho = params.c, params.rho
+    nodes = range(graph.num_nodes)
+    comm = 2 * graph.dim * graph.sum_degree
+    if algo == "lite":
+        states = reference_init_lite(graph, meas, spec, seed, c)
+        events = [IterationEvent(0, full_view(states, None, graph, c), None, None, 0)]
+        for t in range(1, iters + 1):
+            prev, states = states, step_lite(states, graph, c, rho)
+            view = full_view(states, prev, graph, c)
+            events.append(IterationEvent(t, view, events[-1].states, None, comm))
+        return events
+    d_node = meas.node_ranges(graph)
+    states = reference_init_full(graph, spec, seed)
+    events = [IterationEvent(0, states, None, None, 0)]
+    for t in range(1, iters + 1):
+        zt = [local_halfstep(states[i], d_node[i], c, graph.anchors.get(i)) for i in nodes]
+        z = [combine_z(zt[i], gather_inbox(zt, graph, i), c) for i in nodes]
+        prev, states = states, [
+            FullNodeState(z[i], update_u(s, z[i], d_node[i], rho), update_lambda(s, z[i], c))
+            for i, s in zip(nodes, states)
+        ]
+        events.append(IterationEvent(t, states, prev, zt, comm))
+    return events
+
+
+@PROPERTY_SETTINGS
+@given(instances(), st.sampled_from(["full", "lite"]))
+def test_recorder_reads_stacked_and_per_node_states_alike(inst, algo):
+    graph, meas, params, spec, seed, iters = inst
+    runner = run_full if algo == "full" else run_lite
+
+    def recorder():
+        return dg.TraceRecorder(
+            graph, meas, params, truth=GroundTruth(spec.positions),
+            metrics=("rmse", "S", "U", "P", "F", "L", "potential"),
+            potential_coeffs=(3.0, 5.0), metadata={"algorithm": algo},
+        )
+
+    solver_fed, spec_fed = recorder(), recorder()
+    runner(graph, meas, params, spec, iters, seed=seed, hook=solver_fed)
+    for event in spec_events(graph, meas, params, spec, seed, iters, algo):
+        spec_fed(event)
+    assert solver_fed.trace.to_csv_text() == spec_fed.trace.to_csv_text()

@@ -524,6 +524,24 @@ class TestRunFull:
         with pytest.raises(InvalidParameter):
             run_full(graph, meas, PenaltyParams(0.1, 0.1), InitSpec(kind="zeros"), 0)
 
+    def test_state_list_rows_must_match_degrees(self, triangle):
+        graph, _, meas = triangle
+        states = list(init_full(graph, InitSpec(kind="zeros"), 0))
+        states[1] = FullNodeState(states[1].block, states[1].u[:1], states[1].lam)
+        with pytest.raises(InvalidInitSpec, match="^u rows do not match the node degrees$"):
+            run_full(graph, meas, PenaltyParams(0.1, 0.1), states, 1)
+        with pytest.raises(InvalidInitSpec, match="^z_minus rows"):
+            run_full(graph, meas, PenaltyParams(0.1, 0.1), states[:2], 1)
+
+    def test_resumes_from_returned_states(self, triangle):
+        graph, _, meas = triangle
+        params, spec = PenaltyParams(0.3, 0.2), InitSpec(kind="zeros", u_init="half")
+        whole = run_full(graph, meas, params, spec, 5)
+        head = run_full(graph, meas, params, spec, 2)
+        tail = run_full(graph, meas, params, head.states, 3)
+        assert tail.estimates.tobytes() == whole.estimates.tobytes()
+        assert [s.u.tobytes() for s in tail.states] == [s.u.tobytes() for s in whole.states]
+
 
 def dense_reference_admm(graph, meas, params, states0, iters):
     """Same three-step iteration with every piece done densely: diagonal
