@@ -37,7 +37,7 @@ from .network import (
 )
 from .structured_ops import EdgeBlocks, EdgeStates, NodeBlockVector, PenaltyParams
 from .solver_full import EdgeMessage, FullNodeState, InitSpec, init_full, run_full
-from .solver_lite import LiteNodeState, init_lite, run_lite, step_lite
+from .solver_lite import LiteNodeState, LiteStates, init_lite, run_lite, step_lite
 from .diagnostics import (
     IterationTrace,
     ParameterBounds,

@@ -66,8 +66,13 @@ def optimality_gap(states, u_prev, graph: NetworkGraph, d_node) -> float:
     iteration's direction field.
     """
     s = EdgeStates.of(states)
+    return _optimality(s, u_prev, graph, _grad_lagrangian(graph, s, d_node))
+
+
+def _optimality(s: EdgeStates, u_prev, graph: NetworkGraph, grad) -> float:
+    """:func:`optimality_gap` with ``grad`` from :func:`_grad_lagrangian`."""
     b = s.blocks
-    g_p, g_minus, g_plus = _grad_lagrangian(graph, s, d_node)
+    g_p, g_minus, g_plus = grad
     proj = project_consensus(
         EdgeBlocks(b.offsets, b.p - g_p, b.z_minus - g_minus, b.z_plus - g_plus), graph
     )
@@ -321,21 +326,26 @@ class TraceRecorder:
         lay = self.graph.layout
         row = TraceRow(t=event.t, comm_scalars=event.comm_scalars)
         states = EdgeStates.of(event.states, lay)
+        lagged = event.states_prev is not None
         with quiet_fp():
+            # S and F share grad F + A^T lam
+            grad = None
+            if "S" in m or ("F" in m and lagged):
+                grad = _grad_lagrangian(self.graph, states, self.d)
             if "rmse" in m:
                 row.rmse = rmse(states.blocks.p, self.truth, self.graph)
             if "S" in m:
-                row.S = stationarity_gap(states, self.graph, self.d)
+                row.S = sum(map(_sq, grad))
             if "P" in m:
                 row.P = feasibility_gap(states)
             if "L" in m:
                 row.L = augmented_lagrangian(states, self.d, self.params.c)
-            if event.states_prev is not None:
+            if lagged:
                 prev = EdgeStates.of(event.states_prev, lay)
                 if "U" in m:
                     row.U = primal_diff_gap(states.u, prev.u)
                 if "F" in m:
-                    row.F = optimality_gap(states, prev.u, self.graph, self.d)
+                    row.F = _optimality(states, prev.u, self.graph, grad)
                 if "potential" in m and event.ztilde is not None:
                     half = EdgeBlocks.of(event.ztilde, lay)
                     coeffs = (*self.potential_coeffs, self.params.c, self.params.rho)

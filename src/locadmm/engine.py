@@ -43,7 +43,7 @@ Hook = Callable[[IterationEvent], None]
 
 @dataclass
 class RunResult:
-    """Final solver output: node states (``EdgeStates``, or a per-node list
+    """Final solver output: node states (``EdgeStates``, or ``LiteStates``
     from the low-storage solver), stacked position estimates, and the
     recorded trace when metrics were requested."""
 

@@ -16,6 +16,7 @@ import warnings
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
+from types import MappingProxyType
 
 import numpy as np
 
@@ -289,9 +290,19 @@ class NoiseModel:
 
 @dataclass(frozen=True)
 class MeasurementSet:
-    """Noisy ranges keyed by unordered edge ``(i, j)`` with ``i < j``."""
+    """Noisy ranges keyed by unordered edge ``(i, j)`` with ``i < j``.
 
-    d: dict[tuple[int, int], float]
+    ``d`` is a read-only copy of the mapping given, so the range arrays
+    built from it for each graph can be kept for the life of the set.
+    """
+
+    d: Mapping[tuple[int, int], float]
+    # id(graph) -> (graph, its edge_ranges); the graph is held so its id
+    # cannot be reused by another graph while the entry lives
+    _ranges: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "d", MappingProxyType(dict(self.d)))
 
     def value(self, i: int, j: int) -> float:
         return self.d[(i, j) if i < j else (j, i)]
@@ -301,11 +312,38 @@ class MeasurementSet:
         return graph.layout.split(self.edge_ranges(graph))
 
     def edge_ranges(self, graph: NetworkGraph) -> np.ndarray:
-        """Ranges of every directed edge, in the graph's edge-layout order."""
-        return np.array(
-            [self.value(i, j) for i, nbrs in enumerate(graph.neighbors) for j in nbrs],
-            dtype=float,
-        )
+        """Ranges of every directed edge, in the graph's edge-layout order.
+
+        Built on the first call for ``graph`` and kept: later calls with the
+        same graph object return the same read-only array.
+
+        Raises
+        ------
+        InvalidParameter
+            When an edge of the graph has no measured range.
+        """
+        hit = self._ranges.get(id(graph))
+        if hit is None:
+            hit = self._ranges[id(graph)] = (graph, self._build_ranges(graph))
+        return hit[1]
+
+    def _build_ranges(self, graph: NetworkGraph) -> np.ndarray:
+        # One lookup per undirected edge. The rows with src < dst, in layout
+        # order, are the sorted edge list; each value also goes to the
+        # reverse row.
+        lay = graph.layout
+        try:
+            vals = np.fromiter(
+                map(self.d.__getitem__, graph.edge_list), dtype=float, count=len(graph.edge_list)
+            )
+        except KeyError as exc:
+            raise InvalidParameter(f"no range measured for edge {exc.args[0]}") from None
+        fwd = np.flatnonzero(lay.src < lay.dst)
+        out = np.empty(lay.num_edges)
+        out[fwd] = vals
+        out[lay.rev[fwd]] = vals
+        out.flags.writeable = False
+        return out
 
     @property
     def max_range(self) -> float:

@@ -10,6 +10,7 @@ replica rows, with identical volume.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Optional
 
@@ -32,6 +33,7 @@ from .structured_ops import (
     FullNodeState,
     NodeBlockVector,
     PenaltyParams,
+    check_layout,
     edge_rows,
     project_ball,
 )
@@ -52,6 +54,45 @@ class LiteNodeState:
     alpha: np.ndarray
     beta: np.ndarray
     d: np.ndarray
+
+
+@dataclass(frozen=True, eq=False)
+class LiteStates(Sequence):
+    """Every node's :class:`LiteNodeState` stacked: ``p`` has a row per node,
+    the other fields a row per directed edge, node ``i`` owning rows
+    ``offsets[i]:offsets[i+1]`` (:class:`~locadmm.network.EdgeLayout`
+    order). ``states[i]`` builds node ``i``'s state of views."""
+
+    offsets: np.ndarray
+    p: np.ndarray
+    u: np.ndarray
+    lam: np.ndarray
+    alpha: np.ndarray
+    beta: np.ndarray
+    d: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.p)
+
+    def __getitem__(self, i) -> LiteNodeState:
+        i = range(len(self))[i]
+        rows = slice(self.offsets[i], self.offsets[i + 1])
+        return LiteNodeState(
+            self.p[i], self.u[rows], self.lam[rows], self.alpha[rows], self.beta[rows], self.d[rows]
+        )
+
+    @classmethod
+    def of(cls, states, layout: EdgeLayout) -> "LiteStates":
+        """``states`` if stacked, else its per-node states stacked. Either
+        way node ``i`` must own ``layout.degrees[i]`` rows of every edge
+        field (:class:`~locadmm.errors.InvalidInit` otherwise)."""
+        if isinstance(states, cls):
+            return check_layout(states, states.offsets, layout)
+        u, lam, alpha, beta, d = (
+            edge_rows([getattr(s, f) for s in states], layout.offsets, f)
+            for f in ("u", "lam", "alpha", "beta", "d")
+        )
+        return cls(layout.offsets, np.stack([s.p for s in states]), u, lam, alpha, beta, d)
 
 
 def serialize_state(state: LiteNodeState, c: float, rho: float) -> np.ndarray:
@@ -76,7 +117,7 @@ def init_lite(
     u_init,
     c: float,
     measurements: MeasurementSet,
-) -> list[LiteNodeState]:
+) -> LiteStates:
     """Build iteration-zero accumulators from a position map.
 
     With duals at zero and replicas built from positions, the accumulators
@@ -93,7 +134,7 @@ def init_lite(
         u = edge_rows([np.asarray(x, dtype=float) for x in u_init], lay.offsets, "u_init")
     d = measurements.edge_ranges(graph)
     alpha, beta = start_accumulators(lay, pos, u, d, c)
-    return lite_states(lay, pos, u, np.zeros_like(u), alpha, beta, d)
+    return LiteStates(lay.offsets, pos, u, np.zeros_like(u), alpha, beta, d)
 
 
 def start_accumulators(
@@ -104,12 +145,6 @@ def start_accumulators(
     x_j = np.take(pos, layout.dst, axis=0)
     with quiet_fp():
         return c * (x_i + x_i), -(d[:, None] * u) + x_i + x_j
-
-
-def lite_states(layout: EdgeLayout, p: np.ndarray, *fields: np.ndarray) -> list[LiteNodeState]:
-    """Per-node states viewing rows of ``p`` and of the edge fields ``u``,
-    ``lam``, ``alpha``, ``beta`` and ``d``, in that order."""
-    return [LiteNodeState(p[i], *rows) for i, rows in enumerate(zip(*map(layout.split, fields)))]
 
 
 def step_lite(
@@ -232,7 +267,7 @@ def run_lite(
     graph: NetworkGraph,
     measurements: MeasurementSet,
     params: PenaltyParams,
-    init: InitSpec | list,
+    init: InitSpec | Sequence[LiteNodeState],
     iters: int,
     *,
     seed: int = 0,
@@ -241,7 +276,10 @@ def run_lite(
 ) -> RunResult:
     """Run the low-storage solver for a fixed number of iterations.
 
-    The recursion needs consensus-feasible replicas at start, so positional
+    ``init`` is an :class:`~locadmm.solver_full.InitSpec`, a
+    :class:`LiteStates` (such as ``RunResult.states``, to resume a run; its
+    arrays are read, not copied) or a per-node state sequence. The
+    recursion needs consensus-feasible replicas at start, so positional
     initialization is mandatory: ``from_positions`` uses the given map,
     ``zeros`` starts every position at the origin, and ``uniform`` draws one
     position per node (unlike the full solver's per-coordinate block draw).
@@ -257,17 +295,14 @@ def run_lite(
     c, rho = params.c, params.rho
     lay = graph.layout
 
-    if isinstance(init, list):
-        u, lam, alpha, beta, d = (
-            edge_rows([getattr(s, f) for s in init], lay.offsets, f)
-            for f in ("u", "lam", "alpha", "beta", "d")
-        )
-        p = np.stack([s.p for s in init])
-    else:
+    if isinstance(init, InitSpec):
         p, _, _, u = initial_fields(graph, init, seed, positional=True)
         d = measurements.edge_ranges(graph)
         alpha, beta = start_accumulators(lay, p, u, d, c)
         lam = np.zeros_like(u)
+    else:
+        start = LiteStates.of(init, lay)
+        p, u, lam, alpha, beta, d = start.p, start.u, start.lam, start.alpha, start.beta, start.d
 
     src, rev = lay.src, lay.rev
     scale = 2.0 * (c + 1.0)
@@ -309,5 +344,5 @@ def run_lite(
             hook(IterationEvent(t, view, view_prev, None, comm_per_iter))
 
     return RunResult(
-        states=lite_states(lay, p, u, lam, alpha, beta, d), estimates=p.copy()
+        states=LiteStates(lay.offsets, p, u, lam, alpha, beta, d), estimates=p.copy()
     )

@@ -108,6 +108,14 @@ def edge_rows(rows, offsets=None, what: str = "rows") -> np.ndarray:
     return np.concatenate(rows)
 
 
+def check_layout(stacked, offsets: np.ndarray, layout: Optional[EdgeLayout]):
+    """``stacked``, whose node ``i`` owns rows ``offsets[i]:offsets[i+1]``,
+    if those are the rows ``layout`` gives node ``i`` (or no layout is given)."""
+    if layout is None or offsets is layout.offsets or np.array_equal(offsets, layout.offsets):
+        return stacked
+    raise InvalidInit("stacked rows do not match the node degrees")
+
+
 @dataclass(frozen=True, eq=False)
 class EdgeBlocks(Sequence):
     """Every node's block stacked: ``p`` has a row per node, ``z_minus`` and
@@ -142,7 +150,7 @@ class EdgeBlocks(Sequence):
         """``blocks`` if stacked, else its per-node blocks stacked, with the
         row counts checked against ``layout`` when given."""
         if isinstance(blocks, cls):
-            return blocks
+            return check_layout(blocks, blocks.offsets, layout)
         offsets = np.cumsum([0] + [b.degree for b in blocks]) if layout is None else layout.offsets
         z_minus, z_plus = (edge_rows([getattr(b, f) for b in blocks], offsets, f)
                            for f in ("z_minus", "z_plus"))
@@ -169,7 +177,7 @@ class EdgeStates(Sequence):
     def of(cls, states, layout: Optional[EdgeLayout] = None) -> "EdgeStates":
         """As :meth:`EdgeBlocks.of`, for states."""
         if isinstance(states, cls):
-            return states
+            return check_layout(states, states.blocks.offsets, layout)
         blocks = EdgeBlocks.of([s.block for s in states], layout)
         u, lam = (edge_rows([getattr(s, f) for s in states], blocks.offsets, f)
                   for f in ("u", "lam"))

@@ -5,7 +5,7 @@ from locadmm import diagnostics as dg
 from locadmm import oracle
 from locadmm import structured_ops as ops
 from locadmm.errors import InvalidParameter, NonFiniteValue
-from locadmm.network import MeasurementSet
+from locadmm.network import MeasurementSet, NetworkGraph
 from locadmm.solver_full import (
     FullNodeState,
     InitSpec,
@@ -418,3 +418,48 @@ class TestTrace:
         assert built == []
         NodeBlockVector.zeros(1, 2)
         assert built == ["NodeBlockVector"]
+
+    @pytest.mark.parametrize("second", ["run_full", "run_lite", "TraceRecorder"])
+    def test_second_use_builds_no_ranges(self, second, monkeypatch):
+        # ranges are built once per (measurements, graph) pair and shared by
+        # the solvers and the recorder
+        graph, truth = random_connected_graph(np.random.default_rng(5), 12, num_anchors=3)
+        meas = exact_measurements(graph, truth.positions)
+        params, spec = PenaltyParams(0.3, 0.2), InitSpec(kind="zeros", u_init="half")
+        run_full(graph, meas, params, spec, 2)
+        built = []
+
+        def counting(self, graph):
+            built.append(graph)
+            return build(self, graph)
+
+        build = MeasurementSet._build_ranges
+        monkeypatch.setattr(MeasurementSet, "_build_ranges", counting)
+        if second == "TraceRecorder":
+            rec = dg.TraceRecorder(graph, meas, params, truth=truth)
+            run_lite(graph, meas, params, spec, 2, hook=rec)
+        else:
+            {"run_full": run_full, "run_lite": run_lite}[second](graph, meas, params, spec, 2)
+        assert built == []
+        # an equal graph that is another object gets its own build
+        twin = NetworkGraph.build(graph.dim, graph.num_nodes, graph.anchors, graph.edge_list)
+        meas.edge_ranges(twin)
+        assert len(built) == 1
+
+    @pytest.mark.parametrize("runner", [run_full, run_lite])
+    def test_stationarity_and_optimality_share_one_gradient(self, runner, monkeypatch):
+        calls = []
+
+        def counting(*args, _grad=dg._grad_lagrangian):
+            calls.append(1)
+            return _grad(*args)
+
+        monkeypatch.setattr(dg, "_grad_lagrangian", counting)
+        graph, truth = random_connected_graph(np.random.default_rng(6), 10, num_anchors=2)
+        meas = exact_measurements(graph, truth.positions)
+        params = PenaltyParams(0.3, 0.2)
+        rec = dg.TraceRecorder(graph, meas, params, truth=truth, metrics=("S", "F"))
+        runner(graph, meas, params, InitSpec(kind="zeros", u_init="half"), 5, hook=rec)
+        assert all(row.S is not None for row in rec.trace.rows)
+        assert all(row.F is not None for row in rec.trace.rows[1:])
+        assert len(calls) == 6

@@ -26,8 +26,11 @@ from locadmm.network import (
     rmse,
     save_network,
 )
+from locadmm.solver_full import InitSpec, run_full
+from locadmm.solver_lite import run_lite
+from locadmm.structured_ops import PenaltyParams
 
-from conftest import make_graph
+from conftest import make_graph, random_connected_graph
 
 
 class TestGenerateRgg:
@@ -174,6 +177,61 @@ class TestMeasure:
             NoiseModel("laplacian", 0.1)
         with pytest.raises(InvalidParameter):
             NoiseModel("additive-white", -0.5)
+
+
+class TestMeasurementSet:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_edge_ranges_equal_per_edge_lookup(self, seed):
+        rng = np.random.default_rng(seed)
+        graph, truth = random_connected_graph(rng, int(rng.integers(2, 30)), dim=2 + seed % 2)
+        meas = MeasurementSet({e: float(rng.uniform(0.0, 2.0)) for e in graph.edge_list})
+        want = [meas.value(i, j) for i, nbrs in enumerate(graph.neighbors) for j in nbrs]
+        got = meas.edge_ranges(graph)
+        assert got.dtype == np.float64 and got.tobytes() == np.array(want).tobytes()
+
+    def test_ranges_built_once_and_read_only(self, triangle):
+        graph, _, meas = triangle
+        ranges = meas.edge_ranges(graph)
+        assert meas.edge_ranges(graph) is ranges
+        with pytest.raises(ValueError):
+            ranges[0] = 5.0
+        for rows in meas.node_ranges(graph):
+            assert rows.base is ranges
+            with pytest.raises(ValueError):
+                rows[0] = 5.0
+
+    def test_each_graph_gets_its_own_ranges(self, triangle):
+        triangle_graph, _, meas = triangle
+        path = make_graph(2, [(0, 1), (1, 2)], {0: [0.0, 0.0]})
+        same_path = make_graph(2, [(0, 1), (1, 2)], {0: [0.0, 0.0]})
+        for graph in (triangle_graph, path, same_path, triangle_graph):
+            want = [meas.value(i, j) for i, nbrs in enumerate(graph.neighbors) for j in nbrs]
+            assert meas.edge_ranges(graph).tolist() == want
+        assert meas.edge_ranges(path) is not meas.edge_ranges(same_path)
+
+    @pytest.mark.parametrize("call", ["edge_ranges", "run_full", "run_lite"])
+    def test_missing_range_named(self, call):
+        graph = make_graph(2, [(0, 1), (1, 2)], {0: [0.0, 0.0]})
+        meas = MeasurementSet({(0, 1): 1.0})
+        with pytest.raises(InvalidParameter, match=r"^no range measured for edge \(1, 2\)$"):
+            if call == "edge_ranges":
+                meas.edge_ranges(graph)
+            else:
+                runner = run_full if call == "run_full" else run_lite
+                runner(graph, meas, PenaltyParams(0.1, 0.1), InitSpec(), 1)
+
+    def test_d_is_a_read_only_copy(self):
+        given = {(0, 1): 1.0, (1, 2): 0.5}
+        meas = MeasurementSet(given)
+        with pytest.raises(TypeError):
+            meas.d[(0, 1)] = 2.0
+        given[(0, 1)] = 2.0
+        assert meas.d[(0, 1)] == 1.0
+        assert meas == MeasurementSet({(0, 1): 1.0, (1, 2): 0.5})
+        assert meas.d == {(0, 1): 1.0, (1, 2): 0.5}
+        meas.edge_ranges(make_graph(2, [(0, 1), (1, 2)], {0: [0.0, 0.0]}))
+        assert meas == MeasurementSet({(0, 1): 1.0, (1, 2): 0.5})
+        assert repr(meas) == repr(MeasurementSet({(0, 1): 1.0, (1, 2): 0.5}))
 
 
 class TestRmse:

@@ -37,7 +37,14 @@ from locadmm.solver_full import (
     update_lambda,
     update_u,
 )
-from locadmm.solver_lite import LiteNodeState, full_view, run_lite, serialize_state, step_lite
+from locadmm.solver_lite import (
+    LiteNodeState,
+    LiteStates,
+    full_view,
+    run_lite,
+    serialize_state,
+    step_lite,
+)
 from locadmm.structured_ops import (
     NodeBlockVector,
     PenaltyParams,
@@ -236,14 +243,19 @@ def test_run_lite_matches_per_node_spec(inst):
         assert_same_bits(events[t].states, full_view(states, prev, graph, c))
         assert events[t].states_prev is events[t - 1].states
         assert_invariants(events[t].states, graph)
+    assert isinstance(result.states, LiteStates)
     assert_same_bits(result.states, states)
     assert result.estimates.tobytes() == np.stack([s.p for s in states]).tobytes()
 
-    # an explicit start and a resumed run follow the same trajectory
+    # an explicit start (list or tuple) and a resumed run (from the stacked
+    # states or a tuple of their views) follow the same trajectory
     assert_same_bits(run_lite(graph, meas, params, start, iters).states, states)
+    assert_same_bits(run_lite(graph, meas, params, tuple(start), iters).states, states)
     head = run_lite(graph, meas, params, spec, 1, seed=seed).states
+    assert isinstance(head, LiteStates)
     if iters > 1:
         assert_same_bits(run_lite(graph, meas, params, head, iters - 1).states, states)
+        assert_same_bits(run_lite(graph, meas, params, tuple(head), iters - 1).states, states)
 
 
 def random_states(rng, graph):
@@ -358,6 +370,7 @@ def test_exchange_and_storage_accounting(inst):
         events = []
         result = runner(graph, meas, params, spec, iters, seed=seed, hook=events.append)
         assert [e.comm_scalars for e in events] == [0] + [per_iter] * iters
+    assert isinstance(result.states, LiteStates)
     stored = sum(serialize_state(s, params.c, params.rho).size for s in result.states)
     assert stored == sum(4 * graph.dim * k + k + 3 for k in graph.degrees)
 

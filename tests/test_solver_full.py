@@ -533,6 +533,17 @@ class TestRunFull:
         with pytest.raises(InvalidInitSpec, match="^z_minus rows"):
             run_full(graph, meas, PenaltyParams(0.1, 0.1), states[:2], 1)
 
+    @pytest.mark.parametrize("runner", [run_full, run_lite])
+    def test_stacked_states_of_another_graph_rejected(self, runner):
+        # a star and a path on four nodes both have six edge rows
+        star = make_graph(2, [(0, 1), (0, 2), (0, 3)], {0: [0.0, 0.0]})
+        path = make_graph(2, [(0, 1), (1, 2), (2, 3)], {0: [0.0, 0.0]})
+        params, spec = PenaltyParams(0.3, 0.2), InitSpec(u_init="half")
+        ranges = MeasurementSet({(0, 1): 1.0, (0, 2): 1.0, (0, 3): 1.0, (1, 2): 1.0, (2, 3): 1.0})
+        states = runner(star, ranges, params, spec, 2).states
+        with pytest.raises(InvalidInitSpec, match="^stacked rows do not match the node degrees$"):
+            runner(path, ranges, params, states, 1)
+
     def test_resumes_from_returned_states(self, triangle):
         graph, _, meas = triangle
         params, spec = PenaltyParams(0.3, 0.2), InitSpec(kind="zeros", u_init="half")

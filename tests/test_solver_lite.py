@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
+from locadmm import diagnostics as dg
 from locadmm import structured_ops as ops
 from locadmm.errors import InvalidInit, MissingMessage
 from locadmm.network import MeasurementSet, rmse
 from locadmm.solver_full import InitSpec, init_full, run_full
 from locadmm.solver_lite import (
     LiteNodeState,
+    LiteStates,
     full_view,
     init_lite,
     reconstruct_blocks,
@@ -213,6 +215,66 @@ class TestEquivalence:
                     assert np.array_equal(pa, pb)
                     assert np.array_equal(ua, ub)
                     assert np.array_equal(la, lb)
+
+
+class TestLiteStates:
+    def setup_instance(self):
+        graph, truth = random_connected_graph(np.random.default_rng(7), 9, num_anchors=2)
+        meas = exact_measurements(graph, truth.positions)
+        spec = InitSpec(kind="from_positions", positions=truth.positions, u_init="half")
+        return graph, meas, PenaltyParams(0.3, 0.2), spec
+
+    def test_resume_builds_no_node_states(self, monkeypatch):
+        # results are stacked, and resuming reads their arrays as they are
+        built = []
+
+        def counting(self, *args, _init=LiteNodeState.__init__, **kwargs):
+            built.append(1)
+            _init(self, *args, **kwargs)
+
+        monkeypatch.setattr(LiteNodeState, "__init__", counting)
+        graph, meas, params, spec = self.setup_instance()
+        head = run_lite(graph, meas, params, spec, 3)
+        assert isinstance(head.states, LiteStates)
+        rec = dg.TraceRecorder(graph, meas, params, metrics=("S", "U", "P", "F", "L"))
+        tail = run_lite(graph, meas, params, head.states, 4, hook=rec)
+        assert isinstance(tail.states, LiteStates)
+        assert rec.trace.rows[0].S is not None
+        assert built == []
+        assert tail.states[0].p is not None
+        assert built == [1]
+
+    def test_resume_from_any_sequence(self):
+        graph, meas, params, spec = self.setup_instance()
+        whole = run_lite(graph, meas, params, spec, 5).states
+        head = run_lite(graph, meas, params, spec, 2).states
+        for start in (head, list(head), tuple(head)):
+            tail = run_lite(graph, meas, params, start, 3).states
+            for f in ("p", "u", "lam", "alpha", "beta", "d"):
+                assert getattr(tail, f).tobytes() == getattr(whole, f).tobytes(), f
+
+    def test_views_of_the_stacked_arrays(self):
+        graph, meas, params, spec = self.setup_instance()
+        states = run_lite(graph, meas, params, spec, 2).states
+        assert len(states) == graph.num_nodes
+        assert states[-1].p is not None and states[-1].u.base is states.u
+        for i, st in enumerate(states):
+            rows = slice(graph.layout.offsets[i], graph.layout.offsets[i + 1])
+            assert st.alpha.tobytes() == states.alpha[rows].tobytes()
+            assert st.p.tobytes() == states.p[i].tobytes()
+        with pytest.raises(IndexError):
+            states[graph.num_nodes]
+        assert LiteStates.of(states, graph.layout) is states
+
+    def test_state_rows_must_match_degrees(self):
+        graph, meas, params, spec = self.setup_instance()
+        states = list(init_lite(graph, spec.positions, "half", params.c, meas))
+        k = graph.layout.degrees.argmax()
+        states[k] = LiteNodeState(**{**vars(states[k]), "lam": states[k].lam[:1]})
+        with pytest.raises(InvalidInit, match="^lam rows do not match the node degrees$"):
+            run_lite(graph, meas, params, states, 1)
+        with pytest.raises(InvalidInit, match="^u rows"):
+            run_lite(graph, meas, params, states[:-1], 1)
 
 
 class TestStorage:
