@@ -35,10 +35,15 @@ SCHEMA_VERSION = 1
 # uniform spatial law; edge augmentation would not.
 MAX_LAYOUT_ATTEMPTS = 1000
 
+# Cells per axis of generate_rgg's neighbour-search grid, at most.
+MAX_GRID_CELLS = 1 << 20
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, eq=False)
 class NetworkGraph:
     """Undirected sensor graph with an anchor subset.
+
+    Graphs compare by identity, as the per-graph caches keyed on them do.
 
     Attributes
     ----------
@@ -48,14 +53,21 @@ class NetworkGraph:
         Node count; ids are the dense range ``0 .. num_nodes-1``.
     anchors : dict[int, np.ndarray]
         Anchor id -> known position, iteration order sorted by id.
-    neighbors : tuple[tuple[int, ...], ...]
-        Per node, the sorted tuple of adjacent node ids. All per-edge arrays
-        in this package are aligned with this ordering.
-    edge_list : tuple[tuple[int, int], ...]
-        Sorted unordered edges, each with ``i < j``.
     connected : bool
         Whether the graph is a single component covering all nodes. Loading
         tolerates ``False`` (with a warning); solvers do not.
+    layout : EdgeLayout
+        The directed edges as flat arrays; every per-edge array in this
+        package is aligned with it.
+
+    The per-node tuples below are derived from ``layout`` on first use and
+    kept; only the per-node specification and the dense oracle read them.
+
+    neighbors : tuple[tuple[int, ...], ...]
+        Per node, the sorted tuple of adjacent node ids: the ``dst`` of the
+        node's rows in ``layout``.
+    edge_list : tuple[tuple[int, int], ...]
+        Sorted unordered edges, each with ``i < j``.
     rev_pos : tuple[tuple[int, ...], ...]
         ``rev_pos[i][k]`` is the position of ``i`` inside
         ``neighbors[j]`` where ``j = neighbors[i][k]``; used to address the
@@ -65,10 +77,8 @@ class NetworkGraph:
     dim: int
     num_nodes: int
     anchors: dict[int, np.ndarray]
-    neighbors: tuple[tuple[int, ...], ...]
-    edge_list: tuple[tuple[int, int], ...]
     connected: bool
-    rev_pos: tuple[tuple[int, ...], ...] = field(repr=False)
+    layout: "EdgeLayout" = field(repr=False)
 
     @classmethod
     def build(
@@ -80,58 +90,49 @@ class NetworkGraph:
     ) -> "NetworkGraph":
         """Validate and assemble a graph from an unordered edge collection.
 
+        ``edges`` holds ``(i, j)`` pairs of integer node ids, in either
+        orientation and possibly repeated.
+
         Raises
         ------
         InvalidParameter
-            On bad dimension/counts, self-loops, out-of-range ids, or an
-            empty anchor set.
+            On bad dimension/counts, self-loops, out-of-range or non-integer
+            ids, or an empty anchor set; an edge error names the first bad
+            edge in input order.
         """
         if dim not in (2, 3):
             raise InvalidParameter(f"dim must be 2 or 3, got {dim}")
         if num_nodes < 1:
             raise InvalidParameter(f"num_nodes must be positive, got {num_nodes}")
-        if not anchors:
-            raise InvalidParameter("at least one anchor is required")
+        anchor_map = _anchor_map(dim, num_nodes, anchors)
+        pairs = _edge_pairs(edges, num_nodes)
+        csr = _csr(num_nodes, pairs[:, 0], pairs[:, 1])
+        return cls._assemble(dim, num_nodes, anchor_map, csr, _is_connected(csr))
 
-        anchor_map: dict[int, np.ndarray] = {}
-        for k in sorted(anchors):
-            if not 0 <= k < num_nodes:
-                raise InvalidParameter(f"anchor id {k} out of range")
-            pos = np.asarray(anchors[k], dtype=float)
-            if pos.shape != (dim,):
-                raise InvalidParameter(f"anchor {k} position has shape {pos.shape}")
-            pos.flags.writeable = False
-            anchor_map[k] = pos
-
-        edge_set: set[tuple[int, int]] = set()
-        for i, j in edges:
-            if i == j:
-                raise InvalidParameter(f"self-loop at node {i}")
-            if not (0 <= i < num_nodes and 0 <= j < num_nodes):
-                raise InvalidParameter(f"edge ({i},{j}) out of range")
-            edge_set.add((min(i, j), max(i, j)))
-        edge_tuple = tuple(sorted(edge_set))
-
-        nbr_sets: list[set[int]] = [set() for _ in range(num_nodes)]
-        for i, j in edge_tuple:
-            nbr_sets[i].add(j)
-            nbr_sets[j].add(i)
-        neighbors = tuple(tuple(sorted(s)) for s in nbr_sets)
-
-        rev_pos = tuple(
-            tuple(neighbors[j].index(i) for j in neighbors[i])
-            for i in range(num_nodes)
-        )
-
+    @classmethod
+    def _assemble(cls, dim, num_nodes, anchor_map, csr, connected) -> "NetworkGraph":
         return cls(
             dim=dim,
             num_nodes=num_nodes,
             anchors=anchor_map,
-            neighbors=neighbors,
-            edge_list=edge_tuple,
-            connected=_is_connected(num_nodes, neighbors),
-            rev_pos=rev_pos,
+            connected=connected,
+            layout=EdgeLayout.build(csr, anchor_map, dim),
         )
+
+    @cached_property
+    def neighbors(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(map(tuple, self.layout.split(self.layout.dst.tolist())))
+
+    @cached_property
+    def rev_pos(self) -> tuple[tuple[int, ...], ...]:
+        lay = self.layout
+        return tuple(map(tuple, lay.split((lay.rev - lay.offsets[lay.dst]).tolist())))
+
+    @cached_property
+    def edge_list(self) -> tuple[tuple[int, int], ...]:
+        lay = self.layout
+        fwd = lay.src < lay.dst
+        return tuple(zip(lay.src[fwd].tolist(), lay.dst[fwd].tolist()))
 
     @property
     def degrees(self) -> np.ndarray:
@@ -155,10 +156,83 @@ class NetworkGraph:
         """Total directed-edge count, twice the number of edges."""
         return self.layout.num_edges
 
-    @cached_property
-    def layout(self) -> "EdgeLayout":
-        """Flat per-edge addressing, built on first use and kept."""
-        return EdgeLayout.build(self)
+
+def _anchor_map(dim: int, num_nodes: int, anchors) -> dict[int, np.ndarray]:
+    """Validated read-only anchor positions, sorted by id."""
+    if not anchors:
+        raise InvalidParameter("at least one anchor is required")
+    anchor_map: dict[int, np.ndarray] = {}
+    for k in sorted(anchors):
+        if not 0 <= k < num_nodes:
+            raise InvalidParameter(f"anchor id {k} out of range")
+        pos = np.asarray(anchors[k], dtype=float)
+        if pos.shape != (dim,):
+            raise InvalidParameter(f"anchor {k} position has shape {pos.shape}")
+        pos.flags.writeable = False
+        anchor_map[k] = pos
+    return anchor_map
+
+
+def _edge_pairs(edges, num_nodes: int) -> np.ndarray:
+    """``edges`` as an ``(M, 2)`` array of valid node ids.
+
+    Raises
+    ------
+    InvalidParameter
+        Naming the first self-loop or out-of-range edge in input order, or
+        when the ids are not integers.
+    """
+    pairs = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges))
+    if pairs.size == 0:
+        return np.zeros((0, 2), dtype=np.intp)
+    if pairs.ndim != 2 or pairs.shape[1] != 2 or pairs.dtype.kind not in "iu":
+        raise InvalidParameter("edges must be pairs of integer node ids")
+    i, j = pairs[:, 0], pairs[:, 1]
+    bad = (i == j) | (i < 0) | (i >= num_nodes) | (j < 0) | (j >= num_nodes)
+    if bad.any():
+        a, b = pairs[int(np.argmax(bad))].tolist()
+        if a == b:
+            raise InvalidParameter(f"self-loop at node {a}")
+        raise InvalidParameter(f"edge ({a},{b}) out of range")
+    return pairs.astype(np.intp, copy=False)
+
+
+def _csr(num_nodes: int, a: np.ndarray, b: np.ndarray) -> tuple:
+    """``(offsets, src, dst, rev)`` of the graph whose undirected edges are
+    the pairs ``(a[k], b[k])``, in either orientation and possibly repeated.
+
+    The directed edges are sorted by ``(src, dst)``, so node ``i`` owns rows
+    ``offsets[i]:offsets[i+1]`` in sorted-neighbor order. The same rows
+    sorted by ``(dst, src)`` instead are the reverse edges of the rows in
+    ``(src, dst)`` order, so a stable sort by ``dst`` alone gives ``rev``.
+    """
+    keys = np.sort(np.concatenate([a * num_nodes + b, b * num_nodes + a]))
+    # drop repeats; np.unique would also import numpy.ma (~1 MB of RSS)
+    keys = keys[np.diff(keys, prepend=-1) > 0]
+    src, dst = np.divmod(keys, num_nodes)
+    offsets = np.zeros(num_nodes + 1, dtype=np.intp)
+    np.cumsum(np.bincount(src, minlength=num_nodes), out=offsets[1:])
+    return offsets, src, dst, np.argsort(dst, kind="stable")
+
+
+def _expand(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The concatenated index ranges ``starts[k] : starts[k] + counts[k]``."""
+    return np.repeat(starts - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())
+
+
+def _is_connected(csr) -> bool:
+    """Breadth-first reachability from node 0 over all nodes of the CSR
+    graph ``(offsets, src, dst, rev)``, one frontier at a time."""
+    offsets, _, dst, _ = csr
+    seen = np.zeros(len(offsets) - 1, dtype=bool)
+    frontier = np.zeros(1, dtype=np.intp)
+    while frontier.size:
+        seen[frontier] = True
+        starts = offsets[frontier]
+        reached = np.zeros_like(seen)
+        reached[dst[_expand(starts, offsets[frontier + 1] - starts)]] = True
+        frontier = np.flatnonzero(reached & ~seen)
+    return bool(seen.all())
 
 
 @dataclass(frozen=True, eq=False)
@@ -182,6 +256,7 @@ class EdgeLayout:
 
     offsets: np.ndarray
     src: np.ndarray
+    dst: np.ndarray
     rev: np.ndarray
     degrees: np.ndarray
     anchor_idx: np.ndarray
@@ -190,32 +265,22 @@ class EdgeLayout:
     columns: tuple[np.ndarray, ...]
 
     @classmethod
-    def build(cls, graph: NetworkGraph) -> "EdgeLayout":
-        n = graph.num_nodes
-        degrees = np.fromiter(map(len, graph.neighbors), dtype=np.intp, count=n)
-        offsets = np.zeros(n + 1, dtype=np.intp)
-        np.cumsum(degrees, out=offsets[1:])
-        num_edges = int(offsets[-1])
-        dst = np.fromiter(
-            itertools.chain.from_iterable(graph.neighbors), dtype=np.intp, count=num_edges
-        )
-        rev_pos = np.fromiter(
-            itertools.chain.from_iterable(graph.rev_pos), dtype=np.intp, count=num_edges
-        )
+    def build(cls, csr, anchors: dict[int, np.ndarray], dim: int) -> "EdgeLayout":
+        """The layout of the CSR graph ``(offsets, src, dst, rev)`` with the
+        given anchor positions."""
+        offsets, src, dst, rev = csr
+        degrees = np.diff(offsets)
         by_degree = np.argsort(-degrees, kind="stable")
         ranked = degrees[by_degree]
         starts = offsets[by_degree]
-        anchor_pos = (
-            np.stack(list(graph.anchors.values()))
-            if graph.anchors
-            else np.zeros((0, graph.dim))
-        )
+        anchor_pos = np.stack(list(anchors.values())) if anchors else np.zeros((0, dim))
         return cls(
             offsets=offsets,
-            src=np.repeat(np.arange(n, dtype=np.intp), degrees),
-            rev=offsets[dst] + rev_pos,
+            src=src,
+            dst=dst,
+            rev=rev,
             degrees=degrees,
-            anchor_idx=np.fromiter(graph.anchors, dtype=np.intp, count=len(graph.anchors)),
+            anchor_idx=np.fromiter(anchors, dtype=np.intp, count=len(anchors)),
             anchor_pos=anchor_pos,
             rank=np.argsort(by_degree),
             columns=tuple(
@@ -231,10 +296,6 @@ class EdgeLayout:
     def num_edges(self) -> int:
         return len(self.src)
 
-    @property
-    def dst(self) -> np.ndarray:
-        return self.src[self.rev]
-
     def node_sum(self, x: np.ndarray) -> np.ndarray:
         """Per node, the sum of its rows of the edge field ``x``.
 
@@ -248,8 +309,8 @@ class EdgeLayout:
             acc[: len(col)] += np.take(x, col, axis=0)
         return np.take(acc, self.rank, axis=0)
 
-    def split(self, x: np.ndarray) -> list[np.ndarray]:
-        """Per-node views of the rows of the edge field ``x``."""
+    def split(self, x) -> list:
+        """Per-node slices of the rows of the edge field ``x`` (an array or a list)."""
         bounds = self.offsets.tolist()
         return [x[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
 
@@ -328,46 +389,18 @@ class MeasurementSet:
         return hit[1]
 
     def _build_ranges(self, graph: NetworkGraph) -> np.ndarray:
-        # One lookup per undirected edge. The rows with src < dst, in layout
-        # order, are the sorted edge list; each value also goes to the
-        # reverse row.
-        lay = graph.layout
+        # One lookup per undirected edge, in sorted edge-list order.
         try:
             vals = np.fromiter(
                 map(self.d.__getitem__, graph.edge_list), dtype=float, count=len(graph.edge_list)
             )
         except KeyError as exc:
             raise InvalidParameter(f"no range measured for edge {exc.args[0]}") from None
-        fwd = np.flatnonzero(lay.src < lay.dst)
-        out = np.empty(lay.num_edges)
-        out[fwd] = vals
-        out[lay.rev[fwd]] = vals
-        out.flags.writeable = False
-        return out
+        return _spread(graph.layout, vals)
 
     @property
     def max_range(self) -> float:
         return max(self.d.values())
-
-
-def _is_connected(num_nodes: int, neighbors) -> bool:
-    """Breadth-first reachability from node 0 over all nodes."""
-    if num_nodes == 0:
-        return False
-    seen = [False] * num_nodes
-    seen[0] = True
-    frontier = [0]
-    count = 1
-    while frontier:
-        nxt = []
-        for i in frontier:
-            for j in neighbors[i]:
-                if not seen[j]:
-                    seen[j] = True
-                    count += 1
-                    nxt.append(j)
-        frontier = nxt
-    return count == num_nodes
 
 
 def generate_rgg(
@@ -380,11 +413,19 @@ def generate_rgg(
 ) -> tuple[NetworkGraph, GroundTruth]:
     """Generate a connected random geometric graph with random anchors.
 
-    Positions are uniform over ``[0, area_side]**dim`` and nodes are adjacent
-    iff their distance is at most ``comm_range``. The whole layout is
-    resampled until connected (up to ``MAX_LAYOUT_ATTEMPTS``); anchors are
-    the first ``num_anchors`` ids of a seeded shuffle. Deterministic for a
-    fixed seed.
+    Positions are uniform over ``[0, area_side]**dim`` and nodes ``a < b``
+    are adjacent iff ``np.sqrt(((pos[a] - pos[b])**2).sum()) <= comm_range``.
+    The whole layout is resampled until connected (up to
+    ``MAX_LAYOUT_ATTEMPTS``); anchors are the first ``num_anchors`` ids of a
+    seeded shuffle. Deterministic for a fixed seed.
+
+    Adjacent pairs are found with a cell list (Bentley, "A survey of
+    techniques for fixed-radius near neighbor searching", 1975): a uniform
+    grid of cells of side ``comm_range * (1 + 1e-9)``, where a node's
+    candidates are the nodes of its own cell and of the ``3**dim - 1``
+    cells around it. Each candidate pair takes the distance test above, so
+    the graph is bit-identical to testing all ``N * N`` distances, but time
+    and memory are O(N + E).
 
     Raises
     ------
@@ -407,27 +448,78 @@ def generate_rgg(
     rng = np.random.default_rng(seed)
     for _ in range(MAX_LAYOUT_ATTEMPTS):
         positions = rng.uniform(0.0, area_side, size=(num_nodes, dim))
-        diff = positions[:, None, :] - positions[None, :, :]
-        dist = np.sqrt((diff * diff).sum(axis=2))
-        ii, jj = np.nonzero(dist <= comm_range)
-        edges = [(int(a), int(b)) for a, b in zip(ii, jj) if a < b]
-
-        nbr_sets: list[set[int]] = [set() for _ in range(num_nodes)]
-        for a, b in edges:
-            nbr_sets[a].add(b)
-            nbr_sets[b].add(a)
-        if num_nodes > 1 and not _is_connected(num_nodes, nbr_sets):
+        csr = _csr(num_nodes, *_near_pairs(positions, comm_range, area_side))
+        if not _is_connected(csr):
             continue
 
         anchor_ids = [int(k) for k in rng.permutation(num_nodes)[:num_anchors]]
-        anchors = {k: positions[k] for k in anchor_ids}
-        graph = NetworkGraph.build(dim, num_nodes, anchors, edges)
+        anchors = _anchor_map(dim, num_nodes, {k: positions[k] for k in anchor_ids})
+        graph = NetworkGraph._assemble(dim, num_nodes, anchors, csr, True)
         return graph, GroundTruth(positions)
 
     raise ConnectivityFailure(
         f"no connected layout in {MAX_LAYOUT_ATTEMPTS} attempts "
         f"(N={num_nodes}, range={comm_range}, side={area_side})"
     )
+
+
+def _near_pairs(positions: np.ndarray, comm_range: float, area_side: float):
+    """The pairs ``a < b`` of rows of ``positions`` (drawn from
+    ``[0, area_side)``) within ``comm_range``, as two arrays in no
+    particular order."""
+    n, dim = positions.shape
+    # A side just above comm_range puts every pair within range in the same
+    # or adjacent cells; capping the cells per axis keeps a cell key within
+    # int64 and the error of a computed cell coordinate far below the 1e-9
+    # margin. Larger cells only add candidates.
+    side = max(comm_range * (1.0 + 1e-9), area_side / MAX_GRID_CELLS)
+    span = area_side / side
+    # one cell when the area is infinite (span is NaN): every pair is tested
+    per_axis = int(span) + 1 if span <= MAX_GRID_CELLS else 1
+    cell = np.zeros((n, dim), dtype=np.intp)
+    if per_axis > 1:
+        cell = np.minimum(np.floor(positions / side), per_axis - 1).astype(np.intp)
+    weights = per_axis ** np.arange(dim)
+    key = cell @ weights
+    order = np.argsort(key, kind="stable")
+    key, cell = key[order], cell[order]
+    rank = np.arange(n)
+
+    firsts, seconds = [], []
+    # Each unordered pair of cells once: the own cell (pairing each node with
+    # the nodes after it in sort order), then every neighbor cell whose key
+    # is larger, that is whose last nonzero offset is +1.
+    for offset in itertools.product((-1, 0, 1), repeat=dim):
+        if offset[::-1] < (0,) * dim:
+            continue
+        if any(offset):
+            shifted = cell + offset
+            rows = np.flatnonzero(((shifted >= 0) & (shifted < per_axis)).all(axis=1))
+            target = key[rows] + int(np.dot(offset, weights))
+            lo = np.searchsorted(key, target, side="left")
+        else:
+            rows = rank
+            target = key
+            lo = rank + 1
+        counts = np.searchsorted(key, target, side="right") - lo
+        firsts.append(np.repeat(order[rows], counts))
+        seconds.append(order[_expand(lo, counts)])
+    a, b = np.concatenate(firsts), np.concatenate(seconds)
+    a, b = np.minimum(a, b), np.maximum(a, b)
+    diff = np.take(positions, a, axis=0) - np.take(positions, b, axis=0)
+    near = np.sqrt((diff * diff).sum(axis=1)) <= comm_range
+    return a[near], b[near]
+
+
+def row_norms(x: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of the ``(K, dim)`` array ``x``.
+
+    ``np.linalg.norm`` takes the dot product of a vector with itself, and
+    each row's matmul with itself rounds the same way, so the result is
+    bit-identical to ``np.linalg.norm`` row by row; ``(x * x).sum(axis=1)``
+    rounds differently.
+    """
+    return np.sqrt(np.matmul(x[:, None, :], x[:, :, None])[:, 0, 0])
 
 
 def measure(
@@ -440,7 +532,8 @@ def measure(
 
     Negative draws are clamped to zero: a negative range would flip the
     direction term it multiplies inside the solvers. Deterministic for a
-    fixed seed; edges are visited in sorted order.
+    fixed seed; edges are visited in sorted order, one normal draw each.
+    The set returned already holds its ``edge_ranges`` for ``graph``.
     """
     pos = np.asarray(truth.positions, dtype=float)
     if pos.shape[0] < graph.num_nodes:
@@ -448,15 +541,29 @@ def measure(
             f"truth covers {pos.shape[0]} nodes, graph has {graph.num_nodes}"
         )
     rng = np.random.default_rng(seed)
-    d: dict[tuple[int, int], float] = {}
-    for i, j in graph.edge_list:
-        length = float(np.linalg.norm(pos[i] - pos[j]))
-        if model.kind == "additive-white":
-            w = rng.normal(0.0, model.sigma_add)
-        else:
-            w = rng.normal(0.0, math.sqrt(model.sigma_add) * length)
-        d[(i, j)] = max(length + w, 0.0)
-    return MeasurementSet(d)
+    lay = graph.layout
+    fwd = np.flatnonzero(lay.src < lay.dst)
+    length = row_norms(np.take(pos, lay.src[fwd], axis=0) - np.take(pos, lay.dst[fwd], axis=0))
+    if model.kind == "additive-white":
+        scale = model.sigma_add
+    else:
+        scale = math.sqrt(model.sigma_add) * length
+    ranges = np.maximum(length + rng.normal(0.0, scale, size=len(fwd)), 0.0)
+    meas = MeasurementSet(dict(zip(graph.edge_list, ranges.tolist())))
+    meas._ranges[id(graph)] = (graph, _spread(lay, ranges))
+    return meas
+
+
+def _spread(layout: EdgeLayout, vals: np.ndarray) -> np.ndarray:
+    """The read-only edge field holding ``vals[k]`` on both rows of the
+    ``k``-th edge of the sorted edge list."""
+    # The rows with src < dst, in layout order, are the sorted edge list.
+    fwd = np.flatnonzero(layout.src < layout.dst)
+    out = np.empty(layout.num_edges)
+    out[fwd] = vals
+    out[layout.rev[fwd]] = vals
+    out.flags.writeable = False
+    return out
 
 
 def rmse(estimates, truth: GroundTruth, graph: NetworkGraph) -> float:

@@ -24,7 +24,7 @@ from .errors import (
     InvalidParameter,
     MissingMessage,
 )
-from .network import EdgeLayout, MeasurementSet, NetworkGraph
+from .network import EdgeLayout, MeasurementSet, NetworkGraph, row_norms
 from .structured_ops import (
     EdgeBlocks,
     EdgeStates,
@@ -85,9 +85,7 @@ def edge_directions(positions: np.ndarray, layout: EdgeLayout) -> np.ndarray:
     """Unit direction rows ``(x_i - x_j)/||x_i - x_j||`` per directed edge
     ``(i, j)``; zero rows where the two positions coincide."""
     diff = np.take(positions, layout.src, axis=0) - np.take(positions, layout.dst, axis=0)
-    # Each row's matmul with itself is the dot product np.linalg.norm takes of
-    # one row; (diff * diff).sum(axis=1) rounds differently.
-    norm = np.sqrt(np.matmul(diff[:, None, :], diff[:, :, None])[:, 0, 0])
+    norm = row_norms(diff)
     rows = np.zeros_like(diff)
     moved = norm > 0.0
     rows[moved] = diff[moved] / norm[moved, None]

@@ -288,8 +288,14 @@ def objective_original(estimates, measurements) -> float:
 def project_ball(f: np.ndarray) -> np.ndarray:
     """Project each row of an edge field onto the unit ball."""
     f = np.asarray(f, dtype=float)
-    norms = np.sqrt((f * f).sum(axis=1))
-    return f / np.maximum(1.0, norms)[:, None]
+    # Squares added one column at a time, in the order (f * f).sum(axis=1)
+    # adds a row's, so the norms are bit-identical to it, with no (E, dim)
+    # temporary of squares.
+    norms = f[:, 0] * f[:, 0]
+    for k in range(1, f.shape[1]):
+        norms += f[:, k] * f[:, k]
+    np.sqrt(norms, out=norms)
+    return f / np.maximum(norms, 1.0, out=norms)[:, None]
 
 
 def project_consensus(blocks, graph) -> EdgeBlocks:

@@ -1,5 +1,9 @@
+import itertools
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -20,6 +24,7 @@ from locadmm.network import (
     MeasurementSet,
     NetworkGraph,
     NoiseModel,
+    _near_pairs,
     generate_rgg,
     load_network,
     measure,
@@ -31,6 +36,9 @@ from locadmm.solver_lite import run_lite
 from locadmm.structured_ops import PenaltyParams
 
 from conftest import make_graph, random_connected_graph
+from network_reference import dense_generate_rgg, loop_measure, per_node_graph
+
+PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
 
 class TestGenerateRgg:
@@ -94,6 +102,179 @@ class TestGenerateRgg:
             for j in range(i + 1, 25):
                 within = np.linalg.norm(pos[i] - pos[j]) <= 0.5
                 assert ((i, j) in present) == within
+
+
+@st.composite
+def rgg_args(draw):
+    """``generate_rgg`` arguments: any side, and ranges from below the side
+    to beyond the area's diagonal."""
+    num_nodes = draw(st.integers(1, 60))
+    side = draw(st.floats(0.05, 50.0))
+    reach = draw(st.one_of(st.floats(0.45, 1.2), st.just(2.0)))
+    return dict(
+        num_nodes=num_nodes,
+        num_anchors=draw(st.integers(1, num_nodes)),
+        comm_range=reach * side,
+        area_side=side,
+        dim=draw(st.sampled_from([2, 3])),
+        seed=draw(st.integers(0, 2**32 - 1)),
+    )
+
+
+def brute_force_pairs(positions, comm_range):
+    """Every pair ``a < b`` passing the distance test, one pair at a time."""
+    n = len(positions)
+    return [
+        (a, b)
+        for a in range(n)
+        for b in range(a + 1, n)
+        if np.sqrt(((positions[a] - positions[b]) ** 2).sum()) <= comm_range
+    ]
+
+
+class TestGenerateRggMatchesDense:
+    """The cell-list generator against the N x N distance matrix."""
+
+    def assert_same_instance(self, got, want):
+        (graph, truth), (ref_graph, ref_truth) = got, want
+        assert graph.edge_list == ref_graph.edge_list
+        assert graph.connected == ref_graph.connected
+        assert truth.positions.tobytes() == ref_truth.positions.tobytes()
+        assert list(graph.anchors) == list(ref_graph.anchors)
+        for k, pos in graph.anchors.items():
+            assert pos.tobytes() == ref_graph.anchors[k].tobytes()
+
+    @PROPERTY_SETTINGS
+    @given(rgg_args())
+    def test_random_arguments(self, args):
+        try:
+            want = dense_generate_rgg(**args)
+        except ConnectivityFailure as exc:
+            with pytest.raises(ConnectivityFailure) as info:
+                generate_rgg(**args)
+            assert str(info.value) == str(exc)
+            return
+        self.assert_same_instance(generate_rgg(**args), want)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_same_failure_when_too_short_to_connect(self, dim):
+        args = (6, 2, 1e-9, 3.0, dim, 7)
+        with pytest.raises(ConnectivityFailure) as want:
+            dense_generate_rgg(*args)
+        with pytest.raises(ConnectivityFailure) as got:
+            generate_rgg(*args)
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("nodes,anchors,comm_range", [(108, 8, 0.23), (1000, 40, 0.075)])
+    def test_reference_layouts(self, nodes, anchors, comm_range):
+        # the layouts of criterion 6 and of the benchmark's instances
+        args = (nodes, anchors, comm_range, 1.0, 2, 28)
+        got, want = generate_rgg(*args), dense_generate_rgg(*args)
+        self.assert_same_instance(got, want)
+        graph, truth = got
+        meas = measure(truth, graph, NoiseModel("additive-white", 0.02), seed=3)
+        ref = loop_measure(truth.positions, want[0].edge_list, "additive-white", 0.02, 3)
+        assert list(meas.d) == list(ref)
+        assert np.array(list(meas.d.values())).tobytes() == np.array(list(ref.values())).tobytes()
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_pairs_at_exactly_the_range(self, dim):
+        # a lattice of spacing exactly comm_range, up to the far side of the
+        # area: lattice neighbors are at distance exactly comm_range (kept),
+        # diagonals beyond it (dropped); one more point sits an ulp beyond
+        # comm_range from a lattice point
+        r = 0.25
+        lattice = np.array(list(itertools.product(np.arange(5) * r, repeat=dim)))
+        stride = 5 ** (dim - 1)  # lattice[k * stride] is (k * r, 0, ...)
+        twin = lattice[2 * stride] + np.spacing(0.5) * np.eye(dim)[0]
+        positions = np.concatenate([lattice, [twin]])
+        a, b = _near_pairs(positions, r, 1.0)
+        got = sorted(zip(a.tolist(), b.tolist()))
+        assert got == brute_force_pairs(positions, r)
+        on_lattice = [(i, j) for i, j in got if j < len(lattice)]
+        assert len(on_lattice) == dim * 4 * 5 ** (dim - 1)
+        assert (2 * stride, len(lattice)) in got
+        assert (stride, len(lattice)) not in got
+
+    def test_ranges_below_the_cell_cap(self):
+        # with cells capped per axis, a tiny range still finds its pairs
+        positions = np.array([[0.5, 0.5], [0.5, 0.5 + 1e-9], [0.5, 0.5 + 2.5e-9], [0.1, 0.9]])
+        a, b = _near_pairs(positions, 2e-9, 1.0)
+        assert sorted(zip(a.tolist(), b.tolist())) == brute_force_pairs(positions, 2e-9) == [
+            (0, 1), (1, 2)
+        ]
+
+
+class TestBuildMatchesPerNode:
+    """``NetworkGraph.build`` on arrays against the per-node construction."""
+
+    LAYOUT_FIELDS = ("offsets", "src", "dst", "rev", "degrees", "anchor_idx", "anchor_pos", "rank")
+
+    def assert_matches(self, graph, want):
+        assert graph.neighbors == want["neighbors"]
+        assert graph.rev_pos == want["rev_pos"]
+        assert graph.edge_list == want["edge_list"]
+        assert graph.connected == want["connected"]
+        for name in self.LAYOUT_FIELDS:
+            got, ref = getattr(graph.layout, name), want[name]
+            assert got.dtype == ref.dtype and got.shape == ref.shape, name
+            assert got.tobytes() == ref.tobytes(), name
+        assert len(graph.layout.columns) == len(want["columns"])
+        for got, ref in zip(graph.layout.columns, want["columns"]):
+            assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+
+    @PROPERTY_SETTINGS
+    @given(st.data())
+    def test_random_edge_collections(self, data):
+        n = data.draw(st.integers(1, 25))
+        dim = data.draw(st.sampled_from([2, 3]))
+        node = st.integers(0, n - 1)
+        pairs = data.draw(st.lists(st.tuples(node, node).filter(lambda e: e[0] != e[1]),
+                                   max_size=3 * n))
+        # repeats, in both orientations, in any order
+        again = data.draw(st.lists(st.sampled_from(pairs), max_size=n)) if pairs else []
+        edges = data.draw(st.permutations(pairs + again + [(j, i) for i, j in again]))
+        container = data.draw(st.sampled_from([list, tuple, set, iter, np.array]))
+        ids = data.draw(st.lists(node, min_size=1, max_size=n, unique=True))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        anchors = {k: rng.uniform(0.0, 1.0, dim) for k in ids}
+        graph = NetworkGraph.build(dim, n, anchors, container(edges))
+        self.assert_matches(graph, per_node_graph(n, anchors, edges))
+
+    @pytest.mark.parametrize("n,edges", [(1, []), (4, []), (3, [(0, 1), (1, 0), (0, 1)])])
+    def test_degenerate_graphs(self, n, edges):
+        anchors = {0: np.zeros(2)}
+        graph = NetworkGraph.build(2, n, anchors, edges)
+        self.assert_matches(graph, per_node_graph(n, anchors, edges))
+
+    def test_generated_graph(self):
+        graph, _ = generate_rgg(300, 10, 0.25, dim=3, seed=4)
+        self.assert_matches(
+            graph, per_node_graph(300, graph.anchors, graph.edge_list)
+        )
+
+    @pytest.mark.parametrize(
+        "edges,message",
+        [
+            ([(0, 1), (2, 5), (1, 1)], "edge (2,5) out of range"),
+            ([(0, 1), (1, 1), (2, 5)], "self-loop at node 1"),
+            ([(0, 1), (-1, 2)], "edge (-1,2) out of range"),
+            ([(1, 2), (3, 3)], "self-loop at node 3"),
+            (np.array([[0, 1], [1, 0], [0, 7]]), "edge (0,7) out of range"),
+        ],
+    )
+    def test_first_bad_edge_named(self, edges, message):
+        anchors = {0: [0.0, 0.0]}
+        with pytest.raises(InvalidParameter) as ref:
+            per_node_graph(3, anchors, edges)
+        with pytest.raises(InvalidParameter) as got:
+            NetworkGraph.build(2, 3, anchors, edges)
+        assert str(got.value) == str(ref.value) == message
+
+    @pytest.mark.parametrize("edges", [[(0, 1.5)], [(0, 1, 2)], [("0", "1")]])
+    def test_non_integer_ids_rejected(self, edges):
+        with pytest.raises(InvalidParameter, match="^edges must be pairs of integer node ids$"):
+            NetworkGraph.build(2, 3, {0: [0.0, 0.0]}, edges)
 
 
 class TestGraphInvariants:
@@ -177,6 +358,61 @@ class TestMeasure:
             NoiseModel("laplacian", 0.1)
         with pytest.raises(InvalidParameter):
             NoiseModel("additive-white", -0.5)
+
+
+class TestMeasureMatchesLoop:
+    """The one-pass ``measure`` against one draw per edge."""
+
+    @pytest.mark.parametrize("kind", NoiseModel.KINDS)
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("sigma", [0.0, 0.02, 3.0])
+    def test_bitwise_equal(self, kind, dim, sigma):
+        graph, truth = generate_rgg(80, 4, 0.35 if dim == 2 else 0.5, dim=dim, seed=dim)
+        meas = measure(truth, graph, NoiseModel(kind, sigma), seed=5)
+        want = loop_measure(truth.positions, graph.edge_list, kind, sigma, 5)
+        assert list(meas.d) == list(want)
+        got_vals, want_vals = np.array(list(meas.d.values())), np.array(list(want.values()))
+        assert got_vals.tobytes() == want_vals.tobytes()
+        if sigma == 3.0:
+            assert (got_vals == 0.0).any()  # clamped draws are covered
+        # the ranges kept for the graph are the ones a lookup would build
+        rebuilt = MeasurementSet(meas.d)._build_ranges(graph)
+        assert meas.edge_ranges(graph).tobytes() == rebuilt.tobytes()
+
+    def test_node_ranges_reuse_the_drawn_ranges(self, monkeypatch):
+        graph, truth = generate_rgg(40, 4, 0.35, seed=9)
+        meas = measure(truth, graph, NoiseModel("additive-white", 0.1), seed=2)
+        want = MeasurementSet(meas.d).node_ranges(graph)
+
+        def no_lookup(self, graph):
+            raise AssertionError("edge ranges looked up again")
+
+        monkeypatch.setattr(MeasurementSet, "_build_ranges", no_lookup)
+        got = meas.node_ranges(graph)
+        assert [r.tobytes() for r in got] == [r.tobytes() for r in want]
+        # another graph still gets its own lookup
+        twin = NetworkGraph.build(2, graph.num_nodes, graph.anchors, graph.edge_list)
+        with pytest.raises(AssertionError, match="looked up again"):
+            meas.node_ranges(twin)
+
+
+def test_instance_pipeline_imports_no_scipy():
+    # scipy costs ~40 MB of resident memory and ~0.4 s to import
+    script = (
+        "import sys\n"
+        "from locadmm import generate_rgg, measure, NoiseModel, PenaltyParams\n"
+        "from locadmm.solver_full import InitSpec\n"
+        "from locadmm.solver_lite import run_lite\n"
+        "graph, truth = generate_rgg(200, 8, 0.15, seed=1)\n"
+        "meas = measure(truth, graph, NoiseModel('additive-white', 0.02), seed=1)\n"
+        "run_lite(graph, meas, PenaltyParams(0.05, 0.05), InitSpec(), 3)\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "[]"
 
 
 class TestMeasurementSet:

@@ -181,6 +181,14 @@ class TestProjectBall:
         out = ops.project_ball(rng.normal(size=(50, 2)) * 10)
         assert np.linalg.norm(out, axis=1).max() <= 1.0 + 1e-12
 
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_bitwise_equal_to_row_sum_of_squares(self, dim):
+        rng = np.random.default_rng(dim)
+        for scale in (1e-3, 1.0, 1e3):
+            f = rng.normal(size=(20_000, dim)) * scale
+            want = f / np.maximum(1.0, np.sqrt((f * f).sum(axis=1)))[:, None]
+            assert ops.project_ball(f).tobytes() == want.tobytes()
+
 
 class TestProjectConsensus:
     def test_pairwise_average(self):
