@@ -16,7 +16,6 @@ import warnings
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
-from types import MappingProxyType
 
 import numpy as np
 
@@ -43,7 +42,7 @@ MAX_GRID_CELLS = 1 << 20
 class NetworkGraph:
     """Undirected sensor graph with an anchor subset.
 
-    Graphs compare by identity, as the per-graph caches keyed on them do.
+    Graphs compare by identity.
 
     Attributes
     ----------
@@ -131,8 +130,7 @@ class NetworkGraph:
     @cached_property
     def edge_list(self) -> tuple[tuple[int, int], ...]:
         lay = self.layout
-        fwd = lay.src < lay.dst
-        return tuple(zip(lay.src[fwd].tolist(), lay.dst[fwd].tolist()))
+        return tuple(zip(lay.src[lay.forward].tolist(), lay.dst[lay.forward].tolist()))
 
     @property
     def degrees(self) -> np.ndarray:
@@ -165,7 +163,7 @@ def _anchor_map(dim: int, num_nodes: int, anchors) -> dict[int, np.ndarray]:
     for k in sorted(anchors):
         if not 0 <= k < num_nodes:
             raise InvalidParameter(f"anchor id {k} out of range")
-        pos = np.asarray(anchors[k], dtype=float)
+        pos = np.array(anchors[k], dtype=float)  # a copy: the caller's stays writable
         if pos.shape != (dim,):
             raise InvalidParameter(f"anchor {k} position has shape {pos.shape}")
         pos.flags.writeable = False
@@ -296,6 +294,11 @@ class EdgeLayout:
     def num_edges(self) -> int:
         return len(self.src)
 
+    @cached_property
+    def forward(self) -> np.ndarray:
+        """The rows with ``src < dst``: the sorted edge list, in layout order."""
+        return np.flatnonzero(self.src < self.dst)
+
     def node_sum(self, x: np.ndarray) -> np.ndarray:
         """Per node, the sum of its rows of the edge field ``x``.
 
@@ -322,7 +325,7 @@ class GroundTruth:
     positions: np.ndarray  # (num_nodes, dim)
 
     def __post_init__(self):
-        pos = np.asarray(self.positions, dtype=float)
+        pos = np.array(self.positions, dtype=float)  # a copy: the caller's stays writable
         pos.flags.writeable = False
         object.__setattr__(self, "positions", pos)
 
@@ -349,58 +352,59 @@ class NoiseModel:
             raise InvalidParameter(f"sigma_add must be >= 0, got {self.sigma_add}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MeasurementSet:
-    """Noisy ranges keyed by unordered edge ``(i, j)`` with ``i < j``.
+    """Noisy ranges of the graph they were taken on, one per undirected
+    edge: ``d[k]`` is the range of ``graph.edge_list[k]``, in a read-only
+    float copy of the array given."""
 
-    ``d`` is a read-only copy of the mapping given, so the range arrays
-    built from it for each graph can be kept for the life of the set.
-    """
-
-    d: Mapping[tuple[int, int], float]
-    # id(graph) -> (graph, its edge_ranges); the graph is held so its id
-    # cannot be reused by another graph while the entry lives
-    _ranges: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    graph: NetworkGraph = field(repr=False)
+    d: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "d", MappingProxyType(dict(self.d)))
+        d, edges = np.array(self.d, dtype=float), self.graph.layout.forward.size
+        if d.shape != (edges,):
+            raise InvalidParameter(f"expected {edges} ranges, got {d.shape}")
+        d.flags.writeable = False
+        object.__setattr__(self, "d", d)
 
-    def value(self, i: int, j: int) -> float:
-        return self.d[(i, j) if i < j else (j, i)]
+    @classmethod
+    def from_pairs(cls, graph: NetworkGraph, pairs: Mapping) -> "MeasurementSet":
+        """The ranges of ``graph`` read from ``(i, j) -> d`` pairs with ``i < j``
+        (other pairs are ignored); ``InvalidParameter`` names an edge with none."""
+        edges = graph.edge_list
+        try:
+            d = np.fromiter(map(pairs.__getitem__, edges), dtype=float, count=len(edges))
+        except KeyError as exc:
+            raise InvalidParameter(f"no range measured for edge {exc.args[0]}") from None
+        return cls(graph, d)
+
+    @cached_property
+    def _edge_field(self) -> np.ndarray:
+        return _spread(self.graph.layout, self.d)
 
     def node_ranges(self, graph: NetworkGraph) -> list[np.ndarray]:
         """Per node, ranges to each neighbor in sorted-neighbor order."""
         return graph.layout.split(self.edge_ranges(graph))
 
     def edge_ranges(self, graph: NetworkGraph) -> np.ndarray:
-        """Ranges of every directed edge, in the graph's edge-layout order.
+        """Ranges of every directed edge of ``graph`` (the set's own graph, or
+        one with the same directed edges), one read-only array in layout
+        order; ``InvalidParameter`` for any other graph."""
+        self._check(graph)
+        return self._edge_field
 
-        Built on the first call for ``graph`` and kept: later calls with the
-        same graph object return the same read-only array.
-
-        Raises
-        ------
-        InvalidParameter
-            When an edge of the graph has no measured range.
-        """
-        hit = self._ranges.get(id(graph))
-        if hit is None:
-            hit = self._ranges[id(graph)] = (graph, self._build_ranges(graph))
-        return hit[1]
-
-    def _build_ranges(self, graph: NetworkGraph) -> np.ndarray:
-        # One lookup per undirected edge, in sorted edge-list order.
-        try:
-            vals = np.fromiter(
-                map(self.d.__getitem__, graph.edge_list), dtype=float, count=len(graph.edge_list)
-            )
-        except KeyError as exc:
-            raise InvalidParameter(f"no range measured for edge {exc.args[0]}") from None
-        return _spread(graph.layout, vals)
+    def _check(self, graph: NetworkGraph) -> None:
+        mine, theirs = self.graph.layout, graph.layout
+        same = graph is self.graph or (
+            np.array_equal(mine.src, theirs.src) and np.array_equal(mine.dst, theirs.dst)
+        )
+        if not same:
+            raise InvalidParameter("measurements were taken on another graph")
 
     @property
     def max_range(self) -> float:
-        return max(self.d.values())
+        return float(self.d.max(initial=0.0))
 
 
 def generate_rgg(
@@ -533,7 +537,6 @@ def measure(
     Negative draws are clamped to zero: a negative range would flip the
     direction term it multiplies inside the solvers. Deterministic for a
     fixed seed; edges are visited in sorted order, one normal draw each.
-    The set returned already holds its ``edge_ranges`` for ``graph``.
     """
     pos = np.asarray(truth.positions, dtype=float)
     if pos.shape[0] < graph.num_nodes:
@@ -541,27 +544,30 @@ def measure(
             f"truth covers {pos.shape[0]} nodes, graph has {graph.num_nodes}"
         )
     rng = np.random.default_rng(seed)
-    lay = graph.layout
-    fwd = np.flatnonzero(lay.src < lay.dst)
-    length = row_norms(np.take(pos, lay.src[fwd], axis=0) - np.take(pos, lay.dst[fwd], axis=0))
+    length = edge_lengths(graph.layout, pos)
     if model.kind == "additive-white":
         scale = model.sigma_add
     else:
         scale = math.sqrt(model.sigma_add) * length
-    ranges = np.maximum(length + rng.normal(0.0, scale, size=len(fwd)), 0.0)
-    meas = MeasurementSet(dict(zip(graph.edge_list, ranges.tolist())))
-    meas._ranges[id(graph)] = (graph, _spread(lay, ranges))
-    return meas
+    ranges = np.maximum(length + rng.normal(0.0, scale, size=len(length)), 0.0)
+    return MeasurementSet(graph, ranges)
+
+
+def edge_lengths(layout: EdgeLayout, positions: np.ndarray) -> np.ndarray:
+    """Per undirected edge, in sorted edge-list order, the distance between
+    the rows of ``positions`` at its ends."""
+    fwd = layout.forward
+    return row_norms(
+        np.take(positions, layout.src[fwd], axis=0) - np.take(positions, layout.dst[fwd], axis=0)
+    )
 
 
 def _spread(layout: EdgeLayout, vals: np.ndarray) -> np.ndarray:
     """The read-only edge field holding ``vals[k]`` on both rows of the
     ``k``-th edge of the sorted edge list."""
-    # The rows with src < dst, in layout order, are the sorted edge list.
-    fwd = np.flatnonzero(layout.src < layout.dst)
     out = np.empty(layout.num_edges)
-    out[fwd] = vals
-    out[layout.rev[fwd]] = vals
+    out[layout.forward] = vals
+    out[layout.rev[layout.forward]] = vals
     out.flags.writeable = False
     return out
 
@@ -617,18 +623,12 @@ def save_network(
         if truth is not None:
             entry["pos"] = [float(x) for x in truth.positions[i]]
         nodes.append(entry)
-    edges = []
-    for i, j in graph.edge_list:
-        entry = {"i": i, "j": j}
-        if measurements is not None:
-            entry["d"] = float(measurements.value(i, j))
-        edges.append(entry)
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "dim": graph.dim,
-        "nodes": nodes,
-        "edges": edges,
-    }
+    edges = [{"i": i, "j": j} for i, j in graph.edge_list]
+    if measurements is not None:
+        measurements._check(graph)
+        for entry, d in zip(edges, measurements.d.tolist()):
+            entry["d"] = d
+    doc = {"schema_version": SCHEMA_VERSION, "dim": graph.dim, "nodes": nodes, "edges": edges}
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=1)
         fh.write("\n")
@@ -746,7 +746,7 @@ def load_network(path):
     if any(have_d):
         if not all(have_d):
             raise ParseError("edges: d given for some edges but not all")
-        measurements = MeasurementSet({k: float(v) for k, v in sorted(edges.items())})
+        measurements = MeasurementSet.from_pairs(graph, edges)
 
     return graph, truth, measurements
 

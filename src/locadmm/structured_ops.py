@@ -28,7 +28,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import InvalidInit, InvalidParameter, MissingNode
-from .network import EdgeLayout
+from .network import EdgeLayout, edge_lengths
 
 
 @dataclass
@@ -275,14 +275,11 @@ def objective_original(estimates, measurements) -> float:
 
     Sums ``0.5 * (||p_i - p_j|| - d_ij)^2`` over ordered neighbor pairs, so
     each edge contributes twice, matching the node-separable double sum.
+    ``estimates`` holds a row per node of the measurements' graph.
     """
-    total = 0.0
-    for (i, j), d_ij in sorted(measurements.d.items()):
-        p_i = np.asarray(estimates[i], dtype=float)
-        p_j = np.asarray(estimates[j], dtype=float)
-        gap = float(np.linalg.norm(p_i - p_j)) - d_ij
-        total += gap * gap
-    return total
+    est = np.asarray(estimates, dtype=float)
+    gap = edge_lengths(measurements.graph.layout, est) - measurements.d
+    return float(gap @ gap)
 
 
 def project_ball(f: np.ndarray) -> np.ndarray:

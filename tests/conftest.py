@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from locadmm.network import GroundTruth, MeasurementSet, NetworkGraph
 
@@ -14,11 +15,9 @@ def make_graph(dim, edges, anchors, num_nodes=None):
 def exact_measurements(graph, positions):
     """Noise-free ranges from a position array."""
     pos = np.asarray(positions, dtype=float)
-    return MeasurementSet(
-        {
-            (i, j): float(np.linalg.norm(pos[i] - pos[j]))
-            for i, j in graph.edge_list
-        }
+    return MeasurementSet.from_pairs(
+        graph,
+        {(i, j): float(np.linalg.norm(pos[i] - pos[j])) for i, j in graph.edge_list},
     )
 
 
@@ -40,6 +39,33 @@ def random_connected_graph(rng, num_nodes, dim=2, num_anchors=1, extra_edges=0.3
     anchors = {int(a): positions[int(a)] for a in anchor_ids}
     graph = NetworkGraph.build(dim, num_nodes, anchors, edges)
     return graph, GroundTruth(positions)
+
+
+@st.composite
+def graphs(draw, max_nodes=12):
+    """A random connected graph with noisy ranges, and a seeded generator
+    for further draws."""
+    n = draw(st.integers(2, max_nodes))
+    dim = draw(st.sampled_from([2, 3]))
+    # a random tree (its leaves have degree 1) plus a few extra edges
+    edges = {(draw(st.integers(0, k - 1)), k) for k in range(1, n)}
+    node = st.integers(0, n - 1)
+    for i, j in draw(st.lists(st.tuples(node, node), max_size=n)):
+        if i != j:
+            edges.add((min(i, j), max(i, j)))
+    num_anchors = draw(st.one_of(st.just(n - 1), st.integers(1, n - 1)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    truth = rng.uniform(0.0, 1.0, (n, dim))
+    anchors = {int(a): truth[a] for a in rng.permutation(n)[:num_anchors]}
+    graph = NetworkGraph.build(dim, n, anchors, edges)
+    meas = MeasurementSet.from_pairs(
+        graph,
+        {
+            (i, j): max(float(np.linalg.norm(truth[i] - truth[j])) + rng.normal(0.0, 0.05), 0.0)
+            for i, j in graph.edge_list
+        },
+    )
+    return graph, meas, rng
 
 
 @pytest.fixture

@@ -4,7 +4,9 @@ These are the original loop formulations of ``generate_rgg`` (an N x N
 distance matrix), ``measure`` (one draw and one ``np.linalg.norm`` per edge)
 and ``NetworkGraph.build`` with ``EdgeLayout.build`` (sets, sorted tuples
 and ``list.index``). The array versions in ``locadmm.network`` must give
-bit-identical results; the tests compare the two.
+bit-identical results; the tests compare the two. ``loop_objective_original``
+is the per-edge form of ``structured_ops.objective_original``, which sums
+in another order and so agrees only to rounding.
 """
 
 import itertools
@@ -137,3 +139,14 @@ def loop_measure(positions, edge_list, kind: str, sigma_add: float, seed: int) -
             w = rng.normal(0.0, math.sqrt(sigma_add) * length)
         d[(i, j)] = max(length + w, 0.0)
     return d
+
+
+def loop_objective_original(estimates, measurements) -> float:
+    """``objective_original``, one edge at a time in sorted edge order."""
+    total = 0.0
+    for (i, j), d_ij in zip(measurements.graph.edge_list, measurements.d.tolist()):
+        p_i = np.asarray(estimates[i], dtype=float)
+        p_j = np.asarray(estimates[j], dtype=float)
+        gap = float(np.linalg.norm(p_i - p_j)) - d_ij
+        total += gap * gap
+    return total

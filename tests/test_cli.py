@@ -1,5 +1,6 @@
 import os
 
+import numpy as np
 import pytest
 
 from locadmm import network
@@ -51,7 +52,16 @@ class TestGenerate:
         assert main(base + ["--noise", "range", "--out", str(out_b)]) == EXIT_OK
         _, _, ma = network.load_network(out_a)
         _, _, mb = network.load_network(out_b)
-        assert ma.d != mb.d
+        assert not np.array_equal(ma.d, mb.d)
+
+    def test_single_node_network(self, tmp_path, capsys):
+        # one anchor, no edges: no range to report but zero
+        out = tmp_path / "one.json"
+        argv = ["generate", "--nodes", "1", "--anchors", "1", "--range", "0.1", "--out", str(out)]
+        assert main(argv) == EXIT_OK
+        assert "d_max=0.000000" in capsys.readouterr().out
+        graph, _, meas = network.load_network(out)
+        assert graph.num_nodes == 1 and meas is None
 
     def test_missing_out_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

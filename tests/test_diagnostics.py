@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from locadmm import diagnostics as dg
+from locadmm import network
 from locadmm import oracle
 from locadmm import structured_ops as ops
 from locadmm.errors import InvalidParameter, NonFiniteValue
@@ -130,7 +131,7 @@ class TestOptimalityGap:
     def test_zero_on_degenerate_network(self):
         # all-zero state with zero ranges: every term vanishes
         graph = make_graph(2, [(0, 1), (1, 2)], {0: [0.0, 0.0]})
-        meas = MeasurementSet({(0, 1): 0.0, (1, 2): 0.0})
+        meas = MeasurementSet.from_pairs(graph, {(0, 1): 0.0, (1, 2): 0.0})
         d_node = meas.node_ranges(graph)
         states = [
             FullNodeState(
@@ -300,7 +301,7 @@ class TestParameterBounds:
     def test_kappa1_hand_value(self):
         # c=1, N_max=2: kappa1 = 6 * 3 * 2 = 36
         graph = make_graph(2, [(0, 1), (1, 2)], {0: [0.0, 0.0]})
-        meas = MeasurementSet({(0, 1): 1.0, (1, 2): 0.5})
+        meas = MeasurementSet.from_pairs(graph, {(0, 1): 1.0, (1, 2): 0.5})
         bounds = dg.parameter_bounds(graph, meas, 1.0)
         assert bounds.kappa1_min == pytest.approx(36.0)
 
@@ -308,7 +309,7 @@ class TestParameterBounds:
         # 3-node path, degrees [1, 2, 1], n=2, c=1:
         # N_sum=4, tau_min=6, kappa2 = 4*2*4*3*36/6 = 576
         graph = make_graph(2, [(0, 1), (1, 2)], {0: [0.0, 0.0]})
-        meas = MeasurementSet({(0, 1): 1.0, (1, 2): 0.5})
+        meas = MeasurementSet.from_pairs(graph, {(0, 1): 1.0, (1, 2): 0.5})
         bounds = dg.parameter_bounds(graph, meas, 1.0)
         assert bounds.n_sum == 4
         assert bounds.tau_tilde_min == pytest.approx(6.0)
@@ -317,14 +318,14 @@ class TestParameterBounds:
     def test_rho_hand_value(self):
         # same instance, d_max=1: rho = 4 * (36 + 576) = 2448
         graph = make_graph(2, [(0, 1), (1, 2)], {0: [0.0, 0.0]})
-        meas = MeasurementSet({(0, 1): 1.0, (1, 2): 0.5})
+        meas = MeasurementSet.from_pairs(graph, {(0, 1): 1.0, (1, 2): 0.5})
         bounds = dg.parameter_bounds(graph, meas, 1.0)
         assert bounds.d_max == 1.0
         assert bounds.rho_min == pytest.approx(2448.0)
 
     def test_invalid_c(self):
         graph = make_graph(2, [(0, 1)], {0: [0.0, 0.0]})
-        meas = MeasurementSet({(0, 1): 1.0})
+        meas = MeasurementSet.from_pairs(graph, {(0, 1): 1.0})
         with pytest.raises(InvalidParameter):
             dg.parameter_bounds(graph, meas, 0.0)
 
@@ -421,30 +422,34 @@ class TestTrace:
 
     @pytest.mark.parametrize("second", ["run_full", "run_lite", "TraceRecorder"])
     def test_second_use_builds_no_ranges(self, second, monkeypatch):
-        # ranges are built once per (measurements, graph) pair and shared by
-        # the solvers and the recorder
+        # a measurement set spreads its ranges over the edge rows once, and
+        # the solvers and the recorder share that array
         graph, truth = random_connected_graph(np.random.default_rng(5), 12, num_anchors=3)
         meas = exact_measurements(graph, truth.positions)
         params, spec = PenaltyParams(0.3, 0.2), InitSpec(kind="zeros", u_init="half")
         run_full(graph, meas, params, spec, 2)
         built = []
 
-        def counting(self, graph):
-            built.append(graph)
-            return build(self, graph)
+        def counting(layout, vals):
+            built.append(layout)
+            return spread(layout, vals)
 
-        build = MeasurementSet._build_ranges
-        monkeypatch.setattr(MeasurementSet, "_build_ranges", counting)
+        spread = network._spread
+        monkeypatch.setattr(network, "_spread", counting)
         if second == "TraceRecorder":
             rec = dg.TraceRecorder(graph, meas, params, truth=truth)
             run_lite(graph, meas, params, spec, 2, hook=rec)
         else:
             {"run_full": run_full, "run_lite": run_lite}[second](graph, meas, params, spec, 2)
-        assert built == []
-        # an equal graph that is another object gets its own build
+        # an equal graph that is another object reads the same array
         twin = NetworkGraph.build(graph.dim, graph.num_nodes, graph.anchors, graph.edge_list)
-        meas.edge_ranges(twin)
-        assert len(built) == 1
+        assert meas.edge_ranges(twin) is meas.edge_ranges(graph)
+        assert built == []
+        # a new set spreads its own ranges, once
+        again = MeasurementSet(graph, meas.d)
+        run_lite(graph, again, params, spec, 1)
+        dg.TraceRecorder(graph, again, params, truth=truth)
+        assert built == [graph.layout]
 
     @pytest.mark.parametrize("runner", [run_full, run_lite])
     def test_stationarity_and_optimality_share_one_gradient(self, runner, monkeypatch):

@@ -35,7 +35,7 @@ from locadmm.solver_full import InitSpec, run_full
 from locadmm.solver_lite import run_lite
 from locadmm.structured_ops import PenaltyParams
 
-from conftest import make_graph, random_connected_graph
+from conftest import graphs, make_graph, random_connected_graph
 from network_reference import dense_generate_rgg, loop_measure, per_node_graph
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -174,8 +174,7 @@ class TestGenerateRggMatchesDense:
         graph, truth = got
         meas = measure(truth, graph, NoiseModel("additive-white", 0.02), seed=3)
         ref = loop_measure(truth.positions, want[0].edge_list, "additive-white", 0.02, 3)
-        assert list(meas.d) == list(ref)
-        assert np.array(list(meas.d.values())).tobytes() == np.array(list(ref.values())).tobytes()
+        assert meas.d.tobytes() == np.array(list(ref.values())).tobytes()
 
     @pytest.mark.parametrize("dim", [2, 3])
     def test_pairs_at_exactly_the_range(self, dim):
@@ -298,13 +297,28 @@ class TestGraphInvariants:
         with pytest.raises(InvalidParameter):
             NetworkGraph.build(2, 2, {}, [(0, 1)])
 
+    def test_callers_anchor_array_stays_writable(self):
+        a = np.zeros(2)
+        graph = NetworkGraph.build(2, 2, {0: a}, [(0, 1)])
+        a[0] = 1.0
+        assert graph.anchors[0].tolist() == [0.0, 0.0]
+        with pytest.raises(ValueError):
+            graph.anchors[0][0] = 1.0
+
+    def test_callers_positions_stay_writable(self):
+        positions = np.zeros((2, 2))
+        truth = GroundTruth(positions)
+        positions[0, 0] = 1.0
+        assert truth.positions.tolist() == [[0.0, 0.0], [0.0, 0.0]]
+        with pytest.raises(ValueError):
+            truth.positions[0, 0] = 1.0
+
 
 class TestMeasure:
     def test_zero_noise_exact(self, triangle):
         graph, truth, meas = triangle
         again = measure(truth, graph, NoiseModel("additive-white", 0.0), seed=4)
-        for key, val in again.d.items():
-            assert val == pytest.approx(meas.d[key], abs=0.0)
+        assert np.array_equal(again.d, meas.d)
 
     def test_additive_noise_std(self):
         positions = np.array([[0.0, 0.0], [0.6, 0.0]])
@@ -312,7 +326,7 @@ class TestMeasure:
         truth = GroundTruth(positions)
         model = NoiseModel("additive-white", 0.05)
         draws = np.array(
-            [measure(truth, graph, model, seed=s).d[(0, 1)] for s in range(10_000)]
+            [measure(truth, graph, model, seed=s).d[0] for s in range(10_000)]
         )
         noise = draws - 0.6
         assert abs(noise.std() - 0.05) < 0.05 * 0.05
@@ -325,7 +339,7 @@ class TestMeasure:
         sigma_add = 0.03
         model = NoiseModel("range-dependent", sigma_add)
         draws = np.array(
-            [measure(truth, graph, model, seed=s).d[(0, 1)] for s in range(10_000)]
+            [measure(truth, graph, model, seed=s).d[0] for s in range(10_000)]
         )
         noise = draws - length
         target = sigma_add * length * length
@@ -336,7 +350,7 @@ class TestMeasure:
         graph = make_graph(2, [(0, 1)], {0: positions[0]})
         truth = GroundTruth(positions)
         model = NoiseModel("additive-white", 5.0)
-        draws = [measure(truth, graph, model, seed=s).d[(0, 1)] for s in range(200)]
+        draws = [measure(truth, graph, model, seed=s).d[0] for s in range(200)]
         assert min(draws) == 0.0
         assert all(v >= 0.0 for v in draws)
 
@@ -345,7 +359,7 @@ class TestMeasure:
         model = NoiseModel("range-dependent", 0.1)
         a = measure(truth, graph, model, seed=11)
         b = measure(truth, graph, model, seed=11)
-        assert a.d == b.d
+        assert a.d.tobytes() == b.d.tobytes()
 
     def test_missing_positions(self):
         graph = make_graph(2, [(0, 1), (1, 2)], {0: [0.0, 0.0]})
@@ -370,30 +384,23 @@ class TestMeasureMatchesLoop:
         graph, truth = generate_rgg(80, 4, 0.35 if dim == 2 else 0.5, dim=dim, seed=dim)
         meas = measure(truth, graph, NoiseModel(kind, sigma), seed=5)
         want = loop_measure(truth.positions, graph.edge_list, kind, sigma, 5)
-        assert list(meas.d) == list(want)
-        got_vals, want_vals = np.array(list(meas.d.values())), np.array(list(want.values()))
-        assert got_vals.tobytes() == want_vals.tobytes()
+        assert meas.d.tobytes() == np.array(list(want.values())).tobytes()
         if sigma == 3.0:
-            assert (got_vals == 0.0).any()  # clamped draws are covered
-        # the ranges kept for the graph are the ones a lookup would build
-        rebuilt = MeasurementSet(meas.d)._build_ranges(graph)
-        assert meas.edge_ranges(graph).tobytes() == rebuilt.tobytes()
+            assert (meas.d == 0.0).any()  # clamped draws are covered
+        # every directed edge carries its undirected edge's draw
+        lookup = [
+            want[min(i, j), max(i, j)] for i, nbrs in enumerate(graph.neighbors) for j in nbrs
+        ]
+        assert meas.edge_ranges(graph).tobytes() == np.array(lookup).tobytes()
 
-    def test_node_ranges_reuse_the_drawn_ranges(self, monkeypatch):
+    def test_node_ranges_reuse_the_drawn_ranges(self):
         graph, truth = generate_rgg(40, 4, 0.35, seed=9)
         meas = measure(truth, graph, NoiseModel("additive-white", 0.1), seed=2)
-        want = MeasurementSet(meas.d).node_ranges(graph)
-
-        def no_lookup(self, graph):
-            raise AssertionError("edge ranges looked up again")
-
-        monkeypatch.setattr(MeasurementSet, "_build_ranges", no_lookup)
         got = meas.node_ranges(graph)
-        assert [r.tobytes() for r in got] == [r.tobytes() for r in want]
-        # another graph still gets its own lookup
-        twin = NetworkGraph.build(2, graph.num_nodes, graph.anchors, graph.edge_list)
-        with pytest.raises(AssertionError, match="looked up again"):
-            meas.node_ranges(twin)
+        # neither the draw nor the split built the per-edge tuples
+        assert "edge_list" not in vars(graph)
+        want = MeasurementSet.from_pairs(graph, dict(zip(graph.edge_list, meas.d.tolist())))
+        assert [r.tobytes() for r in got] == [r.tobytes() for r in want.node_ranges(graph)]
 
 
 def test_instance_pipeline_imports_no_scipy():
@@ -420,8 +427,10 @@ class TestMeasurementSet:
     def test_edge_ranges_equal_per_edge_lookup(self, seed):
         rng = np.random.default_rng(seed)
         graph, truth = random_connected_graph(rng, int(rng.integers(2, 30)), dim=2 + seed % 2)
-        meas = MeasurementSet({e: float(rng.uniform(0.0, 2.0)) for e in graph.edge_list})
-        want = [meas.value(i, j) for i, nbrs in enumerate(graph.neighbors) for j in nbrs]
+        pairs = {e: float(rng.uniform(0.0, 2.0)) for e in graph.edge_list}
+        pairs[(graph.num_nodes, graph.num_nodes + 1)] = 9.0  # not an edge: ignored
+        meas = MeasurementSet.from_pairs(graph, pairs)
+        want = [pairs[min(i, j), max(i, j)] for i, nbrs in enumerate(graph.neighbors) for j in nbrs]
         got = meas.edge_ranges(graph)
         assert got.dtype == np.float64 and got.tobytes() == np.array(want).tobytes()
 
@@ -436,38 +445,53 @@ class TestMeasurementSet:
             with pytest.raises(ValueError):
                 rows[0] = 5.0
 
-    def test_each_graph_gets_its_own_ranges(self, triangle):
-        triangle_graph, _, meas = triangle
-        path = make_graph(2, [(0, 1), (1, 2)], {0: [0.0, 0.0]})
-        same_path = make_graph(2, [(0, 1), (1, 2)], {0: [0.0, 0.0]})
-        for graph in (triangle_graph, path, same_path, triangle_graph):
-            want = [meas.value(i, j) for i, nbrs in enumerate(graph.neighbors) for j in nbrs]
-            assert meas.edge_ranges(graph).tolist() == want
-        assert meas.edge_ranges(path) is not meas.edge_ranges(same_path)
+    def test_graph_with_the_same_edges_shares_the_ranges(self, triangle):
+        graph, _, meas = triangle
+        twin = make_graph(2, [(1, 2), (0, 2), (1, 0)], {0: [5.0, 5.0]})
+        assert meas.edge_ranges(twin) is meas.edge_ranges(graph)
+        assert [r.tolist() for r in meas.node_ranges(twin)] == [
+            r.tolist() for r in meas.node_ranges(graph)
+        ]
 
     @pytest.mark.parametrize("call", ["edge_ranges", "run_full", "run_lite"])
-    def test_missing_range_named(self, call):
-        graph = make_graph(2, [(0, 1), (1, 2)], {0: [0.0, 0.0]})
-        meas = MeasurementSet({(0, 1): 1.0})
-        with pytest.raises(InvalidParameter, match=r"^no range measured for edge \(1, 2\)$"):
+    def test_another_graph_rejected(self, call, triangle):
+        # the path has two of the triangle's three edges
+        _, _, meas = triangle
+        path = make_graph(2, [(0, 1), (1, 2)], {0: [0.0, 0.0]})
+        with pytest.raises(InvalidParameter, match="^measurements were taken on another graph$"):
             if call == "edge_ranges":
-                meas.edge_ranges(graph)
+                meas.edge_ranges(path)
             else:
                 runner = run_full if call == "run_full" else run_lite
-                runner(graph, meas, PenaltyParams(0.1, 0.1), InitSpec(), 1)
+                runner(path, meas, PenaltyParams(0.1, 0.1), InitSpec(), 1)
+
+    def test_missing_range_named_by_from_pairs(self):
+        graph = make_graph(2, [(0, 1), (1, 2)], {0: [0.0, 0.0]})
+        with pytest.raises(InvalidParameter, match=r"^no range measured for edge \(1, 2\)$"):
+            MeasurementSet.from_pairs(graph, {(0, 1): 1.0, (2, 1): 0.5})
+
+    def test_one_range_per_edge_required(self):
+        graph = make_graph(2, [(0, 1), (1, 2)], {0: [0.0, 0.0]})
+        for bad in ([1.0], [1.0, 0.5, 0.2], [[1.0, 0.5]]):
+            with pytest.raises(InvalidParameter, match="^expected 2 ranges"):
+                MeasurementSet(graph, bad)
 
     def test_d_is_a_read_only_copy(self):
-        given = {(0, 1): 1.0, (1, 2): 0.5}
-        meas = MeasurementSet(given)
-        with pytest.raises(TypeError):
-            meas.d[(0, 1)] = 2.0
-        given[(0, 1)] = 2.0
-        assert meas.d[(0, 1)] == 1.0
-        assert meas == MeasurementSet({(0, 1): 1.0, (1, 2): 0.5})
-        assert meas.d == {(0, 1): 1.0, (1, 2): 0.5}
-        meas.edge_ranges(make_graph(2, [(0, 1), (1, 2)], {0: [0.0, 0.0]}))
-        assert meas == MeasurementSet({(0, 1): 1.0, (1, 2): 0.5})
-        assert repr(meas) == repr(MeasurementSet({(0, 1): 1.0, (1, 2): 0.5}))
+        graph = make_graph(2, [(0, 1), (1, 2)], {0: [0.0, 0.0]})
+        given = np.array([1.0, 0.5])
+        meas = MeasurementSet(graph, given)
+        with pytest.raises(ValueError):
+            meas.d[0] = 2.0
+        given[0] = 2.0
+        assert given.flags.writeable
+        assert meas.d.dtype == np.float64 and meas.d.tolist() == [1.0, 0.5]
+        assert meas.edge_ranges(graph).tolist() == [1.0, 1.0, 0.5, 0.5]
+
+    def test_max_range(self, triangle):
+        graph, truth, meas = triangle
+        assert meas.max_range == max(meas.d.tolist())
+        lone = NetworkGraph.build(2, 1, {0: [0.0, 0.0]}, [])
+        assert MeasurementSet(lone, []).max_range == 0.0
 
 
 class TestRmse:
@@ -545,11 +569,30 @@ class TestFileRoundTrip:
         assert g2.neighbors == graph.neighbors
         assert sorted(g2.anchors) == sorted(graph.anchors)
         assert np.array_equal(t2.positions, truth.positions)
-        assert m2.d == meas.d
+        assert m2.d.tobytes() == meas.d.tobytes()
         # a second save is byte-identical
         path2 = tmp_path / "net2.json"
         save_network(path2, g2, t2, m2)
         assert path.read_bytes() == path2.read_bytes()
+
+    @PROPERTY_SETTINGS
+    @given(graphs(), st.data())
+    def test_ranges_follow_their_edges(self, tmp_path_factory, instance, data):
+        # a file may list its edges in any order and orientation
+        graph, meas, _ = instance
+        root = tmp_path_factory.mktemp("order")
+        first, shuffled, second = root / "first.json", root / "shuffled.json", root / "second.json"
+        save_network(first, graph, measurements=meas)
+        doc = json.loads(first.read_text())
+        doc["edges"] = data.draw(st.permutations(doc["edges"]), label="order")
+        for entry in doc["edges"]:
+            if data.draw(st.booleans(), label="swap"):
+                entry["i"], entry["j"] = entry["j"], entry["i"]
+        shuffled.write_text(json.dumps(doc))
+        g2, _, m2 = load_network(shuffled)
+        assert m2.edge_ranges(g2).tobytes() == meas.edge_ranges(graph).tobytes()
+        save_network(second, g2, measurements=m2)
+        assert second.read_bytes() == first.read_bytes()
 
     def test_blind_file_without_truth(self, tmp_path):
         graph, truth = generate_rgg(8, 1, 0.6, seed=1)
@@ -558,7 +601,7 @@ class TestFileRoundTrip:
         save_network(path, graph, measurements=meas)
         g2, t2, m2 = load_network(path)
         assert t2 is None
-        assert m2.d == meas.d
+        assert m2.d.tobytes() == meas.d.tobytes()
 
     def test_asymmetric_duplicate_edge_rejected(self, tmp_path):
         path = tmp_path / "bad.json"

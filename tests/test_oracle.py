@@ -31,7 +31,7 @@ class TestBuildDense:
 
     def test_AtA_block_form_two_neighbors(self):
         graph = make_graph(2, [(0, 1), (0, 2)], {1: [0.0, 0.0]})
-        meas = MeasurementSet({(0, 1): 1.0, (0, 2): 1.0})
+        meas = MeasurementSet.from_pairs(graph, {(0, 1): 1.0, (0, 2): 1.0})
         dense = oracle.build_dense(graph, meas, 1.0)
         # node 0 has two neighbors: [[2, -1, -1, 0, 0], [-1, 1, 0, ...], ...] x I_2
         core = np.array(

@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 from locadmm import diagnostics as dg
 from locadmm import oracle
 from locadmm.engine import IterationEvent
-from locadmm.network import GroundTruth, MeasurementSet, NetworkGraph
+from locadmm.network import GroundTruth
 from locadmm.solver_full import (
     FullNodeState,
     InitSpec,
@@ -52,33 +52,9 @@ from locadmm.structured_ops import (
     project_consensus,
 )
 
+from conftest import graphs
+
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
-
-
-@st.composite
-def graphs(draw, max_nodes=12):
-    """A random connected graph with noisy ranges, and a seeded generator
-    for further draws."""
-    n = draw(st.integers(2, max_nodes))
-    dim = draw(st.sampled_from([2, 3]))
-    # a random tree (its leaves have degree 1) plus a few extra edges
-    edges = {(draw(st.integers(0, k - 1)), k) for k in range(1, n)}
-    node = st.integers(0, n - 1)
-    for i, j in draw(st.lists(st.tuples(node, node), max_size=n)):
-        if i != j:
-            edges.add((min(i, j), max(i, j)))
-    num_anchors = draw(st.one_of(st.just(n - 1), st.integers(1, n - 1)))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    truth = rng.uniform(0.0, 1.0, (n, dim))
-    anchors = {int(a): truth[a] for a in rng.permutation(n)[:num_anchors]}
-    graph = NetworkGraph.build(dim, n, anchors, edges)
-    meas = MeasurementSet(
-        {
-            (i, j): max(float(np.linalg.norm(truth[i] - truth[j])) + rng.normal(0.0, 0.05), 0.0)
-            for i, j in graph.edge_list
-        }
-    )
-    return graph, meas, rng
 
 
 @st.composite

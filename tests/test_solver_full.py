@@ -334,11 +334,12 @@ class TestRunFull:
     def test_trace_identical_across_thread_counts(self):
         rng = np.random.default_rng(8)
         graph, truth = random_connected_graph(rng, 20, num_anchors=3)
-        meas = MeasurementSet(
+        meas = MeasurementSet.from_pairs(
+            graph,
             {
                 e: float(np.linalg.norm(truth.positions[e[0]] - truth.positions[e[1]]))
                 for e in graph.edge_list
-            }
+            },
         )
         spec = InitSpec(kind="uniform", lo=-1.0, hi=1.0, u_init="half")
         params = PenaltyParams(0.2, 0.2)
@@ -462,7 +463,7 @@ class TestRunFull:
             2, edges, {j + 1: anchors_pos[j] for j in range(m)}, num_nodes=m + 1
         )
         d = rng.uniform(0.3, 1.0, m)
-        meas = MeasurementSet({(0, j + 1): float(d[j]) for j in range(m)})
+        meas = MeasurementSet.from_pairs(graph, {(0, j + 1): float(d[j]) for j in range(m)})
         u = ops.project_ball(rng.normal(size=(m, 2)))
         lam = rng.normal(size=(m, 2))
         c = 0.6
@@ -539,10 +540,11 @@ class TestRunFull:
         star = make_graph(2, [(0, 1), (0, 2), (0, 3)], {0: [0.0, 0.0]})
         path = make_graph(2, [(0, 1), (1, 2), (2, 3)], {0: [0.0, 0.0]})
         params, spec = PenaltyParams(0.3, 0.2), InitSpec(u_init="half")
-        ranges = MeasurementSet({(0, 1): 1.0, (0, 2): 1.0, (0, 3): 1.0, (1, 2): 1.0, (2, 3): 1.0})
-        states = runner(star, ranges, params, spec, 2).states
+        pairs = {(0, 1): 1.0, (0, 2): 1.0, (0, 3): 1.0, (1, 2): 1.0, (2, 3): 1.0}
+        states = runner(star, MeasurementSet.from_pairs(star, pairs), params, spec, 2).states
+        path_ranges = MeasurementSet.from_pairs(path, pairs)
         with pytest.raises(InvalidInitSpec, match="^stacked rows do not match the node degrees$"):
-            runner(path, ranges, params, states, 1)
+            runner(path, path_ranges, params, states, 1)
 
     def test_resumes_from_returned_states(self, triangle):
         graph, _, meas = triangle

@@ -56,7 +56,7 @@ class TestInitLite:
         # lam=0, c=1, x_i=1 with one neighbor: alpha0 = c(x_i + x_i) = 2
         graph = make_graph(2, [(0, 1)], {0: [0.0, 0.0]})
         pos = np.array([[1.0, 1.0], [3.0, 3.0]])
-        meas = MeasurementSet({(0, 1): 1.0})
+        meas = MeasurementSet.from_pairs(graph, {(0, 1): 1.0})
         states = init_lite(graph, pos, "zeros", 1.0, meas)
         assert states[0].alpha == pytest.approx(np.array([[2.0, 2.0]]))
 
@@ -64,7 +64,7 @@ class TestInitLite:
         # d=1, u0=0, x_i=1, x_j=3: beta0 = -d u + x_i + x_j = 4
         graph = make_graph(2, [(0, 1)], {0: [0.0, 0.0]})
         pos = np.array([[1.0, 1.0], [3.0, 3.0]])
-        meas = MeasurementSet({(0, 1): 1.0})
+        meas = MeasurementSet.from_pairs(graph, {(0, 1): 1.0})
         states = init_lite(graph, pos, "zeros", 1.0, meas)
         assert states[0].beta == pytest.approx(np.array([[4.0, 4.0]]))
 
@@ -97,8 +97,9 @@ class TestInitLite:
 
     def test_missing_positions(self):
         graph = make_graph(2, [(0, 1)], {0: [0.0, 0.0]})
+        meas = MeasurementSet.from_pairs(graph, {(0, 1): 1.0})
         with pytest.raises(InvalidInit):
-            init_lite(graph, np.zeros((1, 2)), "zeros", 1.0, MeasurementSet({(0, 1): 1.0}))
+            init_lite(graph, np.zeros((1, 2)), "zeros", 1.0, meas)
 
 
 class TestStepLite:

@@ -7,6 +7,7 @@ from locadmm.structured_ops import NodeBlockVector, PenaltyParams
 from locadmm.errors import InvalidParameter, MissingNode
 
 from conftest import exact_measurements, make_graph, random_connected_graph
+from network_reference import loop_objective_original
 
 
 def random_block(rng, degree, dim=2):
@@ -142,14 +143,27 @@ class TestObjectiveAndGradient:
 
     def test_objective_original_perfect_fit(self):
         est = np.array([[0.0, 0.0], [1.0, 0.0]])
-        meas = MeasurementSet({(0, 1): 1.0})
+        meas = MeasurementSet.from_pairs(make_graph(2, [(0, 1)], {0: est[0]}), {(0, 1): 1.0})
         assert ops.objective_original(est, meas) == 0.0
 
     def test_objective_original_double_count(self):
         est = np.array([[0.0, 0.0], [1.0, 0.0]])
-        meas = MeasurementSet({(0, 1): 2.0})
+        meas = MeasurementSet.from_pairs(make_graph(2, [(0, 1)], {0: est[0]}), {(0, 1): 2.0})
         # each unordered edge enters twice: 2 * 0.5 * (1-2)^2 = 1.0
         assert ops.objective_original(est, meas) == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_objective_original_matches_per_edge_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        graph, truth = random_connected_graph(
+            rng, int(rng.integers(2, 40)), dim=2 + seed % 2, extra_edges=1.5
+        )
+        noisy = truth.positions + rng.normal(0.0, 0.1, truth.positions.shape)
+        meas = exact_measurements(graph, noisy)
+        est = rng.uniform(-1.0, 2.0, truth.positions.shape)
+        want = loop_objective_original(est, meas)
+        assert want > 0.0
+        assert ops.objective_original(est, meas) == pytest.approx(want, rel=1e-12, abs=0.0)
 
     def test_objective_F_with_zero_u(self):
         rng = np.random.default_rng(5)
