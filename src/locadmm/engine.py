@@ -6,8 +6,10 @@ order, the neighbor exchange is one gather, and per-node sums add a node's
 rows in the order the per-node closed forms do, so the iterates are
 bit-identical to those closed forms applied node by node. Hooks and results
 get those arrays themselves, as ``EdgeStates`` and ``EdgeBlocks``, which
-build per-node views only when indexed. Every iteration allocates fresh
-arrays, so state handed out never changes afterwards.
+build per-node views only when indexed. Within an iteration the solvers
+update their temporaries in place, but only arrays that iteration made: an
+array handed out (to a hook, or in a :class:`RunResult`) or passed in as a
+start is never written afterwards.
 """
 
 from __future__ import annotations

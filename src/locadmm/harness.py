@@ -160,7 +160,7 @@ def _cmd_run(args) -> int:
     graph, truth, measurements = network.load_network(args.net)
     if measurements is None:
         raise InvalidParameter(f"{args.net} carries no measurements")
-    rho = None if args.rho == "auto" else float(args.rho)
+    rho = _parse_rho(args.rho)
     metrics = _parse_metrics(args.metrics)
     config = RunConfig(
         algo=args.algo,
@@ -195,6 +195,11 @@ def _cmd_run(args) -> int:
     return EXIT_OK
 
 
+def _parse_rho(text: str) -> Optional[float]:
+    """A ``--rho`` value: a number, or ``auto`` (``None``) for the bound."""
+    return None if text == "auto" else float(text)
+
+
 def _parse_metrics(spec: str) -> tuple:
     if spec == "none":
         return ()
@@ -208,12 +213,15 @@ def _cmd_sweep(args) -> int:
     if measurements is None:
         raise InvalidParameter(f"{args.net} carries no measurements")
     c_values = [float(x) for x in args.c_list.split(",")]
-    rho_values = [float(x) for x in args.rho_list.split(",")]
+    rho_values = [_parse_rho(x) for x in args.rho_list.split(",")]
     seeds = [int(x) for x in args.seeds.split(",")] if args.seeds else [_seed(args)]
 
     lines = ["c,rho,seed,final_rmse,min_F,diverged"]
     for c in c_values:
         for rho in rho_values:
+            if rho is None:
+                # resolved as execute_run resolves "auto", so the CSV names it
+                rho = diagnostics.parameter_bounds(graph, measurements, c).rho_min
             for seed in seeds:
                 config = RunConfig(
                     algo=args.algo,
@@ -316,7 +324,8 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--net", required=True)
     sweep.add_argument("--algo", choices=("full", "lite"), default="lite")
     sweep.add_argument("--c-list", required=True)
-    sweep.add_argument("--rho-list", required=True)
+    sweep.add_argument("--rho-list", required=True,
+                       help="comma list; 'auto' entries use the bound for each c")
     sweep.add_argument("--seeds", default="")
     sweep.add_argument("--iters", type=int, required=True)
     sweep.add_argument("--out")

@@ -318,9 +318,11 @@ class EdgeLayout:
         return [x[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GroundTruth:
-    """True positions, one row per node, anchor rows matching the graph."""
+    """True positions, one row per node, anchor rows matching the graph.
+
+    Ground truths compare by identity."""
 
     positions: np.ndarray  # (num_nodes, dim)
 

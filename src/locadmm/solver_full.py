@@ -32,6 +32,7 @@ from .structured_ops import (
     NodeBlockVector,
     PenaltyParams,
     project_ball,
+    spread,
 )
 
 
@@ -314,11 +315,9 @@ def run_full(
     u, lam = start.u, start.lam
     c, rho = params.c, params.rho
     src, rev = lay.src, lay.rev
-    d = measurements.edge_ranges(graph)[:, None]
-    with quiet_fp():
-        d_rho = d / rho
-    denom = (2.0 * (c + 1.0) * lay.degrees)[:, None]
-    comm_per_iter = 2 * graph.dim * lay.num_edges
+    dim = graph.dim
+    d = measurements.edge_ranges(graph)
+    comm_per_iter = 2 * dim * lay.num_edges
 
     def stacked() -> EdgeStates:
         return EdgeStates(EdgeBlocks(lay.offsets, p, z_minus, z_plus), u, lam)
@@ -326,24 +325,56 @@ def run_full(
     states = start
     if hook is not None:
         hook(IterationEvent(0, states, None, None, 0))
+    # Each coefficient computed per edge as the per-node spec does, then spread.
+    with quiet_fp():
+        d_u, d_rho = spread(d, dim), spread(d / rho, dim)
+    denom = spread(2.0 * (c + 1.0) * lay.degrees, dim)
     for t in range(1, iters + 1):
         with quiet_fp():
-            # half-step (local_halfstep)
+            # half-step (local_halfstep), in place on arrays made this
+            # iteration and not yet handed out
             p_src = np.take(p, src, axis=0)
             base_minus = p_src + z_minus
-            base_plus = p_src + z_plus
-            du = d * u
-            p = lay.node_sum(du - lam + c * base_minus + base_plus) / denom
+            base_plus = p_src
+            base_plus += z_plus
+            # p = node_sum(d u - lam + c base_minus + base_plus) / (2 (c+1) k)
+            du = d_u * u
+            acc = du - lam
+            tmp = base_minus * c
+            acc += tmp
+            acc += base_plus
+            p = lay.node_sum(acc)
+            p /= denom
             p[lay.anchor_idx] = lay.anchor_pos
-            zm_t = lam / (2.0 * c) + base_minus / 2.0
-            zp_t = -du / 2.0 + base_plus / 2.0
-            # exchange and combine (gather_inbox, combine_z)
-            z_minus = (c * zm_t + np.take(zp_t, rev, axis=0)) / (c + 1.0)
-            z_plus = (zp_t + c * np.take(zm_t, rev, axis=0)) / (c + 1.0)
-            # direction and dual steps (update_u, update_lambda)
+            # zm_t = lam / (2 c) + base_minus / 2, zp_t = -d u / 2 + base_plus / 2
+            zm_t = np.divide(lam, 2.0 * c, out=tmp)
+            base_minus /= 2.0
+            zm_t += base_minus
+            zp_t = np.negative(du, out=du)
+            zp_t /= 2.0
+            base_plus /= 2.0
+            zp_t += base_plus
+            # exchange and combine (gather_inbox, combine_z):
+            # z^- = (c zm_t + zp_t[rev]) / (c+1), z^+ = (zp_t + c zm_t[rev]) / (c+1)
+            z_minus = np.multiply(zm_t, c, out=acc)
+            z_minus += np.take(zp_t, rev, axis=0)
+            z_minus /= c + 1.0
+            z_plus = np.take(zm_t, rev, axis=0)
+            z_plus *= c
+            z_plus += zp_t
+            z_plus /= c + 1.0
+            # direction and dual steps (update_u, update_lambda):
+            # u = proj(u + (d / rho) (p - z^+)), lam = lam + c (p - z^-)
             p_src = np.take(p, src, axis=0)
-            u = project_ball(u + d_rho * (p_src - z_plus))
-            lam = lam + c * (p_src - z_minus)
+            u_t = np.subtract(p_src, z_plus, out=base_minus)
+            u_t *= d_rho
+            u_t += u
+            u = project_ball(u_t)
+            lam_new = p_src
+            lam_new -= z_minus
+            lam_new *= c
+            lam_new += lam
+            lam = lam_new
         check_finite(t, src, p, z_minus=z_minus, z_plus=z_plus, u=u, lam=lam)
         if hook is not None:
             states_prev, states = states, stacked()

@@ -36,6 +36,7 @@ from .structured_ops import (
     check_layout,
     edge_rows,
     project_ball,
+    spread,
 )
 
 
@@ -305,38 +306,66 @@ def run_lite(
         p, u, lam, alpha, beta, d = start.p, start.u, start.lam, start.alpha, start.beta, start.d
 
     src, rev = lay.src, lay.rev
-    scale = 2.0 * (c + 1.0)
-    neg_d = -d[:, None]
-    with quiet_fp():
-        d_rho = (d / rho)[:, None]
-        d_rho_scale = (d / (rho * scale))[:, None]
-    denom = (scale * lay.degrees)[:, None]
-    comm_per_iter = 2 * graph.dim * lay.num_edges
+    dim = graph.dim
+    comm_per_iter = 2 * dim * lay.num_edges
 
     view = None
     if hook is not None:
         x_i, x_j = np.take(p, src, axis=0), np.take(p, lay.dst, axis=0)
         view = EdgeStates(EdgeBlocks(lay.offsets, p, x_i, x_j), u, lam)
         hook(IterationEvent(0, view, None, None, 0))
+    scale = 2.0 * (c + 1.0)
+    # Each coefficient computed per edge as _advance_node does, then spread.
+    with quiet_fp():
+        d_u, neg_d, d_rho, d_rho_scale = (
+            spread(x, dim) for x in (d, -d, d / rho, d / (rho * scale))
+        )
+    denom = spread(scale * lay.degrees, dim)
     for t in range(1, iters + 1):
         with quiet_fp():
-            # exchange, then _advance_node on every node
+            # exchange, then _advance_node on every node, in place on arrays
+            # made this iteration and not yet handed out
             alpha_in = np.take(alpha, rev, axis=0)
             beta_in = np.take(beta, rev, axis=0)
-            du = d[:, None] * u
-            p = lay.node_sum(2.0 * du - 2.0 * lam + alpha + beta) / denom
+            # p = node_sum(2 d u - 2 lam + alpha + beta) / (scale k)
+            acc = d_u * u
+            acc *= 2.0
+            tmp = 2.0 * lam
+            acc -= tmp
+            acc += alpha
+            acc += beta
+            p = lay.node_sum(acc)
+            p /= denom
             p[lay.anchor_idx] = lay.anchor_pos
             p_src = np.take(p, src, axis=0)
-            plus_sum = beta + alpha_in
-            u = project_ball(u + d_rho * p_src - d_rho_scale * plus_sum)
-            # z^+ of the full-state view, by reconstruct_blocks
-            z_plus = plus_sum / scale
-            alpha_prev = alpha
-            beta = neg_d * u + p_src + z_plus
-            alpha = lam + 2.0 * c * p_src
-            lam = lam + c * p_src - (c / scale) * (alpha_prev + beta_in)
+            # u = proj(u + (d / rho) p - (d / (rho scale)) (beta + alpha_in))
+            plus_sum = alpha_in
+            plus_sum += beta
+            u_t = np.multiply(d_rho, p_src, out=acc)
+            u_t += u
+            u_t -= np.multiply(d_rho_scale, plus_sum, out=tmp)
+            u = project_ball(u_t)
+            # the replicas of the full-state view, by reconstruct_blocks:
+            # z^+ = (beta + alpha_in) / scale, z^- = (alpha + beta_in) / scale
+            z_plus = plus_sum
+            z_plus /= scale
+            minus_sum = beta_in
+            minus_sum += alpha
             if hook is not None:
-                z_minus = (alpha_prev + beta_in) / scale
+                z_minus = minus_sum / scale
+            # beta = -d u + p + z^+, alpha = lam + 2 c p, and
+            # lam = lam + c p - (c / scale) (alpha + beta_in), with the old alpha
+            beta = np.multiply(neg_d, u, out=tmp)
+            beta += p_src
+            beta += z_plus
+            alpha = p_src * (2.0 * c)
+            alpha += lam
+            lam_new = p_src
+            lam_new *= c
+            lam_new += lam
+            minus_sum *= c / scale
+            lam_new -= minus_sum
+            lam = lam_new
         check_finite(t, src, p, u=u, lam=lam, alpha=alpha, beta=beta)
         if hook is not None:
             view_prev = view

@@ -219,6 +219,31 @@ class TestSweep:
         lines = out.read_text().splitlines()[1:]
         assert [l.split(",")[2] for l in lines] == ["1", "2", "3"]
 
+    def test_auto_rho_entry(self, net_file, tmp_path):
+        # an "auto" cell runs at the bound `run --rho auto` resolves, and the
+        # CSV names that value
+        out, trace = tmp_path / "sweep.csv", tmp_path / "t.csv"
+        code = main(
+            [
+                "sweep", "--net", str(net_file), "--c-list", "0.5",
+                "--rho-list", "auto,0.035", "--iters", "5", "--out", str(out),
+            ]
+        )
+        assert code == EXIT_OK
+        rows = [l.split(",") for l in out.read_text().splitlines()[1:]]
+        run = ["run", "--net", str(net_file), "--algo", "lite", "--c", "0.5",
+               "--iters", "5", "--trace", str(trace), "--metrics", "rmse,F"]
+        assert main(run + ["--rho", "auto"]) == EXIT_OK
+        meta = dict(
+            line[2:].split("=", 1)
+            for line in trace.read_text().splitlines()
+            if line.startswith("# ")
+        )
+        assert [r[1] for r in rows] == [meta["rho"], "0.035"]
+        assert [r[5] for r in rows] == ["0", "0"]
+        final_rmse = trace.read_text().splitlines()[-1].split(",")[1]
+        assert rows[0][3] == final_rmse
+
     def test_interior_optimum_in_c(self, tmp_path):
         # a fixed-rho row: extreme penalties do worse than a moderate one
         net = tmp_path / "net.json"

@@ -313,6 +313,13 @@ class TestGraphInvariants:
         with pytest.raises(ValueError):
             truth.positions[0, 0] = 1.0
 
+    def test_compares_by_identity(self):
+        positions = np.arange(6.0).reshape(3, 2)
+        truth = GroundTruth(positions)
+        assert (truth == GroundTruth(positions.copy())) is False
+        assert (truth == truth) is True
+        assert (truth != GroundTruth(positions)) is True
+
 
 class TestMeasure:
     def test_zero_noise_exact(self, triangle):

@@ -234,6 +234,59 @@ def test_run_lite_matches_per_node_spec(inst):
         assert_same_bits(run_lite(graph, meas, params, tuple(head), iters - 1).states, states)
 
 
+def arrays_of(x):
+    """Every array a state, event or sequence of them holds, in field order."""
+    if isinstance(x, np.ndarray):
+        return [x]
+    if is_dataclass(x):
+        return [a for f in fields(x) for a in arrays_of(getattr(x, f.name))]
+    if isinstance(x, (list, tuple)):
+        return [a for y in x for a in arrays_of(y)]
+    return []
+
+
+def contents(x):
+    return [(a.shape, a.tobytes()) for a in arrays_of(x)]
+
+
+@PROPERTY_SETTINGS
+@given(instances(), st.sampled_from(["full", "lite"]))
+def test_solvers_never_write_arrays_they_share(inst, algo):
+    """The solvers update temporaries in place, but never an array a caller
+    gave them, a hook was handed or a result holds; and neither a hook nor
+    running in chunks moves the iterates by a bit."""
+    graph, meas, params, spec, seed, iters = inst
+    runner = run_full if algo == "full" else run_lite
+    positions = spec.positions.copy()
+    head = runner(graph, meas, params, spec, 1, seed=seed).states
+    assert spec.positions.tobytes() == positions.tobytes()
+
+    # resuming, from the stacked states or a tuple of their views
+    held = contents(head)
+    for start in (head, tuple(head)):
+        bare = runner(graph, meas, params, start, iters)
+        assert contents(head) == held
+    events, seen = [], []
+
+    def hook(event):
+        events.append(event)
+        seen.append(contents(event))
+
+    hooked = runner(graph, meas, params, head, iters, hook=hook)
+    assert [contents(e) for e in events] == seen
+    assert contents(head) == held
+    assert contents(hooked.states) == contents(bare.states)
+    assert hooked.estimates.tobytes() == bare.estimates.tobytes()
+
+    # one run of iters iterations, or iters runs of one
+    states = head
+    for _ in range(iters):
+        states = runner(graph, meas, params, states, 1).states
+    assert contents(states) == contents(bare.states)
+    whole = runner(graph, meas, params, spec, iters + 1, seed=seed)
+    assert contents(whole.states) == contents(bare.states)
+
+
 def random_states(rng, graph):
     """Full node states with normal entries and ball-feasible directions."""
     return [
