@@ -164,7 +164,7 @@ def parameter_bounds(graph: NetworkGraph, measurements: MeasurementSet, c: float
         c1_sq = (c + 1.0) ** 2
     except OverflowError as exc:
         raise InvalidParameter(f"c = {c} overflows the parameter bounds") from exc
-    tau = float(min(c1_sq * k * k + c * c * k + k for k in degrees))
+    tau = float((c1_sq * degrees * degrees + c * c * degrees + degrees).min())
     kappa1 = 6.0 * (n_max + 1.0) * (1.0 + 1.0 / c)
     kappa2 = n_sum * graph.dim * c1_sq * (n_max + 1.0) * kappa1 / tau
     rho_min = 4.0 * d_max * d_max * (kappa1 + kappa2)

@@ -195,9 +195,17 @@ def _cmd_run(args) -> int:
     return EXIT_OK
 
 
-def _parse_rho(text: str) -> Optional[float]:
+def _parse_rho(text: str, option: str = "--rho") -> Optional[float]:
     """A ``--rho`` value: a number, or ``auto`` (``None``) for the bound."""
-    return None if text == "auto" else float(text)
+    return None if text == "auto" else _parse_number(text, option)
+
+
+def _parse_number(text: str, option: str, kind=float):
+    """``kind(text)``, or ``InvalidParameter`` naming the option and entry."""
+    try:
+        return kind(text)
+    except ValueError:
+        raise InvalidParameter(f"{option}: bad entry {text!r}") from None
 
 
 def _parse_metrics(spec: str) -> tuple:
@@ -212,9 +220,12 @@ def _cmd_sweep(args) -> int:
     graph, truth, measurements = network.load_network(args.net)
     if measurements is None:
         raise InvalidParameter(f"{args.net} carries no measurements")
-    c_values = [float(x) for x in args.c_list.split(",")]
-    rho_values = [_parse_rho(x) for x in args.rho_list.split(",")]
-    seeds = [int(x) for x in args.seeds.split(",")] if args.seeds else [_seed(args)]
+    c_values = [_parse_number(x, "--c-list") for x in args.c_list.split(",")]
+    rho_values = [_parse_rho(x, "--rho-list") for x in args.rho_list.split(",")]
+    if args.seeds:
+        seeds = [_parse_number(x, "--seeds", int) for x in args.seeds.split(",")]
+    else:
+        seeds = [_seed(args)]
 
     lines = ["c,rho,seed,final_rmse,min_F,diverged"]
     for c in c_values:

@@ -243,11 +243,6 @@ class EdgeLayout:
     and ``rev[e]`` is the row of the reverse edge: the gather ``x[rev]``
     hands every node the rows its neighbors hold toward it.
 
-    With the nodes ranked by falling degree (node ``i`` has rank
-    ``rank[i]``), ``columns[m]`` lists row ``offsets[i] + m`` of every node
-    with degree above ``m``, in rank order; so column ``m`` covers the
-    first ``len(columns[m])`` ranks.
-
     The solvers gather with ``np.take(x, idx, axis=0)``: it equals
     ``x[idx]`` but runs several times faster on ``(E, dim)`` arrays.
     """
@@ -259,31 +254,21 @@ class EdgeLayout:
     degrees: np.ndarray
     anchor_idx: np.ndarray
     anchor_pos: np.ndarray
-    rank: np.ndarray
-    columns: tuple[np.ndarray, ...]
 
     @classmethod
     def build(cls, csr, anchors: dict[int, np.ndarray], dim: int) -> "EdgeLayout":
         """The layout of the CSR graph ``(offsets, src, dst, rev)`` with the
         given anchor positions."""
         offsets, src, dst, rev = csr
-        degrees = np.diff(offsets)
-        by_degree = np.argsort(-degrees, kind="stable")
-        ranked = degrees[by_degree]
-        starts = offsets[by_degree]
         anchor_pos = np.stack(list(anchors.values())) if anchors else np.zeros((0, dim))
         return cls(
             offsets=offsets,
             src=src,
             dst=dst,
             rev=rev,
-            degrees=degrees,
+            degrees=np.diff(offsets),
             anchor_idx=np.fromiter(anchors, dtype=np.intp, count=len(anchors)),
             anchor_pos=anchor_pos,
-            rank=np.argsort(by_degree),
-            columns=tuple(
-                starts[: np.count_nonzero(ranked > m)] + m for m in range(int(ranked[0]))
-            ),
         )
 
     @property
@@ -299,18 +284,27 @@ class EdgeLayout:
         """The rows with ``src < dst``: the sorted edge list, in layout order."""
         return np.flatnonzero(self.src < self.dst)
 
-    def node_sum(self, x: np.ndarray) -> np.ndarray:
-        """Per node, the sum of its rows of the edge field ``x``.
+    @property
+    def dim(self) -> int:
+        return self.anchor_pos.shape[1]
 
-        Rows are added one degree column at a time, starting from zero and
-        in row order, which is the order ``x[rows].sum(axis=0)`` adds one
-        node's block in; the result is bit-identical to that per-node sum
-        (``np.add.reduceat`` is not: it groups the additions differently).
+    @cached_property
+    def bins(self) -> np.ndarray:
+        """Entry ``(e, k)`` of an ``(E, dim)`` edge field, flattened, goes to
+        entry ``(src[e], k)`` of the per-node sum: its flat index, per entry."""
+        return (self.src[:, None] * self.dim + np.arange(self.dim)).ravel()
+
+    def node_sum(self, x: np.ndarray) -> np.ndarray:
+        """Per node, the sum of its rows of the ``(E, dim)`` edge field ``x``.
+
+        ``np.bincount`` adds each bin's weights from zero in index order, so
+        each node's rows are added one at a time in row order, which is the
+        order ``x[rows].sum(axis=0)`` adds one node's block in; the result is
+        bit-identical to that per-node sum (``np.add.reduceat`` is not: it
+        groups the additions differently).
         """
-        acc = np.zeros((self.num_nodes,) + x.shape[1:])
-        for col in self.columns:
-            acc[: len(col)] += np.take(x, col, axis=0)
-        return np.take(acc, self.rank, axis=0)
+        n, dim = self.num_nodes, self.dim
+        return np.bincount(self.bins, weights=x.ravel(), minlength=n * dim).reshape(n, dim)
 
     def split(self, x) -> list:
         """Per-node slices of the rows of the edge field ``x`` (an array or a list)."""

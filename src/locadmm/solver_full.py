@@ -103,51 +103,25 @@ def as_positions(positions, graph: NetworkGraph) -> np.ndarray:
     return pos
 
 
-def initial_fields(
-    graph: NetworkGraph, spec: InitSpec, seed: int = 0, *, positional: bool = False
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Iteration-zero ``(p, z^-, z^+, u)``: positions ``(num_nodes, dim)`` and
-    edge fields ``(E, dim)`` in the graph's edge-layout order.
+def uniform_rows(spec: InitSpec, seed: int, count: int, dim: int) -> np.ndarray:
+    """``count`` rows drawn i.i.d. on ``[spec.lo, spec.hi)`` from one generator
+    seeded with ``seed``."""
+    if not (spec.lo < spec.hi and math.isfinite(spec.hi - spec.lo)):
+        raise InvalidInitSpec(f"uniform bounds [{spec.lo}, {spec.hi}) are empty or unbounded")
+    return np.random.default_rng(seed).uniform(spec.lo, spec.hi, (count, dim))
 
-    ``positional`` builds the replicas from a position map, as the
-    low-storage solver needs: ``uniform`` draws one position per node, and
-    ``directions`` points along those start positions. Otherwise ``uniform``
-    draws every block coordinate, node by node (p, then the z^- rows, then
-    the z^+ rows) from one seeded generator, and ``directions`` points along
-    ``spec.positions``.
-    """
-    if spec.kind not in InitSpec.KINDS:
-        raise InvalidInitSpec(f"unknown init kind {spec.kind!r}")
-    if spec.u_init not in InitSpec.U_KINDS:
-        raise InvalidInitSpec(f"unknown u_init {spec.u_init!r}")
-    lay = graph.layout
-    n, dim, num_edges = graph.num_nodes, graph.dim, lay.num_edges
 
+def start_positions(graph: NetworkGraph, spec: InitSpec, seed: int = 0) -> np.ndarray:
+    """One start position per node, ``(num_nodes, dim)``: ``spec.positions``
+    (``from_positions``), the origin (``zeros``), or one uniform draw per
+    node (``uniform``)."""
     if spec.kind == "from_positions":
-        pos = as_positions(spec.positions, graph)
-    elif spec.kind == "zeros":
-        pos = np.zeros((n, dim))
-    else:
-        if not (spec.lo < spec.hi and math.isfinite(spec.hi - spec.lo)):
-            raise InvalidInitSpec(f"uniform bounds [{spec.lo}, {spec.hi}) are empty or unbounded")
-        rng = np.random.default_rng(seed)
-        pos = rng.uniform(spec.lo, spec.hi, (n, dim)) if positional else None
-
-    if pos is not None:
-        p = pos
-        z_minus = np.take(pos, lay.src, axis=0)
-        z_plus = np.take(pos, lay.dst, axis=0)
-    else:
-        # Node i's draws start at row i + 2 offsets[i]: its p row, then its
-        # z^- rows, then its z^+ rows.
-        rows = rng.uniform(spec.lo, spec.hi, (n + 2 * num_edges, dim))
-        minus_rows = lay.src + lay.offsets[lay.src] + 1 + np.arange(num_edges)
-        p = np.take(rows, np.arange(n) + 2 * lay.offsets[:-1], axis=0)
-        z_minus = np.take(rows, minus_rows, axis=0)
-        z_plus = np.take(rows, minus_rows + lay.degrees[lay.src], axis=0)
-
-    u = initial_u(spec.u_init, pos if positional else spec.positions, graph)
-    return p, z_minus, z_plus, u
+        return as_positions(spec.positions, graph)
+    if spec.kind == "zeros":
+        return np.zeros((graph.num_nodes, graph.dim))
+    if spec.kind == "uniform":
+        return uniform_rows(spec, seed, graph.num_nodes, graph.dim)
+    raise InvalidInitSpec(f"unknown init kind {spec.kind!r}")
 
 
 def initial_u(u_init: str, positions, graph: NetworkGraph) -> np.ndarray:
@@ -168,11 +142,27 @@ def initial_u(u_init: str, positions, graph: NetworkGraph) -> np.ndarray:
 def init_full(graph: NetworkGraph, config: InitSpec, seed: int = 0) -> EdgeStates:
     """Build iteration-zero states for :func:`run_full`.
 
-    Uniform draws walk the nodes in order (p, then z^- rows, then z^+ rows)
-    from one seeded generator, so identical arguments give identical state.
+    ``zeros`` and ``from_positions`` build consensus-feasible blocks from
+    :func:`start_positions`. ``uniform`` draws every block coordinate, node by
+    node (p, then the z^- rows, then the z^+ rows), from one seeded
+    generator, so identical arguments give identical state. ``directions``
+    points along ``config.positions``.
     """
-    p, z_minus, z_plus, u = initial_fields(graph, config, seed)
-    return EdgeStates(EdgeBlocks(graph.layout.offsets, p, z_minus, z_plus), u, np.zeros_like(u))
+    lay = graph.layout
+    if config.kind == "uniform":
+        n, num_edges = graph.num_nodes, lay.num_edges
+        # Node i's draws start at row i + 2 offsets[i]: its p row, then its
+        # z^- rows, then its z^+ rows.
+        rows = uniform_rows(config, seed, n + 2 * num_edges, graph.dim)
+        minus_rows = lay.src + lay.offsets[lay.src] + 1 + np.arange(num_edges)
+        p = np.take(rows, np.arange(n) + 2 * lay.offsets[:-1], axis=0)
+        z_minus = np.take(rows, minus_rows, axis=0)
+        z_plus = np.take(rows, minus_rows + lay.degrees[lay.src], axis=0)
+    else:
+        p = start_positions(graph, config, seed)
+        z_minus, z_plus = np.take(p, lay.src, axis=0), np.take(p, lay.dst, axis=0)
+    u = initial_u(config.u_init, config.positions, graph)
+    return EdgeStates(EdgeBlocks(lay.offsets, p, z_minus, z_plus), u, np.zeros_like(u))
 
 
 def local_halfstep(

@@ -17,15 +17,15 @@ from typing import Optional
 import numpy as np
 
 from .engine import IterationEvent, RunResult, check_finite, quiet_fp
-from .errors import InvalidParameter, MissingMessage
+from .errors import InvalidInit, InvalidParameter, MissingMessage
 from .network import EdgeLayout, MeasurementSet, NetworkGraph
 from .solver_full import (
     InitSpec,
     as_positions,
     consensus_blocks,
-    initial_fields,
     initial_u,
     require_solvable,
+    start_positions,
 )
 from .structured_ops import (
     EdgeBlocks,
@@ -115,7 +115,7 @@ def serialize_state(state: LiteNodeState, c: float, rho: float) -> np.ndarray:
 def init_lite(
     graph: NetworkGraph,
     positions: np.ndarray,
-    u_init,
+    u_init: str,
     c: float,
     measurements: MeasurementSet,
 ) -> LiteStates:
@@ -124,28 +124,17 @@ def init_lite(
     With duals at zero and replicas built from positions, the accumulators
     start as ``alpha0 = c (x_i + x_i)`` and ``beta0 = -d u0 + x_i + x_j``.
     ``u_init`` is an init-spec keyword (``"zeros"``/``"half"``/
-    ``"directions"``) or an explicit per-node list of ``(degree, dim)``
-    arrays.
+    ``"directions"``, the last along ``positions``).
     """
     lay = graph.layout
     pos = as_positions(positions, graph)
-    if isinstance(u_init, str):
-        u = initial_u(u_init, pos, graph)
-    else:
-        u = edge_rows([np.asarray(x, dtype=float) for x in u_init], lay.offsets, "u_init")
+    u = initial_u(u_init, pos, graph)
     d = measurements.edge_ranges(graph)
-    alpha, beta = start_accumulators(lay, pos, u, d, c)
-    return LiteStates(lay.offsets, pos, u, np.zeros_like(u), alpha, beta, d)
-
-
-def start_accumulators(
-    layout: EdgeLayout, pos: np.ndarray, u: np.ndarray, d: np.ndarray, c: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """``alpha0`` and ``beta0`` as edge fields, for duals at zero."""
-    x_i = np.take(pos, layout.src, axis=0)
-    x_j = np.take(pos, layout.dst, axis=0)
+    x_i = np.take(pos, lay.src, axis=0)
+    x_j = np.take(pos, lay.dst, axis=0)
     with quiet_fp():
-        return c * (x_i + x_i), -(d[:, None] * u) + x_i + x_j
+        alpha, beta = c * (x_i + x_i), -(d[:, None] * u) + x_i + x_j
+    return LiteStates(lay.offsets, pos, u, np.zeros_like(u), alpha, beta, d)
 
 
 def step_lite(
@@ -279,11 +268,13 @@ def run_lite(
 
     ``init`` is an :class:`~locadmm.solver_full.InitSpec`, a
     :class:`LiteStates` (such as ``RunResult.states``, to resume a run; its
-    arrays are read, not copied) or a per-node state sequence. The
-    recursion needs consensus-feasible replicas at start, so positional
-    initialization is mandatory: ``from_positions`` uses the given map,
-    ``zeros`` starts every position at the origin, and ``uniform`` draws one
-    position per node (unlike the full solver's per-coordinate block draw).
+    arrays are read, not copied) or a per-node state sequence, whose ranges
+    must be those of ``measurements`` (:class:`~locadmm.errors.InvalidInit`
+    otherwise). The recursion needs consensus-feasible replicas at start,
+    so an ``InitSpec`` starts through :func:`init_lite` from
+    :func:`~locadmm.solver_full.start_positions`: ``uniform`` draws one
+    position per node there (unlike the full solver's per-coordinate block
+    draw).
     Hooks receive reconstructed full-state views; the half-step scratch is
     not reconstructed, so potential-function recording is unavailable here.
     Every node advances at once on edge arrays, bit-identical to
@@ -297,13 +288,12 @@ def run_lite(
     lay = graph.layout
 
     if isinstance(init, InitSpec):
-        p, _, _, u = initial_fields(graph, init, seed, positional=True)
-        d = measurements.edge_ranges(graph)
-        alpha, beta = start_accumulators(lay, p, u, d, c)
-        lam = np.zeros_like(u)
-    else:
-        start = LiteStates.of(init, lay)
-        p, u, lam, alpha, beta, d = start.p, start.u, start.lam, start.alpha, start.beta, start.d
+        init = init_lite(graph, start_positions(graph, init, seed), init.u_init, c, measurements)
+    start = LiteStates.of(init, lay)
+    d = measurements.edge_ranges(graph)
+    if start.d is not d and not np.array_equal(start.d, d):
+        raise InvalidInit("start ranges do not match the measurements")
+    p, u, lam, alpha, beta = start.p, start.u, start.lam, start.alpha, start.beta
 
     src, rev = lay.src, lay.rev
     dim = graph.dim

@@ -103,9 +103,6 @@ def per_node_graph(num_nodes: int, anchors: dict, edges) -> dict:
     flat_rev_pos = np.fromiter(
         itertools.chain.from_iterable(rev_pos), dtype=np.intp, count=num_edges
     )
-    by_degree = np.argsort(-degrees, kind="stable")
-    ranked = degrees[by_degree]
-    starts = offsets[by_degree]
     ids = sorted(anchors)
     return {
         "neighbors": neighbors,
@@ -119,10 +116,6 @@ def per_node_graph(num_nodes: int, anchors: dict, edges) -> dict:
         "degrees": degrees,
         "anchor_idx": np.array(ids, dtype=np.intp),
         "anchor_pos": np.stack([np.asarray(anchors[k], dtype=float) for k in ids]),
-        "rank": np.argsort(by_degree),
-        "columns": tuple(
-            starts[: np.count_nonzero(ranked > m)] + m for m in range(int(ranked[0]))
-        ),
     }
 
 

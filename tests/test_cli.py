@@ -268,6 +268,27 @@ class TestSweep:
         assert rmse_by_c[0.2] < rmse_by_c[2e3]
 
 
+class TestBadNumbers:
+    @pytest.mark.parametrize(
+        "argv, option, entry",
+        [
+            (["run", "--c", "0.1", "--rho", "abc", "--iters", "2"], "--rho", "abc"),
+            (["sweep", "--c-list", "0.1,x", "--rho-list", "0.1", "--iters", "2"],
+             "--c-list", "x"),
+            (["sweep", "--c-list", "0.1", "--rho-list", "0.1,", "--iters", "2"],
+             "--rho-list", ""),
+            (["sweep", "--c-list", "0.1", "--rho-list", "0.1", "--seeds", "1,a",
+              "--iters", "2"], "--seeds", "a"),
+        ],
+        ids=["rho", "c-list", "empty-rho-list-entry", "seeds"],
+    )
+    def test_one_error_line(self, net_file, argv, option, entry, capsys):
+        code = main([argv[0], "--net", str(net_file), *argv[1:]])
+        assert code == EXIT_ERROR
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: {option}: bad entry {entry!r}"]
+
+
 class TestOracleCheckCommand:
     def test_pass_and_exit_zero(self, tmp_path, capsys):
         net = tmp_path / "small.json"

@@ -323,6 +323,16 @@ class TestParameterBounds:
         assert bounds.d_max == 1.0
         assert bounds.rho_min == pytest.approx(2448.0)
 
+    def test_tau_equals_per_node_loop(self):
+        rng = np.random.default_rng(11)
+        for num_nodes in (2, 7, 15, 40):
+            graph, truth = random_connected_graph(rng, num_nodes, extra_edges=1.5)
+            meas = exact_measurements(graph, truth.positions)
+            for c in (1e-6, 0.0265, 0.3, 1.0, 7.5, 1e6):
+                c1_sq = (c + 1.0) ** 2
+                want = float(min(c1_sq * k * k + c * c * k + k for k in graph.degrees))
+                assert dg.parameter_bounds(graph, meas, c).tau_tilde_min == want
+
     def test_invalid_c(self):
         graph = make_graph(2, [(0, 1)], {0: [0.0, 0.0]})
         meas = MeasurementSet.from_pairs(graph, {(0, 1): 1.0})

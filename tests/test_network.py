@@ -207,7 +207,7 @@ class TestGenerateRggMatchesDense:
 class TestBuildMatchesPerNode:
     """``NetworkGraph.build`` on arrays against the per-node construction."""
 
-    LAYOUT_FIELDS = ("offsets", "src", "dst", "rev", "degrees", "anchor_idx", "anchor_pos", "rank")
+    LAYOUT_FIELDS = ("offsets", "src", "dst", "rev", "degrees", "anchor_idx", "anchor_pos")
 
     def assert_matches(self, graph, want):
         assert graph.neighbors == want["neighbors"]
@@ -218,9 +218,6 @@ class TestBuildMatchesPerNode:
             got, ref = getattr(graph.layout, name), want[name]
             assert got.dtype == ref.dtype and got.shape == ref.shape, name
             assert got.tobytes() == ref.tobytes(), name
-        assert len(graph.layout.columns) == len(want["columns"])
-        for got, ref in zip(graph.layout.columns, want["columns"]):
-            assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
 
     @PROPERTY_SETTINGS
     @given(st.data())
@@ -274,6 +271,36 @@ class TestBuildMatchesPerNode:
     def test_non_integer_ids_rejected(self, edges):
         with pytest.raises(InvalidParameter, match="^edges must be pairs of integer node ids$"):
             NetworkGraph.build(2, 3, {0: [0.0, 0.0]}, edges)
+
+
+@st.composite
+def stars(draw):
+    """A star graph: node 0, the one anchor, is the hub of degree N-1."""
+    n = draw(st.integers(2, 40))
+    dim = draw(st.sampled_from([2, 3]))
+    return NetworkGraph.build(dim, n, {0: np.zeros(dim)}, [(0, j) for j in range(1, n)])
+
+
+class TestNodeSum:
+    """``EdgeLayout.node_sum`` against each node's own ``sum(axis=0)``."""
+
+    @PROPERTY_SETTINGS
+    @given(st.one_of(graphs(max_nodes=20).map(lambda g: g[0]), stars()), st.data())
+    def test_matches_per_node_sum(self, graph, data):
+        lay = graph.layout
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        shape = (lay.num_edges, graph.dim)
+        # rows of magnitude 1e-8 .. 1e8, so a change of order changes bits
+        x = rng.normal(size=shape) * 10.0 ** rng.uniform(-8.0, 8.0, (lay.num_edges, 1))
+        x[rng.random(shape) < 0.2] = -0.0
+        want = np.stack([rows.sum(axis=0) for rows in lay.split(x)])
+        # a sum started from zero is never -0.0; adding 0.0 maps -0.0 to 0.0
+        assert lay.node_sum(x).tobytes() == (want + 0.0).tobytes()
+
+    def test_field_of_another_width_raises(self):
+        graph = NetworkGraph.build(3, 3, {0: np.zeros(3)}, [(0, 1), (1, 2)])
+        with pytest.raises(ValueError):
+            graph.layout.node_sum(np.ones((graph.layout.num_edges, 2)))
 
 
 class TestGraphInvariants:

@@ -278,6 +278,20 @@ class TestLiteStates:
             run_lite(graph, meas, params, states[:-1], 1)
 
 
+    def test_resume_with_other_ranges_is_rejected(self):
+        graph, meas, params, spec = self.setup_instance()
+        other = MeasurementSet(graph, meas.d * 1.5)
+        head = run_lite(graph, meas, params, spec, 2).states
+        for start in (head, list(head)):
+            with pytest.raises(InvalidInit, match="^start ranges do not match"):
+                run_lite(graph, other, params, start, 3)
+        # equal ranges in another array are accepted
+        same = MeasurementSet(graph, meas.d.copy())
+        tail = run_lite(graph, same, params, list(head), 3).states
+        whole = run_lite(graph, meas, params, spec, 5).states
+        assert tail.p.tobytes() == whole.p.tobytes()
+
+
 class TestStorage:
     def test_serialized_size_exact(self):
         rng = np.random.default_rng(5)
