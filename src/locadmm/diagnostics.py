@@ -160,14 +160,18 @@ def parameter_bounds(graph: NetworkGraph, measurements: MeasurementSet, c: float
     n_max = int(degrees.max())
     n_sum = int(degrees.sum())
     d_max = float(measurements.max_range)
+    overflow = InvalidParameter(f"c = {c} overflows the parameter bounds")
     try:
         c1_sq = (c + 1.0) ** 2
     except OverflowError as exc:
-        raise InvalidParameter(f"c = {c} overflows the parameter bounds") from exc
-    tau = float((c1_sq * degrees * degrees + c * c * degrees + degrees).min())
+        raise overflow from exc
+    with np.errstate(over="ignore"):
+        tau = float((c1_sq * degrees * degrees + c * c * degrees + degrees).min())
     kappa1 = 6.0 * (n_max + 1.0) * (1.0 + 1.0 / c)
     kappa2 = n_sum * graph.dim * c1_sq * (n_max + 1.0) * kappa1 / tau
     rho_min = 4.0 * d_max * d_max * (kappa1 + kappa2)
+    if not all(map(math.isfinite, (tau, kappa2, rho_min))):
+        raise overflow
     return ParameterBounds(
         kappa1_min=kappa1,
         kappa2_min=kappa2,

@@ -11,6 +11,7 @@ overrides ``--seed`` everywhere. All files are UTF-8; traces are CSV with a
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from dataclasses import dataclass
@@ -296,7 +297,11 @@ def _cmd_compare(args) -> int:
     return EXIT_OK
 
 
+@functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The ``locadmm`` argument parser, built once per process and shared:
+    parsing leaves it unchanged, and every call to ``main`` gets a fresh
+    namespace from it."""
     parser = argparse.ArgumentParser(
         prog="locadmm",
         description="Distributed range-based localization solvers and diagnostics.",
@@ -366,8 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except LocadmmError as exc:

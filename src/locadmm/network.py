@@ -8,6 +8,7 @@ data plus pure functions; instances are safe to share read-only.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import json
 import math
@@ -610,24 +611,69 @@ def save_network(
     truth: GroundTruth | None = None,
     measurements: MeasurementSet | None = None,
 ) -> None:
-    """Write a network file; see the schema comment above."""
-    nodes = []
-    for i in range(graph.num_nodes):
-        entry: dict = {"id": i, "anchor": i in graph.anchors}
-        if i in graph.anchors:
-            entry["anchor_pos"] = [float(x) for x in graph.anchors[i]]
-        if truth is not None:
-            entry["pos"] = [float(x) for x in truth.positions[i]]
-        nodes.append(entry)
-    edges = [{"i": i, "j": j} for i, j in graph.edge_list]
+    """Write a network file; see the schema comment above.
+
+    The text is exactly what ``json.dump(doc, fh, indent=1)`` and a newline
+    write for the schema's document, assembled from per-node and per-edge
+    templates in one pass (``json`` falls back to its pure-Python encoder
+    whenever it indents).
+    """
     if measurements is not None:
         measurements._check(graph)
-        for entry, d in zip(edges, measurements.d.tolist()):
-            entry["d"] = d
-    doc = {"schema_version": SCHEMA_VERSION, "dim": graph.dim, "nodes": nodes, "edges": edges}
+    lay = graph.layout
+    vec = "[\n    " + ",\n    ".join(["%s"] * graph.dim) + "\n   ]"
+    pos = ',\n   "pos": ' + vec if truth is not None else ""
+    plain = '  {\n   "id": %d,\n   "anchor": false' + pos + "\n  }"
+    anchor = '  {\n   "id": %d,\n   "anchor": true,\n   "anchor_pos": ' + vec + pos + "\n  }"
+    anchor_rows = dict(zip(lay.anchor_idx.tolist(), _json_rows(lay.anchor_pos)))
+    pos_rows = [()] * graph.num_nodes
+    if truth is not None:
+        positions = truth.positions[: graph.num_nodes]
+        if positions.shape != (graph.num_nodes, graph.dim):
+            raise InvalidParameter(
+                f"truth positions have shape {truth.positions.shape}, "
+                f"the graph needs ({graph.num_nodes}, {graph.dim})"
+            )
+        pos_rows = _json_rows(positions)
+    nodes = ",\n".join([
+        anchor % (i, *anchor_rows[i], *row) if i in anchor_rows else plain % (i, *row)
+        for i, row in enumerate(pos_rows)
+    ])
+
+    fwd = lay.forward
+    columns = [lay.src[fwd].tolist(), lay.dst[fwd].tolist()]
+    d_field = ""
+    if measurements is not None:
+        columns.append(_json_numbers(measurements.d))
+        d_field = ',\n   "d": %s'
+    edge = '  {\n   "i": %d,\n   "j": %d' + d_field + "\n  }"
+    edges = ",\n".join(map(edge.__mod__, zip(*columns)))
+    edges = "[\n" + edges + "\n ]" if edges else "[]"
+
+    text = (
+        f'{{\n "schema_version": {SCHEMA_VERSION},\n "dim": {graph.dim},\n'
+        f' "nodes": [\n{nodes}\n ],\n "edges": {edges}\n}}\n'
+    )
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
+        fh.write(text)
+
+
+# how json spells the floats that have no JSON literal
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_numbers(x: np.ndarray) -> list[str]:
+    """The entries of the float array ``x``, flattened, each as ``json``
+    writes it: ``float.__repr__``, or ``NaN``, ``Infinity``, ``-Infinity``."""
+    text = list(map(float.__repr__, x.ravel().tolist()))
+    if not np.isfinite(x).all():
+        text = [_JSON_NONFINITE.get(t, t) for t in text]
+    return text
+
+
+def _json_rows(x: np.ndarray) -> list[tuple[str, ...]]:
+    """The rows of the 2-d float array ``x`` as ``_json_numbers`` tuples."""
+    return list(zip(*[iter(_json_numbers(x))] * x.shape[1]))
 
 
 def load_network(path):
@@ -637,6 +683,11 @@ def load_network(path):
     A disconnected graph loads successfully but carries
     ``graph.connected == False`` and emits a warning; solvers refuse such
     graphs.
+
+    The entries are checked a column at a time (every id, then every
+    anchor flag, ...), but the error raised is the one for the first fault
+    in file order: all node entries come before all edge entries, and each
+    entry's checks run in the order of the schema's fields.
 
     Raises
     ------
@@ -654,111 +705,220 @@ def load_network(path):
     except (ValueError, RecursionError) as exc:  # bad UTF-8, over-long integers, deep nesting
         raise ParseError(f"not valid JSON: {exc}") from exc
 
-    if not isinstance(doc, dict):
+    # json.load makes exact dicts, lists, strs, ints, floats, bools and
+    # None, so `type(x) is int` tells an integer from a boolean
+    if type(doc) is not dict:
         raise ParseError("top level: expected an object")
     version = doc.get("schema_version")
-    if not _is_int(version) or version != SCHEMA_VERSION:
+    if type(version) is not int or version != SCHEMA_VERSION:
         raise SchemaVersionMismatch(f"schema_version: expected {SCHEMA_VERSION}, got {version!r}")
     dim = doc.get("dim")
-    if not _is_int(dim) or dim not in (2, 3):
+    if type(dim) is not int or dim not in (2, 3):
         raise ParseError(f"dim: expected 2 or 3, got {dim!r}")
     raw_nodes = doc.get("nodes")
-    if not isinstance(raw_nodes, list) or not raw_nodes:
+    if type(raw_nodes) is not list or not raw_nodes:
         raise ParseError("nodes: expected a non-empty list")
     raw_edges = doc.get("edges")
-    if not isinstance(raw_edges, list):
+    if type(raw_edges) is not list:
         raise ParseError("edges: expected a list")
 
     num_nodes = len(raw_nodes)
-    seen_ids: set[int] = set()
-    anchors: dict[int, np.ndarray] = {}
-    positions: dict[int, np.ndarray] = {}
-    for idx, entry in enumerate(raw_nodes):
-        where = f"nodes[{idx}]"
-        if not isinstance(entry, dict):
-            raise ParseError(f"{where}: expected an object")
-        nid = entry.get("id")
-        if not _is_int(nid) or not 0 <= nid < num_nodes:
-            raise ParseError(f"{where}.id: ids must be dense 0-based integers, got {nid!r}")
-        if nid in seen_ids:
-            raise ParseError(f"{where}.id: duplicate id {nid}")
-        seen_ids.add(nid)
-        is_anchor = entry.get("anchor")
-        if not isinstance(is_anchor, bool):
-            raise ParseError(f"{where}.anchor: expected a boolean")
-        if is_anchor:
-            anchors[nid] = _parse_vector(entry.get("anchor_pos"), dim, f"{where}.anchor_pos")
-        if "pos" in entry:
-            positions[nid] = _parse_vector(entry["pos"], dim, f"{where}.pos")
+    ids, anchors, anchor_pos, with_pos, pos = _node_columns(raw_nodes, num_nodes, dim)
+    i, j, d, order = _edge_columns(raw_edges, num_nodes)
 
-    direction_seen: dict[tuple[int, int], tuple[int, int]] = {}
-    edges: dict[tuple[int, int], float | None] = {}
-    for idx, entry in enumerate(raw_edges):
-        where = f"edges[{idx}]"
-        if not isinstance(entry, dict):
-            raise ParseError(f"{where}: expected an object")
-        i, j = entry.get("i"), entry.get("j")
-        if not (_is_int(i) and _is_int(j)):
-            raise ParseError(f"{where}: i and j must be integers")
-        if i == j or not (0 <= i < num_nodes and 0 <= j < num_nodes):
-            raise ParseError(f"{where}: invalid edge ({i},{j})")
-        dval = entry.get("d")
-        if dval is not None:
-            dval = _parse_number(dval, f"{where}.d")
-            if dval < 0:
-                raise ParseError(f"{where}.d: expected a finite non-negative number")
-        key = (min(i, j), max(i, j))
-        if key in edges:
-            prev = edges[key]
-            pi, pj = direction_seen[key]
-            if prev != dval:
-                raise ParseError(
-                    f"{where}: asymmetric duplicate edge ({i},{j}) d={dval!r} "
-                    f"conflicts with ({pi},{pj}) d={prev!r}"
-                )
-            raise ParseError(f"{where}: duplicate edge ({i},{j})")
-        edges[key] = dval
-        direction_seen[key] = (i, j)
-
-    if not anchors:
+    if not anchors.size:
         raise ParseError("nodes: at least one anchor entry is required")
-    graph = NetworkGraph.build(dim, num_nodes, anchors, edges.keys())
+    anchor_map = dict(zip(ids[anchors].tolist(), anchor_pos))
+    graph = NetworkGraph.build(dim, num_nodes, anchor_map, np.stack([i, j], axis=1))
     if not graph.connected:
         warnings.warn("loaded network is not connected; solvers will reject it")
 
     truth = None
-    if positions:
-        if len(positions) != num_nodes:
-            missing = sorted(set(range(num_nodes)) - set(positions))
+    if with_pos.size:
+        if with_pos.size != num_nodes:
+            missing = sorted(np.delete(ids, with_pos).tolist())
             raise ParseError(f"nodes: pos given for some nodes but missing for {missing}")
-        mat = np.stack([positions[i] for i in range(num_nodes)])
-        for k, apos in graph.anchors.items():
-            if not np.array_equal(mat[k], apos):
-                raise ParseError(f"nodes[{k}]: pos differs from anchor_pos")
+        mat = np.empty((num_nodes, dim))
+        mat[ids[with_pos]] = pos
+        lay = graph.layout
+        differs = (mat[lay.anchor_idx] != lay.anchor_pos).any(axis=1)
+        if differs.any():
+            k = int(lay.anchor_idx[np.argmax(differs)])
+            raise ParseError(f"nodes[{k}]: pos differs from anchor_pos")
         truth = GroundTruth(mat)
 
-    have_d = [v is not None for v in edges.values()]
     measurements = None
-    if any(have_d):
-        if not all(have_d):
+    if d.size:
+        if d.size != len(raw_edges):
             raise ParseError("edges: d given for some edges but not all")
-        measurements = MeasurementSet.from_pairs(graph, edges)
+        measurements = MeasurementSet(graph, d[order])
 
     return graph, truth, measurements
 
 
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
+class _FirstFault:
+    """The first fault, in file order, of a list of entries that each take
+    the same checks in the same order.
+
+    The checks run one at a time, each as one pass over a column of the
+    entries before ``end``, the first fault found so far. A check thus meets
+    only entries that passed every earlier check, and a fault it finds comes
+    before ``end``, so it becomes the first.
+    """
+
+    def __init__(self, count: int):
+        self.end = count
+        self.message: str | None = None
+
+    def at(self, k: int | None, message) -> None:
+        """A fault at entry ``k`` (``None``: no fault), reported as ``message(k)``."""
+        if k is not None and k < self.end:
+            self.end, self.message = k, message(k)
+
+    def raise_first(self) -> None:
+        if self.message is not None:
+            raise ParseError(self.message)
 
 
-def _parse_number(raw, where: str) -> float:
-    """A finite JSON number: an integer or a float, not a boolean or string."""
-    if (_is_int(raw) or isinstance(raw, float)) and abs(raw) <= sys.float_info.max:
-        return float(raw)
-    raise ParseError(f"{where}: expected a finite number, got {raw!r:.40}")
+def _first(flags) -> int | None:
+    """The index of the first true entry of ``flags``, or ``None``."""
+    return next(itertools.compress(itertools.count(), flags), None)
 
 
-def _parse_vector(raw, dim: int, where: str) -> np.ndarray:
-    if not isinstance(raw, list) or len(raw) != dim:
-        raise ParseError(f"{where}: expected a list of {dim} numbers")
-    return np.array([_parse_number(x, f"{where}[{k}]") for k, x in enumerate(raw)])
+def _first_non_number(values: list) -> int | None:
+    """The index of the first entry of ``values`` that is not a finite JSON
+    number (an int or a float, not a boolean), or ``None``."""
+    return _first(
+        not ((type(x) is float or type(x) is int) and abs(x) <= sys.float_info.max)
+        for x in values
+    )
+
+
+def _first_repeat(keys: np.ndarray, order: np.ndarray) -> tuple[int, int] | None:
+    """``(k, first)``: the first entry of ``keys`` equal to an earlier one,
+    and the entry it repeats; ``None`` when the keys differ. ``order`` is
+    ``np.argsort(keys, kind="stable")``."""
+    ranked = keys[order]
+    later = np.flatnonzero(ranked[1:] == ranked[:-1]) + 1
+    if not later.size:
+        return None
+    # the first repeat in file order is the second entry of its key
+    s = later[np.argmin(order[later])]
+    return int(order[s]), int(order[s - 1])
+
+
+def _node_columns(raw: list, num_nodes: int, dim: int):
+    """The checked node entries as ``(ids, anchors, anchor_pos, with_pos,
+    pos)``: the ids in entry order, the entry indices of the anchors and
+    their ``(A, dim)`` positions, and the entry indices that give ``pos``
+    and their ``(P, dim)`` positions."""
+    fault = _FirstFault(len(raw))
+    fault.at(_first(type(e) is not dict for e in raw), lambda k: f"nodes[{k}]: expected an object")
+    entries = raw[: fault.end]
+    ids = list(map(dict.get, entries, itertools.repeat("id")))
+    fault.at(
+        _first(type(x) is not int or not 0 <= x < num_nodes for x in ids),
+        lambda k: f"nodes[{k}].id: ids must be dense 0-based integers, got {ids[k]!r}",
+    )
+    id_arr = np.array(ids[: fault.end], dtype=np.intp)
+    repeat = _first_repeat(id_arr, np.argsort(id_arr, kind="stable"))
+    fault.at(
+        None if repeat is None else repeat[0],
+        lambda k: f"nodes[{k}].id: duplicate id {ids[k]}",
+    )
+    flags = list(map(dict.get, entries[: fault.end], itertools.repeat("anchor")))
+    fault.at(
+        _first(type(x) is not bool for x in flags),
+        lambda k: f"nodes[{k}].anchor: expected a boolean",
+    )
+    anchors = list(itertools.compress(range(fault.end), flags))
+    anchor_pos = _vectors(fault, entries, anchors, "anchor_pos", dim)
+    with_pos = [k for k in range(fault.end) if "pos" in entries[k]]
+    pos = _vectors(fault, entries, with_pos, "pos", dim)
+    fault.raise_first()
+    return (
+        id_arr,
+        np.array(anchors, dtype=np.intp),
+        anchor_pos,
+        np.array(with_pos, dtype=np.intp),
+        pos,
+    )
+
+
+def _vectors(fault: _FirstFault, entries: list, rows: list, key: str, dim: int):
+    """The ``key`` vectors of the node entries ``rows`` (ascending), checked,
+    as an ``(len(rows), dim)`` float array; ``None`` after a fault."""
+    vecs = [entries[k].get(key) for k in rows]
+    m = _first(type(v) is not list or len(v) != dim for v in vecs)
+    fault.at(
+        None if m is None else rows[m],
+        lambda k: f"nodes[{k}].{key}: expected a list of {dim} numbers",
+    )
+    values = list(itertools.chain.from_iterable(vecs[: bisect.bisect_left(rows, fault.end)]))
+    m = _first_non_number(values)
+    if m is not None:
+        fault.at(
+            rows[m // dim],
+            lambda k: (
+                f"nodes[{k}].{key}[{m % dim}]: expected a finite number, got {values[m]!r:.40}"
+            ),
+        )
+        return None
+    # checked numbers convert exactly as float() converts them
+    return np.array(values, dtype=float).reshape(-1, dim)
+
+
+def _edge_columns(raw: list, num_nodes: int):
+    """The checked edge entries as ``(i, j, d, order)``: the end points in
+    entry order, the ranges of the entries that give one, and the entry
+    order that sorts the edges as ``NetworkGraph.edge_list`` does."""
+    fault = _FirstFault(len(raw))
+    fault.at(_first(type(e) is not dict for e in raw), lambda k: f"edges[{k}]: expected an object")
+    entries = raw[: fault.end]
+    i = list(map(dict.get, entries, itertools.repeat("i")))
+    j = list(map(dict.get, entries, itertools.repeat("j")))
+    fault.at(
+        _first(type(a) is not int or type(b) is not int for a, b in zip(i, j)),
+        lambda k: f"edges[{k}]: i and j must be integers",
+    )
+    fault.at(
+        _first(
+            a == b or not (0 <= a < num_nodes and 0 <= b < num_nodes)
+            for a, b in zip(i[: fault.end], j[: fault.end])
+        ),
+        lambda k: f"edges[{k}]: invalid edge ({i[k]},{j[k]})",
+    )
+    d = list(map(dict.get, entries[: fault.end], itertools.repeat("d")))
+    given = [k for k, x in enumerate(d) if x is not None]
+    d_given = [d[k] for k in given]
+    m = _first_non_number(d_given)
+    fault.at(
+        None if m is None else given[m],
+        lambda k: f"edges[{k}].d: expected a finite number, got {d[k]!r:.40}",
+    )
+    given = given[: bisect.bisect_left(given, fault.end)]
+    d_arr = np.array(d_given[: len(given)], dtype=float)
+    negative = np.flatnonzero(d_arr < 0)
+    fault.at(
+        given[negative[0]] if negative.size else None,
+        lambda k: f"edges[{k}].d: expected a finite non-negative number",
+    )
+
+    a = np.array(i[: fault.end], dtype=np.intp)
+    b = np.array(j[: fault.end], dtype=np.intp)
+    keys = np.minimum(a, b) * num_nodes + np.maximum(a, b)
+    order = np.argsort(keys, kind="stable")
+    repeat = _first_repeat(keys, order)
+    if repeat is not None:
+        k, p = repeat
+        dk, dp = (None if d[x] is None else float(d[x]) for x in repeat)
+        if dk != dp:
+            message = (
+                f"edges[{k}]: asymmetric duplicate edge ({i[k]},{j[k]}) d={dk!r} "
+                f"conflicts with ({i[p]},{j[p]}) d={dp!r}"
+            )
+        else:
+            message = f"edges[{k}]: duplicate edge ({i[k]},{j[k]})"
+        fault.at(k, lambda k: message)
+    fault.raise_first()
+    return a, b, d_arr, order

@@ -7,15 +7,35 @@ and ``list.index``). The array versions in ``locadmm.network`` must give
 bit-identical results; the tests compare the two. ``loop_objective_original``
 is the per-edge form of ``structured_ops.objective_original``, which sums
 in another order and so agrees only to rounding.
+
+``json_save_network`` and ``entry_load_network`` are the network-file round
+trip as a document handed to ``json.dump(..., indent=1)``, and as one
+validation pass per node and edge entry. ``save_network`` must write the
+same bytes, and ``load_network`` must load the same instance or raise the
+same error with the same message.
 """
 
 import itertools
+import json
 import math
+import sys
+import warnings
 
 import numpy as np
 
-from locadmm.errors import ConnectivityFailure, InvalidParameter
-from locadmm.network import MAX_LAYOUT_ATTEMPTS, GroundTruth, NetworkGraph
+from locadmm.errors import (
+    ConnectivityFailure,
+    InvalidParameter,
+    ParseError,
+    SchemaVersionMismatch,
+)
+from locadmm.network import (
+    MAX_LAYOUT_ATTEMPTS,
+    SCHEMA_VERSION,
+    GroundTruth,
+    MeasurementSet,
+    NetworkGraph,
+)
 
 
 def _is_connected(num_nodes: int, neighbors) -> bool:
@@ -143,3 +163,149 @@ def loop_objective_original(estimates, measurements) -> float:
         gap = float(np.linalg.norm(p_i - p_j)) - d_ij
         total += gap * gap
     return total
+
+
+def json_save_network(
+    path,
+    graph: NetworkGraph,
+    truth: GroundTruth | None = None,
+    measurements: MeasurementSet | None = None,
+) -> None:
+    """``save_network`` through ``json.dump(doc, fh, indent=1)``."""
+    nodes = []
+    for i in range(graph.num_nodes):
+        entry: dict = {"id": i, "anchor": i in graph.anchors}
+        if i in graph.anchors:
+            entry["anchor_pos"] = [float(x) for x in graph.anchors[i]]
+        if truth is not None:
+            entry["pos"] = [float(x) for x in truth.positions[i]]
+        nodes.append(entry)
+    edges = [{"i": i, "j": j} for i, j in graph.edge_list]
+    if measurements is not None:
+        measurements._check(graph)
+        for entry, d in zip(edges, measurements.d.tolist()):
+            entry["d"] = d
+    doc = {"schema_version": SCHEMA_VERSION, "dim": graph.dim, "nodes": nodes, "edges": edges}
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=1)
+        fh.write("\n")
+
+
+def entry_load_network(path):
+    """``load_network`` checking one node or edge entry at a time."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"not valid JSON: line {exc.lineno} col {exc.colno}") from exc
+    except (ValueError, RecursionError) as exc:  # bad UTF-8, over-long integers, deep nesting
+        raise ParseError(f"not valid JSON: {exc}") from exc
+
+    if not isinstance(doc, dict):
+        raise ParseError("top level: expected an object")
+    version = doc.get("schema_version")
+    if not _is_int(version) or version != SCHEMA_VERSION:
+        raise SchemaVersionMismatch(f"schema_version: expected {SCHEMA_VERSION}, got {version!r}")
+    dim = doc.get("dim")
+    if not _is_int(dim) or dim not in (2, 3):
+        raise ParseError(f"dim: expected 2 or 3, got {dim!r}")
+    raw_nodes = doc.get("nodes")
+    if not isinstance(raw_nodes, list) or not raw_nodes:
+        raise ParseError("nodes: expected a non-empty list")
+    raw_edges = doc.get("edges")
+    if not isinstance(raw_edges, list):
+        raise ParseError("edges: expected a list")
+
+    num_nodes = len(raw_nodes)
+    seen_ids: set[int] = set()
+    anchors: dict[int, np.ndarray] = {}
+    positions: dict[int, np.ndarray] = {}
+    for idx, entry in enumerate(raw_nodes):
+        where = f"nodes[{idx}]"
+        if not isinstance(entry, dict):
+            raise ParseError(f"{where}: expected an object")
+        nid = entry.get("id")
+        if not _is_int(nid) or not 0 <= nid < num_nodes:
+            raise ParseError(f"{where}.id: ids must be dense 0-based integers, got {nid!r}")
+        if nid in seen_ids:
+            raise ParseError(f"{where}.id: duplicate id {nid}")
+        seen_ids.add(nid)
+        is_anchor = entry.get("anchor")
+        if not isinstance(is_anchor, bool):
+            raise ParseError(f"{where}.anchor: expected a boolean")
+        if is_anchor:
+            anchors[nid] = _parse_vector(entry.get("anchor_pos"), dim, f"{where}.anchor_pos")
+        if "pos" in entry:
+            positions[nid] = _parse_vector(entry["pos"], dim, f"{where}.pos")
+
+    direction_seen: dict[tuple[int, int], tuple[int, int]] = {}
+    edges: dict[tuple[int, int], float | None] = {}
+    for idx, entry in enumerate(raw_edges):
+        where = f"edges[{idx}]"
+        if not isinstance(entry, dict):
+            raise ParseError(f"{where}: expected an object")
+        i, j = entry.get("i"), entry.get("j")
+        if not (_is_int(i) and _is_int(j)):
+            raise ParseError(f"{where}: i and j must be integers")
+        if i == j or not (0 <= i < num_nodes and 0 <= j < num_nodes):
+            raise ParseError(f"{where}: invalid edge ({i},{j})")
+        dval = entry.get("d")
+        if dval is not None:
+            dval = _parse_number(dval, f"{where}.d")
+            if dval < 0:
+                raise ParseError(f"{where}.d: expected a finite non-negative number")
+        key = (min(i, j), max(i, j))
+        if key in edges:
+            prev = edges[key]
+            pi, pj = direction_seen[key]
+            if prev != dval:
+                raise ParseError(
+                    f"{where}: asymmetric duplicate edge ({i},{j}) d={dval!r} "
+                    f"conflicts with ({pi},{pj}) d={prev!r}"
+                )
+            raise ParseError(f"{where}: duplicate edge ({i},{j})")
+        edges[key] = dval
+        direction_seen[key] = (i, j)
+
+    if not anchors:
+        raise ParseError("nodes: at least one anchor entry is required")
+    graph = NetworkGraph.build(dim, num_nodes, anchors, edges.keys())
+    if not graph.connected:
+        warnings.warn("loaded network is not connected; solvers will reject it")
+
+    truth = None
+    if positions:
+        if len(positions) != num_nodes:
+            missing = sorted(set(range(num_nodes)) - set(positions))
+            raise ParseError(f"nodes: pos given for some nodes but missing for {missing}")
+        mat = np.stack([positions[i] for i in range(num_nodes)])
+        for k, apos in graph.anchors.items():
+            if not np.array_equal(mat[k], apos):
+                raise ParseError(f"nodes[{k}]: pos differs from anchor_pos")
+        truth = GroundTruth(mat)
+
+    have_d = [v is not None for v in edges.values()]
+    measurements = None
+    if any(have_d):
+        if not all(have_d):
+            raise ParseError("edges: d given for some edges but not all")
+        measurements = MeasurementSet.from_pairs(graph, edges)
+
+    return graph, truth, measurements
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _parse_number(raw, where: str) -> float:
+    """A finite JSON number: an integer or a float, not a boolean or string."""
+    if (_is_int(raw) or isinstance(raw, float)) and abs(raw) <= sys.float_info.max:
+        return float(raw)
+    raise ParseError(f"{where}: expected a finite number, got {raw!r:.40}")
+
+
+def _parse_vector(raw, dim: int, where: str) -> np.ndarray:
+    if not isinstance(raw, list) or len(raw) != dim:
+        raise ParseError(f"{where}: expected a list of {dim} numbers")
+    return np.array([_parse_number(x, f"{where}[{k}]") for k, x in enumerate(raw)])

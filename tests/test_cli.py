@@ -1,10 +1,11 @@
 import os
+import warnings
 
 import numpy as np
 import pytest
 
 from locadmm import network
-from locadmm.harness import EXIT_DIVERGED, EXIT_ERROR, EXIT_OK, main
+from locadmm.harness import EXIT_DIVERGED, EXIT_ERROR, EXIT_OK, build_parser, main
 
 
 @pytest.fixture(autouse=True)
@@ -191,6 +192,17 @@ class TestRun:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
 
+    def test_overflowing_bounds_name_c(self, net_file, capsys):
+        # (c + 1)^2 is finite at c = 1e154, but tau and rho_min are not
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["run", "--net", str(net_file), "--iters", "3",
+                         "--c", "1e154", "--rho", "auto"])
+        assert code == EXIT_ERROR
+        assert not caught
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: c = 1e+154 overflows the parameter bounds"]
+
 
 class TestSweep:
     def test_grid_shape(self, net_file, tmp_path):
@@ -327,3 +339,54 @@ class TestCompare:
         graph, truth, _ = network.load_network(net_file)
         _, est_positions, _ = network.load_network(est)
         assert value == network.rmse(est_positions.positions, truth, graph)
+
+
+class TestParserReuse:
+    """``main`` builds its parser once per process: no option, default or
+    ``--wall`` state may carry over from one call to the next."""
+
+    @staticmethod
+    def calls(net, out):
+        run = ["run", "--net", str(net), "--c", "0.1", "--iters", "5"]
+        return [
+            run + ["--algo", "full", "--rho", "0.1", "--wall", "--metrics", "all",
+                   "--trace", str(out / "wall.csv"), "--est", str(out / "wall.json")],
+            run + ["--trace", str(out / "plain.csv"), "--est", str(out / "plain.json")],
+            ["sweep", "--net", str(net), "--c-list", "0.1,1e308", "--rho-list", "0.1,0.2",
+             "--iters", "3"],
+            run + ["--rho", "abc"],
+            run + ["--iters", "abc"],
+        ]
+
+    @staticmethod
+    def outcome(argv, out, capsys):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = ("exit", exc.code)
+        printed = capsys.readouterr()
+        files = {}
+        for path in sorted(out.iterdir()):
+            text = path.read_text()
+            if path.name == "wall.csv":  # the wall_ms column differs from run to run
+                text = "\n".join(line.rsplit(",", 1)[0] for line in text.splitlines())
+            files[path.name] = text
+            path.unlink()
+        return code, printed.out, printed.err, files
+
+    def test_calls_match_fresh_parsers(self, net_file, tmp_path, capsys):
+        out = tmp_path / "out"
+        out.mkdir()
+        fresh = []
+        for argv in self.calls(net_file, out):
+            build_parser.cache_clear()
+            fresh.append(self.outcome(argv, out, capsys))
+        build_parser.cache_clear()
+        shared = [self.outcome(argv, out, capsys) for argv in self.calls(net_file, out)]
+        assert build_parser.cache_info().misses == 1
+        assert shared == fresh
+        codes = [c for c, *_ in fresh]
+        assert codes == [EXIT_OK, EXIT_OK, EXIT_OK, EXIT_ERROR, ("exit", 2)]
+        assert fresh[2][1].endswith(",,,1\n")  # the divergent sweep cell
+        plain = fresh[1][3]["plain.csv"].splitlines()
+        assert plain[-1].endswith(",")  # no wall time without --wall

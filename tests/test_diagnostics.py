@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -338,6 +340,15 @@ class TestParameterBounds:
         meas = MeasurementSet.from_pairs(graph, {(0, 1): 1.0})
         with pytest.raises(InvalidParameter):
             dg.parameter_bounds(graph, meas, 0.0)
+
+    @pytest.mark.parametrize("c", [1e152, 1e154, 1e300, 1e-320])
+    def test_overflowing_c_named(self, c):
+        # (c + 1)^2 stays finite at 1e152 and 1e154, but tau, kappa2 or
+        # rho_min do not; 1 / c overflows at 1e-320
+        graph, truth = random_connected_graph(np.random.default_rng(3), 12, extra_edges=1.5)
+        meas = exact_measurements(graph, truth.positions)
+        with pytest.raises(InvalidParameter, match=re.escape(f"c = {c} overflows the parameter bounds")):
+            dg.parameter_bounds(graph, meas, c)
 
 
 class TestEnvelope:

@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -15,6 +16,7 @@ from locadmm.errors import (
     ConnectivityFailure,
     EmptyFreeSet,
     InvalidParameter,
+    LocadmmError,
     MissingPosition,
     ParseError,
     SchemaVersionMismatch,
@@ -36,7 +38,13 @@ from locadmm.solver_lite import run_lite
 from locadmm.structured_ops import PenaltyParams
 
 from conftest import graphs, make_graph, random_connected_graph
-from network_reference import dense_generate_rgg, loop_measure, per_node_graph
+from network_reference import (
+    dense_generate_rgg,
+    entry_load_network,
+    json_save_network,
+    loop_measure,
+    per_node_graph,
+)
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -854,3 +862,275 @@ class TestLoadNetworkFuzz:
         path.write_bytes(valid.replace(b'"dim"', b'"d\xffm"'))
         with pytest.raises(ParseError):
             _load(path)
+
+
+# -- the file round trip against its json.dump and per-entry references ------
+
+# values json spells in its own ways, or that round-trip only through repr
+SPECIAL_FLOATS = [
+    -0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-310, 1e308, -1e308,
+    1.7976931348623157e308, math.nan, math.inf, -math.inf, 0.1, 1e16, 1e-5,
+]
+
+
+@st.composite
+def network_documents(draw):
+    """A graph of 1-8 nodes, possibly without edges, with or without truth
+    and ranges, whose floats include -0.0, subnormals, 1e308, NaN and +-inf."""
+    n = draw(st.integers(1, 8))
+    dim = draw(st.sampled_from([2, 3]))
+    node = st.integers(0, n - 1)
+    edges = [(i, j) for i, j in draw(st.lists(st.tuples(node, node), max_size=12)) if i != j]
+    value = st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats())
+
+    def floats(*shape):
+        size = math.prod(shape)
+        return np.array(draw(st.lists(value, min_size=size, max_size=size))).reshape(shape)
+
+    anchor_ids = draw(st.permutations(range(n)))[: draw(st.integers(1, n))]
+    graph = NetworkGraph.build(dim, n, {k: floats(dim) for k in anchor_ids}, edges)
+    truth = GroundTruth(floats(n, dim)) if draw(st.booleans()) else None
+    meas = MeasurementSet(graph, floats(len(graph.edge_list))) if draw(st.booleans()) else None
+    return graph, truth, meas
+
+
+def _reference_108():
+    graph, truth = generate_rgg(108, 8, 0.23, seed=28)
+    return graph, truth, measure(truth, graph, NoiseModel("additive-white", 0.02), seed=1)
+
+
+class TestSaveNetworkMatchesJson:
+    @staticmethod
+    def same_bytes(root, graph, truth, meas):
+        save_network(root / "new.json", graph, truth, meas)
+        json_save_network(root / "ref.json", graph, truth, meas)
+        return (root / "new.json").read_bytes() == (root / "ref.json").read_bytes()
+
+    @PROPERTY_SETTINGS
+    @given(network_documents())
+    def test_random_documents(self, tmp_path_factory, instance):
+        assert self.same_bytes(tmp_path_factory.mktemp("save"), *instance)
+
+    @pytest.mark.parametrize("n", [1, 4])
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_graph_without_edges(self, tmp_path, n, dim):
+        graph = NetworkGraph.build(dim, n, {0: np.zeros(dim)}, [])
+        truth = GroundTruth(np.full((n, dim), -0.0))
+        for args in [(None, None), (truth, None), (truth, MeasurementSet(graph, []))]:
+            assert self.same_bytes(tmp_path, graph, *args)
+        assert b'"edges": []' in (tmp_path / "new.json").read_bytes()
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_generated_networks(self, tmp_path, dim):
+        if dim == 2:
+            graph, truth, meas = _reference_108()
+        else:
+            graph, truth = generate_rgg(60, 6, 0.4, dim=3, seed=5)
+            meas = measure(truth, graph, NoiseModel("range-dependent", 0.01), seed=2)
+        for args in [(truth, meas), (None, meas), (truth, None), (None, None)]:
+            assert self.same_bytes(tmp_path, graph, *args)
+
+    def test_truth_of_the_wrong_shape_rejected(self, tmp_path):
+        graph, truth, _ = _valid_doc()
+        with pytest.raises(InvalidParameter, match="truth positions"):
+            save_network(tmp_path / "short.json", graph, GroundTruth(truth.positions[:-1]))
+        assert not (tmp_path / "short.json").exists()
+
+
+def _outcome(load, path):
+    """What ``load(path)`` gives: the error's type and message, or the
+    instance's edges, anchors, truth and ranges as bytes, and the warnings."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            graph, truth, meas = load(path)
+        except LocadmmError as exc:
+            return type(exc), str(exc)
+    return (
+        graph.dim,
+        graph.num_nodes,
+        graph.edge_list,
+        [(k, v.tobytes()) for k, v in graph.anchors.items()],
+        None if truth is None else truth.positions.tobytes(),
+        None if meas is None else meas.d.tobytes(),
+        [str(w.message) for w in caught],
+    )
+
+
+@st.composite
+def broken_entry(draw, doc, where, k):
+    """``doc`` (a copy) with entry ``k`` of ``doc[where]`` given one fault of
+    type (as ``mistyped`` makes) or of meaning: a repeated or out-of-range
+    id, a self-loop, a repeated edge, a negative range, a missing field, a
+    truth position off its anchor position, ..."""
+    doc = json.loads(json.dumps(doc))
+    entries = doc[where]
+    as_dict = lambda x: x if isinstance(x, dict) else {}  # an earlier fault may have replaced it
+    entry = entries[k] = as_dict(entries[k])
+    other = as_dict(entries[draw(st.integers(0, len(entries) - 1), label="other")])
+    n, dim = len(doc["nodes"]), doc["dim"]
+    if where == "nodes":
+        changes = [
+            ("id", other.get("id")), ("id", -1), ("id", n), ("anchor", not entry.get("anchor")),
+            ("pos", [0.25] * dim), ("pos", [0.5] * (dim + 1)), ("pos", None),
+            ("anchor_pos", [-0.0] * dim), ("anchor_pos", [1, 2.5, "x"][:dim]),
+        ]
+        fields = ["id", "anchor", "anchor_pos", "pos"]
+    else:
+        changes = [
+            ("i", entry.get("j")), ("j", n), ("i", -1), ("d", -0.5), ("d", -0.0),
+            ("d", None), ("d", other.get("d")), ("d", math.inf), ("d", 10**400),
+            ("i", other.get("i")), ("j", other.get("j")), ("swap", None), ("copy", None),
+        ]
+        fields = ["i", "j", "d"]
+    kind = draw(st.sampled_from(["change", "delete", "mistype", "replace"]), label="kind")
+    if kind == "change":
+        key, value = draw(st.sampled_from(changes), label="change")
+        if key == "swap":
+            entry["i"], entry["j"] = other.get("j"), other.get("i")
+        elif key == "copy":
+            entries[k] = dict(other)
+        else:
+            entry[key] = value
+    elif kind == "delete":
+        entry.pop(draw(st.sampled_from(fields), label="field"), None)
+    elif kind == "mistype":
+        key = draw(st.sampled_from(fields), label="field")
+        entry[key] = draw(st.sampled_from(sorted(JSON_KINDS)).flatmap(JSON_KINDS.get))
+    else:
+        entries[k] = draw(st.sampled_from(["object", "list", "null", "int"]).flatmap(
+            lambda kind: JSON_KINDS[kind].filter(lambda x: kind != "object" or not x)
+        ))
+    return doc
+
+
+@st.composite
+def two_broken_entries(draw, doc):
+    """``doc`` with a fault in each of two different node or edge entries."""
+    entries = [("nodes", k) for k in range(len(doc["nodes"]))]
+    entries += [("edges", k) for k in range(len(doc["edges"]))]
+    first, second = draw(st.lists(st.sampled_from(entries), min_size=2, max_size=2, unique=True))
+    return draw(broken_entry(draw(broken_entry(doc, *first)), *second))
+
+
+class TestLoadNetworkMatchesEntryLoader:
+    """The column loader loads what the per-entry loader loads, and rejects
+    every file it rejects with the same error: same type, same message,
+    naming the same first fault in file order."""
+
+    @staticmethod
+    def same(doc_or_bytes, path):
+        if isinstance(doc_or_bytes, bytes):
+            path.write_bytes(doc_or_bytes)
+        else:
+            path.write_text(json.dumps(doc_or_bytes), encoding="utf-8")
+        new, ref = _outcome(load_network, path), _outcome(entry_load_network, path)
+        assert new == ref
+        return new
+
+    def test_valid_files(self, fuzz_files, tmp_path):
+        data, doc, path = fuzz_files
+        assert len(self.same(data, path)) == 7
+        # entries in any order, edges in either orientation
+        doc = json.loads(json.dumps(doc))
+        doc["nodes"].reverse()
+        doc["edges"] = [{"i": e["j"], "j": e["i"], "d": e["d"]} for e in doc["edges"][::-1]]
+        assert len(self.same(doc, path)) == 7
+        doc["edges"][3]["d"] = -0.0  # not below zero
+        assert len(self.same(doc, path)) == 7
+        for instance in (_reference_108(), _valid_doc()):
+            for truth, meas in [(instance[1], instance[2]), (None, instance[2]), (None, None)]:
+                save_network(tmp_path / "net.json", instance[0], truth, meas)
+                assert len(self.same((tmp_path / "net.json").read_bytes(), path)) == 7
+
+    @FUZZ_SETTINGS
+    @given(data=st.data())
+    def test_mistyped(self, fuzz_files, data):
+        _, doc, path = fuzz_files
+        self.same(data.draw(mistyped(doc)), path)
+
+    @FUZZ_SETTINGS
+    @given(data=st.data())
+    def test_truncated_or_flipped_bytes(self, fuzz_files, data):
+        valid, _, path = fuzz_files
+        raw = bytearray(valid[: data.draw(st.integers(0, len(valid)), label="cut")])
+        flips = st.tuples(st.integers(0, max(len(raw) - 1, 0)), st.integers(1, 255))
+        for pos, mask in data.draw(st.lists(flips, max_size=4 if raw else 0), label="flips"):
+            raw[pos] ^= mask
+        self.same(bytes(raw), path)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("dim", 2.0), ("d", True), ("id", True), ("pos", ["0.5", "0.5"]), ("d", 10**400)],
+        ids=["float-dim", "bool-d", "bool-id", "string-pos", "huge-int-d"],
+    )
+    def test_reported_mistypes(self, fuzz_files, field, value):
+        _, doc, path = fuzz_files
+        doc = json.loads(json.dumps(doc))
+        target = {"dim": doc, "d": doc["edges"][0], "id": doc["nodes"][1], "pos": doc["nodes"][1]}
+        target[field][field] = value
+        assert self.same(doc, path)[0] is ParseError
+
+    @pytest.mark.parametrize(
+        "value, loads",
+        [(int(sys.float_info.max), True), (int(sys.float_info.max) + 1, False),
+         (2**53 + 1, True), (-(2**64), True)],
+    )
+    def test_integers_at_the_float_range(self, fuzz_files, value, loads):
+        # an integer range converts exactly as float() converts it, and one
+        # beyond the largest float is rejected even where float() rounds it down
+        _, doc, path = fuzz_files
+        doc = json.loads(json.dumps(doc))
+        doc["edges"][2]["d"] = abs(value)
+        doc["nodes"][0]["pos"][1] = value
+        assert (len(self.same(doc, path)) == 7) == loads
+
+    @FUZZ_SETTINGS
+    @given(data=st.data())
+    def test_one_broken_entry(self, fuzz_files, data):
+        _, doc, path = fuzz_files
+        where = data.draw(st.sampled_from(["nodes", "edges"]), label="where")
+        k = data.draw(st.integers(0, len(doc[where]) - 1), label="entry")
+        self.same(data.draw(broken_entry(doc, where, k)), path)
+
+    @FUZZ_SETTINGS
+    @given(data=st.data())
+    def test_two_broken_entries(self, fuzz_files, data):
+        _, doc, path = fuzz_files
+        self.same(data.draw(two_broken_entries(doc)), path)
+
+    @FUZZ_SETTINGS
+    @given(data=st.data())
+    def test_two_faults_in_one_entry(self, fuzz_files, data):
+        _, doc, path = fuzz_files
+        where = data.draw(st.sampled_from(["nodes", "edges"]), label="where")
+        k = data.draw(st.integers(0, len(doc[where]) - 1), label="entry")
+        self.same(data.draw(broken_entry(data.draw(broken_entry(doc, where, k)), where, k)), path)
+
+    @pytest.mark.parametrize(
+        "faults, message",
+        [
+            ([("nodes", 4, "id", 1), ("nodes", 2, "anchor", "no")], r"nodes\[2\]\.anchor"),
+            ([("nodes", 1, "pos", [0.5]), ("nodes", 3, "id", 9)], r"nodes\[1\]\.pos"),
+            ([("edges", 5, "d", -1.0), ("edges", 3, "i", "0")], r"edges\[3\]: i and j"),
+            ([("edges", 0, "d", None), ("edges", 2, "d", math.nan)], r"edges\[2\]\.d"),
+            ([("nodes", 3, "id", 1), ("nodes", 3, "anchor", 0)], r"nodes\[3\]\.id: dup"),
+            # the repeat of the edge that sorts first comes last in the file
+            ([("edges", 11, "copy", 0), ("edges", 3, "copy", 10)], r"edges\[10\]: duplicate"),
+            ([("edges", 5, "copy", 0), ("edges", 0, "d", -0.0)],
+             r"edges\[5\]: asymmetric duplicate edge \(0,2\) d=0\.2\d+ conflicts with "
+             r"\(0,2\) d=-0\.0$"),
+        ],
+        ids=["node-order", "node-field-order", "edge-order", "range-after-missing-one",
+             "id-before-anchor", "repeat-in-file-order", "asymmetric-repeat"],
+    )
+    def test_first_fault_in_file_order_wins(self, fuzz_files, faults, message):
+        _, doc, path = fuzz_files
+        doc = json.loads(json.dumps(doc))
+        for where, k, key, value in faults:
+            if key == "copy":
+                doc[where][k] = dict(doc[where][value])
+            else:
+                doc[where][k][key] = value
+        kind, text = self.same(doc, path)
+        assert kind is ParseError and re.match(message, text)
