@@ -24,7 +24,8 @@ from .errors import InvalidParameter, NonFiniteValue
 from .network import GroundTruth, MeasurementSet, NetworkGraph, rmse
 from .structured_ops import EdgeBlocks, EdgeStates, PenaltyParams, edge_rows, project_consensus
 
-TRACE_COLUMNS = ("t", "rmse", "S", "U", "P", "F", "L", "potential", "comm_scalars", "wall_ms")
+METRICS = ("rmse", "S", "U", "P", "F", "L", "potential")
+TRACE_COLUMNS = ("t", *METRICS, "comm_scalars", "wall_ms")
 DEFAULT_METRICS = ("rmse", "S", "U", "P", "F", "L")
 
 
@@ -259,7 +260,7 @@ class IterationTrace:
     metadata: dict = field(default_factory=dict)
 
     def append(self, row: TraceRow) -> None:
-        for name in ("rmse", "S", "U", "P", "F", "L", "potential"):
+        for name in METRICS:
             val = getattr(row, name)
             if val is not None and not math.isfinite(val):
                 raise NonFiniteValue(f"metric {name} non-finite at iteration {row.t}")
@@ -273,7 +274,7 @@ class IterationTrace:
         lines.append(",".join(TRACE_COLUMNS))
         for row in self.rows:
             cells = [str(row.t)]
-            for name in ("rmse", "S", "U", "P", "F", "L", "potential"):
+            for name in METRICS:
                 val = getattr(row, name)
                 cells.append("" if val is None else repr(val))
             cells.append(str(row.comm_scalars))
@@ -309,7 +310,7 @@ class TraceRecorder:
         potential_coeffs: Optional[tuple[float, float]] = None,
         metadata: Optional[dict] = None,
     ):
-        unknown = set(metrics) - {"rmse", "S", "U", "P", "F", "L", "potential", "wall"}
+        unknown = set(metrics) - {*METRICS, "wall"}
         if unknown:
             raise InvalidParameter(f"unknown metrics {sorted(unknown)}")
         if "rmse" in metrics and truth is None:

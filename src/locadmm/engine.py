@@ -46,8 +46,9 @@ Hook = Callable[[IterationEvent], None]
 @dataclass
 class RunResult:
     """Final solver output: node states (``EdgeStates``, or ``LiteStates``
-    from the low-storage solver), stacked position estimates, and the
-    recorded trace when metrics were requested."""
+    from the low-storage solver) and stacked position estimates. The
+    solvers leave ``trace`` at ``None``; the command-line harness attaches
+    the trace it recorded."""
 
     states: Sequence
     estimates: np.ndarray

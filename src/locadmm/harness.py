@@ -14,10 +14,10 @@ import argparse
 import functools
 import os
 import sys
-from dataclasses import dataclass
 from typing import Optional
 
 from . import diagnostics, network, oracle
+from .engine import RunResult
 from .errors import InvalidParameter, LocadmmError, NonFiniteValue
 from .solver_full import InitSpec, run_full
 from .solver_lite import run_lite
@@ -30,59 +30,38 @@ EXIT_DIVERGED = 2
 THREADS_HELP = "kept for compatibility; has no effect"
 
 
-@dataclass
-class RunConfig:
-    """Everything a solver run depends on besides the network file itself."""
+def execute_run(graph, truth, measurements, args, *, c, rho, seed, metrics) -> RunResult:
+    """Run ``args.algo`` for ``args.iters`` iterations from the start that
+    ``args.init``, ``args.init_lo``, ``args.init_hi`` and ``args.u0`` name
+    (options of ``run`` and ``sweep``), recording ``metrics``.
 
-    algo: str = "full"
-    c: float = 0.1
-    rho: Optional[float] = None  # None means "auto" from the parameter bounds
-    rho_scale: float = 1.0
-    iters: int = 100
-    init: str = "zeros"
-    init_lo: float = -1.0
-    init_hi: float = 1.0
-    u0: str = "zeros"
-    seed: int = 0
-    metrics: tuple = diagnostics.DEFAULT_METRICS
-
-    def __post_init__(self):
-        if self.algo not in ("full", "lite"):
-            raise InvalidParameter(f"algo must be full or lite, got {self.algo!r}")
-        if self.iters < 1:
-            raise InvalidParameter("iterations must be >= 1")
-        if not (self.c > 0.0):
-            raise InvalidParameter("c must be > 0")
-        if self.rho is not None and not (self.rho > 0.0):
-            raise InvalidParameter("rho must be > 0")
-
-
-def execute_run(graph, truth, measurements, config: RunConfig, record_wall=False):
-    """Run one solver configuration and return ``(result, recorder, bounds)``."""
+    ``rho=None`` runs at the bound for ``c`` times ``args.rho_scale``.
+    ``rmse`` is dropped without truth, and ``potential`` for ``lite``. The
+    returned result carries the trace.
+    """
     bounds = None
-    rho = config.rho
     if rho is None:
-        bounds = diagnostics.parameter_bounds(graph, measurements, config.c)
-        rho = bounds.rho_min * config.rho_scale
-    params = PenaltyParams(c=config.c, rho=rho)
+        bounds = diagnostics.parameter_bounds(graph, measurements, c)
+        rho = bounds.rho_min * args.rho_scale
+    params = PenaltyParams(c=c, rho=rho)
 
-    metrics = list(config.metrics)
+    metrics = list(metrics)
     if truth is None and "rmse" in metrics:
         metrics.remove("rmse")
-    if record_wall and "wall" not in metrics:
-        metrics.append("wall")
-    if config.algo == "lite" and "potential" in metrics:
+    if args.algo == "lite" and "potential" in metrics:
         metrics.remove("potential")
 
-    positions = truth.positions if truth is not None else None
-    if config.init == "truth" and positions is None:
-        raise InvalidParameter("init 'truth' needs a network file with positions")
-    init = _init_spec(config, positions)
+    kind, positions = args.init, None
+    if kind == "truth":
+        if truth is None:
+            raise InvalidParameter("init 'truth' needs a network file with positions")
+        kind, positions = "from_positions", truth.positions
+    init = InitSpec(kind, lo=args.init_lo, hi=args.init_hi, positions=positions, u_init=args.u0)
 
     potential_coeffs = None
     if "potential" in metrics:
         if bounds is None:
-            bounds = diagnostics.parameter_bounds(graph, measurements, config.c)
+            bounds = diagnostics.parameter_bounds(graph, measurements, c)
         potential_coeffs = (bounds.kappa1_min, bounds.kappa2_min)
 
     recorder = diagnostics.TraceRecorder(
@@ -93,41 +72,29 @@ def execute_run(graph, truth, measurements, config: RunConfig, record_wall=False
         metrics=metrics,
         potential_coeffs=potential_coeffs,
         metadata={
-            "algorithm": config.algo,
+            "algorithm": args.algo,
             "c": repr(params.c),
             "rho": repr(params.rho),
             "kappa1": "" if bounds is None else repr(bounds.kappa1_min),
             "kappa2": "" if bounds is None else repr(bounds.kappa2_min),
-            "seed": config.seed,
-            "iters": config.iters,
-            "init": config.init,
-            "u0": config.u0,
+            "seed": seed,
+            "iters": args.iters,
+            "init": args.init,
+            "u0": args.u0,
         },
     )
-    runner = run_full if config.algo == "full" else run_lite
-    result = runner(
-        graph,
-        measurements,
-        params,
-        init,
-        config.iters,
-        seed=config.seed,
-        hook=recorder,
-    )
+    runner = run_full if args.algo == "full" else run_lite
+    result = runner(graph, measurements, params, init, args.iters, seed=seed, hook=recorder)
     result.trace = recorder.trace
-    return result, recorder, bounds
+    return result
 
 
-def _init_spec(config: RunConfig, positions) -> InitSpec:
-    if config.init == "zeros":
-        return InitSpec(kind="zeros", u_init=config.u0)
-    if config.init == "uniform":
-        return InitSpec(
-            kind="uniform", lo=config.init_lo, hi=config.init_hi, u_init=config.u0
-        )
-    if config.init == "truth":
-        return InitSpec(kind="from_positions", positions=positions, u_init=config.u0)
-    raise InvalidParameter(f"unknown init {config.init!r}")
+def _load_measured(path):
+    """``load_network(path)``, which must carry measurements."""
+    graph, truth, measurements = network.load_network(path)
+    if measurements is None:
+        raise InvalidParameter(f"{path} carries no measurements")
+    return graph, truth, measurements
 
 
 def _seed(args) -> int:
@@ -158,38 +125,23 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    graph, truth, measurements = network.load_network(args.net)
-    if measurements is None:
-        raise InvalidParameter(f"{args.net} carries no measurements")
-    rho = _parse_rho(args.rho)
-    metrics = _parse_metrics(args.metrics)
-    config = RunConfig(
-        algo=args.algo,
-        c=args.c,
-        rho=rho,
-        rho_scale=args.rho_scale,
-        iters=args.iters,
-        init=args.init,
-        init_lo=args.init_lo,
-        init_hi=args.init_hi,
-        u0=args.u0,
-        seed=_seed(args),
-        metrics=metrics,
-    )
+    graph, truth, measurements = _load_measured(args.net)
+    metrics = _parse_metrics(args.metrics) + (("wall",) if args.wall else ())
     try:
-        result, recorder, _ = execute_run(
-            graph, truth, measurements, config, record_wall=args.wall
+        result = execute_run(
+            graph, truth, measurements, args,
+            c=args.c, rho=_parse_rho(args.rho), seed=_seed(args), metrics=metrics,
         )
     except NonFiniteValue as exc:
         print(f"diverged: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
     if args.trace:
-        recorder.trace.to_csv(args.trace)
+        result.trace.to_csv(args.trace)
     if args.est:
         est_truth = network.GroundTruth(result.estimates)
         network.save_network(args.est, graph, est_truth, measurements)
-    final = recorder.trace.rows[-1]
-    summary = f"done: iters={config.iters}"
+    final = result.trace.rows[-1]
+    summary = f"done: iters={args.iters}"
     if final.rmse is not None:
         summary += f" rmse={final.rmse!r}"
     print(summary)
@@ -213,14 +165,12 @@ def _parse_metrics(spec: str) -> tuple:
     if spec == "none":
         return ()
     if spec == "all":
-        return ("rmse", "S", "U", "P", "F", "L", "potential")
+        return diagnostics.METRICS
     return tuple(s for s in spec.split(",") if s)
 
 
 def _cmd_sweep(args) -> int:
-    graph, truth, measurements = network.load_network(args.net)
-    if measurements is None:
-        raise InvalidParameter(f"{args.net} carries no measurements")
+    graph, truth, measurements = _load_measured(args.net)
     c_values = [_parse_number(x, "--c-list") for x in args.c_list.split(",")]
     rho_values = [_parse_rho(x, "--rho-list") for x in args.rho_list.split(",")]
     if args.seeds:
@@ -235,31 +185,20 @@ def _cmd_sweep(args) -> int:
                 # resolved as execute_run resolves "auto", so the CSV names it
                 rho = diagnostics.parameter_bounds(graph, measurements, c).rho_min
             for seed in seeds:
-                config = RunConfig(
-                    algo=args.algo,
-                    c=c,
-                    rho=rho,
-                    iters=args.iters,
-                    init=args.init,
-                    init_lo=args.init_lo,
-                    init_hi=args.init_hi,
-                    u0=args.u0,
-                    seed=seed,
-                    metrics=("rmse", "F") if truth is not None else ("F",),
-                )
                 try:
-                    _, recorder, _ = execute_run(graph, truth, measurements, config)
-                    rows = recorder.trace.rows
-                    final_rmse = rows[-1].rmse
-                    gaps = [r.F for r in rows if r.F is not None]
-                    min_gap = min(gaps) if gaps else None
-                    lines.append(
-                        f"{c!r},{rho!r},{seed},"
-                        f"{'' if final_rmse is None else repr(final_rmse)},"
-                        f"{'' if min_gap is None else repr(min_gap)},0"
-                    )
+                    rows = execute_run(
+                        graph, truth, measurements, args,
+                        c=c, rho=rho, seed=seed, metrics=("rmse", "F"),
+                    ).trace.rows
                 except NonFiniteValue:
                     lines.append(f"{c!r},{rho!r},{seed},,,1")
+                    continue
+                final_rmse = rows[-1].rmse
+                min_gap = min(r.F for r in rows[1:])  # F is recorded from t = 1 on
+                lines.append(
+                    f"{c!r},{rho!r},{seed},"
+                    f"{'' if final_rmse is None else repr(final_rmse)},{min_gap!r},0"
+                )
     text = "\n".join(lines) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -270,9 +209,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_oracle_check(args) -> int:
-    graph, _, measurements = network.load_network(args.net)
-    if measurements is None:
-        raise InvalidParameter(f"{args.net} carries no measurements")
+    graph, _, measurements = _load_measured(args.net)
     report = oracle.oracle_check(
         graph, measurements, c=args.c, seed=_seed(args), trials=args.trials
     )

@@ -215,7 +215,6 @@ def combine_z(
     c: float,
     node: Optional[int] = None,
     neighbors: Optional[Sequence[int]] = None,
-    anchor: Optional[np.ndarray] = None,
 ) -> NodeBlockVector:
     """Closed-form combine of own and received half-step replicas.
 
@@ -239,7 +238,7 @@ def combine_z(
                 )
     recv_minus = np.stack([m.payload_minus for m in incoming]) if k else np.zeros((0, ztilde_i.dim))
     recv_plus = np.stack([m.payload_plus for m in incoming]) if k else np.zeros((0, ztilde_i.dim))
-    p_new = np.asarray(anchor, dtype=float).copy() if anchor is not None else ztilde_i.p.copy()
+    p_new = ztilde_i.p.copy()
     zm_new = (c * ztilde_i.z_minus + recv_plus) / (c + 1.0)
     zp_new = (ztilde_i.z_plus + c * recv_minus) / (c + 1.0)
     return NodeBlockVector(p_new, zm_new, zp_new)

@@ -277,6 +277,11 @@ def run_lite(
     draw).
     Hooks receive reconstructed full-state views; the half-step scratch is
     not reconstructed, so potential-function recording is unavailable here.
+    At iteration 0 the replicas are the start positions' consensus copies
+    for an ``InitSpec``; a resumed start (stacked or per-node states) gives
+    the replicas its accumulators hold, ``z^- = (alpha - lam)/c - p`` and
+    ``z^+ = beta + d u - p``, which is the uninterrupted run's view up to
+    rounding.
     Every node advances at once on edge arrays, bit-identical to
     :func:`step_lite` and :func:`full_view`; ``threads`` is accepted for
     compatibility and ignored.
@@ -287,7 +292,8 @@ def run_lite(
     c, rho = params.c, params.rho
     lay = graph.layout
 
-    if isinstance(init, InitSpec):
+    from_spec = isinstance(init, InitSpec)
+    if from_spec:
         init = init_lite(graph, start_positions(graph, init, seed), init.u_init, c, measurements)
     start = LiteStates.of(init, lay)
     d = measurements.edge_ranges(graph)
@@ -301,8 +307,17 @@ def run_lite(
 
     view = None
     if hook is not None:
-        x_i, x_j = np.take(p, src, axis=0), np.take(p, lay.dst, axis=0)
-        view = EdgeStates(EdgeBlocks(lay.offsets, p, x_i, x_j), u, lam)
+        p_src = np.take(p, src, axis=0)
+        if from_spec:
+            # the consensus replicas init_lite built the accumulators from
+            z_minus, z_plus = p_src, np.take(p, lay.dst, axis=0)
+        else:
+            # the replicas the accumulators hold, inverting
+            # alpha = lam + c (p + z^-) and beta = -d u + p + z^+
+            with quiet_fp():
+                z_minus = (alpha - lam) / c - p_src
+                z_plus = beta + d[:, None] * u - p_src
+        view = EdgeStates(EdgeBlocks(lay.offsets, p, z_minus, z_plus), u, lam)
         hook(IterationEvent(0, view, None, None, 0))
     scale = 2.0 * (c + 1.0)
     # Each coefficient computed per edge as _advance_node does, then spread.

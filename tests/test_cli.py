@@ -183,8 +183,15 @@ class TestRun:
             ["--c", "1e308", "--rho", "auto"],
             ["--c", "0.1", "--rho", "0.1", "--init", "uniform", "--init-lo=-1e308",
              "--init-hi=1e308"],
+            ["--c", "-1", "--rho", "0.1"],
+            ["--c", "0.1", "--rho", "0"],
+            ["--c", "0.1", "--rho", "0.1", "--iters", "0"],
+            ["--c", "nan", "--rho", "0.1"],
+            ["--algo", "full", "--c", "0.1", "--rho", "0.1", "--init", "zeros",
+             "--u0", "directions"],
         ],
-        ids=["c-overflows-bounds", "c-overflows-auto-rho", "unbounded-uniform-init"],
+        ids=["c-overflows-bounds", "c-overflows-auto-rho", "unbounded-uniform-init",
+             "negative-c", "zero-rho", "zero-iters", "nan-c", "full-zeros-directions"],
     )
     def test_overflowing_parameters_are_invalid(self, net_file, flags, capsys):
         code = main(["run", "--net", str(net_file), "--iters", "3", *flags])
@@ -255,6 +262,14 @@ class TestSweep:
         assert [r[5] for r in rows] == ["0", "0"]
         final_rmse = trace.read_text().splitlines()[-1].split(",")[1]
         assert rows[0][3] == final_rmse
+
+    def test_zero_iters_is_invalid(self, net_file, capsys):
+        code = main(["sweep", "--net", str(net_file), "--c-list", "0.1",
+                     "--rho-list", "0.1", "--iters", "0"])
+        assert code == EXIT_ERROR
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
     def test_interior_optimum_in_c(self, tmp_path):
         # a fixed-rho row: extreme penalties do worse than a moderate one

@@ -1,4 +1,5 @@
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -489,3 +490,38 @@ class TestTrace:
         assert all(row.S is not None for row in rec.trace.rows)
         assert all(row.F is not None for row in rec.trace.rows[1:])
         assert len(calls) == 6
+
+
+class TestResumedTrace:
+    """A run resumed from returned states records, at its iteration 0, the
+    row the uninterrupted run records at the iteration it stopped."""
+
+    @staticmethod
+    def instance():
+        graph, truth = network.generate_rgg(108, 8, 0.23, seed=28)
+        meas = network.measure(truth, graph, network.NoiseModel(sigma_add=0.02), 1028)
+        return graph, meas
+
+    @pytest.mark.parametrize("runner", [run_full, run_lite])
+    @pytest.mark.parametrize("c", [0.0265, 1.0])
+    @pytest.mark.parametrize("head_iters", [5, 200])
+    def test_first_row_continues_the_run(self, runner, c, head_iters):
+        graph, meas = self.instance()
+        params, spec = PenaltyParams(c, 0.0265), InitSpec(kind="zeros", u_init="half")
+
+        def recorder():
+            return dg.TraceRecorder(graph, meas, params, metrics=("S", "P", "L"))
+
+        whole = recorder()
+        runner(graph, meas, params, spec, head_iters + 2, hook=whole)
+        head = runner(graph, meas, params, spec, head_iters).states
+        for start in (head, list(head)):
+            tail = recorder()
+            runner(graph, meas, params, start, 2, hook=tail)
+            first, want = tail.trace.rows[0], whole.trace.rows[head_iters]
+            for name in ("S", "P", "L"):
+                a, b = getattr(first, name), getattr(want, name)
+                assert abs(a - b) <= 1e-9 * abs(b), (name, a, b)
+            assert tail.trace.rows[1:] == [
+                replace(row, t=row.t - head_iters) for row in whole.trace.rows[head_iters + 1:]
+            ]
