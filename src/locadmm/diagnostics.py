@@ -8,6 +8,9 @@ under the parameter bounds, and the bounds themselves. All functions are
 pure over state snapshots: ``EdgeStates`` as hooks get them, or per-node
 lists that ``EdgeStates.of`` stacks once. They evaluate the closed forms of
 :mod:`locadmm.structured_ops` on every edge of those ``(E, dim)`` arrays.
+Each metric's formula is written once, in :class:`MetricPass`, which
+evaluates any set of metrics in one pass, for one run or for every copy of
+a grid; each public metric function is a pass of one metric.
 """
 
 from __future__ import annotations
@@ -21,41 +24,230 @@ import numpy as np
 
 from .engine import IterationEvent, quiet_fp
 from .errors import InvalidParameter, NonFiniteValue
-from .network import GroundTruth, MeasurementSet, NetworkGraph, rmse
-from .structured_ops import EdgeBlocks, EdgeStates, PenaltyParams, edge_rows, project_consensus
+from .network import GroundTruth, MeasurementSet, NetworkGraph, copy_rmse
+from .structured_ops import (
+    EdgeBlocks,
+    EdgeStates,
+    PenaltyParams,
+    consensus_rows,
+    edge_rows,
+    spread,
+)
 
 METRICS = ("rmse", "S", "U", "P", "F", "L", "potential")
 TRACE_COLUMNS = ("t", *METRICS, "comm_scalars", "wall_ms")
 DEFAULT_METRICS = ("rmse", "S", "U", "P", "F", "L")
 
 
-def _sq(a: np.ndarray) -> float:
-    return float((a * a).sum())
+# The squared norms each metric reads: edge residuals, each one row of the
+# metric pass's (K, rows, dim) buffer, and node residuals, each one row of
+# its (K, nodes, dim) buffer.
+_EDGE_TERMS = {
+    "S": ("lam", "loss"),
+    "F": ("proj_minus", "proj_plus", "feas", "step"),
+    "P": ("feas",),
+    "U": ("step",),
+    "potential": ("half_feas", "feas", "step", "move_minus", "move_plus"),
+}
+_NODE_TERMS = {"S": ("grad_p",), "F": ("proj_p",)}
 
 
-def _grad_lagrangian(graph: NetworkGraph, s: EdgeStates, d_node):
-    """``grad F(z, u) + A^T lam`` (:func:`~locadmm.structured_ops.grad_F_z`,
-    :func:`~locadmm.structured_ops.apply_At`) as p-block rows and z^-, z^+
-    edge fields, from the per-edge loss residual ``(p - z^+) - d u``."""
-    resid = s.blocks.p_src - s.blocks.z_plus - edge_rows(d_node)[:, None] * s.u
-    return graph.layout.node_sum(resid + s.lam), -s.lam, -resid
+def _terms(table: dict, metrics) -> list:
+    return list(dict.fromkeys(t for m in metrics for t in table.get(m, ())))
+
+
+class MetricPass:
+    """The chosen metrics of state snapshots, one value per copy, in one
+    fused pass over the edge arrays.
+
+    Every residual the metrics share is computed once per snapshot:
+    ``p_src - z^-`` (P, F, L, potential), the loss residual
+    ``p_src - z^+ - d u`` (S, F, L), the gradient ``node_sum`` (S, F) and
+    the consensus projection (F). Every squared norm a metric takes is of a
+    residual written into one preallocated ``(K, rows, dim)`` buffer (node
+    residuals into a second one), squared in place and summed once per copy.
+    Each copy's sum adds its entries in the order ``(a * a).sum()`` adds them
+    on that residual alone, so every value equals the metric's closed form
+    evaluated on its own.
+
+    ``layout`` is the snapshots' layout, of one graph or of the copies a
+    :meth:`~locadmm.network.EdgeLayout.stack` layout holds; S, F and rmse
+    need it. ``d`` holds its ranges per edge row (S, F, L, potential),
+    ``c`` and ``rho`` are numbers or one value per copy (L, potential),
+    ``kappas`` the potential's ``(kappa1, kappa2)`` and ``truth`` the
+    positions rmse compares against.
+    """
+
+    def __init__(self, metrics, *, layout=None, d=None, c=None, rho=None, kappas=None,
+                 truth=None):
+        self.metrics = tuple(m for m in METRICS if m in metrics)
+        self.layout, self.d, self.c, self.rho, self.truth = layout, d, c, rho, truth
+        self.kappas = kappas
+        self.copies = 1 if layout is None else layout.copies
+        self._edge_terms = _terms(_EDGE_TERMS, self.metrics)
+        self._node_terms = _terms(_NODE_TERMS, self.metrics)
+        lagrangian = {"L", "potential"} & set(self.metrics)
+        # rows for the transients: qz, d u, the loss residual, and L's two
+        self._scratch = 4 if lagrangian else 3 if {"S", "F"} & set(self.metrics) else 0
+        self._buffers = None
+        self._plans = {}
+        self._rmse = None
+
+    def _plan(self, lagged: bool, half: bool) -> tuple:
+        """The metrics defined at a snapshot, with or without the previous
+        one and the half-step blocks, and the squared norms they read."""
+        key = (lagged, half)
+        if key not in self._plans:
+            m = tuple(
+                x for x in self.metrics
+                if x not in ("U", "F", "potential") or (lagged and (x != "potential" or half))
+            )
+            self._plans[key] = (frozenset(m), _terms(_EDGE_TERMS, m), _terms(_NODE_TERMS, m))
+        return self._plans[key]
+
+    def _setup(self, rows: int, nodes: int, dim: int) -> tuple:
+        """The buffers and per-row coefficients for snapshots of this size,
+        made on the first call."""
+        if self._buffers is None or self._buffers[0].shape[1:] != (rows, dim):
+            half_c = None
+            if {"L", "potential"} & set(self.metrics):
+                half_c = 0.5 * self.c
+                if self.layout is not None:
+                    half_c = spread(self.layout.edge_column(half_c), dim)
+            self._buffers = (
+                np.empty((len(self._edge_terms), rows, dim)),
+                np.empty((len(self._node_terms), nodes, dim)),
+                np.empty((self._scratch, rows, dim)),
+                None if self._scratch == 0 else spread(self.d, dim),
+                half_c,
+            )
+        return self._buffers
+
+    def _sums(self, buf: np.ndarray) -> np.ndarray:
+        """Per row of ``buf`` and per copy, the sum of the copy's entries."""
+        k, rows, dim = buf.shape
+        return buf.reshape(k, self.copies, rows // self.copies * dim).sum(axis=2)
+
+    def __call__(self, now: EdgeStates, prev=None, half: Optional[EdgeBlocks] = None) -> dict:
+        """The metrics defined at the snapshot ``now``, by name, each an
+        array of one value per copy.
+
+        U and F need the previous snapshot ``prev`` (they read its ``u``),
+        and potential needs it whole and the half-step blocks ``half``.
+        """
+        m, edge_terms, node_terms = self._plan(prev is not None, half is not None)
+        u = now.u
+        rows, dim = u.shape
+        lay = self.layout
+        b = now.blocks
+        nodes = 0 if b is None else len(b.p)
+        edge_buf, node_buf, scratch, d_rows, half_c = self._setup(rows, nodes, dim)
+        edge_buf, node_buf = edge_buf[: len(edge_terms)], node_buf[: len(node_terms)]
+        slot = dict(zip(edge_terms, edge_buf))
+        node_slot = dict(zip(node_terms, node_buf))
+        out = {}
+        if "rmse" in m:
+            if self._rmse is None:
+                self._rmse = copy_rmse(self.truth, lay)
+            out["rmse"] = self._rmse(b.p)
+        if "feas" in slot or "L" in m:
+            feas = np.subtract(b.p_src, b.z_minus, out=slot.get("feas"))
+        if not m.isdisjoint(("S", "F", "L", "potential")):
+            qz = np.subtract(b.p_src, b.z_plus, out=scratch[0])
+            d_u = np.multiply(d_rows, u, out=scratch[1])
+            if "L" in m or "potential" in m:
+                # 0.5 qz qz - d u qz + lam feas + 0.5 c feas feas
+                acc = np.multiply(qz, 0.5, out=scratch[2])
+                acc *= qz
+                tmp = np.multiply(d_u, qz, out=scratch[3])
+                acc -= tmp
+                acc += np.multiply(now.lam, feas, out=tmp)
+                tmp = np.multiply(half_c, feas, out=tmp)
+                tmp *= feas
+                acc += tmp
+                lagrangian = self._sums(acc[None])[0]
+        if "S" in m or "F" in m:
+            # grad F + A^T lam = (node_sum(loss + lam), -lam, -loss)
+            loss = np.subtract(qz, d_u, out=slot.get("loss", scratch[2]))
+            grad_p = lay.node_sum(np.add(loss, now.lam, out=scratch[0]))
+            if "S" in m:
+                node_slot["grad_p"][...] = grad_p
+                slot["lam"][...] = now.lam
+            if "F" in m:
+                # z - proj(z - grad): z^- - (-lam) is z^- + lam, bit for bit
+                proj = consensus_rows(
+                    lay, b.p - grad_p,
+                    np.add(b.z_minus, now.lam, out=scratch[0]),
+                    np.add(b.z_plus, loss, out=scratch[1]),
+                )
+                np.subtract(b.p, proj[0], out=node_slot["proj_p"])
+                np.subtract(b.z_minus, proj[1], out=slot["proj_minus"])
+                np.subtract(b.z_plus, proj[2], out=slot["proj_plus"])
+        if "step" in slot:
+            np.subtract(u, prev.u, out=slot["step"])
+        if "potential" in m:
+            np.subtract(half.p_src, half.z_minus, out=slot["half_feas"])
+            dp = np.subtract(b.p_src, prev.blocks.p_src, out=scratch[0])
+            np.subtract(b.z_minus, prev.blocks.z_minus, out=slot["move_minus"])
+            slot["move_minus"] += dp
+            np.subtract(b.z_plus, prev.blocks.z_plus, out=slot["move_plus"])
+            slot["move_plus"] += dp
+        np.multiply(edge_buf, edge_buf, out=edge_buf)
+        np.multiply(node_buf, node_buf, out=node_buf)
+        sq = dict(zip(edge_terms, self._sums(edge_buf)))
+        sq.update(zip(node_terms, self._sums(node_buf)))
+        if "S" in m:
+            out["S"] = sq["grad_p"] + sq["lam"] + sq["loss"]
+        if "U" in m:
+            out["U"] = sq["step"]
+        if "P" in m:
+            out["P"] = sq["feas"]
+        if "F" in m:
+            out["F"] = sq["proj_p"] + sq["proj_minus"] + sq["proj_plus"] + sq["feas"] + sq["step"]
+        if "L" in m:
+            out["L"] = lagrangian
+        if "potential" in m:
+            kappa1, kappa2 = self.kappas
+            c, rho = self.c, self.rho
+            quad = sq["move_minus"] + sq["move_plus"] / c
+            out["potential"] = lagrangian + 0.5 * c * (
+                kappa1 * sq["half_feas"]
+                + kappa2 * sq["feas"]
+                + (rho / (2.0 * c)) * sq["step"]
+                + (kappa1 + kappa2) * quad
+            )
+        return out
+
+
+def _metric(name: str, now: EdgeStates, prev=None, half=None, **setting) -> float:
+    """One metric of one snapshot, by :class:`MetricPass`."""
+    return float(MetricPass((name,), **setting)(now, prev, half)[name][0])
+
+
+def directions(u) -> EdgeStates:
+    """A snapshot of direction rows only: all that U reads of a snapshot,
+    and U and F of the previous one."""
+    return EdgeStates(None, edge_rows(u), None)
 
 
 def stationarity_gap(states, graph: NetworkGraph, d_node) -> float:
     """Sum over nodes of ``||grad F(z, u) + A^T lam||^2``; zero together with
-    the other gaps exactly at a KKT point."""
-    return sum(map(_sq, _grad_lagrangian(graph, EdgeStates.of(states), d_node)))
+    the other gaps exactly at a KKT point. ``grad F + A^T lam``
+    (:func:`~locadmm.structured_ops.grad_F_z`,
+    :func:`~locadmm.structured_ops.apply_At`) has p-block rows
+    ``node_sum(r + lam)`` and z^-, z^+ edge fields ``-lam`` and ``-r``, from
+    the per-edge loss residual ``r = (p - z^+) - d u``."""
+    return _metric("S", EdgeStates.of(states), layout=graph.layout, d=edge_rows(d_node))
 
 
 def primal_diff_gap(u_now, u_prev) -> float:
     """Sum over nodes of ``||u_t - u_{t-1}||^2``."""
-    return _sq(edge_rows(u_now) - edge_rows(u_prev))
+    return _metric("U", directions(u_now), directions(u_prev))
 
 
 def feasibility_gap(states) -> float:
     """Sum over nodes of ``||A z||^2``: squared self-replica residuals."""
-    b = EdgeStates.of(states).blocks
-    return _sq(b.p_src - b.z_minus)
+    return _metric("P", EdgeStates.of(states))
 
 
 def optimality_gap(states, u_prev, graph: NetworkGraph, d_node) -> float:
@@ -67,23 +259,7 @@ def optimality_gap(states, u_prev, graph: NetworkGraph, d_node) -> float:
     iteration's direction field.
     """
     s = EdgeStates.of(states)
-    return _optimality(s, u_prev, graph, _grad_lagrangian(graph, s, d_node))
-
-
-def _optimality(s: EdgeStates, u_prev, graph: NetworkGraph, grad) -> float:
-    """:func:`optimality_gap` with ``grad`` from :func:`_grad_lagrangian`."""
-    b = s.blocks
-    g_p, g_minus, g_plus = grad
-    proj = project_consensus(
-        EdgeBlocks(b.offsets, b.p - g_p, b.z_minus - g_minus, b.z_plus - g_plus), graph
-    )
-    return (
-        _sq(b.p - proj.p)
-        + _sq(b.z_minus - proj.z_minus)
-        + _sq(b.z_plus - proj.z_plus)
-        + _sq(b.p_src - b.z_minus)
-        + _sq(s.u - edge_rows(u_prev))
-    )
+    return _metric("F", s, directions(u_prev), layout=graph.layout, d=edge_rows(d_node))
 
 
 def augmented_lagrangian(states, d_node, c: float) -> float:
@@ -92,11 +268,7 @@ def augmented_lagrangian(states, d_node, c: float) -> float:
     The ball indicator contributes nothing because the solvers keep every
     direction row feasible.
     """
-    s = EdgeStates.of(states)
-    qz = s.blocks.p_src - s.blocks.z_plus
-    az = s.blocks.p_src - s.blocks.z_minus
-    du = edge_rows(d_node)[:, None] * s.u
-    return float((0.5 * qz * qz - du * qz + s.lam * az + 0.5 * c * az * az).sum())
+    return _metric("L", EdgeStates.of(states), d=edge_rows(d_node), c=c)
 
 
 def potential(
@@ -118,15 +290,9 @@ def potential(
     edges of ``|dp + dz^-_j|^2 + |dp + dz^+_j|^2 / c``. Needs the half-step
     blocks and the lagged state, which run hooks expose after every iteration.
     """
-    now, prev = EdgeStates.of(states_t), EdgeStates.of(states_prev)
-    b, b_prev, half = now.blocks, prev.blocks, EdgeBlocks.of(ztilde_t)
-    dp = b.p_src - b_prev.p_src
-    quad = _sq(dp + (b.z_minus - b_prev.z_minus)) + _sq(dp + (b.z_plus - b_prev.z_plus)) / c
-    return augmented_lagrangian(now, d_node, c) + 0.5 * c * (
-        kappa1 * _sq(half.p_src - half.z_minus)
-        + kappa2 * _sq(b.p_src - b.z_minus)
-        + (rho / (2.0 * c)) * _sq(now.u - prev.u)
-        + (kappa1 + kappa2) * quad
+    return _metric(
+        "potential", EdgeStates.of(states_t), EdgeStates.of(states_prev), EdgeBlocks.of(ztilde_t),
+        d=edge_rows(d_node), c=c, rho=rho, kappas=(kappa1, kappa2),
     )
 
 
@@ -324,37 +490,24 @@ class TraceRecorder:
         self.potential_coeffs = potential_coeffs
         self.d = measurements.edge_ranges(graph)
         self.trace = IterationTrace(metadata=dict(metadata or {}))
+        self._pass = MetricPass(
+            self.metrics, layout=graph.layout, d=self.d, c=params.c, rho=params.rho,
+            kappas=potential_coeffs, truth=truth,
+        )
         self._t0 = time.perf_counter()
 
     def __call__(self, event: IterationEvent) -> None:
-        m = self.metrics
         lay = self.graph.layout
-        row = TraceRow(t=event.t, comm_scalars=event.comm_scalars)
         states = EdgeStates.of(event.states, lay)
-        lagged = event.states_prev is not None
+        prev = half = None
+        if event.states_prev is not None:
+            prev = EdgeStates.of(event.states_prev, lay)
+            if "potential" in self.metrics and event.ztilde is not None:
+                half = EdgeBlocks.of(event.ztilde, lay)
         with quiet_fp():
-            # S and F share grad F + A^T lam
-            grad = None
-            if "S" in m or ("F" in m and lagged):
-                grad = _grad_lagrangian(self.graph, states, self.d)
-            if "rmse" in m:
-                row.rmse = rmse(states.blocks.p, self.truth, self.graph)
-            if "S" in m:
-                row.S = sum(map(_sq, grad))
-            if "P" in m:
-                row.P = feasibility_gap(states)
-            if "L" in m:
-                row.L = augmented_lagrangian(states, self.d, self.params.c)
-            if lagged:
-                prev = EdgeStates.of(event.states_prev, lay)
-                if "U" in m:
-                    row.U = primal_diff_gap(states.u, prev.u)
-                if "F" in m:
-                    row.F = _optimality(states, prev.u, self.graph, grad)
-                if "potential" in m and event.ztilde is not None:
-                    half = EdgeBlocks.of(event.ztilde, lay)
-                    coeffs = (*self.potential_coeffs, self.params.c, self.params.rho)
-                    row.potential = potential(states, prev, half, self.d, *coeffs)
-        if "wall" in m:
+            values = self._pass(states, prev, half)
+        row = TraceRow(t=event.t, comm_scalars=event.comm_scalars,
+                       **{name: float(v[0]) for name, v in values.items()})
+        if "wall" in self.metrics:
             row.wall_ms = (time.perf_counter() - self._t0) * 1e3
         self.trace.append(row)

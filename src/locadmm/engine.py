@@ -1,4 +1,5 @@
-"""What the solvers hand their callers, and the per-iteration finite check.
+"""What the solvers hand their callers, the loop that drives one solve, and
+the per-iteration finite checks.
 
 Both solvers advance every node at once: each per-edge field is one
 ``(E, dim)`` array in the graph's :class:`~locadmm.network.EdgeLayout`
@@ -9,13 +10,15 @@ get those arrays themselves, as ``EdgeStates`` and ``EdgeBlocks``, which
 build per-node views only when indexed. Within an iteration the solvers
 update their temporaries in place, but only arrays that iteration made: an
 array handed out (to a hook, or in a :class:`RunResult`) or passed in as a
-start is never written afterwards.
+start is never written afterwards. Each solver's iteration is one generator
+of iterates, which :func:`drive` runs for a single solve and
+:mod:`locadmm.grid` for a grid of cells stacked as copies of the graph.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -74,6 +77,41 @@ def check_finite(t: int, src: np.ndarray, p: np.ndarray, **edge_fields: np.ndarr
     node = min(first_bad.values())
     field = next(name for name, i in first_bad.items() if i == node)
     raise NonFiniteValue(f"non-finite {field} at node {node}, iteration {t}")
+
+
+def drive(
+    steps: Iterator, iters: int, src: np.ndarray, hook: Optional[Hook], view, comm_scalars: int
+) -> dict:
+    """Run one solve: take ``iters`` iterates from a solver's ``steps``,
+    check each with :func:`check_finite`, and hand it to ``hook``, after an
+    iteration-0 event with the start's ``view``. Returns the last iterate's
+    fields.
+
+    ``steps`` yields, per iteration, the state fields by name (``p`` first,
+    then the edge fields in the order a divergence is reported in), the
+    ``EdgeStates`` view and the half-step blocks, the last two ``None``
+    when the solver was asked for no views.
+    """
+    if hook is not None:
+        hook(IterationEvent(0, view, None, None, 0))
+    for t in range(1, iters + 1):
+        fields, now, ztilde = next(steps)
+        check_finite(t, src, **fields)
+        if hook is not None:
+            hook(IterationEvent(t, now, view, ztilde, comm_scalars))
+            view = now
+    return fields
+
+
+def finite_copies(copies: int, arrays) -> np.ndarray:
+    """Per copy of a stacked layout, whether every value of ``arrays`` is
+    finite; each array (a node or an edge field, or a per-copy metric) holds
+    ``copies`` equal blocks of rows, one per copy, in order."""
+    ok = np.ones(copies, dtype=bool)
+    for a in arrays:
+        if not np.isfinite(a).all():
+            ok &= np.isfinite(a).reshape(copies, -1).all(axis=1)
+    return ok
 
 
 def quiet_fp() -> np.errstate:

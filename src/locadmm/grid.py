@@ -1,0 +1,146 @@
+"""Penalty and seed grids, run as one batched solve.
+
+A grid's cells run as disjoint copies of the graph, stacked into one
+:meth:`~locadmm.network.EdgeLayout.stack` layout. One pass of a solver's
+own iteration (:func:`~locadmm.solver_lite.lite_steps`,
+:func:`~locadmm.solver_full.full_steps`) advances every cell, with each
+cell's ``c`` and ``rho`` as per-copy coefficients, and one
+:class:`~locadmm.diagnostics.MetricPass` records every cell's metrics.
+No value crosses from one copy to another, so each cell's iterates and
+metrics are bit-identical to its own run, and a cell that diverges is
+masked instead of stopping the grid.
+"""
+
+from __future__ import annotations
+
+import math
+from collections.abc import Iterator, Sequence
+from dataclasses import dataclass
+from typing import Optional
+
+import numpy as np
+
+from .diagnostics import IterationTrace, MetricPass, TraceRow, directions
+from .engine import RunResult, finite_copies, quiet_fp
+from .network import GroundTruth, MeasurementSet, NetworkGraph
+from .solver_full import InitSpec, check_run, full_states, full_steps, init_full, start_positions
+from .solver_lite import LiteStates, init_lite, lite_steps, start_view
+from .structured_ops import EdgeBlocks, EdgeStates, PenaltyParams
+
+GRID_ROWS = 1 << 13
+"""Stacked edge rows per batch of cells, at most (a batch holds one cell at
+least), so a grid's memory does not grow with its number of cells. Past a
+few thousand rows a NumPy call's fixed cost is a small part of its time,
+so larger batches would only add memory: about 30 arrays of the batch's
+rows are live at once."""
+
+
+@dataclass
+class CellRun:
+    """One cell of a grid: its penalties, its seed, and its result, with the
+    recorded trace attached; ``result`` is ``None`` where a state or a
+    metric went non-finite, that is, where the cell's own run raises
+    :class:`~locadmm.errors.NonFiniteValue`."""
+
+    params: PenaltyParams
+    seed: int
+    result: Optional[RunResult]
+
+
+def run_grid(
+    algo: str,
+    graph: NetworkGraph,
+    measurements: MeasurementSet,
+    cells: Sequence[tuple[PenaltyParams, int]],
+    init: InitSpec,
+    iters: int,
+    *,
+    truth: Optional[GroundTruth] = None,
+) -> Iterator[CellRun]:
+    """Run solver ``algo`` (``"full"`` or ``"lite"``) from ``init`` for
+    ``iters`` iterations at every ``(params, seed)`` cell, and yield the
+    cells in order.
+
+    Each result equals ``run_full``/``run_lite`` on that cell bit for bit,
+    and its trace equals what a :class:`~locadmm.diagnostics.TraceRecorder`
+    of ``rmse`` and ``F`` records on that run, or of ``F`` alone without
+    ``truth``. The cells run in batches of at most :data:`GRID_ROWS` stacked
+    edge rows; a result's arrays are views into its batch's arrays.
+    """
+    check_run(graph, iters)
+    metrics = ("F",) if truth is None else ("rmse", "F")
+    # as few batches as the budget allows, of as even a size as they can be
+    most = max(1, GRID_ROWS // max(graph.layout.num_edges, 1))
+    size = math.ceil(len(cells) / math.ceil(len(cells) / most)) if cells else 1
+    for first in range(0, len(cells), size):
+        yield from _run_batch(
+            algo, graph, measurements, cells[first:first + size], init, iters, truth, metrics
+        )
+
+
+def _run_batch(algo, graph, measurements, cells, init, iters, truth, metrics):
+    base = graph.layout
+    copies = len(cells)
+    lay = base.stack(copies)
+    d_one = measurements.edge_ranges(graph)
+    d = np.tile(d_one, copies)
+    c = np.array([params.c for params, _ in cells])
+    rho = np.array([params.rho for params, _ in cells])
+    view, steps = _start(algo, graph, measurements, cells, init, lay, d, c, rho)
+    measure = MetricPass(metrics, layout=lay, d=d, c=c, rho=rho, truth=truth)
+    comm_scalars = 2 * graph.dim * base.num_edges
+    traces = [IterationTrace() for _ in cells]
+
+    def record(t: int, now: EdgeStates, prev: Optional[EdgeStates]) -> np.ndarray:
+        """Append every copy's row for iteration ``t``; which copies' metrics
+        are finite."""
+        with quiet_fp():
+            values = measure(now, prev)
+        for k, trace in enumerate(traces):
+            row = {name: float(v[k]) for name, v in values.items()}
+            trace.rows.append(TraceRow(t, comm_scalars=comm_scalars if t else 0, **row))
+        return finite_copies(copies, values.values())
+
+    ok = record(0, view, None)
+    for t in range(1, iters + 1):
+        # the metrics read only the directions of the previous snapshot
+        prev = directions(view.u)
+        fields, view, _ = next(steps)
+        ok &= finite_copies(copies, fields.values())
+        ok &= record(t, view, prev)
+
+    n, e = base.num_nodes, base.num_edges
+    for k, (params, seed) in enumerate(cells):
+        result = None
+        if ok[k]:
+            own = {
+                name: a[k * n:(k + 1) * n] if name == "p" else a[k * e:(k + 1) * e]
+                for name, a in fields.items()
+            }
+            states = (
+                full_states(base.offsets, own) if algo == "full"
+                else LiteStates(base.offsets, d=d_one, **own)
+            )
+            result = RunResult(states=states, estimates=own["p"].copy(), trace=traces[k])
+        yield CellRun(params, seed, result)
+
+
+def _start(algo, graph, measurements, cells, init, lay, d, c, rho) -> tuple:
+    """Every cell's start stacked in ``lay``: its iteration-0 view, and the
+    solver's iterates from it."""
+    def stacked(objs, names):
+        return (np.concatenate([getattr(o, name) for o in objs]) for name in names)
+
+    if algo == "full":
+        starts = [init_full(graph, init, seed) for _, seed in cells]
+        blocks = EdgeBlocks(
+            lay.offsets, *stacked([s.blocks for s in starts], ("p", "z_minus", "z_plus"))
+        )
+        start = EdgeStates(blocks, *stacked(starts, ("u", "lam")))
+        return start, full_steps(lay, d, c, rho, start, views=True)
+    starts = [
+        init_lite(graph, start_positions(graph, init, seed), init.u_init, params.c, measurements)
+        for params, seed in cells
+    ]
+    start = LiteStates(lay.offsets, *stacked(starts, ("p", "u", "lam", "alpha", "beta")), d)
+    return start_view(lay, start, c, from_spec=True), lite_steps(lay, d, c, rho, start, views=True)

@@ -16,7 +16,7 @@ import os
 import sys
 from typing import Optional
 
-from . import diagnostics, network, oracle
+from . import diagnostics, grid, network, oracle
 from .engine import RunResult
 from .errors import InvalidParameter, LocadmmError, NonFiniteValue
 from .solver_full import InitSpec, run_full
@@ -36,27 +36,16 @@ def execute_run(graph, truth, measurements, args, *, c, rho, seed, metrics) -> R
     (options of ``run`` and ``sweep``), recording ``metrics``.
 
     ``rho=None`` runs at the bound for ``c`` times ``args.rho_scale``.
-    ``rmse`` is dropped without truth, and ``potential`` for ``lite``. The
-    returned result carries the trace.
+    Every ``rmse`` is dropped without truth, and every ``potential`` for
+    ``lite``. The returned result carries the trace.
     """
     bounds = None
     if rho is None:
         bounds = diagnostics.parameter_bounds(graph, measurements, c)
         rho = bounds.rho_min * args.rho_scale
     params = PenaltyParams(c=c, rho=rho)
-
-    metrics = list(metrics)
-    if truth is None and "rmse" in metrics:
-        metrics.remove("rmse")
-    if args.algo == "lite" and "potential" in metrics:
-        metrics.remove("potential")
-
-    kind, positions = args.init, None
-    if kind == "truth":
-        if truth is None:
-            raise InvalidParameter("init 'truth' needs a network file with positions")
-        kind, positions = "from_positions", truth.positions
-    init = InitSpec(kind, lo=args.init_lo, hi=args.init_hi, positions=positions, u_init=args.u0)
+    metrics = _recordable(metrics, truth, args.algo)
+    init = _init_spec(args, truth)
 
     potential_coeffs = None
     if "potential" in metrics:
@@ -87,6 +76,26 @@ def execute_run(graph, truth, measurements, args, *, c, rho, seed, metrics) -> R
     result = runner(graph, measurements, params, init, args.iters, seed=seed, hook=recorder)
     result.trace = recorder.trace
     return result
+
+
+def _recordable(metrics, truth, algo: str) -> list:
+    """``metrics`` without those the run cannot record: every ``rmse``
+    without truth, every ``potential`` for ``lite``."""
+    return [
+        m for m in metrics
+        if (m != "rmse" or truth is not None) and (m != "potential" or algo != "lite")
+    ]
+
+
+def _init_spec(args, truth) -> InitSpec:
+    """The start that ``args.init``, ``args.init_lo``, ``args.init_hi`` and
+    ``args.u0`` name; ``truth`` starts from the file's positions."""
+    kind, positions = args.init, None
+    if kind == "truth":
+        if truth is None:
+            raise InvalidParameter("init 'truth' needs a network file with positions")
+        kind, positions = "from_positions", truth.positions
+    return InitSpec(kind, lo=args.init_lo, hi=args.init_hi, positions=positions, u_init=args.u0)
 
 
 def _load_measured(path):
@@ -178,27 +187,27 @@ def _cmd_sweep(args) -> int:
     else:
         seeds = [_seed(args)]
 
-    lines = ["c,rho,seed,final_rmse,min_F,diverged"]
+    cells = []
     for c in c_values:
         for rho in rho_values:
             if rho is None:
                 # resolved as execute_run resolves "auto", so the CSV names it
                 rho = diagnostics.parameter_bounds(graph, measurements, c).rho_min
-            for seed in seeds:
-                try:
-                    rows = execute_run(
-                        graph, truth, measurements, args,
-                        c=c, rho=rho, seed=seed, metrics=("rmse", "F"),
-                    ).trace.rows
-                except NonFiniteValue:
-                    lines.append(f"{c!r},{rho!r},{seed},,,1")
-                    continue
-                final_rmse = rows[-1].rmse
-                min_gap = min(r.F for r in rows[1:])  # F is recorded from t = 1 on
-                lines.append(
-                    f"{c!r},{rho!r},{seed},"
-                    f"{'' if final_rmse is None else repr(final_rmse)},{min_gap!r},0"
-                )
+            cells += [(PenaltyParams(c=c, rho=rho), seed) for seed in seeds]
+    runs = grid.run_grid(
+        args.algo, graph, measurements, cells, _init_spec(args, truth), args.iters,
+        truth=truth,
+    )
+    lines = ["c,rho,seed,final_rmse,min_F,diverged"]
+    for run in runs:
+        cell = f"{run.params.c!r},{run.params.rho!r},{run.seed}"
+        if run.result is None:
+            lines.append(f"{cell},,,1")
+            continue
+        rows = run.result.trace.rows
+        final_rmse = rows[-1].rmse
+        min_gap = min(r.F for r in rows[1:])  # F is recorded from t = 1 on
+        lines.append(f"{cell},{'' if final_rmse is None else repr(final_rmse)},{min_gap!r},0")
     text = "\n".join(lines) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

@@ -246,6 +246,9 @@ class EdgeLayout:
 
     The solvers gather with ``np.take(x, idx, axis=0)``: it equals
     ``x[idx]`` but runs several times faster on ``(E, dim)`` arrays.
+
+    ``copies`` counts the disjoint copies of one graph a :meth:`stack`
+    layout holds; every other layout has one.
     """
 
     offsets: np.ndarray
@@ -255,6 +258,7 @@ class EdgeLayout:
     degrees: np.ndarray
     anchor_idx: np.ndarray
     anchor_pos: np.ndarray
+    copies: int = 1
 
     @classmethod
     def build(cls, csr, anchors: dict[int, np.ndarray], dim: int) -> "EdgeLayout":
@@ -306,6 +310,45 @@ class EdgeLayout:
         """
         n, dim = self.num_nodes, self.dim
         return np.bincount(self.bins, weights=x.ravel(), minlength=n * dim).reshape(n, dim)
+
+    def stack(self, copies: int) -> "EdgeLayout":
+        """``copies`` disjoint copies of this one-copy layout as one layout:
+        copy ``k`` owns nodes ``k N + i`` and rows ``k E + e``, with its
+        ``src``, ``dst``, ``rev``, ``offsets`` and anchors shifted to match.
+
+        No gather, per-node sum or anchor crosses from one copy to another,
+        and each copy's rows keep their order, so one pass over the stacked
+        rows gives every copy the values a pass over its own layout gives.
+        One copy is this layout itself.
+        """
+        if copies == 1:
+            return self
+        n, e = self.num_nodes, self.num_edges
+        node_shift = (np.arange(copies) * n)[:, None]
+        edge_shift = (np.arange(copies) * e)[:, None]
+        return EdgeLayout(
+            offsets=np.append((self.offsets[:-1] + edge_shift).ravel(), copies * e),
+            src=(self.src + node_shift).ravel(),
+            dst=(self.dst + node_shift).ravel(),
+            rev=(self.rev + edge_shift).ravel(),
+            degrees=np.tile(self.degrees, copies),
+            anchor_idx=(self.anchor_idx + node_shift).ravel(),
+            anchor_pos=np.tile(self.anchor_pos, (copies, 1)),
+            copies=copies,
+        )
+
+    def edge_column(self, value):
+        """A per-copy value on every edge row: a number as it is, else
+        ``value[k]`` on each row of copy ``k``."""
+        if not isinstance(value, np.ndarray):
+            return value
+        return np.repeat(value, self.num_edges // self.copies)
+
+    def node_column(self, value):
+        """As :meth:`edge_column`, on every node row."""
+        if not isinstance(value, np.ndarray):
+            return value
+        return np.repeat(value, self.num_nodes // self.copies)
 
     def split(self, x) -> list:
         """Per-node slices of the rows of the edge field ``x`` (an array or a list)."""
@@ -575,9 +618,7 @@ def rmse(estimates, truth: GroundTruth, graph: NetworkGraph) -> float:
     ``estimates`` may be an ``(num_nodes, dim)`` array or a mapping
     node id -> position; anchor entries are ignored either way.
     """
-    free = np.delete(np.arange(graph.num_nodes), graph.layout.anchor_idx)
-    if not free.size:
-        raise EmptyFreeSet("every node is an anchor")
+    free = _free_nodes(graph.layout)
     if isinstance(estimates, Mapping):
         missing = [i for i in free if i not in estimates]
         est = None if missing else [estimates[i] for i in free]
@@ -587,11 +628,43 @@ def rmse(estimates, truth: GroundTruth, graph: NetworkGraph) -> float:
         est = None if len(missing) else np.take(est, free, axis=0)
     if est is None:
         raise MissingPosition(f"no estimate for node {missing[0]}")
-    delta = np.asarray(est, dtype=float) - np.take(truth.positions, free, axis=0)
+    target = np.take(truth.positions, free, axis=0)
+    return float(_rms_error(np.asarray(est, dtype=float)[None], target)[0])
+
+
+def copy_rmse(truth: GroundTruth, layout: EdgeLayout):
+    """:func:`rmse` for every copy of a :meth:`EdgeLayout.stack` layout at
+    once: a function of positions with a row per stacked node, whose entry
+    ``k`` is the rmse of copy ``k``'s rows against ``truth``."""
+    free = _free_nodes(layout)
+    target = np.take(truth.positions, free, axis=0)
+
+    def per_copy(positions: np.ndarray) -> np.ndarray:
+        est = positions.reshape(layout.copies, -1, positions.shape[1])
+        return _rms_error(np.take(est, free, axis=1), target)
+
+    return per_copy
+
+
+def _free_nodes(layout: EdgeLayout) -> np.ndarray:
+    """The non-anchor node ids of one copy of ``layout``."""
+    copies = layout.copies
+    anchors = layout.anchor_idx[: len(layout.anchor_idx) // copies]
+    free = np.delete(np.arange(layout.num_nodes // copies), anchors)
+    if not free.size:
+        raise EmptyFreeSet("every node is an anchor")
+    return free
+
+
+def _rms_error(est: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """Per leading index ``k``, the rms distance of the rows ``est[k]`` to
+    the rows of ``target``."""
+    delta = est - target
+    rows = delta.reshape(-1, delta.shape[-1])
     # Each row's matmul with itself rounds like delta[k] @ delta[k];
     # (delta * delta).sum(axis=1) rounds differently.
-    err2 = np.matmul(delta[:, None, :], delta[:, :, None])[:, 0, 0]
-    return math.sqrt(float(np.sum(err2)) / len(free))
+    err2 = np.matmul(rows[:, None, :], rows[:, :, None])[:, 0, 0].reshape(delta.shape[:-1])
+    return np.sqrt(err2.sum(axis=-1) / target.shape[0])
 
 
 # -- network file round trip -------------------------------------------------

@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .engine import IterationEvent, RunResult, check_finite, quiet_fp
+from .engine import RunResult, drive, quiet_fp
 from .errors import (
     DisconnectedGraph,
     InvalidInit,
@@ -266,6 +266,14 @@ def require_solvable(graph: NetworkGraph) -> None:
         raise DisconnectedGraph("solver requires at least one anchor")
 
 
+def check_run(graph: NetworkGraph, iters: int) -> None:
+    """What every run needs, whatever its start: a solvable graph and at
+    least one iteration."""
+    require_solvable(graph)
+    if iters < 1:
+        raise InvalidParameter(f"iters must be >= 1, got {iters}")
+
+
 def run_full(
     graph: NetworkGraph,
     measurements: MeasurementSet,
@@ -283,11 +291,11 @@ def run_full(
     ``RunResult.states``, to resume a run) or a per-node state list.
     ``hook`` is invoked after every iteration with an
     :class:`~locadmm.engine.IterationEvent`; iteration 0 fires before any
-    update. Every node advances at once on edge arrays, bit-identical to
-    :func:`local_halfstep`, :func:`gather_inbox`, :func:`combine_z`,
-    :func:`update_u` and :func:`update_lambda` applied node by node.
-    Deterministic for fixed inputs; ``threads`` is accepted for
-    compatibility and ignored.
+    update. Every node advances at once on edge arrays (:func:`full_steps`),
+    bit-identical to :func:`local_halfstep`, :func:`gather_inbox`,
+    :func:`combine_z`, :func:`update_u` and :func:`update_lambda` applied
+    node by node. Deterministic for fixed inputs; ``threads`` is accepted
+    for compatibility and ignored.
 
     Raises
     ------
@@ -295,30 +303,48 @@ def run_full(
         As soon as any state coordinate diverges to NaN/inf, naming the
         iteration, node and field.
     """
-    require_solvable(graph)
-    if iters < 1:
-        raise InvalidParameter(f"iters must be >= 1, got {iters}")
+    check_run(graph, iters)
     lay = graph.layout
     start = EdgeStates.of(init_full(graph, init, seed) if isinstance(init, InitSpec) else init, lay)
+    d = measurements.edge_ranges(graph)
+    steps = full_steps(lay, d, params.c, params.rho, start, views=hook is not None)
+    last = drive(steps, iters, lay.src, hook, start, 2 * graph.dim * lay.num_edges)
+    return RunResult(states=full_states(lay.offsets, last), estimates=last["p"].copy())
+
+
+def full_states(offsets: np.ndarray, fields: dict) -> EdgeStates:
+    """The :class:`EdgeStates` of the fields :func:`full_steps` yields."""
+    blocks = EdgeBlocks(offsets, fields["p"], fields["z_minus"], fields["z_plus"])
+    return EdgeStates(blocks, fields["u"], fields["lam"])
+
+
+def full_steps(lay: EdgeLayout, d: np.ndarray, c, rho, start: EdgeStates, views: bool):
+    """Iterate the full-state solver from ``start``, one yield per
+    iteration: the new ``p``, ``z_minus``, ``z_plus``, ``u`` and ``lam`` by
+    name, in that order; then, when ``views``, their ``EdgeStates`` and the
+    half-step ``EdgeBlocks``, else ``None`` twice.
+
+    ``lay`` may be a :meth:`~locadmm.network.EdgeLayout.stack` layout, with
+    ``d`` and ``start`` stacked to match and ``c`` and ``rho`` given per
+    copy: every copy then advances as it would alone. The coefficients are
+    built at the first iteration, once, and the iterates never write an
+    array of ``start`` or one they have yielded.
+    """
     p, z_minus, z_plus = start.blocks.p, start.blocks.z_minus, start.blocks.z_plus
     u, lam = start.u, start.lam
-    c, rho = params.c, params.rho
+    del start  # its arrays go once the iterates replace them
     src, rev = lay.src, lay.rev
-    dim = graph.dim
-    d = measurements.edge_ranges(graph)
-    comm_per_iter = 2 * dim * lay.num_edges
-
-    def stacked() -> EdgeStates:
-        return EdgeStates(EdgeBlocks(lay.offsets, p, z_minus, z_plus), u, lam)
-
-    states = start
-    if hook is not None:
-        hook(IterationEvent(0, states, None, None, 0))
-    # Each coefficient computed per edge as the per-node spec does, then spread.
+    dim = lay.dim
+    # Each coefficient computed per edge (a number for one copy) as the
+    # per-node spec does, then spread.
     with quiet_fp():
-        d_u, d_rho = spread(d, dim), spread(d / rho, dim)
-    denom = spread(2.0 * (c + 1.0) * lay.degrees, dim)
-    for t in range(1, iters + 1):
+        c_col = lay.edge_column(c)
+        d_u, d_rho, c_e, two_c, c1 = (
+            spread(x, dim)
+            for x in (d, d / lay.edge_column(rho), c_col, 2.0 * c_col, c_col + 1.0)
+        )
+        denom = spread(2.0 * (lay.node_column(c) + 1.0) * lay.degrees, dim)
+    while True:
         with quiet_fp():
             # half-step (local_halfstep), in place on arrays made this
             # iteration and not yet handed out
@@ -329,14 +355,14 @@ def run_full(
             # p = node_sum(d u - lam + c base_minus + base_plus) / (2 (c+1) k)
             du = d_u * u
             acc = du - lam
-            tmp = base_minus * c
+            tmp = base_minus * c_e
             acc += tmp
             acc += base_plus
             p = lay.node_sum(acc)
             p /= denom
             p[lay.anchor_idx] = lay.anchor_pos
             # zm_t = lam / (2 c) + base_minus / 2, zp_t = -d u / 2 + base_plus / 2
-            zm_t = np.divide(lam, 2.0 * c, out=tmp)
+            zm_t = np.divide(lam, two_c, out=tmp)
             base_minus /= 2.0
             zm_t += base_minus
             zp_t = np.negative(du, out=du)
@@ -345,13 +371,13 @@ def run_full(
             zp_t += base_plus
             # exchange and combine (gather_inbox, combine_z):
             # z^- = (c zm_t + zp_t[rev]) / (c+1), z^+ = (zp_t + c zm_t[rev]) / (c+1)
-            z_minus = np.multiply(zm_t, c, out=acc)
+            z_minus = np.multiply(zm_t, c_e, out=acc)
             z_minus += np.take(zp_t, rev, axis=0)
-            z_minus /= c + 1.0
+            z_minus /= c1
             z_plus = np.take(zm_t, rev, axis=0)
-            z_plus *= c
+            z_plus *= c_e
             z_plus += zp_t
-            z_plus /= c + 1.0
+            z_plus /= c1
             # direction and dual steps (update_u, update_lambda):
             # u = proj(u + (d / rho) (p - z^+)), lam = lam + c (p - z^-)
             p_src = np.take(p, src, axis=0)
@@ -361,13 +387,11 @@ def run_full(
             u = project_ball(u_t)
             lam_new = p_src
             lam_new -= z_minus
-            lam_new *= c
+            lam_new *= c_e
             lam_new += lam
             lam = lam_new
-        check_finite(t, src, p, z_minus=z_minus, z_plus=z_plus, u=u, lam=lam)
-        if hook is not None:
-            states_prev, states = states, stacked()
-            ztilde = EdgeBlocks(lay.offsets, p, zm_t, zp_t)
-            hook(IterationEvent(t, states, states_prev, ztilde, comm_per_iter))
-
-    return RunResult(states=stacked(), estimates=p.copy())
+        fields = {"p": p, "z_minus": z_minus, "z_plus": z_plus, "u": u, "lam": lam}
+        if views:
+            yield fields, full_states(lay.offsets, fields), EdgeBlocks(lay.offsets, p, zm_t, zp_t)
+        else:
+            yield fields, None, None

@@ -16,15 +16,15 @@ from typing import Optional
 
 import numpy as np
 
-from .engine import IterationEvent, RunResult, check_finite, quiet_fp
-from .errors import InvalidInit, InvalidParameter, MissingMessage
+from .engine import RunResult, drive, quiet_fp
+from .errors import InvalidInit, MissingMessage
 from .network import EdgeLayout, MeasurementSet, NetworkGraph
 from .solver_full import (
     InitSpec,
     as_positions,
+    check_run,
     consensus_blocks,
     initial_u,
-    require_solvable,
     start_positions,
 )
 from .structured_ops import (
@@ -282,51 +282,71 @@ def run_lite(
     the replicas its accumulators hold, ``z^- = (alpha - lam)/c - p`` and
     ``z^+ = beta + d u - p``, which is the uninterrupted run's view up to
     rounding.
-    Every node advances at once on edge arrays, bit-identical to
-    :func:`step_lite` and :func:`full_view`; ``threads`` is accepted for
-    compatibility and ignored.
+    Every node advances at once on edge arrays (:func:`lite_steps`),
+    bit-identical to :func:`step_lite` and :func:`full_view`; ``threads`` is
+    accepted for compatibility and ignored.
     """
-    require_solvable(graph)
-    if iters < 1:
-        raise InvalidParameter(f"iters must be >= 1, got {iters}")
+    check_run(graph, iters)
     c, rho = params.c, params.rho
     lay = graph.layout
-
+    d = measurements.edge_ranges(graph)
     from_spec = isinstance(init, InitSpec)
     if from_spec:
-        init = init_lite(graph, start_positions(graph, init, seed), init.u_init, c, measurements)
-    start = LiteStates.of(init, lay)
-    d = measurements.edge_ranges(graph)
-    if start.d is not d and not np.array_equal(start.d, d):
-        raise InvalidInit("start ranges do not match the measurements")
-    p, u, lam, alpha, beta = start.p, start.u, start.lam, start.alpha, start.beta
+        start = init_lite(graph, start_positions(graph, init, seed), init.u_init, c, measurements)
+    else:
+        start = LiteStates.of(init, lay)
+        if start.d is not d and not np.array_equal(start.d, d):
+            raise InvalidInit("start ranges do not match the measurements")
+    view = None if hook is None else start_view(lay, start, c, from_spec)
+    steps = lite_steps(lay, d, c, rho, start, views=hook is not None)
+    last = drive(steps, iters, lay.src, hook, view, 2 * graph.dim * lay.num_edges)
+    return RunResult(states=LiteStates(lay.offsets, d=d, **last), estimates=last["p"].copy())
 
+
+def start_view(lay: EdgeLayout, start: LiteStates, c, from_spec: bool) -> EdgeStates:
+    """The full-state view of a start: from an ``InitSpec`` its replicas are
+    the consensus copies :func:`init_lite` built the accumulators from;
+    otherwise they are the replicas the accumulators hold, inverting
+    ``alpha = lam + c (p + z^-)`` and ``beta = -d u + p + z^+``."""
+    p_src = np.take(start.p, lay.src, axis=0)
+    if from_spec:
+        z_minus, z_plus = p_src, np.take(start.p, lay.dst, axis=0)
+    else:
+        with quiet_fp():
+            z_minus = (start.alpha - start.lam) / c - p_src
+            z_plus = start.beta + start.d[:, None] * start.u - p_src
+    return EdgeStates(EdgeBlocks(lay.offsets, start.p, z_minus, z_plus), start.u, start.lam)
+
+
+def lite_steps(lay: EdgeLayout, d: np.ndarray, c, rho, start, views: bool):
+    """Iterate the low-storage recursion from ``start`` (its ``p``, ``u``,
+    ``lam``, ``alpha`` and ``beta``), one yield per iteration: the new
+    fields by name, in that order; when ``views``, their full-state
+    ``EdgeStates`` view, else ``None``; and ``None`` for the half-step
+    blocks, which this solver does not form.
+
+    ``lay`` may be a :meth:`~locadmm.network.EdgeLayout.stack` layout, with
+    ``d`` and ``start`` stacked to match and ``c`` and ``rho`` given per
+    copy: every copy then advances as it would alone. The coefficients are
+    built at the first iteration, once, and the iterates never write an
+    array of ``start`` or one they have yielded.
+    """
     src, rev = lay.src, lay.rev
-    dim = graph.dim
-    comm_per_iter = 2 * dim * lay.num_edges
-
-    view = None
-    if hook is not None:
-        p_src = np.take(p, src, axis=0)
-        if from_spec:
-            # the consensus replicas init_lite built the accumulators from
-            z_minus, z_plus = p_src, np.take(p, lay.dst, axis=0)
-        else:
-            # the replicas the accumulators hold, inverting
-            # alpha = lam + c (p + z^-) and beta = -d u + p + z^+
-            with quiet_fp():
-                z_minus = (alpha - lam) / c - p_src
-                z_plus = beta + d[:, None] * u - p_src
-        view = EdgeStates(EdgeBlocks(lay.offsets, p, z_minus, z_plus), u, lam)
-        hook(IterationEvent(0, view, None, None, 0))
-    scale = 2.0 * (c + 1.0)
-    # Each coefficient computed per edge as _advance_node does, then spread.
+    dim = lay.dim
+    p, u, lam, alpha, beta = start.p, start.u, start.lam, start.alpha, start.beta
+    del start  # its arrays go once the iterates replace them
+    # Each coefficient computed per edge (a number for one copy) as
+    # _advance_node does, then spread.
     with quiet_fp():
-        d_u, neg_d, d_rho, d_rho_scale = (
-            spread(x, dim) for x in (d, -d, d / rho, d / (rho * scale))
+        c_col, rho_col = lay.edge_column(c), lay.edge_column(rho)
+        scale_col = 2.0 * (c_col + 1.0)
+        d_u, neg_d, d_rho, d_rho_scale, c_e, two_c, scale, c_scale = (
+            spread(x, dim)
+            for x in (d, -d, d / rho_col, d / (rho_col * scale_col), c_col, 2.0 * c_col,
+                      scale_col, c_col / scale_col)
         )
-    denom = spread(scale * lay.degrees, dim)
-    for t in range(1, iters + 1):
+        denom = spread(2.0 * (lay.node_column(c) + 1.0) * lay.degrees, dim)
+    while True:
         with quiet_fp():
             # exchange, then _advance_node on every node, in place on arrays
             # made this iteration and not yet handed out
@@ -356,27 +376,23 @@ def run_lite(
             z_plus /= scale
             minus_sum = beta_in
             minus_sum += alpha
-            if hook is not None:
+            if views:
                 z_minus = minus_sum / scale
             # beta = -d u + p + z^+, alpha = lam + 2 c p, and
             # lam = lam + c p - (c / scale) (alpha + beta_in), with the old alpha
             beta = np.multiply(neg_d, u, out=tmp)
             beta += p_src
             beta += z_plus
-            alpha = p_src * (2.0 * c)
+            alpha = p_src * two_c
             alpha += lam
             lam_new = p_src
-            lam_new *= c
+            lam_new *= c_e
             lam_new += lam
-            minus_sum *= c / scale
+            minus_sum *= c_scale
             lam_new -= minus_sum
             lam = lam_new
-        check_finite(t, src, p, u=u, lam=lam, alpha=alpha, beta=beta)
-        if hook is not None:
-            view_prev = view
+        fields = {"p": p, "u": u, "lam": lam, "alpha": alpha, "beta": beta}
+        view = None
+        if views:
             view = EdgeStates(EdgeBlocks(lay.offsets, p, z_minus, z_plus), u, lam)
-            hook(IterationEvent(t, view, view_prev, None, comm_per_iter))
-
-    return RunResult(
-        states=LiteStates(lay.offsets, p, u, lam, alpha, beta, d), estimates=p.copy()
-    )
+        yield fields, view, None

@@ -282,15 +282,15 @@ def objective_original(estimates, measurements) -> float:
     return float(gap @ gap)
 
 
-def spread(col: np.ndarray, dim: int) -> np.ndarray:
+def spread(col, dim: int):
     """The ``(K,)`` column ``col`` repeated across ``dim`` columns, as one
-    contiguous ``(K, dim)`` array.
+    contiguous ``(K, dim)`` array; a number stays as it is.
 
     An elementwise product with it has the values of a product with the
     broadcast ``col[:, None]``, but NumPy runs the broadcast one with an
     inner loop only ``dim`` long, several times slower at ``dim`` 2 or 3.
     """
-    return np.stack([col] * dim, axis=1)
+    return np.stack([col] * dim, axis=1) if isinstance(col, np.ndarray) else col
 
 
 def project_ball(f: np.ndarray) -> np.ndarray:
@@ -322,7 +322,15 @@ def project_consensus(blocks, graph) -> EdgeBlocks:
         raise MissingNode(f"expected {graph.num_nodes} blocks, got {len(blocks)}")
     lay = graph.layout
     b = EdgeBlocks.of(blocks, lay)
-    p = b.p.copy()
+    return EdgeBlocks(lay.offsets, *consensus_rows(lay, b.p, b.z_minus, b.z_plus))
+
+
+def consensus_rows(lay: EdgeLayout, p, z_minus, z_plus) -> tuple:
+    """:func:`project_consensus` on the stacked arrays of ``lay``'s layout
+    (of one graph or of several stacked copies): new ``(p, z^-, z^+)``."""
+    p = p.copy()
     p[lay.anchor_idx] = lay.anchor_pos
-    avg = (b.z_plus + np.take(b.z_minus, lay.rev, axis=0)) / 2.0
-    return EdgeBlocks(lay.offsets, p, np.take(avg, lay.rev, axis=0), avg)
+    avg = np.take(z_minus, lay.rev, axis=0)
+    avg += z_plus
+    avg /= 2.0
+    return p, np.take(avg, lay.rev, axis=0), avg

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from locadmm import network
+from locadmm import grid, network
 from locadmm.harness import EXIT_DIVERGED, EXIT_ERROR, EXIT_OK, build_parser, main
 
 
@@ -162,6 +162,27 @@ class TestRun:
                     a, b = float(cell_f), float(cell_l)
                     assert abs(a - b) <= 1e-9 * (1.0 + abs(a))
 
+    def test_repeated_metrics_are_dropped_alike(self, net_file, tmp_path):
+        # every rmse goes without positions, every potential for lite
+        graph, _, meas = network.load_network(net_file)
+        blind = tmp_path / "blind.json"
+        network.save_network(blind, graph, None, meas)
+        base = ["run", "--net", str(blind), "--c", "0.1", "--rho", "0.1", "--iters", "3"]
+        once, twice = tmp_path / "once.csv", tmp_path / "twice.csv"
+        assert main(base + ["--metrics", "rmse", "--trace", str(once)]) == EXIT_OK
+        assert main(base + ["--metrics", "rmse,rmse", "--trace", str(twice)]) == EXIT_OK
+        assert twice.read_bytes() == once.read_bytes()
+        trace = tmp_path / "potential.csv"
+        code = main(["run", "--net", str(net_file), "--algo", "lite", "--c", "0.1", "--rho", "0.1",
+                     "--iters", "3", "--metrics", "potential,potential", "--trace", str(trace)])
+        assert code == EXIT_OK
+        meta = dict(
+            line[2:].split("=", 1)
+            for line in trace.read_text().splitlines()
+            if line.startswith("# ")
+        )
+        assert meta["kappa1"] == meta["kappa2"] == ""
+
     @pytest.mark.parametrize("algo", ["full", "lite"])
     def test_divergence_exit_code(self, net_file, algo, capsys):
         # the divergence is reported once, with no NumPy warning before it
@@ -262,6 +283,84 @@ class TestSweep:
         assert [r[5] for r in rows] == ["0", "0"]
         final_rmse = trace.read_text().splitlines()[-1].split(",")[1]
         assert rows[0][3] == final_rmse
+
+    @staticmethod
+    def run_trace(net_file, path, argv):
+        """``locadmm run`` with ``argv`` and ``--metrics rmse,F``: its exit
+        code, trace header fields and data rows."""
+        code = main(["run", "--net", str(net_file), *argv, "--metrics", "rmse,F",
+                     "--trace", str(path)])
+        if code != EXIT_OK:
+            return code, None, None
+        lines = path.read_text().splitlines()
+        meta = dict(line[2:].split("=", 1) for line in lines if line.startswith("# "))
+        rows = [line.split(",") for line in lines if not line.startswith("#")][1:]
+        return code, meta, rows
+
+    @pytest.mark.parametrize("algo", ["lite", "full"])
+    def test_rows_are_their_runs(self, net_file, tmp_path, algo):
+        # each row holds the final rmse and the least F (column 5) of the
+        # run of that cell
+        out, trace = tmp_path / "sweep.csv", tmp_path / "t.csv"
+        shared = ["--algo", algo, "--iters", "6", "--init", "uniform", "--u0", "half"]
+        code = main(["sweep", "--net", str(net_file), *shared, "--c-list", "0.1,0.5",
+                     "--rho-list", "auto,0.2", "--seeds", "1,2", "--out", str(out)])
+        assert code == EXIT_OK
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        cells = [(c, rho, seed) for c in ("0.1", "0.5") for rho in ("auto", "0.2")
+                 for seed in ("1", "2")]
+        assert len(rows) == len(cells)
+        for row, (c, rho, seed) in zip(rows, cells):
+            argv = [*shared, "--c", c, "--rho", rho, "--seed", seed]
+            code, meta, data = self.run_trace(net_file, trace, argv)
+            assert code == EXIT_OK
+            assert row[:3] == [meta["c"], meta["rho"], seed]
+            assert row[3] == data[-1][1]
+            assert row[4] == repr(min(float(r[5]) for r in data[1:]))
+            assert row[5] == "0"
+
+    @pytest.mark.parametrize("algo", ["lite", "full"])
+    def test_divergent_row_is_its_diverged_run(self, net_file, tmp_path, algo):
+        out, trace = tmp_path / "sweep.csv", tmp_path / "t.csv"
+        shared = ["--algo", algo, "--iters", "6", "--rho", "0.2"]
+        code = main(["sweep", "--net", str(net_file), *shared[:4], "--c-list", "0.1,1e308,0.5",
+                     "--rho-list", "0.2", "--out", str(out)])
+        assert code == EXIT_OK
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert [r[5] for r in rows] == ["0", "1", "0"]
+        for row in rows:
+            code, _, data = self.run_trace(net_file, trace, [*shared, "--c", row[0]])
+            if row[5] == "1":
+                assert code == EXIT_DIVERGED and row[3:5] == ["", ""]
+            else:
+                assert code == EXIT_OK and row[3] == data[-1][1]
+
+    @pytest.mark.parametrize("batch", ["one cell", "five cells"])
+    def test_batches_give_the_same_rows(self, net_file, tmp_path, monkeypatch, batch):
+        # a grid split into batches writes what it writes whole, and no
+        # batch holds more stacked rows than the budget allows
+        def argv(out):
+            return ["sweep", "--net", str(net_file), "--c-list", "0.05,0.1,1e308",
+                    "--rho-list", "0.1,0.3", "--seeds", "1,2", "--iters", "8",
+                    "--init", "uniform", "--out", str(out)]
+
+        whole, split = tmp_path / "whole.csv", tmp_path / "split.csv"
+        assert main(argv(whole)) == EXIT_OK
+        edges = network.load_network(net_file)[0].layout.num_edges
+        budget = 1 if batch == "one cell" else 5 * edges
+        sizes = []
+        stack = network.EdgeLayout.stack
+
+        def recording(layout, copies):
+            sizes.append(copies)
+            return stack(layout, copies)
+
+        monkeypatch.setattr(grid, "GRID_ROWS", budget)
+        monkeypatch.setattr(network.EdgeLayout, "stack", recording)
+        assert main(argv(split)) == EXIT_OK
+        assert split.read_bytes() == whole.read_bytes()
+        assert sum(sizes) == 12 and max(sizes) * edges <= max(budget, edges)
+        assert sizes == ([1] * 12 if batch == "one cell" else [4, 4, 4])
 
     def test_zero_iters_is_invalid(self, net_file, capsys):
         code = main(["sweep", "--net", str(net_file), "--c-list", "0.1",

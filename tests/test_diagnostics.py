@@ -9,7 +9,7 @@ from locadmm import network
 from locadmm import oracle
 from locadmm import structured_ops as ops
 from locadmm.errors import InvalidParameter, NonFiniteValue
-from locadmm.network import MeasurementSet, NetworkGraph
+from locadmm.network import EdgeLayout, MeasurementSet, NetworkGraph
 from locadmm.solver_full import (
     FullNodeState,
     InitSpec,
@@ -475,21 +475,30 @@ class TestTrace:
 
     @pytest.mark.parametrize("runner", [run_full, run_lite])
     def test_stationarity_and_optimality_share_one_gradient(self, runner, monkeypatch):
+        # S and F read one gradient: one per-node sum per recorded row
         calls = []
+        node_sum = EdgeLayout.node_sum
 
-        def counting(*args, _grad=dg._grad_lagrangian):
+        def counting(layout, x):
             calls.append(1)
-            return _grad(*args)
+            return node_sum(layout, x)
 
-        monkeypatch.setattr(dg, "_grad_lagrangian", counting)
+        monkeypatch.setattr(EdgeLayout, "node_sum", counting)
         graph, truth = random_connected_graph(np.random.default_rng(6), 10, num_anchors=2)
         meas = exact_measurements(graph, truth.positions)
         params = PenaltyParams(0.3, 0.2)
         rec = dg.TraceRecorder(graph, meas, params, truth=truth, metrics=("S", "F"))
-        runner(graph, meas, params, InitSpec(kind="zeros", u_init="half"), 5, hook=rec)
+        per_row = []
+
+        def hook(event):
+            before = len(calls)
+            rec(event)
+            per_row.append(len(calls) - before)
+
+        runner(graph, meas, params, InitSpec(kind="zeros", u_init="half"), 5, hook=hook)
         assert all(row.S is not None for row in rec.trace.rows)
         assert all(row.F is not None for row in rec.trace.rows[1:])
-        assert len(calls) == 6
+        assert per_row == [1] * 6
 
 
 class TestResumedTrace:

@@ -13,18 +13,23 @@ must match the dense oracle on random states. From a matched positional
 start the two solvers agree within criterion 1's tolerance, and both keep
 the exchange and storage accounting of criterion 7. The trace recorder
 gives the same trace whether it reads the solvers' stacked states or
-per-node state lists built by the spec.
+per-node state lists built by the spec. A grid of cells run as one batched
+solve gives every cell the final state, rmse and F of its own run, bit for
+bit, and masks exactly the cells whose own run diverges.
 """
 
+from argparse import Namespace
 from dataclasses import fields, is_dataclass, replace
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from locadmm import diagnostics as dg
-from locadmm import oracle
+from locadmm import grid, oracle
 from locadmm.engine import IterationEvent
+from locadmm.errors import NonFiniteValue
+from locadmm.harness import execute_run
 from locadmm.network import GroundTruth
 from locadmm.solver_full import (
     FullNodeState,
@@ -450,3 +455,58 @@ def test_recorder_reads_stacked_and_per_node_states_alike(inst, algo):
     for event in spec_events(graph, meas, params, spec, seed, iters, algo):
         spec_fed(event)
     assert solver_fed.trace.to_csv_text() == spec_fed.trace.to_csv_text()
+
+
+@st.composite
+def grids(draw):
+    """An instance, a solver, 1-4 cells with distinct c, rho and seed (and
+    maybe one more at c = 1e308, which diverges), and a batch budget: one
+    cell per batch, a few, or all in one."""
+    graph, meas, _, spec, _, iters = draw(instances())
+    algo = draw(st.sampled_from(["full", "lite"]))
+    # the full solver points directions only along the file's positions
+    assume(algo == "lite" or spec.u_init != "directions" or spec.kind == "from_positions")
+    n = draw(st.integers(1, 4))
+    values = st.floats(0.01, 2.0)
+    cells = list(zip(
+        draw(st.lists(values, min_size=n, max_size=n, unique=True)),
+        draw(st.lists(values, min_size=n, max_size=n, unique=True)),
+        draw(st.lists(st.integers(0, 1000), min_size=n, max_size=n, unique=True)),
+    ))
+    if draw(st.booleans()):
+        cells.insert(draw(st.integers(0, n)), (1e308, draw(values), draw(st.integers(0, 1000))))
+    budget = draw(st.sampled_from([1, 2 * graph.layout.num_edges, grid.GRID_ROWS]))
+    return graph, meas, spec, algo, cells, iters, budget
+
+
+@PROPERTY_SETTINGS
+@given(grids())
+def test_grid_cells_are_their_own_runs(inst):
+    graph, meas, spec, algo, cells, iters, budget = inst
+    truth = GroundTruth(spec.positions)
+    kind = "truth" if spec.kind == "from_positions" else spec.kind
+    args = Namespace(algo=algo, iters=iters, init=kind, init_lo=spec.lo, init_hi=spec.hi,
+                     u0=spec.u_init, rho_scale=1.0)
+    init = replace(spec, positions=spec.positions if kind == "truth" else None)
+    before, grid.GRID_ROWS = grid.GRID_ROWS, budget
+    try:
+        runs = list(grid.run_grid(
+            algo, graph, meas, [(PenaltyParams(c, rho), seed) for c, rho, seed in cells],
+            init, iters, truth=truth,
+        ))
+    finally:
+        grid.GRID_ROWS = before
+    assert [(run.params.c, run.params.rho, run.seed) for run in runs] == cells
+    for (c, rho, seed), run in zip(cells, runs):
+        try:
+            own = execute_run(graph, truth, meas, args, c=c, rho=rho, seed=seed,
+                              metrics=("rmse", "F"))
+        except NonFiniteValue:
+            assert run.result is None
+            continue
+        assert c != 1e308 and run.result is not None
+        assert_same_bits([own.states], [run.result.states])
+        assert own.estimates.tobytes() == run.result.estimates.tobytes()
+        assert [(r.t, repr(r.rmse), repr(r.F), r.comm_scalars) for r in own.trace.rows] == [
+            (r.t, repr(r.rmse), repr(r.F), r.comm_scalars) for r in run.result.trace.rows
+        ]
