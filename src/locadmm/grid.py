@@ -25,7 +25,7 @@ from .engine import RunResult, finite_copies, quiet_fp
 from .network import GroundTruth, MeasurementSet, NetworkGraph
 from .solver_full import InitSpec, check_run, full_states, full_steps, init_full, start_positions
 from .solver_lite import LiteStates, init_lite, lite_steps, start_view
-from .structured_ops import EdgeBlocks, EdgeStates, PenaltyParams
+from .structured_ops import EdgeBlocks, EdgeCoefficients, EdgeStates, PenaltyParams
 
 GRID_ROWS = 1 << 13
 """Stacked edge rows per batch of cells, at most (a batch holds one cell at
@@ -137,10 +137,12 @@ def _start(algo, graph, measurements, cells, init, lay, d, c, rho) -> tuple:
             lay.offsets, *stacked([s.blocks for s in starts], ("p", "z_minus", "z_plus"))
         )
         start = EdgeStates(blocks, *stacked(starts, ("u", "lam")))
-        return start, full_steps(lay, d, c, rho, start, views=True)
+        coef = EdgeCoefficients.build(lay, d, c, rho, lite=False)
+        return start, full_steps(lay, coef, start, views=True)
     starts = [
         init_lite(graph, start_positions(graph, init, seed), init.u_init, params.c, measurements)
         for params, seed in cells
     ]
     start = LiteStates(lay.offsets, *stacked(starts, ("p", "u", "lam", "alpha", "beta")), d)
-    return start_view(lay, start, c, from_spec=True), lite_steps(lay, d, c, rho, start, views=True)
+    coef = EdgeCoefficients.build(lay, d, c, rho)
+    return start_view(lay, start, c, from_spec=True), lite_steps(lay, coef, start, views=True)

@@ -400,6 +400,9 @@ class MeasurementSet:
 
     graph: NetworkGraph = field(repr=False)
     d: np.ndarray
+    # the solvers' coefficients at the latest penalties, one entry at most
+    # (structured_ops.EdgeCoefficients.held)
+    _coefficients: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         d, edges = np.array(self.d, dtype=float), self.graph.layout.forward.size

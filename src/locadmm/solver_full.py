@@ -27,6 +27,7 @@ from .errors import (
 from .network import EdgeLayout, MeasurementSet, NetworkGraph, row_norms
 from .structured_ops import (
     EdgeBlocks,
+    EdgeCoefficients,
     EdgeStates,
     FullNodeState,
     NodeBlockVector,
@@ -295,7 +296,10 @@ def run_full(
     bit-identical to :func:`local_halfstep`, :func:`gather_inbox`,
     :func:`combine_z`, :func:`update_u` and :func:`update_lambda` applied
     node by node. Deterministic for fixed inputs; ``threads`` is accepted
-    for compatibility and ignored.
+    for compatibility and ignored. The per-edge coefficients are built once
+    per ``(measurements, c, rho)`` and held on ``measurements``
+    (:meth:`~locadmm.structured_ops.EdgeCoefficients.held`), so a run made
+    of short calls builds them once.
 
     Raises
     ------
@@ -306,8 +310,9 @@ def run_full(
     check_run(graph, iters)
     lay = graph.layout
     start = EdgeStates.of(init_full(graph, init, seed) if isinstance(init, InitSpec) else init, lay)
-    d = measurements.edge_ranges(graph)
-    steps = full_steps(lay, d, params.c, params.rho, start, views=hook is not None)
+    c, rho, d = params.c, params.rho, measurements.edge_ranges(graph)
+    coef = EdgeCoefficients.held(measurements, lay, d, c, rho)
+    steps = full_steps(lay, coef, start, views=hook is not None)
     last = drive(steps, iters, lay.src, hook, start, 2 * graph.dim * lay.num_edges)
     return RunResult(states=full_states(lay.offsets, last), estimates=last["p"].copy())
 
@@ -318,32 +323,27 @@ def full_states(offsets: np.ndarray, fields: dict) -> EdgeStates:
     return EdgeStates(blocks, fields["u"], fields["lam"])
 
 
-def full_steps(lay: EdgeLayout, d: np.ndarray, c, rho, start: EdgeStates, views: bool):
+def full_steps(lay: EdgeLayout, coef: EdgeCoefficients, start: EdgeStates, views: bool):
     """Iterate the full-state solver from ``start``, one yield per
     iteration: the new ``p``, ``z_minus``, ``z_plus``, ``u`` and ``lam`` by
     name, in that order; then, when ``views``, their ``EdgeStates`` and the
     half-step ``EdgeBlocks``, else ``None`` twice.
 
     ``lay`` may be a :meth:`~locadmm.network.EdgeLayout.stack` layout, with
-    ``d`` and ``start`` stacked to match and ``c`` and ``rho`` given per
-    copy: every copy then advances as it would alone. The coefficients are
-    built at the first iteration, once, and the iterates never write an
-    array of ``start`` or one they have yielded.
+    ``coef`` and ``start`` stacked to match: every copy then advances as it
+    would alone. The iterates never write an array of ``start``, of
+    ``coef`` or one they have yielded.
     """
     p, z_minus, z_plus = start.blocks.p, start.blocks.z_minus, start.blocks.z_plus
     u, lam = start.u, start.lam
     del start  # its arrays go once the iterates replace them
     src, rev = lay.src, lay.rev
-    dim = lay.dim
-    # Each coefficient computed per edge (a number for one copy) as the
-    # per-node spec does, then spread.
+    d_u, d_rho, denom = coef.d, coef.d_rho, coef.denom
+    # Each coefficient of c alone computed per edge (a number for one copy)
+    # as the per-node spec does, then spread.
     with quiet_fp():
-        c_col = lay.edge_column(c)
-        d_u, d_rho, c_e, two_c, c1 = (
-            spread(x, dim)
-            for x in (d, d / lay.edge_column(rho), c_col, 2.0 * c_col, c_col + 1.0)
-        )
-        denom = spread(2.0 * (lay.node_column(c) + 1.0) * lay.degrees, dim)
+        c_col = lay.edge_column(coef.c)
+        c_e, two_c, c1 = (spread(x, lay.dim) for x in (c_col, 2.0 * c_col, c_col + 1.0))
     while True:
         with quiet_fp():
             # half-step (local_halfstep), in place on arrays made this

@@ -29,6 +29,7 @@ from .solver_full import (
 )
 from .structured_ops import (
     EdgeBlocks,
+    EdgeCoefficients,
     EdgeStates,
     FullNodeState,
     NodeBlockVector,
@@ -284,7 +285,10 @@ def run_lite(
     rounding.
     Every node advances at once on edge arrays (:func:`lite_steps`),
     bit-identical to :func:`step_lite` and :func:`full_view`; ``threads`` is
-    accepted for compatibility and ignored.
+    accepted for compatibility and ignored. The per-edge coefficients are
+    built once per ``(measurements, c, rho)`` and held on ``measurements``
+    (:meth:`~locadmm.structured_ops.EdgeCoefficients.held`), so a run made
+    of short calls builds them once.
     """
     check_run(graph, iters)
     c, rho = params.c, params.rho
@@ -298,7 +302,8 @@ def run_lite(
         if start.d is not d and not np.array_equal(start.d, d):
             raise InvalidInit("start ranges do not match the measurements")
     view = None if hook is None else start_view(lay, start, c, from_spec)
-    steps = lite_steps(lay, d, c, rho, start, views=hook is not None)
+    coef = EdgeCoefficients.held(measurements, lay, d, c, rho)
+    steps = lite_steps(lay, coef, start, views=hook is not None)
     last = drive(steps, iters, lay.src, hook, view, 2 * graph.dim * lay.num_edges)
     return RunResult(states=LiteStates(lay.offsets, d=d, **last), estimates=last["p"].copy())
 
@@ -318,7 +323,7 @@ def start_view(lay: EdgeLayout, start: LiteStates, c, from_spec: bool) -> EdgeSt
     return EdgeStates(EdgeBlocks(lay.offsets, start.p, z_minus, z_plus), start.u, start.lam)
 
 
-def lite_steps(lay: EdgeLayout, d: np.ndarray, c, rho, start, views: bool):
+def lite_steps(lay: EdgeLayout, coef: EdgeCoefficients, start, views: bool):
     """Iterate the low-storage recursion from ``start`` (its ``p``, ``u``,
     ``lam``, ``alpha`` and ``beta``), one yield per iteration: the new
     fields by name, in that order; when ``views``, their full-state
@@ -326,26 +331,22 @@ def lite_steps(lay: EdgeLayout, d: np.ndarray, c, rho, start, views: bool):
     blocks, which this solver does not form.
 
     ``lay`` may be a :meth:`~locadmm.network.EdgeLayout.stack` layout, with
-    ``d`` and ``start`` stacked to match and ``c`` and ``rho`` given per
-    copy: every copy then advances as it would alone. The coefficients are
-    built at the first iteration, once, and the iterates never write an
-    array of ``start`` or one they have yielded.
+    ``coef`` and ``start`` stacked to match: every copy then advances as it
+    would alone. The iterates never write an array of ``start``, of
+    ``coef`` or one they have yielded.
     """
     src, rev = lay.src, lay.rev
-    dim = lay.dim
+    d_u, d_rho, d_rho_scale, denom = coef.d, coef.d_rho, coef.d_rho_scale, coef.denom
     p, u, lam, alpha, beta = start.p, start.u, start.lam, start.alpha, start.beta
     del start  # its arrays go once the iterates replace them
-    # Each coefficient computed per edge (a number for one copy) as
-    # _advance_node does, then spread.
+    # Each coefficient of c alone computed per edge (a number for one copy)
+    # as _advance_node does, then spread.
     with quiet_fp():
-        c_col, rho_col = lay.edge_column(c), lay.edge_column(rho)
+        c_col = lay.edge_column(coef.c)
         scale_col = 2.0 * (c_col + 1.0)
-        d_u, neg_d, d_rho, d_rho_scale, c_e, two_c, scale, c_scale = (
-            spread(x, dim)
-            for x in (d, -d, d / rho_col, d / (rho_col * scale_col), c_col, 2.0 * c_col,
-                      scale_col, c_col / scale_col)
+        c_e, two_c, scale, c_scale = (
+            spread(x, lay.dim) for x in (c_col, 2.0 * c_col, scale_col, c_col / scale_col)
         )
-        denom = spread(2.0 * (lay.node_column(c) + 1.0) * lay.degrees, dim)
     while True:
         with quiet_fp():
             # exchange, then _advance_node on every node, in place on arrays
@@ -378,10 +379,11 @@ def lite_steps(lay: EdgeLayout, d: np.ndarray, c, rho, start, views: bool):
             minus_sum += alpha
             if views:
                 z_minus = minus_sum / scale
-            # beta = -d u + p + z^+, alpha = lam + 2 c p, and
+            # beta = -d u + p + z^+ (as p - d u + z^+, the same bits),
+            # alpha = lam + 2 c p, and
             # lam = lam + c p - (c / scale) (alpha + beta_in), with the old alpha
-            beta = np.multiply(neg_d, u, out=tmp)
-            beta += p_src
+            beta = np.multiply(d_u, u, out=tmp)
+            np.subtract(p_src, beta, out=beta)
             beta += z_plus
             alpha = p_src * two_c
             alpha += lam

@@ -27,6 +27,7 @@ from typing import Optional
 
 import numpy as np
 
+from .engine import quiet_fp
 from .errors import InvalidInit, InvalidParameter, MissingNode
 from .network import EdgeLayout, edge_lengths
 
@@ -293,17 +294,74 @@ def spread(col, dim: int):
     return np.stack([col] * dim, axis=1) if isinstance(col, np.ndarray) else col
 
 
+def _fixed(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+@dataclass(frozen=True, eq=False)
+class EdgeCoefficients:
+    """The range coefficients of a solve, each computed on its column as
+    the per-node spec does, then spread to ``dim`` columns (:func:`spread`);
+    every array is read-only.
+
+    ``d`` holds the ranges, ``d_rho`` ``d / rho``, ``denom`` each node's
+    ``p`` divisor ``2 (c + 1) k`` (a row per node), and ``d_rho_scale``
+    ``d / (rho 2 (c + 1))``, which only the low-storage solver reads.
+    ``c`` is the penalty they were built at: a number, or per-copy values
+    on a :meth:`~locadmm.network.EdgeLayout.stack` layout.
+    """
+
+    c: object
+    d: np.ndarray
+    d_rho: np.ndarray
+    denom: np.ndarray
+    d_rho_scale: Optional[np.ndarray]
+
+    @classmethod
+    def build(cls, lay: EdgeLayout, d: np.ndarray, c, rho, lite: bool = True):
+        """The coefficients of the ranges ``d`` (one per row of ``lay``) at
+        penalties ``c`` and ``rho``; without ``d_rho_scale`` unless ``lite``."""
+        dim = lay.dim
+        with quiet_fp():
+            rho_col = lay.edge_column(rho)
+            scaled = d / (rho_col * (2.0 * (lay.edge_column(c) + 1.0))) if lite else None
+            return cls(
+                c,
+                _fixed(spread(d, dim)),
+                _fixed(spread(d / rho_col, dim)),
+                _fixed(spread(2.0 * (lay.node_column(c) + 1.0) * lay.degrees, dim)),
+                None if scaled is None else _fixed(spread(scaled, dim)),
+            )
+
+    @classmethod
+    def held(cls, measurements, lay: EdgeLayout, d: np.ndarray, c, rho):
+        """:meth:`build`, kept on ``measurements`` (whose ranges on the graph
+        of ``lay`` are ``d``) for the latest ``(c, rho)`` asked of it: both
+        solvers read that one set, and other penalties replace it."""
+        memo, key = measurements._coefficients, (c, rho, lay.dim)
+        if key not in memo:
+            memo.clear()
+            memo[key] = cls.build(lay, d, c, rho)
+        return memo[key]
+
+
 def project_ball(f: np.ndarray) -> np.ndarray:
     """Project each row of an edge field onto the unit ball."""
     f = np.asarray(f, dtype=float)
-    # Squares added one column at a time, in the order (f * f).sum(axis=1)
-    # adds a row's, so the norms are bit-identical to it, with no (E, dim)
-    # temporary of squares.
-    norms = f[:, 0] * f[:, 0]
-    for k in range(1, f.shape[1]):
-        norms += f[:, k] * f[:, k]
+    # The squares go into the output array and their columns are added in
+    # the order (f * f).sum(axis=1) adds a row's, so the norms are
+    # bit-identical to it; the clipped norms then fill every column, and f
+    # is divided by them in place.
+    out = np.multiply(f, f)
+    dim = f.shape[1]
+    norms = out[:, 0] + out[:, 1] if dim > 1 else out[:, 0].copy()
+    for k in range(2, dim):
+        norms += out[:, k]
     np.sqrt(norms, out=norms)
-    out = spread(np.maximum(norms, 1.0, out=norms), f.shape[1])
+    np.maximum(norms, 1.0, out=norms)
+    for k in range(dim):
+        out[:, k] = norms
     return np.divide(f, out, out=out)
 
 

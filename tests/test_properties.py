@@ -15,9 +15,13 @@ the exchange and storage accounting of criterion 7. The trace recorder
 gives the same trace whether it reads the solvers' stacked states or
 per-node state lists built by the spec. A grid of cells run as one batched
 solve gives every cell the final state, rmse and F of its own run, bit for
-bit, and masks exactly the cells whose own run diverges.
+bit, and masks exactly the cells whose own run diverges. The coefficients
+a measurement set holds for the solvers are never stale, never written, and
+go with the set.
 """
 
+import gc
+import weakref
 from argparse import Namespace
 from dataclasses import fields, is_dataclass, replace
 
@@ -30,7 +34,7 @@ from locadmm import grid, oracle
 from locadmm.engine import IterationEvent
 from locadmm.errors import NonFiniteValue
 from locadmm.harness import execute_run
-from locadmm.network import GroundTruth
+from locadmm.network import GroundTruth, MeasurementSet
 from locadmm.solver_full import (
     FullNodeState,
     InitSpec,
@@ -51,6 +55,7 @@ from locadmm.solver_lite import (
     step_lite,
 )
 from locadmm.structured_ops import (
+    EdgeCoefficients,
     NodeBlockVector,
     PenaltyParams,
     project_ball,
@@ -510,3 +515,82 @@ def test_grid_cells_are_their_own_runs(inst):
         assert [(r.t, repr(r.rmse), repr(r.F), r.comm_scalars) for r in own.trace.rows] == [
             (r.t, repr(r.rmse), repr(r.F), r.comm_scalars) for r in run.result.trace.rows
         ]
+
+
+def held(graph, meas, params):
+    """The coefficients the solvers hold on ``meas`` at ``params``."""
+    return EdgeCoefficients.held(meas, graph.layout, meas.edge_ranges(graph), params.c, params.rho)
+
+
+def coefficient_arrays(coef):
+    return [a for a in (coef.d, coef.d_rho, coef.denom, coef.d_rho_scale) if a is not None]
+
+
+@st.composite
+def penalty_schedules(draw):
+    """An instance, two penalty pairs (equal, sharing c or rho, or apart),
+    and a schedule of 1-iteration calls, each naming a solver and a pair."""
+    graph, meas, params, spec, seed, _ = draw(instances())
+    other = draw(st.floats(0.01, 2.0))
+    second = draw(st.sampled_from([
+        params,
+        PenaltyParams(params.c, other),
+        PenaltyParams(other, params.rho),
+        PenaltyParams(other, draw(st.floats(0.01, 2.0))),
+    ]))
+    calls = st.tuples(st.sampled_from(["full", "lite"]), st.integers(0, 1))
+    return graph, meas, spec, seed, (params, second), draw(st.lists(calls, min_size=2, max_size=10))
+
+
+@PROPERTY_SETTINGS
+@given(penalty_schedules())
+def test_held_coefficients_follow_solver_and_penalties(inst):
+    # every call on the shared set equals the same call on a fresh copy of
+    # it, so no call reads coefficients held for another solver or pair
+    graph, meas, spec, seed, pairs, schedule = inst
+    runners = {"full": run_full, "lite": run_lite}
+    last = {}
+    for algo, k in schedule:
+        init = last.get((algo, k), spec)
+        shared = runners[algo](graph, meas, pairs[k], init, 1, seed=seed)
+        fresh = runners[algo](graph, MeasurementSet(graph, meas.d), pairs[k], init, 1, seed=seed)
+        assert_same_bits([shared.states], [fresh.states])
+        last[(algo, k)] = shared.states
+    # both solvers read the one set held for the latest pair
+    coef = held(graph, meas, pairs[k])
+    for algo in runners:
+        runners[algo](graph, meas, pairs[k], spec, 1, seed=seed)
+        assert held(graph, meas, pairs[k]) is coef
+
+
+@PROPERTY_SETTINGS
+@given(graphs(max_nodes=8), st.sampled_from([True, False]))
+def test_held_coefficients_are_read_only(inst, lite):
+    graph, meas, _ = inst
+    stacked = graph.layout.stack(2)
+    built = EdgeCoefficients.build(
+        stacked, np.tile(meas.edge_ranges(graph), 2), np.array([0.3, 0.5]), np.array([0.2, 0.1]),
+        lite,
+    )
+    for coef in (held(graph, meas, PenaltyParams(0.3, 0.2)), built):
+        for a in coefficient_arrays(coef):
+            try:
+                a[...] = 0.0
+            except ValueError:
+                continue
+            raise AssertionError("a coefficient array took a write")
+
+
+@PROPERTY_SETTINGS
+@given(graphs(max_nodes=8))
+def test_held_coefficients_go_with_their_measurements(inst):
+    graph, drawn, _ = inst
+    meas = MeasurementSet(graph, drawn.d)
+    params, spec = PenaltyParams(0.3, 0.2), InitSpec(kind="zeros", u_init="half")
+    run_full(graph, meas, params, spec, 2)
+    run_lite(graph, meas, params, spec, 2)
+    coef = held(graph, meas, params)
+    refs = [weakref.ref(x) for x in [meas, coef, *coefficient_arrays(coef)]]
+    del meas, coef
+    gc.collect()
+    assert all(ref() is None for ref in refs)

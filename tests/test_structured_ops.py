@@ -198,10 +198,22 @@ class TestProjectBall:
     @pytest.mark.parametrize("dim", [2, 3])
     def test_bitwise_equal_to_row_sum_of_squares(self, dim):
         rng = np.random.default_rng(dim)
-        for scale in (1e-3, 1.0, 1e3):
-            f = rng.normal(size=(20_000, dim)) * scale
-            want = f / np.maximum(1.0, np.sqrt((f * f).sum(axis=1)))[:, None]
-            assert ops.project_ball(f).tobytes() == want.tobytes()
+        # zero rows, rows on the sphere, and rows whose squares overflow
+        # (they project to zero)
+        edge = np.zeros((9, dim))
+        edge[[2, 3], [0, dim - 1]] = [1.0, -1.0]
+        edge[4, :2], edge[5, :2] = [0.6, 0.8], [-3.0 / 5.0, 4.0 / 5.0]
+        edge[6], edge[7, 0], edge[8, -1] = 1e200, -1e300, 1e155
+        fields = [rng.normal(size=(20_000, dim)) * scale for scale in (1e-3, 1.0, 1e3)]
+        for f in [*fields, edge, np.zeros((0, dim))]:
+            given = f.copy()
+            with np.errstate(over="ignore"):
+                want = f / np.maximum(1.0, np.sqrt((f * f).sum(axis=1)))[:, None]
+                out = ops.project_ball(f)
+            assert out.shape == f.shape and out.tobytes() == want.tobytes()
+            assert f.tobytes() == given.tobytes()
+        with np.errstate(over="ignore"):
+            assert not ops.project_ball(edge[6:]).any()
 
 
 class TestProjectConsensus:
