@@ -244,8 +244,10 @@ class EdgeLayout:
     and ``rev[e]`` is the row of the reverse edge: the gather ``x[rev]``
     hands every node the rows its neighbors hold toward it.
 
-    The solvers gather with ``np.take(x, idx, axis=0)``: it equals
-    ``x[idx]`` but runs several times faster on ``(E, dim)`` arrays.
+    The solvers' iteration loops gather with ``x.take(idx, axis=0)``: it
+    equals ``x[idx]`` but runs several times faster on ``(E, dim)`` arrays,
+    and it is the C routine behind ``np.take(x, idx, axis=0)`` without
+    NumPy's Python wrapper, ~1.2 µs a call at N = 108.
 
     ``copies`` counts the disjoint copies of one graph a :meth:`stack`
     layout holds; every other layout has one.

@@ -348,7 +348,7 @@ def full_steps(lay: EdgeLayout, coef: EdgeCoefficients, start: EdgeStates, views
         with quiet_fp():
             # half-step (local_halfstep), in place on arrays made this
             # iteration and not yet handed out
-            p_src = np.take(p, src, axis=0)
+            p_src = p.take(src, axis=0)
             base_minus = p_src + z_minus
             base_plus = p_src
             base_plus += z_plus
@@ -372,15 +372,15 @@ def full_steps(lay: EdgeLayout, coef: EdgeCoefficients, start: EdgeStates, views
             # exchange and combine (gather_inbox, combine_z):
             # z^- = (c zm_t + zp_t[rev]) / (c+1), z^+ = (zp_t + c zm_t[rev]) / (c+1)
             z_minus = np.multiply(zm_t, c_e, out=acc)
-            z_minus += np.take(zp_t, rev, axis=0)
+            z_minus += zp_t.take(rev, axis=0)
             z_minus /= c1
-            z_plus = np.take(zm_t, rev, axis=0)
+            z_plus = zm_t.take(rev, axis=0)
             z_plus *= c_e
             z_plus += zp_t
             z_plus /= c1
             # direction and dual steps (update_u, update_lambda):
             # u = proj(u + (d / rho) (p - z^+)), lam = lam + c (p - z^-)
-            p_src = np.take(p, src, axis=0)
+            p_src = p.take(src, axis=0)
             u_t = np.subtract(p_src, z_plus, out=base_minus)
             u_t *= d_rho
             u_t += u

@@ -351,8 +351,8 @@ def lite_steps(lay: EdgeLayout, coef: EdgeCoefficients, start, views: bool):
         with quiet_fp():
             # exchange, then _advance_node on every node, in place on arrays
             # made this iteration and not yet handed out
-            alpha_in = np.take(alpha, rev, axis=0)
-            beta_in = np.take(beta, rev, axis=0)
+            alpha_in = alpha.take(rev, axis=0)
+            beta_in = beta.take(rev, axis=0)
             # p = node_sum(2 d u - 2 lam + alpha + beta) / (scale k)
             acc = d_u * u
             acc *= 2.0
@@ -363,7 +363,7 @@ def lite_steps(lay: EdgeLayout, coef: EdgeCoefficients, start, views: bool):
             p = lay.node_sum(acc)
             p /= denom
             p[lay.anchor_idx] = lay.anchor_pos
-            p_src = np.take(p, src, axis=0)
+            p_src = p.take(src, axis=0)
             # u = proj(u + (d / rho) p - (d / (rho scale)) (beta + alpha_in))
             plus_sum = alpha_in
             plus_sum += beta

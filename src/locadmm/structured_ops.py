@@ -388,7 +388,7 @@ def consensus_rows(lay: EdgeLayout, p, z_minus, z_plus) -> tuple:
     (of one graph or of several stacked copies): new ``(p, z^-, z^+)``."""
     p = p.copy()
     p[lay.anchor_idx] = lay.anchor_pos
-    avg = np.take(z_minus, lay.rev, axis=0)
+    avg = z_minus.take(lay.rev, axis=0)
     avg += z_plus
     avg /= 2.0
-    return p, np.take(avg, lay.rev, axis=0), avg
+    return p, avg.take(lay.rev, axis=0), avg

@@ -17,10 +17,12 @@ per-node state lists built by the spec. A grid of cells run as one batched
 solve gives every cell the final state, rmse and F of its own run, bit for
 bit, and masks exactly the cells whose own run diverges. The coefficients
 a measurement set holds for the solvers are never stale, never written, and
-go with the set.
+go with the set. The finite checks name the same divergence as a per-entry
+scan, and pass finite fields whose squares overflow.
 """
 
 import gc
+import math
 import weakref
 from argparse import Namespace
 from dataclasses import fields, is_dataclass, replace
@@ -31,7 +33,7 @@ from hypothesis import strategies as st
 
 from locadmm import diagnostics as dg
 from locadmm import grid, oracle
-from locadmm.engine import IterationEvent
+from locadmm.engine import IterationEvent, check_finite, finite_copies
 from locadmm.errors import NonFiniteValue
 from locadmm.harness import execute_run
 from locadmm.network import GroundTruth, MeasurementSet
@@ -594,3 +596,62 @@ def test_held_coefficients_go_with_their_measurements(inst):
     del meas, coef
     gc.collect()
     assert all(ref() is None for ref in refs)
+
+
+@st.composite
+def planted_fields(draw):
+    """A graph's ``p`` and four edge fields, finite, some entries beyond
+    1e154 so that their squares overflow, with up to three NaN or infinite
+    values planted, each at a random field, row and column."""
+    graph, _, rng = draw(graphs(max_nodes=8))
+    n, e, dim = graph.num_nodes, graph.layout.num_edges, graph.dim
+    fields = {
+        name: rng.standard_normal((n if name == "p" else e, dim))
+        for name in ("p", "u", "lam", "alpha", "beta")
+    }
+    if draw(st.booleans()):
+        for a in fields.values():
+            a[rng.random(a.shape) < 0.3] *= 1e200
+    for bad in draw(st.lists(st.sampled_from([np.nan, np.inf, -np.inf]), max_size=3)):
+        a = fields[draw(st.sampled_from(sorted(fields)))]
+        a[draw(st.integers(0, a.shape[0] - 1)), draw(st.integers(0, dim - 1))] = bad
+    return graph.layout.src, fields, draw(st.sampled_from([1, 2, 3, 300]))
+
+
+def reference_finite_message(t, src, fields):
+    """The per-entry scan: the lowest node holding a bad value, then its
+    first bad field in argument order; ``None`` if every entry is finite."""
+    first = None
+    for k, (name, a) in enumerate(fields.items()):
+        for row in range(a.shape[0]):
+            for col in range(a.shape[1]):
+                if not math.isfinite(a[row, col]):
+                    node = row if name == "p" else int(src[row])
+                    if first is None or (node, k) < first[:2]:
+                        first = (node, k, name)
+    return None if first is None else f"non-finite {first[2]} at node {first[0]}, iteration {t}"
+
+
+@PROPERTY_SETTINGS
+@given(planted_fields(), st.integers(1, 10**6))
+def test_finite_checks_agree_with_per_entry_scan(inst, t):
+    src, fields, copies = inst
+    want = reference_finite_message(t, src, fields)
+    if want is None:
+        check_finite(t, src, **fields)
+    else:
+        try:
+            check_finite(t, src, **fields)
+        except NonFiniteValue as err:
+            assert str(err) == want
+        else:
+            raise AssertionError(f"check_finite passed {want!r}")
+    # the same fields stacked as copies, the planted values in one copy only
+    holder = np.random.default_rng(t).integers(copies)
+    stacked = {}
+    for name, a in fields.items():
+        clean = np.where(np.isfinite(a), a, 0.0)
+        stacked[name] = np.concatenate([a if k == holder else clean for k in range(copies)])
+    want_ok = np.ones(copies, dtype=bool)
+    want_ok[holder] = want is None
+    assert np.array_equal(finite_copies(copies, stacked.values()), want_ok)

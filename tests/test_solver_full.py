@@ -3,7 +3,8 @@ import pytest
 
 from locadmm import oracle
 from locadmm import structured_ops as ops
-from locadmm.engine import check_finite
+from locadmm import engine
+from locadmm.engine import check_finite, finite_copies
 from locadmm.errors import (
     InvalidInitSpec,
     InvalidParameter,
@@ -504,6 +505,33 @@ class TestRunFull:
         u[2, 1] = -np.inf
         with pytest.raises(NonFiniteValue, match="^non-finite u at node 1, iteration 5$"):
             check_finite(5, src, p, u=u, lam=lam)
+
+    def test_finite_values_whose_squares_overflow_pass(self):
+        # the self-dot of these fields is inf; the exact scan finds nothing
+        src = np.array([0, 1, 1, 2])
+        p, u, lam = np.full((3, 2), 1e200), np.full((4, 2), -1e200), np.full((4, 2), 1e200)
+        check_finite(5, src, p, u=u, lam=lam)
+        assert finite_copies(2, [u, lam]).all()
+
+    def test_finite_check_blas_calls_stay_small(self, monkeypatch):
+        # OpenBLAS threads ddot past 10 000 entries; the check must not
+        sizes = []
+        vdot = np.vdot
+
+        def recording_vdot(a, b):
+            sizes.append(max(np.size(a), np.size(b)))
+            return vdot(a, b)
+
+        monkeypatch.setattr(np, "vdot", recording_vdot)
+        src = np.repeat(np.arange(1000), 17)[:16702]
+        p, lam = np.ones((1000, 2)), np.ones((16702, 2))
+        check_finite(1, src, p, lam=lam)
+        assert finite_copies(2, [p, lam]).all()
+        lam[-1, 1] = np.nan
+        with pytest.raises(NonFiniteValue, match="^non-finite lam at node 982, iteration 1$"):
+            check_finite(1, src, p, lam=lam)
+        assert finite_copies(2, [p, lam]).tolist() == [True, False]
+        assert sizes and max(sizes) <= engine._BLAS_BLOCK
 
     def test_message_volume_per_node(self, triangle):
         graph, truth, meas = triangle
