@@ -238,6 +238,12 @@ def _cmd_compare(args) -> int:
     _, estimates, _ = network.load_network(args.est)
     if estimates is None:
         raise InvalidParameter(f"{args.est} carries no positions")
+    if estimates.positions.shape != truth.positions.shape:
+        (n, dim), (est_n, est_dim) = truth.positions.shape, estimates.positions.shape
+        raise InvalidParameter(
+            f"{args.est} holds {est_n} positions in dim {est_dim}, "
+            f"but {args.net} has {n} nodes in dim {dim}"
+        )
     value = network.rmse(estimates.positions, truth, graph)
     print(f"rmse={value!r}")
     return EXIT_OK

@@ -692,31 +692,34 @@ def save_network(
     """Write a network file; see the schema comment above.
 
     The text is exactly what ``json.dump(doc, fh, indent=1)`` and a newline
-    write for the schema's document, assembled from per-node and per-edge
-    templates in one pass (``json`` falls back to its pure-Python encoder
-    whenever it indents).
+    write for the schema's document: the per-node templates, joined, take
+    one ``%`` over every node's fields, and the per-edge ones one over every
+    edge's (``json`` falls back to its pure-Python encoder whenever it
+    indents).
     """
     if measurements is not None:
         measurements._check(graph)
-    lay = graph.layout
-    vec = "[\n    " + ",\n    ".join(["%s"] * graph.dim) + "\n   ]"
+    lay, n, dim = graph.layout, graph.num_nodes, graph.dim
+    vec = "[\n    " + ",\n    ".join(["%s"] * dim) + "\n   ]"
     pos = ',\n   "pos": ' + vec if truth is not None else ""
     plain = '  {\n   "id": %d,\n   "anchor": false' + pos + "\n  }"
     anchor = '  {\n   "id": %d,\n   "anchor": true,\n   "anchor_pos": ' + vec + pos + "\n  }"
-    anchor_rows = dict(zip(lay.anchor_idx.tolist(), _json_rows(lay.anchor_pos)))
-    pos_rows = [()] * graph.num_nodes
+    columns = [range(n)]
     if truth is not None:
-        positions = truth.positions[: graph.num_nodes]
-        if positions.shape != (graph.num_nodes, graph.dim):
+        positions = truth.positions[:n]
+        if positions.shape != (n, dim):
             raise InvalidParameter(
                 f"truth positions have shape {truth.positions.shape}, "
-                f"the graph needs ({graph.num_nodes}, {graph.dim})"
+                f"the graph needs ({n}, {dim})"
             )
-        pos_rows = _json_rows(positions)
-    nodes = ",\n".join([
-        anchor % (i, *anchor_rows[i], *row) if i in anchor_rows else plain % (i, *row)
-        for i, row in enumerate(pos_rows)
-    ])
+        pos_text = _json_numbers(positions)
+        columns += [pos_text[k::dim] for k in range(dim)]
+    fields = list(zip(*columns))
+    templates = [plain] * n
+    for k, row in zip(lay.anchor_idx.tolist(), _json_rows(lay.anchor_pos)):
+        templates[k] = anchor
+        fields[k] = (k, *row, *fields[k][1:])
+    nodes = _fill(templates, fields)
 
     fwd = lay.forward
     columns = [lay.src[fwd].tolist(), lay.dst[fwd].tolist()]
@@ -725,15 +728,21 @@ def save_network(
         columns.append(_json_numbers(measurements.d))
         d_field = ',\n   "d": %s'
     edge = '  {\n   "i": %d,\n   "j": %d' + d_field + "\n  }"
-    edges = ",\n".join(map(edge.__mod__, zip(*columns)))
+    edges = _fill([edge] * fwd.size, zip(*columns))
     edges = "[\n" + edges + "\n ]" if edges else "[]"
 
     text = (
-        f'{{\n "schema_version": {SCHEMA_VERSION},\n "dim": {graph.dim},\n'
+        f'{{\n "schema_version": {SCHEMA_VERSION},\n "dim": {dim},\n'
         f' "nodes": [\n{nodes}\n ],\n "edges": {edges}\n}}\n'
     )
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
+
+
+def _fill(templates: list, fields) -> str:
+    """The ``templates`` joined by ``",\\n"``, each filled with its tuple of
+    ``fields``: one ``%`` over the whole text."""
+    return ",\n".join(templates) % tuple(itertools.chain.from_iterable(fields))
 
 
 # how json spells the floats that have no JSON literal
@@ -765,7 +774,11 @@ def load_network(path):
     The entries are checked a column at a time (every id, then every
     anchor flag, ...), but the error raised is the one for the first fault
     in file order: all node entries come before all edge entries, and each
-    entry's checks run in the order of the schema's fields.
+    entry's checks run in the order of the schema's fields. Each column
+    first takes a screen at C speed (the set of its entries' types, the
+    bounds of its ids, ``np.isfinite`` over its numbers); only a column that
+    fails its screen is scanned entry by entry for its first fault, so a
+    file that ``save_network`` wrote is loaded without a per-entry step.
 
     Raises
     ------
@@ -809,7 +822,7 @@ def load_network(path):
     anchor_map = dict(zip(ids[anchors].tolist(), anchor_pos))
     graph = NetworkGraph.build(dim, num_nodes, anchor_map, np.stack([i, j], axis=1))
     if not graph.connected:
-        warnings.warn("loaded network is not connected; solvers will reject it")
+        warnings.warn("loaded network is not connected; solvers will reject it", stacklevel=2)
 
     truth = None
     if with_pos.size:
@@ -863,6 +876,12 @@ def _first(flags) -> int | None:
     return next(itertools.compress(itertools.count(), flags), None)
 
 
+def _all(values: list, kind: type) -> bool:
+    """Whether every entry of ``values`` is exactly of type ``kind``
+    (``bool`` is not ``int``), tested at C speed."""
+    return set(map(type, values)) <= {kind}
+
+
 def _first_non_number(values: list) -> int | None:
     """The index of the first entry of ``values`` that is not a finite JSON
     number (an int or a float, not a boolean), or ``None``."""
@@ -870,6 +889,38 @@ def _first_non_number(values: list) -> int | None:
         not ((type(x) is float or type(x) is int) and abs(x) <= sys.float_info.max)
         for x in values
     )
+
+
+def _numbers(values: list) -> tuple[np.ndarray, int | None]:
+    """``(array, m)``: ``m`` is the index of the first entry of ``values``
+    that is not a finite JSON number (``None`` if all are), and ``array``
+    holds the entries before it as floats.
+
+    A column of finite floats, which ``save_network`` writes for finite
+    data, passes a screen at C speed and skips ``_first_non_number``; ints
+    convert exactly as ``float()`` converts them.
+    """
+    if _all(values, float):
+        array = np.fromiter(values, dtype=float, count=len(values))
+        if np.isfinite(array).all():
+            return array, None
+    m = _first_non_number(values)
+    return np.array(values[:m], dtype=float), m
+
+
+def _id_arrays(columns: list, num_nodes: int) -> list | None:
+    """The ``columns`` of node ids as intp arrays, or ``None`` unless every
+    entry is an int in ``0 .. num_nodes-1``: a screen at C speed that the
+    per-entry id checks run after only when it fails."""
+    if not all(_all(column, int) for column in columns):
+        return None
+    try:
+        arrays = [np.fromiter(column, dtype=np.intp, count=len(column)) for column in columns]
+    except OverflowError:
+        return None
+    if any(a.size and (a.min() < 0 or a.max() >= num_nodes) for a in arrays):
+        return None
+    return arrays
 
 
 def _first_repeat(keys: np.ndarray, order: np.ndarray) -> tuple[int, int] | None:
@@ -891,27 +942,35 @@ def _node_columns(raw: list, num_nodes: int, dim: int):
     their ``(A, dim)`` positions, and the entry indices that give ``pos``
     and their ``(P, dim)`` positions."""
     fault = _FirstFault(len(raw))
-    fault.at(_first(type(e) is not dict for e in raw), lambda k: f"nodes[{k}]: expected an object")
+    if not _all(raw, dict):
+        fault.at(
+            _first(type(e) is not dict for e in raw), lambda k: f"nodes[{k}]: expected an object"
+        )
     entries = raw[: fault.end]
     ids = list(map(dict.get, entries, itertools.repeat("id")))
-    fault.at(
-        _first(type(x) is not int or not 0 <= x < num_nodes for x in ids),
-        lambda k: f"nodes[{k}].id: ids must be dense 0-based integers, got {ids[k]!r}",
-    )
-    id_arr = np.array(ids[: fault.end], dtype=np.intp)
+    screened = _id_arrays([ids], num_nodes)
+    if screened is None:
+        fault.at(
+            _first(type(x) is not int or not 0 <= x < num_nodes for x in ids),
+            lambda k: f"nodes[{k}].id: ids must be dense 0-based integers, got {ids[k]!r}",
+        )
+        screened = [np.array(ids[: fault.end], dtype=np.intp)]
+    (id_arr,) = screened
     repeat = _first_repeat(id_arr, np.argsort(id_arr, kind="stable"))
     fault.at(
         None if repeat is None else repeat[0],
         lambda k: f"nodes[{k}].id: duplicate id {ids[k]}",
     )
     flags = list(map(dict.get, entries[: fault.end], itertools.repeat("anchor")))
-    fault.at(
-        _first(type(x) is not bool for x in flags),
-        lambda k: f"nodes[{k}].anchor: expected a boolean",
-    )
+    if not _all(flags, bool):
+        fault.at(
+            _first(type(x) is not bool for x in flags),
+            lambda k: f"nodes[{k}].anchor: expected a boolean",
+        )
     anchors = list(itertools.compress(range(fault.end), flags))
     anchor_pos = _vectors(fault, entries, anchors, "anchor_pos", dim)
-    with_pos = [k for k in range(fault.end) if "pos" in entries[k]]
+    has_pos = map(dict.__contains__, entries, itertools.repeat("pos"))
+    with_pos = list(itertools.compress(range(fault.end), has_pos))
     pos = _vectors(fault, entries, with_pos, "pos", dim)
     fault.raise_first()
     return (
@@ -926,14 +985,15 @@ def _node_columns(raw: list, num_nodes: int, dim: int):
 def _vectors(fault: _FirstFault, entries: list, rows: list, key: str, dim: int):
     """The ``key`` vectors of the node entries ``rows`` (ascending), checked,
     as an ``(len(rows), dim)`` float array; ``None`` after a fault."""
-    vecs = [entries[k].get(key) for k in rows]
-    m = _first(type(v) is not list or len(v) != dim for v in vecs)
-    fault.at(
-        None if m is None else rows[m],
-        lambda k: f"nodes[{k}].{key}: expected a list of {dim} numbers",
-    )
+    vecs = list(map(dict.get, map(entries.__getitem__, rows), itertools.repeat(key)))
+    if not (_all(vecs, list) and set(map(len, vecs)) <= {dim}):
+        m = _first(type(v) is not list or len(v) != dim for v in vecs)
+        fault.at(
+            None if m is None else rows[m],
+            lambda k: f"nodes[{k}].{key}: expected a list of {dim} numbers",
+        )
     values = list(itertools.chain.from_iterable(vecs[: bisect.bisect_left(rows, fault.end)]))
-    m = _first_non_number(values)
+    array, m = _numbers(values)
     if m is not None:
         fault.at(
             rows[m // dim],
@@ -942,8 +1002,7 @@ def _vectors(fault: _FirstFault, entries: list, rows: list, key: str, dim: int):
             ),
         )
         return None
-    # checked numbers convert exactly as float() converts them
-    return np.array(values, dtype=float).reshape(-1, dim)
+    return array.reshape(-1, dim)
 
 
 def _edge_columns(raw: list, num_nodes: int):
@@ -951,39 +1010,47 @@ def _edge_columns(raw: list, num_nodes: int):
     entry order, the ranges of the entries that give one, and the entry
     order that sorts the edges as ``NetworkGraph.edge_list`` does."""
     fault = _FirstFault(len(raw))
-    fault.at(_first(type(e) is not dict for e in raw), lambda k: f"edges[{k}]: expected an object")
+    if not _all(raw, dict):
+        fault.at(
+            _first(type(e) is not dict for e in raw), lambda k: f"edges[{k}]: expected an object"
+        )
     entries = raw[: fault.end]
     i = list(map(dict.get, entries, itertools.repeat("i")))
     j = list(map(dict.get, entries, itertools.repeat("j")))
-    fault.at(
-        _first(type(a) is not int or type(b) is not int for a, b in zip(i, j)),
-        lambda k: f"edges[{k}]: i and j must be integers",
-    )
-    fault.at(
-        _first(
-            a == b or not (0 <= a < num_nodes and 0 <= b < num_nodes)
-            for a, b in zip(i[: fault.end], j[: fault.end])
-        ),
-        lambda k: f"edges[{k}]: invalid edge ({i[k]},{j[k]})",
-    )
+    ends = _id_arrays([i, j], num_nodes)
+    if ends is None or (ends[0] == ends[1]).any():
+        fault.at(
+            _first(type(a) is not int or type(b) is not int for a, b in zip(i, j)),
+            lambda k: f"edges[{k}]: i and j must be integers",
+        )
+        fault.at(
+            _first(
+                a == b or not (0 <= a < num_nodes and 0 <= b < num_nodes)
+                for a, b in zip(i[: fault.end], j[: fault.end])
+            ),
+            lambda k: f"edges[{k}]: invalid edge ({i[k]},{j[k]})",
+        )
+        ends = [np.array(x[: fault.end], dtype=np.intp) for x in (i, j)]
     d = list(map(dict.get, entries[: fault.end], itertools.repeat("d")))
-    given = [k for k, x in enumerate(d) if x is not None]
-    d_given = [d[k] for k in given]
-    m = _first_non_number(d_given)
+    if None not in d:  # every entry gives a range
+        given, d_given = range(len(d)), d
+    else:
+        given = [k for k, x in enumerate(d) if x is not None]
+        d_given = [d[k] for k in given]
+    d_arr, m = _numbers(d_given)
     fault.at(
         None if m is None else given[m],
         lambda k: f"edges[{k}].d: expected a finite number, got {d[k]!r:.40}",
     )
     given = given[: bisect.bisect_left(given, fault.end)]
-    d_arr = np.array(d_given[: len(given)], dtype=float)
+    d_arr = d_arr[: len(given)]
     negative = np.flatnonzero(d_arr < 0)
     fault.at(
         given[negative[0]] if negative.size else None,
         lambda k: f"edges[{k}].d: expected a finite non-negative number",
     )
 
-    a = np.array(i[: fault.end], dtype=np.intp)
-    b = np.array(j[: fault.end], dtype=np.intp)
+    a, b = (x[: fault.end] for x in ends)
     keys = np.minimum(a, b) * num_nodes + np.maximum(a, b)
     order = np.argsort(keys, kind="stable")
     repeat = _first_repeat(keys, order)

@@ -454,6 +454,25 @@ class TestCompare:
         _, est_positions, _ = network.load_network(est)
         assert value == network.rmse(est_positions.positions, truth, graph)
 
+    @pytest.mark.parametrize(
+        "other, message",
+        [
+            (["--nodes", "12", "--dim", "3", "--range", "0.9"], "holds 12 positions in dim 3"),
+            (["--nodes", "20", "--range", "0.5"], "holds 20 positions in dim 2"),
+        ],
+        ids=["other-dim", "more-nodes"],
+    )
+    def test_estimates_of_another_network_rejected(self, net_file, tmp_path, capsys,
+                                                   other, message):
+        est = tmp_path / "other.json"
+        assert main(["generate", "--anchors", "3", "--seed", "1", "--out", str(est)] + other) == 0
+        capsys.readouterr()
+        code = main(["compare", "--net", str(net_file), "--est", str(est)])
+        assert code == EXIT_ERROR
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {est} {message}, but {net_file} has 12 nodes in dim 2\n"
+
 
 class TestParserReuse:
     """``main`` builds its parser once per process: no option, default or

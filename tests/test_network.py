@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import locadmm.network as network_module
 from locadmm.errors import (
     ConnectivityFailure,
     EmptyFreeSet,
@@ -719,7 +720,8 @@ class TestFileRoundTrip:
             warnings.simplefilter("always")
             graph, truth, meas = load_network(path)
         assert not graph.connected
-        assert any("not connected" in str(w.message) for w in caught)
+        (warning,) = [w for w in caught if "not connected" in str(w.message)]
+        assert warning.filename == __file__  # attributed to the caller of load_network
 
         from locadmm.errors import DisconnectedGraph
         from locadmm.solver_full import InitSpec, run_full
@@ -1134,3 +1136,71 @@ class TestLoadNetworkMatchesEntryLoader:
                 doc[where][k][key] = value
         kind, text = self.same(doc, path)
         assert kind is ParseError and re.match(message, text)
+
+
+def _instances_to_save():
+    """The N = 108 reference and a dim-3 instance, each with and without
+    truth and ranges."""
+    graph3, truth3 = generate_rgg(60, 6, 0.4, dim=3, seed=5)
+    meas3 = measure(truth3, graph3, NoiseModel("range-dependent", 0.01), seed=2)
+    for graph, truth, meas in (_reference_108(), (graph3, truth3, meas3)):
+        for args in [(truth, meas), (None, meas), (truth, None), (None, None)]:
+            yield graph, *args
+
+
+class TestLoadNetworkScreens:
+    """``load_network`` runs its per-entry scans (``_first``,
+    ``_first_non_number``) only for a column whose whole-column screen
+    fails; a file ``save_network`` wrote fails none."""
+
+    @staticmethod
+    def count_scans(monkeypatch, refuse=False):
+        calls = {"_first": 0, "_first_non_number": 0}
+        for name in calls:
+            scan = getattr(network_module, name)
+
+            def counted(*args, _name=name, _scan=scan):
+                if refuse:
+                    raise AssertionError(f"{_name} ran on a file that passes every screen")
+                calls[_name] += 1
+                return _scan(*args)
+
+            monkeypatch.setattr(network_module, name, counted)
+        return calls
+
+    def test_saved_files_take_no_per_entry_scan(self, tmp_path, monkeypatch):
+        self.count_scans(monkeypatch, refuse=True)
+        path = tmp_path / "net.json"
+        for instance in _instances_to_save():
+            save_network(path, *instance)
+            assert len(TestLoadNetworkMatchesEntryLoader.same(path.read_bytes(), path)) == 7
+
+    @pytest.mark.parametrize(
+        "where, key, value, number_scans",
+        [
+            ("edges", "d", 1, 1),
+            ("free-node", "pos", [1, 0], 1),
+            ("edges", "d", int(sys.float_info.max), 1),
+            ("free-node", "pos", [int(sys.float_info.max), -int(sys.float_info.max)], 1),
+            ("anchor-node", "pos", [-0.0, -0.0], 0),
+            ("edges", "d", -0.0, 0),
+        ],
+        ids=["int-d", "int-pos", "max-int-d", "max-int-pos", "negative-zero-pos",
+             "negative-zero-d"],
+    )
+    def test_valid_files_scanned_only_where_a_screen_fails(self, fuzz_files, monkeypatch,
+                                                          where, key, value, number_scans):
+        _, doc, path = fuzz_files
+        doc = json.loads(json.dumps(doc))
+        if where == "edges":
+            entry = doc["edges"][2]
+        else:
+            anchor = where == "anchor-node"
+            entry = next(e for e in doc["nodes"] if e["anchor"] is anchor)
+            if anchor:
+                entry["anchor_pos"] = [0.0, 0.0]
+        entry[key] = value
+        calls = self.count_scans(monkeypatch)
+        assert len(TestLoadNetworkMatchesEntryLoader.same(doc, path)) == 7
+        # the reference loader runs neither scan
+        assert calls["_first_non_number"] == number_scans
