@@ -8,7 +8,6 @@ data plus pure functions; instances are safe to share read-only.
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import json
 import math
@@ -706,13 +705,12 @@ def save_network(
     anchor = '  {\n   "id": %d,\n   "anchor": true,\n   "anchor_pos": ' + vec + pos + "\n  }"
     columns = [range(n)]
     if truth is not None:
-        positions = truth.positions[:n]
-        if positions.shape != (n, dim):
+        if truth.positions.shape != (n, dim):
             raise InvalidParameter(
                 f"truth positions have shape {truth.positions.shape}, "
                 f"the graph needs ({n}, {dim})"
             )
-        pos_text = _json_numbers(positions)
+        pos_text = _json_numbers(truth.positions)
         columns += [pos_text[k::dim] for k in range(dim)]
     fields = list(zip(*columns))
     templates = [plain] * n
@@ -771,14 +769,9 @@ def load_network(path):
     ``graph.connected == False`` and emits a warning; solvers refuse such
     graphs.
 
-    The entries are checked a column at a time (every id, then every
-    anchor flag, ...), but the error raised is the one for the first fault
-    in file order: all node entries come before all edge entries, and each
-    entry's checks run in the order of the schema's fields. Each column
-    first takes a screen at C speed (the set of its entries' types, the
-    bounds of its ids, ``np.isfinite`` over its numbers); only a column that
-    fails its screen is scanned entry by entry for its first fault, so a
-    file that ``save_network`` wrote is loaded without a per-entry step.
+    A file whose entries are as ``save_network`` writes them is read a
+    column at a time (``_screen``); any other file is read an entry at a
+    time (``_entries``), whose error names the first fault in file order.
 
     Raises
     ------
@@ -813,9 +806,9 @@ def load_network(path):
     if type(raw_edges) is not list:
         raise ParseError("edges: expected a list")
 
+    columns = _screen(raw_nodes, raw_edges, dim) or _entries(raw_nodes, raw_edges, dim)
+    ids, anchors, anchor_pos, with_pos, pos, i, j, d, order = columns
     num_nodes = len(raw_nodes)
-    ids, anchors, anchor_pos, with_pos, pos = _node_columns(raw_nodes, num_nodes, dim)
-    i, j, d, order = _edge_columns(raw_edges, num_nodes)
 
     if not anchors.size:
         raise ParseError("nodes: at least one anchor entry is required")
@@ -847,223 +840,149 @@ def load_network(path):
     return graph, truth, measurements
 
 
-class _FirstFault:
-    """The first fault, in file order, of a list of entries that each take
-    the same checks in the same order.
-
-    The checks run one at a time, each as one pass over a column of the
-    entries before ``end``, the first fault found so far. A check thus meets
-    only entries that passed every earlier check, and a fault it finds comes
-    before ``end``, so it becomes the first.
-    """
-
-    def __init__(self, count: int):
-        self.end = count
-        self.message: str | None = None
-
-    def at(self, k: int | None, message) -> None:
-        """A fault at entry ``k`` (``None``: no fault), reported as ``message(k)``."""
-        if k is not None and k < self.end:
-            self.end, self.message = k, message(k)
-
-    def raise_first(self) -> None:
-        if self.message is not None:
-            raise ParseError(self.message)
-
-
-def _first(flags) -> int | None:
-    """The index of the first true entry of ``flags``, or ``None``."""
-    return next(itertools.compress(itertools.count(), flags), None)
-
-
 def _all(values: list, kind: type) -> bool:
     """Whether every entry of ``values`` is exactly of type ``kind``
     (``bool`` is not ``int``), tested at C speed."""
     return set(map(type, values)) <= {kind}
 
 
-def _first_non_number(values: list) -> int | None:
-    """The index of the first entry of ``values`` that is not a finite JSON
-    number (an int or a float, not a boolean), or ``None``."""
-    return _first(
-        not ((type(x) is float or type(x) is int) and abs(x) <= sys.float_info.max)
-        for x in values
-    )
+def _floats(values: list) -> np.ndarray | None:
+    """``values`` as a float array if every entry is a finite float, else
+    ``None``."""
+    if not _all(values, float):
+        return None
+    array = np.fromiter(values, dtype=float, count=len(values))
+    return array if np.isfinite(array).all() else None
 
 
-def _numbers(values: list) -> tuple[np.ndarray, int | None]:
-    """``(array, m)``: ``m`` is the index of the first entry of ``values``
-    that is not a finite JSON number (``None`` if all are), and ``array``
-    holds the entries before it as floats.
+def _screen(raw_nodes: list, raw_edges: list, dim: int) -> tuple | None:
+    """The checked columns of a file's entries, read at C speed, or ``None``
+    when an entry may be faulty or holds an int where ``save_network``
+    writes a float. Raises nothing.
 
-    A column of finite floats, which ``save_network`` writes for finite
-    data, passes a screen at C speed and skips ``_first_non_number``; ints
-    convert exactly as ``float()`` converts them.
+    The columns are ``(ids, anchors, anchor_pos, with_pos, pos, i, j, d,
+    order)``: the node ids in entry order, the entry indices of the anchors
+    and their ``(A, dim)`` positions, the entry indices that give ``pos``
+    and their ``(P, dim)`` positions, the edge ends in entry order, the
+    ranges of the edge entries that give one, and the entry order that
+    sorts the edges as ``NetworkGraph.edge_list`` does.
     """
-    if _all(values, float):
-        array = np.fromiter(values, dtype=float, count=len(values))
-        if np.isfinite(array).all():
-            return array, None
-    m = _first_non_number(values)
-    return np.array(values[:m], dtype=float), m
-
-
-def _id_arrays(columns: list, num_nodes: int) -> list | None:
-    """The ``columns`` of node ids as intp arrays, or ``None`` unless every
-    entry is an int in ``0 .. num_nodes-1``: a screen at C speed that the
-    per-entry id checks run after only when it fails."""
-    if not all(_all(column, int) for column in columns):
+    num_nodes = len(raw_nodes)
+    if not (_all(raw_nodes, dict) and _all(raw_edges, dict)):
+        return None
+    ids = list(map(dict.get, raw_nodes, itertools.repeat("id")))
+    flags = list(map(dict.get, raw_nodes, itertools.repeat("anchor")))
+    ends = [list(map(dict.get, raw_edges, itertools.repeat(key))) for key in "ij"]
+    if not (_all(ids, int) and _all(flags, bool) and _all(ends[0] + ends[1], int)):
         return None
     try:
-        arrays = [np.fromiter(column, dtype=np.intp, count=len(column)) for column in columns]
+        ids, i, j = (np.fromiter(x, dtype=np.intp, count=len(x)) for x in [ids, *ends])
     except OverflowError:
         return None
-    if any(a.size and (a.min() < 0 or a.max() >= num_nodes) for a in arrays):
+    lo, hi = np.minimum(i, j), np.maximum(i, j)
+    # a sort of the ids is 0 .. N-1 exactly when they are dense and unique
+    if not (np.array_equal(np.sort(ids), np.arange(num_nodes)) and (lo >= 0).all()
+            and (lo < hi).all() and (hi < num_nodes).all()):
         return None
-    return arrays
-
-
-def _first_repeat(keys: np.ndarray, order: np.ndarray) -> tuple[int, int] | None:
-    """``(k, first)``: the first entry of ``keys`` equal to an earlier one,
-    and the entry it repeats; ``None`` when the keys differ. ``order`` is
-    ``np.argsort(keys, kind="stable")``."""
-    ranked = keys[order]
-    later = np.flatnonzero(ranked[1:] == ranked[:-1]) + 1
-    if not later.size:
-        return None
-    # the first repeat in file order is the second entry of its key
-    s = later[np.argmin(order[later])]
-    return int(order[s]), int(order[s - 1])
-
-
-def _node_columns(raw: list, num_nodes: int, dim: int):
-    """The checked node entries as ``(ids, anchors, anchor_pos, with_pos,
-    pos)``: the ids in entry order, the entry indices of the anchors and
-    their ``(A, dim)`` positions, and the entry indices that give ``pos``
-    and their ``(P, dim)`` positions."""
-    fault = _FirstFault(len(raw))
-    if not _all(raw, dict):
-        fault.at(
-            _first(type(e) is not dict for e in raw), lambda k: f"nodes[{k}]: expected an object"
-        )
-    entries = raw[: fault.end]
-    ids = list(map(dict.get, entries, itertools.repeat("id")))
-    screened = _id_arrays([ids], num_nodes)
-    if screened is None:
-        fault.at(
-            _first(type(x) is not int or not 0 <= x < num_nodes for x in ids),
-            lambda k: f"nodes[{k}].id: ids must be dense 0-based integers, got {ids[k]!r}",
-        )
-        screened = [np.array(ids[: fault.end], dtype=np.intp)]
-    (id_arr,) = screened
-    repeat = _first_repeat(id_arr, np.argsort(id_arr, kind="stable"))
-    fault.at(
-        None if repeat is None else repeat[0],
-        lambda k: f"nodes[{k}].id: duplicate id {ids[k]}",
-    )
-    flags = list(map(dict.get, entries[: fault.end], itertools.repeat("anchor")))
-    if not _all(flags, bool):
-        fault.at(
-            _first(type(x) is not bool for x in flags),
-            lambda k: f"nodes[{k}].anchor: expected a boolean",
-        )
-    anchors = list(itertools.compress(range(fault.end), flags))
-    anchor_pos = _vectors(fault, entries, anchors, "anchor_pos", dim)
-    has_pos = map(dict.__contains__, entries, itertools.repeat("pos"))
-    with_pos = list(itertools.compress(range(fault.end), has_pos))
-    pos = _vectors(fault, entries, with_pos, "pos", dim)
-    fault.raise_first()
-    return (
-        id_arr,
-        np.array(anchors, dtype=np.intp),
-        anchor_pos,
-        np.array(with_pos, dtype=np.intp),
-        pos,
-    )
-
-
-def _vectors(fault: _FirstFault, entries: list, rows: list, key: str, dim: int):
-    """The ``key`` vectors of the node entries ``rows`` (ascending), checked,
-    as an ``(len(rows), dim)`` float array; ``None`` after a fault."""
-    vecs = list(map(dict.get, map(entries.__getitem__, rows), itertools.repeat(key)))
-    if not (_all(vecs, list) and set(map(len, vecs)) <= {dim}):
-        m = _first(type(v) is not list or len(v) != dim for v in vecs)
-        fault.at(
-            None if m is None else rows[m],
-            lambda k: f"nodes[{k}].{key}: expected a list of {dim} numbers",
-        )
-    values = list(itertools.chain.from_iterable(vecs[: bisect.bisect_left(rows, fault.end)]))
-    array, m = _numbers(values)
-    if m is not None:
-        fault.at(
-            rows[m // dim],
-            lambda k: (
-                f"nodes[{k}].{key}[{m % dim}]: expected a finite number, got {values[m]!r:.40}"
-            ),
-        )
-        return None
-    return array.reshape(-1, dim)
-
-
-def _edge_columns(raw: list, num_nodes: int):
-    """The checked edge entries as ``(i, j, d, order)``: the end points in
-    entry order, the ranges of the entries that give one, and the entry
-    order that sorts the edges as ``NetworkGraph.edge_list`` does."""
-    fault = _FirstFault(len(raw))
-    if not _all(raw, dict):
-        fault.at(
-            _first(type(e) is not dict for e in raw), lambda k: f"edges[{k}]: expected an object"
-        )
-    entries = raw[: fault.end]
-    i = list(map(dict.get, entries, itertools.repeat("i")))
-    j = list(map(dict.get, entries, itertools.repeat("j")))
-    ends = _id_arrays([i, j], num_nodes)
-    if ends is None or (ends[0] == ends[1]).any():
-        fault.at(
-            _first(type(a) is not int or type(b) is not int for a, b in zip(i, j)),
-            lambda k: f"edges[{k}]: i and j must be integers",
-        )
-        fault.at(
-            _first(
-                a == b or not (0 <= a < num_nodes and 0 <= b < num_nodes)
-                for a, b in zip(i[: fault.end], j[: fault.end])
-            ),
-            lambda k: f"edges[{k}]: invalid edge ({i[k]},{j[k]})",
-        )
-        ends = [np.array(x[: fault.end], dtype=np.intp) for x in (i, j)]
-    d = list(map(dict.get, entries[: fault.end], itertools.repeat("d")))
-    if None not in d:  # every entry gives a range
-        given, d_given = range(len(d)), d
-    else:
-        given = [k for k, x in enumerate(d) if x is not None]
-        d_given = [d[k] for k in given]
-    d_arr, m = _numbers(d_given)
-    fault.at(
-        None if m is None else given[m],
-        lambda k: f"edges[{k}].d: expected a finite number, got {d[k]!r:.40}",
-    )
-    given = given[: bisect.bisect_left(given, fault.end)]
-    d_arr = d_arr[: len(given)]
-    negative = np.flatnonzero(d_arr < 0)
-    fault.at(
-        given[negative[0]] if negative.size else None,
-        lambda k: f"edges[{k}].d: expected a finite non-negative number",
-    )
-
-    a, b = (x[: fault.end] for x in ends)
-    keys = np.minimum(a, b) * num_nodes + np.maximum(a, b)
+    keys = lo * num_nodes + hi
     order = np.argsort(keys, kind="stable")
-    repeat = _first_repeat(keys, order)
-    if repeat is not None:
-        k, p = repeat
-        dk, dp = (None if d[x] is None else float(d[x]) for x in repeat)
-        if dk != dp:
-            message = (
-                f"edges[{k}]: asymmetric duplicate edge ({i[k]},{j[k]}) d={dk!r} "
-                f"conflicts with ({i[p]},{j[p]}) d={dp!r}"
-            )
-        else:
-            message = f"edges[{k}]: duplicate edge ({i[k]},{j[k]})"
-        fault.at(k, lambda k: message)
-    fault.raise_first()
-    return a, b, d_arr, order
+    ranked = keys[order]
+    if not (ranked[1:] > ranked[:-1]).all():
+        return None
+
+    anchors = np.flatnonzero(flags)
+    with_pos = np.flatnonzero(list(map(dict.__contains__, raw_nodes, itertools.repeat("pos"))))
+    vectors = []
+    for key, rows in (("anchor_pos", anchors), ("pos", with_pos)):
+        vecs = list(map(dict.get, map(raw_nodes.__getitem__, rows.tolist()), itertools.repeat(key)))
+        if not (_all(vecs, list) and set(map(len, vecs)) <= {dim}):
+            return None
+        values = _floats(list(itertools.chain.from_iterable(vecs)))
+        if values is None:
+            return None
+        vectors.append(values.reshape(-1, dim))
+
+    d = list(map(dict.get, raw_edges, itertools.repeat("d")))
+    d = _floats(d if d.count(None) < len(d) else [])  # fails on a mix of None and numbers
+    if d is None or not (d >= 0).all():
+        return None
+    return ids, anchors, vectors[0], with_pos, vectors[1], i, j, d, order
+
+
+def _entries(raw_nodes: list, raw_edges: list, dim: int) -> tuple:
+    """``_screen``'s columns, read one entry at a time: the node entries,
+    then the edge entries, each entry's fields in the schema's order. So the
+    first ``ParseError`` raised names the first fault in file order."""
+    num_nodes = len(raw_nodes)
+    anchors, anchor_pos, with_pos, pos = [], [], [], []
+    ids: dict[int, int] = {}  # id -> its entry, in entry order
+    for k, entry in enumerate(raw_nodes):
+        where = f"nodes[{k}]"
+        if type(entry) is not dict:
+            raise ParseError(f"{where}: expected an object")
+        nid = entry.get("id")
+        if type(nid) is not int or not 0 <= nid < num_nodes:
+            raise ParseError(f"{where}.id: ids must be dense 0-based integers, got {nid!r}")
+        if nid in ids:
+            raise ParseError(f"{where}.id: duplicate id {nid}")
+        ids[nid] = k
+        anchor = entry.get("anchor")
+        if type(anchor) is not bool:
+            raise ParseError(f"{where}.anchor: expected a boolean")
+        if anchor:
+            anchors.append(k)
+            anchor_pos += _vector(entry.get("anchor_pos"), dim, f"{where}.anchor_pos")
+        if "pos" in entry:
+            with_pos.append(k)
+            pos += _vector(entry["pos"], dim, f"{where}.pos")
+
+    i, j, d = [], [], []
+    first: dict[tuple[int, int], int] = {}  # edge -> its first entry
+    for k, entry in enumerate(raw_edges):
+        where = f"edges[{k}]"
+        if type(entry) is not dict:
+            raise ParseError(f"{where}: expected an object")
+        a, b = entry.get("i"), entry.get("j")
+        if type(a) is not int or type(b) is not int:
+            raise ParseError(f"{where}: i and j must be integers")
+        if a == b or not (0 <= a < num_nodes and 0 <= b < num_nodes):
+            raise ParseError(f"{where}: invalid edge ({a},{b})")
+        dk = entry.get("d")
+        if dk is not None:
+            dk = _number(dk, f"{where}.d")
+            if dk < 0:
+                raise ParseError(f"{where}.d: expected a finite non-negative number")
+        p = first.setdefault((min(a, b), max(a, b)), k)
+        if p != k:
+            if dk != d[p]:
+                raise ParseError(
+                    f"{where}: asymmetric duplicate edge ({a},{b}) d={dk!r} "
+                    f"conflicts with ({i[p]},{j[p]}) d={d[p]!r}"
+                )
+            raise ParseError(f"{where}: duplicate edge ({a},{b})")
+        i.append(a)
+        j.append(b)
+        d.append(dk)
+
+    ids, anchors, with_pos, i, j = (
+        np.fromiter(x, dtype=np.intp, count=len(x)) for x in (ids, anchors, with_pos, i, j)
+    )
+    anchor_pos, pos = (np.array(x, dtype=float).reshape(-1, dim) for x in (anchor_pos, pos))
+    d = np.array([x for x in d if x is not None], dtype=float)
+    order = np.argsort(np.minimum(i, j) * num_nodes + np.maximum(i, j), kind="stable")
+    return ids, anchors, anchor_pos, with_pos, pos, i, j, d, order
+
+
+def _number(x, where: str) -> float:
+    """``x`` as a float if it is a finite JSON number (an int or a float,
+    not a boolean); ints convert exactly as ``float()`` converts them."""
+    if (type(x) is float or type(x) is int) and abs(x) <= sys.float_info.max:
+        return float(x)
+    raise ParseError(f"{where}: expected a finite number, got {x!r:.40}")
+
+
+def _vector(v, dim: int, where: str) -> list[float]:
+    """``v`` as ``dim`` floats, each checked by ``_number``."""
+    if type(v) is not list or len(v) != dim:
+        raise ParseError(f"{where}: expected a list of {dim} numbers")
+    return [_number(x, f"{where}[{m}]") for m, x in enumerate(v)]

@@ -934,9 +934,11 @@ class TestSaveNetworkMatchesJson:
 
     def test_truth_of_the_wrong_shape_rejected(self, tmp_path):
         graph, truth, _ = _valid_doc()
-        with pytest.raises(InvalidParameter, match="truth positions"):
-            save_network(tmp_path / "short.json", graph, GroundTruth(truth.positions[:-1]))
-        assert not (tmp_path / "short.json").exists()
+        longer = np.vstack([truth.positions, truth.positions[:1]])
+        for name, positions in [("short", truth.positions[:-1]), ("long", longer)]:
+            with pytest.raises(InvalidParameter, match=r"truth positions .* needs \(6, 2\)"):
+                save_network(tmp_path / f"{name}.json", graph, GroundTruth(positions))
+            assert not (tmp_path / f"{name}.json").exists()
 
 
 def _outcome(load, path):
@@ -1149,34 +1151,33 @@ def _instances_to_save():
 
 
 class TestLoadNetworkScreens:
-    """``load_network`` runs its per-entry scans (``_first``,
-    ``_first_non_number``) only for a column whose whole-column screen
-    fails; a file ``save_network`` wrote fails none."""
+    """``load_network`` reads a file entry by entry (``_entries``) only when
+    its column screen (``_screen``) declines it; it declines no file that
+    ``save_network`` wrote."""
 
     @staticmethod
-    def count_scans(monkeypatch, refuse=False):
-        calls = {"_first": 0, "_first_non_number": 0}
-        for name in calls:
-            scan = getattr(network_module, name)
+    def count_entry_reads(monkeypatch, refuse=False):
+        calls = []
+        entries = network_module._entries
 
-            def counted(*args, _name=name, _scan=scan):
-                if refuse:
-                    raise AssertionError(f"{_name} ran on a file that passes every screen")
-                calls[_name] += 1
-                return _scan(*args)
+        def counted(*args):
+            if refuse:
+                raise AssertionError("_entries ran on a file that save_network wrote")
+            calls.append(args)
+            return entries(*args)
 
-            monkeypatch.setattr(network_module, name, counted)
+        monkeypatch.setattr(network_module, "_entries", counted)
         return calls
 
     def test_saved_files_take_no_per_entry_scan(self, tmp_path, monkeypatch):
-        self.count_scans(monkeypatch, refuse=True)
+        self.count_entry_reads(monkeypatch, refuse=True)
         path = tmp_path / "net.json"
         for instance in _instances_to_save():
             save_network(path, *instance)
             assert len(TestLoadNetworkMatchesEntryLoader.same(path.read_bytes(), path)) == 7
 
     @pytest.mark.parametrize(
-        "where, key, value, number_scans",
+        "where, key, value, entry_reads",
         [
             ("edges", "d", 1, 1),
             ("free-node", "pos", [1, 0], 1),
@@ -1189,7 +1190,7 @@ class TestLoadNetworkScreens:
              "negative-zero-d"],
     )
     def test_valid_files_scanned_only_where_a_screen_fails(self, fuzz_files, monkeypatch,
-                                                          where, key, value, number_scans):
+                                                          where, key, value, entry_reads):
         _, doc, path = fuzz_files
         doc = json.loads(json.dumps(doc))
         if where == "edges":
@@ -1200,7 +1201,71 @@ class TestLoadNetworkScreens:
             if anchor:
                 entry["anchor_pos"] = [0.0, 0.0]
         entry[key] = value
-        calls = self.count_scans(monkeypatch)
+        calls = self.count_entry_reads(monkeypatch)
         assert len(TestLoadNetworkMatchesEntryLoader.same(doc, path)) == 7
-        # the reference loader runs neither scan
-        assert calls["_first_non_number"] == number_scans
+        assert len(calls) == entry_reads
+
+
+def _screened(doc):
+    """``_screen``'s columns for the entries of ``doc`` (as ``json.load``
+    gives them), or ``None``; fails when the screen accepts entries that
+    ``_entries`` rejects, or reads other columns than ``_entries``."""
+    doc = json.loads(json.dumps(doc))
+    args = doc["nodes"], doc["edges"], doc["dim"]
+    screened = network_module._screen(*args)
+    try:
+        read = network_module._entries(*args)
+    except ParseError as exc:
+        assert screened is None, f"_screen accepted entries with a fault: {exc}"
+        return None
+    if screened is not None:
+        assert len(screened) == len(read)
+        for mine, theirs in zip(screened, read):
+            assert (mine.dtype, mine.shape) == (theirs.dtype, theirs.shape)
+            assert mine.tobytes() == theirs.tobytes()
+    return screened
+
+
+class TestScreenAgreesWithEntries:
+    """``_screen`` returns ``None`` or exactly the columns ``_entries``
+    returns, and never accepts entries ``_entries`` rejects."""
+
+    def test_valid_files(self, fuzz_files):
+        _, doc, _ = fuzz_files
+        assert _screened(doc) is not None
+        doc = json.loads(json.dumps(doc))
+        doc["nodes"].reverse()
+        doc["edges"] = [{"i": e["j"], "j": e["i"], "d": e["d"]} for e in doc["edges"][::-1]]
+        doc["edges"][3]["d"] = -0.0
+        assert _screened(doc) is not None
+        doc["edges"][2]["d"] = 1  # an int where save_network writes a float
+        assert _screened(doc) is None
+
+    @PROPERTY_SETTINGS
+    @given(network_documents())
+    def test_saved_documents(self, tmp_path_factory, instance):
+        path = tmp_path_factory.mktemp("screen") / "net.json"
+        save_network(path, *instance)
+        _screened(json.loads(path.read_bytes()))
+
+    @FUZZ_SETTINGS
+    @given(data=st.data())
+    def test_one_broken_entry(self, fuzz_files, data):
+        _, doc, _ = fuzz_files
+        where = data.draw(st.sampled_from(["nodes", "edges"]), label="where")
+        k = data.draw(st.integers(0, len(doc[where]) - 1), label="entry")
+        _screened(data.draw(broken_entry(doc, where, k)))
+
+    @FUZZ_SETTINGS
+    @given(data=st.data())
+    def test_two_broken_entries(self, fuzz_files, data):
+        _, doc, _ = fuzz_files
+        _screened(data.draw(two_broken_entries(doc)))
+
+    @FUZZ_SETTINGS
+    @given(data=st.data())
+    def test_two_faults_in_one_entry(self, fuzz_files, data):
+        _, doc, _ = fuzz_files
+        where = data.draw(st.sampled_from(["nodes", "edges"]), label="where")
+        k = data.draw(st.integers(0, len(doc[where]) - 1), label="entry")
+        _screened(data.draw(broken_entry(data.draw(broken_entry(doc, where, k)), where, k)))
