@@ -326,7 +326,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except LocadmmError as exc:
+    except (LocadmmError, OSError) as exc:  # bad input, or a file it cannot open or write
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -307,10 +307,12 @@ class EdgeLayout:
         each node's rows are added one at a time in row order, which is the
         order ``x[rows].sum(axis=0)`` adds one node's block in; the result is
         bit-identical to that per-node sum (``np.add.reduceat`` is not: it
-        groups the additions differently).
+        groups the additions differently). Float on every layout: with no
+        rows ``np.bincount`` counts in integers.
         """
         n, dim = self.num_nodes, self.dim
-        return np.bincount(self.bins, weights=x.ravel(), minlength=n * dim).reshape(n, dim)
+        sums = np.bincount(self.bins, weights=x.ravel(), minlength=n * dim)
+        return sums.astype(float, copy=False).reshape(n, dim)
 
     def stack(self, copies: int) -> "EdgeLayout":
         """``copies`` disjoint copies of this one-copy layout as one layout:

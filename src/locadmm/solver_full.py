@@ -69,9 +69,6 @@ class InitSpec:
     positions: Optional[np.ndarray] = None
     u_init: str = "zeros"
 
-    KINDS = ("zeros", "uniform", "from_positions")
-    U_KINDS = ("zeros", "half", "directions")
-
 
 def consensus_blocks(positions: np.ndarray, graph: NetworkGraph) -> list[NodeBlockVector]:
     """Consensus-feasible blocks from a position map: ``p_i = x_i``,
@@ -260,17 +257,13 @@ def update_lambda(state: FullNodeState, z_new: NodeBlockVector, c: float) -> np.
     return state.lam + c * (z_new.p[None, :] - z_new.z_minus)
 
 
-def require_solvable(graph: NetworkGraph) -> None:
+def check_run(graph: NetworkGraph, iters: int) -> None:
+    """What every run needs, whatever its start: a connected graph with at
+    least one anchor, and at least one iteration."""
     if not graph.connected:
         raise DisconnectedGraph("solver requires a connected graph")
     if not graph.anchors:
         raise DisconnectedGraph("solver requires at least one anchor")
-
-
-def check_run(graph: NetworkGraph, iters: int) -> None:
-    """What every run needs, whatever its start: a solvable graph and at
-    least one iteration."""
-    require_solvable(graph)
     if iters < 1:
         raise InvalidParameter(f"iters must be >= 1, got {iters}")
 

@@ -157,6 +157,18 @@ def step_lite(
     return [_advance_node(states, graph, c, rho, i) for i in range(graph.num_nodes)]
 
 
+def _inbox(states, graph: NetworkGraph, i: int) -> tuple[np.ndarray, np.ndarray]:
+    """The one exchange of a round: the rows ``alpha_{j,i}`` and
+    ``beta_{j,i}`` that each neighbor ``j`` of node ``i`` holds toward it,
+    in ``graph.neighbors[i]`` order."""
+    pairs = list(zip(graph.neighbors[i], graph.rev_pos[i]))
+    if not pairs:
+        return np.zeros((0, graph.dim)), np.zeros((0, graph.dim))
+    alpha_in = np.stack([states[j].alpha[r] for j, r in pairs])
+    beta_in = np.stack([states[j].beta[r] for j, r in pairs])
+    return alpha_in, beta_in
+
+
 def _advance_node(
     states: list[LiteNodeState],
     graph: NetworkGraph,
@@ -165,15 +177,7 @@ def _advance_node(
     i: int,
 ) -> LiteNodeState:
     st = states[i]
-    nbrs = graph.neighbors[i]
-    k = len(nbrs)
-    dim = graph.dim
-    if k:
-        alpha_in = np.stack([states[j].alpha[r] for j, r in zip(nbrs, graph.rev_pos[i])])
-        beta_in = np.stack([states[j].beta[r] for j, r in zip(nbrs, graph.rev_pos[i])])
-    else:
-        alpha_in = np.zeros((0, dim))
-        beta_in = np.zeros((0, dim))
+    alpha_in, beta_in = _inbox(states, graph, i)
 
     du = st.d[:, None] * st.u
     anchor = graph.anchors.get(i)
@@ -181,7 +185,7 @@ def _advance_node(
         p_new = anchor.copy()
     else:
         p_new = (2.0 * du - 2.0 * st.lam + st.alpha + st.beta).sum(axis=0) / (
-            2.0 * (c + 1.0) * k
+            2.0 * (c + 1.0) * len(alpha_in)
         )
 
     scale = 2.0 * (c + 1.0)
@@ -199,13 +203,14 @@ def _advance_node(
     )
 
 
-def reconstruct_blocks(
+def full_view(
     states: list[LiteNodeState],
     states_prev: Optional[list[LiteNodeState]],
     graph: NetworkGraph,
     c: float,
-) -> list[NodeBlockVector]:
-    """Recover the replica blocks the full solver would carry.
+) -> list[FullNodeState]:
+    """Present lite states through the full-state interface for diagnostics,
+    with the replica blocks the full solver would carry.
 
     At iteration zero (``states_prev is None``) the replicas follow from the
     positional start; afterwards they are linear in the previous iteration's
@@ -214,44 +219,16 @@ def reconstruct_blocks(
     ``z^+_{i,j} = (beta_{i,j} + alpha_{j,i}) / (2 (c+1))``.
     """
     if states_prev is None:
-        return consensus_blocks(np.stack([s.p for s in states]), graph)
+        blocks = consensus_blocks(np.stack([s.p for s in states]), graph)
+        return [FullNodeState(b, s.u, s.lam) for b, s in zip(blocks, states)]
     scale = 2.0 * (c + 1.0)
-    blocks = []
+    view = []
     for i in range(graph.num_nodes):
-        nbrs = graph.neighbors[i]
-        prev = states_prev[i]
-        if nbrs:
-            alpha_in = np.stack(
-                [states_prev[j].alpha[r] for j, r in zip(nbrs, graph.rev_pos[i])]
-            )
-            beta_in = np.stack(
-                [states_prev[j].beta[r] for j, r in zip(nbrs, graph.rev_pos[i])]
-            )
-        else:
-            alpha_in = np.zeros((0, graph.dim))
-            beta_in = np.zeros((0, graph.dim))
-        blocks.append(
-            NodeBlockVector(
-                states[i].p.copy(),
-                (prev.alpha + beta_in) / scale,
-                (prev.beta + alpha_in) / scale,
-            )
-        )
-    return blocks
-
-
-def full_view(
-    states: list[LiteNodeState],
-    states_prev: Optional[list[LiteNodeState]],
-    graph: NetworkGraph,
-    c: float,
-) -> list[FullNodeState]:
-    """Present lite states through the full-state interface for diagnostics."""
-    blocks = reconstruct_blocks(states, states_prev, graph, c)
-    return [
-        FullNodeState(blocks[i], states[i].u, states[i].lam)
-        for i in range(graph.num_nodes)
-    ]
+        st, prev = states[i], states_prev[i]
+        alpha_in, beta_in = _inbox(states_prev, graph, i)
+        z_minus, z_plus = (prev.alpha + beta_in) / scale, (prev.beta + alpha_in) / scale
+        view.append(FullNodeState(NodeBlockVector(st.p.copy(), z_minus, z_plus), st.u, st.lam))
+    return view
 
 
 def run_lite(
@@ -371,7 +348,7 @@ def lite_steps(lay: EdgeLayout, coef: EdgeCoefficients, start, views: bool):
             u_t += u
             u_t -= np.multiply(d_rho_scale, plus_sum, out=tmp)
             u = project_ball(u_t)
-            # the replicas of the full-state view, by reconstruct_blocks:
+            # the replicas of the full-state view, as full_view forms them:
             # z^+ = (beta + alpha_in) / scale, z^- = (alpha + beta_in) / scale
             z_plus = plus_sum
             z_plus /= scale

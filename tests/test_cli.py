@@ -415,6 +415,38 @@ class TestBadNumbers:
         assert err == [f"error: {option}: bad entry {entry!r}"]
 
 
+class TestFileErrors:
+    """A file a command cannot open or write ends it with one error line."""
+
+    RUN = ["--c", "0.1", "--rho", "0.1", "--iters", "2"]
+    SWEEP = ["--c-list", "0.1", "--rho-list", "0.1", "--iters", "2"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["generate", "--nodes", "5", "--anchors", "1", "--range", "0.8",
+             "--out", "{tmp}/nodir/g.json"],
+            ["run", "--net", "{tmp}/missing.json", *RUN],
+            ["run", "--net", "{net}", *RUN, "--trace", "{tmp}/nodir/t.csv"],
+            ["run", "--net", "{net}", *RUN, "--est", "{tmp}/nodir/e.json"],
+            ["sweep", "--net", "{tmp}/missing.json", *SWEEP],
+            ["sweep", "--net", "{net}", *SWEEP, "--out", "{tmp}/nodir/s.csv"],
+            ["oracle-check", "--net", "{tmp}/missing.json"],
+            ["compare", "--net", "{tmp}/missing.json", "--est", "{net}"],
+            ["compare", "--net", "{net}", "--est", "{tmp}/missing.json"],
+        ],
+        ids=["generate-out", "run-net", "run-trace", "run-est", "sweep-net", "sweep-out",
+             "oracle-check-net", "compare-net", "compare-est"],
+    )
+    def test_one_error_line(self, net_file, tmp_path, argv, capsys):
+        argv = [a.format(tmp=tmp_path, net=net_file) for a in argv]
+        assert main(argv) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert "Traceback" not in err
+        assert not (tmp_path / "nodir").exists()
+
+
 class TestOracleCheckCommand:
     def test_pass_and_exit_zero(self, tmp_path, capsys):
         net = tmp_path / "small.json"

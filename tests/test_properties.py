@@ -18,7 +18,9 @@ solve gives every cell the final state, rmse and F of its own run, bit for
 bit, and masks exactly the cells whose own run diverges. The coefficients
 a measurement set holds for the solvers are never stale, never written, and
 go with the set. The finite checks name the same divergence as a per-entry
-scan, and pass finite fields whose squares overflow.
+scan, and pass finite fields whose squares overflow. On a one-node graph
+whose node is its anchor, with no edge to exchange on, every solver returns
+the anchor and follows the spec.
 """
 
 import gc
@@ -36,7 +38,7 @@ from locadmm import grid, oracle
 from locadmm.engine import IterationEvent, check_finite, finite_copies
 from locadmm.errors import NonFiniteValue
 from locadmm.harness import execute_run
-from locadmm.network import GroundTruth, MeasurementSet
+from locadmm.network import GroundTruth, MeasurementSet, NetworkGraph
 from locadmm.solver_full import (
     FullNodeState,
     InitSpec,
@@ -76,11 +78,11 @@ def instances(draw):
     n, dim = graph.num_nodes, graph.dim
     params = PenaltyParams(draw(st.floats(0.01, 2.0)), draw(st.floats(0.01, 2.0)))
     spec = InitSpec(
-        kind=draw(st.sampled_from(InitSpec.KINDS)),
+        kind=draw(st.sampled_from(("zeros", "uniform", "from_positions"))),
         lo=-1.0,
         hi=1.5,
         positions=rng.uniform(-1.0, 1.0, (n, dim)),
-        u_init=draw(st.sampled_from(InitSpec.U_KINDS)),
+        u_init=draw(st.sampled_from(("zeros", "half", "directions"))),
     )
     return graph, meas, params, spec, draw(st.integers(0, 1000)), draw(st.integers(1, 12))
 
@@ -244,6 +246,46 @@ def test_run_lite_matches_per_node_spec(inst):
     if iters > 1:
         assert_same_bits(run_lite(graph, meas, params, head, iters - 1).states, states)
         assert_same_bits(run_lite(graph, meas, params, tuple(head), iters - 1).states, states)
+
+
+def test_edgeless_anchor_graph_returns_the_anchor():
+    """One node, which is its anchor, and no edge: every solver returns the
+    anchor, records finite metrics on the way, and follows the per-node
+    spec, whose exchange is empty."""
+    graph = NetworkGraph.build(2, 1, {0: [0.3, 0.4]}, [])
+    meas = MeasurementSet(graph, [])
+    params, spec, iters = PenaltyParams(0.5, 0.7), InitSpec(), 3
+    c, rho = params.c, params.rho
+    anchor = np.array([[0.3, 0.4]])
+    empty = np.zeros((0, 2))
+    states = [LiteNodeState(np.zeros(2), empty, empty, empty, empty, meas.node_ranges(graph)[0])]
+    views = [full_view(states, None, graph, c)]
+    for _ in range(iters):
+        prev, states = states, step_lite(states, graph, c, rho)
+        views.append(full_view(states, prev, graph, c))
+    assert states[0].p.tobytes() == anchor[0].tobytes()
+
+    metrics = ("S", "U", "P", "F", "L")
+    for runner in (run_full, run_lite):
+        events = []
+        result = runner(graph, meas, params, spec, iters, hook=events.append)
+        assert result.estimates.tobytes() == anchor.tobytes()
+        assert len(events) == len(views)
+        recorder = dg.TraceRecorder(graph, meas, params, metrics=metrics)
+        for event, view in zip(events, views):
+            assert_same_bits(event.states, view)
+            recorder(event)
+        rows = recorder.trace.rows
+        assert all(getattr(row, m) is not None for row in rows[1:] for m in metrics)
+        assert all(
+            math.isfinite(getattr(row, m))
+            for row in rows for m in metrics if getattr(row, m) is not None
+        )
+    for algo in ("full", "lite"):
+        (run,) = grid.run_grid(algo, graph, meas, [(params, 0)], spec, iters)
+        assert run.result.estimates.tobytes() == anchor.tobytes()
+        assert_same_bits(run.result.states, views[-1] if algo == "full" else states)
+        assert all(math.isfinite(row.F) for row in run.result.trace.rows[1:])
 
 
 def arrays_of(x):

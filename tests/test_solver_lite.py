@@ -11,7 +11,6 @@ from locadmm.solver_lite import (
     LiteStates,
     full_view,
     init_lite,
-    reconstruct_blocks,
     run_lite,
     serialize_state,
     step_lite,
