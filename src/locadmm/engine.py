@@ -10,9 +10,13 @@ get those arrays themselves, as ``EdgeStates`` and ``EdgeBlocks``, which
 build per-node views only when indexed. Within an iteration the solvers
 update their temporaries in place, but only arrays that iteration made: an
 array handed out (to a hook, or in a :class:`RunResult`) or passed in as a
-start is never written afterwards. Each solver's iteration is one generator
+start is never written afterwards, and a product one iteration carries into
+the next (the full solver's gathered ``p``, the low-storage solver's
+``d u``) is read, never written. Each solver's iteration is one generator
 of iterates, which :func:`drive` runs for a single solve and
 :mod:`locadmm.grid` for a grid of cells stacked as copies of the graph.
+The generators leave NumPy's error state to these callers, which advance
+them under :func:`quiet_fp`; hooks run in the caller's own state.
 
 Every iterate of every solve is checked for NaN and infinite values. The
 check first tests each field with :func:`all_finite`, one self-dot
@@ -121,16 +125,23 @@ def drive(
     ``steps`` yields, per iteration, the state fields by name (``p`` first,
     then the edge fields in the order a divergence is reported in), the
     ``EdgeStates`` view and the half-step blocks, the last two ``None``
-    when the solver was asked for no views.
+    when the solver was asked for no views. The solver runs under
+    :func:`quiet_fp`, entered once for a solve without a hook; a hook runs
+    in the caller's floating-point error state.
     """
-    if hook is not None:
-        hook(IterationEvent(0, view, None, None, 0))
+    if hook is None:
+        with quiet_fp():
+            for t in range(1, iters + 1):
+                fields, _, _ = next(steps)
+                check_finite(t, src, **fields)
+        return fields
+    hook(IterationEvent(0, view, None, None, 0))
     for t in range(1, iters + 1):
-        fields, now, ztilde = next(steps)
+        with quiet_fp():
+            fields, now, ztilde = next(steps)
         check_finite(t, src, **fields)
-        if hook is not None:
-            hook(IterationEvent(t, now, view, ztilde, comm_scalars))
-            view = now
+        hook(IterationEvent(t, now, view, ztilde, comm_scalars))
+        view = now
     return fields
 
 

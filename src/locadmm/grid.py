@@ -105,7 +105,8 @@ def _run_batch(algo, graph, measurements, cells, init, iters, truth, metrics):
     for t in range(1, iters + 1):
         # the metrics read only the directions of the previous snapshot
         prev = directions(view.u)
-        fields, view, _ = next(steps)
+        with quiet_fp():
+            fields, view, _ = next(steps)
         ok &= finite_copies(copies, fields.values())
         ok &= record(t, view, prev)
 

@@ -36,15 +36,15 @@ def execute_run(graph, truth, measurements, args, *, c, rho, seed, metrics) -> R
     (options of ``run`` and ``sweep``), recording ``metrics``.
 
     ``rho=None`` runs at the bound for ``c`` times ``args.rho_scale``.
-    Every ``rmse`` is dropped without truth, and every ``potential`` for
-    ``lite``. The returned result carries the trace.
+    Every ``rmse`` is dropped without truth or free nodes, and every
+    ``potential`` for ``lite``. The returned result carries the trace.
     """
     bounds = None
     if rho is None:
         bounds = diagnostics.parameter_bounds(graph, measurements, c)
         rho = bounds.rho_min * args.rho_scale
     params = PenaltyParams(c=c, rho=rho)
-    metrics = _recordable(metrics, truth, args.algo)
+    metrics = _recordable(metrics, _scored(graph, truth), args.algo)
     init = _init_spec(args, truth)
 
     potential_coeffs = None
@@ -76,6 +76,13 @@ def execute_run(graph, truth, measurements, args, *, c, rho, seed, metrics) -> R
     result = runner(graph, measurements, params, init, args.iters, seed=seed, hook=recorder)
     result.trace = recorder.trace
     return result
+
+
+def _scored(graph, truth):
+    """``truth`` where a position error is defined, else ``None``: rmse
+    averages over the free nodes, so it has none when every node is an
+    anchor."""
+    return truth if graph.num_anchors < graph.num_nodes else None
 
 
 def _recordable(metrics, truth, algo: str) -> list:
@@ -196,7 +203,7 @@ def _cmd_sweep(args) -> int:
             cells += [(PenaltyParams(c=c, rho=rho), seed) for seed in seeds]
     runs = grid.run_grid(
         args.algo, graph, measurements, cells, _init_spec(args, truth), args.iters,
-        truth=truth,
+        truth=_scored(graph, truth),
     )
     lines = ["c,rho,seed,final_rmse,min_F,diverged"]
     for run in runs:

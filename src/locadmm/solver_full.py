@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .engine import RunResult, drive, quiet_fp
+from .engine import RunResult, drive
 from .errors import (
     DisconnectedGraph,
     InvalidInit,
@@ -325,7 +325,9 @@ def full_steps(lay: EdgeLayout, coef: EdgeCoefficients, start: EdgeStates, views
     ``lay`` may be a :meth:`~locadmm.network.EdgeLayout.stack` layout, with
     ``coef`` and ``start`` stacked to match: every copy then advances as it
     would alone. The iterates never write an array of ``start``, of
-    ``coef`` or one they have yielded.
+    ``coef`` or one they have yielded. Callers drive it under
+    :func:`~locadmm.engine.quiet_fp`, as :func:`~locadmm.engine.drive`
+    does, so a divergence is left to the finite check.
     """
     p, z_minus, z_plus = start.blocks.p, start.blocks.z_minus, start.blocks.z_plus
     u, lam = start.u, start.lam
@@ -334,55 +336,52 @@ def full_steps(lay: EdgeLayout, coef: EdgeCoefficients, start: EdgeStates, views
     d_u, d_rho, denom = coef.d, coef.d_rho, coef.denom
     # Each coefficient of c alone computed per edge (a number for one copy)
     # as the per-node spec does, then spread.
-    with quiet_fp():
-        c_col = lay.edge_column(coef.c)
-        c_e, two_c, c1 = (spread(x, lay.dim) for x in (c_col, 2.0 * c_col, c_col + 1.0))
+    c_col = lay.edge_column(coef.c)
+    c_e, two_c, c1 = (spread(x, lay.dim) for x in (c_col, 2.0 * c_col, c_col + 1.0))
+    # p gathered to its edges; each iteration's dual step gathers the next one
+    p_src = p.take(src, axis=0)
     while True:
-        with quiet_fp():
-            # half-step (local_halfstep), in place on arrays made this
-            # iteration and not yet handed out
-            p_src = p.take(src, axis=0)
-            base_minus = p_src + z_minus
-            base_plus = p_src
-            base_plus += z_plus
-            # p = node_sum(d u - lam + c base_minus + base_plus) / (2 (c+1) k)
-            du = d_u * u
-            acc = du - lam
-            tmp = base_minus * c_e
-            acc += tmp
-            acc += base_plus
-            p = lay.node_sum(acc)
-            p /= denom
-            p[lay.anchor_idx] = lay.anchor_pos
-            # zm_t = lam / (2 c) + base_minus / 2, zp_t = -d u / 2 + base_plus / 2
-            zm_t = np.divide(lam, two_c, out=tmp)
-            base_minus /= 2.0
-            zm_t += base_minus
-            zp_t = np.negative(du, out=du)
-            zp_t /= 2.0
-            base_plus /= 2.0
-            zp_t += base_plus
-            # exchange and combine (gather_inbox, combine_z):
-            # z^- = (c zm_t + zp_t[rev]) / (c+1), z^+ = (zp_t + c zm_t[rev]) / (c+1)
-            z_minus = np.multiply(zm_t, c_e, out=acc)
-            z_minus += zp_t.take(rev, axis=0)
-            z_minus /= c1
-            z_plus = zm_t.take(rev, axis=0)
-            z_plus *= c_e
-            z_plus += zp_t
-            z_plus /= c1
-            # direction and dual steps (update_u, update_lambda):
-            # u = proj(u + (d / rho) (p - z^+)), lam = lam + c (p - z^-)
-            p_src = p.take(src, axis=0)
-            u_t = np.subtract(p_src, z_plus, out=base_minus)
-            u_t *= d_rho
-            u_t += u
-            u = project_ball(u_t)
-            lam_new = p_src
-            lam_new -= z_minus
-            lam_new *= c_e
-            lam_new += lam
-            lam = lam_new
+        # half-step (local_halfstep), in place on arrays made this iteration
+        # and not yet handed out; p_src is read, never written
+        base_minus = p_src + z_minus
+        base_plus = p_src + z_plus
+        # p = node_sum(d u - lam + c base_minus + base_plus) / (2 (c+1) k)
+        du = d_u * u
+        acc = du - lam
+        tmp = base_minus * c_e
+        acc += tmp
+        acc += base_plus
+        p = lay.node_sum(acc)
+        p /= denom
+        p[lay.anchor_idx] = lay.anchor_pos
+        # zm_t = lam / (2 c) + base_minus / 2, zp_t = -d u / 2 + base_plus / 2
+        # (-d u * 0.5 rounds the same real number as -d u / 2)
+        zm_t = np.divide(lam, two_c, out=tmp)
+        base_minus /= 2.0
+        zm_t += base_minus
+        zp_t = du * -0.5
+        base_plus /= 2.0
+        zp_t += base_plus
+        # exchange and combine (gather_inbox, combine_z):
+        # z^-_e = (c zm_t[e] + zp_t[rev e]) / (c+1), and z^+_e is the mirror
+        # row z^-_{rev e} = (c zm_t[rev e] + zp_t[e]) / (c+1): the same
+        # operands, as combine_z forms z^+ at the edge's other end, and c
+        # is one number per copy, which rev never leaves
+        z_minus = np.multiply(zm_t, c_e, out=acc)
+        z_minus += zp_t.take(rev, axis=0)
+        z_minus /= c1
+        z_plus = z_minus.take(rev, axis=0)
+        # direction and dual steps (update_u, update_lambda):
+        # u = proj(u + (d / rho) (p - z^+)), lam = lam + c (p - z^-)
+        p_src = p.take(src, axis=0)
+        u_t = np.subtract(p_src, z_plus, out=base_minus)
+        u_t *= d_rho
+        u_t += u
+        u = project_ball(u_t)
+        lam_new = p_src - z_minus
+        lam_new *= c_e
+        lam_new += lam
+        lam = lam_new
         fields = {"p": p, "z_minus": z_minus, "z_plus": z_plus, "u": u, "lam": lam}
         if views:
             yield fields, full_states(lay.offsets, fields), EdgeBlocks(lay.offsets, p, zm_t, zp_t)

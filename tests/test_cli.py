@@ -394,6 +394,51 @@ class TestSweep:
         assert rmse_by_c[0.2] < rmse_by_c[2e3]
 
 
+class TestAllAnchors:
+    """A network whose nodes are all anchors solves, but has no position
+    error: ``run`` and ``sweep`` leave rmse empty, ``compare`` refuses."""
+
+    @pytest.fixture
+    def all_anchors(self, tmp_path):
+        path = tmp_path / "all.json"
+        argv = ["generate", "--nodes", "6", "--anchors", "6", "--range", "0.9", "--out", str(path)]
+        assert main(argv) == EXIT_OK
+        return path
+
+    @pytest.mark.parametrize("algo", ["lite", "full"])
+    def test_run_leaves_rmse_empty(self, all_anchors, tmp_path, algo, capsys):
+        trace, est = tmp_path / "t.csv", tmp_path / "e.json"
+        argv = ["run", "--net", str(all_anchors), "--algo", algo, "--c", "0.1", "--rho", "0.1",
+                "--iters", "3", "--trace", str(trace), "--est", str(est)]
+        assert main(argv) == EXIT_OK
+        assert capsys.readouterr().out == "done: iters=3\n"
+        rows = [line.split(",") for line in trace.read_text().splitlines()
+                if not line.startswith("#")]
+        assert rows[0][:2] == ["t", "rmse"] and len(rows) == 5
+        assert all(row[1] == "" for row in rows[1:])
+        graph, truth, _ = network.load_network(all_anchors)
+        _, estimates, _ = network.load_network(est)
+        assert np.array_equal(estimates.positions, truth.positions)
+
+    @pytest.mark.parametrize("algo", ["lite", "full"])
+    def test_sweep_leaves_rmse_empty(self, all_anchors, tmp_path, algo):
+        out = tmp_path / "s.csv"
+        argv = ["sweep", "--net", str(all_anchors), "--algo", algo, "--c-list", "0.1,0.2",
+                "--rho-list", "0.1,auto", "--iters", "3", "--out", str(out)]
+        assert main(argv) == EXIT_OK
+        lines = out.read_text().splitlines()
+        assert lines[0] == "c,rho,seed,final_rmse,min_F,diverged"
+        rows = [line.split(",") for line in lines[1:]]
+        assert len(rows) == 4
+        assert all(row[3] == "" and row[5] == "0" for row in rows)
+
+    def test_compare_refuses(self, all_anchors, capsys):
+        code = main(["compare", "--net", str(all_anchors), "--est", str(all_anchors)])
+        assert code == EXIT_ERROR
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: every node is an anchor\n"
+
+
 class TestBadNumbers:
     @pytest.mark.parametrize(
         "argv, option, entry",

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from locadmm import oracle
+from locadmm import grid, oracle
 from locadmm import structured_ops as ops
 from locadmm import engine
 from locadmm.engine import check_finite, finite_copies
@@ -493,6 +493,39 @@ class TestRunFull:
         ):
             with pytest.raises(NonFiniteValue, match=f"^{where}$"):
                 runner(graph, meas, PenaltyParams(1e308, 0.1), spec, 10, seed=0)
+
+    @pytest.mark.parametrize("c", [0.1, 1e308], ids=["converging", "diverging"])
+    @pytest.mark.parametrize(
+        "state", [{}, {"over": "raise", "invalid": "raise", "divide": "raise"}],
+        ids=["default", "raising"],
+    )
+    def test_runs_keep_the_callers_error_state(self, triangle, c, state):
+        # The updates run with NumPy's warnings off, which pytest here turns
+        # into errors, so a divergence must surface as NonFiniteValue alone;
+        # the caller's error state holds after every run and inside hooks.
+        graph, _, meas = triangle
+        spec, params = InitSpec(kind="uniform", u_init="half"), PenaltyParams(c, 0.1)
+        in_hooks = []
+
+        def hook(event):
+            in_hooks.append(np.geterr())
+
+        with np.errstate(**state):
+            outer = np.geterr()
+            for runner in (run_full, run_lite):
+                for each in (None, hook):
+                    try:
+                        runner(graph, meas, params, spec, 10, seed=0, hook=each)
+                        diverged = False
+                    except NonFiniteValue:
+                        diverged = True
+                    assert diverged == (c == 1e308)
+                    assert np.geterr() == outer
+            for algo in ("full", "lite"):
+                (run,) = grid.run_grid(algo, graph, meas, [(params, 0)], spec, 10)
+                assert (run.result is None) == (c == 1e308)
+                assert np.geterr() == outer
+        assert in_hooks and all(seen == outer for seen in in_hooks)
 
     def test_nonfinite_names_first_node_and_field(self):
         src = np.array([0, 1, 1, 2])
