@@ -319,11 +319,17 @@ def parameter_bounds(graph: NetworkGraph, measurements: MeasurementSet, c: float
     ``kappa2 = N_sum * n * (c+1)^2 * (N_max + 1) * kappa1 / tau_min`` with
     ``tau_min = min_i [(c+1)^2 N_i^2 + c^2 N_i + N_i]``;
     ``rho = 4 d_max^2 (kappa1 + kappa2)``. The instance constants are always
-    recomputed here, never caller-supplied, so bounds cannot go stale.
+    recomputed here, never caller-supplied, so bounds cannot go stale. A
+    node without a neighbor makes ``tau_min`` zero and is refused.
     """
     if not (c > 0.0 and math.isfinite(c)):
         raise InvalidParameter(f"c must be strictly positive, got {c}")
     degrees = graph.degrees
+    if not degrees.all():
+        node = int(np.argmin(degrees))
+        raise InvalidParameter(
+            f"parameter bounds need every node to have a neighbor; node {node} has none"
+        )
     n_max = int(degrees.max())
     n_sum = int(degrees.sum())
     d_max = float(measurements.max_range)
@@ -432,9 +438,6 @@ class IterationTrace:
                 raise NonFiniteValue(f"metric {name} non-finite at iteration {row.t}")
         self.rows.append(row)
 
-    def column(self, name: str) -> list:
-        return [getattr(row, name) for row in self.rows]
-
     def to_csv_text(self) -> str:
         lines = [f"# {key}={self.metadata[key]}" for key in sorted(self.metadata)]
         lines.append(",".join(TRACE_COLUMNS))
@@ -484,15 +487,11 @@ class TraceRecorder:
         if "potential" in metrics and potential_coeffs is None:
             raise InvalidParameter("potential metric needs potential_coeffs")
         self.graph = graph
-        self.params = params
-        self.truth = truth
         self.metrics = tuple(metrics)
-        self.potential_coeffs = potential_coeffs
-        self.d = measurements.edge_ranges(graph)
         self.trace = IterationTrace(metadata=dict(metadata or {}))
         self._pass = MetricPass(
-            self.metrics, layout=graph.layout, d=self.d, c=params.c, rho=params.rho,
-            kappas=potential_coeffs, truth=truth,
+            self.metrics, layout=graph.layout, d=measurements.edge_ranges(graph),
+            c=params.c, rho=params.rho, kappas=potential_coeffs, truth=truth,
         )
         self._t0 = time.perf_counter()
 

@@ -103,7 +103,12 @@ def _run_batch(algo, graph, measurements, cells, init, iters, truth, metrics):
 
     ok = record(0, view, None)
     for t in range(1, iters + 1):
-        # the metrics read only the directions of the previous snapshot
+        # The metrics read only the directions of the previous snapshot, so
+        # the rest of the previous iterate is freed before the metric pass.
+        # Driving the grid through engine.drive, which keeps the whole
+        # previous view for states_prev, made sweep-108 grids 2.6-3.4%
+        # slower for lite and 5.6-8.8% slower for full (in-process A/B,
+        # 2-core Xeon).
         prev = directions(view.u)
         with quiet_fp():
             fields, view, _ = next(steps)
@@ -138,6 +143,10 @@ def _start(algo, graph, measurements, cells, init, lay, d, c, rho) -> tuple:
             lay.offsets, *stacked([s.blocks for s in starts], ("p", "z_minus", "z_plus"))
         )
         start = EdgeStates(blocks, *stacked(starts, ("u", "lam")))
+        # The full grid skips the column only lite_steps reads, which one
+        # coefficient set for both solvers would build: building it anyway
+        # made full sweep-108 grids 0.2-2.9% slower (in-process A/B, 2-core
+        # Xeon).
         coef = EdgeCoefficients.build(lay, d, c, rho, lite=False)
         return start, full_steps(lay, coef, start, views=True)
     starts = [

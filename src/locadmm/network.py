@@ -480,7 +480,8 @@ def generate_rgg(
     Raises
     ------
     InvalidParameter
-        Nonpositive counts or lengths, anchors exceeding nodes, bad dim.
+        Nonpositive counts or lengths, an infinite side, anchors exceeding
+        nodes, bad dim.
     ConnectivityFailure
         No connected layout within the retry budget.
     """
@@ -490,8 +491,8 @@ def generate_rgg(
         raise InvalidParameter("more anchors than nodes")
     if not (comm_range > 0.0):
         raise InvalidParameter("comm_range must be positive")
-    if not (area_side > 0.0):
-        raise InvalidParameter("area_side must be positive")
+    if not (0.0 < area_side < math.inf):
+        raise InvalidParameter("area_side must be positive and finite")
     if dim not in (2, 3):
         raise InvalidParameter(f"dim must be 2 or 3, got {dim}")
 
@@ -523,12 +524,8 @@ def _near_pairs(positions: np.ndarray, comm_range: float, area_side: float):
     # int64 and the error of a computed cell coordinate far below the 1e-9
     # margin. Larger cells only add candidates.
     side = max(comm_range * (1.0 + 1e-9), area_side / MAX_GRID_CELLS)
-    span = area_side / side
-    # one cell when the area is infinite (span is NaN): every pair is tested
-    per_axis = int(span) + 1 if span <= MAX_GRID_CELLS else 1
-    cell = np.zeros((n, dim), dtype=np.intp)
-    if per_axis > 1:
-        cell = np.minimum(np.floor(positions / side), per_axis - 1).astype(np.intp)
+    per_axis = int(area_side / side) + 1
+    cell = np.minimum(np.floor(positions / side), per_axis - 1).astype(np.intp)
     weights = per_axis ** np.arange(dim)
     key = cell @ weights
     order = np.argsort(key, kind="stable")

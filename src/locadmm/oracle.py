@@ -28,11 +28,9 @@ class DenseInstance:
 
     Q: list[np.ndarray]
     A: list[np.ndarray]
-    E: list[np.ndarray]
     D: list[np.ndarray]
     W: list[np.ndarray]
     cBtB: list[np.ndarray]
-    c: float
 
 
 def build_dense(graph: NetworkGraph, measurements: MeasurementSet, c: float) -> DenseInstance:
@@ -41,7 +39,7 @@ def build_dense(graph: NetworkGraph, measurements: MeasurementSet, c: float) -> 
         raise InvalidParameter(f"c must be positive, got {c}")
     d_node = measurements.node_ranges(graph)
     eye_n = np.eye(graph.dim)
-    Q, A, E, D, W, cBtB = [], [], [], [], [], []
+    Q, A, D, W, cBtB = [], [], [], [], []
     for i in range(graph.num_nodes):
         k = len(graph.neighbors[i])
         ones = np.ones((k, 1))
@@ -49,19 +47,15 @@ def build_dense(graph: NetworkGraph, measurements: MeasurementSet, c: float) -> 
         eye_k = np.eye(k)
         q = np.kron(np.hstack([ones, zeros, -eye_k]), eye_n)
         a = np.kron(np.hstack([ones, -eye_k, zeros]), eye_n)
-        e = np.kron(
-            np.hstack([[[1.0]], np.zeros((1, k)), np.zeros((1, k))]), eye_n
-        )
         dmat = np.kron(np.diag(d_node[i]), eye_n)
         cbtb = c * np.abs(a.T @ a) + np.abs(q.T @ q)
         w = q.T @ q + c * (a.T @ a) + cbtb
         Q.append(q)
         A.append(a)
-        E.append(e)
         D.append(dmat)
         W.append(w)
         cBtB.append(cbtb)
-    return DenseInstance(Q=Q, A=A, E=E, D=D, W=W, cBtB=cBtB, c=c)
+    return DenseInstance(Q=Q, A=A, D=D, W=W, cBtB=cBtB)
 
 
 def _layout(graph: NetworkGraph):
@@ -254,7 +248,8 @@ def oracle_check(
 
     Compares every structured operator, the distributed combine, and the
     unweighted consensus projection against their dense counterparts on
-    random inputs. Refuses instances with more than 8 nodes.
+    random inputs. Refuses instances with more than 8 nodes, and fewer
+    than one trial, which would check nothing.
     """
     from . import structured_ops as ops
     from .solver_full import combine_z, gather_inbox, local_halfstep, FullNodeState
@@ -263,6 +258,8 @@ def oracle_check(
         raise InvalidParameter(
             f"oracle check is for toy instances (N <= 8), got N={graph.num_nodes}"
         )
+    if trials < 1:
+        raise InvalidParameter(f"trials must be >= 1, got {trials}")
     dense = build_dense(graph, measurements, c)
     d_node = measurements.node_ranges(graph)
     rng = np.random.default_rng(seed)

@@ -182,10 +182,12 @@ def local_halfstep(
     base_minus = blk.p[None, :] + blk.z_minus
     base_plus = blk.p[None, :] + blk.z_plus
     du = np.asarray(d_i, dtype=float)[:, None] * state.u
-    k = blk.degree
-    p_t = (du - state.lam + c * base_minus + base_plus).sum(axis=0) / (2.0 * (c + 1.0) * k)
     if anchor is not None:
         p_t = np.asarray(anchor, dtype=float).copy()
+    else:
+        p_t = (du - state.lam + c * base_minus + base_plus).sum(axis=0) / (
+            2.0 * (c + 1.0) * blk.degree
+        )
     zm_t = state.lam / (2.0 * c) + base_minus / 2.0
     zp_t = -du / 2.0 + base_plus / 2.0
     return NodeBlockVector(p_t, zm_t, zp_t)

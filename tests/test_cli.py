@@ -1,3 +1,4 @@
+import json
 import os
 import warnings
 
@@ -63,6 +64,14 @@ class TestGenerate:
         assert "d_max=0.000000" in capsys.readouterr().out
         graph, _, meas = network.load_network(out)
         assert graph.num_nodes == 1 and meas is None
+
+    def test_infinite_side(self, tmp_path, capsys):
+        out = tmp_path / "g.json"
+        argv = ["generate", "--nodes", "5", "--anchors", "1", "--range", "0.5",
+                "--side", "inf", "--out", str(out)]
+        assert main(argv) == EXIT_ERROR
+        assert capsys.readouterr().err == "error: area_side must be positive and finite\n"
+        assert not out.exists()
 
     def test_missing_out_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -509,6 +518,49 @@ class TestOracleCheckCommand:
         code = main(["oracle-check", "--net", str(net_file)])
         assert code == EXIT_ERROR
         assert "toy instances" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("trials", ["0", "-2"])
+    def test_refuses_no_trials(self, tmp_path, trials, capsys):
+        net = tmp_path / "small.json"
+        main(["generate", "--nodes", "6", "--anchors", "2", "--range", "0.8",
+              "--sigma", "0.01", "--seed", "3", "--out", str(net)])
+        capsys.readouterr()
+        assert main(["oracle-check", "--net", str(net), "--trials", trials]) == EXIT_ERROR
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: trials must be >= 1, got {trials}\n"
+
+
+class TestIsolatedNode:
+    """A node without a neighbor has no parameter bounds: ``--rho auto``
+    ends the command with one error line that names the node."""
+
+    @pytest.fixture
+    def iso_file(self, net_file, tmp_path):
+        data = json.loads(net_file.read_text())
+        data["edges"] = [e for e in data["edges"] if 5 not in (e["i"], e["j"])]
+        path = tmp_path / "iso.json"
+        path.write_text(json.dumps(data))
+        return path
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "--c", "0.1", "--iters", "3"],
+            ["sweep", "--c-list", "0.1", "--rho-list", "0.1,auto", "--iters", "3",
+             "--out", "{tmp}/s.csv"],
+        ],
+        ids=["run", "sweep"],
+    )
+    def test_auto_rho_names_the_node(self, iso_file, tmp_path, argv, capsys):
+        argv = [a.format(tmp=tmp_path) for a in argv]
+        with pytest.warns(UserWarning, match="not connected"):
+            code = main([argv[0], "--net", str(iso_file), *argv[1:]])
+        assert code == EXIT_ERROR
+        out, err = capsys.readouterr()
+        assert out == "" and err == (
+            "error: parameter bounds need every node to have a neighbor; node 5 has none\n"
+        )
+        assert not (tmp_path / "s.csv").exists()
 
 
 class TestCompare:

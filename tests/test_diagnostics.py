@@ -342,6 +342,21 @@ class TestParameterBounds:
         with pytest.raises(InvalidParameter):
             dg.parameter_bounds(graph, meas, 0.0)
 
+    @pytest.mark.parametrize(
+        "graph, node",
+        [
+            (NetworkGraph.build(2, 1, {0: [0.3, 0.4]}, []), 0),
+            (NetworkGraph.build(2, 4, {0: [0.0, 0.0]}, [(0, 1), (1, 3)]), 2),
+        ],
+        ids=["one-node", "isolated-node"],
+    )
+    def test_node_without_neighbor_named(self, graph, node):
+        # tau_min is 0 there, and kappa2 would divide by it
+        meas = MeasurementSet(graph, [1.0] * graph.layout.forward.size)
+        want = f"parameter bounds need every node to have a neighbor; node {node} has none"
+        with pytest.raises(InvalidParameter, match=f"^{want}$"):
+            dg.parameter_bounds(graph, meas, 1.0)
+
     @pytest.mark.parametrize("c", [1e152, 1e154, 1e300, 1e-320])
     def test_overflowing_c_named(self, c):
         # (c + 1)^2 stays finite at 1e152 and 1e154, but tau, kappa2 or

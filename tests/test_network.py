@@ -88,6 +88,7 @@ class TestGenerateRgg:
             dict(num_nodes=5, num_anchors=6, comm_range=0.5),
             dict(num_nodes=5, num_anchors=1, comm_range=-1.0),
             dict(num_nodes=5, num_anchors=1, comm_range=0.5, area_side=0.0),
+            dict(num_nodes=5, num_anchors=1, comm_range=0.5, area_side=math.inf),
             dict(num_nodes=5, num_anchors=1, comm_range=0.5, dim=4),
         ],
     )
@@ -116,10 +117,10 @@ class TestGenerateRgg:
 @st.composite
 def rgg_args(draw):
     """``generate_rgg`` arguments: any side, and ranges from below the side
-    to beyond the area's diagonal."""
+    to beyond the area's diagonal, up to infinite."""
     num_nodes = draw(st.integers(1, 60))
     side = draw(st.floats(0.05, 50.0))
-    reach = draw(st.one_of(st.floats(0.45, 1.2), st.just(2.0)))
+    reach = draw(st.one_of(st.floats(0.45, 1.2), st.just(2.0), st.just(math.inf)))
     return dict(
         num_nodes=num_nodes,
         num_anchors=draw(st.integers(1, num_nodes)),

@@ -167,3 +167,11 @@ class TestOracleCheck:
         meas = exact_measurements(graph, truth.positions)
         with pytest.raises(InvalidParameter):
             oracle.oracle_check(graph, meas)
+
+    @pytest.mark.parametrize("trials", [0, -2])
+    def test_refuses_no_trials(self, trials):
+        rng = np.random.default_rng(7)
+        graph, truth = random_connected_graph(rng, 6, num_anchors=2)
+        meas = exact_measurements(graph, truth.positions)
+        with pytest.raises(InvalidParameter, match=f"trials must be >= 1, got {trials}"):
+            oracle.oracle_check(graph, meas, trials=trials)

@@ -20,7 +20,7 @@ a measurement set holds for the solvers are never stale, never written, and
 go with the set. The finite checks name the same divergence as a per-entry
 scan, and pass finite fields whose squares overflow. On a one-node graph
 whose node is its anchor, with no edge to exchange on, every solver returns
-the anchor and follows the spec.
+the anchor and follows its spec.
 """
 
 import gc
@@ -250,7 +250,7 @@ def test_run_lite_matches_per_node_spec(inst):
 
 def test_edgeless_anchor_graph_returns_the_anchor():
     """One node, which is its anchor, and no edge: every solver returns the
-    anchor, records finite metrics on the way, and follows the per-node
+    anchor, records finite metrics on the way, and follows its per-node
     spec, whose exchange is empty."""
     graph = NetworkGraph.build(2, 1, {0: [0.3, 0.4]}, [])
     meas = MeasurementSet(graph, [])
@@ -286,6 +286,18 @@ def test_edgeless_anchor_graph_returns_the_anchor():
         assert run.result.estimates.tobytes() == anchor.tobytes()
         assert_same_bits(run.result.states, views[-1] if algo == "full" else states)
         assert all(math.isfinite(row.F) for row in run.result.trace.rows[1:])
+
+    # the full spec steps the anchor too, with an empty inbox
+    events, d_node = [], meas.node_ranges(graph)
+    run_full(graph, meas, params, spec, iters, hook=events.append)
+    full = reference_init_full(graph, spec, 0)
+    assert_same_bits(events[0].states, full)
+    for event in events[1:]:
+        zt = [local_halfstep(full[0], d_node[0], c, graph.anchors.get(0))]
+        z = combine_z(zt[0], gather_inbox(zt, graph, 0), c)
+        full = [FullNodeState(z, update_u(full[0], z, d_node[0], rho), update_lambda(full[0], z, c))]
+        assert_same_bits(event.ztilde, zt)
+        assert_same_bits(event.states, full)
 
 
 def arrays_of(x):
