@@ -23,9 +23,16 @@ import numpy as np
 from .diagnostics import IterationTrace, MetricPass, TraceRow, directions
 from .engine import RunResult, finite_copies, quiet_fp
 from .network import GroundTruth, MeasurementSet, NetworkGraph
-from .solver_full import InitSpec, check_run, full_states, full_steps, init_full, start_positions
-from .solver_lite import LiteStates, init_lite, lite_steps, start_view
-from .structured_ops import EdgeBlocks, EdgeCoefficients, EdgeStates, PenaltyParams
+from .solver_full import (
+    InitSpec,
+    check_run,
+    consensus_state,
+    full_states,
+    full_steps,
+    start_positions,
+)
+from .solver_lite import LiteStates, lite_start, lite_steps
+from .structured_ops import EdgeCoefficients, EdgeStates, PenaltyParams
 
 GRID_ROWS = 1 << 13
 """Stacked edge rows per batch of cells, at most (a batch holds one cell at
@@ -86,7 +93,7 @@ def _run_batch(algo, graph, measurements, cells, init, iters, truth, metrics):
     d = np.tile(d_one, copies)
     c = np.array([params.c for params, _ in cells])
     rho = np.array([params.rho for params, _ in cells])
-    view, steps = _start(algo, graph, measurements, cells, init, lay, d, c, rho)
+    view, steps = _start(algo, graph, cells, init, lay, d, c, rho)
     measure = MetricPass(metrics, layout=lay, d=d, c=c, rho=rho, truth=truth)
     comm_scalars = 2 * graph.dim * base.num_edges
     traces = [IterationTrace() for _ in cells]
@@ -131,28 +138,18 @@ def _run_batch(algo, graph, measurements, cells, init, iters, truth, metrics):
         yield CellRun(params, seed, result)
 
 
-def _start(algo, graph, measurements, cells, init, lay, d, c, rho) -> tuple:
-    """Every cell's start stacked in ``lay``: its iteration-0 view, and the
-    solver's iterates from it."""
-    def stacked(objs, names):
-        return (np.concatenate([getattr(o, name) for o in objs]) for name in names)
-
+def _start(algo, graph, cells, init, lay, d, c, rho) -> tuple:
+    """Every cell's start stacked in ``lay``: its iteration-0 view, the
+    consensus state at the cell's start positions, and the solver's iterates
+    from it."""
+    positions = np.concatenate([start_positions(graph, init, seed) for _, seed in cells])
+    view = consensus_state(lay, positions, init.u_init)
     if algo == "full":
-        starts = [init_full(graph, init, seed) for _, seed in cells]
-        blocks = EdgeBlocks(
-            lay.offsets, *stacked([s.blocks for s in starts], ("p", "z_minus", "z_plus"))
-        )
-        start = EdgeStates(blocks, *stacked(starts, ("u", "lam")))
         # The full grid skips the column only lite_steps reads, which one
         # coefficient set for both solvers would build: building it anyway
         # made full sweep-108 grids 0.2-2.9% slower (in-process A/B, 2-core
         # Xeon).
         coef = EdgeCoefficients.build(lay, d, c, rho, lite=False)
-        return start, full_steps(lay, coef, start, views=True)
-    starts = [
-        init_lite(graph, start_positions(graph, init, seed), init.u_init, params.c, measurements)
-        for params, seed in cells
-    ]
-    start = LiteStates(lay.offsets, *stacked(starts, ("p", "u", "lam", "alpha", "beta")), d)
+        return view, full_steps(lay, coef, view, views=True)
     coef = EdgeCoefficients.build(lay, d, c, rho)
-    return start_view(lay, start, c, from_spec=True), lite_steps(lay, coef, start, views=True)
+    return view, lite_steps(lay, coef, lite_start(lay, view, d, c), views=True)

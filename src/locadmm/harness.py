@@ -114,13 +114,17 @@ def _load_measured(path):
 
 
 def _seed(args) -> int:
+    """``LOCADMM_SEED`` if set, else ``--seed``."""
     env = os.environ.get("LOCADMM_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise InvalidParameter(f"LOCADMM_SEED must be an integer, got {env!r}") from exc
-    return args.seed
+    return _parse_seed(args.seed, "--seed") if env is None else _parse_seed(env, "LOCADMM_SEED")
+
+
+def _parse_seed(value, option: str) -> int:
+    """A seed: a non-negative integer, the only kind NumPy's generators take."""
+    seed = _parse_number(value, option, int)
+    if seed < 0:
+        raise InvalidParameter(f"{option}: seeds must be non-negative integers, got {seed}")
+    return seed
 
 
 def _cmd_generate(args) -> int:
@@ -190,7 +194,7 @@ def _cmd_sweep(args) -> int:
     c_values = [_parse_number(x, "--c-list") for x in args.c_list.split(",")]
     rho_values = [_parse_rho(x, "--rho-list") for x in args.rho_list.split(",")]
     if args.seeds:
-        seeds = [_parse_number(x, "--seeds", int) for x in args.seeds.split(",")]
+        seeds = [_parse_seed(x, "--seeds") for x in args.seeds.split(",")]
     else:
         seeds = [_seed(args)]
 

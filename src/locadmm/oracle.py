@@ -9,6 +9,7 @@ instances in the bundled self-check.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,8 +36,8 @@ class DenseInstance:
 
 def build_dense(graph: NetworkGraph, measurements: MeasurementSet, c: float) -> DenseInstance:
     """Materialize every structured operator by its defining formula."""
-    if not (c > 0.0):
-        raise InvalidParameter(f"c must be positive, got {c}")
+    if not (c > 0.0 and math.isfinite(c)):
+        raise InvalidParameter(f"c must be positive and finite, got {c}")
     d_node = measurements.node_ranges(graph)
     eye_n = np.eye(graph.dim)
     Q, A, D, W, cBtB = [], [], [], [], []
@@ -248,8 +249,9 @@ def oracle_check(
 
     Compares every structured operator, the distributed combine, and the
     unweighted consensus projection against their dense counterparts on
-    random inputs. Refuses instances with more than 8 nodes, and fewer
-    than one trial, which would check nothing.
+    random inputs. Refuses instances with more than 8 nodes, fewer than
+    one trial, which would check nothing, and a node without a neighbor,
+    whose dense ``W`` is singular.
     """
     from . import structured_ops as ops
     from .solver_full import combine_z, gather_inbox, local_halfstep, FullNodeState
@@ -260,6 +262,11 @@ def oracle_check(
         )
     if trials < 1:
         raise InvalidParameter(f"trials must be >= 1, got {trials}")
+    if not graph.degrees.all():
+        node = int(np.argmin(graph.degrees))
+        raise InvalidParameter(
+            f"oracle check needs every node to have a neighbor; node {node} has none"
+        )
     dense = build_dense(graph, measurements, c)
     d_node = measurements.node_ranges(graph)
     rng = np.random.default_rng(seed)

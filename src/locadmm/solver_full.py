@@ -49,16 +49,17 @@ class EdgeMessage:
 
 @dataclass(frozen=True)
 class InitSpec:
-    """How to build iteration-zero state.
+    """How to build iteration-zero state: both solvers start from the
+    consensus-feasible state at :func:`start_positions` (see
+    :func:`consensus_state`).
 
     kind
-        ``"zeros"``, ``"uniform"`` (every block coordinate i.i.d. on
-        ``[lo, hi]``), or ``"from_positions"`` (consensus-feasible blocks
-        built from ``positions``: own replicas at own position, plus-replicas
-        at the neighbor's).
+        ``"zeros"`` (every node at the origin), ``"uniform"`` (one position
+        per node, each coordinate i.i.d. on ``[lo, hi)``), or
+        ``"from_positions"`` (``positions``).
     u_init
         ``"zeros"``, ``"half"`` (all coordinates 0.5), or ``"directions"``
-        (unit vectors along ``x_i - x_j``; needs positions).
+        (unit vectors along ``x_i - x_j`` of the start positions).
 
     Duals always start at zero.
     """
@@ -101,66 +102,51 @@ def as_positions(positions, graph: NetworkGraph) -> np.ndarray:
     return pos
 
 
-def uniform_rows(spec: InitSpec, seed: int, count: int, dim: int) -> np.ndarray:
-    """``count`` rows drawn i.i.d. on ``[spec.lo, spec.hi)`` from one generator
-    seeded with ``seed``."""
-    if not (spec.lo < spec.hi and math.isfinite(spec.hi - spec.lo)):
-        raise InvalidInitSpec(f"uniform bounds [{spec.lo}, {spec.hi}) are empty or unbounded")
-    return np.random.default_rng(seed).uniform(spec.lo, spec.hi, (count, dim))
-
-
 def start_positions(graph: NetworkGraph, spec: InitSpec, seed: int = 0) -> np.ndarray:
     """One start position per node, ``(num_nodes, dim)``: ``spec.positions``
     (``from_positions``), the origin (``zeros``), or one uniform draw per
-    node (``uniform``)."""
+    node from a generator seeded with ``seed`` (``uniform``)."""
     if spec.kind == "from_positions":
         return as_positions(spec.positions, graph)
     if spec.kind == "zeros":
         return np.zeros((graph.num_nodes, graph.dim))
-    if spec.kind == "uniform":
-        return uniform_rows(spec, seed, graph.num_nodes, graph.dim)
-    raise InvalidInitSpec(f"unknown init kind {spec.kind!r}")
+    if spec.kind != "uniform":
+        raise InvalidInitSpec(f"unknown init kind {spec.kind!r}")
+    if not (spec.lo < spec.hi and math.isfinite(spec.hi - spec.lo)):
+        raise InvalidInitSpec(f"uniform bounds [{spec.lo}, {spec.hi}) are empty or unbounded")
+    return np.random.default_rng(seed).uniform(spec.lo, spec.hi, (graph.num_nodes, graph.dim))
 
 
-def initial_u(u_init: str, positions, graph: NetworkGraph) -> np.ndarray:
-    """Iteration-zero direction rows as one edge field: ``zeros``, ``half``
-    (all coordinates 0.5), or ``directions`` along ``positions``."""
-    shape = (graph.layout.num_edges, graph.dim)
+def initial_u(u_init: str, positions: np.ndarray, layout: EdgeLayout) -> np.ndarray:
+    """Iteration-zero direction rows as one edge field of ``layout``:
+    ``zeros``, ``half`` (all coordinates 0.5), or ``directions`` along
+    ``positions``."""
+    shape = (layout.num_edges, layout.dim)
     if u_init == "zeros":
         return np.zeros(shape)
     if u_init == "half":
         return np.full(shape, 0.5)
     if u_init != "directions":
         raise InvalidInitSpec(f"unknown u_init {u_init!r}")
-    if positions is None:
-        raise InvalidInitSpec("u_init 'directions' needs positions")
-    return edge_directions(as_positions(positions, graph), graph.layout)
+    return edge_directions(positions, layout)
+
+
+def consensus_state(layout: EdgeLayout, positions: np.ndarray, u_init: str) -> EdgeStates:
+    """The consensus-feasible state at ``positions``, held as ``p``: each z^-
+    row at its owner's position, each z^+ row at its neighbor's,
+    :func:`initial_u` directions along them, and zero duals. ``layout``
+    may be a :meth:`~locadmm.network.EdgeLayout.stack` layout."""
+    u = initial_u(u_init, positions, layout)
+    z_minus = np.take(positions, layout.src, axis=0)
+    z_plus = np.take(positions, layout.dst, axis=0)
+    return EdgeStates(EdgeBlocks(layout.offsets, positions, z_minus, z_plus), u, np.zeros_like(u))
 
 
 def init_full(graph: NetworkGraph, config: InitSpec, seed: int = 0) -> EdgeStates:
-    """Build iteration-zero states for :func:`run_full`.
-
-    ``zeros`` and ``from_positions`` build consensus-feasible blocks from
-    :func:`start_positions`. ``uniform`` draws every block coordinate, node by
-    node (p, then the z^- rows, then the z^+ rows), from one seeded
-    generator, so identical arguments give identical state. ``directions``
-    points along ``config.positions``.
-    """
-    lay = graph.layout
-    if config.kind == "uniform":
-        n, num_edges = graph.num_nodes, lay.num_edges
-        # Node i's draws start at row i + 2 offsets[i]: its p row, then its
-        # z^- rows, then its z^+ rows.
-        rows = uniform_rows(config, seed, n + 2 * num_edges, graph.dim)
-        minus_rows = lay.src + lay.offsets[lay.src] + 1 + np.arange(num_edges)
-        p = np.take(rows, np.arange(n) + 2 * lay.offsets[:-1], axis=0)
-        z_minus = np.take(rows, minus_rows, axis=0)
-        z_plus = np.take(rows, minus_rows + lay.degrees[lay.src], axis=0)
-    else:
-        p = start_positions(graph, config, seed)
-        z_minus, z_plus = np.take(p, lay.src, axis=0), np.take(p, lay.dst, axis=0)
-    u = initial_u(config.u_init, config.positions, graph)
-    return EdgeStates(EdgeBlocks(lay.offsets, p, z_minus, z_plus), u, np.zeros_like(u))
+    """Iteration-zero states for :func:`run_full`: the :func:`consensus_state`
+    at :func:`start_positions`, as :func:`~locadmm.solver_lite.run_lite`
+    starts from the same arguments."""
+    return consensus_state(graph.layout, start_positions(graph, config, seed), config.u_init)
 
 
 def local_halfstep(

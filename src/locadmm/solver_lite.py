@@ -24,7 +24,7 @@ from .solver_full import (
     as_positions,
     check_run,
     consensus_blocks,
-    initial_u,
+    consensus_state,
     start_positions,
 )
 from .structured_ops import (
@@ -120,22 +120,25 @@ def init_lite(
     c: float,
     measurements: MeasurementSet,
 ) -> LiteStates:
-    """Build iteration-zero accumulators from a position map.
-
-    With duals at zero and replicas built from positions, the accumulators
-    start as ``alpha0 = c (x_i + x_i)`` and ``beta0 = -d u0 + x_i + x_j``.
+    """Iteration-zero accumulators (:func:`lite_start`) of the
+    :func:`~locadmm.solver_full.consensus_state` at ``positions``.
     ``u_init`` is an init-spec keyword (``"zeros"``/``"half"``/
-    ``"directions"``, the last along ``positions``).
-    """
+    ``"directions"``, the last along ``positions``)."""
     lay = graph.layout
-    pos = as_positions(positions, graph)
-    u = initial_u(u_init, pos, graph)
-    d = measurements.edge_ranges(graph)
-    x_i = np.take(pos, lay.src, axis=0)
-    x_j = np.take(pos, lay.dst, axis=0)
+    view = consensus_state(lay, as_positions(positions, graph), u_init)
+    return lite_start(lay, view, measurements.edge_ranges(graph), c)
+
+
+def lite_start(lay: EdgeLayout, view: EdgeStates, d: np.ndarray, c) -> LiteStates:
+    """The accumulators of a consensus state ``view`` with zero duals:
+    ``alpha0 = c (x_i + x_i)`` and ``beta0 = -d u0 + x_i + x_j``, with
+    ``x_i`` and ``x_j`` its z^- and z^+ rows. ``lay`` may be a
+    :meth:`~locadmm.network.EdgeLayout.stack` layout, ``c`` one per copy."""
+    x_i, x_j = view.blocks.z_minus, view.blocks.z_plus
+    c_e = spread(lay.edge_column(c), lay.dim)
     with quiet_fp():
-        alpha, beta = c * (x_i + x_i), -(d[:, None] * u) + x_i + x_j
-    return LiteStates(lay.offsets, pos, u, np.zeros_like(u), alpha, beta, d)
+        alpha, beta = c_e * (x_i + x_i), -(d[:, None] * view.u) + x_i + x_j
+    return LiteStates(lay.offsets, view.blocks.p, view.u, view.lam, alpha, beta, d)
 
 
 def step_lite(
@@ -248,18 +251,16 @@ def run_lite(
     :class:`LiteStates` (such as ``RunResult.states``, to resume a run; its
     arrays are read, not copied) or a per-node state sequence, whose ranges
     must be those of ``measurements`` (:class:`~locadmm.errors.InvalidInit`
-    otherwise). The recursion needs consensus-feasible replicas at start,
-    so an ``InitSpec`` starts through :func:`init_lite` from
-    :func:`~locadmm.solver_full.start_positions`: ``uniform`` draws one
-    position per node there (unlike the full solver's per-coordinate block
-    draw).
-    Hooks receive reconstructed full-state views; the half-step scratch is
-    not reconstructed, so potential-function recording is unavailable here.
-    At iteration 0 the replicas are the start positions' consensus copies
-    for an ``InitSpec``; a resumed start (stacked or per-node states) gives
+    otherwise). An ``InitSpec`` starts, as in
+    :func:`~locadmm.solver_full.run_full`, from the
+    :func:`~locadmm.solver_full.consensus_state` at
+    :func:`~locadmm.solver_full.start_positions`, which is the iteration-0
+    view; a resumed start (stacked or per-node states) gives
     the replicas its accumulators hold, ``z^- = (alpha - lam)/c - p`` and
     ``z^+ = beta + d u - p``, which is the uninterrupted run's view up to
-    rounding.
+    rounding. Hooks receive reconstructed full-state views; the half-step
+    scratch is not reconstructed, so potential-function recording is
+    unavailable here.
     Every node advances at once on edge arrays (:func:`lite_steps`),
     bit-identical to :func:`step_lite` and :func:`full_view`; ``threads`` is
     accepted for compatibility and ignored. The per-edge coefficients are
@@ -271,32 +272,28 @@ def run_lite(
     c, rho = params.c, params.rho
     lay = graph.layout
     d = measurements.edge_ranges(graph)
-    from_spec = isinstance(init, InitSpec)
-    if from_spec:
-        start = init_lite(graph, start_positions(graph, init, seed), init.u_init, c, measurements)
+    if isinstance(init, InitSpec):
+        view = consensus_state(lay, start_positions(graph, init, seed), init.u_init)
+        start = lite_start(lay, view, d, c)
     else:
         start = LiteStates.of(init, lay)
         if start.d is not d and not np.array_equal(start.d, d):
             raise InvalidInit("start ranges do not match the measurements")
-    view = None if hook is None else start_view(lay, start, c, from_spec)
+        view = None if hook is None else start_view(lay, start, c)
     coef = EdgeCoefficients.held(measurements, lay, d, c, rho)
     steps = lite_steps(lay, coef, start, views=hook is not None)
     last = drive(steps, iters, lay.src, hook, view, 2 * graph.dim * lay.num_edges)
     return RunResult(states=LiteStates(lay.offsets, d=d, **last), estimates=last["p"].copy())
 
 
-def start_view(lay: EdgeLayout, start: LiteStates, c, from_spec: bool) -> EdgeStates:
-    """The full-state view of a start: from an ``InitSpec`` its replicas are
-    the consensus copies :func:`init_lite` built the accumulators from;
-    otherwise they are the replicas the accumulators hold, inverting
-    ``alpha = lam + c (p + z^-)`` and ``beta = -d u + p + z^+``."""
+def start_view(lay: EdgeLayout, start: LiteStates, c) -> EdgeStates:
+    """The full-state view of a resumed start: the replicas its accumulators
+    hold, inverting ``alpha = lam + c (p + z^-)`` and
+    ``beta = -d u + p + z^+``."""
     p_src = np.take(start.p, lay.src, axis=0)
-    if from_spec:
-        z_minus, z_plus = p_src, np.take(start.p, lay.dst, axis=0)
-    else:
-        with quiet_fp():
-            z_minus = (start.alpha - start.lam) / c - p_src
-            z_plus = start.beta + start.d[:, None] * start.u - p_src
+    with quiet_fp():
+        z_minus = (start.alpha - start.lam) / c - p_src
+        z_plus = start.beta + start.d[:, None] * start.u - p_src
     return EdgeStates(EdgeBlocks(lay.offsets, start.p, z_minus, z_plus), start.u, start.lam)
 
 

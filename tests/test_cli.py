@@ -122,6 +122,20 @@ class TestRun:
         assert main(args(t2)) == EXIT_OK
         assert t1.read_bytes() == t2.read_bytes()
 
+    @pytest.mark.parametrize("algo", ["full", "lite"])
+    def test_directions_from_the_origin_are_zero_rows(self, net_file, tmp_path, algo):
+        # every node starts at the origin, so the direction rows are zero and
+        # the run is the one from --u0 zeros
+        def estimates(u0):
+            est = tmp_path / f"{u0}.json"
+            code = main(["run", "--net", str(net_file), "--algo", algo, "--c", "0.1",
+                         "--rho", "0.1", "--iters", "5", "--init", "zeros", "--u0", u0,
+                         "--est", str(est)])
+            assert code == EXIT_OK
+            return est.read_bytes()
+
+        assert estimates("directions") == estimates("zeros")
+
     def test_auto_rho_uses_bounds(self, net_file, tmp_path):
         from locadmm import diagnostics as dg
 
@@ -217,11 +231,9 @@ class TestRun:
             ["--c", "0.1", "--rho", "0"],
             ["--c", "0.1", "--rho", "0.1", "--iters", "0"],
             ["--c", "nan", "--rho", "0.1"],
-            ["--algo", "full", "--c", "0.1", "--rho", "0.1", "--init", "zeros",
-             "--u0", "directions"],
         ],
         ids=["c-overflows-bounds", "c-overflows-auto-rho", "unbounded-uniform-init",
-             "negative-c", "zero-rho", "zero-iters", "nan-c", "full-zeros-directions"],
+             "negative-c", "zero-rho", "zero-iters", "nan-c"],
     )
     def test_overflowing_parameters_are_invalid(self, net_file, flags, capsys):
         code = main(["run", "--net", str(net_file), "--iters", "3", *flags])
@@ -467,6 +479,44 @@ class TestBadNumbers:
         assert code == EXIT_ERROR
         err = capsys.readouterr().err.splitlines()
         assert err == [f"error: {option}: bad entry {entry!r}"]
+
+
+class TestNegativeSeeds:
+    RUN = ["--c", "0.1", "--rho", "0.1", "--iters", "2"]
+
+    @pytest.mark.parametrize(
+        "argv, env, option",
+        [
+            (["generate", "--nodes", "5", "--anchors", "1", "--range", "0.8",
+              "--out", "{tmp}/g.json", "--seed", "-1"], None, "--seed"),
+            (["run", "--net", "{net}", *RUN, "--seed", "-1"], None, "--seed"),
+            (["sweep", "--net", "{net}", "--c-list", "0.1", "--rho-list", "0.1",
+              "--iters", "2", "--seed", "-1"], None, "--seed"),
+            (["sweep", "--net", "{net}", "--c-list", "0.1", "--rho-list", "0.1",
+              "--iters", "2", "--seeds", "1,-1"], None, "--seeds"),
+            (["oracle-check", "--net", "{small}", "--trials", "1", "--seed", "-1"],
+             None, "--seed"),
+            (["run", "--net", "{net}", *RUN], "-3", "LOCADMM_SEED"),
+            (["oracle-check", "--net", "{small}", "--trials", "1"], "-3", "LOCADMM_SEED"),
+        ],
+        ids=["generate", "run", "sweep", "sweep-seeds", "oracle-check", "env-run",
+             "env-oracle-check"],
+    )
+    def test_one_error_line(self, net_file, tmp_path, monkeypatch, capsys, argv, env, option):
+        small = tmp_path / "small.json"
+        assert main(["generate", "--nodes", "6", "--anchors", "2", "--range", "0.8",
+                     "--seed", "3", "--out", str(small)]) == EXIT_OK
+        if env is not None:
+            monkeypatch.setenv("LOCADMM_SEED", env)
+        capsys.readouterr()
+        fill = {"tmp": str(tmp_path), "net": str(net_file), "small": str(small)}
+        code = main([a.format(**fill) for a in argv])
+        assert code == EXIT_ERROR
+        out, err = capsys.readouterr()
+        seed = "-3" if env is not None else "-1"
+        assert out == ""
+        assert err == f"error: {option}: seeds must be non-negative integers, got {seed}\n"
+        assert not (tmp_path / "g.json").exists()
 
 
 class TestFileErrors:

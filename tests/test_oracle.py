@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -175,3 +177,22 @@ class TestOracleCheck:
         meas = exact_measurements(graph, truth.positions)
         with pytest.raises(InvalidParameter, match=f"trials must be >= 1, got {trials}"):
             oracle.oracle_check(graph, meas, trials=trials)
+
+    def test_refuses_a_node_without_a_neighbor(self):
+        # free node 3 has no edge, so its dense W is all zero
+        graph = make_graph(2, [(0, 1), (1, 2)], {0: [0.0, 0.0]}, num_nodes=4)
+        meas = MeasurementSet.from_pairs(graph, {(0, 1): 1.0, (1, 2): 1.0})
+        want = "^oracle check needs every node to have a neighbor; node 3 has none$"
+        with pytest.raises(InvalidParameter, match=want):
+            oracle.oracle_check(graph, meas, trials=1)
+
+    @pytest.mark.parametrize("c", [math.inf, math.nan])
+    def test_refuses_non_finite_c(self, c):
+        rng = np.random.default_rng(7)
+        graph, truth = random_connected_graph(rng, 6, num_anchors=2)
+        meas = exact_measurements(graph, truth.positions)
+        want = f"^c must be positive and finite, got {c}$"
+        with pytest.raises(InvalidParameter, match=want):
+            oracle.build_dense(graph, meas, c)
+        with pytest.raises(InvalidParameter, match=want):
+            oracle.oracle_check(graph, meas, c=c, trials=1)

@@ -6,11 +6,12 @@ degree-1 leaves, and up to every node but one anchored), ``run_full`` must
 reproduce ``local_halfstep -> gather_inbox -> combine_z -> update_u ->
 update_lambda`` and ``run_lite`` must reproduce ``step_lite`` and
 ``full_view``, bit for bit at every iteration, from iteration-zero states
-built node by node as below. Along the way the combined replicas satisfy
-the consensus constraint bitwise, every direction row stays in the unit
-ball, and anchors stay pinned. The diagnostics and the consensus projection
-must match the dense oracle on random states. From a matched positional
-start the two solvers agree within criterion 1's tolerance, and both keep
+built node by node as below (and ``run_full`` also from blocks off the
+consensus set). Along the way the combined replicas satisfy the consensus
+constraint bitwise, every direction row stays in the unit ball, and
+anchors stay pinned. The diagnostics and the consensus projection must
+match the dense oracle on random states. From every start an init spec
+builds, the two solvers agree within criterion 1's tolerance, and both keep
 the exchange and storage accounting of criterion 7. The trace recorder
 gives the same trace whether it reads the solvers' stacked states or
 per-node state lists built by the spec. A grid of cells run as one batched
@@ -30,7 +31,7 @@ from argparse import Namespace
 from dataclasses import fields, is_dataclass, replace
 
 import numpy as np
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from locadmm import diagnostics as dg
@@ -119,36 +120,27 @@ def reference_u(spec, graph, pos):
     return [np.full((len(nbrs), graph.dim), fill) for nbrs in graph.neighbors]
 
 
-def reference_init_full(graph, spec, seed):
-    """Iteration-zero full states node by node; uniform draws walk the nodes
-    in order (p, then the z^- rows, then the z^+ rows)."""
+def reference_positions(graph, spec, seed):
+    """The start positions: the given map, the origin, or one uniform draw
+    per node."""
     if spec.kind == "from_positions":
-        blocks = consensus_blocks(spec.positions, graph)
-    elif spec.kind == "zeros":
-        blocks = [NodeBlockVector.zeros(len(nbrs), graph.dim) for nbrs in graph.neighbors]
-    else:
-        rng = np.random.default_rng(seed)
-        blocks = [
-            NodeBlockVector(
-                rng.uniform(spec.lo, spec.hi, graph.dim),
-                rng.uniform(spec.lo, spec.hi, (len(nbrs), graph.dim)),
-                rng.uniform(spec.lo, spec.hi, (len(nbrs), graph.dim)),
-            )
-            for nbrs in graph.neighbors
-        ]
-    u0 = reference_u(spec, graph, spec.positions)
-    return [FullNodeState(b, u, np.zeros_like(u)) for b, u in zip(blocks, u0)]
+        return spec.positions
+    if spec.kind == "zeros":
+        return np.zeros((graph.num_nodes, graph.dim))
+    return np.random.default_rng(seed).uniform(spec.lo, spec.hi, (graph.num_nodes, graph.dim))
+
+
+def reference_init_full(graph, spec, seed):
+    """Iteration-zero full states node by node: the consensus blocks at the
+    start positions, directions along them, zero duals."""
+    pos = reference_positions(graph, spec, seed)
+    u0 = reference_u(spec, graph, pos)
+    return [FullNodeState(b, u, np.zeros_like(u)) for b, u in zip(consensus_blocks(pos, graph), u0)]
 
 
 def reference_init_lite(graph, meas, spec, seed, c):
-    """Iteration-zero lite states node by node from the start positions:
-    the given map, the origin, or one uniform draw per node."""
-    if spec.kind == "from_positions":
-        pos = spec.positions
-    elif spec.kind == "zeros":
-        pos = np.zeros((graph.num_nodes, graph.dim))
-    else:
-        pos = np.random.default_rng(seed).uniform(spec.lo, spec.hi, (graph.num_nodes, graph.dim))
+    """Iteration-zero lite states node by node from the start positions."""
+    pos = reference_positions(graph, spec, seed)
     u0 = reference_u(spec, graph, pos)
     d_node = meas.node_ranges(graph)
     states = []
@@ -183,38 +175,44 @@ def assert_invariants(states, graph):
 @PROPERTY_SETTINGS
 @given(instances())
 def test_run_full_matches_per_node_spec(inst):
+    # from the spec's consensus start, and from explicit blocks off the
+    # consensus set
     graph, meas, params, spec, seed, iters = inst
     c, rho = params.c, params.rho
     d_node = meas.node_ranges(graph)
     nodes = range(graph.num_nodes)
-    events = []
-    result = run_full(graph, meas, params, spec, iters, seed=seed, hook=events.append)
+    explicit = random_states(np.random.default_rng(seed), graph)
+    for init, states in ((spec, reference_init_full(graph, spec, seed)), (explicit, explicit)):
+        events = []
+        result = run_full(graph, meas, params, init, iters, seed=seed, hook=events.append)
+        assert_same_bits(events[0].states, states)
+        for t in range(1, iters + 1):
+            zt = [local_halfstep(states[i], d_node[i], c, graph.anchors.get(i)) for i in nodes]
+            z = [
+                combine_z(
+                    zt[i], gather_inbox(zt, graph, i), c, node=i, neighbors=graph.neighbors[i]
+                )
+                for i in nodes
+            ]
+            states = [
+                FullNodeState(
+                    z[i],
+                    update_u(states[i], z[i], d_node[i], rho),
+                    update_lambda(states[i], z[i], c),
+                )
+                for i in nodes
+            ]
+            assert_same_bits(events[t].ztilde, zt)
+            assert_same_bits(events[t].states, states)
+            assert events[t].states_prev is events[t - 1].states
+            assert_invariants(events[t].states, graph)
+        assert_same_bits(result.states, states)
+        assert result.estimates.tobytes() == np.stack([s.block.p for s in states]).tobytes()
 
-    states = reference_init_full(graph, spec, seed)
-    assert_same_bits(events[0].states, states)
-    for t in range(1, iters + 1):
-        zt = [local_halfstep(states[i], d_node[i], c, graph.anchors.get(i)) for i in nodes]
-        z = [
-            combine_z(zt[i], gather_inbox(zt, graph, i), c, node=i, neighbors=graph.neighbors[i])
-            for i in nodes
-        ]
-        states = [
-            FullNodeState(
-                z[i], update_u(states[i], z[i], d_node[i], rho), update_lambda(states[i], z[i], c)
-            )
-            for i in nodes
-        ]
-        assert_same_bits(events[t].ztilde, zt)
-        assert_same_bits(events[t].states, states)
-        assert events[t].states_prev is events[t - 1].states
-        assert_invariants(events[t].states, graph)
-    assert_same_bits(result.states, states)
-    assert result.estimates.tobytes() == np.stack([s.block.p for s in states]).tobytes()
-
-    # resuming from returned states continues the same trajectory
-    head = run_full(graph, meas, params, spec, 1, seed=seed).states
-    if iters > 1:
-        assert_same_bits(run_full(graph, meas, params, head, iters - 1).states, states)
+        # resuming from returned states continues the same trajectory
+        head = run_full(graph, meas, params, init, 1, seed=seed).states
+        if iters > 1:
+            assert_same_bits(run_full(graph, meas, params, head, iters - 1).states, states)
 
 
 @PROPERTY_SETTINGS
@@ -430,12 +428,9 @@ def test_diagnostics_match_dense_oracle(inst, c, rho, kappa):
 
 @st.composite
 def matched_instances(draw):
-    """An instance whose start both solvers build alike: replicas from
-    positions (or all at the origin with no direction rows to point), duals
-    at zero, and penalties in criterion 1's range."""
+    """An instance with penalties in criterion 1's range; both solvers
+    build every start from its init spec alike."""
     graph, meas, _, spec, seed, iters = draw(instances())
-    if spec.kind == "uniform" or (spec.kind == "zeros" and spec.u_init == "directions"):
-        spec = replace(spec, kind="from_positions")
     params = PenaltyParams(draw(st.floats(0.05, 1.0)), draw(st.floats(0.05, 1.0)))
     return graph, meas, params, spec, seed, iters
 
@@ -525,8 +520,6 @@ def grids(draw):
     cell per batch, a few, or all in one."""
     graph, meas, _, spec, _, iters = draw(instances())
     algo = draw(st.sampled_from(["full", "lite"]))
-    # the full solver points directions only along the file's positions
-    assume(algo == "lite" or spec.u_init != "directions" or spec.kind == "from_positions")
     n = draw(st.integers(1, 4))
     values = st.floats(0.01, 2.0)
     cells = list(zip(

@@ -83,14 +83,15 @@ class TestInit:
         a = init_full(graph, spec, seed=9)
         b = init_full(graph, spec, seed=9)
         c = init_full(graph, spec, seed=10)
-        flat_a = np.concatenate([s.block.to_flat() for s in a])
-        flat_b = np.concatenate([s.block.to_flat() for s in b])
-        flat_c = np.concatenate([s.block.to_flat() for s in c])
-        assert np.array_equal(flat_a, flat_b)
-        assert not np.array_equal(flat_a, flat_c)
-        assert flat_a.min() >= -1.0 and flat_a.max() <= 1.0
-        # one draw per block coordinate: n * (N + 4|E|) in total
-        assert flat_a.size == 2 * (3 + 4 * 3)
+        assert np.array_equal(a.blocks.p, b.blocks.p)
+        assert not np.array_equal(a.blocks.p, c.blocks.p)
+        assert a.blocks.p.shape == (3, 2)
+        assert a.blocks.p.min() >= -1.0 and a.blocks.p.max() <= 1.0
+        # one draw per node, and the replicas are its consensus copies
+        for i, st in enumerate(a):
+            assert np.all(ops.apply_A(st.block) == 0.0)
+            for k, j in enumerate(graph.neighbors[i]):
+                assert np.array_equal(st.block.z_plus[k], a.blocks.p[j])
 
     def test_u_half(self):
         graph = make_graph(2, [(0, 1)], {0: [0.0, 0.0]})
@@ -104,13 +105,18 @@ class TestInit:
             InitSpec(kind="from_positions"),
             InitSpec(kind="zeros", u_init="ones"),
             InitSpec(kind="uniform", lo=1.0, hi=-1.0),
-            InitSpec(kind="zeros", u_init="directions"),
         ],
     )
     def test_invalid_specs(self, spec):
         graph = make_graph(2, [(0, 1)], {0: [0.0, 0.0]})
         with pytest.raises(InvalidInitSpec):
             init_full(graph, spec, seed=0)
+
+    def test_directions_from_the_origin_are_zero(self):
+        # every node starts at the origin, so no direction has a length
+        graph = make_graph(2, [(0, 1), (1, 2)], {0: [0.0, 0.0]})
+        states = init_full(graph, InitSpec(kind="zeros", u_init="directions"), seed=0)
+        assert states.u.shape == (4, 2) and np.all(states.u == 0.0)
 
 
 class TestLocalHalfstep:
@@ -410,9 +416,8 @@ class TestRunFull:
             graph,
             meas,
             PenaltyParams(0.3, 0.3),
-            InitSpec(kind="uniform"),
+            random_states(rng, graph),  # off the consensus set
             20,
-            seed=1,
             hook=hook,
         )
 
@@ -488,7 +493,7 @@ class TestRunFull:
         graph, truth, meas = triangle
         spec = InitSpec(kind="uniform", u_init="half")
         for runner, where in (
-            (run_full, "non-finite lam at node 1, iteration 4"),
+            (run_full, "non-finite lam at node 1, iteration 1"),
             (run_lite, "non-finite u at node 0, iteration 1"),
         ):
             with pytest.raises(NonFiniteValue, match=f"^{where}$"):
