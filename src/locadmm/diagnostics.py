@@ -29,6 +29,7 @@ from .structured_ops import (
     EdgeBlocks,
     EdgeStates,
     PenaltyParams,
+    check_penalty,
     consensus_rows,
     edge_rows,
     spread,
@@ -322,8 +323,7 @@ def parameter_bounds(graph: NetworkGraph, measurements: MeasurementSet, c: float
     recomputed here, never caller-supplied, so bounds cannot go stale. A
     node without a neighbor makes ``tau_min`` zero and is refused.
     """
-    if not (c > 0.0 and math.isfinite(c)):
-        raise InvalidParameter(f"c must be strictly positive, got {c}")
+    check_penalty("c", c)
     degrees = graph.degrees
     if not degrees.all():
         node = int(np.argmin(degrees))

@@ -16,6 +16,7 @@ import warnings
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
+from types import MappingProxyType
 
 import numpy as np
 
@@ -46,22 +47,20 @@ class NetworkGraph:
 
     Attributes
     ----------
-    dim : int
-        Spatial dimension, 2 or 3.
-    num_nodes : int
-        Node count; ids are the dense range ``0 .. num_nodes-1``.
-    anchors : dict[int, np.ndarray]
-        Anchor id -> known position, iteration order sorted by id.
+    layout : EdgeLayout
+        The directed edges and the anchors as flat arrays, each graph fact
+        held once; every per-edge array in this package is aligned with it.
     connected : bool
         Whether the graph is a single component covering all nodes. Loading
         tolerates ``False`` (with a warning); solvers do not.
-    layout : EdgeLayout
-        The directed edges as flat arrays; every per-edge array in this
-        package is aligned with it.
 
-    The per-node tuples below are derived from ``layout`` on first use and
+    ``dim`` (2 or 3) and ``num_nodes`` (ids are ``0 .. num_nodes-1``) are
+    read from ``layout``, and so are the views below, on first use and
     kept; only the per-node specification and the dense oracle read them.
 
+    anchors : Mapping[int, np.ndarray]
+        Anchor id -> known position, sorted by id: a read-only mapping onto
+        the read-only rows of ``layout.anchor_pos``.
     neighbors : tuple[tuple[int, ...], ...]
         Per node, the sorted tuple of adjacent node ids: the ``dst`` of the
         node's rows in ``layout``.
@@ -73,22 +72,14 @@ class NetworkGraph:
         reverse direction of an edge without searching.
     """
 
-    dim: int
-    num_nodes: int
-    anchors: dict[int, np.ndarray]
-    connected: bool
     layout: "EdgeLayout" = field(repr=False)
+    connected: bool
 
     @classmethod
-    def build(
-        cls,
-        dim: int,
-        num_nodes: int,
-        anchors: dict[int, np.ndarray],
-        edges,
-    ) -> "NetworkGraph":
+    def build(cls, dim: int, num_nodes: int, anchors: Mapping, edges) -> "NetworkGraph":
         """Validate and assemble a graph from an unordered edge collection.
 
+        ``anchors`` maps anchor ids to positions, which are copied.
         ``edges`` holds ``(i, j)`` pairs of integer node ids, in either
         orientation and possibly repeated.
 
@@ -96,27 +87,31 @@ class NetworkGraph:
         ------
         InvalidParameter
             On bad dimension/counts, self-loops, out-of-range or non-integer
-            ids, or an empty anchor set; an edge error names the first bad
-            edge in input order.
+            ids, an empty anchor set, or an anchor position that is not
+            ``dim`` finite numbers; an edge error names the first bad edge
+            in input order.
         """
         if dim not in (2, 3):
             raise InvalidParameter(f"dim must be 2 or 3, got {dim}")
         if num_nodes < 1:
             raise InvalidParameter(f"num_nodes must be positive, got {num_nodes}")
-        anchor_map = _anchor_map(dim, num_nodes, anchors)
+        anchor_idx, anchor_pos = _anchor_arrays(dim, num_nodes, anchors)
         pairs = _edge_pairs(edges, num_nodes)
         csr = _csr(num_nodes, pairs[:, 0], pairs[:, 1])
-        return cls._assemble(dim, num_nodes, anchor_map, csr, _is_connected(csr))
+        return cls(EdgeLayout.build(csr, anchor_idx, anchor_pos), _is_connected(csr))
 
-    @classmethod
-    def _assemble(cls, dim, num_nodes, anchor_map, csr, connected) -> "NetworkGraph":
-        return cls(
-            dim=dim,
-            num_nodes=num_nodes,
-            anchors=anchor_map,
-            connected=connected,
-            layout=EdgeLayout.build(csr, anchor_map, dim),
-        )
+    @property
+    def dim(self) -> int:
+        return self.layout.dim
+
+    @property
+    def num_nodes(self) -> int:
+        return self.layout.num_nodes
+
+    @cached_property
+    def anchors(self) -> Mapping[int, np.ndarray]:
+        lay = self.layout
+        return MappingProxyType(dict(zip(lay.anchor_idx.tolist(), lay.anchor_pos)))
 
     @cached_property
     def neighbors(self) -> tuple[tuple[int, ...], ...]:
@@ -138,7 +133,7 @@ class NetworkGraph:
 
     @property
     def num_anchors(self) -> int:
-        return len(self.anchors)
+        return len(self.layout.anchor_idx)
 
     @property
     def avg_degree(self) -> float:
@@ -155,20 +150,26 @@ class NetworkGraph:
         return self.layout.num_edges
 
 
-def _anchor_map(dim: int, num_nodes: int, anchors) -> dict[int, np.ndarray]:
-    """Validated read-only anchor positions, sorted by id."""
+def _anchor_arrays(dim: int, num_nodes: int, anchors) -> tuple[np.ndarray, np.ndarray]:
+    """The validated anchor ids, sorted, and a copy of their positions, one
+    row per id (the caller's arrays stay writable)."""
     if not anchors:
         raise InvalidParameter("at least one anchor is required")
-    anchor_map: dict[int, np.ndarray] = {}
-    for k in sorted(anchors):
+    ids = sorted(anchors)
+    rows = []
+    for k in ids:
         if not 0 <= k < num_nodes:
             raise InvalidParameter(f"anchor id {k} out of range")
-        pos = np.array(anchors[k], dtype=float)  # a copy: the caller's stays writable
-        if pos.shape != (dim,):
+        try:
+            pos = np.asarray(anchors[k], dtype=float)
+        except (TypeError, ValueError):
+            pos = None
+        if pos is not None and pos.shape != (dim,):
             raise InvalidParameter(f"anchor {k} position has shape {pos.shape}")
-        pos.flags.writeable = False
-        anchor_map[k] = pos
-    return anchor_map
+        if pos is None or not np.isfinite(pos).all():
+            raise InvalidParameter(f"anchor {k} position must be {dim} finite numbers")
+        rows.append(pos)
+    return np.array(ids, dtype=np.intp), np.stack(rows)
 
 
 def _edge_pairs(edges, num_nodes: int) -> np.ndarray:
@@ -256,30 +257,26 @@ class EdgeLayout:
     src: np.ndarray
     dst: np.ndarray
     rev: np.ndarray
-    degrees: np.ndarray
     anchor_idx: np.ndarray
     anchor_pos: np.ndarray
     copies: int = 1
 
     @classmethod
-    def build(cls, csr, anchors: dict[int, np.ndarray], dim: int) -> "EdgeLayout":
+    def build(cls, csr, anchor_idx: np.ndarray, anchor_pos: np.ndarray) -> "EdgeLayout":
         """The layout of the CSR graph ``(offsets, src, dst, rev)`` with the
-        given anchor positions."""
-        offsets, src, dst, rev = csr
-        anchor_pos = np.stack(list(anchors.values())) if anchors else np.zeros((0, dim))
-        return cls(
-            offsets=offsets,
-            src=src,
-            dst=dst,
-            rev=rev,
-            degrees=np.diff(offsets),
-            anchor_idx=np.fromiter(anchors, dtype=np.intp, count=len(anchors)),
-            anchor_pos=anchor_pos,
-        )
+        anchors ``anchor_idx``, sorted, at the rows of ``anchor_pos``, which
+        becomes read-only. The index arrays stay writable: a gather by a
+        read-only index runs slower."""
+        anchor_pos.flags.writeable = False
+        return cls(*csr, anchor_idx, anchor_pos)
 
     @property
     def num_nodes(self) -> int:
-        return len(self.degrees)
+        return len(self.offsets) - 1
+
+    @cached_property
+    def degrees(self) -> np.ndarray:
+        return np.diff(self.offsets)
 
     @property
     def num_edges(self) -> int:
@@ -334,7 +331,6 @@ class EdgeLayout:
             src=(self.src + node_shift).ravel(),
             dst=(self.dst + node_shift).ravel(),
             rev=(self.rev + edge_shift).ravel(),
-            degrees=np.tile(self.degrees, copies),
             anchor_idx=(self.anchor_idx + node_shift).ravel(),
             anchor_pos=np.tile(self.anchor_pos, (copies, 1)),
             copies=copies,
@@ -503,9 +499,8 @@ def generate_rgg(
         if not _is_connected(csr):
             continue
 
-        anchor_ids = [int(k) for k in rng.permutation(num_nodes)[:num_anchors]]
-        anchors = _anchor_map(dim, num_nodes, {k: positions[k] for k in anchor_ids})
-        graph = NetworkGraph._assemble(dim, num_nodes, anchors, csr, True)
+        anchor_idx = np.sort(rng.permutation(num_nodes)[:num_anchors])
+        graph = NetworkGraph(EdgeLayout.build(csr, anchor_idx, positions[anchor_idx]), True)
         return graph, GroundTruth(positions)
 
     raise ConnectivityFailure(

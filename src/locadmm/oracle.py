@@ -9,14 +9,13 @@ instances in the bundled self-check.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidParameter, SingularSystem
 from .network import MeasurementSet, NetworkGraph
-from .structured_ops import NodeBlockVector
+from .structured_ops import NodeBlockVector, check_penalty
 
 
 @dataclass
@@ -36,8 +35,7 @@ class DenseInstance:
 
 def build_dense(graph: NetworkGraph, measurements: MeasurementSet, c: float) -> DenseInstance:
     """Materialize every structured operator by its defining formula."""
-    if not (c > 0.0 and math.isfinite(c)):
-        raise InvalidParameter(f"c must be positive and finite, got {c}")
+    check_penalty("c", c)
     d_node = measurements.node_ranges(graph)
     eye_n = np.eye(graph.dim)
     Q, A, D, W, cBtB = [], [], [], [], []

@@ -250,7 +250,7 @@ def check_run(graph: NetworkGraph, iters: int) -> None:
     least one anchor, and at least one iteration."""
     if not graph.connected:
         raise DisconnectedGraph("solver requires a connected graph")
-    if not graph.anchors:
+    if not graph.num_anchors:
         raise DisconnectedGraph("solver requires at least one anchor")
     if iters < 1:
         raise InvalidParameter(f"iters must be >= 1, got {iters}")

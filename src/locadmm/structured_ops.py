@@ -187,7 +187,7 @@ class EdgeStates(Sequence):
 
 @dataclass(frozen=True)
 class PenaltyParams:
-    """Strictly positive penalty pair: ``c`` on the feasibility term in the
+    """Positive finite penalty pair: ``c`` on the feasibility term in the
     augmented Lagrangian, ``rho`` on the proximal term of the direction
     update."""
 
@@ -195,9 +195,14 @@ class PenaltyParams:
     rho: float
 
     def __post_init__(self):
-        for name, val in (("c", self.c), ("rho", self.rho)):
-            if not (val > 0.0 and math.isfinite(val)):
-                raise InvalidParameter(f"{name} must be strictly positive, got {val}")
+        check_penalty("c", self.c)
+        check_penalty("rho", self.rho)
+
+
+def check_penalty(name: str, value: float) -> None:
+    """Refuse a penalty ``value`` that is not a positive finite number."""
+    if not (value > 0.0 and math.isfinite(value)):
+        raise InvalidParameter(f"{name} must be positive and finite, got {value}")
 
 
 def apply_Q(v: NodeBlockVector) -> np.ndarray:

@@ -241,6 +241,48 @@ class TestRun:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
 
+    def test_rho_scale_in_trace_header(self, net_file, tmp_path):
+        from locadmm import diagnostics as dg
+
+        trace = tmp_path / "t.csv"
+        code = main(["run", "--net", str(net_file), "--c", "1.0", "--rho-scale", "0.5",
+                     "--iters", "2", "--trace", str(trace)])
+        assert code == EXIT_OK
+        graph, _, meas = network.load_network(net_file)
+        bounds = dg.parameter_bounds(graph, meas, 1.0)
+        assert f"# rho={bounds.rho_min * 0.5!r}" in trace.read_text().splitlines()
+
+    def test_no_metrics(self, net_file, tmp_path, capsys):
+        trace = tmp_path / "t.csv"
+        code = main(["run", "--net", str(net_file), "--c", "0.1", "--rho", "0.1",
+                     "--iters", "2", "--metrics", "none", "--trace", str(trace)])
+        assert code == EXIT_OK
+        assert capsys.readouterr().out == "done: iters=2\n"
+        rows = [l for l in trace.read_text().splitlines() if not l.startswith("#")][1:]
+        assert [r.split(",")[0] for r in rows] == ["0", "1", "2"]
+        assert all(set(r.split(",")[1:8]) == {""} for r in rows)
+
+    def test_init_truth_needs_positions(self, net_file, tmp_path, capsys):
+        graph, _, meas = network.load_network(net_file)
+        blind = tmp_path / "blind.json"
+        network.save_network(blind, graph, None, meas)
+        code = main(["run", "--net", str(blind), "--c", "0.1", "--rho", "0.1",
+                     "--iters", "2", "--init", "truth"])
+        assert code == EXIT_ERROR
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: init 'truth' needs a network file with positions\n"
+
+    def test_file_without_ranges(self, net_file, tmp_path, capsys):
+        graph, truth, _ = network.load_network(net_file)
+        unmeasured = tmp_path / "unmeasured.json"
+        network.save_network(unmeasured, graph, truth)
+        code = main(["run", "--net", str(unmeasured), "--c", "0.1", "--rho", "0.1",
+                     "--iters", "2"])
+        assert code == EXIT_ERROR
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: {unmeasured} carries no measurements\n"
+
     def test_overflowing_bounds_name_c(self, net_file, capsys):
         # (c + 1)^2 is finite at c = 1e154, but tau and rho_min are not
         with warnings.catch_warnings(record=True) as caught:
@@ -481,6 +523,29 @@ class TestBadNumbers:
         assert err == [f"error: {option}: bad entry {entry!r}"]
 
 
+class TestNonFinitePenalties:
+    """Every command words a bad penalty alike, wherever it is checked."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["run", "--c", "inf", "--rho", "1", "--iters", "2"],
+             "c must be positive and finite, got inf"),
+            (["run", "--c", "inf", "--iters", "2"], "c must be positive and finite, got inf"),
+            (["sweep", "--c-list", "inf", "--rho-list", "0.1", "--iters", "2"],
+             "c must be positive and finite, got inf"),
+            (["run", "--c", "0.1", "--rho", "nan", "--iters", "2"],
+             "rho must be positive and finite, got nan"),
+        ],
+        ids=["run", "run-auto-rho", "sweep", "run-nan-rho"],
+    )
+    def test_one_error_line(self, net_file, argv, message, capsys):
+        code = main([argv[0], "--net", str(net_file), *argv[1:]])
+        assert code == EXIT_ERROR
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: {message}\n"
+
+
 class TestNegativeSeeds:
     RUN = ["--c", "0.1", "--rho", "0.1", "--iters", "2"]
 
@@ -651,6 +716,18 @@ class TestCompare:
         out, err = capsys.readouterr()
         assert out == ""
         assert err == f"error: {est} {message}, but {net_file} has 12 nodes in dim 2\n"
+
+    def test_files_without_positions(self, net_file, tmp_path, capsys):
+        graph, _, meas = network.load_network(net_file)
+        blind = tmp_path / "blind.json"
+        network.save_network(blind, graph, None, meas)
+        for net, est, message in [
+            (blind, net_file, f"{blind} carries no positions to compare against"),
+            (net_file, blind, f"{blind} carries no positions"),
+        ]:
+            assert main(["compare", "--net", str(net), "--est", str(est)]) == EXIT_ERROR
+            out, err = capsys.readouterr()
+            assert out == "" and err == f"error: {message}\n"
 
 
 class TestParserReuse:

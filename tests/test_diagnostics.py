@@ -432,6 +432,11 @@ class TestTrace:
         with pytest.raises(InvalidParameter):
             dg.TraceRecorder(graph, meas, PenaltyParams(1, 1), metrics=("rmse",))
 
+    def test_potential_needs_coefficients(self, triangle):
+        graph, _, meas = triangle
+        with pytest.raises(InvalidParameter, match="^potential metric needs potential_coeffs$"):
+            dg.TraceRecorder(graph, meas, PenaltyParams(1, 1), metrics=["potential"])
+
     @pytest.mark.parametrize("runner", [run_full, run_lite])
     @pytest.mark.parametrize("metrics", [dg.DEFAULT_METRICS, dg.TRACE_COLUMNS[1:8]])
     def test_recording_builds_no_per_node_views(self, runner, metrics, monkeypatch):

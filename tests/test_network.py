@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import math
@@ -23,6 +24,7 @@ from locadmm.errors import (
     SchemaVersionMismatch,
 )
 from locadmm.network import (
+    EdgeLayout,
     GroundTruth,
     MeasurementSet,
     NetworkGraph,
@@ -333,6 +335,53 @@ class TestGraphInvariants:
     def test_anchor_required(self):
         with pytest.raises(InvalidParameter):
             NetworkGraph.build(2, 2, {}, [(0, 1)])
+
+    @pytest.mark.parametrize(
+        "dim, num_nodes, anchors, message",
+        [
+            (4, 3, {0: [0.0] * 4}, "dim must be 2 or 3, got 4"),
+            (2, 0, {0: [0.0, 0.0]}, "num_nodes must be positive, got 0"),
+            (2, 3, {0: [0.0, 0.0], 3: [1.0, 0.0]}, "anchor id 3 out of range"),
+            (2, 3, {1: [0.0, 0.0, 0.0]}, "anchor 1 position has shape (3,)"),
+        ],
+        ids=["dim-4", "no-nodes", "anchor-id-out-of-range", "anchor-of-wrong-shape"],
+    )
+    def test_bad_build_arguments_named(self, dim, num_nodes, anchors, message):
+        with pytest.raises(InvalidParameter) as exc:
+            NetworkGraph.build(dim, num_nodes, anchors, [(0, 1), (1, 2)])
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize(
+        "position", [[math.nan, 0.0], [0.0, math.inf], [-math.inf, 0.0], ["x", "y"], [1j, 0.0]],
+        ids=["nan", "inf", "minus-inf", "strings", "complex"],
+    )
+    def test_anchor_positions_must_be_finite_numbers(self, position):
+        with pytest.raises(InvalidParameter) as exc:
+            NetworkGraph.build(2, 3, {2: [0.0, 0.0], 0: position}, [(0, 1), (1, 2)])
+        assert str(exc.value) == "anchor 0 position must be 2 finite numbers"
+
+    def test_every_graph_fact_held_by_the_layout(self):
+        assert [f.name for f in dataclasses.fields(NetworkGraph)] == ["layout", "connected"]
+        assert "degrees" not in [f.name for f in dataclasses.fields(EdgeLayout)]
+
+    @pytest.mark.parametrize("source", ["generate_rgg", "load_network", "build"])
+    def test_anchor_positions_held_once(self, source, tmp_path):
+        graph, truth = generate_rgg(20, 3, 0.5, seed=1)
+        if source == "load_network":
+            save_network(tmp_path / "net.json", graph, truth)
+            graph, _, _ = load_network(tmp_path / "net.json")
+        elif source == "build":
+            anchors = {k: truth.positions[k] for k in (5, 0, 11)}
+            graph = NetworkGraph.build(2, 20, anchors, graph.edge_list)
+        lay = graph.layout
+        with pytest.raises(ValueError):
+            lay.anchor_pos[0] += 5.0
+        with pytest.raises(TypeError):
+            graph.anchors[0] = np.zeros(2)
+        assert list(graph.anchors) == lay.anchor_idx.tolist() == sorted(graph.anchors)
+        for row, pos in zip(lay.anchor_pos, graph.anchors.values()):
+            assert np.shares_memory(row, pos) and np.array_equal(row, pos)
+        assert graph.num_anchors == len(graph.anchors)
 
     def test_callers_anchor_array_stays_writable(self):
         a = np.zeros(2)
@@ -704,6 +753,36 @@ class TestFileRoundTrip:
         with pytest.raises(ParseError, match="id"):
             load_network(path)
 
+    def test_anchor_entry_required(self, tmp_path):
+        path = tmp_path / "blind.json"
+        path.write_text(
+            """
+            {"schema_version": 1, "dim": 2,
+             "nodes": [{"id": 0, "anchor": false}, {"id": 1, "anchor": false}],
+             "edges": [{"i": 0, "j": 1, "d": 1.0}]}
+            """
+        )
+        with pytest.raises(ParseError) as exc:
+            load_network(path)
+        assert str(exc.value) == "nodes: at least one anchor entry is required"
+
+    def test_overflowing_id_named(self, tmp_path):
+        # too large for an index array: the column screen declines the file,
+        # and the per-entry reader names the entry
+        doc = {
+            "schema_version": 1, "dim": 2,
+            "nodes": [{"id": 2**70, "anchor": True, "anchor_pos": [0.0, 0.0]}],
+            "edges": [],
+        }
+        assert network_module._screen(doc["nodes"], doc["edges"], 2) is None
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ParseError) as exc:
+            load_network(path)
+        assert str(exc.value) == (
+            f"nodes[0].id: ids must be dense 0-based integers, got {2**70}"
+        )
+
     def test_disconnected_loads_with_warning(self, tmp_path):
         # two components; the loader tolerates it, the solver does not
         path = tmp_path / "disc.json"
@@ -879,19 +958,21 @@ SPECIAL_FLOATS = [
 @st.composite
 def network_documents(draw):
     """A graph of 1-8 nodes, possibly without edges, with or without truth
-    and ranges, whose floats include -0.0, subnormals, 1e308, NaN and +-inf."""
+    and ranges, whose floats include -0.0, subnormals, 1e308, NaN and +-inf
+    (the anchor positions, which must be finite, only the finite ones)."""
     n = draw(st.integers(1, 8))
     dim = draw(st.sampled_from([2, 3]))
     node = st.integers(0, n - 1)
     edges = [(i, j) for i, j in draw(st.lists(st.tuples(node, node), max_size=12)) if i != j]
     value = st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats())
+    finite = value.filter(math.isfinite)
 
-    def floats(*shape):
+    def floats(*shape, value=value):
         size = math.prod(shape)
         return np.array(draw(st.lists(value, min_size=size, max_size=size))).reshape(shape)
 
     anchor_ids = draw(st.permutations(range(n)))[: draw(st.integers(1, n))]
-    graph = NetworkGraph.build(dim, n, {k: floats(dim) for k in anchor_ids}, edges)
+    graph = NetworkGraph.build(dim, n, {k: floats(dim, value=finite) for k in anchor_ids}, edges)
     truth = GroundTruth(floats(n, dim)) if draw(st.booleans()) else None
     meas = MeasurementSet(graph, floats(len(graph.edge_list))) if draw(st.booleans()) else None
     return graph, truth, meas
