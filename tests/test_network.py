@@ -29,7 +29,9 @@ from locadmm.network import (
     MeasurementSet,
     NetworkGraph,
     NoiseModel,
+    _id_order,
     _near_pairs,
+    _pair_order,
     generate_rgg,
     load_network,
     measure,
@@ -207,6 +209,21 @@ class TestGenerateRggMatchesDense:
         assert (2 * stride, len(lattice)) in got
         assert (stride, len(lattice)) not in got
 
+    @PROPERTY_SETTINGS
+    @given(st.data())
+    def test_distance_rounds_as_the_dense_test(self, data):
+        # comm_range exactly at one pair's distance as the dense test rounds
+        # it, and one ulp below: a distance that rounds otherwise (say, the
+        # squares of a 3-d row added as x + (y + z)) flips that pair
+        dim = data.draw(st.sampled_from([2, 3]))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        positions = rng.uniform(0.0, 1.0, (12, dim))
+        a, b = data.draw(st.lists(st.integers(0, 11), min_size=2, max_size=2, unique=True))
+        exact = np.sqrt(((positions[a] - positions[b]) ** 2).sum())
+        for r in (exact, np.nextafter(exact, 0.0)):
+            got = sorted(zip(*(x.tolist() for x in _near_pairs(positions, r, 1.0))))
+            assert got == brute_force_pairs(positions, r)
+
     def test_ranges_below_the_cell_cap(self):
         # with cells capped per axis, a tiny range still finds its pairs
         positions = np.array([[0.5, 0.5], [0.5, 0.5 + 1e-9], [0.5, 0.5 + 2.5e-9], [0.1, 0.9]])
@@ -261,6 +278,19 @@ class TestBuildMatchesPerNode:
             graph, per_node_graph(300, graph.anchors, graph.edge_list)
         )
 
+    def test_ids_beyond_16_bits(self):
+        # ids of 17 bits take two radix passes per order; 5 and 65 541 agree
+        # in their low 16 bits and order by the high digit
+        n, big = 70_000, 1 << 16
+        edges = [(5, big + 5), (big + 5, 3), (n - 1, 5), (big + 4, big + 5), (big + 5, 4),
+                 (n - 1, big), (big, 0), (big - 1, big), (3, 4), (n - 2, n - 1)]
+        rng = np.random.default_rng(7)
+        edges += [tuple(rng.choice(n, 2, replace=False).tolist()) for _ in range(30)]
+        edges += [(j, i) for i, j in edges[::3]]
+        anchors = {n - 1: [0.5, 0.5], 5: [0.0, 0.0], big + 5: [1.0, 0.0]}
+        graph = NetworkGraph.build(2, n, anchors, edges)
+        self.assert_matches(graph, per_node_graph(n, anchors, edges))
+
     @pytest.mark.parametrize(
         "edges,message",
         [
@@ -283,6 +313,42 @@ class TestBuildMatchesPerNode:
     def test_non_integer_ids_rejected(self, edges):
         with pytest.raises(InvalidParameter, match="^edges must be pairs of integer node ids$"):
             NetworkGraph.build(2, 3, {0: [0.0, 0.0]}, edges)
+
+
+def id_values(max_value):
+    """Integer ids up to ``max_value``, often at a 16-bit digit boundary."""
+    bounds = [0, 1, (1 << 16) - 1, 1 << 16, (1 << 16) + 1, 1 << 32, max_value]
+    return st.one_of(
+        st.integers(0, max_value), st.sampled_from([x for x in bounds if x <= max_value])
+    )
+
+
+def as_ids(values):
+    return np.array(values, dtype=np.intp)
+
+
+class TestIdOrder:
+    """The radix orders against NumPy's stable comparison sort."""
+
+    @PROPERTY_SETTINGS
+    @given(st.lists(id_values(1 << 40), max_size=200).map(as_ids), st.integers(0, 8))
+    def test_matches_stable_argsort(self, ids, spare_bits):
+        limit = (int(ids.max(initial=0)) + 1) << spare_bits
+        want = np.argsort(ids, kind="stable")
+        got = _id_order(ids, limit)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("ids", [[], [0], [1 << 40]])
+    def test_empty_and_single(self, ids):
+        ids = np.array(ids, dtype=np.intp)
+        assert _id_order(ids, (1 << 40) + 1).tolist() == list(range(len(ids)))
+
+    @PROPERTY_SETTINGS
+    @given(st.lists(st.tuples(id_values(1 << 20), id_values(1 << 20)), max_size=200))
+    def test_pair_order_matches_stable_argsort(self, pairs):
+        first, second = (as_ids([p[k] for p in pairs]) for k in (0, 1))
+        want = np.argsort(first * (1 << 21) + second, kind="stable")
+        assert _pair_order(first, second, (1 << 20) + 1).tobytes() == want.tobytes()
 
 
 @st.composite
@@ -350,6 +416,21 @@ class TestGraphInvariants:
         with pytest.raises(InvalidParameter) as exc:
             NetworkGraph.build(dim, num_nodes, anchors, [(0, 1), (1, 2)])
         assert str(exc.value) == message
+
+    @pytest.mark.parametrize(
+        "anchor_id", [1.9, 0.5, 2.0, True, np.float64(1.0), np.True_, "1"],
+        ids=["1.9", "0.5", "2.0", "True", "np-float", "np-bool", "string"],
+    )
+    def test_non_integer_anchor_ids_rejected(self, anchor_id):
+        # a truncated id would pin another node: 1.9 and True would pin node 1
+        with pytest.raises(InvalidParameter) as exc:
+            NetworkGraph.build(2, 3, {anchor_id: [1.0, 2.0]}, [(0, 1), (1, 2)])
+        assert str(exc.value) == f"anchor id {anchor_id!r} is not an integer"
+
+    @pytest.mark.parametrize("anchor_id", [1, np.int64(1), np.uint8(1)])
+    def test_integer_anchor_ids_of_any_type(self, anchor_id):
+        graph = NetworkGraph.build(2, 3, {anchor_id: [1.0, 2.0]}, [(0, 1), (1, 2)])
+        assert graph.layout.anchor_idx.tolist() == [1]
 
     @pytest.mark.parametrize(
         "position", [[math.nan, 0.0], [0.0, math.inf], [-math.inf, 0.0], ["x", "y"], [1j, 0.0]],
