@@ -144,12 +144,7 @@ def _start(algo, graph, cells, init, lay, d, c, rho) -> tuple:
     from it."""
     positions = np.concatenate([start_positions(graph, init, seed) for _, seed in cells])
     view = consensus_state(lay, positions, init.u_init)
+    coef = EdgeCoefficients(lay, d, c, rho)
     if algo == "full":
-        # The full grid skips the column only lite_steps reads, which one
-        # coefficient set for both solvers would build: building it anyway
-        # made full sweep-108 grids 0.2-2.9% slower (in-process A/B, 2-core
-        # Xeon).
-        coef = EdgeCoefficients.build(lay, d, c, rho, lite=False)
         return view, full_steps(lay, coef, view, views=True)
-    coef = EdgeCoefficients.build(lay, d, c, rho)
     return view, lite_steps(lay, coef, lite_start(lay, view, d, c), views=True)

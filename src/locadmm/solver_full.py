@@ -33,7 +33,6 @@ from .structured_ops import (
     NodeBlockVector,
     PenaltyParams,
     project_ball,
-    spread,
 )
 
 
@@ -93,12 +92,18 @@ def edge_directions(positions: np.ndarray, layout: EdgeLayout) -> np.ndarray:
 
 
 def as_positions(positions, graph: NetworkGraph) -> np.ndarray:
-    """A float copy of a ``(num_nodes, dim)`` position map."""
+    """A float copy of a ``(num_nodes, dim)`` map of finite positions."""
     if positions is None:
         raise InvalidInit("positional initialization needs a positions array")
-    pos = np.array(positions, dtype=float)
+    try:
+        pos = np.array(positions, dtype=float)
+    except (TypeError, ValueError):
+        raise InvalidInit("positions must be numbers") from None
     if pos.shape != (graph.num_nodes, graph.dim):
         raise InvalidInit(f"positions shape {pos.shape} does not match the graph")
+    bad = np.flatnonzero(~np.isfinite(pos).all(axis=1))
+    if bad.size:
+        raise InvalidInit(f"start position of node {bad[0]} is not finite")
     return pos
 
 
@@ -315,63 +320,63 @@ def full_steps(lay: EdgeLayout, coef: EdgeCoefficients, start: EdgeStates, views
     would alone. The iterates never write an array of ``start``, of
     ``coef`` or one they have yielded. Callers drive it under
     :func:`~locadmm.engine.quiet_fp`, as :func:`~locadmm.engine.drive`
-    does, so a divergence is left to the finite check.
+    does, so a divergence is left to the finite check. It reads ``coef``
+    when called, so a solve builds its coefficients before its iteration-0
+    hook, as set-up, not in its first iteration.
     """
-    p, z_minus, z_plus = start.blocks.p, start.blocks.z_minus, start.blocks.z_plus
-    u, lam = start.u, start.lam
-    del start  # its arrays go once the iterates replace them
-    src, rev = lay.src, lay.rev
+    src, rev, offsets = lay.src, lay.rev, lay.offsets
     d_u, d_rho, denom = coef.d, coef.d_rho, coef.denom
-    # Each coefficient of c alone computed per edge (a number for one copy)
-    # as the per-node spec does, then spread.
-    c_col = lay.edge_column(coef.c)
-    c_e, two_c, c1 = (spread(x, lay.dim) for x in (c_col, 2.0 * c_col, c_col + 1.0))
-    # p gathered to its edges; each iteration's dual step gathers the next one
-    p_src = p.take(src, axis=0)
-    while True:
-        # half-step (local_halfstep), in place on arrays made this iteration
-        # and not yet handed out; p_src is read, never written
-        base_minus = p_src + z_minus
-        base_plus = p_src + z_plus
-        # p = node_sum(d u - lam + c base_minus + base_plus) / (2 (c+1) k)
-        du = d_u * u
-        acc = du - lam
-        tmp = base_minus * c_e
-        acc += tmp
-        acc += base_plus
-        p = lay.node_sum(acc)
-        p /= denom
-        p[lay.anchor_idx] = lay.anchor_pos
-        # zm_t = lam / (2 c) + base_minus / 2, zp_t = -d u / 2 + base_plus / 2
-        # (-d u * 0.5 rounds the same real number as -d u / 2)
-        zm_t = np.divide(lam, two_c, out=tmp)
-        base_minus /= 2.0
-        zm_t += base_minus
-        zp_t = du * -0.5
-        base_plus /= 2.0
-        zp_t += base_plus
-        # exchange and combine (gather_inbox, combine_z):
-        # z^-_e = (c zm_t[e] + zp_t[rev e]) / (c+1), and z^+_e is the mirror
-        # row z^-_{rev e} = (c zm_t[rev e] + zp_t[e]) / (c+1): the same
-        # operands, as combine_z forms z^+ at the edge's other end, and c
-        # is one number per copy, which rev never leaves
-        z_minus = np.multiply(zm_t, c_e, out=acc)
-        z_minus += zp_t.take(rev, axis=0)
-        z_minus /= c1
-        z_plus = z_minus.take(rev, axis=0)
-        # direction and dual steps (update_u, update_lambda):
-        # u = proj(u + (d / rho) (p - z^+)), lam = lam + c (p - z^-)
+    c_e, two_c, c1 = coef.c_e, coef.two_c, coef.c1
+
+    def iterates(p, z_minus, z_plus, u, lam):
+        # p gathered to its edges; each iteration's dual step gathers the next one
         p_src = p.take(src, axis=0)
-        u_t = np.subtract(p_src, z_plus, out=base_minus)
-        u_t *= d_rho
-        u_t += u
-        u = project_ball(u_t)
-        lam_new = p_src - z_minus
-        lam_new *= c_e
-        lam_new += lam
-        lam = lam_new
-        fields = {"p": p, "z_minus": z_minus, "z_plus": z_plus, "u": u, "lam": lam}
-        if views:
-            yield fields, full_states(lay.offsets, fields), EdgeBlocks(lay.offsets, p, zm_t, zp_t)
-        else:
-            yield fields, None, None
+        while True:
+            # half-step (local_halfstep), in place on arrays made this iteration
+            # and not yet handed out; p_src is read, never written
+            base_minus = p_src + z_minus
+            base_plus = p_src + z_plus
+            # p = node_sum(d u - lam + c base_minus + base_plus) / (2 (c+1) k)
+            du = d_u * u
+            acc = du - lam
+            tmp = base_minus * c_e
+            acc += tmp
+            acc += base_plus
+            p = lay.node_sum(acc)
+            p /= denom
+            p[lay.anchor_idx] = lay.anchor_pos
+            # zm_t = lam / (2 c) + base_minus / 2, zp_t = -d u / 2 + base_plus / 2
+            # (-d u * 0.5 rounds the same real number as -d u / 2)
+            zm_t = np.divide(lam, two_c, out=tmp)
+            base_minus /= 2.0
+            zm_t += base_minus
+            zp_t = du * -0.5
+            base_plus /= 2.0
+            zp_t += base_plus
+            # exchange and combine (gather_inbox, combine_z):
+            # z^-_e = (c zm_t[e] + zp_t[rev e]) / (c+1), and z^+_e is the mirror
+            # row z^-_{rev e} = (c zm_t[rev e] + zp_t[e]) / (c+1): the same
+            # operands, as combine_z forms z^+ at the edge's other end, and c
+            # is one number per copy, which rev never leaves
+            z_minus = np.multiply(zm_t, c_e, out=acc)
+            z_minus += zp_t.take(rev, axis=0)
+            z_minus /= c1
+            z_plus = z_minus.take(rev, axis=0)
+            # direction and dual steps (update_u, update_lambda):
+            # u = proj(u + (d / rho) (p - z^+)), lam = lam + c (p - z^-)
+            p_src = p.take(src, axis=0)
+            u_t = np.subtract(p_src, z_plus, out=base_minus)
+            u_t *= d_rho
+            u_t += u
+            u = project_ball(u_t)
+            lam_new = p_src - z_minus
+            lam_new *= c_e
+            lam_new += lam
+            lam = lam_new
+            fields = {"p": p, "z_minus": z_minus, "z_plus": z_plus, "u": u, "lam": lam}
+            if views:
+                yield fields, full_states(offsets, fields), EdgeBlocks(offsets, p, zm_t, zp_t)
+            else:
+                yield fields, None, None
+
+    return iterates(start.blocks.p, start.blocks.z_minus, start.blocks.z_plus, start.u, start.lam)

@@ -309,66 +309,63 @@ def lite_steps(lay: EdgeLayout, coef: EdgeCoefficients, start, views: bool):
     would alone. The iterates never write an array of ``start``, of
     ``coef`` or one they have yielded. Callers drive it under
     :func:`~locadmm.engine.quiet_fp`, as :func:`~locadmm.engine.drive`
-    does, so a divergence is left to the finite check.
+    does, so a divergence is left to the finite check. As
+    :func:`~locadmm.solver_full.full_steps`, it reads ``coef`` when called.
     """
     src, rev = lay.src, lay.rev
     d_u, d_rho, d_rho_scale, denom = coef.d, coef.d_rho, coef.d_rho_scale, coef.denom
-    p, u, lam, alpha, beta = start.p, start.u, start.lam, start.alpha, start.beta
-    del start  # its arrays go once the iterates replace them
-    # Each coefficient of c alone computed per edge (a number for one copy)
-    # as _advance_node does, then spread.
-    c_col = lay.edge_column(coef.c)
-    scale_col = 2.0 * (c_col + 1.0)
-    c_e, two_c, scale, c_scale = (
-        spread(x, lay.dim) for x in (c_col, 2.0 * c_col, scale_col, c_col / scale_col)
-    )
-    # d u, read, never written; each iteration's beta step forms the next one
-    du = d_u * u
-    while True:
-        # _advance_node on every node, its exchange included, in place on
-        # arrays made this iteration and not yet handed out
-        # p = node_sum(2 d u - 2 lam + alpha + beta) / (scale k)
-        acc = du * 2.0
-        tmp = 2.0 * lam
-        acc -= tmp
-        acc += alpha
-        acc += beta
-        p = lay.node_sum(acc)
-        p /= denom
-        p[lay.anchor_idx] = lay.anchor_pos
-        p_src = p.take(src, axis=0)
-        # plus_sum = alpha_in + beta, and minus_sum = alpha + beta_in is its
-        # mirror row: row rev e of plus_sum adds the same two operands
-        plus_sum = alpha.take(rev, axis=0)
-        plus_sum += beta
-        minus_sum = plus_sum.take(rev, axis=0)
-        # u = proj(u + (d / rho) p - (d / (rho scale)) (beta + alpha_in))
-        u_t = np.multiply(d_rho, p_src, out=acc)
-        u_t += u
-        u_t -= np.multiply(d_rho_scale, plus_sum, out=tmp)
-        u = project_ball(u_t)
-        # the replicas of the full-state view, as full_view forms them:
-        # z^+ = (beta + alpha_in) / scale, z^- = (alpha + beta_in) / scale
-        z_plus = plus_sum
-        z_plus /= scale
-        if views:
-            z_minus = minus_sum / scale
-        # beta = -d u + p + z^+ (as p - d u + z^+, the same bits),
-        # alpha = lam + 2 c p, and
-        # lam = lam + c p - (c / scale) (alpha + beta_in), with the old alpha
-        du = np.multiply(d_u, u, out=tmp)
-        beta = p_src - du
-        beta += z_plus
-        alpha = p_src * two_c
-        alpha += lam
-        lam_new = p_src
-        lam_new *= c_e
-        lam_new += lam
-        minus_sum *= c_scale
-        lam_new -= minus_sum
-        lam = lam_new
-        fields = {"p": p, "u": u, "lam": lam, "alpha": alpha, "beta": beta}
-        view = None
-        if views:
-            view = EdgeStates(EdgeBlocks(lay.offsets, p, z_minus, z_plus), u, lam)
-        yield fields, view, None
+    c_e, two_c, scale, c_scale = coef.c_e, coef.two_c, coef.scale, coef.c_scale
+
+    def iterates(p, u, lam, alpha, beta):
+        # d u, read, never written; each iteration's beta step forms the next one
+        du = d_u * u
+        while True:
+            # _advance_node on every node, its exchange included, in place on
+            # arrays made this iteration and not yet handed out
+            # p = node_sum(2 d u - 2 lam + alpha + beta) / (scale k)
+            acc = du * 2.0
+            tmp = 2.0 * lam
+            acc -= tmp
+            acc += alpha
+            acc += beta
+            p = lay.node_sum(acc)
+            p /= denom
+            p[lay.anchor_idx] = lay.anchor_pos
+            p_src = p.take(src, axis=0)
+            # plus_sum = alpha_in + beta, and minus_sum = alpha + beta_in is its
+            # mirror row: row rev e of plus_sum adds the same two operands
+            plus_sum = alpha.take(rev, axis=0)
+            plus_sum += beta
+            minus_sum = plus_sum.take(rev, axis=0)
+            # u = proj(u + (d / rho) p - (d / (rho scale)) (beta + alpha_in))
+            u_t = np.multiply(d_rho, p_src, out=acc)
+            u_t += u
+            u_t -= np.multiply(d_rho_scale, plus_sum, out=tmp)
+            u = project_ball(u_t)
+            # the replicas of the full-state view, as full_view forms them:
+            # z^+ = (beta + alpha_in) / scale, z^- = (alpha + beta_in) / scale
+            z_plus = plus_sum
+            z_plus /= scale
+            if views:
+                z_minus = minus_sum / scale
+            # beta = -d u + p + z^+ (as p - d u + z^+, the same bits),
+            # alpha = lam + 2 c p, and
+            # lam = lam + c p - (c / scale) (alpha + beta_in), with the old alpha
+            du = np.multiply(d_u, u, out=tmp)
+            beta = p_src - du
+            beta += z_plus
+            alpha = p_src * two_c
+            alpha += lam
+            lam_new = p_src
+            lam_new *= c_e
+            lam_new += lam
+            minus_sum *= c_scale
+            lam_new -= minus_sum
+            lam = lam_new
+            fields = {"p": p, "u": u, "lam": lam, "alpha": alpha, "beta": beta}
+            view = None
+            if views:
+                view = EdgeStates(EdgeBlocks(lay.offsets, p, z_minus, z_plus), u, lam)
+            yield fields, view, None
+
+    return iterates(start.p, start.u, start.lam, start.alpha, start.beta)

@@ -299,55 +299,56 @@ def spread(col, dim: int):
     return np.stack([col] * dim, axis=1) if isinstance(col, np.ndarray) else col
 
 
-def _fixed(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
+def _coefficient(column):
+    """A cached property of :class:`EdgeCoefficients`: ``column(self, c,
+    rho)`` of its ``_edge_penalties``, under :func:`~locadmm.engine.quiet_fp`,
+    spread to ``dim`` columns (:func:`spread`); an array comes out read-only."""
 
-
-@dataclass(frozen=True, eq=False)
-class EdgeCoefficients:
-    """The range coefficients of a solve, each computed on its column as
-    the per-node spec does, then spread to ``dim`` columns (:func:`spread`);
-    every array is read-only.
-
-    ``d`` holds the ranges, ``d_rho`` ``d / rho``, ``denom`` each node's
-    ``p`` divisor ``2 (c + 1) k`` (a row per node), and ``d_rho_scale``
-    ``d / (rho 2 (c + 1))``, which only the low-storage solver reads.
-    ``c`` is the penalty they were built at: a number, or per-copy values
-    on a :meth:`~locadmm.network.EdgeLayout.stack` layout.
-    """
-
-    c: object
-    d: np.ndarray
-    d_rho: np.ndarray
-    denom: np.ndarray
-    d_rho_scale: Optional[np.ndarray]
-
-    @classmethod
-    def build(cls, lay: EdgeLayout, d: np.ndarray, c, rho, lite: bool = True):
-        """The coefficients of the ranges ``d`` (one per row of ``lay``) at
-        penalties ``c`` and ``rho``; without ``d_rho_scale`` unless ``lite``."""
-        dim = lay.dim
+    def build(self):
         with quiet_fp():
-            rho_col = lay.edge_column(rho)
-            scaled = d / (rho_col * (2.0 * (lay.edge_column(c) + 1.0))) if lite else None
-            return cls(
-                c,
-                _fixed(spread(d, dim)),
-                _fixed(spread(d / rho_col, dim)),
-                _fixed(spread(2.0 * (lay.node_column(c) + 1.0) * lay.degrees, dim)),
-                None if scaled is None else _fixed(spread(scaled, dim)),
-            )
+            out = spread(column(self, *self._edge_penalties), self.layout.dim)
+        if isinstance(out, np.ndarray):
+            out.flags.writeable = False
+        return out
+
+    return cached_property(build)
+
+
+class EdgeCoefficients:
+    """The per-row constants both solvers read, of the ranges ``ranges``
+    (one per row of ``layout``) at penalties ``c`` and ``rho``: numbers, or
+    per-copy values on a :meth:`~locadmm.network.EdgeLayout.stack` layout.
+    Each is built on first read, so a solver builds only its own:
+    ``lite_steps`` alone reads ``d_rho_scale``, ``scale`` and ``c_scale``,
+    ``full_steps`` alone ``c1``. ``denom``, each node's ``p`` divisor
+    ``2 (c + 1) k``, has a row per node, the others a row per edge."""
+
+    def __init__(self, layout: EdgeLayout, ranges: np.ndarray, c, rho):
+        self.layout, self.ranges, self.c, self.rho = layout, ranges, c, rho
+        # c and rho on every edge row (numbers for one copy)
+        self._edge_penalties = layout.edge_column(c), layout.edge_column(rho)
+
+    d = _coefficient(lambda self, c, rho: self.ranges)
+    d_rho = _coefficient(lambda self, c, rho: self.ranges / rho)
+    denom = _coefficient(
+        lambda self, c, rho: 2.0 * (self.layout.node_column(self.c) + 1.0) * self.layout.degrees
+    )
+    d_rho_scale = _coefficient(lambda self, c, rho: self.ranges / (rho * (2.0 * (c + 1.0))))
+    c_e = _coefficient(lambda self, c, rho: c)
+    two_c = _coefficient(lambda self, c, rho: 2.0 * c)
+    c1 = _coefficient(lambda self, c, rho: c + 1.0)
+    scale = _coefficient(lambda self, c, rho: 2.0 * (c + 1.0))
+    c_scale = _coefficient(lambda self, c, rho: c / (2.0 * (c + 1.0)))
 
     @classmethod
     def held(cls, measurements, lay: EdgeLayout, d: np.ndarray, c, rho):
-        """:meth:`build`, kept on ``measurements`` (whose ranges on the graph
-        of ``lay`` are ``d``) for the latest ``(c, rho)`` asked of it: both
-        solvers read that one set, and other penalties replace it."""
+        """The coefficients kept on ``measurements`` (whose ranges on the
+        graph of ``lay`` are ``d``) for the latest ``(c, rho)`` asked of it:
+        both solvers read that one set, and other penalties replace it."""
         memo, key = measurements._coefficients, (c, rho, lay.dim)
         if key not in memo:
             memo.clear()
-            memo[key] = cls.build(lay, d, c, rho)
+            memo[key] = cls(lay, d, c, rho)
         return memo[key]
 
 

@@ -17,8 +17,8 @@ gives the same trace whether it reads the solvers' stacked states or
 per-node state lists built by the spec. A grid of cells run as one batched
 solve gives every cell the final state, rmse and F of its own run, bit for
 bit, and masks exactly the cells whose own run diverges. The coefficients
-a measurement set holds for the solvers are never stale, never written, and
-go with the set. The finite checks name the same divergence as a per-entry
+a measurement set holds for the solvers are never stale, never written,
+built only as a solver reads them, and go with the set. The finite checks name the same divergence as a per-entry
 scan, and pass finite fields whose squares overflow. On a one-node graph
 whose node is its anchor, with no edge to exchange on, every solver returns
 the anchor and follows its spec.
@@ -29,6 +29,7 @@ import math
 import weakref
 from argparse import Namespace
 from dataclasses import fields, is_dataclass, replace
+from functools import cached_property
 
 import numpy as np
 from hypothesis import given, settings
@@ -612,22 +613,74 @@ def test_held_coefficients_follow_solver_and_penalties(inst):
         assert held(graph, meas, pairs[k]) is coef
 
 
+COEFFICIENTS = ("d", "d_rho", "denom", "d_rho_scale", "c_e", "two_c", "c1", "scale", "c_scale")
+READS = {
+    "full": {"d", "d_rho", "denom", "c_e", "two_c", "c1"},
+    "lite": {"d", "d_rho", "denom", "d_rho_scale", "c_e", "two_c", "scale", "c_scale"},
+}
+
+
+def built(coef):
+    """The coefficients ``coef`` has built so far."""
+    return set(vars(coef)) & set(COEFFICIENTS)
+
+
 @PROPERTY_SETTINGS
-@given(graphs(max_nodes=8), st.sampled_from([True, False]))
-def test_held_coefficients_are_read_only(inst, lite):
+@given(graphs(max_nodes=8))
+def test_held_coefficients_are_read_only(inst):
     graph, meas, _ = inst
-    stacked = graph.layout.stack(2)
-    built = EdgeCoefficients.build(
-        stacked, np.tile(meas.edge_ranges(graph), 2), np.array([0.3, 0.5]), np.array([0.2, 0.1]),
-        lite,
+    assert {
+        name for name, v in vars(EdgeCoefficients).items()
+        if isinstance(v, cached_property) and not name.startswith("_")
+    } == set(COEFFICIENTS)
+    stacked = EdgeCoefficients(
+        graph.layout.stack(2), np.tile(meas.edge_ranges(graph), 2),
+        np.array([0.3, 0.5]), np.array([0.2, 0.1]),
     )
-    for coef in (held(graph, meas, PenaltyParams(0.3, 0.2)), built):
-        for a in coefficient_arrays(coef):
+    for coef in (held(graph, meas, PenaltyParams(0.3, 0.2)), stacked):
+        arrays = [getattr(coef, name) for name in COEFFICIENTS]
+        arrays = [a for a in arrays if isinstance(a, np.ndarray)]
+        assert coef is not stacked or len(arrays) == len(COEFFICIENTS)
+        for a in arrays:
             try:
                 a[...] = 0.0
             except ValueError:
                 continue
             raise AssertionError("a coefficient array took a write")
+
+
+@PROPERTY_SETTINGS
+@given(graphs(max_nodes=8), st.sampled_from(["full", "lite"]))
+def test_solvers_build_only_the_coefficients_they_read(inst, algo):
+    # the set held for both solvers builds each coefficient on first read
+    graph, drawn, _ = inst
+    meas, params = MeasurementSet(graph, drawn.d), PenaltyParams(0.3, 0.2)
+    runners = {"full": run_full, "lite": run_lite}
+    runners[algo](graph, meas, params, InitSpec(), 1)
+    assert built(held(graph, meas, params)) == READS[algo]
+    other = "lite" if algo == "full" else "full"
+    runners[other](graph, meas, params, InitSpec(), 1)
+    assert built(held(graph, meas, params)) == READS["full"] | READS["lite"]
+
+
+@PROPERTY_SETTINGS
+@given(graphs(max_nodes=8), st.sampled_from(["full", "lite"]))
+def test_grid_batches_build_only_the_coefficients_their_solver_reads(inst, algo):
+    graph, meas, _ = inst
+    name = f"{algo}_steps"
+    steps, seen = getattr(grid, name), []
+
+    def spy(lay, coef, start, views):
+        seen.append(coef)
+        return steps(lay, coef, start, views)
+
+    setattr(grid, name, spy)
+    try:
+        cells = [(PenaltyParams(0.3, 0.2), 0), (PenaltyParams(0.5, 0.1), 1)]
+        list(grid.run_grid(algo, graph, meas, cells, InitSpec(kind="uniform"), 2))
+    finally:
+        setattr(grid, name, steps)
+    assert len(seen) == 1 and built(seen[0]) == READS[algo]
 
 
 @PROPERTY_SETTINGS

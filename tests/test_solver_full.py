@@ -5,7 +5,9 @@ from locadmm import grid, oracle
 from locadmm import structured_ops as ops
 from locadmm import engine
 from locadmm.engine import check_finite, finite_copies
+from locadmm.diagnostics import TraceRecorder
 from locadmm.errors import (
+    InvalidInit,
     InvalidInitSpec,
     InvalidParameter,
     MissingMessage,
@@ -32,7 +34,7 @@ from locadmm.solver_full import (
     update_lambda,
     update_u,
 )
-from locadmm.solver_lite import run_lite
+from locadmm.solver_lite import init_lite, run_lite
 from locadmm.structured_ops import NodeBlockVector, PenaltyParams
 
 from conftest import exact_measurements, make_graph, random_connected_graph
@@ -111,6 +113,34 @@ class TestInit:
         graph = make_graph(2, [(0, 1)], {0: [0.0, 0.0]})
         with pytest.raises(InvalidInitSpec):
             init_full(graph, spec, seed=0)
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            (np.nan, "^start position of node 5 is not finite$"),
+            (-np.inf, "^start position of node 5 is not finite$"),
+            ("x", "^positions must be numbers$"),
+        ],
+    )
+    def test_start_that_is_not_finite_numbers_is_refused(self, bad, message):
+        # refused before any iteration, not reported as a divergence at
+        # another node or a non-finite metric, nor masked as a diverged cell
+        graph, truth = generate_rgg(20, 3, 0.5, seed=1)
+        meas = measure(truth, graph, NoiseModel("additive-white", 0.01), seed=1)
+        positions = truth.positions.astype(object if isinstance(bad, str) else float)
+        positions[5, 1] = bad
+        spec = InitSpec(kind="from_positions", positions=positions, u_init="directions")
+        params = PenaltyParams(0.1, 0.1)
+        recorder = TraceRecorder(graph, meas, params, metrics=("S", "F"))
+        for runner in (run_full, run_lite):
+            for hook in (None, recorder):
+                with pytest.raises(InvalidInit, match=message):
+                    runner(graph, meas, params, spec, 3, hook=hook)
+        for algo in ("full", "lite"):
+            with pytest.raises(InvalidInit, match=message):
+                list(grid.run_grid(algo, graph, meas, [(params, 0)], spec, 3))
+        with pytest.raises(InvalidInit, match=message):
+            init_lite(graph, positions, "directions", 0.1, meas)
 
     def test_directions_from_the_origin_are_zero(self):
         # every node starts at the origin, so no direction has a length
