@@ -24,7 +24,7 @@ import numpy as np
 
 from .engine import IterationEvent, quiet_fp
 from .errors import InvalidParameter, NonFiniteValue
-from .network import GroundTruth, MeasurementSet, NetworkGraph, copy_rmse
+from .network import GroundTruth, MeasurementSet, NetworkGraph, copy_rmse, write_text
 from .structured_ops import (
     EdgeBlocks,
     EdgeStates,
@@ -452,8 +452,7 @@ class IterationTrace:
         return "\n".join(lines) + "\n"
 
     def to_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.to_csv_text())
+        write_text(path, self.to_csv_text())
 
 
 class TraceRecorder:

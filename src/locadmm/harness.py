@@ -221,8 +221,7 @@ def _cmd_sweep(args) -> int:
         lines.append(f"{cell},{'' if final_rmse is None else repr(final_rmse)},{min_gap!r},0")
     text = "\n".join(lines) + "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        network.write_text(args.out, text)
     else:
         sys.stdout.write(text)
     return EXIT_OK

@@ -303,9 +303,10 @@ def run_full(
     return RunResult(states=full_states(lay.offsets, last), estimates=last["p"].copy())
 
 
-def full_states(offsets: np.ndarray, fields: dict) -> EdgeStates:
-    """The :class:`EdgeStates` of the fields :func:`full_steps` yields."""
-    blocks = EdgeBlocks(offsets, fields["p"], fields["z_minus"], fields["z_plus"])
+def full_states(offsets: np.ndarray, fields: dict, p_src=None) -> EdgeStates:
+    """The :class:`EdgeStates` of the fields :func:`full_steps` yields, with
+    ``p_src`` as its blocks' ``gathered`` ``p``."""
+    blocks = EdgeBlocks(offsets, fields["p"], fields["z_minus"], fields["z_plus"], p_src)
     return EdgeStates(blocks, fields["u"], fields["lam"])
 
 
@@ -313,7 +314,9 @@ def full_steps(lay: EdgeLayout, coef: EdgeCoefficients, start: EdgeStates, views
     """Iterate the full-state solver from ``start``, one yield per
     iteration: the new ``p``, ``z_minus``, ``z_plus``, ``u`` and ``lam`` by
     name, in that order; then, when ``views``, their ``EdgeStates`` and the
-    half-step ``EdgeBlocks``, else ``None`` twice.
+    half-step ``EdgeBlocks``, else ``None`` twice. Both views share the new
+    ``p``, and their ``p_src`` is the iteration's gathered ``p``, which the
+    iterates read but never write.
 
     ``lay`` may be a :meth:`~locadmm.network.EdgeLayout.stack` layout, with
     ``coef`` and ``start`` stacked to match: every copy then advances as it
@@ -375,7 +378,8 @@ def full_steps(lay: EdgeLayout, coef: EdgeCoefficients, start: EdgeStates, views
             lam = lam_new
             fields = {"p": p, "z_minus": z_minus, "z_plus": z_plus, "u": u, "lam": lam}
             if views:
-                yield fields, full_states(offsets, fields), EdgeBlocks(offsets, p, zm_t, zp_t)
+                now = full_states(offsets, fields, p_src)
+                yield fields, now, EdgeBlocks(offsets, p, zm_t, zp_t, p_src)
             else:
                 yield fields, None, None
 

@@ -301,8 +301,9 @@ def lite_steps(lay: EdgeLayout, coef: EdgeCoefficients, start, views: bool):
     """Iterate the low-storage recursion from ``start`` (its ``p``, ``u``,
     ``lam``, ``alpha`` and ``beta``), one yield per iteration: the new
     fields by name, in that order; when ``views``, their full-state
-    ``EdgeStates`` view, else ``None``; and ``None`` for the half-step
-    blocks, which this solver does not form.
+    ``EdgeStates`` view, whose ``p_src`` is the iteration's gathered ``p``,
+    else ``None``; and ``None`` for the half-step blocks, which this solver
+    does not form.
 
     ``lay`` may be a :meth:`~locadmm.network.EdgeLayout.stack` layout, with
     ``coef`` and ``start`` stacked to match: every copy then advances as it
@@ -356,8 +357,12 @@ def lite_steps(lay: EdgeLayout, coef: EdgeCoefficients, start, views: bool):
             beta += z_plus
             alpha = p_src * two_c
             alpha += lam
-            lam_new = p_src
-            lam_new *= c_e
+            if views:
+                # the view keeps p_src, so lam cannot take its buffer
+                lam_new = p_src * c_e
+            else:
+                lam_new = p_src
+                lam_new *= c_e
             lam_new += lam
             minus_sum *= c_scale
             lam_new -= minus_sum
@@ -365,7 +370,7 @@ def lite_steps(lay: EdgeLayout, coef: EdgeCoefficients, start, views: bool):
             fields = {"p": p, "u": u, "lam": lam, "alpha": alpha, "beta": beta}
             view = None
             if views:
-                view = EdgeStates(EdgeBlocks(lay.offsets, p, z_minus, z_plus), u, lam)
+                view = EdgeStates(EdgeBlocks(lay.offsets, p, z_minus, z_plus, p_src), u, lam)
             yield fields, view, None
 
     return iterates(start.p, start.u, start.lam, start.alpha, start.beta)

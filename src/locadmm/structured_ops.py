@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from functools import cached_property
 from typing import Optional
 
@@ -122,12 +122,23 @@ class EdgeBlocks(Sequence):
     """Every node's block stacked: ``p`` has a row per node, ``z_minus`` and
     ``z_plus`` a row per directed edge, node ``i`` owning rows
     ``offsets[i]:offsets[i+1]`` (:class:`~locadmm.network.EdgeLayout` order).
-    ``blocks[i]`` builds node ``i``'s :class:`NodeBlockVector` of views."""
+    ``blocks[i]`` builds node ``i``'s :class:`NodeBlockVector` of views.
+
+    ``gathered``, when given, is taken as :attr:`p_src`: the solvers pass
+    the ``p`` their iteration has already gathered to the edges
+    (``p.take(src)``, bit-equal to ``p`` repeated by degree), and nothing
+    writes it afterwards."""
 
     offsets: np.ndarray
     p: np.ndarray
     z_minus: np.ndarray
     z_plus: np.ndarray
+    gathered: InitVar[Optional[np.ndarray]] = None
+
+    def __post_init__(self, gathered):
+        if gathered is not None:
+            # the slot cached_property fills on first read, and reads first
+            self.__dict__["p_src"] = gathered
 
     def __len__(self) -> int:
         return len(self.p)

@@ -616,6 +616,51 @@ class TestFileErrors:
         assert not (tmp_path / "nodir").exists()
 
 
+class TestOutputsInPlace:
+    """Outputs are rewritten in place: a shorter output over a longer one
+    leaves the bytes a fresh path gets, and a device path works."""
+
+    RUN = ["--c", "0.1", "--rho", "0.1", "--threads", "1"]
+
+    def commands(self, net):
+        """Per command: the argv of a longer output, of a shorter one, and
+        its output flags."""
+        run = ["run", "--net", net, *self.RUN]
+        full = [*run, "--algo", "full", "--metrics", "all"]
+        sweep = ["sweep", "--net", net, "--rho-list", "0.1", "--iters", "3", "--c-list"]
+        generate = ["generate", "--anchors", "2", "--range", "0.6", "--seed", "3", "--nodes"]
+        return {
+            "run-lite": ([*run, "--iters", "20"], [*run, "--iters", "5"], ["--trace", "--est"]),
+            "run-full": ([*full, "--iters", "20"], [*full, "--iters", "5"], ["--trace", "--est"]),
+            "sweep": ([*sweep, "0.1,0.2,0.3"], [*sweep, "0.1"], ["--out"]),
+            "generate": ([*generate, "40"], [*generate, "8"], ["--out"]),
+        }
+
+    @pytest.mark.parametrize("command", ["run-lite", "run-full", "sweep", "generate"])
+    def test_shorter_output_over_a_longer_one(self, net_file, tmp_path, command):
+        longer, shorter, flags = self.commands(str(net_file))[command]
+
+        def outputs(name):
+            return [arg for flag in flags for arg in (flag, str(tmp_path / (name + flag[2:])))]
+
+        assert main(longer + outputs("over")) == EXIT_OK
+        assert main(shorter + outputs("over")) == EXIT_OK
+        assert main(shorter + outputs("fresh")) == EXIT_OK
+        for flag in flags:
+            over, fresh = tmp_path / ("over" + flag[2:]), tmp_path / ("fresh" + flag[2:])
+            assert over.read_bytes() == fresh.read_bytes()
+
+    @pytest.mark.skipif(not os.path.exists("/dev/null"), reason="no /dev/null")
+    def test_outputs_to_dev_null(self, net_file):
+        run = ["run", "--net", str(net_file), *self.RUN, "--iters", "3"]
+        assert main(run + ["--trace", "/dev/null", "--est", "/dev/null"]) == EXIT_OK
+        assert main(run + ["--algo", "full", "--metrics", "all", "--trace", "/dev/null"]) == EXIT_OK
+        assert main(["sweep", "--net", str(net_file), "--c-list", "0.1", "--rho-list", "0.1",
+                     "--iters", "3", "--out", "/dev/null"]) == EXIT_OK
+        assert main(["generate", "--nodes", "6", "--anchors", "2", "--range", "0.8",
+                     "--out", "/dev/null"]) == EXIT_OK
+
+
 class TestOracleCheckCommand:
     def test_pass_and_exit_zero(self, tmp_path, capsys):
         net = tmp_path / "small.json"

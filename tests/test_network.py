@@ -37,6 +37,7 @@ from locadmm.network import (
     measure,
     rmse,
     save_network,
+    write_text,
 )
 from locadmm.solver_full import InitSpec, run_full
 from locadmm.solver_lite import run_lite
@@ -903,6 +904,68 @@ class TestFileRoundTrip:
         )
         with pytest.raises(ParseError, match="anchor_pos"):
             load_network(path)
+
+
+class TestWriteText:
+    """``write_text`` writes what ``open(path, "w")`` writes, over the old
+    bytes in place."""
+
+    def test_shorter_rewrite_leaves_no_tail(self, tmp_path):
+        path, fresh = tmp_path / "over.txt", tmp_path / "fresh.txt"
+        write_text(path, "x" * 5000 + "\n")
+        write_text(path, "short, \u00e9\u4e2d\n")
+        write_text(fresh, "short, \u00e9\u4e2d\n")
+        assert path.read_bytes() == fresh.read_bytes() == "short, \u00e9\u4e2d\n".encode()
+        write_text(path, "")
+        assert path.read_bytes() == b""
+
+    @pytest.mark.parametrize(
+        "error", [OSError(28, "No space left on device"), KeyboardInterrupt()],
+        ids=["disk-full", "interrupt"],
+    )
+    def test_failed_write_leaves_no_old_bytes(self, tmp_path, monkeypatch, error):
+        path = tmp_path / "over.txt"
+        path.write_bytes(b"o" * 9000)
+        real_write = os.write
+
+        def write_1000_then_fail(fd, data):
+            if len(data) < 4000:
+                raise error
+            return real_write(fd, data[:1000])
+
+        monkeypatch.setattr(os, "write", write_1000_then_fail)
+        with pytest.raises(type(error)):
+            write_text(path, "n" * 4500)
+        monkeypatch.undo()
+        assert path.read_bytes() == b"n" * 1000
+
+    def test_existing_file_keeps_inode_and_mode(self, tmp_path):
+        path = tmp_path / "kept.txt"
+        path.write_text("old contents, longer than the new ones\n")
+        path.chmod(0o640)
+        before = path.stat()
+        write_text(path, "new\n")
+        after = path.stat()
+        assert (after.st_ino, after.st_mode) == (before.st_ino, before.st_mode)
+        assert path.read_text() == "new\n"
+
+    def test_new_file_mode_is_open_default(self, tmp_path):
+        mine, theirs = tmp_path / "mine.txt", tmp_path / "theirs.txt"
+        write_text(mine, "a\n")
+        with open(theirs, "w", encoding="utf-8") as fh:
+            fh.write("a\n")
+        assert mine.stat().st_mode == theirs.stat().st_mode
+
+    @pytest.mark.parametrize("where", ["nodir/f.txt", "."], ids=["missing-dir", "directory"])
+    def test_errors_match_open(self, tmp_path, where):
+        path = str(tmp_path / where)
+        with pytest.raises(OSError) as theirs:
+            open(path, "w", encoding="utf-8")
+        with pytest.raises(OSError) as mine:
+            write_text(path, "text\n")
+        assert type(mine.value) is type(theirs.value)
+        assert str(mine.value) == str(theirs.value)
+        assert not (tmp_path / "nodir").exists()
 
 
 # -- load_network fuzzing ------------------------------------------------------

@@ -16,7 +16,10 @@ the exchange and storage accounting of criterion 7. The trace recorder
 gives the same trace whether it reads the solvers' stacked states or
 per-node state lists built by the spec. A grid of cells run as one batched
 solve gives every cell the final state, rmse and F of its own run, bit for
-bit, and masks exactly the cells whose own run diverges. The coefficients
+bit, and masks exactly the cells whose own run diverges. Every view a
+solver or a grid batch yields carries the ``p`` its iteration gathered to
+the edges, bit-equal to ``p`` repeated by degree and never written, and a
+recorder reads it as it reads views that gather ``p`` themselves. The coefficients
 a measurement set holds for the solvers are never stale, never written,
 built only as a solver reads them, and go with the set. The finite checks name the same divergence as a per-entry
 scan, and pass finite fields whose squares overflow. On a one-node graph
@@ -37,7 +40,7 @@ from hypothesis import strategies as st
 
 from locadmm import diagnostics as dg
 from locadmm import grid, oracle
-from locadmm.engine import IterationEvent, check_finite, finite_copies
+from locadmm.engine import IterationEvent, check_finite, finite_copies, quiet_fp
 from locadmm.errors import NonFiniteValue
 from locadmm.harness import execute_run
 from locadmm.network import GroundTruth, MeasurementSet, NetworkGraph
@@ -61,7 +64,9 @@ from locadmm.solver_lite import (
     step_lite,
 )
 from locadmm.structured_ops import (
+    EdgeBlocks,
     EdgeCoefficients,
+    EdgeStates,
     NodeBlockVector,
     PenaltyParams,
     project_ball,
@@ -512,6 +517,79 @@ def test_recorder_reads_stacked_and_per_node_states_alike(inst, algo):
     for event in spec_events(graph, meas, params, spec, seed, iters, algo):
         spec_fed(event)
     assert solver_fed.trace.to_csv_text() == spec_fed.trace.to_csv_text()
+
+
+def unseeded(blocks):
+    """``blocks`` rebuilt from its arrays, its ``p_src`` not yet formed."""
+    return EdgeBlocks(blocks.offsets, blocks.p, blocks.z_minus, blocks.z_plus)
+
+
+def views_of(event):
+    """The blocks of an event's view, and its half-step blocks if any."""
+    return [event.states.blocks] + ([] if event.ztilde is None else [event.ztilde])
+
+
+def assert_gathered(blocks, seeded):
+    """``blocks.p_src`` is ``p`` repeated by degree, bit for bit, and was
+    handed in by its maker when ``seeded``."""
+    assert ("p_src" in vars(blocks)) == seeded
+    want = np.repeat(blocks.p, np.diff(blocks.offsets), axis=0)
+    assert blocks.p_src.shape == want.shape and blocks.p_src.tobytes() == want.tobytes()
+
+
+@PROPERTY_SETTINGS
+@given(instances(), st.sampled_from(["full", "lite"]))
+def test_views_carry_the_gathered_p(inst, algo):
+    """Every view after iteration 0 (and every half-step block) holds the
+    ``p`` its iteration gathered, never written afterwards; a recorder fed
+    these views records what it records from views rebuilt without it."""
+    graph, meas, params, spec, seed, iters = inst
+    runner = run_full if algo == "full" else run_lite
+
+    def recorder():
+        return dg.TraceRecorder(
+            graph, meas, params, truth=GroundTruth(spec.positions),
+            metrics=("rmse", "S", "U", "P", "F", "L", "potential"),
+            potential_coeffs=(3.0, 5.0), metadata={"algorithm": algo},
+        )
+
+    seeded_fed, rebuilt_fed = recorder(), recorder()
+    events, gathered = [], []
+
+    def hook(event):
+        for blocks in views_of(event):
+            assert_gathered(blocks, seeded=event.t > 0)
+        gathered.append([b.p_src.tobytes() for b in views_of(event)])
+        events.append(event)
+        seeded_fed(event)
+
+    runner(graph, meas, params, spec, iters, seed=seed, hook=hook)
+    assert len(events) == iters + 1 and all(e.ztilde is None for e in events) == (algo == "lite")
+    prev = None
+    for event, held in zip(events, gathered):
+        assert [b.p_src.tobytes() for b in views_of(event)] == held
+        now = EdgeStates(unseeded(event.states.blocks), event.states.u, event.states.lam)
+        half = None if event.ztilde is None else unseeded(event.ztilde)
+        rebuilt_fed(IterationEvent(event.t, now, prev, half, event.comm_scalars))
+        prev = now
+    assert seeded_fed.trace.to_csv_text() == rebuilt_fed.trace.to_csv_text()
+
+
+@PROPERTY_SETTINGS
+@given(instances(), st.sampled_from(["full", "lite"]), st.integers(1, 3))
+def test_grid_batch_views_carry_the_gathered_p(inst, algo, copies):
+    graph, meas, params, spec, seed, iters = inst
+    cells = [(params, seed + k) for k in range(copies)]
+    lay = graph.layout.stack(copies)
+    d = np.tile(meas.edge_ranges(graph), copies)
+    c = np.full(copies, params.c)
+    rho = np.full(copies, params.rho)
+    view, steps = grid._start(algo, graph, cells, spec, lay, d, c, rho)
+    for _ in range(iters):
+        with quiet_fp():
+            _, now, half = next(steps)
+        for blocks in [now.blocks] + ([half] if algo == "full" else []):
+            assert_gathered(blocks, seeded=True)
 
 
 @st.composite
