@@ -31,7 +31,8 @@ from .errors import (
     SchemaVersionMismatch,
 )
 
-SCHEMA_VERSION = 1
+# the schema save_network writes; load_network also reads schema 1
+SCHEMA_VERSION = 2
 
 # Connectivity is enforced by resampling the whole layout, which preserves the
 # uniform spatial law; edge augmentation would not.
@@ -718,13 +719,23 @@ def _rms_error(est: np.ndarray, target: np.ndarray) -> np.ndarray:
 
 # -- network file round trip -------------------------------------------------
 #
-# Structured-text schema, one object per file:
+# Structured-text schema 2, one object per file, one key per line:
+#   {"schema_version": 2, "dim": n, "num_nodes": N,
+#    "anchors": [3, 7],                    anchor ids
+#    "anchor_pos": [x3, y3, x7, y7],       dim numbers per anchor, flat
+#    "pos": [x0, y0, x1, y1, ...],         dim numbers per node, flat
+#    "i": [0, 0, 1], "j": [1, 2, 2],       one entry per undirected edge
+#    "d": [0.42, 0.31, 0.5]}               the range of each edge
+# ids are 0-based; "pos" (truth) is optional and omitted for blind runs, and
+# "d" for files without ranges. save_network writes each edge with i < j, in
+# edge-list order; load_network reads the edges in any order and orientation.
+#
+# Schema 1, which load_network still reads, gives each node and edge its own
+# object, ids 0-based and dense, one edge entry per unordered edge:
 #   {"schema_version": 1, "dim": n,
 #    "nodes": [{"id": 0, "anchor": false, "pos": [...]},
 #              {"id": 3, "anchor": true, "anchor_pos": [...], "pos": [...]}],
 #    "edges": [{"i": 0, "j": 1, "d": 0.42}]}
-# ids are 0-based and dense; one entry per unordered edge with i < j;
-# "pos" (truth) is optional and omitted for blind runs.
 
 
 def save_network(
@@ -733,52 +744,30 @@ def save_network(
     truth: GroundTruth | None = None,
     measurements: MeasurementSet | None = None,
 ) -> None:
-    """Write a network file; see the schema comment above.
+    """Write a network file in schema 2; see the schema comment above.
 
-    The text is exactly what ``json.dump(doc, fh, indent=1)`` and a newline
-    write for the schema's document: the per-node templates, joined, take
-    one ``%`` over every node's fields, and the per-edge ones one over every
-    edge's (``json`` falls back to its pure-Python encoder whenever it
-    indents).
+    Each array is one ``json.dumps`` call, which runs in C: a float is
+    spelled by ``float.__repr__``, and NaN and the infinities as ``NaN``,
+    ``Infinity`` and ``-Infinity``. Files of schema 2 cannot be read by
+    locadmm versions that read only schema 1.
     """
     if measurements is not None:
         measurements._check(graph)
     lay, n, dim = graph.layout, graph.num_nodes, graph.dim
-    vec = "[\n    " + ",\n    ".join(["%s"] * dim) + "\n   ]"
-    pos = ',\n   "pos": ' + vec if truth is not None else ""
-    plain = '  {\n   "id": %d,\n   "anchor": false' + pos + "\n  }"
-    anchor = '  {\n   "id": %d,\n   "anchor": true,\n   "anchor_pos": ' + vec + pos + "\n  }"
-    columns = [range(n)]
+    columns = {"anchors": lay.anchor_idx, "anchor_pos": lay.anchor_pos}
     if truth is not None:
         if truth.positions.shape != (n, dim):
             raise InvalidParameter(
                 f"truth positions have shape {truth.positions.shape}, "
                 f"the graph needs ({n}, {dim})"
             )
-        pos_text = _json_numbers(truth.positions)
-        columns += [pos_text[k::dim] for k in range(dim)]
-    fields = list(zip(*columns))
-    templates = [plain] * n
-    for k, row in zip(lay.anchor_idx.tolist(), _json_rows(lay.anchor_pos)):
-        templates[k] = anchor
-        fields[k] = (k, *row, *fields[k][1:])
-    nodes = _fill(templates, fields)
-
-    fwd = lay.forward
-    columns = [lay.src[fwd].tolist(), lay.dst[fwd].tolist()]
-    d_field = ""
+        columns["pos"] = truth.positions
+    columns["i"], columns["j"] = lay.src[lay.forward], lay.dst[lay.forward]
     if measurements is not None:
-        columns.append(_json_numbers(measurements.d))
-        d_field = ',\n   "d": %s'
-    edge = '  {\n   "i": %d,\n   "j": %d' + d_field + "\n  }"
-    edges = _fill([edge] * fwd.size, zip(*columns))
-    edges = "[\n" + edges + "\n ]" if edges else "[]"
-
-    text = (
-        f'{{\n "schema_version": {SCHEMA_VERSION},\n "dim": {dim},\n'
-        f' "nodes": [\n{nodes}\n ],\n "edges": {edges}\n}}\n'
-    )
-    write_text(path, text)
+        columns["d"] = measurements.d
+    lines = [f'"schema_version": {SCHEMA_VERSION}', f'"dim": {dim}', f'"num_nodes": {n}']
+    lines += [f'"{key}": {json.dumps(x.ravel().tolist())}' for key, x in columns.items()]
+    write_text(path, "{\n " + ",\n ".join(lines) + "\n}\n")
 
 
 def write_text(path, text: str) -> None:
@@ -811,49 +800,29 @@ def write_text(path, text: str) -> None:
         os.close(fd)
 
 
-def _fill(templates: list, fields) -> str:
-    """The ``templates`` joined by ``",\\n"``, each filled with its tuple of
-    ``fields``: one ``%`` over the whole text."""
-    return ",\n".join(templates) % tuple(itertools.chain.from_iterable(fields))
-
-
-# how json spells the floats that have no JSON literal
-_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-
-
-def _json_numbers(x: np.ndarray) -> list[str]:
-    """The entries of the float array ``x``, flattened, each as ``json``
-    writes it: ``float.__repr__``, or ``NaN``, ``Infinity``, ``-Infinity``."""
-    text = list(map(float.__repr__, x.ravel().tolist()))
-    if not np.isfinite(x).all():
-        text = [_JSON_NONFINITE.get(t, t) for t in text]
-    return text
-
-
-def _json_rows(x: np.ndarray) -> list[tuple[str, ...]]:
-    """The rows of the 2-d float array ``x`` as ``_json_numbers`` tuples."""
-    return list(zip(*[iter(_json_numbers(x))] * x.shape[1]))
-
-
 def load_network(path):
     """Read a network file back into ``(graph, truth, measurements)``.
 
-    ``truth`` and ``measurements`` are ``None`` when the file omits them.
-    A disconnected graph loads successfully but carries
-    ``graph.connected == False`` and emits a warning; solvers refuse such
-    graphs.
+    ``truth`` and ``measurements`` are ``None`` when the file omits them,
+    and ``measurements`` also when the graph has no edge. A disconnected
+    graph loads successfully but carries ``graph.connected == False`` and
+    emits a warning; solvers refuse such graphs.
 
-    A file whose entries are as ``save_network`` writes them is read a
-    column at a time (``_screen``); any other file is read an entry at a
-    time (``_entries``), whose error names the first fault in file order.
+    Schema 2 is read a column at a time (``_schema_2``); an error names the
+    key and the first bad index in it. Schema 1 is read as it always was
+    (``_schema_1``): a file whose entries are as locadmm wrote them is read
+    a column at a time (``_screen``), and any other an entry at a time
+    (``_entries``), whose error names the first fault in file order.
 
     Raises
     ------
     ParseError
-        Malformed document (also non-UTF-8 or wrongly typed), non-dense ids,
-        duplicate or asymmetric edges, anchor/truth mismatches; names the field.
+        Malformed document (also non-UTF-8 or wrongly typed), ids out of
+        range or repeated, self-loops, repeated or asymmetric edges,
+        anchor/truth mismatches, non-finite numbers, negative ranges; names
+        the field.
     SchemaVersionMismatch
-        Unknown ``schema_version``.
+        A ``schema_version`` other than 1 or 2.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -868,11 +837,138 @@ def load_network(path):
     if type(doc) is not dict:
         raise ParseError("top level: expected an object")
     version = doc.get("schema_version")
-    if type(version) is not int or version != SCHEMA_VERSION:
-        raise SchemaVersionMismatch(f"schema_version: expected {SCHEMA_VERSION}, got {version!r}")
+    if type(version) is not int or version not in (1, 2):
+        raise SchemaVersionMismatch(f"schema_version: expected 1 or 2, got {version!r}")
     dim = doc.get("dim")
     if type(dim) is not int or dim not in (2, 3):
         raise ParseError(f"dim: expected 2 or 3, got {dim!r}")
+    return (_schema_1 if version == 1 else _schema_2)(doc, dim)
+
+
+def _graph(dim: int, num_nodes: int, anchors: Mapping, pairs: np.ndarray) -> NetworkGraph:
+    """``NetworkGraph.build`` on a file's checked columns, with a warning
+    when the graph is not connected."""
+    graph = NetworkGraph.build(dim, num_nodes, anchors, pairs)
+    if not graph.connected:
+        # attributed to the caller of load_network, three frames up
+        warnings.warn("loaded network is not connected; solvers will reject it", stacklevel=4)
+    return graph
+
+
+def _schema_2(doc: dict, dim: int) -> tuple:
+    """The instance of a schema-2 document. The checks run key by key, in
+    the schema's order, and each names the key and the first index that
+    fails it in its ``ParseError``."""
+    num_nodes = doc.get("num_nodes")
+    # below 2**31, an edge's key lo * num_nodes + hi fits in 64 bits
+    if type(num_nodes) is not int or not 1 <= num_nodes < 2**31:
+        raise ParseError(
+            f"num_nodes: expected an integer from 1 to 2**31 - 1, got {num_nodes!r:.40}"
+        )
+    anchors = _ids(doc, "anchors", num_nodes)
+    if not anchors.size:
+        raise ParseError("anchors: at least one anchor is required")
+    by_id = _id_order(anchors, num_nodes)
+    k = _first_repeat(by_id, anchors[by_id])
+    if k is not None:
+        raise ParseError(f"anchors[{k}]: repeated anchor {anchors[k]}")
+    anchor_pos = _numbers(doc, "anchor_pos", anchors.size * dim).reshape(-1, dim)
+
+    pos = None
+    if "pos" in doc:
+        pos = _numbers(doc, "pos", num_nodes * dim).reshape(-1, dim)
+        differs = pos[anchors] != anchor_pos
+        if differs.any():
+            at = (anchors[:, None] * dim + np.arange(dim))[differs]  # flat indices into pos
+            k = int(np.argmin(at))
+            raise ParseError(f"pos[{at[k]}]: differs from anchor_pos[{np.flatnonzero(differs)[k]}]")
+
+    i = _ids(doc, "i", num_nodes)
+    j = _ids(doc, "j", num_nodes, i.size)
+    loops = np.flatnonzero(i == j)
+    if loops.size:
+        k = loops[0]
+        raise ParseError(f"i[{k}], j[{k}]: self-loop at node {i[k]}")
+    order, keys = _edge_order(np.minimum(i, j), np.maximum(i, j), num_nodes)
+    k = _first_repeat(order, keys)
+    if k is not None:
+        raise ParseError(f"i[{k}], j[{k}]: repeated edge ({i[k]},{j[k]})")
+
+    d = _numbers(doc, "d", i.size, nonnegative=True) if "d" in doc else None
+
+    anchor_map = dict(zip(anchors.tolist(), anchor_pos))
+    graph = _graph(dim, num_nodes, anchor_map, np.stack([i, j], axis=1))
+    truth = None if pos is None else GroundTruth(pos)
+    # as in schema 1, a graph without edges carries no ranges
+    measurements = MeasurementSet(graph, d[order]) if d is not None and d.size else None
+    return graph, truth, measurements
+
+
+def _ids(doc: dict, key: str, num_nodes: int, size: int | None = None) -> np.ndarray:
+    """``doc[key]``, a list of node ids in ``[0, num_nodes)`` (of ``size``
+    entries when given), as an index array."""
+    values = doc.get(key)
+    if type(values) is not list or (size is not None and len(values) != size):
+        count = "" if size is None else f"{size} "
+        raise ParseError(f"{key}: expected a list of {count}node ids")
+    if _all(values, int):
+        try:
+            ids = np.fromiter(values, dtype=np.intp, count=len(values))
+        except OverflowError:
+            ids = None
+        if ids is not None and ((ids >= 0) & (ids < num_nodes)).all():
+            return ids
+    # the column holds a fault: name the first
+    k, x = next((k, x) for k, x in enumerate(values)
+                if type(x) is not int or not 0 <= x < num_nodes)
+    if type(x) is not int:
+        raise ParseError(f"{key}[{k}]: expected an integer node id, got {x!r:.40}")
+    raise ParseError(f"{key}[{k}]: node id {x!r:.40} out of range")
+
+
+def _numbers(doc: dict, key: str, size: int, nonnegative: bool = False) -> np.ndarray:
+    """``doc[key]``, a list of ``size`` finite numbers (none below zero if
+    ``nonnegative``), as a float array; JSON integers convert as
+    ``float()`` converts them."""
+    values = doc.get(key)
+    if type(values) is not list or len(values) != size:
+        raise ParseError(f"{key}: expected a list of {size} numbers")
+    array = _floats(values)
+    if array is not None and not (nonnegative and (array < 0).any()):
+        return array
+    numbers = []  # an int, or a fault: one entry at a time, naming the first fault
+    for k, x in enumerate(values):
+        number = _number(x, f"{key}[{k}]")
+        if nonnegative and number < 0:
+            raise ParseError(f"{key}[{k}]: expected a finite non-negative number, got {x!r:.40}")
+        numbers.append(number)
+    return np.array(numbers, dtype=float)
+
+
+def _edge_order(lo: np.ndarray, hi: np.ndarray, num_nodes: int) -> tuple:
+    """The stable order that sorts the edges ``(lo[k], hi[k])`` as
+    ``NetworkGraph.edge_list`` does, and their keys ``lo * num_nodes + hi``
+    in that order. When the keys already increase strictly, as in every
+    file ``save_network`` writes, one pass shows it, and the order is the
+    identity without a sort."""
+    keys = lo * num_nodes + hi
+    if (keys[1:] > keys[:-1]).all():
+        return np.arange(keys.size), keys
+    order = _pair_order(lo, hi, num_nodes)
+    return order, keys[order]
+
+
+def _first_repeat(order: np.ndarray, keys: np.ndarray) -> int | None:
+    """The first index whose key equals an earlier index's key, given the
+    stable ``order`` that sorts the keys and the ``keys`` in that order;
+    ``None`` when every key differs."""
+    later = order[1:][keys[1:] == keys[:-1]]
+    return int(later.min()) if later.size else None
+
+
+def _schema_1(doc: dict, dim: int) -> tuple:
+    """The instance of a schema-1 document: its entries read by ``_screen``
+    or, where the screen declines them, by ``_entries``."""
     raw_nodes = doc.get("nodes")
     if type(raw_nodes) is not list or not raw_nodes:
         raise ParseError("nodes: expected a non-empty list")
@@ -887,9 +983,7 @@ def load_network(path):
     if not anchors.size:
         raise ParseError("nodes: at least one anchor entry is required")
     anchor_map = dict(zip(ids[anchors].tolist(), anchor_pos))
-    graph = NetworkGraph.build(dim, num_nodes, anchor_map, np.stack([i, j], axis=1))
-    if not graph.connected:
-        warnings.warn("loaded network is not connected; solvers will reject it", stacklevel=2)
+    graph = _graph(dim, num_nodes, anchor_map, np.stack([i, j], axis=1))
 
     truth = None
     if with_pos.size:
@@ -931,8 +1025,8 @@ def _floats(values: list) -> np.ndarray | None:
 
 def _screen(raw_nodes: list, raw_edges: list, dim: int) -> tuple | None:
     """The checked columns of a file's entries, read at C speed, or ``None``
-    when an entry may be faulty or holds an int where ``save_network``
-    writes a float. Raises nothing.
+    when an entry may be faulty or holds an int where locadmm's schema-1
+    files hold a float. Raises nothing.
 
     The columns are ``(ids, anchors, anchor_pos, with_pos, pos, i, j, d,
     order)``: the node ids in entry order, the entry indices of the anchors
@@ -959,8 +1053,7 @@ def _screen(raw_nodes: list, raw_edges: list, dim: int) -> tuple | None:
             and np.bincount(ids, minlength=num_nodes).all()
             and (lo >= 0).all() and (lo < hi).all() and (hi < num_nodes).all()):
         return None
-    order = _pair_order(lo, hi, num_nodes)
-    ranked = (lo * num_nodes + hi)[order]
+    order, ranked = _edge_order(lo, hi, num_nodes)
     if not (ranked[1:] > ranked[:-1]).all():
         return None
 
@@ -1043,7 +1136,7 @@ def _entries(raw_nodes: list, raw_edges: list, dim: int) -> tuple:
     )
     anchor_pos, pos = (np.array(x, dtype=float).reshape(-1, dim) for x in (anchor_pos, pos))
     d = np.array([x for x in d if x is not None], dtype=float)
-    order = _pair_order(np.minimum(i, j), np.maximum(i, j), num_nodes)
+    order, _ = _edge_order(np.minimum(i, j), np.maximum(i, j), num_nodes)
     return ids, anchors, anchor_pos, with_pos, pos, i, j, d, order
 
 

@@ -8,11 +8,16 @@ bit-identical results; the tests compare the two. ``loop_objective_original``
 is the per-edge form of ``structured_ops.objective_original``, which sums
 in another order and so agrees only to rounding.
 
-``json_save_network`` and ``entry_load_network`` are the network-file round
-trip as a document handed to ``json.dump(..., indent=1)``, and as one
-validation pass per node and edge entry. ``save_network`` must write the
-same bytes, and ``load_network`` must load the same instance or raise the
-same error with the same message.
+``json_save_network`` and ``entry_load_network`` are the schema-1
+network-file round trip: a document of one object per node and per edge
+handed to ``json.dump(..., indent=1)``, the bytes locadmm wrote before
+schema 2, and one validation pass per node and edge entry. The tests use
+the writer to make schema-1 fixtures: ``load_network`` must load them, or
+raise the same error with the same message, as the per-entry loader does,
+and must load the instance that ``save_network`` writes in schema 2.
+
+Run as a script, ``python tests/network_reference.py SRC DST`` writes the
+network file ``SRC`` (either schema) to ``DST`` in schema 1.
 """
 
 import itertools
@@ -31,10 +36,10 @@ from locadmm.errors import (
 )
 from locadmm.network import (
     MAX_LAYOUT_ATTEMPTS,
-    SCHEMA_VERSION,
     GroundTruth,
     MeasurementSet,
     NetworkGraph,
+    load_network,
 )
 
 
@@ -171,7 +176,7 @@ def json_save_network(
     truth: GroundTruth | None = None,
     measurements: MeasurementSet | None = None,
 ) -> None:
-    """``save_network`` through ``json.dump(doc, fh, indent=1)``."""
+    """A schema-1 network file, through ``json.dump(doc, fh, indent=1)``."""
     nodes = []
     for i in range(graph.num_nodes):
         entry: dict = {"id": i, "anchor": i in graph.anchors}
@@ -185,14 +190,16 @@ def json_save_network(
         measurements._check(graph)
         for entry, d in zip(edges, measurements.d.tolist()):
             entry["d"] = d
-    doc = {"schema_version": SCHEMA_VERSION, "dim": graph.dim, "nodes": nodes, "edges": edges}
+    doc = {"schema_version": 1, "dim": graph.dim, "nodes": nodes, "edges": edges}
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=1)
         fh.write("\n")
 
 
 def entry_load_network(path):
-    """``load_network`` checking one node or edge entry at a time."""
+    """``load_network`` on a schema-1 file, checking one node or edge entry
+    at a time; a file of another version raises the mismatch
+    ``load_network`` raises for an unknown version."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -204,8 +211,8 @@ def entry_load_network(path):
     if not isinstance(doc, dict):
         raise ParseError("top level: expected an object")
     version = doc.get("schema_version")
-    if not _is_int(version) or version != SCHEMA_VERSION:
-        raise SchemaVersionMismatch(f"schema_version: expected {SCHEMA_VERSION}, got {version!r}")
+    if not _is_int(version) or version != 1:
+        raise SchemaVersionMismatch(f"schema_version: expected 1 or 2, got {version!r}")
     dim = doc.get("dim")
     if not _is_int(dim) or dim not in (2, 3):
         raise ParseError(f"dim: expected 2 or 3, got {dim!r}")
@@ -309,3 +316,8 @@ def _parse_vector(raw, dim: int, where: str) -> np.ndarray:
     if not isinstance(raw, list) or len(raw) != dim:
         raise ParseError(f"{where}: expected a list of {dim} numbers")
     return np.array([_parse_number(x, f"{where}[{k}]") for k, x in enumerate(raw)])
+
+
+if __name__ == "__main__":
+    source, target = sys.argv[1:]
+    json_save_network(target, *load_network(source))

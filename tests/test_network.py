@@ -753,21 +753,27 @@ class TestFileRoundTrip:
     @PROPERTY_SETTINGS
     @given(graphs(), st.data())
     def test_ranges_follow_their_edges(self, tmp_path_factory, instance, data):
-        # a file may list its edges in any order and orientation
+        # a file of either schema may list its edges in any order and orientation
         graph, meas, _ = instance
         root = tmp_path_factory.mktemp("order")
         first, shuffled, second = root / "first.json", root / "shuffled.json", root / "second.json"
         save_network(first, graph, measurements=meas)
-        doc = json.loads(first.read_text())
+        json_save_network(shuffled, graph, measurements=meas)
+        doc = json.loads(shuffled.read_text())
         doc["edges"] = data.draw(st.permutations(doc["edges"]), label="order")
         for entry in doc["edges"]:
             if data.draw(st.booleans(), label="swap"):
                 entry["i"], entry["j"] = entry["j"], entry["i"]
-        shuffled.write_text(json.dumps(doc))
-        g2, _, m2 = load_network(shuffled)
-        assert m2.edge_ranges(g2).tobytes() == meas.edge_ranges(graph).tobytes()
-        save_network(second, g2, measurements=m2)
-        assert second.read_bytes() == first.read_bytes()
+        columns = json.loads(first.read_text())
+        columns["i"], columns["j"], columns["d"] = (
+            [e[key] for e in doc["edges"]] for key in ("i", "j", "d")
+        )
+        for shuffled_doc in (doc, columns):
+            shuffled.write_text(json.dumps(shuffled_doc))
+            g2, _, m2 = load_network(shuffled)
+            assert m2.edge_ranges(g2).tobytes() == meas.edge_ranges(graph).tobytes()
+            save_network(second, g2, measurements=m2)
+            assert second.read_bytes() == first.read_bytes()
 
     def test_blind_file_without_truth(self, tmp_path):
         graph, truth = generate_rgg(8, 1, 0.6, seed=1)
@@ -805,10 +811,11 @@ class TestFileRoundTrip:
             load_network(path)
 
     def test_schema_version_mismatch(self, tmp_path):
-        path = tmp_path / "v2.json"
-        path.write_text('{"schema_version": 2, "dim": 2, "nodes": [], "edges": []}')
-        with pytest.raises(SchemaVersionMismatch):
+        path = tmp_path / "v3.json"
+        path.write_text('{"schema_version": 3, "dim": 2, "nodes": [], "edges": []}')
+        with pytest.raises(SchemaVersionMismatch) as exc:
             load_network(path)
+        assert str(exc.value) == "schema_version: expected 1 or 2, got 3"
 
     def test_field_diagnostics(self, tmp_path):
         path = tmp_path / "field.json"
@@ -1010,9 +1017,9 @@ def _fields(doc):
 
 @pytest.fixture(scope="module")
 def fuzz_files(tmp_path_factory):
-    """A valid network file's bytes, its document, and a scratch path."""
+    """A valid schema-1 network file's bytes, its document, and a scratch path."""
     root = tmp_path_factory.mktemp("fuzz")
-    save_network(root / "valid.json", *_valid_doc())
+    json_save_network(root / "valid.json", *_valid_doc())
     data = (root / "valid.json").read_bytes()
     return data, json.loads(data), root / "case.json"
 
@@ -1127,12 +1134,42 @@ def _reference_108():
     return graph, truth, measure(truth, graph, NoiseModel("additive-white", 0.02), seed=1)
 
 
+def _schema_2_text(doc, ranges: bool) -> str:
+    """The schema-2 file of the instance in the schema-1 document ``doc``
+    (nodes in id order, edges in edge-list order, as ``json_save_network``
+    writes them), which carries ranges when ``ranges`` is true: one key per
+    line, each value spelled by ``json.dumps``."""
+    nodes, edges = doc["nodes"], doc["edges"]
+    anchors = [e for e in nodes if e["anchor"]]
+    columns = {
+        "schema_version": 2, "dim": doc["dim"], "num_nodes": len(nodes),
+        "anchors": [e["id"] for e in anchors],
+        "anchor_pos": [x for e in anchors for x in e["anchor_pos"]],
+    }
+    if "pos" in nodes[0]:
+        columns["pos"] = [x for e in nodes for x in e["pos"]]
+    columns["i"], columns["j"] = [e["i"] for e in edges], [e["j"] for e in edges]
+    if ranges:
+        columns["d"] = [e["d"] for e in edges]
+    lines = [f"{json.dumps(key)}: {json.dumps(value)}" for key, value in columns.items()]
+    return "{\n " + ",\n ".join(lines) + "\n}\n"
+
+
 class TestSaveNetworkMatchesJson:
+    """``save_network`` writes schema 2 with every value spelled as
+    ``json_save_network`` spells it in schema 1, and both files load to
+    the same instance."""
+
     @staticmethod
     def same_bytes(root, graph, truth, meas):
-        save_network(root / "new.json", graph, truth, meas)
-        json_save_network(root / "ref.json", graph, truth, meas)
-        return (root / "new.json").read_bytes() == (root / "ref.json").read_bytes()
+        new, ref = root / "new.json", root / "ref.json"
+        save_network(new, graph, truth, meas)
+        json_save_network(ref, graph, truth, meas)
+        doc = json.loads(ref.read_bytes())
+        mine, theirs = _outcome(load_network, new), _outcome(load_network, ref)
+        # a non-finite position or range fails both, each naming its own field
+        same = mine == theirs or (mine[0] is theirs[0] is ParseError)
+        return same and new.read_text() == _schema_2_text(doc, meas is not None)
 
     @PROPERTY_SETTINGS
     @given(network_documents())
@@ -1146,7 +1183,8 @@ class TestSaveNetworkMatchesJson:
         truth = GroundTruth(np.full((n, dim), -0.0))
         for args in [(None, None), (truth, None), (truth, MeasurementSet(graph, []))]:
             assert self.same_bytes(tmp_path, graph, *args)
-        assert b'"edges": []' in (tmp_path / "new.json").read_bytes()
+        assert b'"i": [],\n "j": [],\n "d": []\n' in (tmp_path / "new.json").read_bytes()
+        assert _load(tmp_path / "new.json")[2] is None  # no edge, no ranges
 
     @pytest.mark.parametrize("dim", [2, 3])
     def test_generated_networks(self, tmp_path, dim):
@@ -1270,7 +1308,7 @@ class TestLoadNetworkMatchesEntryLoader:
         assert len(self.same(doc, path)) == 7
         for instance in (_reference_108(), _valid_doc()):
             for truth, meas in [(instance[1], instance[2]), (None, instance[2]), (None, None)]:
-                save_network(tmp_path / "net.json", instance[0], truth, meas)
+                json_save_network(tmp_path / "net.json", instance[0], truth, meas)
                 assert len(self.same((tmp_path / "net.json").read_bytes(), path)) == 7
 
     @FUZZ_SETTINGS
@@ -1377,9 +1415,9 @@ def _instances_to_save():
 
 
 class TestLoadNetworkScreens:
-    """``load_network`` reads a file entry by entry (``_entries``) only when
-    its column screen (``_screen``) declines it; it declines no file that
-    ``save_network`` wrote."""
+    """``load_network`` reads a schema-1 file entry by entry (``_entries``)
+    only when its column screen (``_screen``) declines it; it declines no
+    file that locadmm wrote in schema 1."""
 
     @staticmethod
     def count_entry_reads(monkeypatch, refuse=False):
@@ -1388,7 +1426,7 @@ class TestLoadNetworkScreens:
 
         def counted(*args):
             if refuse:
-                raise AssertionError("_entries ran on a file that save_network wrote")
+                raise AssertionError("_entries ran on a file that locadmm wrote")
             calls.append(args)
             return entries(*args)
 
@@ -1399,7 +1437,7 @@ class TestLoadNetworkScreens:
         self.count_entry_reads(monkeypatch, refuse=True)
         path = tmp_path / "net.json"
         for instance in _instances_to_save():
-            save_network(path, *instance)
+            json_save_network(path, *instance)
             assert len(TestLoadNetworkMatchesEntryLoader.same(path.read_bytes(), path)) == 7
 
     @pytest.mark.parametrize(
@@ -1464,14 +1502,14 @@ class TestScreenAgreesWithEntries:
         doc["edges"] = [{"i": e["j"], "j": e["i"], "d": e["d"]} for e in doc["edges"][::-1]]
         doc["edges"][3]["d"] = -0.0
         assert _screened(doc) is not None
-        doc["edges"][2]["d"] = 1  # an int where save_network writes a float
+        doc["edges"][2]["d"] = 1  # an int where json_save_network writes a float
         assert _screened(doc) is None
 
     @PROPERTY_SETTINGS
     @given(network_documents())
     def test_saved_documents(self, tmp_path_factory, instance):
         path = tmp_path_factory.mktemp("screen") / "net.json"
-        save_network(path, *instance)
+        json_save_network(path, *instance)
         _screened(json.loads(path.read_bytes()))
 
     @FUZZ_SETTINGS
@@ -1495,3 +1533,253 @@ class TestScreenAgreesWithEntries:
         where = data.draw(st.sampled_from(["nodes", "edges"]), label="where")
         k = data.draw(st.integers(0, len(doc[where]) - 1), label="entry")
         _screened(data.draw(broken_entry(data.draw(broken_entry(doc, where, k)), where, k)))
+
+
+# -- schema 2 ------------------------------------------------------------------
+
+
+def _instance_bytes(graph, truth, meas):
+    """Every array of a loaded instance, as bytes, and its flags."""
+    lay = graph.layout
+    arrays = [lay.offsets, lay.src, lay.dst, lay.rev, lay.anchor_idx, lay.anchor_pos]
+    return (
+        [(a.dtype, a.shape, a.tobytes()) for a in arrays],
+        lay.copies, graph.connected,
+        None if truth is None else truth.positions.tobytes(),
+        None if meas is None else meas.d.tobytes(),
+    )
+
+
+class TestSchema2RoundTrip:
+    """A schema-2 file loads to the instance that was saved, bit for bit,
+    and to the instance its schema-1 twin loads to."""
+
+    @staticmethod
+    def round_trip(root, graph, truth, meas):
+        two, one = root / "two.json", root / "one.json"
+        save_network(two, graph, truth, meas)
+        json_save_network(one, graph, truth, meas)
+        loaded = _load(two)
+        if not graph.edge_list:
+            meas = None  # a graph without edges carries no ranges
+        assert _instance_bytes(*loaded) == _instance_bytes(graph, truth, meas)
+        assert _instance_bytes(*loaded) == _instance_bytes(*_load(one))
+
+    @PROPERTY_SETTINGS
+    @given(graphs(), st.booleans(), st.booleans())
+    def test_random_graphs(self, tmp_path_factory, instance, with_truth, with_ranges):
+        graph, meas, rng = instance
+        truth = None
+        if with_truth:
+            positions = rng.uniform(-1.0, 1.0, (graph.num_nodes, graph.dim))
+            positions[graph.layout.anchor_idx] = graph.layout.anchor_pos
+            truth = GroundTruth(positions)
+        root = tmp_path_factory.mktemp("two")
+        self.round_trip(root, graph, truth, meas if with_ranges else None)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_single_node(self, tmp_path, dim):
+        graph = NetworkGraph.build(dim, 1, {0: np.full(dim, -0.0)}, [])
+        for truth in (None, GroundTruth(np.full((1, dim), -0.0))):
+            for meas in (None, MeasurementSet(graph, [])):
+                self.round_trip(tmp_path, graph, truth, meas)
+
+    def test_generated_networks(self, tmp_path):
+        for instance in _instances_to_save():
+            self.round_trip(tmp_path, *instance)
+
+    def test_disconnected_loads_with_warning(self, tmp_path):
+        graph = NetworkGraph.build(2, 4, {0: np.zeros(2)}, [(0, 1), (2, 3)])
+        save_network(tmp_path / "disc.json", graph, measurements=MeasurementSet(graph, [1.0, 1.0]))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            loaded, _, _ = load_network(tmp_path / "disc.json")
+        assert not loaded.connected
+        (warning,) = [w for w in caught if "not connected" in str(w.message)]
+        assert warning.filename == __file__  # attributed to the caller of load_network
+
+    def test_integers_load_as_numbers(self, tmp_path):
+        # JSON integers are numbers: they convert as float() converts them
+        graph, truth, meas = _valid_doc()
+        path = tmp_path / "ints.json"
+        save_network(path, graph, truth, meas)
+        doc = json.loads(path.read_text())
+        doc["anchor_pos"][0] = doc["pos"][4] = 0
+        doc["d"][2] = 1
+        path.write_text(json.dumps(doc))
+        _, truth2, meas2 = load_network(path)
+        assert truth2.positions[2, 0] == 0.0 and meas2.d[2] == 1.0
+
+
+def _schema_2_doc(root):
+    """The schema-2 document ``save_network`` writes for ``_valid_doc``:
+    6 nodes, anchors 2 and 4, 12 edges in edge-list order, the edge (1,4)
+    at index 5; written under the directory ``root``."""
+    save_network(root / "valid-2.json", *_valid_doc())
+    return json.loads((root / "valid-2.json").read_text())
+
+
+def _edit(doc, key, index, value):
+    """``doc`` (a copy) with ``doc[key][index] = value``, or ``doc[key] =
+    value`` when ``index`` is ``None``, or without ``key`` for a value of
+    ``...``."""
+    doc = json.loads(json.dumps(doc))
+    if value is ...:
+        del doc[key]
+    elif index is None:
+        doc[key] = value
+    else:
+        doc[key][index] = value
+    return doc
+
+
+class TestSchema2Faults:
+    """A schema-2 file with a fault raises ``ParseError`` naming the key
+    and its first bad index."""
+
+    @pytest.mark.parametrize(
+        "edits, message",
+        [
+            # booleans where ids are expected
+            ([("anchors", 1, True)], "anchors[1]: expected an integer node id, got True"),
+            ([("i", 3, False)], "i[3]: expected an integer node id, got False"),
+            ([("j", 0, 1.0)], "j[0]: expected an integer node id, got 1.0"),
+            # strings where numbers are expected
+            ([("pos", 4, "0.5")], "pos[4]: expected a finite number, got '0.5'"),
+            ([("d", 2, "x")], "d[2]: expected a finite number, got 'x'"),
+            ([("anchor_pos", 0, True)], "anchor_pos[0]: expected a finite number, got True"),
+            ([("d", 3, 10**400)], f"d[3]: expected a finite number, got {str(10**400)[:40]}"),
+            # wrong lengths and types of a whole column
+            ([("anchor_pos", None, [0.5, 0.5, 0.5])], "anchor_pos: expected a list of 4 numbers"),
+            ([("pos", None, [0.5] * 11)], "pos: expected a list of 12 numbers"),
+            ([("j", None, [2] * 11)], "j: expected a list of 12 node ids"),
+            ([("d", None, [0.5] * 13)], "d: expected a list of 12 numbers"),
+            ([("i", None, ...)], "i: expected a list of node ids"),
+            ([("anchors", None, {"0": 2})], "anchors: expected a list of node ids"),
+            ([("num_nodes", None, True)],
+             "num_nodes: expected an integer from 1 to 2**31 - 1, got True"),
+            ([("num_nodes", None, 2**31)],
+             "num_nodes: expected an integer from 1 to 2**31 - 1, got 2147483648"),
+            # ids out of range
+            ([("anchors", 0, 6)], "anchors[0]: node id 6 out of range"),
+            ([("j", 0, -1)], "j[0]: node id -1 out of range"),
+            ([("i", 5, 2**70)], f"i[5]: node id {2**70} out of range"),
+            # self-loops and repeated edges, in either orientation
+            ([("j", 3, 0)], "i[3], j[3]: self-loop at node 0"),
+            ([("i", 7, 4), ("j", 7, 1)], "i[7], j[7]: repeated edge (4,1)"),
+            ([("i", 11, 0), ("j", 11, 2)], "i[11], j[11]: repeated edge (0,2)"),
+            # a repeated anchor, and an empty anchor list
+            ([("anchors", 1, 2)], "anchors[1]: repeated anchor 2"),
+            ([("anchors", None, []), ("anchor_pos", None, [])],
+             "anchors: at least one anchor is required"),
+            # non-finite and negative numbers
+            ([("d", 5, math.nan)], "d[5]: expected a finite number, got nan"),
+            ([("pos", 0, math.inf)], "pos[0]: expected a finite number, got inf"),
+            ([("anchor_pos", 3, -math.inf)], "anchor_pos[3]: expected a finite number, got -inf"),
+            ([("d", 5, -1.0)], "d[5]: expected a finite non-negative number, got -1.0"),
+            # pos that differs from anchor_pos (node 4's second coordinate)
+            ([("pos", 9, 0.5)], "pos[9]: differs from anchor_pos[3]"),
+            # the first bad index of a column, whatever its faults
+            ([("d", 8, math.nan), ("d", 2, -1.0)],
+             "d[2]: expected a finite non-negative number, got -1.0"),
+            ([("i", 9, "4"), ("i", 4, 9)], "i[4]: node id 9 out of range"),
+            ([("i", 10, 2), ("j", 10, 0), ("i", 9, 2), ("j", 9, 0)],
+             "i[9], j[9]: repeated edge (2,0)"),
+            # the keys in schema order: anchors before positions before edges
+            ([("d", 0, -1.0), ("i", 0, 0), ("pos", 1, "y"), ("anchors", 0, 9)],
+             "anchors[0]: node id 9 out of range"),
+        ],
+        ids=["bool-anchor", "bool-i", "float-j", "string-pos", "string-d", "bool-anchor-pos",
+             "huge-int-d", "short-anchor-pos", "short-pos", "short-j", "long-d", "no-i",
+             "object-anchors", "bool-num-nodes", "huge-num-nodes", "anchor-out-of-range",
+             "negative-j", "huge-i", "self-loop", "reversed-repeat", "repeat",
+             "repeated-anchor", "no-anchor", "nan-d", "inf-pos", "minus-inf-anchor-pos",
+             "negative-d", "pos-off-anchor", "first-in-d", "first-in-i",
+             "first-repeat", "key-order"],
+    )
+    def test_fault_named(self, tmp_path, edits, message):
+        doc = _schema_2_doc(tmp_path)
+        for key, index, value in edits:
+            doc = _edit(doc, key, index, value)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert _outcome(load_network, path) == (ParseError, message)
+
+    @FUZZ_SETTINGS
+    @given(data=st.data())
+    def test_mistyped_columns(self, tmp_path_factory, data):
+        # any key given a value of another JSON type, or an entry of one, or
+        # deleted: a ParseError, or a file that still loads
+        root = tmp_path_factory.mktemp("mistyped")
+        doc = _schema_2_doc(root)
+        key = data.draw(st.sampled_from(sorted(doc)), label="key")
+        value = st.sampled_from(sorted(JSON_KINDS)).flatmap(JSON_KINDS.get)
+        if isinstance(doc[key], list) and doc[key] and data.draw(st.booleans(), label="entry"):
+            index = data.draw(st.integers(0, len(doc[key]) - 1), label="index")
+            doc = _edit(doc, key, index, data.draw(value, label="value"))
+        else:
+            doc = _edit(doc, key, None, data.draw(st.one_of(value, st.just(...)), label="value"))
+        path = root / "net.json"
+        path.write_text(json.dumps(doc))
+        outcome = _outcome(load_network, path)
+        assert outcome[0] in (ParseError, SchemaVersionMismatch) or len(outcome) == 7
+
+    @FUZZ_SETTINGS
+    @given(data=st.data())
+    def test_truncated_or_flipped_bytes(self, tmp_path_factory, data):
+        path = tmp_path_factory.mktemp("flipped") / "net.json"
+        save_network(path, *_valid_doc())
+        valid = path.read_bytes()
+        raw = bytearray(valid[: data.draw(st.integers(0, len(valid)), label="cut")])
+        flips = st.tuples(st.integers(0, max(len(raw) - 1, 0)), st.integers(1, 255))
+        for pos, mask in data.draw(st.lists(flips, max_size=4 if raw else 0), label="flips"):
+            raw[pos] ^= mask
+        path.write_bytes(bytes(raw))
+        outcome = _outcome(load_network, path)
+        assert outcome[0] in (ParseError, SchemaVersionMismatch) or len(outcome) == 7
+
+
+class TestEdgeOrder:
+    """Both readers order a file's edges only when the file does not list
+    them in edge-list order."""
+
+    @staticmethod
+    def count_orders(monkeypatch):
+        calls = []
+        pair_order = network_module._pair_order
+
+        def counted(first, second, limit):
+            calls.append(len(first))
+            return pair_order(first, second, limit)
+
+        monkeypatch.setattr(network_module, "_pair_order", counted)
+        return calls
+
+    @pytest.mark.parametrize("writer", [save_network, json_save_network],
+                             ids=["schema-2", "schema-1"])
+    def test_edge_list_order_takes_no_sort(self, tmp_path, monkeypatch, writer):
+        graph, truth, meas = _reference_108()
+        path = tmp_path / "net.json"
+        writer(path, graph, truth, meas)
+        calls = self.count_orders(monkeypatch)
+        _, _, loaded = load_network(path)
+        # one sort of the 2E directed edges, in NetworkGraph.build, and none of the E edges
+        assert calls == [graph.layout.num_edges]
+        assert loaded.d.tobytes() == meas.d.tobytes()
+
+    @pytest.mark.parametrize("schema", [1, 2])
+    def test_other_orders_are_sorted(self, tmp_path, monkeypatch, schema):
+        graph, _, meas = _reference_108()
+        path = tmp_path / "net.json"
+        (json_save_network if schema == 1 else save_network)(path, graph, measurements=meas)
+        doc = json.loads(path.read_text())
+        if schema == 1:
+            doc["edges"][:2] = doc["edges"][1::-1]
+        else:
+            for key in ("i", "j", "d"):
+                doc[key][:2] = doc[key][1::-1]
+        path.write_text(json.dumps(doc))
+        calls = self.count_orders(monkeypatch)
+        _, _, loaded = load_network(path)
+        assert calls == [len(graph.edge_list), graph.layout.num_edges]
+        assert loaded.d.tobytes() == meas.d.tobytes()
