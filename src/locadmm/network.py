@@ -730,8 +730,9 @@ def _rms_error(est: np.ndarray, target: np.ndarray) -> np.ndarray:
 # "d" for files without ranges. save_network writes each edge with i < j, in
 # edge-list order; load_network reads the edges in any order and orientation.
 #
-# Schema 1, which load_network still reads, gives each node and edge its own
-# object, ids 0-based and dense, one edge entry per unordered edge:
+# Schema 1, a legacy format that locadmm no longer writes but load_network
+# still reads, one entry at a time, gives each node and edge its own object,
+# ids 0-based and dense, one edge entry per unordered edge:
 #   {"schema_version": 1, "dim": n,
 #    "nodes": [{"id": 0, "anchor": false, "pos": [...]},
 #              {"id": 3, "anchor": true, "anchor_pos": [...], "pos": [...]}],
@@ -809,10 +810,8 @@ def load_network(path):
     emits a warning; solvers refuse such graphs.
 
     Schema 2 is read a column at a time (``_schema_2``); an error names the
-    key and the first bad index in it. Schema 1 is read as it always was
-    (``_schema_1``): a file whose entries are as locadmm wrote them is read
-    a column at a time (``_screen``), and any other an entry at a time
-    (``_entries``), whose error names the first fault in file order.
+    key and the first bad index in it. Schema 1 is read one entry at a time
+    (``_schema_1``); an error names the first fault in file order.
 
     Raises
     ------
@@ -933,9 +932,10 @@ def _numbers(doc: dict, key: str, size: int, nonnegative: bool = False) -> np.nd
     values = doc.get(key)
     if type(values) is not list or len(values) != size:
         raise ParseError(f"{key}: expected a list of {size} numbers")
-    array = _floats(values)
-    if array is not None and not (nonnegative and (array < 0).any()):
-        return array
+    if _all(values, float):
+        array = np.fromiter(values, dtype=float, count=size)
+        if np.isfinite(array).all() and not (nonnegative and (array < 0).any()):
+            return array
     numbers = []  # an int, or a fault: one entry at a time, naming the first fault
     for k, x in enumerate(values):
         number = _number(x, f"{key}[{k}]")
@@ -967,122 +967,21 @@ def _first_repeat(order: np.ndarray, keys: np.ndarray) -> int | None:
 
 
 def _schema_1(doc: dict, dim: int) -> tuple:
-    """The instance of a schema-1 document: its entries read by ``_screen``
-    or, where the screen declines them, by ``_entries``."""
+    """The instance of a schema-1 document, read one entry at a time: the
+    node entries, then the edge entries, each entry's fields in the
+    schema's order. So the first ``ParseError`` raised names the first
+    fault in file order."""
     raw_nodes = doc.get("nodes")
     if type(raw_nodes) is not list or not raw_nodes:
         raise ParseError("nodes: expected a non-empty list")
     raw_edges = doc.get("edges")
     if type(raw_edges) is not list:
         raise ParseError("edges: expected a list")
-
-    columns = _screen(raw_nodes, raw_edges, dim) or _entries(raw_nodes, raw_edges, dim)
-    ids, anchors, anchor_pos, with_pos, pos, i, j, d, order = columns
     num_nodes = len(raw_nodes)
 
-    if not anchors.size:
-        raise ParseError("nodes: at least one anchor entry is required")
-    anchor_map = dict(zip(ids[anchors].tolist(), anchor_pos))
-    graph = _graph(dim, num_nodes, anchor_map, np.stack([i, j], axis=1))
-
-    truth = None
-    if with_pos.size:
-        if with_pos.size != num_nodes:
-            missing = sorted(np.delete(ids, with_pos).tolist())
-            raise ParseError(f"nodes: pos given for some nodes but missing for {missing}")
-        mat = np.empty((num_nodes, dim))
-        mat[ids[with_pos]] = pos
-        lay = graph.layout
-        differs = (mat[lay.anchor_idx] != lay.anchor_pos).any(axis=1)
-        if differs.any():
-            k = int(lay.anchor_idx[np.argmax(differs)])
-            raise ParseError(f"nodes[{k}]: pos differs from anchor_pos")
-        truth = GroundTruth(mat)
-
-    measurements = None
-    if d.size:
-        if d.size != len(raw_edges):
-            raise ParseError("edges: d given for some edges but not all")
-        measurements = MeasurementSet(graph, d[order])
-
-    return graph, truth, measurements
-
-
-def _all(values: list, kind: type) -> bool:
-    """Whether every entry of ``values`` is exactly of type ``kind``
-    (``bool`` is not ``int``), tested at C speed."""
-    return set(map(type, values)) <= {kind}
-
-
-def _floats(values: list) -> np.ndarray | None:
-    """``values`` as a float array if every entry is a finite float, else
-    ``None``."""
-    if not _all(values, float):
-        return None
-    array = np.fromiter(values, dtype=float, count=len(values))
-    return array if np.isfinite(array).all() else None
-
-
-def _screen(raw_nodes: list, raw_edges: list, dim: int) -> tuple | None:
-    """The checked columns of a file's entries, read at C speed, or ``None``
-    when an entry may be faulty or holds an int where locadmm's schema-1
-    files hold a float. Raises nothing.
-
-    The columns are ``(ids, anchors, anchor_pos, with_pos, pos, i, j, d,
-    order)``: the node ids in entry order, the entry indices of the anchors
-    and their ``(A, dim)`` positions, the entry indices that give ``pos``
-    and their ``(P, dim)`` positions, the edge ends in entry order, the
-    ranges of the edge entries that give one, and the entry order that
-    sorts the edges as ``NetworkGraph.edge_list`` does.
-    """
-    num_nodes = len(raw_nodes)
-    if not (_all(raw_nodes, dict) and _all(raw_edges, dict)):
-        return None
-    ids = list(map(dict.get, raw_nodes, itertools.repeat("id")))
-    flags = list(map(dict.get, raw_nodes, itertools.repeat("anchor")))
-    ends = [list(map(dict.get, raw_edges, itertools.repeat(key))) for key in "ij"]
-    if not (_all(ids, int) and _all(flags, bool) and _all(ends[0] + ends[1], int)):
-        return None
-    try:
-        ids, i, j = (np.fromiter(x, dtype=np.intp, count=len(x)) for x in [ids, *ends])
-    except OverflowError:
-        return None
-    lo, hi = np.minimum(i, j), np.maximum(i, j)
-    # N ids in range are 0 .. N-1 exactly when each is counted
-    if not ((ids >= 0).all() and (ids < num_nodes).all()
-            and np.bincount(ids, minlength=num_nodes).all()
-            and (lo >= 0).all() and (lo < hi).all() and (hi < num_nodes).all()):
-        return None
-    order, ranked = _edge_order(lo, hi, num_nodes)
-    if not (ranked[1:] > ranked[:-1]).all():
-        return None
-
-    anchors = np.flatnonzero(flags)
-    with_pos = np.flatnonzero(list(map(dict.__contains__, raw_nodes, itertools.repeat("pos"))))
-    vectors = []
-    for key, rows in (("anchor_pos", anchors), ("pos", with_pos)):
-        vecs = list(map(dict.get, map(raw_nodes.__getitem__, rows.tolist()), itertools.repeat(key)))
-        if not (_all(vecs, list) and set(map(len, vecs)) <= {dim}):
-            return None
-        values = _floats(list(itertools.chain.from_iterable(vecs)))
-        if values is None:
-            return None
-        vectors.append(values.reshape(-1, dim))
-
-    d = list(map(dict.get, raw_edges, itertools.repeat("d")))
-    d = _floats(d if d.count(None) < len(d) else [])  # fails on a mix of None and numbers
-    if d is None or not (d >= 0).all():
-        return None
-    return ids, anchors, vectors[0], with_pos, vectors[1], i, j, d, order
-
-
-def _entries(raw_nodes: list, raw_edges: list, dim: int) -> tuple:
-    """``_screen``'s columns, read one entry at a time: the node entries,
-    then the edge entries, each entry's fields in the schema's order. So the
-    first ``ParseError`` raised names the first fault in file order."""
-    num_nodes = len(raw_nodes)
-    anchors, anchor_pos, with_pos, pos = [], [], [], []
-    ids: dict[int, int] = {}  # id -> its entry, in entry order
+    ids: set[int] = set()
+    anchors: dict[int, list[float]] = {}  # id -> anchor_pos, the mapping build takes
+    pos: dict[int, list[float]] = {}  # id -> pos
     for k, entry in enumerate(raw_nodes):
         where = f"nodes[{k}]"
         if type(entry) is not dict:
@@ -1092,16 +991,14 @@ def _entries(raw_nodes: list, raw_edges: list, dim: int) -> tuple:
             raise ParseError(f"{where}.id: ids must be dense 0-based integers, got {nid!r}")
         if nid in ids:
             raise ParseError(f"{where}.id: duplicate id {nid}")
-        ids[nid] = k
+        ids.add(nid)
         anchor = entry.get("anchor")
         if type(anchor) is not bool:
             raise ParseError(f"{where}.anchor: expected a boolean")
         if anchor:
-            anchors.append(k)
-            anchor_pos += _vector(entry.get("anchor_pos"), dim, f"{where}.anchor_pos")
+            anchors[nid] = _vector(entry.get("anchor_pos"), dim, f"{where}.anchor_pos")
         if "pos" in entry:
-            with_pos.append(k)
-            pos += _vector(entry["pos"], dim, f"{where}.pos")
+            pos[nid] = _vector(entry["pos"], dim, f"{where}.pos")
 
     i, j, d = [], [], []
     first: dict[tuple[int, int], int] = {}  # edge -> its first entry
@@ -1119,7 +1016,7 @@ def _entries(raw_nodes: list, raw_edges: list, dim: int) -> tuple:
             dk = _number(dk, f"{where}.d")
             if dk < 0:
                 raise ParseError(f"{where}.d: expected a finite non-negative number")
-        p = first.setdefault((min(a, b), max(a, b)), k)
+        p = first.setdefault((a, b) if a < b else (b, a), k)
         if p != k:
             if dk != d[p]:
                 raise ParseError(
@@ -1131,13 +1028,40 @@ def _entries(raw_nodes: list, raw_edges: list, dim: int) -> tuple:
         j.append(b)
         d.append(dk)
 
-    ids, anchors, with_pos, i, j = (
-        np.fromiter(x, dtype=np.intp, count=len(x)) for x in (ids, anchors, with_pos, i, j)
-    )
-    anchor_pos, pos = (np.array(x, dtype=float).reshape(-1, dim) for x in (anchor_pos, pos))
-    d = np.array([x for x in d if x is not None], dtype=float)
+    i, j = (np.fromiter(x, dtype=np.intp, count=len(x)) for x in (i, j))
     order, _ = _edge_order(np.minimum(i, j), np.maximum(i, j), num_nodes)
-    return ids, anchors, anchor_pos, with_pos, pos, i, j, d, order
+    if not anchors:
+        raise ParseError("nodes: at least one anchor entry is required")
+    graph = _graph(dim, num_nodes, anchors, np.stack([i, j], axis=1))
+
+    truth = None
+    if pos:
+        if len(pos) != num_nodes:
+            # the N ids are 0 .. N-1
+            missing = [n for n in range(num_nodes) if n not in pos]
+            raise ParseError(f"nodes: pos given for some nodes but missing for {missing}")
+        mat = np.array([pos[n] for n in range(num_nodes)])
+        lay = graph.layout
+        differs = (mat[lay.anchor_idx] != lay.anchor_pos).any(axis=1)
+        if differs.any():
+            k = int(lay.anchor_idx[np.argmax(differs)])
+            raise ParseError(f"nodes[{k}]: pos differs from anchor_pos")
+        truth = GroundTruth(mat)
+
+    measurements = None
+    ranges = [x for x in d if x is not None]
+    if ranges:
+        if len(ranges) != len(d):
+            raise ParseError("edges: d given for some edges but not all")
+        measurements = MeasurementSet(graph, np.array(ranges)[order])
+
+    return graph, truth, measurements
+
+
+def _all(values: list, kind: type) -> bool:
+    """Whether every entry of ``values`` is exactly of type ``kind``
+    (``bool`` is not ``int``), tested at C speed."""
+    return set(map(type, values)) <= {kind}
 
 
 def _number(x, where: str) -> float:

@@ -856,14 +856,12 @@ class TestFileRoundTrip:
         assert str(exc.value) == "nodes: at least one anchor entry is required"
 
     def test_overflowing_id_named(self, tmp_path):
-        # too large for an index array: the column screen declines the file,
-        # and the per-entry reader names the entry
+        # too large for an index array: the error names the entry
         doc = {
             "schema_version": 1, "dim": 2,
             "nodes": [{"id": 2**70, "anchor": True, "anchor_pos": [0.0, 0.0]}],
             "edges": [],
         }
-        assert network_module._screen(doc["nodes"], doc["edges"], 2) is None
         path = tmp_path / "huge.json"
         path.write_text(json.dumps(doc))
         with pytest.raises(ParseError) as exc:
@@ -1134,6 +1132,19 @@ def _reference_108():
     return graph, truth, measure(truth, graph, NoiseModel("additive-white", 0.02), seed=1)
 
 
+def _reference_dim3():
+    graph, truth = generate_rgg(60, 6, 0.4, dim=3, seed=5)
+    return graph, truth, measure(truth, graph, NoiseModel("range-dependent", 0.01), seed=2)
+
+
+def _instances_to_save():
+    """The N = 108 reference and a dim-3 instance, each with and without
+    truth and ranges."""
+    for graph, truth, meas in (_reference_108(), _reference_dim3()):
+        for args in [(truth, meas), (None, meas), (truth, None), (None, None)]:
+            yield graph, *args
+
+
 def _schema_2_text(doc, ranges: bool) -> str:
     """The schema-2 file of the instance in the schema-1 document ``doc``
     (nodes in id order, edges in edge-list order, as ``json_save_network``
@@ -1282,9 +1293,10 @@ def two_broken_entries(draw, doc):
 
 
 class TestLoadNetworkMatchesEntryLoader:
-    """The column loader loads what the per-entry loader loads, and rejects
-    every file it rejects with the same error: same type, same message,
-    naming the same first fault in file order."""
+    """``load_network`` loads every schema-1 file as the independent
+    per-entry loader does, and rejects every file it rejects with the same
+    error: same type, same message, naming the same first fault in file
+    order."""
 
     @staticmethod
     def same(doc_or_bytes, path):
@@ -1296,7 +1308,7 @@ class TestLoadNetworkMatchesEntryLoader:
         assert new == ref
         return new
 
-    def test_valid_files(self, fuzz_files, tmp_path):
+    def test_valid_files(self, fuzz_files):
         data, doc, path = fuzz_files
         assert len(self.same(data, path)) == 7
         # entries in any order, edges in either orientation
@@ -1306,10 +1318,43 @@ class TestLoadNetworkMatchesEntryLoader:
         assert len(self.same(doc, path)) == 7
         doc["edges"][3]["d"] = -0.0  # not below zero
         assert len(self.same(doc, path)) == 7
-        for instance in (_reference_108(), _valid_doc()):
-            for truth, meas in [(instance[1], instance[2]), (None, instance[2]), (None, None)]:
-                json_save_network(tmp_path / "net.json", instance[0], truth, meas)
-                assert len(self.same((tmp_path / "net.json").read_bytes(), path)) == 7
+
+    @pytest.mark.parametrize("instance", [_valid_doc, _reference_108, _reference_dim3],
+                             ids=["N6", "N108", "dim3"])
+    @pytest.mark.parametrize("with_truth", [True, False], ids=["truth", "blind"])
+    @pytest.mark.parametrize("with_ranges", [True, False], ids=["ranges", "no-ranges"])
+    def test_saved_files(self, tmp_path, instance, with_truth, with_ranges):
+        graph, truth, meas = instance()
+        path = tmp_path / "net.json"
+        json_save_network(path, graph, truth if with_truth else None, meas if with_ranges else None)
+        assert len(self.same(path.read_bytes(), path)) == 7
+
+    @pytest.mark.parametrize(
+        "where, key, value",
+        [
+            ("edges", "d", 1),
+            ("free-node", "pos", [1, 0]),
+            ("edges", "d", int(sys.float_info.max)),
+            ("free-node", "pos", [int(sys.float_info.max), -int(sys.float_info.max)]),
+            ("anchor-node", "pos", [-0.0, -0.0]),
+            ("edges", "d", -0.0),
+        ],
+        ids=["int-d", "int-pos", "max-int-d", "max-int-pos", "negative-zero-pos",
+             "negative-zero-d"],
+    )
+    def test_valid_hand_edits(self, fuzz_files, where, key, value):
+        # ints where the schema-1 writer writes floats, and negative zeros
+        _, doc, path = fuzz_files
+        doc = json.loads(json.dumps(doc))
+        if where == "edges":
+            entry = doc["edges"][2]
+        else:
+            anchor = where == "anchor-node"
+            entry = next(e for e in doc["nodes"] if e["anchor"] is anchor)
+            if anchor:
+                entry["anchor_pos"] = [0.0, 0.0]
+        entry[key] = value
+        assert len(self.same(doc, path)) == 7
 
     @FUZZ_SETTINGS
     @given(data=st.data())
@@ -1404,135 +1449,6 @@ class TestLoadNetworkMatchesEntryLoader:
         assert kind is ParseError and re.match(message, text)
 
 
-def _instances_to_save():
-    """The N = 108 reference and a dim-3 instance, each with and without
-    truth and ranges."""
-    graph3, truth3 = generate_rgg(60, 6, 0.4, dim=3, seed=5)
-    meas3 = measure(truth3, graph3, NoiseModel("range-dependent", 0.01), seed=2)
-    for graph, truth, meas in (_reference_108(), (graph3, truth3, meas3)):
-        for args in [(truth, meas), (None, meas), (truth, None), (None, None)]:
-            yield graph, *args
-
-
-class TestLoadNetworkScreens:
-    """``load_network`` reads a schema-1 file entry by entry (``_entries``)
-    only when its column screen (``_screen``) declines it; it declines no
-    file that locadmm wrote in schema 1."""
-
-    @staticmethod
-    def count_entry_reads(monkeypatch, refuse=False):
-        calls = []
-        entries = network_module._entries
-
-        def counted(*args):
-            if refuse:
-                raise AssertionError("_entries ran on a file that locadmm wrote")
-            calls.append(args)
-            return entries(*args)
-
-        monkeypatch.setattr(network_module, "_entries", counted)
-        return calls
-
-    def test_saved_files_take_no_per_entry_scan(self, tmp_path, monkeypatch):
-        self.count_entry_reads(monkeypatch, refuse=True)
-        path = tmp_path / "net.json"
-        for instance in _instances_to_save():
-            json_save_network(path, *instance)
-            assert len(TestLoadNetworkMatchesEntryLoader.same(path.read_bytes(), path)) == 7
-
-    @pytest.mark.parametrize(
-        "where, key, value, entry_reads",
-        [
-            ("edges", "d", 1, 1),
-            ("free-node", "pos", [1, 0], 1),
-            ("edges", "d", int(sys.float_info.max), 1),
-            ("free-node", "pos", [int(sys.float_info.max), -int(sys.float_info.max)], 1),
-            ("anchor-node", "pos", [-0.0, -0.0], 0),
-            ("edges", "d", -0.0, 0),
-        ],
-        ids=["int-d", "int-pos", "max-int-d", "max-int-pos", "negative-zero-pos",
-             "negative-zero-d"],
-    )
-    def test_valid_files_scanned_only_where_a_screen_fails(self, fuzz_files, monkeypatch,
-                                                          where, key, value, entry_reads):
-        _, doc, path = fuzz_files
-        doc = json.loads(json.dumps(doc))
-        if where == "edges":
-            entry = doc["edges"][2]
-        else:
-            anchor = where == "anchor-node"
-            entry = next(e for e in doc["nodes"] if e["anchor"] is anchor)
-            if anchor:
-                entry["anchor_pos"] = [0.0, 0.0]
-        entry[key] = value
-        calls = self.count_entry_reads(monkeypatch)
-        assert len(TestLoadNetworkMatchesEntryLoader.same(doc, path)) == 7
-        assert len(calls) == entry_reads
-
-
-def _screened(doc):
-    """``_screen``'s columns for the entries of ``doc`` (as ``json.load``
-    gives them), or ``None``; fails when the screen accepts entries that
-    ``_entries`` rejects, or reads other columns than ``_entries``."""
-    doc = json.loads(json.dumps(doc))
-    args = doc["nodes"], doc["edges"], doc["dim"]
-    screened = network_module._screen(*args)
-    try:
-        read = network_module._entries(*args)
-    except ParseError as exc:
-        assert screened is None, f"_screen accepted entries with a fault: {exc}"
-        return None
-    if screened is not None:
-        assert len(screened) == len(read)
-        for mine, theirs in zip(screened, read):
-            assert (mine.dtype, mine.shape) == (theirs.dtype, theirs.shape)
-            assert mine.tobytes() == theirs.tobytes()
-    return screened
-
-
-class TestScreenAgreesWithEntries:
-    """``_screen`` returns ``None`` or exactly the columns ``_entries``
-    returns, and never accepts entries ``_entries`` rejects."""
-
-    def test_valid_files(self, fuzz_files):
-        _, doc, _ = fuzz_files
-        assert _screened(doc) is not None
-        doc = json.loads(json.dumps(doc))
-        doc["nodes"].reverse()
-        doc["edges"] = [{"i": e["j"], "j": e["i"], "d": e["d"]} for e in doc["edges"][::-1]]
-        doc["edges"][3]["d"] = -0.0
-        assert _screened(doc) is not None
-        doc["edges"][2]["d"] = 1  # an int where json_save_network writes a float
-        assert _screened(doc) is None
-
-    @PROPERTY_SETTINGS
-    @given(network_documents())
-    def test_saved_documents(self, tmp_path_factory, instance):
-        path = tmp_path_factory.mktemp("screen") / "net.json"
-        json_save_network(path, *instance)
-        _screened(json.loads(path.read_bytes()))
-
-    @FUZZ_SETTINGS
-    @given(data=st.data())
-    def test_one_broken_entry(self, fuzz_files, data):
-        _, doc, _ = fuzz_files
-        where = data.draw(st.sampled_from(["nodes", "edges"]), label="where")
-        k = data.draw(st.integers(0, len(doc[where]) - 1), label="entry")
-        _screened(data.draw(broken_entry(doc, where, k)))
-
-    @FUZZ_SETTINGS
-    @given(data=st.data())
-    def test_two_broken_entries(self, fuzz_files, data):
-        _, doc, _ = fuzz_files
-        _screened(data.draw(two_broken_entries(doc)))
-
-    @FUZZ_SETTINGS
-    @given(data=st.data())
-    def test_two_faults_in_one_entry(self, fuzz_files, data):
-        _, doc, _ = fuzz_files
-        where = data.draw(st.sampled_from(["nodes", "edges"]), label="where")
-        k = data.draw(st.integers(0, len(doc[where]) - 1), label="entry")
-        _screened(data.draw(broken_entry(data.draw(broken_entry(doc, where, k)), where, k)))
 
 
 # -- schema 2 ------------------------------------------------------------------
