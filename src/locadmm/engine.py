@@ -1,4 +1,4 @@
-"""What the solvers hand their callers, the loop that drives one solve, and
+"""What the solvers hand their callers, the loop that drives every solve, and
 the per-iteration finite checks.
 
 Both solvers advance every node at once: each per-edge field is one
@@ -13,10 +13,10 @@ array handed out (to a hook, or in a :class:`RunResult`) or passed in as a
 start is never written afterwards, and a product one iteration carries into
 the next (the full solver's gathered ``p``, the low-storage solver's
 ``d u``) is read, never written. Each solver's iteration is one generator
-of iterates, which :func:`drive` runs for a single solve and
-:mod:`locadmm.grid` for a grid of cells stacked as copies of the graph.
-The generators leave NumPy's error state to these callers, which advance
-them under :func:`quiet_fp`; hooks run in the caller's own state.
+of iterates, which :func:`drive`, the one loop, runs under :func:`quiet_fp`
+for a single solve and for a grid of cells stacked as copies of the graph
+alike. It keeps no iterate: each caller keeps what it reads of the previous
+one, and hooks run in the caller's own state (:func:`hook_record`).
 
 Every iterate of every solve is checked for NaN and infinite values. The
 check first tests each field with :func:`all_finite`, one self-dot
@@ -114,35 +114,37 @@ def check_finite(t: int, src: np.ndarray, p: np.ndarray, **edge_fields: np.ndarr
     raise NonFiniteValue(f"non-finite {field} at node {node}, iteration {t}")
 
 
-def drive(
-    steps: Iterator, iters: int, src: np.ndarray, hook: Optional[Hook], view, comm_scalars: int
-) -> dict:
-    """Run one solve: take ``iters`` iterates from a solver's ``steps``,
-    check each with :func:`check_finite`, and hand it to ``hook``, after an
-    iteration-0 event with the start's ``view``. Returns the last iterate's
-    fields.
-
-    ``steps`` yields, per iteration, the state fields by name (``p`` first,
-    then the edge fields in the order a divergence is reported in), the
-    ``EdgeStates`` view and the half-step blocks, the last two ``None``
-    when the solver was asked for no views. The solver runs under
-    :func:`quiet_fp`, entered once for a solve without a hook; a hook runs
-    in the caller's floating-point error state.
-    """
-    if hook is None:
-        with quiet_fp():
-            for t in range(1, iters + 1):
-                fields, _, _ = next(steps)
-                check_finite(t, src, **fields)
-        return fields
-    hook(IterationEvent(0, view, None, None, 0))
-    for t in range(1, iters + 1):
-        with quiet_fp():
-            fields, now, ztilde = next(steps)
-        check_finite(t, src, **fields)
-        hook(IterationEvent(t, now, view, ztilde, comm_scalars))
-        view = now
+def drive(steps: Iterator, iters: int, check: Callable, record: Optional[Callable]) -> dict:
+    """The loop of every solve: take ``iters`` iterates from a solver's
+    ``steps`` under :func:`quiet_fp`, holding none once the next is made.
+    Per iteration ``steps`` yields the state fields by name (``p`` first,
+    then the edge fields in the order a divergence is reported in), passed
+    to ``check(t, fields)``, and the ``EdgeStates`` view and half-step
+    blocks (``None`` when the solver was asked for no views), passed to
+    ``record(t, view, half)`` unless it is None. Returns the last fields."""
+    with quiet_fp():
+        for t in range(1, iters + 1):
+            fields, view, half = next(steps)
+            check(t, fields)
+            if record is not None:
+                record(t, view, half)
     return fields
+
+
+def hook_record(hook: Hook, view, comm_scalars: int) -> Callable:
+    """The ``record`` that hands a solve to ``hook``: the iteration-0 event
+    with the start's ``view`` at once, then one per iterate, ``states_prev``
+    the previous event's ``states``, in this call's floating-point state."""
+    caller = np.geterr()
+    hook(IterationEvent(0, view, None, None, 0))
+
+    def record(t: int, now, half) -> None:
+        nonlocal view
+        with np.errstate(**caller):
+            hook(IterationEvent(t, now, view, half, comm_scalars))
+        view = now
+
+    return record
 
 
 def finite_copies(copies: int, arrays) -> np.ndarray:

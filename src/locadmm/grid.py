@@ -21,7 +21,8 @@ from typing import Optional
 import numpy as np
 
 from .diagnostics import IterationTrace, MetricPass, TraceRow, directions
-from .engine import RunResult, finite_copies, quiet_fp
+from .engine import RunResult, drive, finite_copies, quiet_fp
+from .errors import InvalidParameter
 from .network import GroundTruth, MeasurementSet, NetworkGraph
 from .solver_full import (
     InitSpec,
@@ -75,6 +76,8 @@ def run_grid(
     edge rows; a result's arrays are views into its batch's arrays.
     """
     check_run(graph, iters)
+    if algo not in ("full", "lite"):
+        raise InvalidParameter(f"algo must be 'full' or 'lite', got {algo!r}")
     metrics = ("F",) if truth is None else ("rmse", "F")
     # as few batches as the budget allows, of as even a size as they can be
     most = max(1, GRID_ROWS // max(graph.layout.num_edges, 1))
@@ -97,30 +100,27 @@ def _run_batch(algo, graph, measurements, cells, init, iters, truth, metrics):
     measure = MetricPass(metrics, layout=lay, d=d, c=c, rho=rho, truth=truth)
     comm_scalars = 2 * graph.dim * base.num_edges
     traces = [IterationTrace() for _ in cells]
+    ok, prev = np.ones(copies, dtype=bool), None
 
-    def record(t: int, now: EdgeStates, prev: Optional[EdgeStates]) -> np.ndarray:
-        """Append every copy's row for iteration ``t``; which copies' metrics
-        are finite."""
+    def check(t: int, fields: dict) -> None:
+        ok[~finite_copies(copies, fields.values())] = False
+
+    def record(t: int, now: EdgeStates, half=None) -> None:
+        """Append every copy's row for iteration ``t``, mask the copies
+        whose metrics are not finite, and keep of ``now`` only its
+        directions, all that the next metric pass reads of it."""
+        nonlocal prev
         with quiet_fp():
             values = measure(now, prev)
         for k, trace in enumerate(traces):
             row = {name: float(v[k]) for name, v in values.items()}
             trace.rows.append(TraceRow(t, comm_scalars=comm_scalars if t else 0, **row))
-        return finite_copies(copies, values.values())
+        ok[~finite_copies(copies, values.values())] = False
+        prev = directions(now.u)
 
-    ok = record(0, view, None)
-    for t in range(1, iters + 1):
-        # The metrics read only the directions of the previous snapshot, so
-        # the rest of the previous iterate is freed before the metric pass.
-        # Driving the grid through engine.drive, which keeps the whole
-        # previous view for states_prev, made sweep-108 grids 2.6-3.4%
-        # slower for lite and 5.6-8.8% slower for full (in-process A/B,
-        # 2-core Xeon).
-        prev = directions(view.u)
-        with quiet_fp():
-            fields, view, _ = next(steps)
-        ok &= finite_copies(copies, fields.values())
-        ok &= record(t, view, prev)
+    record(0, view)
+    del view  # held no longer than the views drive hands to record
+    fields = drive(steps, iters, check, record)
 
     n, e = base.num_nodes, base.num_edges
     for k, (params, seed) in enumerate(cells):

@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .engine import RunResult, drive
+from .engine import RunResult, check_finite, drive, hook_record
 from .errors import (
     DisconnectedGraph,
     InvalidInit,
@@ -299,7 +299,8 @@ def run_full(
     c, rho, d = params.c, params.rho, measurements.edge_ranges(graph)
     coef = EdgeCoefficients.held(measurements, lay, d, c, rho)
     steps = full_steps(lay, coef, start, views=hook is not None)
-    last = drive(steps, iters, lay.src, hook, start, 2 * graph.dim * lay.num_edges)
+    record = None if hook is None else hook_record(hook, start, 2 * graph.dim * lay.num_edges)
+    last = drive(steps, iters, lambda t, fields: check_finite(t, lay.src, **fields), record)
     return RunResult(states=full_states(lay.offsets, last), estimates=last["p"].copy())
 
 
@@ -321,11 +322,10 @@ def full_steps(lay: EdgeLayout, coef: EdgeCoefficients, start: EdgeStates, views
     ``lay`` may be a :meth:`~locadmm.network.EdgeLayout.stack` layout, with
     ``coef`` and ``start`` stacked to match: every copy then advances as it
     would alone. The iterates never write an array of ``start``, of
-    ``coef`` or one they have yielded. Callers drive it under
-    :func:`~locadmm.engine.quiet_fp`, as :func:`~locadmm.engine.drive`
-    does, so a divergence is left to the finite check. It reads ``coef``
-    when called, so a solve builds its coefficients before its iteration-0
-    hook, as set-up, not in its first iteration.
+    ``coef`` or one they have yielded. :func:`~locadmm.engine.drive` runs
+    it under :func:`~locadmm.engine.quiet_fp`, leaving a divergence to the
+    finite check. It reads ``coef`` when called: a solve builds its
+    coefficients as set-up, before its iteration-0 hook.
     """
     src, rev, offsets = lay.src, lay.rev, lay.offsets
     d_u, d_rho, denom = coef.d, coef.d_rho, coef.denom

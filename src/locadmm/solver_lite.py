@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .engine import RunResult, drive, quiet_fp
+from .engine import RunResult, check_finite, drive, hook_record, quiet_fp
 from .errors import InvalidInit, MissingMessage
 from .network import EdgeLayout, MeasurementSet, NetworkGraph
 from .solver_full import (
@@ -34,6 +34,7 @@ from .structured_ops import (
     FullNodeState,
     NodeBlockVector,
     PenaltyParams,
+    check_kind,
     check_layout,
     edge_rows,
     project_ball,
@@ -85,11 +86,12 @@ class LiteStates(Sequence):
 
     @classmethod
     def of(cls, states, layout: EdgeLayout) -> "LiteStates":
-        """``states`` if stacked, else its per-node states stacked. Either
-        way node ``i`` must own ``layout.degrees[i]`` rows of every edge
-        field (:class:`~locadmm.errors.InvalidInit` otherwise)."""
+        """``states`` if stacked, else its :class:`LiteNodeState` entries
+        stacked; either way with ``layout.degrees[i]`` rows of every edge
+        field at node ``i`` (:class:`~locadmm.errors.InvalidInit` otherwise)."""
         if isinstance(states, cls):
             return check_layout(states, states.offsets, layout)
+        check_kind(states, cls, LiteNodeState)
         u, lam, alpha, beta, d = (
             edge_rows([getattr(s, f) for s in states], layout.offsets, f)
             for f in ("u", "lam", "alpha", "beta", "d")
@@ -282,7 +284,8 @@ def run_lite(
         view = None if hook is None else start_view(lay, start, c)
     coef = EdgeCoefficients.held(measurements, lay, d, c, rho)
     steps = lite_steps(lay, coef, start, views=hook is not None)
-    last = drive(steps, iters, lay.src, hook, view, 2 * graph.dim * lay.num_edges)
+    record = None if hook is None else hook_record(hook, view, 2 * graph.dim * lay.num_edges)
+    last = drive(steps, iters, lambda t, fields: check_finite(t, lay.src, **fields), record)
     return RunResult(states=LiteStates(lay.offsets, d=d, **last), estimates=last["p"].copy())
 
 
@@ -308,10 +311,10 @@ def lite_steps(lay: EdgeLayout, coef: EdgeCoefficients, start, views: bool):
     ``lay`` may be a :meth:`~locadmm.network.EdgeLayout.stack` layout, with
     ``coef`` and ``start`` stacked to match: every copy then advances as it
     would alone. The iterates never write an array of ``start``, of
-    ``coef`` or one they have yielded. Callers drive it under
-    :func:`~locadmm.engine.quiet_fp`, as :func:`~locadmm.engine.drive`
-    does, so a divergence is left to the finite check. As
-    :func:`~locadmm.solver_full.full_steps`, it reads ``coef`` when called.
+    ``coef`` or one they have yielded. :func:`~locadmm.engine.drive` runs
+    it under :func:`~locadmm.engine.quiet_fp`, leaving a divergence to the
+    finite check; as :func:`~locadmm.solver_full.full_steps`, it reads
+    ``coef`` when called.
     """
     src, rev = lay.src, lay.rev
     d_u, d_rho, d_rho_scale, denom = coef.d, coef.d_rho, coef.d_rho_scale, coef.denom

@@ -117,6 +117,16 @@ def check_layout(stacked, offsets: np.ndarray, layout: Optional[EdgeLayout]):
     raise InvalidInit("stacked rows do not match the node degrees")
 
 
+def check_kind(states, stacked: type, kind: type) -> None:
+    """Raise :class:`~locadmm.errors.InvalidInit` unless every entry of
+    ``states`` is a ``kind``, naming the forms expected (``stacked``, or a
+    ``kind`` per node): so the other solver's states are refused."""
+    for s in states:
+        if not isinstance(s, kind):
+            raise InvalidInit(f"expected {stacked.__name__} or a {kind.__name__} per node, "
+                              f"got {type(s).__name__}")
+
+
 @dataclass(frozen=True, eq=False)
 class EdgeBlocks(Sequence):
     """Every node's block stacked: ``p`` has a row per node, ``z_minus`` and
@@ -190,6 +200,7 @@ class EdgeStates(Sequence):
         """As :meth:`EdgeBlocks.of`, for states."""
         if isinstance(states, cls):
             return check_layout(states, states.blocks.offsets, layout)
+        check_kind(states, cls, FullNodeState)
         blocks = EdgeBlocks.of([s.block for s in states], layout)
         u, lam = (edge_rows([getattr(s, f) for s in states], blocks.offsets, f)
                   for f in ("u", "lam"))
