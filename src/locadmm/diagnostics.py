@@ -376,11 +376,19 @@ def sublinear_envelope_check(gap_values: Sequence[float], tol: float = 0.05) -> 
     running maximum over the second half of the run must not exceed the
     first-half maximum by more than ``tol``; a non-vanishing gap makes the
     envelope grow linearly and fails the check. ``epsilon2`` reports the
-    fitted envelope constant ``max_T m(T) (T-1)``.
+    fitted envelope constant ``max_T m(T) (T-1)``. A gap is a non-negative
+    number: ``InvalidParameter`` names the first NaN, infinite or negative
+    value, which would otherwise come out as a NaN report or a false pass.
     """
     gaps = np.asarray(gap_values, dtype=float)
     if gaps.ndim != 1 or gaps.shape[0] < 4:
         raise InvalidParameter("need at least 4 gap values")
+    bad = np.flatnonzero(~np.isfinite(gaps) | (gaps < 0.0))
+    if bad.size:
+        k = bad[0]
+        raise InvalidParameter(
+            f"gap_values[{k}] must be finite and non-negative, got {float(gaps[k])!r}"
+        )
     running_min = np.minimum.accumulate(gaps)
     t = np.arange(1, gaps.shape[0] + 1)
     envelope = running_min * (t - 1)

@@ -66,14 +66,19 @@ def run_grid(
     truth: Optional[GroundTruth] = None,
 ) -> Iterator[CellRun]:
     """Run solver ``algo`` (``"full"`` or ``"lite"``) from ``init`` for
-    ``iters`` iterations at every ``(params, seed)`` cell, and yield the
-    cells in order.
+    ``iters`` iterations at every ``(params, seed)`` cell, and return an
+    iterator over the cells in order.
 
     Each result equals ``run_full``/``run_lite`` on that cell bit for bit,
     and its trace equals what a :class:`~locadmm.diagnostics.TraceRecorder`
     of ``rmse`` and ``F`` records on that run, or of ``F`` alone without
     ``truth``. The cells run in batches of at most :data:`GRID_ROWS` stacked
     edge rows; a result's arrays are views into its batch's arrays.
+
+    The call itself checks the arguments and builds the first batch's
+    start, so a bad argument or a start that cannot be built raises from
+    it; a batch runs, and a later batch is built, only when its first cell
+    is drawn.
     """
     check_run(graph, iters)
     if algo not in ("full", "lite"):
@@ -82,21 +87,28 @@ def run_grid(
     # as few batches as the budget allows, of as even a size as they can be
     most = max(1, GRID_ROWS // max(graph.layout.num_edges, 1))
     size = math.ceil(len(cells) / math.ceil(len(cells) / most)) if cells else 1
-    for first in range(0, len(cells), size):
+    groups = [cells[first:first + size] for first in range(0, len(cells), size)]
+    built = [_batch(algo, graph, measurements, groups[0], init)] if groups else []
+    return _cells(algo, graph, measurements, groups, init, iters, truth, metrics, built)
+
+
+def _cells(algo, graph, measurements, groups, init, iters, truth, metrics, built):
+    """The cells of every group, each group run as one batch: the first
+    batch is the one in ``built``, each later one is built when it is
+    reached. A batch is handed over without a name here, so that
+    ``_run_batch`` holds the only reference to it and can drop its view."""
+    for cells in groups:
         yield from _run_batch(
-            algo, graph, measurements, cells[first:first + size], init, iters, truth, metrics
+            algo, graph, measurements, cells, iters, truth, metrics,
+            built.pop() if built else _batch(algo, graph, measurements, cells, init),
         )
 
 
-def _run_batch(algo, graph, measurements, cells, init, iters, truth, metrics):
+def _run_batch(algo, graph, measurements, cells, iters, truth, metrics, batch):
     base = graph.layout
     copies = len(cells)
-    lay = base.stack(copies)
+    lay, d, c, rho, view, steps = batch
     d_one = measurements.edge_ranges(graph)
-    d = np.tile(d_one, copies)
-    c = np.array([params.c for params, _ in cells])
-    rho = np.array([params.rho for params, _ in cells])
-    view, steps = _start(algo, graph, cells, init, lay, d, c, rho)
     measure = MetricPass(metrics, layout=lay, d=d, c=c, rho=rho, truth=truth)
     comm_scalars = 2 * graph.dim * base.num_edges
     traces = [IterationTrace() for _ in cells]
@@ -119,7 +131,7 @@ def _run_batch(algo, graph, measurements, cells, init, iters, truth, metrics):
         prev = directions(now.u)
 
     record(0, view)
-    del view  # held no longer than the views drive hands to record
+    del batch, view  # held no longer than the views drive hands to record
     fields = drive(steps, iters, check, record)
 
     n, e = base.num_nodes, base.num_edges
@@ -136,6 +148,17 @@ def _run_batch(algo, graph, measurements, cells, init, iters, truth, metrics):
             )
             result = RunResult(states=states, estimates=own["p"].copy(), trace=traces[k])
         yield CellRun(params, seed, result)
+
+
+def _batch(algo, graph, measurements, cells, init) -> tuple:
+    """A batch of ``cells``, built: the layout stacking one copy per cell,
+    the ranges and each copy's penalties on it, and :func:`_start`'s
+    iteration-0 view and iterates."""
+    lay = graph.layout.stack(len(cells))
+    d = np.tile(measurements.edge_ranges(graph), len(cells))
+    c = np.array([params.c for params, _ in cells])
+    rho = np.array([params.rho for params, _ in cells])
+    return (lay, d, c, rho, *_start(algo, graph, cells, init, lay, d, c, rho))
 
 
 def _start(algo, graph, cells, init, lay, d, c, rho) -> tuple:

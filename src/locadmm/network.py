@@ -440,6 +440,10 @@ class MeasurementSet:
     # the solvers' coefficients at the latest penalties, one entry at most
     # (structured_ops.EdgeCoefficients.held)
     _coefficients: dict = field(default_factory=dict, init=False, repr=False)
+    # the JSON text of d in the file load_network read it from, which
+    # save_network writes again instead of spelling every range anew; it
+    # holds only while d, read-only, keeps the values the text spells
+    _d_text: str | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         d, edges = np.array(self.d, dtype=float), self.graph.layout.forward.size
@@ -749,8 +753,12 @@ def save_network(
 
     Each array is one ``json.dumps`` call, which runs in C: a float is
     spelled by ``float.__repr__``, and NaN and the infinities as ``NaN``,
-    ``Infinity`` and ``-Infinity``. Files of schema 2 cannot be read by
-    locadmm versions that read only schema 1.
+    ``Infinity`` and ``-Infinity``. The ranges of a set that
+    :func:`load_network` read from a schema-2 file are the one exception:
+    they are written as the text that file spelled them in (see
+    ``_d_text``), which loads back to the same floats bit for bit, and
+    which for a file this function wrote is that same spelling. Files of
+    schema 2 cannot be read by locadmm versions that read only schema 1.
     """
     if measurements is not None:
         measurements._check(graph)
@@ -764,10 +772,11 @@ def save_network(
             )
         columns["pos"] = truth.positions
     columns["i"], columns["j"] = lay.src[lay.forward], lay.dst[lay.forward]
-    if measurements is not None:
-        columns["d"] = measurements.d
     lines = [f'"schema_version": {SCHEMA_VERSION}', f'"dim": {dim}', f'"num_nodes": {n}']
     lines += [f'"{key}": {json.dumps(x.ravel().tolist())}' for key, x in columns.items()]
+    if measurements is not None:
+        d_text = measurements._d_text
+        lines.append(f'"d": {json.dumps(measurements.d.tolist()) if d_text is None else d_text}')
     write_text(path, "{\n " + ",\n ".join(lines) + "\n}\n")
 
 
@@ -825,7 +834,8 @@ def load_network(path):
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            text = fh.read()
+        doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"not valid JSON: line {exc.lineno} col {exc.colno}") from exc
     except (ValueError, RecursionError) as exc:  # bad UTF-8, over-long integers, deep nesting
@@ -841,7 +851,7 @@ def load_network(path):
     dim = doc.get("dim")
     if type(dim) is not int or dim not in (2, 3):
         raise ParseError(f"dim: expected 2 or 3, got {dim!r}")
-    return (_schema_1 if version == 1 else _schema_2)(doc, dim)
+    return _schema_1(doc, dim) if version == 1 else _schema_2(doc, dim, text)
 
 
 def _graph(dim: int, num_nodes: int, anchors: Mapping, pairs: np.ndarray) -> NetworkGraph:
@@ -854,10 +864,12 @@ def _graph(dim: int, num_nodes: int, anchors: Mapping, pairs: np.ndarray) -> Net
     return graph
 
 
-def _schema_2(doc: dict, dim: int) -> tuple:
-    """The instance of a schema-2 document. The checks run key by key, in
-    the schema's order, and each names the key and the first index that
-    fails it in its ``ParseError``."""
+def _schema_2(doc: dict, dim: int, text: str) -> tuple:
+    """The instance of a schema-2 document, parsed from ``text``. The checks
+    run key by key, in the schema's order, and each names the key and the
+    first index that fails it in its ``ParseError``. The ranges keep their
+    text (:func:`_d_text`) when the file lists the edges in edge-list
+    order, as every file ``save_network`` writes does."""
     num_nodes = doc.get("num_nodes")
     # below 2**31, an edge's key lo * num_nodes + hi fits in 64 bits
     if type(num_nodes) is not int or not 1 <= num_nodes < 2**31:
@@ -889,7 +901,7 @@ def _schema_2(doc: dict, dim: int) -> tuple:
         k = loops[0]
         raise ParseError(f"i[{k}], j[{k}]: self-loop at node {i[k]}")
     order, keys = _edge_order(np.minimum(i, j), np.maximum(i, j), num_nodes)
-    k = _first_repeat(order, keys)
+    k = None if order is None else _first_repeat(order, keys)
     if k is not None:
         raise ParseError(f"i[{k}], j[{k}]: repeated edge ({i[k]},{j[k]})")
 
@@ -898,9 +910,35 @@ def _schema_2(doc: dict, dim: int) -> tuple:
     anchor_map = dict(zip(anchors.tolist(), anchor_pos))
     graph = _graph(dim, num_nodes, anchor_map, np.stack([i, j], axis=1))
     truth = None if pos is None else GroundTruth(pos)
-    # as in schema 1, a graph without edges carries no ranges
-    measurements = MeasurementSet(graph, d[order]) if d is not None and d.size else None
+    measurements = None
+    if d is not None and d.size:  # as in schema 1, a graph without edges carries no ranges
+        measurements = MeasurementSet(graph, d if order is None else d[order])
+        if order is None:
+            object.__setattr__(measurements, "_d_text", _d_text(doc, text))
     return graph, truth, measurements
+
+
+def _d_text(doc: dict, text: str) -> str | None:
+    r"""The text that spells ``doc["d"]`` in the file ``text`` it was parsed
+    from, or ``None`` unless the file's layout proves it without a second
+    parse: ``d`` is the document's last key, the text ends ``]\n}\n``, and
+    the span from the last ``\n "d": `` to that end holds no ``"``.
+
+    A JSON string holds no raw newline, so the ``"d"`` after that newline
+    is a key, and with no ``"`` after it, the last key in the text. As
+    ``d`` is the document's last key and its value a list of numbers (the
+    caller has checked it), that key is the top-level ``d``, not one
+    nested in an earlier member, and the span is the text of its value,
+    the one ``json.loads`` keeps, with any whitespace before it.
+    """
+    key = '\n "d": '
+    if next(reversed(doc)) != "d" or not text.endswith("]\n}\n"):
+        return None
+    start = text.rfind(key)
+    if start < 0:
+        return None
+    span = text[start + len(key):-len("\n}\n")]
+    return None if '"' in span else span
 
 
 def _ids(doc: dict, key: str, num_nodes: int, size: int | None = None) -> np.ndarray:
@@ -949,11 +987,11 @@ def _edge_order(lo: np.ndarray, hi: np.ndarray, num_nodes: int) -> tuple:
     """The stable order that sorts the edges ``(lo[k], hi[k])`` as
     ``NetworkGraph.edge_list`` does, and their keys ``lo * num_nodes + hi``
     in that order. When the keys already increase strictly, as in every
-    file ``save_network`` writes, one pass shows it, and the order is the
-    identity without a sort."""
+    file ``save_network`` writes, one pass shows it, and the order is
+    ``None``, the identity: no sort, and no repeated edge."""
     keys = lo * num_nodes + hi
     if (keys[1:] > keys[:-1]).all():
-        return np.arange(keys.size), keys
+        return None, keys
     order = _pair_order(lo, hi, num_nodes)
     return order, keys[order]
 
@@ -1053,7 +1091,8 @@ def _schema_1(doc: dict, dim: int) -> tuple:
     if ranges:
         if len(ranges) != len(d):
             raise ParseError("edges: d given for some edges but not all")
-        measurements = MeasurementSet(graph, np.array(ranges)[order])
+        ranges = np.array(ranges)
+        measurements = MeasurementSet(graph, ranges if order is None else ranges[order])
 
     return graph, truth, measurements
 

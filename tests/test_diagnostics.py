@@ -1,3 +1,4 @@
+import math
 import re
 from dataclasses import replace
 
@@ -381,6 +382,24 @@ class TestEnvelope:
     def test_too_short_rejected(self):
         with pytest.raises(InvalidParameter):
             dg.sublinear_envelope_check([1.0, 0.5])
+
+    @pytest.mark.parametrize(
+        "gaps, message",
+        [
+            # a NaN gap gave epsilon2 = nan and growth_ratio = nan, silently
+            ([1.0, 0.5, math.nan, 0.2, 0.1, 0.05], "gap_values[2] must be finite and non-negative, got nan"),
+            ([1.0, 0.5, 0.3, 0.2, 0.1, math.inf], "gap_values[5] must be finite and non-negative, got inf"),
+            ([-math.inf, 0.5, 0.3, 0.2], "gap_values[0] must be finite and non-negative, got -inf"),
+            ([1.0, -1e-300, math.nan, 0.2], "gap_values[1] must be finite and non-negative, got -1e-300"),
+        ],
+    )
+    def test_gaps_that_are_not_finite_or_negative_rejected(self, gaps, message):
+        with pytest.raises(InvalidParameter, match=f"^{re.escape(message)}$"):
+            dg.sublinear_envelope_check(gaps)
+
+    def test_zero_and_negative_zero_gaps_accepted(self):
+        report = dg.sublinear_envelope_check([1.0, 0.5, -0.0, 0.0, 0.0])
+        assert report.bounded and report.epsilon2 == 0.5
 
 
 class TestTrace:

@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import warnings
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -1699,3 +1700,170 @@ class TestEdgeOrder:
         _, _, loaded = load_network(path)
         assert calls == [len(graph.edge_list), graph.layout.num_edges]
         assert loaded.d.tobytes() == meas.d.tobytes()
+
+
+# -- the ranges' own text ------------------------------------------------------
+
+
+def _spellings(x: float) -> list[str]:
+    """JSON spellings of the non-negative float ``x``: its repr, the same
+    digits with an exponent (``1e-1``, ``1E-1``), with trailing zeros, and
+    as an integer when ``x`` is one (``-0.0`` then becomes ``0``)."""
+    short = repr(x)
+    exponent = format(Decimal(short), "e")
+    out = [short, exponent, exponent.upper()]
+    if "e" not in short:
+        out.append(short + "000")
+    if x.is_integer():
+        out.append(str(int(x)))
+    return out
+
+
+RANGE_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, 0.1, 0.5, 5e-324, 1e-310, 2.0**53 + 2, 1e308]),
+    st.floats(0.0, 10.0),
+)
+
+# what may come after the range column's member, or before it; the first
+# three leave d the document's last key
+EXTRAS = [None, "d repeated just before", "decoy", "key after d", "d first", "d repeated first"]
+
+
+@st.composite
+def range_files(draw):
+    """A valid schema-2 file of a random graph, ranges spelled in any of
+    ``_spellings``, edges in edge-list order or shuffled, each in either
+    orientation, laid out one key per line as ``save_network`` writes, with
+    ``d`` on the line of the key before it, or on one line as ``json.dump``
+    writes; possibly a key after ``d``, ``d`` before ``i``, a repeated
+    ``d`` (just before the last one, or before ``anchors``), or an earlier
+    member holding a nested ``\\n "d": [``. Returns the text, the instance's ranges and
+    truth, and the text of ``d`` that ``load_network`` should keep, or
+    ``None`` where one of its conditions fails."""
+    graph, _, rng = draw(graphs(max_nodes=8))
+    edges = graph.edge_list
+    spelled = [draw(st.sampled_from(_spellings(x)))
+               for x in draw(st.lists(RANGE_VALUES, min_size=len(edges), max_size=len(edges)))]
+    # each file breaks at most one of the layout's conditions for keeping
+    # the text; the edge order, the spellings, the orientation and the
+    # whitespace before and inside the array vary on their own
+    broken = draw(st.sampled_from([None, "layout", "last key", "end"]))
+    order = list(range(len(edges)))
+    if draw(st.booleans()):
+        order = draw(st.permutations(order))
+    flips = draw(st.lists(st.booleans(), min_size=len(edges), max_size=len(edges)))
+    i = [edges[k][flip] for k, flip in zip(order, flips)]
+    j = [edges[k][1 - flip] for k, flip in zip(order, flips)]
+    sep = draw(st.sampled_from([", ", ",", " ,  ", ",\n  "]))
+    lead = draw(st.sampled_from(["", " ", "\n  "]))
+    tail = " " if broken == "end" else ""
+    d_text = lead + "[" + sep.join(spelled[k] for k in order) + "]" + tail
+    lay = graph.layout
+    members = [
+        ('"schema_version"', "2"), ('"dim"', str(graph.dim)), ('"num_nodes"', str(graph.num_nodes)),
+        ('"anchors"', json.dumps(lay.anchor_idx.tolist())),
+        ('"anchor_pos"', json.dumps(lay.anchor_pos.ravel().tolist())),
+        ('"i"', json.dumps(i)), ('"j"', json.dumps(j)),
+    ]
+    extra = draw(st.sampled_from(EXTRAS[3:] if broken == "last key" else EXTRAS[:3]))
+    early = {"d first": ('"d"', d_text), "d repeated first": ('"d"', "[true]"),
+             "decoy": ('"note"', '{\n "d": [0.5]}')}
+    if extra in early:
+        members.insert(3, early[extra])
+    if extra == "d repeated just before":
+        members.append(('"d"', '[null, "x"]'))
+    if extra != "d first":
+        members.append(('"d"', d_text))
+    if extra == "key after d":
+        members.append(('"x"', "0"))
+    entries = [f"{key}: {value}" for key, value in members]
+    layout = draw(st.sampled_from(["d joined", "json.dump"])) if broken == "layout" else "lines"
+    if layout == "json.dump":
+        text = "{" + ", ".join(entries) + "}"
+    elif layout == "d joined":
+        text = "{\n " + ",\n ".join(entries[:-1]) + ", " + entries[-1] + "\n}\n"
+    else:
+        text = "{\n " + ",\n ".join(entries) + "\n}\n"
+
+    kept = (
+        layout == "lines"  # the text ends "\n}\n" and d follows "\n "
+        and extra in EXTRAS[:3]  # d is the last key
+        and tail == ""  # the text ends "]\n}\n"
+        and order == sorted(order)  # the edges come in edge-list order
+    )
+    ranges = np.array([float(json.loads(s)) for s in spelled])
+    positions = rng.uniform(-1.0, 1.0, (graph.num_nodes, graph.dim))
+    positions[lay.anchor_idx] = lay.anchor_pos
+    return text, ranges, GroundTruth(positions), d_text if kept else None
+
+
+def _d_line(path) -> str:
+    """The text of a network file from its range column's key to its end."""
+    text = path.read_text()
+    return text[text.rindex('"d": '):]
+
+
+class TestRangeText:
+    """``load_network`` keeps the text of a schema-2 file's ranges when the
+    file proves it, and ``save_network`` writes that text again: for every
+    file locadmm writes the same bytes, for any other file the same floats."""
+
+    @PROPERTY_SETTINGS
+    @given(range_files())
+    def test_estimates_repeat_the_ranges(self, tmp_path_factory, case):
+        text, ranges, truth, kept = case
+        root = tmp_path_factory.mktemp("ranges")
+        (root / "net.json").write_text(text)
+        graph, _, meas = load_network(root / "net.json")
+        assert meas.d.tobytes() == ranges.tobytes()
+        assert meas._d_text == kept  # kept exactly when the file's layout proves it
+        save_network(root / "est.json", graph, truth, meas)
+        spelled = json.dumps(ranges.tolist()) if kept is None else kept
+        assert _d_line(root / "est.json") == f'"d": {spelled}\n}}\n'
+        again = load_network(root / "est.json")
+        assert again[2].d.tobytes() == ranges.tobytes()
+        # the estimates file is one locadmm wrote: it is written again byte for byte
+        save_network(root / "again.json", *again)
+        assert (root / "again.json").read_bytes() == (root / "est.json").read_bytes()
+
+    @PROPERTY_SETTINGS
+    @given(graphs(), st.booleans(), st.lists(st.sampled_from([0.0, -0.0, 5e-324, 1e308, 0.1])))
+    def test_saved_files_are_written_again_byte_for_byte(self, tmp_path_factory, instance,
+                                                         with_truth, specials):
+        graph, meas, rng = instance
+        d = meas.d.copy()
+        d[:len(specials)] = specials[:d.size]
+        truth = None
+        if with_truth:
+            positions = rng.uniform(-1.0, 1.0, (graph.num_nodes, graph.dim))
+            positions[graph.layout.anchor_idx] = graph.layout.anchor_pos
+            truth = GroundTruth(positions)
+        root = tmp_path_factory.mktemp("again")
+        save_network(root / "net.json", graph, truth, MeasurementSet(graph, d))
+        loaded = load_network(root / "net.json")
+        assert loaded[2]._d_text is not None
+        save_network(root / "again.json", *loaded)
+        assert (root / "again.json").read_bytes() == (root / "net.json").read_bytes()
+        assert _d_line(root / "again.json") == f'"d": {json.dumps(d.tolist())}\n}}\n'
+
+    def test_an_integer_range_is_repeated_as_written(self, tmp_path):
+        # the estimates file spelled it 1.0
+        graph, truth, meas = _valid_doc()
+        save_network(tmp_path / "net.json", graph, truth, meas)
+        text = (tmp_path / "net.json").read_text()
+        start = text.index('"d": [') + len('"d": [')
+        text = text[:start] + "1" + text[text.index(",", start):]
+        (tmp_path / "int.json").write_text(text)
+        graph, _, meas = load_network(tmp_path / "int.json")
+        assert meas.d[0] == 1.0
+        save_network(tmp_path / "est.json", graph, truth, meas)
+        assert _d_line(tmp_path / "est.json") == _d_line(tmp_path / "int.json")
+        assert _d_line(tmp_path / "est.json").startswith('"d": [1, ')
+
+    def test_sets_not_read_from_a_file_are_spelled_by_repr(self, tmp_path):
+        graph, truth, meas = _reference_108()
+        assert meas._d_text is None
+        save_network(tmp_path / "net.json", graph, truth, meas)
+        assert _d_line(tmp_path / "net.json") == f'"d": {json.dumps(meas.d.tolist())}\n}}\n'
+        copy = MeasurementSet(graph, load_network(tmp_path / "net.json")[2].d)
+        assert copy._d_text is None

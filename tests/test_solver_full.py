@@ -9,6 +9,7 @@ from locadmm import engine
 from locadmm.engine import check_finite, finite_copies
 from locadmm.diagnostics import MetricPass, TraceRecorder
 from locadmm.errors import (
+    DisconnectedGraph,
     InvalidInit,
     InvalidInitSpec,
     InvalidParameter,
@@ -779,8 +780,57 @@ class TestOneLoop:
         monkeypatch.setattr(grid, "_run_batch", lambda *args: built.append(args) or iter(()))
         cells = [(PenaltyParams(0.1, 0.1), 0)]
         with pytest.raises(InvalidParameter, match=f"^algo must be 'full' or 'lite', got '{algo}'$"):
-            list(grid.run_grid(algo, graph, meas, cells, InitSpec(), 3))
+            grid.run_grid(algo, graph, meas, cells, InitSpec(), 3)
         assert not built
+
+    @pytest.mark.parametrize("algo", ["full", "lite"])
+    def test_grid_checks_its_arguments_when_called(self, algo):
+        # run_grid was a generator function: none of these raised before
+        # the first cell was drawn
+        graph, _, meas = self.instance()
+        cells = [(PenaltyParams(0.1, 0.1), 0), (PenaltyParams(0.2, 0.1), 1)]
+        apart = make_graph(2, [(0, 1), (2, 3)], {0: np.zeros(2)})
+        with pytest.raises(DisconnectedGraph, match="connected graph"):
+            grid.run_grid(algo, apart, MeasurementSet(apart, [1.0, 1.0]), cells, InitSpec(), 3)
+        with pytest.raises(InvalidParameter, match="iters must be >= 1, got 0"):
+            grid.run_grid(algo, graph, meas, cells, InitSpec(), 0)
+        for spec, error, message in [
+            (InitSpec(kind="from_positions"), InvalidInit, "needs a positions array"),
+            (InitSpec(kind="from_positions", positions=np.zeros((3, 2))), InvalidInit,
+             r"positions shape \(3, 2\)"),
+            (InitSpec(kind="uniform", lo=1.0, hi=1.0), InvalidInitSpec, "are empty or unbounded"),
+            (InitSpec(kind="bogus"), InvalidInitSpec, "unknown init kind 'bogus'"),
+            (InitSpec(u_init="bogus"), InvalidInitSpec, "unknown u_init 'bogus'"),
+        ]:
+            with pytest.raises(error, match=message):
+                grid.run_grid(algo, graph, meas, cells, spec, 3)
+
+    @pytest.mark.parametrize("algo", ["full", "lite"])
+    def test_grid_builds_each_batch_once_when_reached(self, monkeypatch, algo):
+        graph, _, meas = self.instance()
+        batch, built = grid._batch, []
+
+        def spy(*args):
+            built.append(args[3])
+            return batch(*args)
+
+        monkeypatch.setattr(grid, "_batch", spy)
+        monkeypatch.setattr(grid, "GRID_ROWS", 2 * graph.layout.num_edges)  # two cells a batch
+        cells = [(PenaltyParams(0.1 * (k + 1), 0.1), k) for k in range(5)]
+        spec = InitSpec(kind="uniform", u_init="directions")
+        runs = grid.run_grid(algo, graph, meas, cells, spec, 3)
+        assert built == [cells[:2]]  # the first batch, built by the call
+        drawn = [next(runs), next(runs)]
+        assert built == [cells[:2]]
+        drawn.append(next(runs))
+        assert built == [cells[:2], cells[2:4]]
+        drawn += runs
+        assert built == [cells[:2], cells[2:4], cells[4:]]
+        runner = run_full if algo == "full" else run_lite
+        for (params, seed), run in zip(cells, drawn, strict=True):
+            own = runner(graph, meas, params, spec, 3, seed=seed)
+            assert (run.params, run.seed) == (params, seed)
+            assert run.result.estimates.tobytes() == own.estimates.tobytes()
 
 
 class TestAgainstDenseReference:
