@@ -27,6 +27,7 @@ from .network import GroundTruth, MeasurementSet, NetworkGraph
 from .solver_full import (
     InitSpec,
     check_run,
+    check_seed,
     consensus_state,
     full_states,
     full_steps,
@@ -75,12 +76,14 @@ def run_grid(
     ``truth``. The cells run in batches of at most :data:`GRID_ROWS` stacked
     edge rows; a result's arrays are views into its batch's arrays.
 
-    The call itself checks the arguments and builds the first batch's
-    start, so a bad argument or a start that cannot be built raises from
-    it; a batch runs, and a later batch is built, only when its first cell
-    is drawn.
+    The call itself checks the arguments, every cell's seed included, and
+    builds the first batch's start, so a bad argument or a start that
+    cannot be built raises from it; a batch runs, and a later batch is
+    built, only when its first cell is drawn.
     """
     check_run(graph, iters)
+    for _, seed in cells:
+        check_seed(seed)
     if algo not in ("full", "lite"):
         raise InvalidParameter(f"algo must be 'full' or 'lite', got {algo!r}")
     metrics = ("F",) if truth is None else ("rmse", "F")

@@ -84,7 +84,8 @@ class NetworkGraph:
 
         ``anchors`` maps anchor ids to positions, which are copied.
         ``edges`` holds ``(i, j)`` pairs of integer node ids, in either
-        orientation and possibly repeated.
+        orientation and possibly repeated; a loaded file's graph is
+        assembled the same way (:func:`_assemble`).
 
         Raises
         ------
@@ -100,8 +101,7 @@ class NetworkGraph:
             raise InvalidParameter(f"num_nodes must be positive, got {num_nodes}")
         anchor_idx, anchor_pos = _anchor_arrays(dim, num_nodes, anchors)
         pairs = _edge_pairs(edges, num_nodes)
-        csr = _csr(num_nodes, pairs[:, 0], pairs[:, 1])
-        return cls(EdgeLayout.build(csr, anchor_idx, anchor_pos), _is_connected(csr))
+        return _assemble(num_nodes, anchor_idx, anchor_pos, pairs[:, 0], pairs[:, 1])
 
     @property
     def dim(self) -> int:
@@ -202,6 +202,14 @@ def _edge_pairs(edges, num_nodes: int) -> np.ndarray:
             raise InvalidParameter(f"self-loop at node {a}")
         raise InvalidParameter(f"edge ({a},{b}) out of range")
     return pairs.astype(np.intp, copy=False)
+
+
+def _assemble(num_nodes: int, anchor_idx, anchor_pos, a, b) -> NetworkGraph:
+    """The graph whose undirected edges are the pairs ``(a[k], b[k])`` of
+    node ids and whose anchors ``anchor_idx``, sorted, sit at the rows of
+    ``anchor_pos``, which becomes read-only; every input already checked."""
+    csr = _csr(num_nodes, a, b)
+    return NetworkGraph(EdgeLayout.build(csr, anchor_idx, anchor_pos), _is_connected(csr))
 
 
 def _csr(num_nodes: int, a: np.ndarray, b: np.ndarray) -> tuple:
@@ -820,7 +828,8 @@ def load_network(path):
 
     Schema 2 is read a column at a time (``_schema_2``); an error names the
     key and the first bad index in it. Schema 1 is read one entry at a time
-    (``_schema_1``); an error names the first fault in file order.
+    (``_schema_1``); an error names the first fault in file order. Each
+    reader only checks, so a file that fails a check does not warn.
 
     Raises
     ------
@@ -851,25 +860,26 @@ def load_network(path):
     dim = doc.get("dim")
     if type(dim) is not int or dim not in (2, 3):
         raise ParseError(f"dim: expected 2 or 3, got {dim!r}")
-    return _schema_1(doc, dim) if version == 1 else _schema_2(doc, dim, text)
-
-
-def _graph(dim: int, num_nodes: int, anchors: Mapping, pairs: np.ndarray) -> NetworkGraph:
-    """``NetworkGraph.build`` on a file's checked columns, with a warning
-    when the graph is not connected."""
-    graph = NetworkGraph.build(dim, num_nodes, anchors, pairs)
+    columns = _schema_1(doc, dim) if version == 1 else _schema_2(doc, dim, text)
+    num_nodes, anchor_idx, anchor_pos, i, j, pos, d, d_text = columns
+    graph = _assemble(num_nodes, anchor_idx, anchor_pos, i, j)
     if not graph.connected:
-        # attributed to the caller of load_network, three frames up
-        warnings.warn("loaded network is not connected; solvers will reject it", stacklevel=4)
-    return graph
+        warnings.warn("loaded network is not connected; solvers will reject it", stacklevel=2)
+    measurements = None
+    if d is not None and d.size:  # a graph without edges carries no ranges
+        measurements = MeasurementSet(graph, d)
+        object.__setattr__(measurements, "_d_text", d_text)
+    return graph, None if pos is None else GroundTruth(pos), measurements
 
 
 def _schema_2(doc: dict, dim: int, text: str) -> tuple:
-    """The instance of a schema-2 document, parsed from ``text``. The checks
-    run key by key, in the schema's order, and each names the key and the
-    first index that fails it in its ``ParseError``. The ranges keep their
-    text (:func:`_d_text`) when the file lists the edges in edge-list
-    order, as every file ``save_network`` writes does."""
+    """The checked columns of a schema-2 document, parsed from ``text``:
+    ``num_nodes``, the sorted anchor ids and positions, ``i``, ``j``, then
+    the truth, the ranges in edge-list order and their text, or ``None``.
+    The checks run key by key, in the schema's order, and each names the
+    key and the first index that fails it in its ``ParseError``. The
+    ranges keep their text (:func:`_d_text`) when the file lists the edges
+    in edge-list order, as every file ``save_network`` writes does."""
     num_nodes = doc.get("num_nodes")
     # below 2**31, an edge's key lo * num_nodes + hi fits in 64 bits
     if type(num_nodes) is not int or not 1 <= num_nodes < 2**31:
@@ -906,16 +916,10 @@ def _schema_2(doc: dict, dim: int, text: str) -> tuple:
         raise ParseError(f"i[{k}], j[{k}]: repeated edge ({i[k]},{j[k]})")
 
     d = _numbers(doc, "d", i.size, nonnegative=True) if "d" in doc else None
-
-    anchor_map = dict(zip(anchors.tolist(), anchor_pos))
-    graph = _graph(dim, num_nodes, anchor_map, np.stack([i, j], axis=1))
-    truth = None if pos is None else GroundTruth(pos)
-    measurements = None
-    if d is not None and d.size:  # as in schema 1, a graph without edges carries no ranges
-        measurements = MeasurementSet(graph, d if order is None else d[order])
-        if order is None:
-            object.__setattr__(measurements, "_d_text", _d_text(doc, text))
-    return graph, truth, measurements
+    if d is not None and order is not None:
+        d = d[order]
+    d_text = None if d is None or order is not None else _d_text(doc, text)
+    return num_nodes, anchors[by_id], anchor_pos[by_id], i, j, pos, d, d_text
 
 
 def _d_text(doc: dict, text: str) -> str | None:
@@ -1005,10 +1009,10 @@ def _first_repeat(order: np.ndarray, keys: np.ndarray) -> int | None:
 
 
 def _schema_1(doc: dict, dim: int) -> tuple:
-    """The instance of a schema-1 document, read one entry at a time: the
-    node entries, then the edge entries, each entry's fields in the
-    schema's order. So the first ``ParseError`` raised names the first
-    fault in file order."""
+    """The columns of a schema-1 document, as :func:`_schema_2` gives
+    them, read one entry at a time: the node entries, then the edge
+    entries, each entry's fields in the schema's order. So the first
+    ``ParseError`` raised names the first fault in file order."""
     raw_nodes = doc.get("nodes")
     if type(raw_nodes) is not list or not raw_nodes:
         raise ParseError("nodes: expected a non-empty list")
@@ -1018,7 +1022,7 @@ def _schema_1(doc: dict, dim: int) -> tuple:
     num_nodes = len(raw_nodes)
 
     ids: set[int] = set()
-    anchors: dict[int, list[float]] = {}  # id -> anchor_pos, the mapping build takes
+    anchors: dict[int, list[float]] = {}  # id -> anchor_pos
     pos: dict[int, list[float]] = {}  # id -> pos
     for k, entry in enumerate(raw_nodes):
         where = f"nodes[{k}]"
@@ -1070,7 +1074,8 @@ def _schema_1(doc: dict, dim: int) -> tuple:
     order, _ = _edge_order(np.minimum(i, j), np.maximum(i, j), num_nodes)
     if not anchors:
         raise ParseError("nodes: at least one anchor entry is required")
-    graph = _graph(dim, num_nodes, anchors, np.stack([i, j], axis=1))
+    anchor_ids, anchor_rows = zip(*sorted(anchors.items()))
+    anchor_idx, anchor_pos = np.array(anchor_ids, dtype=np.intp), np.array(anchor_rows)
 
     truth = None
     if pos:
@@ -1078,23 +1083,18 @@ def _schema_1(doc: dict, dim: int) -> tuple:
             # the N ids are 0 .. N-1
             missing = [n for n in range(num_nodes) if n not in pos]
             raise ParseError(f"nodes: pos given for some nodes but missing for {missing}")
-        mat = np.array([pos[n] for n in range(num_nodes)])
-        lay = graph.layout
-        differs = (mat[lay.anchor_idx] != lay.anchor_pos).any(axis=1)
+        truth = np.array([pos[n] for n in range(num_nodes)])
+        differs = (truth[anchor_idx] != anchor_pos).any(axis=1)
         if differs.any():
-            k = int(lay.anchor_idx[np.argmax(differs)])
+            k = int(anchor_idx[np.argmax(differs)])
             raise ParseError(f"nodes[{k}]: pos differs from anchor_pos")
-        truth = GroundTruth(mat)
 
-    measurements = None
-    ranges = [x for x in d if x is not None]
-    if ranges:
-        if len(ranges) != len(d):
-            raise ParseError("edges: d given for some edges but not all")
-        ranges = np.array(ranges)
-        measurements = MeasurementSet(graph, ranges if order is None else ranges[order])
-
-    return graph, truth, measurements
+    ranges = np.array([x for x in d if x is not None])
+    if ranges.size and ranges.size != len(d):
+        raise ParseError("edges: d given for some edges but not all")
+    if ranges.size and order is not None:
+        ranges = ranges[order]
+    return num_nodes, anchor_idx, anchor_pos, i, j, truth, ranges, None
 
 
 def _all(values: list, kind: type) -> bool:

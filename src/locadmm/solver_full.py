@@ -11,6 +11,7 @@ every node at once on edge arrays (see :mod:`locadmm.engine`).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -107,10 +108,18 @@ def as_positions(positions, graph: NetworkGraph) -> np.ndarray:
     return pos
 
 
+def check_seed(seed: int) -> None:
+    """Refuse a seed that is not a non-negative integer, the only kind
+    NumPy's generators take (a boolean is not one)."""
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+        raise InvalidParameter(f"seed must be a non-negative integer, got {seed!r:.40}")
+
+
 def start_positions(graph: NetworkGraph, spec: InitSpec, seed: int = 0) -> np.ndarray:
     """One start position per node, ``(num_nodes, dim)``: ``spec.positions``
     (``from_positions``), the origin (``zeros``), or one uniform draw per
     node from a generator seeded with ``seed`` (``uniform``)."""
+    check_seed(seed)
     if spec.kind == "from_positions":
         return as_positions(spec.positions, graph)
     if spec.kind == "zeros":
@@ -257,6 +266,8 @@ def check_run(graph: NetworkGraph, iters: int) -> None:
         raise DisconnectedGraph("solver requires a connected graph")
     if not graph.num_anchors:
         raise DisconnectedGraph("solver requires at least one anchor")
+    if isinstance(iters, bool) or not isinstance(iters, numbers.Integral):
+        raise InvalidParameter(f"iters must be an integer, got {iters!r:.40}")
     if iters < 1:
         raise InvalidParameter(f"iters must be >= 1, got {iters}")
 

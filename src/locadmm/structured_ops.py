@@ -20,6 +20,7 @@ Block-vector conventions, for a node with degree ``k`` in dimension ``n``:
 from __future__ import annotations
 
 import math
+import numbers
 from collections.abc import Sequence
 from dataclasses import InitVar, dataclass
 from functools import cached_property
@@ -222,7 +223,10 @@ class PenaltyParams:
 
 
 def check_penalty(name: str, value: float) -> None:
-    """Refuse a penalty ``value`` that is not a positive finite number."""
+    """Refuse a penalty ``value`` that is not a positive finite real number
+    (a boolean is not one)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise InvalidParameter(f"{name} must be a number, got {value!r:.40}")
     if not (value > 0.0 and math.isfinite(value)):
         raise InvalidParameter(f"{name} must be positive and finite, got {value}")
 

@@ -1460,11 +1460,29 @@ def _instance_bytes(graph, truth, meas):
     lay = graph.layout
     arrays = [lay.offsets, lay.src, lay.dst, lay.rev, lay.anchor_idx, lay.anchor_pos]
     return (
-        [(a.dtype, a.shape, a.tobytes()) for a in arrays],
+        [(a.dtype, a.shape, a.tobytes(), a.flags.writeable) for a in arrays],
         lay.copies, graph.connected,
         None if truth is None else truth.positions.tobytes(),
         None if meas is None else meas.d.tobytes(),
     )
+
+
+@st.composite
+def any_graphs(draw, max_nodes=8):
+    """``(graph, truth, ranges)`` of a graph ``NetworkGraph.build`` made
+    from any anchors and edges: one node or several, no edge or many, in
+    either orientation and repeated, connected or not, some or every node
+    an anchor."""
+    n = draw(st.integers(1, max_nodes))
+    dim = draw(st.sampled_from([2, 3]))
+    node = st.integers(0, n - 1)
+    pairs = draw(st.one_of(st.just([]), st.lists(st.tuples(node, node), max_size=2 * n)))
+    anchors = draw(st.one_of(st.just(range(n)), st.lists(node, min_size=1, unique=True)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    truth = rng.uniform(-1.0, 1.0, (n, dim))
+    edges = [(i, j) for i, j in pairs if i != j]
+    graph = NetworkGraph.build(dim, n, {a: truth[a] for a in anchors}, edges)
+    return graph, GroundTruth(truth), MeasurementSet(graph, rng.uniform(0, 1, len(graph.edge_list)))
 
 
 class TestSchema2RoundTrip:
@@ -1476,11 +1494,12 @@ class TestSchema2RoundTrip:
         two, one = root / "two.json", root / "one.json"
         save_network(two, graph, truth, meas)
         json_save_network(one, graph, truth, meas)
-        loaded = _load(two)
+        loaded, twin = _load(two), _load(one)
         if not graph.edge_list:
             meas = None  # a graph without edges carries no ranges
         assert _instance_bytes(*loaded) == _instance_bytes(graph, truth, meas)
-        assert _instance_bytes(*loaded) == _instance_bytes(*_load(one))
+        assert _instance_bytes(*twin) == _instance_bytes(*loaded)
+        assert not twin[0].layout.anchor_pos.flags.writeable
 
     @PROPERTY_SETTINGS
     @given(graphs(), st.booleans(), st.booleans())
@@ -1493,6 +1512,16 @@ class TestSchema2RoundTrip:
             truth = GroundTruth(positions)
         root = tmp_path_factory.mktemp("two")
         self.round_trip(root, graph, truth, meas if with_ranges else None)
+
+    @PROPERTY_SETTINGS
+    @given(any_graphs(), st.booleans(), st.booleans())
+    def test_any_graph(self, tmp_path_factory, instance, with_truth, with_ranges):
+        # the graph load_network assembles from a file's columns is the one
+        # NetworkGraph.build assembles from the same anchors and edges, for
+        # one node, no edge, two components or every node an anchor
+        graph, truth, meas = instance
+        root = tmp_path_factory.mktemp("any")
+        self.round_trip(root, graph, truth if with_truth else None, meas if with_ranges else None)
 
     @pytest.mark.parametrize("dim", [2, 3])
     def test_single_node(self, tmp_path, dim):
@@ -1526,6 +1555,60 @@ class TestSchema2RoundTrip:
         path.write_text(json.dumps(doc))
         _, truth2, meas2 = load_network(path)
         assert truth2.positions[2, 0] == 0.0 and meas2.d[2] == 1.0
+
+
+class TestOneAssembly:
+    """``load_network`` assembles a file's checked columns once, through
+    the function ``NetworkGraph.build`` ends in, without the checks
+    ``build`` makes of a library caller's input."""
+
+    @pytest.mark.parametrize("save", [save_network, json_save_network], ids=["schema2", "schema1"])
+    @pytest.mark.parametrize("instance", [_reference_108, _reference_dim3], ids=["N108", "dim3"])
+    def test_loads_check_nothing_twice(self, tmp_path, monkeypatch, instance, save):
+        path = tmp_path / "net.json"
+        save(path, *instance())
+        calls = []
+
+        def spy(name, real):
+            def wrapper(*args):
+                calls.append(name)
+                return real(*args)
+            return wrapper
+
+        build = spy("build", NetworkGraph.build.__func__)
+        monkeypatch.setattr(NetworkGraph, "build", classmethod(build))
+        for name in ("_anchor_arrays", "_edge_pairs"):
+            monkeypatch.setattr(network_module, name, spy(name, getattr(network_module, name)))
+        graph, truth, meas = load_network(path)
+        assert graph.connected and truth is not None and meas is not None
+        assert calls == []
+        NetworkGraph.build(2, 2, {0: np.zeros(2)}, [(0, 1)])  # a library build runs them
+        assert calls == ["build", "_anchor_arrays", "_edge_pairs"]
+
+    @pytest.mark.parametrize("fault, message", [
+        ("pos", "nodes: pos given for some nodes but missing for [5]"),
+        ("d", "edges: d given for some edges but not all"),
+    ])
+    def test_a_file_that_fails_does_not_warn(self, tmp_path, fault, message):
+        # a disconnected schema-1 file warned that it was not connected,
+        # then raised its ParseError
+        path = tmp_path / "iso.json"
+        json_save_network(path, *_reference_108())
+        doc = json.loads(path.read_text())
+        doc["edges"] = [e for e in doc["edges"] if 5 not in (e["i"], e["j"])]
+        path.write_text(json.dumps(doc))
+        assert not _load(path)[0].connected  # node 5 has no neighbor
+        if fault == "pos":
+            del doc["nodes"][5]["pos"]
+        else:
+            del doc["edges"][0]["d"]
+        path.write_text(json.dumps(doc))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ParseError) as exc:
+                load_network(path)
+        assert str(exc.value) == message
+        assert caught == []
 
 
 def _schema_2_doc(root):

@@ -805,6 +805,45 @@ class TestOneLoop:
             with pytest.raises(error, match=message):
                 grid.run_grid(algo, graph, meas, cells, spec, 3)
 
+    @pytest.mark.parametrize("iters", [2.5, np.float64(3.0), None, True, "3"])
+    def test_iters_must_be_an_integer(self, monkeypatch, iters):
+        # range() raised a raw TypeError, run_full's after building its
+        # coefficients; a boolean counted as 1
+        graph, _, meas = self.instance()
+        params = PenaltyParams(0.1, 0.1)
+        built = []
+        monkeypatch.setattr(grid, "_batch", lambda *args: built.append(args))
+        calls = [lambda: run_full(graph, meas, params, InitSpec(), iters),
+                 lambda: run_lite(graph, meas, params, InitSpec(), iters)]
+        calls += [lambda algo=algo: grid.run_grid(algo, graph, meas, [(params, 0)], InitSpec(), iters)
+                  for algo in ("full", "lite")]
+        for call in calls:
+            with pytest.raises(InvalidParameter, match="^iters must be an integer, got "):
+                call()
+        assert not meas._coefficients and not built
+        run_full(graph, meas, params, InitSpec(), np.int64(2))  # any integer type runs
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, None, True, "1", np.array(1)])
+    @pytest.mark.parametrize("kind", ["uniform", "zeros"])
+    def test_seed_must_be_a_non_negative_integer(self, monkeypatch, kind, seed):
+        # NumPy raised its own ValueError or TypeError for a uniform start,
+        # and the other kinds ignored the seed
+        graph, _, meas = self.instance()
+        params, spec = PenaltyParams(0.1, 0.1), InitSpec(kind=kind)
+        message = "^seed must be a non-negative integer, got "
+        for runner in (run_full, run_lite):
+            with pytest.raises(InvalidParameter, match=message):
+                runner(graph, meas, params, spec, 3, seed=seed)
+        built = []
+        monkeypatch.setattr(grid, "_batch", lambda *args: built.append(args))
+        for algo in ("full", "lite"):
+            # the last cell's seed is refused before the first batch is built
+            with pytest.raises(InvalidParameter, match=message):
+                grid.run_grid(algo, graph, meas, [(params, 0), (params, seed)], spec, 3)
+        assert not built
+        for good in (0, np.int64(7), 2**70):
+            run_lite(graph, meas, params, spec, 1, seed=good)
+
     @pytest.mark.parametrize("algo", ["full", "lite"])
     def test_grid_builds_each_batch_once_when_reached(self, monkeypatch, algo):
         graph, _, meas = self.instance()

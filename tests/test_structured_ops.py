@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from locadmm import oracle, structured_ops as ops
+from locadmm import diagnostics, oracle, structured_ops as ops
 from locadmm.network import MeasurementSet
 from locadmm.structured_ops import NodeBlockVector, PenaltyParams
 from locadmm.errors import InvalidParameter, MissingNode
@@ -37,6 +37,26 @@ class TestPenaltyParams:
     def test_rejects_nonpositive(self, c, rho):
         with pytest.raises(InvalidParameter):
             PenaltyParams(c, rho)
+
+    @pytest.mark.parametrize(
+        "value", [np.array(0.1), np.array([0.1, 0.2]), "0.1", None, True, 1 + 0j]
+    )
+    def test_rejects_what_is_not_a_real_number(self, value):
+        # a 0-d array passed and crashed both solvers on the coefficient
+        # memo's key; a string or a length-2 array raised a raw error
+        for c, rho, name in ((value, 0.2, "c"), (0.2, value, "rho")):
+            with pytest.raises(InvalidParameter, match=f"^{name} must be a number, got "):
+                PenaltyParams(c, rho)
+        graph = make_graph(2, [(0, 1)], {0: np.zeros(2)})
+        with pytest.raises(InvalidParameter, match="^c must be a number, got "):
+            diagnostics.parameter_bounds(graph, MeasurementSet(graph, [1.0]), value)
+
+    def test_accepts_any_real_number(self):
+        for c in (1, np.float64(0.1), np.float32(0.5), np.int64(2)):
+            assert PenaltyParams(c, 0.2).c == c
+        for value in (0, -1.0, np.inf, np.nan):  # the messages the CLI prints
+            with pytest.raises(InvalidParameter, match=f"^c must be positive and finite, got {value}$"):
+                PenaltyParams(value, 0.2)
 
 
 class TestApplyQandA:
