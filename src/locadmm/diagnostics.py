@@ -23,13 +23,12 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .engine import IterationEvent, quiet_fp
-from .errors import InvalidParameter, NonFiniteValue
+from .errors import InvalidParameter, NonFiniteValue, check_numbers, check_penalty, check_real
 from .network import GroundTruth, MeasurementSet, NetworkGraph, copy_rmse, write_text
 from .structured_ops import (
     EdgeBlocks,
     EdgeStates,
     PenaltyParams,
-    check_penalty,
     consensus_rows,
     edge_rows,
     spread,
@@ -380,7 +379,8 @@ def sublinear_envelope_check(gap_values: Sequence[float], tol: float = 0.05) -> 
     number: ``InvalidParameter`` names the first NaN, infinite or negative
     value, which would otherwise come out as a NaN report or a false pass.
     """
-    gaps = np.asarray(gap_values, dtype=float)
+    check_real("tol", tol)
+    gaps = check_numbers("gap_values", gap_values)
     if gaps.ndim != 1 or gaps.shape[0] < 4:
         raise InvalidParameter("need at least 4 gap values")
     bad = np.flatnonzero(~np.isfinite(gaps) | (gaps < 0.0))
@@ -486,9 +486,12 @@ class TraceRecorder:
         potential_coeffs: Optional[tuple[float, float]] = None,
         metadata: Optional[dict] = None,
     ):
-        unknown = set(metrics) - {*METRICS, "wall"}
+        try:
+            unknown = set(metrics) - {*METRICS, "wall"}
+        except TypeError:
+            raise InvalidParameter(f"metrics must be names, got {metrics!r:.40}") from None
         if unknown:
-            raise InvalidParameter(f"unknown metrics {sorted(unknown)}")
+            raise InvalidParameter(f"unknown metrics {sorted(unknown, key=str)}")
         if "rmse" in metrics and truth is None:
             raise InvalidParameter("rmse metric needs ground truth")
         if "potential" in metrics and potential_coeffs is None:

@@ -22,12 +22,11 @@ import numpy as np
 
 from .diagnostics import IterationTrace, MetricPass, TraceRow, directions
 from .engine import RunResult, drive, finite_copies, quiet_fp
-from .errors import InvalidParameter
+from .errors import InvalidInitSpec, check_choice, check_seed
 from .network import GroundTruth, MeasurementSet, NetworkGraph
 from .solver_full import (
     InitSpec,
     check_run,
-    check_seed,
     consensus_state,
     full_states,
     full_steps,
@@ -84,8 +83,9 @@ def run_grid(
     check_run(graph, iters)
     for _, seed in cells:
         check_seed(seed)
-    if algo not in ("full", "lite"):
-        raise InvalidParameter(f"algo must be 'full' or 'lite', got {algo!r}")
+    algo = check_choice("algo", algo, ("full", "lite"))
+    if not isinstance(init, InitSpec):
+        raise InvalidInitSpec(f"init must be an InitSpec, got {init!r:.40}")
     metrics = ("F",) if truth is None else ("rmse", "F")
     # as few batches as the budget allows, of as even a size as they can be
     most = max(1, GRID_ROWS // max(graph.layout.num_edges, 1))

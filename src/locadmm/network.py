@@ -30,6 +30,7 @@ from .errors import (
     ParseError,
     SchemaVersionMismatch,
 )
+from .errors import check_choice, check_integer, check_numbers, check_real, check_seed, is_integer
 
 # the schema save_network writes; load_network also reads schema 1
 SCHEMA_VERSION = 2
@@ -95,10 +96,8 @@ class NetworkGraph:
             ``dim`` finite numbers; an edge error names the first bad edge
             in input order.
         """
-        if dim not in (2, 3):
-            raise InvalidParameter(f"dim must be 2 or 3, got {dim}")
-        if num_nodes < 1:
-            raise InvalidParameter(f"num_nodes must be positive, got {num_nodes}")
+        dim = check_choice("dim", dim, (2, 3))
+        num_nodes = check_integer("num_nodes", num_nodes, 1)
         anchor_idx, anchor_pos = _anchor_arrays(dim, num_nodes, anchors)
         pairs = _edge_pairs(edges, num_nodes)
         return _assemble(num_nodes, anchor_idx, anchor_pos, pairs[:, 0], pairs[:, 1])
@@ -160,7 +159,7 @@ def _anchor_arrays(dim: int, num_nodes: int, anchors) -> tuple[np.ndarray, np.nd
         raise InvalidParameter("at least one anchor is required")
     for k in anchors:
         # a float or a boolean id would be truncated to a node id below
-        if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
+        if not is_integer(k):
             raise InvalidParameter(f"anchor id {k!r} is not an integer")
         if not 0 <= k < num_nodes:
             raise InvalidParameter(f"anchor id {k} out of range")
@@ -431,9 +430,8 @@ class NoiseModel:
     KINDS = ("additive-white", "range-dependent")
 
     def __post_init__(self):
-        if self.kind not in self.KINDS:
-            raise InvalidParameter(f"unknown noise kind {self.kind!r}")
-        if not (self.sigma_add >= 0.0 and math.isfinite(self.sigma_add)):
+        check_choice("noise kind", self.kind, self.KINDS)
+        if not (check_real("sigma_add", self.sigma_add) >= 0.0 and math.isfinite(self.sigma_add)):
             raise InvalidParameter(f"sigma_add must be >= 0, got {self.sigma_add}")
 
 
@@ -528,21 +526,21 @@ def generate_rgg(
     Raises
     ------
     InvalidParameter
-        Nonpositive counts or lengths, an infinite side, anchors exceeding
-        nodes, bad dim.
+        Counts that are not integers >= 1, lengths that are not positive
+        numbers, an infinite side, more anchors than nodes, a bad dim or seed.
     ConnectivityFailure
         No connected layout within the retry budget.
     """
-    if num_nodes < 1 or num_anchors < 1:
-        raise InvalidParameter("node and anchor counts must be positive")
+    num_nodes = check_integer("num_nodes", num_nodes, 1)
+    num_anchors = check_integer("num_anchors", num_anchors, 1)
     if num_anchors > num_nodes:
         raise InvalidParameter("more anchors than nodes")
-    if not (comm_range > 0.0):
+    if not (check_real("comm_range", comm_range) > 0.0):
         raise InvalidParameter("comm_range must be positive")
-    if not (0.0 < area_side < math.inf):
+    if not (0.0 < check_real("area_side", area_side) < math.inf):
         raise InvalidParameter("area_side must be positive and finite")
-    if dim not in (2, 3):
-        raise InvalidParameter(f"dim must be 2 or 3, got {dim}")
+    dim = check_choice("dim", dim, (2, 3))
+    check_seed(seed)
 
     rng = np.random.default_rng(seed)
     for _ in range(MAX_LAYOUT_ATTEMPTS):
@@ -645,6 +643,7 @@ def measure(
         raise MissingPosition(
             f"truth covers {pos.shape[0]} nodes, graph has {graph.num_nodes}"
         )
+    check_seed(seed)
     rng = np.random.default_rng(seed)
     length = edge_lengths(graph.layout, pos)
     if model.kind == "additive-white":
@@ -683,15 +682,23 @@ def rmse(estimates, truth: GroundTruth, graph: NetworkGraph) -> float:
     free = _free_nodes(graph.layout)
     if isinstance(estimates, Mapping):
         missing = [i for i in free if i not in estimates]
-        est = None if missing else [estimates[i] for i in free]
+        est = None if missing else _estimate_rows([estimates[i] for i in free], graph.dim)
     else:
-        est = np.asarray(estimates, dtype=float)
+        est = _estimate_rows(estimates, graph.dim)
         missing = free[free >= len(est)]
         est = None if len(missing) else np.take(est, free, axis=0)
     if est is None:
         raise MissingPosition(f"no estimate for node {missing[0]}")
     target = np.take(truth.positions, free, axis=0)
-    return float(_rms_error(np.asarray(est, dtype=float)[None], target)[0])
+    return float(_rms_error(est[None], target)[0])
+
+
+def _estimate_rows(estimates, dim: int) -> np.ndarray:
+    """``estimates`` as a float array of rows of ``dim`` numbers."""
+    est = check_numbers("estimates", estimates)
+    if est.ndim != 2 or est.shape[1] != dim:
+        raise InvalidParameter(f"estimates must be rows of {dim} numbers, got shape {est.shape}")
+    return est
 
 
 def copy_rmse(truth: GroundTruth, layout: EdgeLayout):

@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameter, SingularSystem
+from .errors import InvalidParameter, SingularSystem, check_integer, check_penalty, check_seed
 from .network import MeasurementSet, NetworkGraph
-from .structured_ops import NodeBlockVector, check_penalty
+from .structured_ops import NodeBlockVector
 
 
 @dataclass
@@ -258,8 +258,8 @@ def oracle_check(
         raise InvalidParameter(
             f"oracle check is for toy instances (N <= 8), got N={graph.num_nodes}"
         )
-    if trials < 1:
-        raise InvalidParameter(f"trials must be >= 1, got {trials}")
+    trials = check_integer("trials", trials, 1)
+    check_seed(seed)
     if not graph.degrees.all():
         node = int(np.argmin(graph.degrees))
         raise InvalidParameter(

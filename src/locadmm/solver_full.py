@@ -11,20 +11,14 @@ every node at once on edge arrays (see :mod:`locadmm.engine`).
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .engine import RunResult, check_finite, drive, hook_record
-from .errors import (
-    DisconnectedGraph,
-    InvalidInit,
-    InvalidInitSpec,
-    InvalidParameter,
-    MissingMessage,
-)
+from .errors import DisconnectedGraph, InvalidInit, InvalidInitSpec, MissingMessage
+from .errors import check_choice, check_integer, check_numbers, check_real, check_seed
 from .network import EdgeLayout, MeasurementSet, NetworkGraph, row_norms
 from .structured_ops import (
     EdgeBlocks,
@@ -96,10 +90,7 @@ def as_positions(positions, graph: NetworkGraph) -> np.ndarray:
     """A float copy of a ``(num_nodes, dim)`` map of finite positions."""
     if positions is None:
         raise InvalidInit("positional initialization needs a positions array")
-    try:
-        pos = np.array(positions, dtype=float)
-    except (TypeError, ValueError):
-        raise InvalidInit("positions must be numbers") from None
+    pos = check_numbers("positions", positions, InvalidInit)
     if pos.shape != (graph.num_nodes, graph.dim):
         raise InvalidInit(f"positions shape {pos.shape} does not match the graph")
     bad = np.flatnonzero(~np.isfinite(pos).all(axis=1))
@@ -108,27 +99,20 @@ def as_positions(positions, graph: NetworkGraph) -> np.ndarray:
     return pos
 
 
-def check_seed(seed: int) -> None:
-    """Refuse a seed that is not a non-negative integer, the only kind
-    NumPy's generators take (a boolean is not one)."""
-    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
-        raise InvalidParameter(f"seed must be a non-negative integer, got {seed!r:.40}")
-
-
 def start_positions(graph: NetworkGraph, spec: InitSpec, seed: int = 0) -> np.ndarray:
     """One start position per node, ``(num_nodes, dim)``: ``spec.positions``
     (``from_positions``), the origin (``zeros``), or one uniform draw per
     node from a generator seeded with ``seed`` (``uniform``)."""
     check_seed(seed)
-    if spec.kind == "from_positions":
+    kind = check_choice("init kind", spec.kind, ("zeros", "uniform", "from_positions"), InvalidInitSpec)
+    if kind == "from_positions":
         return as_positions(spec.positions, graph)
-    if spec.kind == "zeros":
+    if kind == "zeros":
         return np.zeros((graph.num_nodes, graph.dim))
-    if spec.kind != "uniform":
-        raise InvalidInitSpec(f"unknown init kind {spec.kind!r}")
-    if not (spec.lo < spec.hi and math.isfinite(spec.hi - spec.lo)):
-        raise InvalidInitSpec(f"uniform bounds [{spec.lo}, {spec.hi}) are empty or unbounded")
-    return np.random.default_rng(seed).uniform(spec.lo, spec.hi, (graph.num_nodes, graph.dim))
+    lo, hi = (check_real(name, getattr(spec, name), InvalidInitSpec) for name in ("lo", "hi"))
+    if not (lo < hi and math.isfinite(hi - lo)):
+        raise InvalidInitSpec(f"uniform bounds [{lo}, {hi}) are empty or unbounded")
+    return np.random.default_rng(seed).uniform(lo, hi, (graph.num_nodes, graph.dim))
 
 
 def initial_u(u_init: str, positions: np.ndarray, layout: EdgeLayout) -> np.ndarray:
@@ -136,12 +120,11 @@ def initial_u(u_init: str, positions: np.ndarray, layout: EdgeLayout) -> np.ndar
     ``zeros``, ``half`` (all coordinates 0.5), or ``directions`` along
     ``positions``."""
     shape = (layout.num_edges, layout.dim)
+    u_init = check_choice("u_init", u_init, ("zeros", "half", "directions"), InvalidInitSpec)
     if u_init == "zeros":
         return np.zeros(shape)
     if u_init == "half":
         return np.full(shape, 0.5)
-    if u_init != "directions":
-        raise InvalidInitSpec(f"unknown u_init {u_init!r}")
     return edge_directions(positions, layout)
 
 
@@ -266,10 +249,7 @@ def check_run(graph: NetworkGraph, iters: int) -> None:
         raise DisconnectedGraph("solver requires a connected graph")
     if not graph.num_anchors:
         raise DisconnectedGraph("solver requires at least one anchor")
-    if isinstance(iters, bool) or not isinstance(iters, numbers.Integral):
-        raise InvalidParameter(f"iters must be an integer, got {iters!r:.40}")
-    if iters < 1:
-        raise InvalidParameter(f"iters must be >= 1, got {iters}")
+    check_integer("iters", iters, 1)
 
 
 def run_full(

@@ -19,8 +19,6 @@ Block-vector conventions, for a node with degree ``k`` in dimension ``n``:
 
 from __future__ import annotations
 
-import math
-import numbers
 from collections.abc import Sequence
 from dataclasses import InitVar, dataclass
 from functools import cached_property
@@ -29,7 +27,7 @@ from typing import Optional
 import numpy as np
 
 from .engine import quiet_fp
-from .errors import InvalidInit, InvalidParameter, MissingNode
+from .errors import InvalidInit, InvalidParameter, MissingNode, check_penalty
 from .network import EdgeLayout, edge_lengths
 
 
@@ -220,15 +218,6 @@ class PenaltyParams:
     def __post_init__(self):
         check_penalty("c", self.c)
         check_penalty("rho", self.rho)
-
-
-def check_penalty(name: str, value: float) -> None:
-    """Refuse a penalty ``value`` that is not a positive finite real number
-    (a boolean is not one)."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise InvalidParameter(f"{name} must be a number, got {value!r:.40}")
-    if not (value > 0.0 and math.isfinite(value)):
-        raise InvalidParameter(f"{name} must be positive and finite, got {value}")
 
 
 def apply_Q(v: NodeBlockVector) -> np.ndarray:

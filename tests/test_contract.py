@@ -1,0 +1,198 @@
+"""The argument contract of the public API.
+
+Every public entry point, given any value for one of its value arguments
+(a count, a number, a seed, a keyword, a collection of numbers or names),
+either returns or raises a :class:`~locadmm.errors.LocadmmError`, never a
+raw ``TypeError``, ``ValueError`` or ``AttributeError`` from deeper down.
+Each row of :data:`ROWS` is one (entry point, argument) pair: a call with
+that argument replaced by the value under test and every other argument
+valid. A new entry point is one more row.
+"""
+
+from __future__ import annotations
+
+import functools
+import math
+import re
+
+import numpy as np
+import pytest
+
+from locadmm import (
+    InitSpec,
+    InvalidParameter,
+    LocadmmError,
+    NetworkGraph,
+    NoiseModel,
+    PenaltyParams,
+    TraceRecorder,
+    generate_rgg,
+    init_lite,
+    measure,
+    parameter_bounds,
+    rmse,
+    run_full,
+    run_lite,
+    sublinear_envelope_check,
+)
+from locadmm.grid import run_grid
+from locadmm.oracle import oracle_check
+
+# Values of every kind a caller may pass by mistake, and the NumPy scalars a
+# caller may pass on purpose. Huge counts are left out: a graph or a run of
+# 10**30 is a valid request that runs or allocates as long as it says.
+JUNK = {
+    "None": None,
+    "str": "x",
+    "-1": -1,
+    "0": 0,
+    "1.5": 1.5,
+    "True": True,
+    "nan": math.nan,
+    "inf": math.inf,
+    "array-2": np.array([0.0, 1.0]),
+    "list": [],
+    "dict": {},
+    "object": object(),
+    "complex": 1j,
+    "np-float": np.float64(0.3),
+    "np-int": np.int64(3),
+}
+
+# The values no row takes: each call with one of them raises.
+REFUSED = ("None", "str", "True", "array-2", "object", "complex")
+
+
+@functools.cache
+def instance():
+    """A 6-node network, its truth, ranges and penalties."""
+    graph, truth = generate_rgg(6, 2, 0.8, seed=3)
+    meas = measure(truth, graph, NoiseModel("additive-white", 0.01), seed=3)
+    return graph, truth, meas, PenaltyParams(0.1, 0.1)
+
+
+def solve(runner, spec=InitSpec(), iters=2, seed=0):
+    graph, _, meas, params = instance()
+    return runner(graph, meas, params, spec, iters, seed=seed)
+
+
+def grid(algo="full", iters=2, seed=0, init=InitSpec()):
+    graph, _, meas, params = instance()
+    return list(run_grid(algo, graph, meas, [(params, seed)], init, iters))
+
+
+def with_measure(seed):
+    graph, truth, _, _ = instance()
+    return measure(truth, graph, NoiseModel("additive-white", 0.01), seed=seed)
+
+
+def with_bounds(c):
+    graph, _, meas, _ = instance()
+    return parameter_bounds(graph, meas, c)
+
+
+def with_oracle(**kwargs):
+    graph, _, meas, _ = instance()
+    return oracle_check(graph, meas, **{"trials": 2, **kwargs})
+
+
+def with_init_lite(u_init):
+    graph, truth, meas, _ = instance()
+    return init_lite(graph, truth.positions, u_init, 0.1, meas)
+
+
+def with_rmse(estimates):
+    graph, truth, _, _ = instance()
+    return rmse(estimates, truth, graph)
+
+
+def with_recorder(metrics):
+    graph, _, meas, params = instance()
+    return TraceRecorder(graph, meas, params, metrics=metrics)
+
+
+ROWS = {
+    "generate_rgg-num_nodes": lambda v: generate_rgg(v, 2, 0.8, seed=3),
+    "generate_rgg-num_anchors": lambda v: generate_rgg(6, v, 0.8, seed=3),
+    "generate_rgg-comm_range": lambda v: generate_rgg(6, 2, v, seed=3),
+    "generate_rgg-area_side": lambda v: generate_rgg(6, 2, 0.8, area_side=v, seed=3),
+    "generate_rgg-dim": lambda v: generate_rgg(6, 2, 0.8, dim=v, seed=3),
+    "generate_rgg-seed": lambda v: generate_rgg(6, 2, 0.8, seed=v),
+    "build-dim": lambda v: NetworkGraph.build(v, 3, {0: [0.0, 0.0]}, [(0, 1), (1, 2)]),
+    "build-num_nodes": lambda v: NetworkGraph.build(2, v, {0: [0.0, 0.0]}, [(0, 1), (1, 2)]),
+    "NoiseModel-kind": lambda v: NoiseModel(v, 0.01),
+    "NoiseModel-sigma_add": lambda v: NoiseModel("additive-white", v),
+    "measure-seed": with_measure,
+    "PenaltyParams-c": lambda v: PenaltyParams(v, 0.1),
+    "PenaltyParams-rho": lambda v: PenaltyParams(0.1, v),
+    "init_lite-u_init": with_init_lite,
+    "run_grid-algo": lambda v: grid(algo=v),
+    "run_grid-iters": lambda v: grid(iters=v),
+    "run_grid-seed": lambda v: grid(seed=v),
+    "run_grid-init": lambda v: grid(init=v),
+    "rmse-estimates": with_rmse,
+    "parameter_bounds-c": with_bounds,
+    "oracle_check-c": lambda v: with_oracle(c=v),
+    "oracle_check-seed": lambda v: with_oracle(seed=v),
+    "oracle_check-trials": lambda v: with_oracle(trials=v),
+    "sublinear_envelope_check-gap_values": sublinear_envelope_check,
+    "sublinear_envelope_check-tol": lambda v: sublinear_envelope_check([1.0, 0.5, 0.3, 0.2], v),
+    "TraceRecorder-metrics": with_recorder,
+}
+for _name, _runner in (("run_full", run_full), ("run_lite", run_lite)):
+    ROWS |= {
+        f"{_name}-iters": lambda v, r=_runner: solve(r, iters=v),
+        f"{_name}-seed": lambda v, r=_runner: solve(r, seed=v),
+        f"{_name}-kind": lambda v, r=_runner: solve(r, InitSpec(kind=v)),
+        f"{_name}-lo": lambda v, r=_runner: solve(r, InitSpec("uniform", lo=v)),
+        f"{_name}-hi": lambda v, r=_runner: solve(r, InitSpec("uniform", hi=v)),
+        f"{_name}-u_init": lambda v, r=_runner: solve(r, InitSpec("uniform", u_init=v)),
+    }
+
+
+@pytest.mark.parametrize("value", JUNK.values(), ids=JUNK.keys())
+@pytest.mark.parametrize("call", ROWS.values(), ids=ROWS.keys())
+def test_returns_or_raises_a_package_error(call, value):
+    try:
+        call(value)
+    except LocadmmError:
+        pass
+
+
+@pytest.mark.parametrize("value", [JUNK[name] for name in REFUSED], ids=REFUSED)
+@pytest.mark.parametrize("call", ROWS.values(), ids=ROWS.keys())
+def test_refuses_what_no_argument_takes(call, value):
+    # none of these is a count, a number, a seed, a keyword or a collection
+    with pytest.raises(LocadmmError):
+        call(value)
+
+
+@pytest.mark.parametrize("seed", [-1, 0.3, True, np.array(1)], ids=["-1", "0.3", "True", "array"])
+@pytest.mark.parametrize("row", [name for name in ROWS if name.endswith("-seed")])
+def test_every_seed_checked_alike(row, seed):
+    # generate_rgg, measure and oracle_check let NumPy raise its own
+    # TypeError or ValueError, and seeded 1 for True
+    message = f"^seed must be a non-negative integer, got {re.escape(repr(seed))}$"
+    with pytest.raises(InvalidParameter, match=message):
+        ROWS[row](seed)
+
+
+def test_numpy_scalars_taken_as_their_python_values():
+    graph, truth, meas, params = instance()
+    spec = InitSpec("uniform", lo=-1, hi=1.0, u_init="half")
+    np_spec = InitSpec(np.str_("uniform"), lo=np.int64(-1), hi=np.float64(1.0), u_init=np.str_("half"))
+    np_params = PenaltyParams(np.float64(0.1), np.float64(0.1))
+    for runner in (run_full, run_lite):
+        want = runner(graph, meas, params, spec, 2, seed=4).estimates
+        got = runner(graph, meas, np_params, np_spec, np.int64(2), seed=np.uint8(4)).estimates
+        assert got.tobytes() == want.tobytes()
+        [cell] = run_grid(np.str_(runner.__name__[4:]), graph, meas, [(params, np.int64(4))],
+                          np_spec, np.int64(2))
+        assert cell.result.estimates.tobytes() == want.tobytes()
+    want = measure(truth, graph, NoiseModel("range-dependent", 0.01), seed=5).d
+    got = measure(truth, graph, NoiseModel(np.str_("range-dependent"), np.float64(0.01)),
+                  seed=np.int64(5)).d
+    assert got.tobytes() == want.tobytes()
+    want, _ = generate_rgg(6, 2, 0.8, dim=3, seed=3)
+    got, _ = generate_rgg(6, 2, 0.8, dim=np.int64(3), seed=3)
+    assert got.edge_list == want.edge_list and got.dim == 3

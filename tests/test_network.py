@@ -102,6 +102,13 @@ class TestGenerateRgg:
         with pytest.raises(InvalidParameter):
             generate_rgg(**kwargs)
 
+    def test_numpy_scalars_give_the_same_instance(self):
+        # an np.int64 node count reached the radix sort, which called
+        # int.bit_length on it
+        got = generate_rgg(np.int64(12), np.int64(3), np.float64(0.6), seed=np.int64(1))
+        want = generate_rgg(12, 3, 0.6, seed=1)
+        assert _instance_bytes(*got, None) == _instance_bytes(*want, None)
+
     def test_connectivity_retry_budget(self):
         with pytest.raises(ConnectivityFailure):
             generate_rgg(10, 1, 1e-9, seed=0)
@@ -408,7 +415,7 @@ class TestGraphInvariants:
         "dim, num_nodes, anchors, message",
         [
             (4, 3, {0: [0.0] * 4}, "dim must be 2 or 3, got 4"),
-            (2, 0, {0: [0.0, 0.0]}, "num_nodes must be positive, got 0"),
+            (2, 0, {0: [0.0, 0.0]}, "num_nodes must be >= 1, got 0"),
             (2, 3, {0: [0.0, 0.0], 3: [1.0, 0.0]}, "anchor id 3 out of range"),
             (2, 3, {1: [0.0, 0.0, 0.0]}, "anchor 1 position has shape (3,)"),
         ],
@@ -428,6 +435,13 @@ class TestGraphInvariants:
         with pytest.raises(InvalidParameter) as exc:
             NetworkGraph.build(2, 3, {anchor_id: [1.0, 2.0]}, [(0, 1), (1, 2)])
         assert str(exc.value) == f"anchor id {anchor_id!r} is not an integer"
+
+    def test_numpy_node_count(self):
+        # the count reached the radix sort as an np.int64, without bit_length
+        args = ({0: [0.0, 0.0]}, [(0, 1), (1, 2)])
+        got = NetworkGraph.build(np.int64(2), np.int64(3), *args)
+        want = NetworkGraph.build(2, 3, *args)
+        assert _instance_bytes(got, None, None) == _instance_bytes(want, None, None)
 
     @pytest.mark.parametrize("anchor_id", [1, np.int64(1), np.uint8(1)])
     def test_integer_anchor_ids_of_any_type(self, anchor_id):
@@ -548,6 +562,11 @@ class TestMeasure:
             NoiseModel("laplacian", 0.1)
         with pytest.raises(InvalidParameter):
             NoiseModel("additive-white", -0.5)
+
+    def test_bad_model_named(self):
+        message = "^noise kind must be 'additive-white' or 'range-dependent', got 'laplacian'$"
+        with pytest.raises(InvalidParameter, match=message):
+            NoiseModel("laplacian", 0.1)
 
 
 class TestMeasureMatchesLoop:
@@ -683,6 +702,23 @@ class TestRmse:
         with pytest.raises(MissingPosition, match="^no estimate for node 2$"):
             rmse({0: truth.positions[0], 1: truth.positions[1]}, truth, graph)
         assert rmse({2: truth.positions[2]}, truth, graph) == 0.0
+
+    @pytest.mark.parametrize(
+        "estimates, message",
+        [
+            ("x", "estimates must be numbers"),
+            ({2: "x"}, "estimates must be numbers"),
+            (3.0, "estimates must be rows of 2 numbers, got shape ()"),
+            (np.zeros((3, 3)), "estimates must be rows of 2 numbers, got shape (3, 3)"),
+        ],
+        ids=["string", "string-entry", "number", "three-columns"],
+    )
+    def test_estimates_must_be_rows_of_numbers(self, triangle, estimates, message):
+        # NumPy raised its own ValueError or TypeError
+        graph, truth, _ = triangle
+        with pytest.raises(InvalidParameter) as exc:
+            rmse(estimates, truth, graph)
+        assert str(exc.value) == message
 
     @pytest.mark.parametrize("dim", [2, 3])
     def test_bitwise_equal_to_per_node_dot_products(self, dim):

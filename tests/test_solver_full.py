@@ -799,11 +799,48 @@ class TestOneLoop:
             (InitSpec(kind="from_positions", positions=np.zeros((3, 2))), InvalidInit,
              r"positions shape \(3, 2\)"),
             (InitSpec(kind="uniform", lo=1.0, hi=1.0), InvalidInitSpec, "are empty or unbounded"),
-            (InitSpec(kind="bogus"), InvalidInitSpec, "unknown init kind 'bogus'"),
-            (InitSpec(u_init="bogus"), InvalidInitSpec, "unknown u_init 'bogus'"),
+            (InitSpec(kind="bogus"), InvalidInitSpec,
+             "^init kind must be 'zeros', 'uniform' or 'from_positions', got 'bogus'$"),
+            (InitSpec(u_init="bogus"), InvalidInitSpec,
+             "^u_init must be 'zeros', 'half' or 'directions', got 'bogus'$"),
         ]:
             with pytest.raises(error, match=message):
                 grid.run_grid(algo, graph, meas, cells, spec, 3)
+
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            (InitSpec("uniform", lo="a", hi="b"), "^lo must be a number, got 'a'$"),
+            (InitSpec("uniform", lo=None), "^lo must be a number, got None$"),
+            (InitSpec("uniform", hi=True), "^hi must be a number, got True$"),
+            (InitSpec("uniform", lo=np.array([0.0, 1.0])), r"^lo must be a number, got array\("),
+            (InitSpec(kind=np.array(["zeros", "uniform"])), r"^init kind must be .*, got array\("),
+            (InitSpec(u_init=np.array(["zeros", "half"])), r"^u_init must be .*, got array\("),
+        ],
+        ids=["strings", "none", "true", "array-lo", "array-kind", "array-u_init"],
+    )
+    def test_init_spec_fields_must_be_what_they_name(self, spec, message):
+        # the bounds raised raw TypeErrors or ValueErrors from their
+        # comparison or the draw, an array kind or u_init a raw ValueError
+        graph, _, meas = self.instance()
+        params = PenaltyParams(0.1, 0.1)
+        calls = [lambda r=runner: r(graph, meas, params, spec, 2) for runner in (run_full, run_lite)]
+        calls += [lambda algo=algo: grid.run_grid(algo, graph, meas, [(params, 0)], spec, 2)
+                  for algo in ("full", "lite")]
+        for call in calls:
+            with pytest.raises(InvalidInitSpec, match=message):
+                call()
+
+    @pytest.mark.parametrize("init", ["zeros", None, [InitSpec()]])
+    def test_grid_init_must_be_an_init_spec(self, monkeypatch, init):
+        # _start raised a raw AttributeError on init.kind
+        graph, _, meas = self.instance()
+        built = []
+        monkeypatch.setattr(grid, "_batch", lambda *args: built.append(args))
+        for algo in ("full", "lite"):
+            with pytest.raises(InvalidInitSpec, match="^init must be an InitSpec, got "):
+                grid.run_grid(algo, graph, meas, [(PenaltyParams(0.1, 0.1), 0)], init, 2)
+        assert not built
 
     @pytest.mark.parametrize("iters", [2.5, np.float64(3.0), None, True, "3"])
     def test_iters_must_be_an_integer(self, monkeypatch, iters):
