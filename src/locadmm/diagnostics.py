@@ -487,17 +487,17 @@ class TraceRecorder:
         metadata: Optional[dict] = None,
     ):
         try:
-            unknown = set(metrics) - {*METRICS, "wall"}
+            self.metrics = tuple(metrics)  # read once: a generator is used up
+            unknown = set(self.metrics) - {*METRICS, "wall"}
         except TypeError:
             raise InvalidParameter(f"metrics must be names, got {metrics!r:.40}") from None
         if unknown:
             raise InvalidParameter(f"unknown metrics {sorted(unknown, key=str)}")
-        if "rmse" in metrics and truth is None:
+        if "rmse" in self.metrics and truth is None:
             raise InvalidParameter("rmse metric needs ground truth")
-        if "potential" in metrics and potential_coeffs is None:
+        if "potential" in self.metrics and potential_coeffs is None:
             raise InvalidParameter("potential metric needs potential_coeffs")
         self.graph = graph
-        self.metrics = tuple(metrics)
         self.trace = IterationTrace(metadata=dict(metadata or {}))
         self._pass = MetricPass(
             self.metrics, layout=graph.layout, d=measurements.edge_ranges(graph),

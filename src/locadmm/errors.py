@@ -71,12 +71,12 @@ def is_integer(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
-def check_integer(name: str, value, least: int, error=InvalidParameter) -> int:
+def check_integer(name: str, value, least: int) -> int:
     """``value``, an integer of at least ``least``, as an ``int``."""
     if not is_integer(value):
-        raise error(f"{name} must be an integer, got {value!r:.40}")
+        raise InvalidParameter(f"{name} must be an integer, got {value!r:.40}")
     if value < least:
-        raise error(f"{name} must be >= {least}, got {value}")
+        raise InvalidParameter(f"{name} must be >= {least}, got {value}")
     return int(value)
 
 

@@ -456,6 +456,20 @@ class TestTrace:
         with pytest.raises(InvalidParameter, match="^potential metric needs potential_coeffs$"):
             dg.TraceRecorder(graph, meas, PenaltyParams(1, 1), metrics=["potential"])
 
+    def test_metrics_read_once(self, triangle):
+        # set(metrics) used up a generator, which then recorded nothing
+        graph, truth, meas = triangle
+        recorder = dg.TraceRecorder(graph, meas, PenaltyParams(1, 1), truth=truth,
+                                    metrics=(name for name in ["rmse", "F"]))
+        assert recorder.metrics == ("rmse", "F")
+
+    @pytest.mark.parametrize("metrics", [3, [["rmse"]]], ids=["number", "unhashable-entry"])
+    def test_metrics_must_be_names(self, triangle, metrics):
+        # set(metrics) raised a raw TypeError
+        graph, _, meas = triangle
+        with pytest.raises(InvalidParameter, match="^metrics must be names, got "):
+            dg.TraceRecorder(graph, meas, PenaltyParams(1, 1), metrics=metrics)
+
     @pytest.mark.parametrize("runner", [run_full, run_lite])
     @pytest.mark.parametrize("metrics", [dg.DEFAULT_METRICS, dg.TRACE_COLUMNS[1:8]])
     def test_recording_builds_no_per_node_views(self, runner, metrics, monkeypatch):
