@@ -377,9 +377,11 @@ def sublinear_envelope_check(gap_values: Sequence[float], tol: float = 0.05) -> 
     envelope grow linearly and fails the check. ``epsilon2`` reports the
     fitted envelope constant ``max_T m(T) (T-1)``. A gap is a non-negative
     number: ``InvalidParameter`` names the first NaN, infinite or negative
-    value, which would otherwise come out as a NaN report or a false pass.
+    value, which would otherwise come out as a NaN report or a false pass,
+    and refuses a ``tol`` that is not finite and non-negative.
     """
-    check_real("tol", tol)
+    if not (check_real("tol", tol) >= 0.0 and math.isfinite(tol)):
+        raise InvalidParameter(f"tol must be finite and >= 0, got {tol}")
     gaps = check_numbers("gap_values", gap_values)
     if gaps.ndim != 1 or gaps.shape[0] < 4:
         raise InvalidParameter("need at least 4 gap values")

@@ -81,9 +81,13 @@ def check_integer(name: str, value, least: int) -> int:
 
 
 def check_real(name: str, value, error=InvalidParameter):
-    """``value``, a real number; the caller bounds its range."""
+    """``value``, a real number with a float value; the caller bounds its range."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise error(f"{name} must be a number, got {value!r:.40}")
+    try:
+        float(value)
+    except OverflowError:
+        raise error(f"{name} is too large for a float") from None
     return value
 
 
@@ -114,5 +118,5 @@ def check_numbers(name: str, value, error=InvalidParameter) -> np.ndarray:
     """A float copy of ``value``, an array of numbers."""
     try:
         return np.array(value, dtype=float)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise error(f"{name} must be numbers") from None

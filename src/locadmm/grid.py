@@ -22,7 +22,7 @@ import numpy as np
 
 from .diagnostics import IterationTrace, MetricPass, TraceRow, directions
 from .engine import RunResult, drive, finite_copies, quiet_fp
-from .errors import InvalidInitSpec, check_choice, check_seed
+from .errors import InvalidInitSpec, InvalidParameter, check_choice, check_seed
 from .network import GroundTruth, MeasurementSet, NetworkGraph
 from .solver_full import (
     InitSpec,
@@ -30,6 +30,7 @@ from .solver_full import (
     consensus_state,
     full_states,
     full_steps,
+    init_full,
     start_positions,
 )
 from .solver_lite import LiteStates, lite_start, lite_steps
@@ -75,45 +76,50 @@ def run_grid(
     ``truth``. The cells run in batches of at most :data:`GRID_ROWS` stacked
     edge rows; a result's arrays are views into its batch's arrays.
 
-    The call itself checks the arguments, every cell's seed included, and
-    builds the first batch's start, so a bad argument or a start that
-    cannot be built raises from it; a batch runs, and a later batch is
-    built, only when its first cell is drawn.
+    The call itself checks the arguments, every cell included, and builds
+    one cell's start, so a bad argument or a start that cannot be built
+    raises from it; a batch is built and run only when its first cell is
+    drawn.
     """
     check_run(graph, iters)
-    for _, seed in cells:
-        check_seed(seed)
+    for k, cell in enumerate(cells):
+        if not (isinstance(cell, tuple) and len(cell) == 2 and isinstance(cell[0], PenaltyParams)):
+            raise InvalidParameter(f"cells[{k}] must be a (PenaltyParams, seed) pair, got {cell!r:.40}")
+        check_seed(cell[1])
     algo = check_choice("algo", algo, ("full", "lite"))
     if not isinstance(init, InitSpec):
         raise InvalidInitSpec(f"init must be an InitSpec, got {init!r:.40}")
+    if cells:  # every seed is valid, so this start fails as any batch's would
+        init_full(graph, init, cells[0][1])
     metrics = ("F",) if truth is None else ("rmse", "F")
     # as few batches as the budget allows, of as even a size as they can be
     most = max(1, GRID_ROWS // max(graph.layout.num_edges, 1))
     size = math.ceil(len(cells) / math.ceil(len(cells) / most)) if cells else 1
     groups = [cells[first:first + size] for first in range(0, len(cells), size)]
-    built = [_batch(algo, graph, measurements, groups[0], init)] if groups else []
-    return _cells(algo, graph, measurements, groups, init, iters, truth, metrics, built)
+    return (
+        run for group in groups
+        for run in _run_batch(algo, graph, measurements, group, init, iters, truth, metrics)
+    )
 
 
-def _cells(algo, graph, measurements, groups, init, iters, truth, metrics, built):
-    """The cells of every group, each group run as one batch: the first
-    batch is the one in ``built``, each later one is built when it is
-    reached. A batch is handed over without a name here, so that
-    ``_run_batch`` holds the only reference to it and can drop its view."""
-    for cells in groups:
-        yield from _run_batch(
-            algo, graph, measurements, cells, iters, truth, metrics,
-            built.pop() if built else _batch(algo, graph, measurements, cells, init),
-        )
-
-
-def _run_batch(algo, graph, measurements, cells, iters, truth, metrics, batch):
-    base = graph.layout
-    copies = len(cells)
-    lay, d, c, rho, view, steps = batch
-    d_one = measurements.edge_ranges(graph)
+def _run_batch(algo, graph, measurements, cells, init, iters, truth, metrics):
+    """Every cell's run, from one batch: the layout stacking a copy per
+    cell, the ranges and each copy's penalties on it, and the cells' starts,
+    stacked, advanced together."""
+    copies, d_one = len(cells), measurements.edge_ranges(graph)
+    lay, d = graph.layout.stack(copies), np.tile(d_one, copies)
+    c = np.array([params.c for params, _ in cells])
+    rho = np.array([params.rho for params, _ in cells])
+    view = consensus_state(
+        lay, np.concatenate([start_positions(graph, init, seed) for _, seed in cells]), init.u_init
+    )
+    coef = EdgeCoefficients(lay, d, c, rho)
+    steps = (
+        full_steps(lay, coef, view, views=True) if algo == "full"
+        else lite_steps(lay, coef, lite_start(lay, view, d, c), views=True)
+    )
     measure = MetricPass(metrics, layout=lay, d=d, c=c, rho=rho, truth=truth)
-    comm_scalars = 2 * graph.dim * base.num_edges
+    comm_scalars = 2 * graph.dim * graph.layout.num_edges
     traces = [IterationTrace() for _ in cells]
     ok, prev = np.ones(copies, dtype=bool), None
 
@@ -134,43 +140,15 @@ def _run_batch(algo, graph, measurements, cells, iters, truth, metrics, batch):
         prev = directions(now.u)
 
     record(0, view)
-    del batch, view  # held no longer than the views drive hands to record
-    fields = drive(steps, iters, check, record)
-
-    n, e = base.num_nodes, base.num_edges
+    del view  # held no longer than the views drive hands to record
+    fields = {name: lay.by_copy(a) for name, a in drive(steps, iters, check, record).items()}
     for k, (params, seed) in enumerate(cells):
         result = None
         if ok[k]:
-            own = {
-                name: a[k * n:(k + 1) * n] if name == "p" else a[k * e:(k + 1) * e]
-                for name, a in fields.items()
-            }
+            own = {name: a[k] for name, a in fields.items()}
             states = (
-                full_states(base.offsets, own) if algo == "full"
-                else LiteStates(base.offsets, d=d_one, **own)
+                full_states(graph.layout.offsets, own) if algo == "full"
+                else LiteStates(graph.layout.offsets, d=d_one, **own)
             )
             result = RunResult(states=states, estimates=own["p"].copy(), trace=traces[k])
         yield CellRun(params, seed, result)
-
-
-def _batch(algo, graph, measurements, cells, init) -> tuple:
-    """A batch of ``cells``, built: the layout stacking one copy per cell,
-    the ranges and each copy's penalties on it, and :func:`_start`'s
-    iteration-0 view and iterates."""
-    lay = graph.layout.stack(len(cells))
-    d = np.tile(measurements.edge_ranges(graph), len(cells))
-    c = np.array([params.c for params, _ in cells])
-    rho = np.array([params.rho for params, _ in cells])
-    return (lay, d, c, rho, *_start(algo, graph, cells, init, lay, d, c, rho))
-
-
-def _start(algo, graph, cells, init, lay, d, c, rho) -> tuple:
-    """Every cell's start stacked in ``lay``: its iteration-0 view, the
-    consensus state at the cell's start positions, and the solver's iterates
-    from it."""
-    positions = np.concatenate([start_positions(graph, init, seed) for _, seed in cells])
-    view = consensus_state(lay, positions, init.u_init)
-    coef = EdgeCoefficients(lay, d, c, rho)
-    if algo == "full":
-        return view, full_steps(lay, coef, view, views=True)
-    return view, lite_steps(lay, coef, lite_start(lay, view, d, c), views=True)

@@ -381,6 +381,11 @@ class EdgeLayout:
             copies=copies,
         )
 
+    def by_copy(self, a: np.ndarray) -> np.ndarray:
+        """The node or edge field ``a`` of this layout as one block of rows
+        per copy: ``by_copy(a)[k]`` views the rows copy ``k`` owns."""
+        return a.reshape(self.copies, -1, *a.shape[1:])
+
     def edge_column(self, value):
         """A per-copy value on every edge row: a number as it is, else
         ``value[k]`` on each row of copy ``k``."""
@@ -409,7 +414,9 @@ class GroundTruth:
     positions: np.ndarray  # (num_nodes, dim)
 
     def __post_init__(self):
-        pos = np.array(self.positions, dtype=float)  # a copy: the caller's stays writable
+        pos = check_numbers("positions", self.positions)  # a copy: the caller's stays writable
+        if pos.ndim != 2 or pos.shape[1] not in (2, 3):
+            raise InvalidParameter(f"positions must be rows of 2 or 3 numbers, got shape {pos.shape}")
         pos.flags.writeable = False
         object.__setattr__(self, "positions", pos)
 
@@ -452,7 +459,7 @@ class MeasurementSet:
     _d_text: str | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        d, edges = np.array(self.d, dtype=float), self.graph.layout.forward.size
+        d, edges = check_numbers("d", self.d), self.graph.layout.forward.size
         if d.shape != (edges,):
             raise InvalidParameter(f"expected {edges} ranges, got {d.shape}")
         d.flags.writeable = False
@@ -709,17 +716,15 @@ def copy_rmse(truth: GroundTruth, layout: EdgeLayout):
     target = np.take(truth.positions, free, axis=0)
 
     def per_copy(positions: np.ndarray) -> np.ndarray:
-        est = positions.reshape(layout.copies, -1, positions.shape[1])
-        return _rms_error(est.take(free, axis=1), target)
+        return _rms_error(layout.by_copy(positions).take(free, axis=1), target)
 
     return per_copy
 
 
 def _free_nodes(layout: EdgeLayout) -> np.ndarray:
     """The non-anchor node ids of one copy of ``layout``."""
-    copies = layout.copies
-    anchors = layout.anchor_idx[: len(layout.anchor_idx) // copies]
-    free = np.delete(np.arange(layout.num_nodes // copies), anchors)
+    anchors = layout.by_copy(layout.anchor_idx)[0]
+    free = np.delete(np.arange(layout.num_nodes // layout.copies), anchors)
     if not free.size:
         raise EmptyFreeSet("every node is an anchor")
     return free

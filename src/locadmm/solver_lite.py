@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .engine import RunResult, check_finite, drive, hook_record, quiet_fp
-from .errors import InvalidInit, MissingMessage
+from .errors import InvalidInit, MissingMessage, check_penalty
 from .network import EdgeLayout, MeasurementSet, NetworkGraph
 from .solver_full import (
     InitSpec,
@@ -126,6 +126,7 @@ def init_lite(
     :func:`~locadmm.solver_full.consensus_state` at ``positions``.
     ``u_init`` is an init-spec keyword (``"zeros"``/``"half"``/
     ``"directions"``, the last along ``positions``)."""
+    check_penalty("c", c)
     lay = graph.layout
     view = consensus_state(lay, as_positions(positions, graph), u_init)
     return lite_start(lay, view, measurements.edge_ranges(graph), c)

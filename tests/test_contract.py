@@ -19,9 +19,11 @@ import numpy as np
 import pytest
 
 from locadmm import (
+    GroundTruth,
     InitSpec,
     InvalidParameter,
     LocadmmError,
+    MeasurementSet,
     NetworkGraph,
     NoiseModel,
     PenaltyParams,
@@ -76,8 +78,8 @@ def solve(runner, spec=InitSpec(), iters=2, seed=0):
     return runner(graph, meas, params, spec, iters, seed=seed)
 
 
-def grid(algo="full", iters=2, seed=0, init=InitSpec()):
-    graph, _, meas, params = instance()
+def grid(algo="full", iters=2, seed=0, init=InitSpec(), params=PenaltyParams(0.1, 0.1)):
+    graph, _, meas, _ = instance()
     return list(run_grid(algo, graph, meas, [(params, seed)], init, iters))
 
 
@@ -96,9 +98,14 @@ def with_oracle(**kwargs):
     return oracle_check(graph, meas, **{"trials": 2, **kwargs})
 
 
-def with_init_lite(u_init):
+def with_init_lite(u_init="zeros", c=0.1):
     graph, truth, meas, _ = instance()
-    return init_lite(graph, truth.positions, u_init, 0.1, meas)
+    return init_lite(graph, truth.positions, u_init, c, meas)
+
+
+def with_ranges(d):
+    graph, _, _, _ = instance()
+    return MeasurementSet(graph, d)
 
 
 def with_rmse(estimates):
@@ -125,11 +132,15 @@ ROWS = {
     "measure-seed": with_measure,
     "PenaltyParams-c": lambda v: PenaltyParams(v, 0.1),
     "PenaltyParams-rho": lambda v: PenaltyParams(0.1, v),
+    "MeasurementSet-d": with_ranges,
+    "GroundTruth-positions": GroundTruth,
     "init_lite-u_init": with_init_lite,
+    "init_lite-c": lambda v: with_init_lite(c=v),
     "run_grid-algo": lambda v: grid(algo=v),
     "run_grid-iters": lambda v: grid(iters=v),
     "run_grid-seed": lambda v: grid(seed=v),
     "run_grid-init": lambda v: grid(init=v),
+    "run_grid-params": lambda v: grid(params=v),
     "rmse-estimates": with_rmse,
     "parameter_bounds-c": with_bounds,
     "oracle_check-c": lambda v: with_oracle(c=v),
@@ -147,7 +158,26 @@ for _name, _runner in (("run_full", run_full), ("run_lite", run_lite)):
         f"{_name}-lo": lambda v, r=_runner: solve(r, InitSpec("uniform", lo=v)),
         f"{_name}-hi": lambda v, r=_runner: solve(r, InitSpec("uniform", hi=v)),
         f"{_name}-u_init": lambda v, r=_runner: solve(r, InitSpec("uniform", u_init=v)),
+        f"{_name}-positions": lambda v, r=_runner: solve(r, InitSpec("from_positions", positions=v)),
     }
+
+# The rows whose argument is a real number, and those whose argument is an
+# array of numbers, with the shape each takes.
+REAL_ROWS = [
+    "generate_rgg-comm_range", "generate_rgg-area_side", "NoiseModel-sigma_add",
+    "PenaltyParams-c", "PenaltyParams-rho", "init_lite-c", "parameter_bounds-c",
+    "oracle_check-c", "sublinear_envelope_check-tol",
+    "run_full-lo", "run_full-hi", "run_lite-lo", "run_lite-hi",
+]
+ARRAY_ROWS = {
+    "MeasurementSet-d": (len(instance()[2].d),),
+    "GroundTruth-positions": (6, 2),
+    "rmse-estimates": (6, 2),
+    "sublinear_envelope_check-gap_values": (4,),
+    "run_full-positions": (6, 2),
+    "run_lite-positions": (6, 2),
+}
+HUGE = 10**400  # an integer no float holds
 
 
 @pytest.mark.parametrize("value", JUNK.values(), ids=JUNK.keys())
@@ -165,6 +195,21 @@ def test_refuses_what_no_argument_takes(call, value):
     # none of these is a count, a number, a seed, a keyword or a collection
     with pytest.raises(LocadmmError):
         call(value)
+
+
+@pytest.mark.parametrize("row", REAL_ROWS)
+def test_a_real_too_large_for_a_float_refused(row):
+    # float(), math.isfinite and NumPy raised a raw OverflowError
+    with pytest.raises(LocadmmError):
+        ROWS[row](HUGE)
+
+
+@pytest.mark.parametrize("row", ARRAY_ROWS)
+def test_an_array_holding_a_number_too_large_for_a_float_refused(row):
+    array = np.zeros(ARRAY_ROWS[row], dtype=object)
+    array.flat[0] = HUGE
+    with pytest.raises(LocadmmError):
+        ROWS[row](array.tolist())
 
 
 @pytest.mark.parametrize("seed", [-1, 0.3, True, np.array(1)], ids=["-1", "0.3", "True", "array"])

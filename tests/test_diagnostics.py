@@ -397,6 +397,13 @@ class TestEnvelope:
         with pytest.raises(InvalidParameter, match=f"^{re.escape(message)}$"):
             dg.sublinear_envelope_check(gaps)
 
+    @pytest.mark.parametrize("tol", [math.inf, math.nan, -0.1])
+    def test_tol_must_be_finite_and_non_negative(self, tol):
+        # tol = inf passed a constant, non-vanishing gap as bounded, and
+        # tol = nan failed every gap
+        with pytest.raises(InvalidParameter, match=f"^tol must be finite and >= 0, got {tol}$"):
+            dg.sublinear_envelope_check([0.5] * 300, tol=tol)
+
     def test_zero_and_negative_zero_gaps_accepted(self):
         report = dg.sublinear_envelope_check([1.0, 0.5, -0.0, 0.0, 0.0])
         assert report.bounded and report.epsilon2 == 0.5

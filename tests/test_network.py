@@ -496,6 +496,17 @@ class TestGraphInvariants:
         with pytest.raises(ValueError):
             truth.positions[0, 0] = 1.0
 
+    @pytest.mark.parametrize(
+        "positions", [None, True, np.array([0.0, 1.0]), np.zeros((3, 4)), np.zeros((2, 2, 2))],
+        ids=["none", "true", "1-d", "4-columns", "3-d"],
+    )
+    def test_positions_must_be_rows_of_2_or_3_numbers(self, positions):
+        # None, True and a 1-D array were taken as positions
+        shape = np.shape(np.array(positions, dtype=float))
+        message = re.escape(f"positions must be rows of 2 or 3 numbers, got shape {shape}")
+        with pytest.raises(InvalidParameter, match=f"^{message}$"):
+            GroundTruth(positions)
+
     def test_compares_by_identity(self):
         positions = np.arange(6.0).reshape(3, 2)
         truth = GroundTruth(positions)

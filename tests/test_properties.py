@@ -40,7 +40,7 @@ from hypothesis import strategies as st
 
 from locadmm import diagnostics as dg
 from locadmm import grid, oracle
-from locadmm.engine import IterationEvent, check_finite, finite_copies, quiet_fp
+from locadmm.engine import IterationEvent, check_finite, finite_copies
 from locadmm.errors import NonFiniteValue
 from locadmm.harness import execute_run
 from locadmm.network import GroundTruth, MeasurementSet, NetworkGraph
@@ -580,16 +580,23 @@ def test_views_carry_the_gathered_p(inst, algo):
 def test_grid_batch_views_carry_the_gathered_p(inst, algo, copies):
     graph, meas, params, spec, seed, iters = inst
     cells = [(params, seed + k) for k in range(copies)]
-    lay = graph.layout.stack(copies)
-    d = np.tile(meas.edge_ranges(graph), copies)
-    c = np.full(copies, params.c)
-    rho = np.full(copies, params.rho)
-    view, steps = grid._start(algo, graph, cells, spec, lay, d, c, rho)
-    for _ in range(iters):
-        with quiet_fp():
-            _, now, half = next(steps)
-        for blocks in [now.blocks] + ([half] if algo == "full" else []):
-            assert_gathered(blocks, seeded=True)
+    drive, seen = grid.drive, []
+
+    def spy(steps, iters, check, record):
+        def checked(t, now, half):
+            for blocks in [now.blocks] + ([half] if algo == "full" else []):
+                assert_gathered(blocks, seeded=True)
+            seen.append(t)
+            record(t, now, half)
+
+        return drive(steps, iters, check, checked)
+
+    grid.drive = spy
+    try:
+        list(grid.run_grid(algo, graph, meas, cells, spec, iters))
+    finally:
+        grid.drive = drive
+    assert seen == list(range(1, iters + 1))
 
 
 @st.composite

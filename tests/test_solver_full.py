@@ -34,6 +34,7 @@ from locadmm.solver_full import (
     init_full,
     local_halfstep,
     run_full,
+    start_positions,
     update_lambda,
     update_u,
 )
@@ -833,10 +834,10 @@ class TestOneLoop:
 
     @pytest.mark.parametrize("init", ["zeros", None, [InitSpec()]])
     def test_grid_init_must_be_an_init_spec(self, monkeypatch, init):
-        # _start raised a raw AttributeError on init.kind
+        # building the start raised a raw AttributeError on init.kind
         graph, _, meas = self.instance()
         built = []
-        monkeypatch.setattr(grid, "_batch", lambda *args: built.append(args))
+        monkeypatch.setattr(grid, "consensus_state", lambda *args: built.append(args))
         for algo in ("full", "lite"):
             with pytest.raises(InvalidInitSpec, match="^init must be an InitSpec, got "):
                 grid.run_grid(algo, graph, meas, [(PenaltyParams(0.1, 0.1), 0)], init, 2)
@@ -849,7 +850,7 @@ class TestOneLoop:
         graph, _, meas = self.instance()
         params = PenaltyParams(0.1, 0.1)
         built = []
-        monkeypatch.setattr(grid, "_batch", lambda *args: built.append(args))
+        monkeypatch.setattr(grid, "consensus_state", lambda *args: built.append(args))
         calls = [lambda: run_full(graph, meas, params, InitSpec(), iters),
                  lambda: run_lite(graph, meas, params, InitSpec(), iters)]
         calls += [lambda algo=algo: grid.run_grid(algo, graph, meas, [(params, 0)], InitSpec(), iters)
@@ -872,7 +873,7 @@ class TestOneLoop:
             with pytest.raises(InvalidParameter, match=message):
                 runner(graph, meas, params, spec, 3, seed=seed)
         built = []
-        monkeypatch.setattr(grid, "_batch", lambda *args: built.append(args))
+        monkeypatch.setattr(grid, "consensus_state", lambda *args: built.append(args))
         for algo in ("full", "lite"):
             # the last cell's seed is refused before the first batch is built
             with pytest.raises(InvalidParameter, match=message):
@@ -884,24 +885,27 @@ class TestOneLoop:
     @pytest.mark.parametrize("algo", ["full", "lite"])
     def test_grid_builds_each_batch_once_when_reached(self, monkeypatch, algo):
         graph, _, meas = self.instance()
-        batch, built = grid._batch, []
+        start, built = grid.consensus_state, []
 
-        def spy(*args):
-            built.append(args[3])
-            return batch(*args)
+        def spy(lay, positions, u_init):
+            built.append(positions.tobytes())
+            return start(lay, positions, u_init)
 
-        monkeypatch.setattr(grid, "_batch", spy)
+        def starts(group):
+            return np.concatenate([start_positions(graph, spec, seed) for _, seed in group]).tobytes()
+
+        monkeypatch.setattr(grid, "consensus_state", spy)
         monkeypatch.setattr(grid, "GRID_ROWS", 2 * graph.layout.num_edges)  # two cells a batch
         cells = [(PenaltyParams(0.1 * (k + 1), 0.1), k) for k in range(5)]
         spec = InitSpec(kind="uniform", u_init="directions")
         runs = grid.run_grid(algo, graph, meas, cells, spec, 3)
-        assert built == [cells[:2]]  # the first batch, built by the call
+        assert built == []  # the call builds one cell's start, and no batch
         drawn = [next(runs), next(runs)]
-        assert built == [cells[:2]]
+        assert built == [starts(cells[:2])]
         drawn.append(next(runs))
-        assert built == [cells[:2], cells[2:4]]
+        assert built == [starts(cells[:2]), starts(cells[2:4])]
         drawn += runs
-        assert built == [cells[:2], cells[2:4], cells[4:]]
+        assert built == [starts(cells[:2]), starts(cells[2:4]), starts(cells[4:])]
         runner = run_full if algo == "full" else run_lite
         for (params, seed), run in zip(cells, drawn, strict=True):
             own = runner(graph, meas, params, spec, 3, seed=seed)

@@ -3,7 +3,7 @@ import pytest
 
 from locadmm import diagnostics as dg
 from locadmm import structured_ops as ops
-from locadmm.errors import InvalidInit, MissingMessage
+from locadmm.errors import InvalidInit, InvalidParameter, MissingMessage
 from locadmm.network import MeasurementSet, rmse
 from locadmm.solver_full import InitSpec, init_full, run_full
 from locadmm.solver_lite import (
@@ -99,6 +99,19 @@ class TestInitLite:
         meas = MeasurementSet.from_pairs(graph, {(0, 1): 1.0})
         with pytest.raises(InvalidInit):
             init_lite(graph, np.zeros((1, 2)), "zeros", 1.0, meas)
+
+    @pytest.mark.parametrize(
+        "c, message",
+        [("x", "c must be a number, got 'x'"), (-1.0, "c must be positive and finite, got -1.0"),
+         (np.inf, "c must be positive and finite, got inf")],
+    )
+    def test_c_must_be_a_penalty(self, c, message):
+        # "x" raised a raw UFuncTypeError, and -1.0 built accumulators with a
+        # negative penalty
+        graph = make_graph(2, [(0, 1)], {0: [0.0, 0.0]})
+        meas = MeasurementSet.from_pairs(graph, {(0, 1): 1.0})
+        with pytest.raises(InvalidParameter, match=f"^{message}$"):
+            init_lite(graph, np.zeros((2, 2)), "zeros", c, meas)
 
 
 class TestStepLite:
