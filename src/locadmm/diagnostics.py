@@ -24,7 +24,7 @@ import numpy as np
 
 from .engine import IterationEvent, quiet_fp
 from .errors import InvalidParameter, NonFiniteValue, check_numbers, check_penalty, check_real
-from .network import GroundTruth, MeasurementSet, NetworkGraph, copy_rmse, write_text
+from .network import GroundTruth, MeasurementSet, NetworkGraph, check_truth, copy_rmse, write_text
 from .structured_ops import (
     EdgeBlocks,
     EdgeStates,
@@ -331,7 +331,7 @@ def parameter_bounds(graph: NetworkGraph, measurements: MeasurementSet, c: float
         )
     n_max = int(degrees.max())
     n_sum = int(degrees.sum())
-    d_max = float(measurements.max_range)
+    d_max = float(measurements.edge_ranges(graph).max(initial=0.0))
     overflow = InvalidParameter(f"c = {c} overflows the parameter bounds")
     try:
         c1_sq = (c + 1.0) ** 2
@@ -397,9 +397,8 @@ def sublinear_envelope_check(gap_values: Sequence[float], tol: float = 0.05) -> 
     half = gaps.shape[0] // 2
     first = float(envelope[:half].max())
     second = float(envelope[half:].max())
-    if first <= 0.0:
-        bounded = second <= 0.0
-        ratio = math.inf if second > 0.0 else 1.0
+    if first <= 0.0:  # then min(gaps[:2]) = 0, and the envelope stays 0
+        bounded, ratio = True, 1.0
     else:
         ratio = second / first
         bounded = ratio <= 1.0 + tol
@@ -497,6 +496,8 @@ class TraceRecorder:
             raise InvalidParameter(f"unknown metrics {sorted(unknown, key=str)}")
         if "rmse" in self.metrics and truth is None:
             raise InvalidParameter("rmse metric needs ground truth")
+        if truth is not None:
+            check_truth(truth, graph)
         if "potential" in self.metrics and potential_coeffs is None:
             raise InvalidParameter("potential metric needs potential_coeffs")
         self.graph = graph

@@ -13,10 +13,10 @@ array handed out (to a hook, or in a :class:`RunResult`) or passed in as a
 start is never written afterwards, and a product one iteration carries into
 the next (the full solver's gathered ``p``, the low-storage solver's
 ``d u``) is read, never written. Each solver's iteration is one generator
-of iterates, which :func:`drive`, the one loop, runs under :func:`quiet_fp`
-for a single solve and for a grid of cells stacked as copies of the graph
-alike. It keeps no iterate: each caller keeps what it reads of the previous
-one, and hooks run in the caller's own state (:func:`hook_record`).
+of iterates, its start first, which :func:`drive`, the one loop, runs under
+:func:`quiet_fp` for a single solve and a grid of stacked copies alike. It
+hands on every iterate, the start included, and keeps none: each caller
+keeps what it reads of the previous one (:func:`hook_record` for hooks).
 
 Every iterate of every solve is checked for NaN and infinite values. The
 check first tests each field with :func:`all_finite`, one self-dot
@@ -115,14 +115,17 @@ def check_finite(t: int, src: np.ndarray, p: np.ndarray, **edge_fields: np.ndarr
 
 
 def drive(steps: Iterator, iters: int, check: Callable, record: Optional[Callable]) -> dict:
-    """The loop of every solve: take ``iters`` iterates from a solver's
-    ``steps`` under :func:`quiet_fp`, holding none once the next is made.
-    Per iteration ``steps`` yields the state fields by name (``p`` first,
-    then the edge fields in the order a divergence is reported in), passed
-    to ``check(t, fields)``, and the ``EdgeStates`` view and half-step
+    """The loop of every solve: take the start, t = 0, and ``iters`` iterates
+    from a solver's ``steps`` under :func:`quiet_fp`, holding none once the
+    next is made. Each yields the state fields by name (``p`` first, then the
+    edge fields in the order a divergence is reported in), passed from t = 1
+    on to ``check(t, fields)``, and the ``EdgeStates`` view and half-step
     blocks (``None`` when the solver was asked for no views), passed to
     ``record(t, view, half)`` unless it is None. Returns the last fields."""
     with quiet_fp():
+        _, view, _ = next(steps)
+        if record is not None:
+            record(0, view, None)
         for t in range(1, iters + 1):
             fields, view, half = next(steps)
             check(t, fields)
@@ -131,17 +134,16 @@ def drive(steps: Iterator, iters: int, check: Callable, record: Optional[Callabl
     return fields
 
 
-def hook_record(hook: Hook, view, comm_scalars: int) -> Callable:
-    """The ``record`` that hands a solve to ``hook``: the iteration-0 event
-    with the start's ``view`` at once, then one per iterate, ``states_prev``
-    the previous event's ``states``, in this call's floating-point state."""
-    caller = np.geterr()
-    hook(IterationEvent(0, view, None, None, 0))
+def hook_record(hook: Hook, comm_scalars: int) -> Callable:
+    """The ``record`` that hands a solve to ``hook``: one event per iterate,
+    the start's included, ``states_prev`` the previous event's ``states``,
+    in this call's floating-point state."""
+    caller, view = np.geterr(), None
 
     def record(t: int, now, half) -> None:
         nonlocal view
         with np.errstate(**caller):
-            hook(IterationEvent(t, now, view, half, comm_scalars))
+            hook(IterationEvent(t, now, view, half, comm_scalars if t else 0))
         view = now
 
     return record

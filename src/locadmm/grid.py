@@ -23,7 +23,7 @@ import numpy as np
 from .diagnostics import IterationTrace, MetricPass, TraceRow, directions
 from .engine import RunResult, drive, finite_copies, quiet_fp
 from .errors import InvalidInitSpec, InvalidParameter, check_choice, check_seed
-from .network import GroundTruth, MeasurementSet, NetworkGraph
+from .network import GroundTruth, MeasurementSet, NetworkGraph, check_truth
 from .solver_full import (
     InitSpec,
     check_run,
@@ -33,7 +33,7 @@ from .solver_full import (
     init_full,
     start_positions,
 )
-from .solver_lite import LiteStates, lite_start, lite_steps
+from .solver_lite import LiteStates, lite_steps
 from .structured_ops import EdgeCoefficients, EdgeStates, PenaltyParams
 
 GRID_ROWS = 1 << 13
@@ -89,6 +89,8 @@ def run_grid(
     algo = check_choice("algo", algo, ("full", "lite"))
     if not isinstance(init, InitSpec):
         raise InvalidInitSpec(f"init must be an InitSpec, got {init!r:.40}")
+    if truth is not None:
+        check_truth(truth, graph)
     if cells:  # every seed is valid, so this start fails as any batch's would
         init_full(graph, init, cells[0][1])
     metrics = ("F",) if truth is None else ("rmse", "F")
@@ -110,14 +112,12 @@ def _run_batch(algo, graph, measurements, cells, init, iters, truth, metrics):
     lay, d = graph.layout.stack(copies), np.tile(d_one, copies)
     c = np.array([params.c for params, _ in cells])
     rho = np.array([params.rho for params, _ in cells])
-    view = consensus_state(
+    start = consensus_state(
         lay, np.concatenate([start_positions(graph, init, seed) for _, seed in cells]), init.u_init
     )
     coef = EdgeCoefficients(lay, d, c, rho)
-    steps = (
-        full_steps(lay, coef, view, views=True) if algo == "full"
-        else lite_steps(lay, coef, lite_start(lay, view, d, c), views=True)
-    )
+    steps = (full_steps if algo == "full" else lite_steps)(lay, coef, start, views=True)
+    del start  # the steps hand it to record, then drop it
     measure = MetricPass(metrics, layout=lay, d=d, c=c, rho=rho, truth=truth)
     comm_scalars = 2 * graph.dim * graph.layout.num_edges
     traces = [IterationTrace() for _ in cells]
@@ -126,7 +126,7 @@ def _run_batch(algo, graph, measurements, cells, init, iters, truth, metrics):
     def check(t: int, fields: dict) -> None:
         ok[~finite_copies(copies, fields.values())] = False
 
-    def record(t: int, now: EdgeStates, half=None) -> None:
+    def record(t: int, now: EdgeStates, half) -> None:
         """Append every copy's row for iteration ``t``, mask the copies
         whose metrics are not finite, and keep of ``now`` only its
         directions, all that the next metric pass reads of it."""
@@ -139,8 +139,6 @@ def _run_batch(algo, graph, measurements, cells, init, iters, truth, metrics):
         ok[~finite_copies(copies, values.values())] = False
         prev = directions(now.u)
 
-    record(0, view)
-    del view  # held no longer than the views drive hands to record
     fields = {name: lay.by_copy(a) for name, a in drive(steps, iters, check, record).items()}
     for k, (params, seed) in enumerate(cells):
         result = None

@@ -421,6 +421,15 @@ class GroundTruth:
         object.__setattr__(self, "positions", pos)
 
 
+def check_truth(truth: GroundTruth, graph: NetworkGraph) -> None:
+    """``InvalidParameter`` unless ``truth`` has a row per node of ``graph``, of its dim."""
+    need = (graph.num_nodes, graph.dim)
+    if truth.positions.shape != need:
+        raise InvalidParameter(
+            f"truth positions have shape {truth.positions.shape}, the graph needs {need}"
+        )
+
+
 @dataclass(frozen=True)
 class NoiseModel:
     """Range-noise description.
@@ -645,14 +654,10 @@ def measure(
     direction term it multiplies inside the solvers. Deterministic for a
     fixed seed; edges are visited in sorted order, one normal draw each.
     """
-    pos = np.asarray(truth.positions, dtype=float)
-    if pos.shape[0] < graph.num_nodes:
-        raise MissingPosition(
-            f"truth covers {pos.shape[0]} nodes, graph has {graph.num_nodes}"
-        )
+    check_truth(truth, graph)
     check_seed(seed)
     rng = np.random.default_rng(seed)
-    length = edge_lengths(graph.layout, pos)
+    length = edge_lengths(graph.layout, truth.positions)
     if model.kind == "additive-white":
         scale = model.sigma_add
     else:
@@ -686,6 +691,7 @@ def rmse(estimates, truth: GroundTruth, graph: NetworkGraph) -> float:
     ``estimates`` may be an ``(num_nodes, dim)`` array or a mapping
     node id -> position; anchor entries are ignored either way.
     """
+    check_truth(truth, graph)
     free = _free_nodes(graph.layout)
     if isinstance(estimates, Mapping):
         missing = [i for i in free if i not in estimates]
@@ -785,11 +791,7 @@ def save_network(
     lay, n, dim = graph.layout, graph.num_nodes, graph.dim
     columns = {"anchors": lay.anchor_idx, "anchor_pos": lay.anchor_pos}
     if truth is not None:
-        if truth.positions.shape != (n, dim):
-            raise InvalidParameter(
-                f"truth positions have shape {truth.positions.shape}, "
-                f"the graph needs ({n}, {dim})"
-            )
+        check_truth(truth, graph)
         columns["pos"] = truth.positions
     columns["i"], columns["j"] = lay.src[lay.forward], lay.dst[lay.forward]
     lines = [f'"schema_version": {SCHEMA_VERSION}', f'"dim": {dim}', f'"num_nodes": {n}']

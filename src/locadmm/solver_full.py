@@ -75,17 +75,6 @@ def consensus_blocks(positions: np.ndarray, graph: NetworkGraph) -> list[NodeBlo
     ]
 
 
-def edge_directions(positions: np.ndarray, layout: EdgeLayout) -> np.ndarray:
-    """Unit direction rows ``(x_i - x_j)/||x_i - x_j||`` per directed edge
-    ``(i, j)``; zero rows where the two positions coincide."""
-    diff = np.take(positions, layout.src, axis=0) - np.take(positions, layout.dst, axis=0)
-    norm = row_norms(diff)
-    rows = np.zeros_like(diff)
-    moved = norm > 0.0
-    rows[moved] = diff[moved] / norm[moved, None]
-    return rows
-
-
 def as_positions(positions, graph: NetworkGraph) -> np.ndarray:
     """A float copy of a ``(num_nodes, dim)`` map of finite positions."""
     if positions is None:
@@ -115,27 +104,27 @@ def start_positions(graph: NetworkGraph, spec: InitSpec, seed: int = 0) -> np.nd
     return np.random.default_rng(seed).uniform(lo, hi, (graph.num_nodes, graph.dim))
 
 
-def initial_u(u_init: str, positions: np.ndarray, layout: EdgeLayout) -> np.ndarray:
-    """Iteration-zero direction rows as one edge field of ``layout``:
-    ``zeros``, ``half`` (all coordinates 0.5), or ``directions`` along
-    ``positions``."""
-    shape = (layout.num_edges, layout.dim)
-    u_init = check_choice("u_init", u_init, ("zeros", "half", "directions"), InvalidInitSpec)
-    if u_init == "zeros":
-        return np.zeros(shape)
-    if u_init == "half":
-        return np.full(shape, 0.5)
-    return edge_directions(positions, layout)
-
-
 def consensus_state(layout: EdgeLayout, positions: np.ndarray, u_init: str) -> EdgeStates:
     """The consensus-feasible state at ``positions``, held as ``p``: each z^-
-    row at its owner's position, each z^+ row at its neighbor's,
-    :func:`initial_u` directions along them, and zero duals. ``layout``
-    may be a :meth:`~locadmm.network.EdgeLayout.stack` layout."""
-    u = initial_u(u_init, positions, layout)
+    row at its owner's position, each z^+ row at its neighbor's, directions
+    by the init-spec keyword ``u_init`` (``zeros``, ``half``: all
+    coordinates 0.5, or ``directions``: the unit rows along z^- - z^+, zero
+    where the two coincide), and zero duals. ``layout`` may be a
+    :meth:`~locadmm.network.EdgeLayout.stack` layout."""
+    u_init = check_choice("u_init", u_init, ("zeros", "half", "directions"), InvalidInitSpec)
+    shape = (layout.num_edges, layout.dim)
     z_minus = np.take(positions, layout.src, axis=0)
     z_plus = np.take(positions, layout.dst, axis=0)
+    if u_init == "zeros":
+        u = np.zeros(shape)
+    elif u_init == "half":
+        u = np.full(shape, 0.5)
+    else:
+        diff = z_minus - z_plus
+        norm = row_norms(diff)
+        u = np.zeros_like(diff)
+        moved = norm > 0.0
+        u[moved] = diff[moved] / norm[moved, None]
     return EdgeStates(EdgeBlocks(layout.offsets, positions, z_minus, z_plus), u, np.zeros_like(u))
 
 
@@ -290,7 +279,7 @@ def run_full(
     c, rho, d = params.c, params.rho, measurements.edge_ranges(graph)
     coef = EdgeCoefficients.held(measurements, lay, d, c, rho)
     steps = full_steps(lay, coef, start, views=hook is not None)
-    record = None if hook is None else hook_record(hook, start, 2 * graph.dim * lay.num_edges)
+    record = None if hook is None else hook_record(hook, 2 * graph.dim * lay.num_edges)
     last = drive(steps, iters, lambda t, fields: check_finite(t, lay.src, **fields), record)
     return RunResult(states=full_states(lay.offsets, last), estimates=last["p"].copy())
 
@@ -303,11 +292,12 @@ def full_states(offsets: np.ndarray, fields: dict, p_src=None) -> EdgeStates:
 
 
 def full_steps(lay: EdgeLayout, coef: EdgeCoefficients, start: EdgeStates, views: bool):
-    """Iterate the full-state solver from ``start``, one yield per
-    iteration: the new ``p``, ``z_minus``, ``z_plus``, ``u`` and ``lam`` by
-    name, in that order; then, when ``views``, their ``EdgeStates`` and the
-    half-step ``EdgeBlocks``, else ``None`` twice. Both views share the new
-    ``p``, and their ``p_src`` is the iteration's gathered ``p``, which the
+    """Iterate the full-state solver from ``start``, yielded first as its
+    own view, then one yield per iteration: the new ``p``, ``z_minus``,
+    ``z_plus``, ``u`` and ``lam`` by name, in that order; then, when
+    ``views``, their ``EdgeStates`` and the half-step ``EdgeBlocks``, else
+    ``None`` twice (the start's view too). Both views share the new ``p``,
+    and their ``p_src`` is the iteration's gathered ``p``, which the
     iterates read but never write.
 
     ``lay`` may be a :meth:`~locadmm.network.EdgeLayout.stack` layout, with
@@ -322,7 +312,9 @@ def full_steps(lay: EdgeLayout, coef: EdgeCoefficients, start: EdgeStates, views
     d_u, d_rho, denom = coef.d, coef.d_rho, coef.denom
     c_e, two_c, c1 = coef.c_e, coef.two_c, coef.c1
 
-    def iterates(p, z_minus, z_plus, u, lam):
+    def iterates(first, p, z_minus, z_plus, u, lam):
+        yield None, first, None
+        del first  # held no longer than any later view
         # p gathered to its edges; each iteration's dual step gathers the next one
         p_src = p.take(src, axis=0)
         while True:
@@ -374,4 +366,5 @@ def full_steps(lay: EdgeLayout, coef: EdgeCoefficients, start: EdgeStates, views
             else:
                 yield fields, None, None
 
-    return iterates(start.blocks.p, start.blocks.z_minus, start.blocks.z_plus, start.u, start.lam)
+    b = start.blocks
+    return iterates(start if views else None, b.p, b.z_minus, b.z_plus, start.u, start.lam)

@@ -25,7 +25,7 @@ from .solver_full import (
     check_run,
     consensus_blocks,
     consensus_state,
-    start_positions,
+    init_full,
 )
 from .structured_ops import (
     EdgeBlocks,
@@ -255,13 +255,10 @@ def run_lite(
     arrays are read, not copied) or a per-node state sequence, whose ranges
     must be those of ``measurements`` (:class:`~locadmm.errors.InvalidInit`
     otherwise). An ``InitSpec`` starts, as in
-    :func:`~locadmm.solver_full.run_full`, from the
-    :func:`~locadmm.solver_full.consensus_state` at
-    :func:`~locadmm.solver_full.start_positions`, which is the iteration-0
-    view; a resumed start (stacked or per-node states) gives
-    the replicas its accumulators hold, ``z^- = (alpha - lam)/c - p`` and
-    ``z^+ = beta + d u - p``, which is the uninterrupted run's view up to
-    rounding. Hooks receive reconstructed full-state views; the half-step
+    :func:`~locadmm.solver_full.run_full`, from
+    :func:`~locadmm.solver_full.init_full`'s consensus state; either start
+    goes to :func:`lite_steps`, which hands the hook its iteration-0 view.
+    Hooks receive reconstructed full-state views; the half-step
     scratch is not reconstructed, so potential-function recording is
     unavailable here.
     Every node advances at once on edge arrays (:func:`lite_steps`),
@@ -276,16 +273,14 @@ def run_lite(
     lay = graph.layout
     d = measurements.edge_ranges(graph)
     if isinstance(init, InitSpec):
-        view = consensus_state(lay, start_positions(graph, init, seed), init.u_init)
-        start = lite_start(lay, view, d, c)
+        start = init_full(graph, init, seed)
     else:
         start = LiteStates.of(init, lay)
         if start.d is not d and not np.array_equal(start.d, d):
             raise InvalidInit("start ranges do not match the measurements")
-        view = None if hook is None else start_view(lay, start, c)
     coef = EdgeCoefficients.held(measurements, lay, d, c, rho)
     steps = lite_steps(lay, coef, start, views=hook is not None)
-    record = None if hook is None else hook_record(hook, view, 2 * graph.dim * lay.num_edges)
+    record = None if hook is None else hook_record(hook, 2 * graph.dim * lay.num_edges)
     last = drive(steps, iters, lambda t, fields: check_finite(t, lay.src, **fields), record)
     return RunResult(states=LiteStates(lay.offsets, d=d, **last), estimates=last["p"].copy())
 
@@ -302,12 +297,14 @@ def start_view(lay: EdgeLayout, start: LiteStates, c) -> EdgeStates:
 
 
 def lite_steps(lay: EdgeLayout, coef: EdgeCoefficients, start, views: bool):
-    """Iterate the low-storage recursion from ``start`` (its ``p``, ``u``,
-    ``lam``, ``alpha`` and ``beta``), one yield per iteration: the new
-    fields by name, in that order; when ``views``, their full-state
-    ``EdgeStates`` view, whose ``p_src`` is the iteration's gathered ``p``,
-    else ``None``; and ``None`` for the half-step blocks, which this solver
-    does not form.
+    """Iterate the low-storage recursion from ``start``, a fresh consensus
+    ``EdgeStates`` (:func:`lite_start` forms its accumulators) or a resumed
+    :class:`LiteStates`, yielded first as its view, the consensus state or
+    :func:`start_view`; then one yield per iteration: the new fields by
+    name, in that order; when ``views``, their full-state ``EdgeStates``
+    view, whose ``p_src`` is the iteration's gathered ``p``, else ``None``
+    (the start's too); and ``None`` for the half-step blocks, which this
+    solver does not form.
 
     ``lay`` may be a :meth:`~locadmm.network.EdgeLayout.stack` layout, with
     ``coef`` and ``start`` stacked to match: every copy then advances as it
@@ -317,11 +314,17 @@ def lite_steps(lay: EdgeLayout, coef: EdgeCoefficients, start, views: bool):
     finite check; as :func:`~locadmm.solver_full.full_steps`, it reads
     ``coef`` when called.
     """
+    if isinstance(start, EdgeStates):
+        first, start = (start if views else None), lite_start(lay, start, coef.ranges, coef.c)
+    else:
+        first = start_view(lay, start, coef.c) if views else None
     src, rev = lay.src, lay.rev
     d_u, d_rho, d_rho_scale, denom = coef.d, coef.d_rho, coef.d_rho_scale, coef.denom
     c_e, two_c, scale, c_scale = coef.c_e, coef.two_c, coef.scale, coef.c_scale
 
-    def iterates(p, u, lam, alpha, beta):
+    def iterates(first, p, u, lam, alpha, beta):
+        yield None, first, None
+        del first  # held no longer than any later view
         # d u, read, never written; each iteration's beta step forms the next one
         du = d_u * u
         while True:
@@ -377,4 +380,4 @@ def lite_steps(lay: EdgeLayout, coef: EdgeCoefficients, start, views: bool):
                 view = EdgeStates(EdgeBlocks(lay.offsets, p, z_minus, z_plus, p_src), u, lam)
             yield fields, view, None
 
-    return iterates(start.p, start.u, start.lam, start.alpha, start.beta)
+    return iterates(first, start.p, start.u, start.lam, start.alpha, start.beta)

@@ -358,6 +358,14 @@ class TestParameterBounds:
         with pytest.raises(InvalidParameter, match=f"^{want}$"):
             dg.parameter_bounds(graph, meas, 1.0)
 
+    def test_measurements_of_another_graph_refused(self):
+        # they were read unchecked: g2's degrees with the path's ranges
+        path = make_graph(2, [(0, 1), (1, 2)], {0: [0.0, 0.0]})
+        meas = MeasurementSet.from_pairs(path, {(0, 1): 1.0, (1, 2): 0.5})
+        triangle = make_graph(2, [(0, 1), (0, 2), (1, 2)], {0: [0.0, 0.0]})
+        with pytest.raises(InvalidParameter, match="^measurements were taken on another graph$"):
+            dg.parameter_bounds(triangle, meas, 0.1)
+
     @pytest.mark.parametrize("c", [1e152, 1e154, 1e300, 1e-320])
     def test_overflowing_c_named(self, c):
         # (c + 1)^2 stays finite at 1e152 and 1e154, but tau, kappa2 or
@@ -403,6 +411,12 @@ class TestEnvelope:
         # tol = nan failed every gap
         with pytest.raises(InvalidParameter, match=f"^tol must be finite and >= 0, got {tol}$"):
             dg.sublinear_envelope_check([0.5] * 300, tol=tol)
+
+    def test_zero_gap_in_the_first_half_is_bounded(self):
+        # a zero among the first two gaps holds the running minimum, and
+        # with it the whole envelope, at zero
+        report = dg.sublinear_envelope_check([1.0, 0.0, 3.0, 2.0])
+        assert report.bounded and report.growth_ratio == 1.0 and report.epsilon2 == 0.0
 
     def test_zero_and_negative_zero_gaps_accepted(self):
         report = dg.sublinear_envelope_check([1.0, 0.5, -0.0, 0.0, 0.0])

@@ -15,6 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import locadmm.network as network_module
+from locadmm import grid
+from locadmm.diagnostics import TraceRecorder
 from locadmm.errors import (
     ConnectivityFailure,
     EmptyFreeSet,
@@ -779,6 +781,35 @@ class TestRmse:
         forward = {i: est[i] for i in range(6)}
         backward = {i: est[i] for i in reversed(range(6))}
         assert rmse(forward, truth, graph) == rmse(backward, truth, graph)
+
+
+class TestTruthFitsTheGraph:
+    """A truth is scored or measured only on a graph it has a row for each
+    node of, in the graph's dim: a short truth raised a raw IndexError, a
+    long one was scored by its first rows, a 3-D one measured silently."""
+
+    @pytest.mark.parametrize("rows, dim", [(5, 2), (25, 2), (20, 3)], ids=["few", "many", "dim"])
+    @pytest.mark.parametrize("entry", ["save_network", "measure", "rmse", "TraceRecorder", "run_grid"])
+    def test_wrong_shape_refused(self, tmp_path, entry, rows, dim):
+        graph, truth = generate_rgg(20, 3, 0.5, seed=1)
+        noise, params = NoiseModel("additive-white", 0.01), PenaltyParams(0.1, 0.1)
+        meas = measure(truth, graph, noise, seed=1)
+        wrong = GroundTruth(np.random.default_rng(0).uniform(0.0, 1.0, (rows, dim)))
+        calls = {
+            "save_network": lambda: save_network(tmp_path / "net.json", graph, wrong, meas),
+            "measure": lambda: measure(wrong, graph, noise),
+            "rmse": lambda: rmse(truth.positions, wrong, graph),
+            "TraceRecorder": lambda: run_full(
+                graph, meas, params, InitSpec(), 2,
+                hook=TraceRecorder(graph, meas, params, truth=wrong),
+            ),
+            # refused when called, before a batch is built
+            "run_grid": lambda: grid.run_grid("lite", graph, meas, [(params, 0)], InitSpec(), 2, truth=wrong),
+        }
+        message = f"truth positions have shape ({rows}, {dim}), the graph needs (20, 2)"
+        with pytest.raises(InvalidParameter, match=f"^{re.escape(message)}$"):
+            calls[entry]()
+        assert not (tmp_path / "net.json").exists()
 
 
 class TestFileRoundTrip:

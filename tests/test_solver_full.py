@@ -1,3 +1,4 @@
+import dataclasses
 import weakref
 
 import numpy as np
@@ -19,6 +20,7 @@ from locadmm.errors import (
 from locadmm.network import (
     GroundTruth,
     MeasurementSet,
+    NetworkGraph,
     NoiseModel,
     generate_rgg,
     measure,
@@ -772,6 +774,24 @@ class TestOneLoop:
         runs = list(grid.run_grid(algo, graph, meas, cells, spec, 5, truth=truth))
         assert all(run.result is not None for run in runs)
         assert len(seen) == 6 and alive == [(False, False, True)] * 5
+
+    def test_every_solve_requires_an_anchor(self, triangle):
+        # NetworkGraph.build refuses an empty anchor set; a graph built by
+        # hand on a layout without anchors reaches the solvers' own check
+        graph, _, meas = triangle
+        lay = dataclasses.replace(
+            graph.layout, anchor_idx=np.zeros(0, dtype=np.intp), anchor_pos=np.zeros((0, 2))
+        )
+        bare = NetworkGraph(lay, connected=True)
+        meas, params = MeasurementSet(bare, meas.d), PenaltyParams(0.1, 0.1)
+        solves = [
+            lambda: run_full(bare, meas, params, InitSpec(), 3),
+            lambda: run_lite(bare, meas, params, InitSpec(), 3),
+            lambda: grid.run_grid("lite", bare, meas, [(params, 0)], InitSpec(), 3),
+        ]
+        for solve in solves:
+            with pytest.raises(DisconnectedGraph, match="^solver requires at least one anchor$"):
+                solve()
 
     @pytest.mark.parametrize("algo", ["Full", "bogus", ""])
     def test_grid_refuses_an_unknown_solver(self, triangle, monkeypatch, algo):

@@ -23,6 +23,15 @@ class TestBlockVector:
         with pytest.raises(InvalidParameter):
             NodeBlockVector(np.zeros(2), np.zeros((2, 2)), np.zeros((3, 2)))
 
+    def test_p_must_be_a_vector(self):
+        with pytest.raises(InvalidParameter, match=r"^p must be a vector, got shape \(1, 2\)$"):
+            NodeBlockVector(np.zeros((1, 2)), np.zeros((2, 2)), np.zeros((2, 2)))
+
+    def test_flat_block_of_wrong_length_refused(self):
+        # degree 3 in 2-D holds (2 * 3 + 1) * 2 = 14 numbers
+        with pytest.raises(InvalidParameter, match=r"^flat block has wrong length \(13,\)$"):
+            NodeBlockVector.from_flat(np.zeros(13), 3, 2)
+
     def test_flat_round_trip(self):
         rng = np.random.default_rng(0)
         v = random_block(rng, 3)
