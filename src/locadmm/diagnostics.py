@@ -70,20 +70,20 @@ class MetricPass:
     on that residual alone, so every value equals the metric's closed form
     evaluated on its own.
 
-    ``layout`` is the snapshots' layout, of one graph or of the copies a
-    :meth:`~locadmm.network.EdgeLayout.stack` layout holds; S, F and rmse
+    ``graph`` is the snapshots' graph, one graph or the copies a
+    :meth:`~locadmm.network.NetworkGraph.stack` graph holds; S, F and rmse
     need it. ``d`` holds its ranges per edge row (S, F, L, potential),
     ``c`` and ``rho`` are numbers or one value per copy (L, potential),
     ``kappas`` the potential's ``(kappa1, kappa2)`` and ``truth`` the
     positions rmse compares against.
     """
 
-    def __init__(self, metrics, *, layout=None, d=None, c=None, rho=None, kappas=None,
+    def __init__(self, metrics, *, graph=None, d=None, c=None, rho=None, kappas=None,
                  truth=None):
         self.metrics = tuple(m for m in METRICS if m in metrics)
-        self.layout, self.d, self.c, self.rho, self.truth = layout, d, c, rho, truth
+        self.graph, self.d, self.c, self.rho, self.truth = graph, d, c, rho, truth
         self.kappas = kappas
-        self.copies = 1 if layout is None else layout.copies
+        self.copies = 1 if graph is None else graph.copies
         self._edge_terms = _terms(_EDGE_TERMS, self.metrics)
         self._node_terms = _terms(_NODE_TERMS, self.metrics)
         lagrangian = {"L", "potential"} & set(self.metrics)
@@ -112,8 +112,8 @@ class MetricPass:
             half_c = None
             if {"L", "potential"} & set(self.metrics):
                 half_c = 0.5 * self.c
-                if self.layout is not None:
-                    half_c = spread(self.layout.edge_column(half_c), dim)
+                if self.graph is not None:
+                    half_c = spread(self.graph.edge_column(half_c), dim)
             self._buffers = (
                 np.empty((len(self._edge_terms), rows, dim)),
                 np.empty((len(self._node_terms), nodes, dim)),
@@ -138,7 +138,7 @@ class MetricPass:
         m, edge_terms, node_terms = self._plan(prev is not None, half is not None)
         u = now.u
         rows, dim = u.shape
-        lay = self.layout
+        graph = self.graph
         b = now.blocks
         nodes = 0 if b is None else len(b.p)
         edge_buf, node_buf, scratch, d_rows, half_c = self._setup(rows, nodes, dim)
@@ -148,7 +148,7 @@ class MetricPass:
         out = {}
         if "rmse" in m:
             if self._rmse is None:
-                self._rmse = copy_rmse(self.truth, lay)
+                self._rmse = copy_rmse(self.truth, graph)
             out["rmse"] = self._rmse(b.p)
         if "feas" in slot or "L" in m:
             feas = np.subtract(b.p_src, b.z_minus, out=slot.get("feas"))
@@ -169,14 +169,14 @@ class MetricPass:
         if "S" in m or "F" in m:
             # grad F + A^T lam = (node_sum(loss + lam), -lam, -loss)
             loss = np.subtract(qz, d_u, out=slot.get("loss", scratch[2]))
-            grad_p = lay.node_sum(np.add(loss, now.lam, out=scratch[0]))
+            grad_p = graph.node_sum(np.add(loss, now.lam, out=scratch[0]))
             if "S" in m:
                 node_slot["grad_p"][...] = grad_p
                 slot["lam"][...] = now.lam
             if "F" in m:
                 # z - proj(z - grad): z^- - (-lam) is z^- + lam, bit for bit
                 proj = consensus_rows(
-                    lay, b.p - grad_p,
+                    graph, b.p - grad_p,
                     np.add(b.z_minus, now.lam, out=scratch[0]),
                     np.add(b.z_plus, loss, out=scratch[1]),
                 )
@@ -237,7 +237,7 @@ def stationarity_gap(states, graph: NetworkGraph, d_node) -> float:
     :func:`~locadmm.structured_ops.apply_At`) has p-block rows
     ``node_sum(r + lam)`` and z^-, z^+ edge fields ``-lam`` and ``-r``, from
     the per-edge loss residual ``r = (p - z^+) - d u``."""
-    return _metric("S", EdgeStates.of(states), layout=graph.layout, d=edge_rows(d_node))
+    return _metric("S", EdgeStates.of(states), graph=graph, d=edge_rows(d_node))
 
 
 def primal_diff_gap(u_now, u_prev) -> float:
@@ -259,7 +259,7 @@ def optimality_gap(states, u_prev, graph: NetworkGraph, d_node) -> float:
     iteration's direction field.
     """
     s = EdgeStates.of(states)
-    return _metric("F", s, directions(u_prev), layout=graph.layout, d=edge_rows(d_node))
+    return _metric("F", s, directions(u_prev), graph=graph, d=edge_rows(d_node))
 
 
 def augmented_lagrangian(states, d_node, c: float) -> float:
@@ -503,19 +503,19 @@ class TraceRecorder:
         self.graph = graph
         self.trace = IterationTrace(metadata=dict(metadata or {}))
         self._pass = MetricPass(
-            self.metrics, layout=graph.layout, d=measurements.edge_ranges(graph),
+            self.metrics, graph=graph, d=measurements.edge_ranges(graph),
             c=params.c, rho=params.rho, kappas=potential_coeffs, truth=truth,
         )
         self._t0 = time.perf_counter()
 
     def __call__(self, event: IterationEvent) -> None:
-        lay = self.graph.layout
-        states = EdgeStates.of(event.states, lay)
+        graph = self.graph
+        states = EdgeStates.of(event.states, graph)
         prev = half = None
         if event.states_prev is not None:
-            prev = EdgeStates.of(event.states_prev, lay)
+            prev = EdgeStates.of(event.states_prev, graph)
             if "potential" in self.metrics and event.ztilde is not None:
-                half = EdgeBlocks.of(event.ztilde, lay)
+                half = EdgeBlocks.of(event.ztilde, graph)
         with quiet_fp():
             values = self._pass(states, prev, half)
         row = TraceRow(t=event.t, comm_scalars=event.comm_scalars,

@@ -2,9 +2,9 @@
 the per-iteration finite checks.
 
 Both solvers advance every node at once: each per-edge field is one
-``(E, dim)`` array in the graph's :class:`~locadmm.network.EdgeLayout`
-order, the neighbor exchange is one gather, and per-node sums add a node's
-rows in the order the per-node closed forms do, so the iterates are
+``(E, dim)`` array in the row order of a :class:`~locadmm.network.NetworkGraph`,
+the neighbor exchange is one gather, and per-node sums add a node's rows
+in the order the per-node closed forms do, so the iterates are
 bit-identical to those closed forms applied node by node. Hooks and results
 get those arrays themselves, as ``EdgeStates`` and ``EdgeBlocks``, which
 build per-node views only when indexed. Within an iteration the solvers
@@ -150,7 +150,7 @@ def hook_record(hook: Hook, comm_scalars: int) -> Callable:
 
 
 def finite_copies(copies: int, arrays) -> np.ndarray:
-    """Per copy of a stacked layout, whether every value of ``arrays`` is
+    """Per copy of a stacked graph, whether every value of ``arrays`` is
     finite; each array (a node or an edge field, or a per-copy metric) holds
     ``copies`` equal blocks of rows, one per copy, in order."""
     ok = np.ones(copies, dtype=bool)

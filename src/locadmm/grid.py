@@ -1,7 +1,7 @@
 """Penalty and seed grids, run as one batched solve.
 
 A grid's cells run as disjoint copies of the graph, stacked into one
-:meth:`~locadmm.network.EdgeLayout.stack` layout. One pass of a solver's
+:meth:`~locadmm.network.NetworkGraph.stack` graph. One pass of a solver's
 own iteration (:func:`~locadmm.solver_lite.lite_steps`,
 :func:`~locadmm.solver_full.full_steps`) advances every cell, with each
 cell's ``c`` and ``rho`` as per-copy coefficients, and one
@@ -91,35 +91,35 @@ def run_grid(
         raise InvalidInitSpec(f"init must be an InitSpec, got {init!r:.40}")
     if truth is not None:
         check_truth(truth, graph)
+    d_one = measurements.edge_ranges(graph)
     if cells:  # every seed is valid, so this start fails as any batch's would
         init_full(graph, init, cells[0][1])
     metrics = ("F",) if truth is None else ("rmse", "F")
     # as few batches as the budget allows, of as even a size as they can be
-    most = max(1, GRID_ROWS // max(graph.layout.num_edges, 1))
+    most = max(1, GRID_ROWS // max(graph.sum_degree, 1))
     size = math.ceil(len(cells) / math.ceil(len(cells) / most)) if cells else 1
     groups = [cells[first:first + size] for first in range(0, len(cells), size)]
     return (
         run for group in groups
-        for run in _run_batch(algo, graph, measurements, group, init, iters, truth, metrics)
+        for run in _run_batch(algo, graph, d_one, group, init, iters, truth, metrics)
     )
 
 
-def _run_batch(algo, graph, measurements, cells, init, iters, truth, metrics):
-    """Every cell's run, from one batch: the layout stacking a copy per
-    cell, the ranges and each copy's penalties on it, and the cells' starts,
-    stacked, advanced together."""
-    copies, d_one = len(cells), measurements.edge_ranges(graph)
-    lay, d = graph.layout.stack(copies), np.tile(d_one, copies)
+def _run_batch(algo, graph, d_one, cells, init, iters, truth, metrics):
+    """Every cell's run, from one batch: the graph stacking a copy per
+    cell, the ranges ``d_one`` of one copy and each copy's penalties on it,
+    and the cells' starts, stacked, advanced together."""
+    copies = len(cells)
+    stacked, d = graph.stack(copies), np.tile(d_one, copies)
     c = np.array([params.c for params, _ in cells])
     rho = np.array([params.rho for params, _ in cells])
-    start = consensus_state(
-        lay, np.concatenate([start_positions(graph, init, seed) for _, seed in cells]), init.u_init
-    )
-    coef = EdgeCoefficients(lay, d, c, rho)
-    steps = (full_steps if algo == "full" else lite_steps)(lay, coef, start, views=True)
-    del start  # the steps hand it to record, then drop it
-    measure = MetricPass(metrics, layout=lay, d=d, c=c, rho=rho, truth=truth)
-    comm_scalars = 2 * graph.dim * graph.layout.num_edges
+    positions = np.concatenate([start_positions(graph, init, seed) for _, seed in cells])
+    start = consensus_state(stacked, positions, init.u_init)
+    coef = EdgeCoefficients(stacked, d, c, rho)
+    steps = (full_steps if algo == "full" else lite_steps)(stacked, coef, start, views=True)
+    del start, positions  # the steps hand the start to record, then drop it
+    measure = MetricPass(metrics, graph=stacked, d=d, c=c, rho=rho, truth=truth)
+    comm_scalars = 2 * graph.dim * graph.sum_degree
     traces = [IterationTrace() for _ in cells]
     ok, prev = np.ones(copies, dtype=bool), None
 
@@ -139,14 +139,14 @@ def _run_batch(algo, graph, measurements, cells, init, iters, truth, metrics):
         ok[~finite_copies(copies, values.values())] = False
         prev = directions(now.u)
 
-    fields = {name: lay.by_copy(a) for name, a in drive(steps, iters, check, record).items()}
+    fields = {name: stacked.by_copy(a) for name, a in drive(steps, iters, check, record).items()}
     for k, (params, seed) in enumerate(cells):
         result = None
         if ok[k]:
             own = {name: a[k] for name, a in fields.items()}
             states = (
-                full_states(graph.layout.offsets, own) if algo == "full"
-                else LiteStates(graph.layout.offsets, d=d_one, **own)
+                full_states(graph.offsets, own) if algo == "full"
+                else LiteStates(graph.offsets, d=d_one, **own)
             )
             result = RunResult(states=states, estimates=own["p"].copy(), trace=traces[k])
         yield CellRun(params, seed, result)

@@ -45,39 +45,61 @@ MAX_GRID_CELLS = 1 << 20
 
 @dataclass(frozen=True, eq=False)
 class NetworkGraph:
-    """Undirected sensor graph with an anchor subset.
+    """Undirected sensor graph with an anchor subset, held as flat arrays of
+    its directed edges, each graph fact once.
 
     Graphs compare by identity.
 
+    Node ``i`` owns rows ``offsets[i]:offsets[i+1]`` in sorted-neighbor
+    order, so one ``(E, dim)`` array stacks every node's ``(degree, dim)``
+    per-edge field; every per-edge array in this package is aligned with
+    these rows. Row ``e`` runs from node ``src[e]`` to node ``dst[e]``, and
+    ``rev[e]`` is the row of the reverse edge: the gather ``x[rev]`` hands
+    every node the rows its neighbors hold toward it. The anchors
+    ``anchor_idx``, sorted, sit at the read-only rows of ``anchor_pos``.
+
+    The solvers' iteration loops gather with ``x.take(idx, axis=0)``: it
+    equals ``x[idx]`` but runs several times faster on ``(E, dim)`` arrays,
+    and it is the C routine behind ``np.take(x, idx, axis=0)`` without
+    NumPy's Python wrapper, ~1.2 µs a call at N = 108.
+
     Attributes
     ----------
-    layout : EdgeLayout
-        The directed edges and the anchors as flat arrays, each graph fact
-        held once; every per-edge array in this package is aligned with it.
     connected : bool
         Whether the graph is a single component covering all nodes. Loading
         tolerates ``False`` (with a warning); solvers do not.
+    copies : int
+        The disjoint copies of one graph a :meth:`stack` graph holds; every
+        other graph has one.
 
     ``dim`` (2 or 3) and ``num_nodes`` (ids are ``0 .. num_nodes-1``) are
-    read from ``layout``, and so are the views below, on first use and
+    read from the arrays, and so are the views below, on first use and
     kept; only the per-node specification and the dense oracle read them.
 
     anchors : Mapping[int, np.ndarray]
         Anchor id -> known position, sorted by id: a read-only mapping onto
-        the read-only rows of ``layout.anchor_pos``.
+        the read-only rows of ``anchor_pos``.
     neighbors : tuple[tuple[int, ...], ...]
         Per node, the sorted tuple of adjacent node ids: the ``dst`` of the
-        node's rows in ``layout``.
+        node's rows.
     edge_list : tuple[tuple[int, int], ...]
         Sorted unordered edges, each with ``i < j``.
     rev_pos : tuple[tuple[int, ...], ...]
         ``rev_pos[i][k]`` is the position of ``i`` inside
         ``neighbors[j]`` where ``j = neighbors[i][k]``; used to address the
         reverse direction of an edge without searching.
+    degrees : np.ndarray
+        Per node, its neighbor count, in one read-only array.
     """
 
-    layout: "EdgeLayout" = field(repr=False)
+    offsets: np.ndarray = field(repr=False)
+    src: np.ndarray = field(repr=False)
+    dst: np.ndarray = field(repr=False)
+    rev: np.ndarray = field(repr=False)
+    anchor_idx: np.ndarray = field(repr=False)
+    anchor_pos: np.ndarray = field(repr=False)
     connected: bool
+    copies: int = field(default=1, repr=False)
 
     @classmethod
     def build(cls, dim: int, num_nodes: int, anchors: Mapping, edges) -> "NetworkGraph":
@@ -104,38 +126,37 @@ class NetworkGraph:
 
     @property
     def dim(self) -> int:
-        return self.layout.dim
+        return self.anchor_pos.shape[1]
 
     @property
     def num_nodes(self) -> int:
-        return self.layout.num_nodes
+        return len(self.offsets) - 1
 
     @cached_property
     def anchors(self) -> Mapping[int, np.ndarray]:
-        lay = self.layout
-        return MappingProxyType(dict(zip(lay.anchor_idx.tolist(), lay.anchor_pos)))
+        return MappingProxyType(dict(zip(self.anchor_idx.tolist(), self.anchor_pos)))
 
     @cached_property
     def neighbors(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(map(tuple, self.layout.split(self.layout.dst.tolist())))
+        return tuple(map(tuple, self.split(self.dst.tolist())))
 
     @cached_property
     def rev_pos(self) -> tuple[tuple[int, ...], ...]:
-        lay = self.layout
-        return tuple(map(tuple, lay.split((lay.rev - lay.offsets[lay.dst]).tolist())))
+        return tuple(map(tuple, self.split((self.rev - self.offsets[self.dst]).tolist())))
 
     @cached_property
     def edge_list(self) -> tuple[tuple[int, int], ...]:
-        lay = self.layout
-        return tuple(zip(lay.src[lay.forward].tolist(), lay.dst[lay.forward].tolist()))
+        return tuple(zip(self.src[self.forward].tolist(), self.dst[self.forward].tolist()))
 
-    @property
+    @cached_property
     def degrees(self) -> np.ndarray:
-        return self.layout.degrees.copy()
+        degrees = np.diff(self.offsets)
+        degrees.flags.writeable = False
+        return degrees
 
     @property
     def num_anchors(self) -> int:
-        return len(self.layout.anchor_idx)
+        return len(self.anchor_idx)
 
     @property
     def avg_degree(self) -> float:
@@ -144,12 +165,87 @@ class NetworkGraph:
 
     @property
     def max_degree(self) -> int:
-        return int(self.layout.degrees.max())
+        return int(self.degrees.max())
 
     @property
     def sum_degree(self) -> int:
         """Total directed-edge count, twice the number of edges."""
-        return self.layout.num_edges
+        return len(self.src)
+
+    @cached_property
+    def forward(self) -> np.ndarray:
+        """The rows with ``src < dst``: the sorted edge list, in row order."""
+        return np.flatnonzero(self.src < self.dst)
+
+    @cached_property
+    def bins(self) -> np.ndarray:
+        """Entry ``(e, k)`` of an ``(E, dim)`` edge field, flattened, goes to
+        entry ``(src[e], k)`` of the per-node sum: its flat index, per entry."""
+        return (self.src[:, None] * self.dim + np.arange(self.dim)).ravel()
+
+    def node_sum(self, x: np.ndarray) -> np.ndarray:
+        """Per node, the sum of its rows of the ``(E, dim)`` edge field ``x``.
+
+        ``np.bincount`` adds each bin's weights from zero in index order, so
+        each node's rows are added one at a time in row order, which is the
+        order ``x[rows].sum(axis=0)`` adds one node's block in; the result is
+        bit-identical to that per-node sum (``np.add.reduceat`` is not: it
+        groups the additions differently). Float on every graph: with no
+        rows ``np.bincount`` counts in integers.
+        """
+        n, dim = self.num_nodes, self.dim
+        sums = np.bincount(self.bins, weights=x.ravel(), minlength=n * dim)
+        return sums.astype(float, copy=False).reshape(n, dim)
+
+    def stack(self, copies: int) -> "NetworkGraph":
+        """``copies`` disjoint copies of this one-copy graph as one graph,
+        not connected past one copy: copy ``k`` owns nodes ``k N + i`` and
+        rows ``k E + e``, with its ``src``, ``dst``, ``rev``, ``offsets``
+        and anchors shifted to match.
+
+        No gather, per-node sum or anchor crosses from one copy to another,
+        and each copy's rows keep their order, so one pass over the stacked
+        rows gives every copy the values a pass over its own graph gives.
+        One copy is this graph itself.
+        """
+        if copies == 1:
+            return self
+        n, e = self.num_nodes, self.sum_degree
+        node_shift = (np.arange(copies) * n)[:, None]
+        edge_shift = (np.arange(copies) * e)[:, None]
+        return NetworkGraph(
+            offsets=np.append((self.offsets[:-1] + edge_shift).ravel(), copies * e),
+            src=(self.src + node_shift).ravel(),
+            dst=(self.dst + node_shift).ravel(),
+            rev=(self.rev + edge_shift).ravel(),
+            anchor_idx=(self.anchor_idx + node_shift).ravel(),
+            anchor_pos=np.tile(self.anchor_pos, (copies, 1)),
+            connected=False,
+            copies=copies,
+        )
+
+    def by_copy(self, a: np.ndarray) -> np.ndarray:
+        """The node or edge field ``a`` of this graph as one block of rows
+        per copy: ``by_copy(a)[k]`` views the rows copy ``k`` owns."""
+        return a.reshape(self.copies, -1, *a.shape[1:])
+
+    def edge_column(self, value):
+        """A per-copy value on every edge row: a number as it is, else
+        ``value[k]`` on each row of copy ``k``."""
+        if not isinstance(value, np.ndarray):
+            return value
+        return np.repeat(value, self.sum_degree // self.copies)
+
+    def node_column(self, value):
+        """As :meth:`edge_column`, on every node row."""
+        if not isinstance(value, np.ndarray):
+            return value
+        return np.repeat(value, self.num_nodes // self.copies)
+
+    def split(self, x) -> list:
+        """Per-node slices of the rows of the edge field ``x`` (an array or a list)."""
+        bounds = self.offsets.tolist()
+        return [x[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
 
 
 def _anchor_arrays(dim: int, num_nodes: int, anchors) -> tuple[np.ndarray, np.ndarray]:
@@ -208,7 +304,16 @@ def _assemble(num_nodes: int, anchor_idx, anchor_pos, a, b) -> NetworkGraph:
     node ids and whose anchors ``anchor_idx``, sorted, sit at the rows of
     ``anchor_pos``, which becomes read-only; every input already checked."""
     csr = _csr(num_nodes, a, b)
-    return NetworkGraph(EdgeLayout.build(csr, anchor_idx, anchor_pos), _is_connected(csr))
+    return _graph(csr, anchor_idx, anchor_pos, _is_connected(csr))
+
+
+def _graph(csr, anchor_idx: np.ndarray, anchor_pos: np.ndarray, connected: bool) -> NetworkGraph:
+    """The graph of the CSR arrays ``(offsets, src, dst, rev)`` with the
+    anchors ``anchor_idx``, sorted, at the rows of ``anchor_pos``, which
+    becomes read-only. The index arrays stay writable: a gather by a
+    read-only index runs slower."""
+    anchor_pos.flags.writeable = False
+    return NetworkGraph(*csr, anchor_idx, anchor_pos, connected)
 
 
 def _csr(num_nodes: int, a: np.ndarray, b: np.ndarray) -> tuple:
@@ -280,132 +385,6 @@ def _is_connected(csr) -> bool:
 
 
 @dataclass(frozen=True, eq=False)
-class EdgeLayout:
-    """Flat addressing of a graph's directed edges.
-
-    Node ``i`` owns rows ``offsets[i]:offsets[i+1]`` in sorted-neighbor
-    order, so one ``(E, dim)`` array stacks every node's ``(degree, dim)``
-    per-edge field. Row ``e`` runs from node ``src[e]`` to node ``dst[e]``,
-    and ``rev[e]`` is the row of the reverse edge: the gather ``x[rev]``
-    hands every node the rows its neighbors hold toward it.
-
-    The solvers' iteration loops gather with ``x.take(idx, axis=0)``: it
-    equals ``x[idx]`` but runs several times faster on ``(E, dim)`` arrays,
-    and it is the C routine behind ``np.take(x, idx, axis=0)`` without
-    NumPy's Python wrapper, ~1.2 µs a call at N = 108.
-
-    ``copies`` counts the disjoint copies of one graph a :meth:`stack`
-    layout holds; every other layout has one.
-    """
-
-    offsets: np.ndarray
-    src: np.ndarray
-    dst: np.ndarray
-    rev: np.ndarray
-    anchor_idx: np.ndarray
-    anchor_pos: np.ndarray
-    copies: int = 1
-
-    @classmethod
-    def build(cls, csr, anchor_idx: np.ndarray, anchor_pos: np.ndarray) -> "EdgeLayout":
-        """The layout of the CSR graph ``(offsets, src, dst, rev)`` with the
-        anchors ``anchor_idx``, sorted, at the rows of ``anchor_pos``, which
-        becomes read-only. The index arrays stay writable: a gather by a
-        read-only index runs slower."""
-        anchor_pos.flags.writeable = False
-        return cls(*csr, anchor_idx, anchor_pos)
-
-    @property
-    def num_nodes(self) -> int:
-        return len(self.offsets) - 1
-
-    @cached_property
-    def degrees(self) -> np.ndarray:
-        return np.diff(self.offsets)
-
-    @property
-    def num_edges(self) -> int:
-        return len(self.src)
-
-    @cached_property
-    def forward(self) -> np.ndarray:
-        """The rows with ``src < dst``: the sorted edge list, in layout order."""
-        return np.flatnonzero(self.src < self.dst)
-
-    @property
-    def dim(self) -> int:
-        return self.anchor_pos.shape[1]
-
-    @cached_property
-    def bins(self) -> np.ndarray:
-        """Entry ``(e, k)`` of an ``(E, dim)`` edge field, flattened, goes to
-        entry ``(src[e], k)`` of the per-node sum: its flat index, per entry."""
-        return (self.src[:, None] * self.dim + np.arange(self.dim)).ravel()
-
-    def node_sum(self, x: np.ndarray) -> np.ndarray:
-        """Per node, the sum of its rows of the ``(E, dim)`` edge field ``x``.
-
-        ``np.bincount`` adds each bin's weights from zero in index order, so
-        each node's rows are added one at a time in row order, which is the
-        order ``x[rows].sum(axis=0)`` adds one node's block in; the result is
-        bit-identical to that per-node sum (``np.add.reduceat`` is not: it
-        groups the additions differently). Float on every layout: with no
-        rows ``np.bincount`` counts in integers.
-        """
-        n, dim = self.num_nodes, self.dim
-        sums = np.bincount(self.bins, weights=x.ravel(), minlength=n * dim)
-        return sums.astype(float, copy=False).reshape(n, dim)
-
-    def stack(self, copies: int) -> "EdgeLayout":
-        """``copies`` disjoint copies of this one-copy layout as one layout:
-        copy ``k`` owns nodes ``k N + i`` and rows ``k E + e``, with its
-        ``src``, ``dst``, ``rev``, ``offsets`` and anchors shifted to match.
-
-        No gather, per-node sum or anchor crosses from one copy to another,
-        and each copy's rows keep their order, so one pass over the stacked
-        rows gives every copy the values a pass over its own layout gives.
-        One copy is this layout itself.
-        """
-        if copies == 1:
-            return self
-        n, e = self.num_nodes, self.num_edges
-        node_shift = (np.arange(copies) * n)[:, None]
-        edge_shift = (np.arange(copies) * e)[:, None]
-        return EdgeLayout(
-            offsets=np.append((self.offsets[:-1] + edge_shift).ravel(), copies * e),
-            src=(self.src + node_shift).ravel(),
-            dst=(self.dst + node_shift).ravel(),
-            rev=(self.rev + edge_shift).ravel(),
-            anchor_idx=(self.anchor_idx + node_shift).ravel(),
-            anchor_pos=np.tile(self.anchor_pos, (copies, 1)),
-            copies=copies,
-        )
-
-    def by_copy(self, a: np.ndarray) -> np.ndarray:
-        """The node or edge field ``a`` of this layout as one block of rows
-        per copy: ``by_copy(a)[k]`` views the rows copy ``k`` owns."""
-        return a.reshape(self.copies, -1, *a.shape[1:])
-
-    def edge_column(self, value):
-        """A per-copy value on every edge row: a number as it is, else
-        ``value[k]`` on each row of copy ``k``."""
-        if not isinstance(value, np.ndarray):
-            return value
-        return np.repeat(value, self.num_edges // self.copies)
-
-    def node_column(self, value):
-        """As :meth:`edge_column`, on every node row."""
-        if not isinstance(value, np.ndarray):
-            return value
-        return np.repeat(value, self.num_nodes // self.copies)
-
-    def split(self, x) -> list:
-        """Per-node slices of the rows of the edge field ``x`` (an array or a list)."""
-        bounds = self.offsets.tolist()
-        return [x[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
-
-
-@dataclass(frozen=True, eq=False)
 class GroundTruth:
     """True positions, one row per node, anchor rows matching the graph.
 
@@ -468,7 +447,7 @@ class MeasurementSet:
     _d_text: str | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        d, edges = check_numbers("d", self.d), self.graph.layout.forward.size
+        d, edges = check_numbers("d", self.d), self.graph.forward.size
         if d.shape != (edges,):
             raise InvalidParameter(f"expected {edges} ranges, got {d.shape}")
         d.flags.writeable = False
@@ -487,23 +466,30 @@ class MeasurementSet:
 
     @cached_property
     def _edge_field(self) -> np.ndarray:
-        return _spread(self.graph.layout, self.d)
+        """The read-only edge field holding ``d[k]`` on both rows of the
+        ``k``-th edge of the sorted edge list."""
+        graph = self.graph
+        out = np.empty(graph.sum_degree)
+        out[graph.forward] = self.d
+        out[graph.rev[graph.forward]] = self.d
+        out.flags.writeable = False
+        return out
 
     def node_ranges(self, graph: NetworkGraph) -> list[np.ndarray]:
         """Per node, ranges to each neighbor in sorted-neighbor order."""
-        return graph.layout.split(self.edge_ranges(graph))
+        return graph.split(self.edge_ranges(graph))
 
     def edge_ranges(self, graph: NetworkGraph) -> np.ndarray:
         """Ranges of every directed edge of ``graph`` (the set's own graph, or
-        one with the same directed edges), one read-only array in layout
+        one with the same directed edges), one read-only array in row
         order; ``InvalidParameter`` for any other graph."""
         self._check(graph)
         return self._edge_field
 
     def _check(self, graph: NetworkGraph) -> None:
-        mine, theirs = self.graph.layout, graph.layout
-        same = graph is self.graph or (
-            np.array_equal(mine.src, theirs.src) and np.array_equal(mine.dst, theirs.dst)
+        mine = self.graph
+        same = graph is mine or (
+            np.array_equal(mine.src, graph.src) and np.array_equal(mine.dst, graph.dst)
         )
         if not same:
             raise InvalidParameter("measurements were taken on another graph")
@@ -567,8 +553,7 @@ def generate_rgg(
 
         picked = rng.permutation(num_nodes)[:num_anchors]
         anchor_idx = picked[_id_order(picked, num_nodes)]
-        graph = NetworkGraph(EdgeLayout.build(csr, anchor_idx, positions[anchor_idx]), True)
-        return graph, GroundTruth(positions)
+        return _graph(csr, anchor_idx, positions[anchor_idx], True), GroundTruth(positions)
 
     raise ConnectivityFailure(
         f"no connected layout in {MAX_LAYOUT_ATTEMPTS} attempts "
@@ -657,7 +642,7 @@ def measure(
     check_truth(truth, graph)
     check_seed(seed)
     rng = np.random.default_rng(seed)
-    length = edge_lengths(graph.layout, truth.positions)
+    length = edge_lengths(graph, truth.positions)
     if model.kind == "additive-white":
         scale = model.sigma_add
     else:
@@ -666,23 +651,13 @@ def measure(
     return MeasurementSet(graph, ranges)
 
 
-def edge_lengths(layout: EdgeLayout, positions: np.ndarray) -> np.ndarray:
+def edge_lengths(graph: NetworkGraph, positions: np.ndarray) -> np.ndarray:
     """Per undirected edge, in sorted edge-list order, the distance between
     the rows of ``positions`` at its ends."""
-    fwd = layout.forward
+    fwd = graph.forward
     return row_norms(
-        np.take(positions, layout.src[fwd], axis=0) - np.take(positions, layout.dst[fwd], axis=0)
+        np.take(positions, graph.src[fwd], axis=0) - np.take(positions, graph.dst[fwd], axis=0)
     )
-
-
-def _spread(layout: EdgeLayout, vals: np.ndarray) -> np.ndarray:
-    """The read-only edge field holding ``vals[k]`` on both rows of the
-    ``k``-th edge of the sorted edge list."""
-    out = np.empty(layout.num_edges)
-    out[layout.forward] = vals
-    out[layout.rev[layout.forward]] = vals
-    out.flags.writeable = False
-    return out
 
 
 def rmse(estimates, truth: GroundTruth, graph: NetworkGraph) -> float:
@@ -692,7 +667,7 @@ def rmse(estimates, truth: GroundTruth, graph: NetworkGraph) -> float:
     node id -> position; anchor entries are ignored either way.
     """
     check_truth(truth, graph)
-    free = _free_nodes(graph.layout)
+    free = _free_nodes(graph)
     if isinstance(estimates, Mapping):
         missing = [i for i in free if i not in estimates]
         est = None if missing else _estimate_rows([estimates[i] for i in free], graph.dim)
@@ -714,23 +689,23 @@ def _estimate_rows(estimates, dim: int) -> np.ndarray:
     return est
 
 
-def copy_rmse(truth: GroundTruth, layout: EdgeLayout):
-    """:func:`rmse` for every copy of a :meth:`EdgeLayout.stack` layout at
+def copy_rmse(truth: GroundTruth, graph: NetworkGraph):
+    """:func:`rmse` for every copy of a :meth:`NetworkGraph.stack` graph at
     once: a function of positions with a row per stacked node, whose entry
     ``k`` is the rmse of copy ``k``'s rows against ``truth``."""
-    free = _free_nodes(layout)
+    free = _free_nodes(graph)
     target = np.take(truth.positions, free, axis=0)
 
     def per_copy(positions: np.ndarray) -> np.ndarray:
-        return _rms_error(layout.by_copy(positions).take(free, axis=1), target)
+        return _rms_error(graph.by_copy(positions).take(free, axis=1), target)
 
     return per_copy
 
 
-def _free_nodes(layout: EdgeLayout) -> np.ndarray:
-    """The non-anchor node ids of one copy of ``layout``."""
-    anchors = layout.by_copy(layout.anchor_idx)[0]
-    free = np.delete(np.arange(layout.num_nodes // layout.copies), anchors)
+def _free_nodes(graph: NetworkGraph) -> np.ndarray:
+    """The non-anchor node ids of one copy of ``graph``."""
+    anchors = graph.by_copy(graph.anchor_idx)[0]
+    free = np.delete(np.arange(graph.num_nodes // graph.copies), anchors)
     if not free.size:
         raise EmptyFreeSet("every node is an anchor")
     return free
@@ -788,12 +763,12 @@ def save_network(
     """
     if measurements is not None:
         measurements._check(graph)
-    lay, n, dim = graph.layout, graph.num_nodes, graph.dim
-    columns = {"anchors": lay.anchor_idx, "anchor_pos": lay.anchor_pos}
+    n, dim = graph.num_nodes, graph.dim
+    columns = {"anchors": graph.anchor_idx, "anchor_pos": graph.anchor_pos}
     if truth is not None:
         check_truth(truth, graph)
         columns["pos"] = truth.positions
-    columns["i"], columns["j"] = lay.src[lay.forward], lay.dst[lay.forward]
+    columns["i"], columns["j"] = graph.src[graph.forward], graph.dst[graph.forward]
     lines = [f'"schema_version": {SCHEMA_VERSION}', f'"dim": {dim}', f'"num_nodes": {n}']
     lines += [f'"{key}": {json.dumps(x.ravel().tolist())}' for key, x in columns.items()]
     if measurements is not None:

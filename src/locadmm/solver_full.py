@@ -19,7 +19,7 @@ import numpy as np
 from .engine import RunResult, check_finite, drive, hook_record
 from .errors import DisconnectedGraph, InvalidInit, InvalidInitSpec, MissingMessage
 from .errors import check_choice, check_integer, check_numbers, check_real, check_seed
-from .network import EdgeLayout, MeasurementSet, NetworkGraph, row_norms
+from .network import MeasurementSet, NetworkGraph, row_norms
 from .structured_ops import (
     EdgeBlocks,
     EdgeCoefficients,
@@ -104,17 +104,17 @@ def start_positions(graph: NetworkGraph, spec: InitSpec, seed: int = 0) -> np.nd
     return np.random.default_rng(seed).uniform(lo, hi, (graph.num_nodes, graph.dim))
 
 
-def consensus_state(layout: EdgeLayout, positions: np.ndarray, u_init: str) -> EdgeStates:
+def consensus_state(graph: NetworkGraph, positions: np.ndarray, u_init: str) -> EdgeStates:
     """The consensus-feasible state at ``positions``, held as ``p``: each z^-
     row at its owner's position, each z^+ row at its neighbor's, directions
     by the init-spec keyword ``u_init`` (``zeros``, ``half``: all
     coordinates 0.5, or ``directions``: the unit rows along z^- - z^+, zero
-    where the two coincide), and zero duals. ``layout`` may be a
-    :meth:`~locadmm.network.EdgeLayout.stack` layout."""
+    where the two coincide), and zero duals. ``graph`` may be a
+    :meth:`~locadmm.network.NetworkGraph.stack` graph."""
     u_init = check_choice("u_init", u_init, ("zeros", "half", "directions"), InvalidInitSpec)
-    shape = (layout.num_edges, layout.dim)
-    z_minus = np.take(positions, layout.src, axis=0)
-    z_plus = np.take(positions, layout.dst, axis=0)
+    shape = (graph.sum_degree, graph.dim)
+    z_minus = np.take(positions, graph.src, axis=0)
+    z_plus = np.take(positions, graph.dst, axis=0)
     if u_init == "zeros":
         u = np.zeros(shape)
     elif u_init == "half":
@@ -125,14 +125,14 @@ def consensus_state(layout: EdgeLayout, positions: np.ndarray, u_init: str) -> E
         u = np.zeros_like(diff)
         moved = norm > 0.0
         u[moved] = diff[moved] / norm[moved, None]
-    return EdgeStates(EdgeBlocks(layout.offsets, positions, z_minus, z_plus), u, np.zeros_like(u))
+    return EdgeStates(EdgeBlocks(graph.offsets, positions, z_minus, z_plus), u, np.zeros_like(u))
 
 
 def init_full(graph: NetworkGraph, config: InitSpec, seed: int = 0) -> EdgeStates:
     """Iteration-zero states for :func:`run_full`: the :func:`consensus_state`
     at :func:`start_positions`, as :func:`~locadmm.solver_lite.run_lite`
     starts from the same arguments."""
-    return consensus_state(graph.layout, start_positions(graph, config, seed), config.u_init)
+    return consensus_state(graph, start_positions(graph, config, seed), config.u_init)
 
 
 def local_halfstep(
@@ -274,14 +274,13 @@ def run_full(
         iteration, node and field.
     """
     check_run(graph, iters)
-    lay = graph.layout
-    start = EdgeStates.of(init_full(graph, init, seed) if isinstance(init, InitSpec) else init, lay)
+    start = EdgeStates.of(init_full(graph, init, seed) if isinstance(init, InitSpec) else init, graph)
     c, rho, d = params.c, params.rho, measurements.edge_ranges(graph)
-    coef = EdgeCoefficients.held(measurements, lay, d, c, rho)
-    steps = full_steps(lay, coef, start, views=hook is not None)
-    record = None if hook is None else hook_record(hook, 2 * graph.dim * lay.num_edges)
-    last = drive(steps, iters, lambda t, fields: check_finite(t, lay.src, **fields), record)
-    return RunResult(states=full_states(lay.offsets, last), estimates=last["p"].copy())
+    coef = EdgeCoefficients.held(measurements, graph, d, c, rho)
+    steps = full_steps(graph, coef, start, views=hook is not None)
+    record = None if hook is None else hook_record(hook, 2 * graph.dim * graph.sum_degree)
+    last = drive(steps, iters, lambda t, fields: check_finite(t, graph.src, **fields), record)
+    return RunResult(states=full_states(graph.offsets, last), estimates=last["p"].copy())
 
 
 def full_states(offsets: np.ndarray, fields: dict, p_src=None) -> EdgeStates:
@@ -291,7 +290,7 @@ def full_states(offsets: np.ndarray, fields: dict, p_src=None) -> EdgeStates:
     return EdgeStates(blocks, fields["u"], fields["lam"])
 
 
-def full_steps(lay: EdgeLayout, coef: EdgeCoefficients, start: EdgeStates, views: bool):
+def full_steps(graph: NetworkGraph, coef: EdgeCoefficients, start: EdgeStates, views: bool):
     """Iterate the full-state solver from ``start``, yielded first as its
     own view, then one yield per iteration: the new ``p``, ``z_minus``,
     ``z_plus``, ``u`` and ``lam`` by name, in that order; then, when
@@ -300,7 +299,7 @@ def full_steps(lay: EdgeLayout, coef: EdgeCoefficients, start: EdgeStates, views
     and their ``p_src`` is the iteration's gathered ``p``, which the
     iterates read but never write.
 
-    ``lay`` may be a :meth:`~locadmm.network.EdgeLayout.stack` layout, with
+    ``graph`` may be a :meth:`~locadmm.network.NetworkGraph.stack` graph, with
     ``coef`` and ``start`` stacked to match: every copy then advances as it
     would alone. The iterates never write an array of ``start``, of
     ``coef`` or one they have yielded. :func:`~locadmm.engine.drive` runs
@@ -308,7 +307,7 @@ def full_steps(lay: EdgeLayout, coef: EdgeCoefficients, start: EdgeStates, views
     finite check. It reads ``coef`` when called: a solve builds its
     coefficients as set-up, before its iteration-0 hook.
     """
-    src, rev, offsets = lay.src, lay.rev, lay.offsets
+    src, rev, offsets = graph.src, graph.rev, graph.offsets
     d_u, d_rho, denom = coef.d, coef.d_rho, coef.denom
     c_e, two_c, c1 = coef.c_e, coef.two_c, coef.c1
 
@@ -328,9 +327,9 @@ def full_steps(lay: EdgeLayout, coef: EdgeCoefficients, start: EdgeStates, views
             tmp = base_minus * c_e
             acc += tmp
             acc += base_plus
-            p = lay.node_sum(acc)
+            p = graph.node_sum(acc)
             p /= denom
-            p[lay.anchor_idx] = lay.anchor_pos
+            p[graph.anchor_idx] = graph.anchor_pos
             # zm_t = lam / (2 c) + base_minus / 2, zp_t = -d u / 2 + base_plus / 2
             # (-d u * 0.5 rounds the same real number as -d u / 2)
             zm_t = np.divide(lam, two_c, out=tmp)

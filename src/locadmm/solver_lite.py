@@ -18,7 +18,7 @@ import numpy as np
 
 from .engine import RunResult, check_finite, drive, hook_record, quiet_fp
 from .errors import InvalidInit, MissingMessage, check_penalty
-from .network import EdgeLayout, MeasurementSet, NetworkGraph
+from .network import MeasurementSet, NetworkGraph
 from .solver_full import (
     InitSpec,
     as_positions,
@@ -63,7 +63,7 @@ class LiteNodeState:
 class LiteStates(Sequence):
     """Every node's :class:`LiteNodeState` stacked: ``p`` has a row per node,
     the other fields a row per directed edge, node ``i`` owning rows
-    ``offsets[i]:offsets[i+1]`` (:class:`~locadmm.network.EdgeLayout`
+    ``offsets[i]:offsets[i+1]`` (:class:`~locadmm.network.NetworkGraph`
     order). ``states[i]`` builds node ``i``'s state of views."""
 
     offsets: np.ndarray
@@ -85,18 +85,18 @@ class LiteStates(Sequence):
         )
 
     @classmethod
-    def of(cls, states, layout: EdgeLayout) -> "LiteStates":
+    def of(cls, states, graph: NetworkGraph) -> "LiteStates":
         """``states`` if stacked, else its :class:`LiteNodeState` entries
-        stacked; either way with ``layout.degrees[i]`` rows of every edge
+        stacked; either way with ``graph.degrees[i]`` rows of every edge
         field at node ``i`` (:class:`~locadmm.errors.InvalidInit` otherwise)."""
         if isinstance(states, cls):
-            return check_layout(states, states.offsets, layout)
+            return check_layout(states, states.offsets, graph)
         check_kind(states, cls, LiteNodeState)
         u, lam, alpha, beta, d = (
-            edge_rows([getattr(s, f) for s in states], layout.offsets, f)
+            edge_rows([getattr(s, f) for s in states], graph.offsets, f)
             for f in ("u", "lam", "alpha", "beta", "d")
         )
-        return cls(layout.offsets, np.stack([s.p for s in states]), u, lam, alpha, beta, d)
+        return cls(graph.offsets, np.stack([s.p for s in states]), u, lam, alpha, beta, d)
 
 
 def serialize_state(state: LiteNodeState, c: float, rho: float) -> np.ndarray:
@@ -127,21 +127,20 @@ def init_lite(
     ``u_init`` is an init-spec keyword (``"zeros"``/``"half"``/
     ``"directions"``, the last along ``positions``)."""
     check_penalty("c", c)
-    lay = graph.layout
-    view = consensus_state(lay, as_positions(positions, graph), u_init)
-    return lite_start(lay, view, measurements.edge_ranges(graph), c)
+    view = consensus_state(graph, as_positions(positions, graph), u_init)
+    return lite_start(graph, view, measurements.edge_ranges(graph), c)
 
 
-def lite_start(lay: EdgeLayout, view: EdgeStates, d: np.ndarray, c) -> LiteStates:
+def lite_start(graph: NetworkGraph, view: EdgeStates, d: np.ndarray, c) -> LiteStates:
     """The accumulators of a consensus state ``view`` with zero duals:
     ``alpha0 = c (x_i + x_i)`` and ``beta0 = -d u0 + x_i + x_j``, with
-    ``x_i`` and ``x_j`` its z^- and z^+ rows. ``lay`` may be a
-    :meth:`~locadmm.network.EdgeLayout.stack` layout, ``c`` one per copy."""
+    ``x_i`` and ``x_j`` its z^- and z^+ rows. ``graph`` may be a
+    :meth:`~locadmm.network.NetworkGraph.stack` graph, ``c`` one per copy."""
     x_i, x_j = view.blocks.z_minus, view.blocks.z_plus
-    c_e = spread(lay.edge_column(c), lay.dim)
+    c_e = spread(graph.edge_column(c), graph.dim)
     with quiet_fp():
         alpha, beta = c_e * (x_i + x_i), -(d[:, None] * view.u) + x_i + x_j
-    return LiteStates(lay.offsets, view.blocks.p, view.u, view.lam, alpha, beta, d)
+    return LiteStates(graph.offsets, view.blocks.p, view.u, view.lam, alpha, beta, d)
 
 
 def step_lite(
@@ -270,33 +269,32 @@ def run_lite(
     """
     check_run(graph, iters)
     c, rho = params.c, params.rho
-    lay = graph.layout
     d = measurements.edge_ranges(graph)
     if isinstance(init, InitSpec):
         start = init_full(graph, init, seed)
     else:
-        start = LiteStates.of(init, lay)
+        start = LiteStates.of(init, graph)
         if start.d is not d and not np.array_equal(start.d, d):
             raise InvalidInit("start ranges do not match the measurements")
-    coef = EdgeCoefficients.held(measurements, lay, d, c, rho)
-    steps = lite_steps(lay, coef, start, views=hook is not None)
-    record = None if hook is None else hook_record(hook, 2 * graph.dim * lay.num_edges)
-    last = drive(steps, iters, lambda t, fields: check_finite(t, lay.src, **fields), record)
-    return RunResult(states=LiteStates(lay.offsets, d=d, **last), estimates=last["p"].copy())
+    coef = EdgeCoefficients.held(measurements, graph, d, c, rho)
+    steps = lite_steps(graph, coef, start, views=hook is not None)
+    record = None if hook is None else hook_record(hook, 2 * graph.dim * graph.sum_degree)
+    last = drive(steps, iters, lambda t, fields: check_finite(t, graph.src, **fields), record)
+    return RunResult(states=LiteStates(graph.offsets, d=d, **last), estimates=last["p"].copy())
 
 
-def start_view(lay: EdgeLayout, start: LiteStates, c) -> EdgeStates:
+def start_view(graph: NetworkGraph, start: LiteStates, c) -> EdgeStates:
     """The full-state view of a resumed start: the replicas its accumulators
     hold, inverting ``alpha = lam + c (p + z^-)`` and
     ``beta = -d u + p + z^+``."""
-    p_src = np.take(start.p, lay.src, axis=0)
+    p_src = np.take(start.p, graph.src, axis=0)
     with quiet_fp():
         z_minus = (start.alpha - start.lam) / c - p_src
         z_plus = start.beta + start.d[:, None] * start.u - p_src
-    return EdgeStates(EdgeBlocks(lay.offsets, start.p, z_minus, z_plus), start.u, start.lam)
+    return EdgeStates(EdgeBlocks(graph.offsets, start.p, z_minus, z_plus), start.u, start.lam)
 
 
-def lite_steps(lay: EdgeLayout, coef: EdgeCoefficients, start, views: bool):
+def lite_steps(graph: NetworkGraph, coef: EdgeCoefficients, start, views: bool):
     """Iterate the low-storage recursion from ``start``, a fresh consensus
     ``EdgeStates`` (:func:`lite_start` forms its accumulators) or a resumed
     :class:`LiteStates`, yielded first as its view, the consensus state or
@@ -306,7 +304,7 @@ def lite_steps(lay: EdgeLayout, coef: EdgeCoefficients, start, views: bool):
     (the start's too); and ``None`` for the half-step blocks, which this
     solver does not form.
 
-    ``lay`` may be a :meth:`~locadmm.network.EdgeLayout.stack` layout, with
+    ``graph`` may be a :meth:`~locadmm.network.NetworkGraph.stack` graph, with
     ``coef`` and ``start`` stacked to match: every copy then advances as it
     would alone. The iterates never write an array of ``start``, of
     ``coef`` or one they have yielded. :func:`~locadmm.engine.drive` runs
@@ -315,10 +313,10 @@ def lite_steps(lay: EdgeLayout, coef: EdgeCoefficients, start, views: bool):
     ``coef`` when called.
     """
     if isinstance(start, EdgeStates):
-        first, start = (start if views else None), lite_start(lay, start, coef.ranges, coef.c)
+        first, start = (start if views else None), lite_start(graph, start, coef.ranges, coef.c)
     else:
-        first = start_view(lay, start, coef.c) if views else None
-    src, rev = lay.src, lay.rev
+        first = start_view(graph, start, coef.c) if views else None
+    src, rev = graph.src, graph.rev
     d_u, d_rho, d_rho_scale, denom = coef.d, coef.d_rho, coef.d_rho_scale, coef.denom
     c_e, two_c, scale, c_scale = coef.c_e, coef.two_c, coef.scale, coef.c_scale
 
@@ -336,9 +334,9 @@ def lite_steps(lay: EdgeLayout, coef: EdgeCoefficients, start, views: bool):
             acc -= tmp
             acc += alpha
             acc += beta
-            p = lay.node_sum(acc)
+            p = graph.node_sum(acc)
             p /= denom
-            p[lay.anchor_idx] = lay.anchor_pos
+            p[graph.anchor_idx] = graph.anchor_pos
             p_src = p.take(src, axis=0)
             # plus_sum = alpha_in + beta, and minus_sum = alpha + beta_in is its
             # mirror row: row rev e of plus_sum adds the same two operands
@@ -377,7 +375,7 @@ def lite_steps(lay: EdgeLayout, coef: EdgeCoefficients, start, views: bool):
             fields = {"p": p, "u": u, "lam": lam, "alpha": alpha, "beta": beta}
             view = None
             if views:
-                view = EdgeStates(EdgeBlocks(lay.offsets, p, z_minus, z_plus, p_src), u, lam)
+                view = EdgeStates(EdgeBlocks(graph.offsets, p, z_minus, z_plus, p_src), u, lam)
             yield fields, view, None
 
     return iterates(first, start.p, start.u, start.lam, start.alpha, start.beta)

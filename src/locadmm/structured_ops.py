@@ -28,7 +28,7 @@ import numpy as np
 
 from .engine import quiet_fp
 from .errors import InvalidInit, InvalidParameter, MissingNode, check_penalty
-from .network import EdgeLayout, edge_lengths
+from .network import NetworkGraph, edge_lengths
 
 
 @dataclass
@@ -108,10 +108,10 @@ def edge_rows(rows, offsets=None, what: str = "rows") -> np.ndarray:
     return np.concatenate(rows)
 
 
-def check_layout(stacked, offsets: np.ndarray, layout: Optional[EdgeLayout]):
+def check_layout(stacked, offsets: np.ndarray, graph: Optional[NetworkGraph]):
     """``stacked``, whose node ``i`` owns rows ``offsets[i]:offsets[i+1]``,
-    if those are the rows ``layout`` gives node ``i`` (or no layout is given)."""
-    if layout is None or offsets is layout.offsets or np.array_equal(offsets, layout.offsets):
+    if those are the rows ``graph`` gives node ``i`` (or no graph is given)."""
+    if graph is None or offsets is graph.offsets or np.array_equal(offsets, graph.offsets):
         return stacked
     raise InvalidInit("stacked rows do not match the node degrees")
 
@@ -130,7 +130,7 @@ def check_kind(states, stacked: type, kind: type) -> None:
 class EdgeBlocks(Sequence):
     """Every node's block stacked: ``p`` has a row per node, ``z_minus`` and
     ``z_plus`` a row per directed edge, node ``i`` owning rows
-    ``offsets[i]:offsets[i+1]`` (:class:`~locadmm.network.EdgeLayout` order).
+    ``offsets[i]:offsets[i+1]`` (:class:`~locadmm.network.NetworkGraph` order).
     ``blocks[i]`` builds node ``i``'s :class:`NodeBlockVector` of views.
 
     ``gathered``, when given, is taken as :attr:`p_src`: the solvers pass
@@ -167,12 +167,12 @@ class EdgeBlocks(Sequence):
         return np.repeat(self.p, np.diff(self.offsets), axis=0)
 
     @classmethod
-    def of(cls, blocks, layout: Optional[EdgeLayout] = None) -> "EdgeBlocks":
+    def of(cls, blocks, graph: Optional[NetworkGraph] = None) -> "EdgeBlocks":
         """``blocks`` if stacked, else its per-node blocks stacked, with the
-        row counts checked against ``layout`` when given."""
+        row counts checked against ``graph`` when given."""
         if isinstance(blocks, cls):
-            return check_layout(blocks, blocks.offsets, layout)
-        offsets = np.cumsum([0] + [b.degree for b in blocks]) if layout is None else layout.offsets
+            return check_layout(blocks, blocks.offsets, graph)
+        offsets = np.cumsum([0] + [b.degree for b in blocks]) if graph is None else graph.offsets
         z_minus, z_plus = (edge_rows([getattr(b, f) for b in blocks], offsets, f)
                            for f in ("z_minus", "z_plus"))
         return cls(offsets, np.stack([b.p for b in blocks]), z_minus, z_plus)
@@ -195,12 +195,12 @@ class EdgeStates(Sequence):
         return FullNodeState(self.blocks[i], self.u[rows], self.lam[rows])
 
     @classmethod
-    def of(cls, states, layout: Optional[EdgeLayout] = None) -> "EdgeStates":
+    def of(cls, states, graph: Optional[NetworkGraph] = None) -> "EdgeStates":
         """As :meth:`EdgeBlocks.of`, for states."""
         if isinstance(states, cls):
-            return check_layout(states, states.blocks.offsets, layout)
+            return check_layout(states, states.blocks.offsets, graph)
         check_kind(states, cls, FullNodeState)
-        blocks = EdgeBlocks.of([s.block for s in states], layout)
+        blocks = EdgeBlocks.of([s.block for s in states], graph)
         u, lam = (edge_rows([getattr(s, f) for s in states], blocks.offsets, f)
                   for f in ("u", "lam"))
         return cls(blocks, u, lam)
@@ -299,7 +299,7 @@ def objective_original(estimates, measurements) -> float:
     ``estimates`` holds a row per node of the measurements' graph.
     """
     est = np.asarray(estimates, dtype=float)
-    gap = edge_lengths(measurements.graph.layout, est) - measurements.d
+    gap = edge_lengths(measurements.graph, est) - measurements.d
     return float(gap @ gap)
 
 
@@ -321,7 +321,7 @@ def _coefficient(column):
 
     def build(self):
         with quiet_fp():
-            out = spread(column(self, *self._edge_penalties), self.layout.dim)
+            out = spread(column(self, *self._edge_penalties), self.graph.dim)
         if isinstance(out, np.ndarray):
             out.flags.writeable = False
         return out
@@ -331,22 +331,22 @@ def _coefficient(column):
 
 class EdgeCoefficients:
     """The per-row constants both solvers read, of the ranges ``ranges``
-    (one per row of ``layout``) at penalties ``c`` and ``rho``: numbers, or
-    per-copy values on a :meth:`~locadmm.network.EdgeLayout.stack` layout.
+    (one per row of ``graph``) at penalties ``c`` and ``rho``: numbers, or
+    per-copy values on a :meth:`~locadmm.network.NetworkGraph.stack` graph.
     Each is built on first read, so a solver builds only its own:
     ``lite_steps`` alone reads ``d_rho_scale``, ``scale`` and ``c_scale``,
     ``full_steps`` alone ``c1``. ``denom``, each node's ``p`` divisor
     ``2 (c + 1) k``, has a row per node, the others a row per edge."""
 
-    def __init__(self, layout: EdgeLayout, ranges: np.ndarray, c, rho):
-        self.layout, self.ranges, self.c, self.rho = layout, ranges, c, rho
+    def __init__(self, graph: NetworkGraph, ranges: np.ndarray, c, rho):
+        self.graph, self.ranges, self.c, self.rho = graph, ranges, c, rho
         # c and rho on every edge row (numbers for one copy)
-        self._edge_penalties = layout.edge_column(c), layout.edge_column(rho)
+        self._edge_penalties = graph.edge_column(c), graph.edge_column(rho)
 
     d = _coefficient(lambda self, c, rho: self.ranges)
     d_rho = _coefficient(lambda self, c, rho: self.ranges / rho)
     denom = _coefficient(
-        lambda self, c, rho: 2.0 * (self.layout.node_column(self.c) + 1.0) * self.layout.degrees
+        lambda self, c, rho: 2.0 * (self.graph.node_column(self.c) + 1.0) * self.graph.degrees
     )
     d_rho_scale = _coefficient(lambda self, c, rho: self.ranges / (rho * (2.0 * (c + 1.0))))
     c_e = _coefficient(lambda self, c, rho: c)
@@ -356,14 +356,14 @@ class EdgeCoefficients:
     c_scale = _coefficient(lambda self, c, rho: c / (2.0 * (c + 1.0)))
 
     @classmethod
-    def held(cls, measurements, lay: EdgeLayout, d: np.ndarray, c, rho):
-        """The coefficients kept on ``measurements`` (whose ranges on the
-        graph of ``lay`` are ``d``) for the latest ``(c, rho)`` asked of it:
+    def held(cls, measurements, graph: NetworkGraph, d: np.ndarray, c, rho):
+        """The coefficients kept on ``measurements`` (whose ranges on
+        ``graph`` are ``d``) for the latest ``(c, rho)`` asked of it:
         both solvers read that one set, and other penalties replace it."""
-        memo, key = measurements._coefficients, (c, rho, lay.dim)
+        memo, key = measurements._coefficients, (c, rho, graph.dim)
         if key not in memo:
             memo.clear()
-            memo[key] = cls(lay, d, c, rho)
+            memo[key] = cls(graph, d, c, rho)
         return memo[key]
 
 
@@ -399,17 +399,16 @@ def project_consensus(blocks, graph) -> EdgeBlocks:
     """
     if len(blocks) != graph.num_nodes:
         raise MissingNode(f"expected {graph.num_nodes} blocks, got {len(blocks)}")
-    lay = graph.layout
-    b = EdgeBlocks.of(blocks, lay)
-    return EdgeBlocks(lay.offsets, *consensus_rows(lay, b.p, b.z_minus, b.z_plus))
+    b = EdgeBlocks.of(blocks, graph)
+    return EdgeBlocks(graph.offsets, *consensus_rows(graph, b.p, b.z_minus, b.z_plus))
 
 
-def consensus_rows(lay: EdgeLayout, p, z_minus, z_plus) -> tuple:
-    """:func:`project_consensus` on the stacked arrays of ``lay``'s layout
-    (of one graph or of several stacked copies): new ``(p, z^-, z^+)``."""
+def consensus_rows(graph: NetworkGraph, p, z_minus, z_plus) -> tuple:
+    """:func:`project_consensus` on the stacked arrays of ``graph`` (one
+    graph or several stacked copies): new ``(p, z^-, z^+)``."""
     p = p.copy()
-    p[lay.anchor_idx] = lay.anchor_pos
-    avg = z_minus.take(lay.rev, axis=0)
+    p[graph.anchor_idx] = graph.anchor_pos
+    avg = z_minus.take(graph.rev, axis=0)
     avg += z_plus
     avg /= 2.0
-    return p, avg.take(lay.rev, axis=0), avg
+    return p, avg.take(graph.rev, axis=0), avg

@@ -2,11 +2,11 @@
 
 These are the original loop formulations of ``generate_rgg`` (an N x N
 distance matrix), ``measure`` (one draw and one ``np.linalg.norm`` per edge)
-and ``NetworkGraph.build`` with ``EdgeLayout.build`` (sets, sorted tuples
-and ``list.index``). The array versions in ``locadmm.network`` must give
-bit-identical results; the tests compare the two. ``loop_objective_original``
-is the per-edge form of ``structured_ops.objective_original``, which sums
-in another order and so agrees only to rounding.
+and ``NetworkGraph.build`` (sets, sorted tuples and ``list.index``). The
+array versions in ``locadmm.network`` must give bit-identical results; the
+tests compare the two. ``loop_objective_original`` is the per-edge form of
+``structured_ops.objective_original``, which sums in another order and so
+agrees only to rounding.
 
 ``json_save_network`` and ``entry_load_network`` are the schema-1
 network-file round trip: a document of one object per node and per edge

@@ -411,17 +411,17 @@ class TestSweep:
 
         whole, split = tmp_path / "whole.csv", tmp_path / "split.csv"
         assert main(argv(whole)) == EXIT_OK
-        edges = network.load_network(net_file)[0].layout.num_edges
+        edges = network.load_network(net_file)[0].sum_degree
         budget = 1 if batch == "one cell" else 5 * edges
         sizes = []
-        stack = network.EdgeLayout.stack
+        stack = network.NetworkGraph.stack
 
-        def recording(layout, copies):
+        def recording(graph, copies):
             sizes.append(copies)
-            return stack(layout, copies)
+            return stack(graph, copies)
 
         monkeypatch.setattr(grid, "GRID_ROWS", budget)
-        monkeypatch.setattr(network.EdgeLayout, "stack", recording)
+        monkeypatch.setattr(network.NetworkGraph, "stack", recording)
         assert main(argv(split)) == EXIT_OK
         assert split.read_bytes() == whole.read_bytes()
         assert sum(sizes) == 12 and max(sizes) * edges <= max(budget, edges)

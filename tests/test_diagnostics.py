@@ -1,3 +1,4 @@
+import functools
 import math
 import re
 from dataclasses import replace
@@ -10,7 +11,7 @@ from locadmm import network
 from locadmm import oracle
 from locadmm import structured_ops as ops
 from locadmm.errors import InvalidParameter, NonFiniteValue
-from locadmm.network import EdgeLayout, MeasurementSet, NetworkGraph
+from locadmm.network import MeasurementSet, NetworkGraph
 from locadmm.solver_full import (
     FullNodeState,
     InitSpec,
@@ -353,7 +354,7 @@ class TestParameterBounds:
     )
     def test_node_without_neighbor_named(self, graph, node):
         # tau_min is 0 there, and kappa2 would divide by it
-        meas = MeasurementSet(graph, [1.0] * graph.layout.forward.size)
+        meas = MeasurementSet(graph, [1.0] * graph.forward.size)
         want = f"parameter bounds need every node to have a neighbor; node {node} has none"
         with pytest.raises(InvalidParameter, match=f"^{want}$"):
             dg.parameter_bounds(graph, meas, 1.0)
@@ -525,13 +526,15 @@ class TestTrace:
         params, spec = PenaltyParams(0.3, 0.2), InitSpec(kind="zeros", u_init="half")
         run_full(graph, meas, params, spec, 2)
         built = []
+        spread = MeasurementSet._edge_field.func
 
-        def counting(layout, vals):
-            built.append(layout)
-            return spread(layout, vals)
+        def counting(self):
+            built.append(self.graph)
+            return spread(self)
 
-        spread = network._spread
-        monkeypatch.setattr(network, "_spread", counting)
+        counted = functools.cached_property(counting)
+        counted.__set_name__(MeasurementSet, "_edge_field")
+        monkeypatch.setattr(MeasurementSet, "_edge_field", counted)
         if second == "TraceRecorder":
             rec = dg.TraceRecorder(graph, meas, params, truth=truth)
             run_lite(graph, meas, params, spec, 2, hook=rec)
@@ -545,19 +548,19 @@ class TestTrace:
         again = MeasurementSet(graph, meas.d)
         run_lite(graph, again, params, spec, 1)
         dg.TraceRecorder(graph, again, params, truth=truth)
-        assert built == [graph.layout]
+        assert built == [graph]
 
     @pytest.mark.parametrize("runner", [run_full, run_lite])
     def test_stationarity_and_optimality_share_one_gradient(self, runner, monkeypatch):
         # S and F read one gradient: one per-node sum per recorded row
         calls = []
-        node_sum = EdgeLayout.node_sum
+        node_sum = NetworkGraph.node_sum
 
-        def counting(layout, x):
+        def counting(graph, x):
             calls.append(1)
-            return node_sum(layout, x)
+            return node_sum(graph, x)
 
-        monkeypatch.setattr(EdgeLayout, "node_sum", counting)
+        monkeypatch.setattr(NetworkGraph, "node_sum", counting)
         graph, truth = random_connected_graph(np.random.default_rng(6), 10, num_anchors=2)
         meas = exact_measurements(graph, truth.positions)
         params = PenaltyParams(0.3, 0.2)

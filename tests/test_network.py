@@ -27,7 +27,6 @@ from locadmm.errors import (
     SchemaVersionMismatch,
 )
 from locadmm.network import (
-    EdgeLayout,
     GroundTruth,
     MeasurementSet,
     NetworkGraph,
@@ -255,7 +254,7 @@ class TestBuildMatchesPerNode:
         assert graph.edge_list == want["edge_list"]
         assert graph.connected == want["connected"]
         for name in self.LAYOUT_FIELDS:
-            got, ref = getattr(graph.layout, name), want[name]
+            got, ref = getattr(graph, name), want[name]
             assert got.dtype == ref.dtype and got.shape == ref.shape, name
             assert got.tobytes() == ref.tobytes(), name
 
@@ -371,25 +370,24 @@ def stars(draw):
 
 
 class TestNodeSum:
-    """``EdgeLayout.node_sum`` against each node's own ``sum(axis=0)``."""
+    """``NetworkGraph.node_sum`` against each node's own ``sum(axis=0)``."""
 
     @PROPERTY_SETTINGS
     @given(st.one_of(graphs(max_nodes=20).map(lambda g: g[0]), stars()), st.data())
     def test_matches_per_node_sum(self, graph, data):
-        lay = graph.layout
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-        shape = (lay.num_edges, graph.dim)
+        shape = (graph.sum_degree, graph.dim)
         # rows of magnitude 1e-8 .. 1e8, so a change of order changes bits
-        x = rng.normal(size=shape) * 10.0 ** rng.uniform(-8.0, 8.0, (lay.num_edges, 1))
+        x = rng.normal(size=shape) * 10.0 ** rng.uniform(-8.0, 8.0, (graph.sum_degree, 1))
         x[rng.random(shape) < 0.2] = -0.0
-        want = np.stack([rows.sum(axis=0) for rows in lay.split(x)])
+        want = np.stack([rows.sum(axis=0) for rows in graph.split(x)])
         # a sum started from zero is never -0.0; adding 0.0 maps -0.0 to 0.0
-        assert lay.node_sum(x).tobytes() == (want + 0.0).tobytes()
+        assert graph.node_sum(x).tobytes() == (want + 0.0).tobytes()
 
     def test_field_of_another_width_raises(self):
         graph = NetworkGraph.build(3, 3, {0: np.zeros(3)}, [(0, 1), (1, 2)])
         with pytest.raises(ValueError):
-            graph.layout.node_sum(np.ones((graph.layout.num_edges, 2)))
+            graph.node_sum(np.ones((graph.sum_degree, 2)))
 
 
 class TestGraphInvariants:
@@ -448,7 +446,7 @@ class TestGraphInvariants:
     @pytest.mark.parametrize("anchor_id", [1, np.int64(1), np.uint8(1)])
     def test_integer_anchor_ids_of_any_type(self, anchor_id):
         graph = NetworkGraph.build(2, 3, {anchor_id: [1.0, 2.0]}, [(0, 1), (1, 2)])
-        assert graph.layout.anchor_idx.tolist() == [1]
+        assert graph.anchor_idx.tolist() == [1]
 
     @pytest.mark.parametrize(
         "position", [[math.nan, 0.0], [0.0, math.inf], [-math.inf, 0.0], ["x", "y"], [1j, 0.0]],
@@ -459,9 +457,42 @@ class TestGraphInvariants:
             NetworkGraph.build(2, 3, {2: [0.0, 0.0], 0: position}, [(0, 1), (1, 2)])
         assert str(exc.value) == "anchor 0 position must be 2 finite numbers"
 
-    def test_every_graph_fact_held_by_the_layout(self):
-        assert [f.name for f in dataclasses.fields(NetworkGraph)] == ["layout", "connected"]
-        assert "degrees" not in [f.name for f in dataclasses.fields(EdgeLayout)]
+    def test_every_graph_fact_held_once(self):
+        # one graph type: its edge and anchor arrays are its fields, and the
+        # degrees, like every view, are read from them
+        assert [f.name for f in dataclasses.fields(NetworkGraph)] == [
+            "offsets", "src", "dst", "rev", "anchor_idx", "anchor_pos", "connected", "copies"
+        ]
+
+    def test_repr_shows_connectivity_only(self):
+        graph, _ = generate_rgg(108, 8, 0.3, seed=1)
+        assert repr(graph) == "NetworkGraph(connected=True)"
+        assert repr(graph.stack(3)) == "NetworkGraph(connected=False)"
+
+    def test_degrees_are_one_read_only_array(self):
+        graph, _ = generate_rgg(20, 3, 0.5, seed=1)
+        degrees = graph.degrees
+        assert graph.degrees is degrees
+        assert degrees.tolist() == [len(nbrs) for nbrs in graph.neighbors]
+        with pytest.raises(ValueError):
+            degrees[0] = 0
+
+    @pytest.mark.parametrize("copies", [2, 3])
+    def test_stack_of_copies(self, copies):
+        graph, _ = generate_rgg(20, 3, 0.5, seed=1)
+        assert graph.stack(1) is graph and graph.copies == 1
+        stacked = graph.stack(copies)
+        assert not stacked.connected and stacked.copies == copies
+        assert stacked.num_nodes == copies * graph.num_nodes
+        assert stacked.sum_degree == copies * graph.sum_degree
+        assert stacked.neighbors == tuple(
+            tuple(j + k * graph.num_nodes for j in nbrs)
+            for k in range(copies) for nbrs in graph.neighbors
+        )
+        assert stacked.rev_pos == graph.rev_pos * copies
+        assert stacked.by_copy(stacked.anchor_pos).tobytes() == np.stack(
+            [graph.anchor_pos] * copies
+        ).tobytes()
 
     @pytest.mark.parametrize("source", ["generate_rgg", "load_network", "build"])
     def test_anchor_positions_held_once(self, source, tmp_path):
@@ -472,13 +503,12 @@ class TestGraphInvariants:
         elif source == "build":
             anchors = {k: truth.positions[k] for k in (5, 0, 11)}
             graph = NetworkGraph.build(2, 20, anchors, graph.edge_list)
-        lay = graph.layout
         with pytest.raises(ValueError):
-            lay.anchor_pos[0] += 5.0
+            graph.anchor_pos[0] += 5.0
         with pytest.raises(TypeError):
             graph.anchors[0] = np.zeros(2)
-        assert list(graph.anchors) == lay.anchor_idx.tolist() == sorted(graph.anchors)
-        for row, pos in zip(lay.anchor_pos, graph.anchors.values()):
+        assert list(graph.anchors) == graph.anchor_idx.tolist() == sorted(graph.anchors)
+        for row, pos in zip(graph.anchor_pos, graph.anchors.values()):
             assert np.shares_memory(row, pos) and np.array_equal(row, pos)
         assert graph.num_anchors == len(graph.anchors)
 
@@ -1535,11 +1565,10 @@ class TestLoadNetworkMatchesEntryLoader:
 
 def _instance_bytes(graph, truth, meas):
     """Every array of a loaded instance, as bytes, and its flags."""
-    lay = graph.layout
-    arrays = [lay.offsets, lay.src, lay.dst, lay.rev, lay.anchor_idx, lay.anchor_pos]
+    arrays = [graph.offsets, graph.src, graph.dst, graph.rev, graph.anchor_idx, graph.anchor_pos]
     return (
         [(a.dtype, a.shape, a.tobytes(), a.flags.writeable) for a in arrays],
-        lay.copies, graph.connected,
+        graph.copies, graph.connected,
         None if truth is None else truth.positions.tobytes(),
         None if meas is None else meas.d.tobytes(),
     )
@@ -1577,7 +1606,7 @@ class TestSchema2RoundTrip:
             meas = None  # a graph without edges carries no ranges
         assert _instance_bytes(*loaded) == _instance_bytes(graph, truth, meas)
         assert _instance_bytes(*twin) == _instance_bytes(*loaded)
-        assert not twin[0].layout.anchor_pos.flags.writeable
+        assert not twin[0].anchor_pos.flags.writeable
 
     @PROPERTY_SETTINGS
     @given(graphs(), st.booleans(), st.booleans())
@@ -1586,7 +1615,7 @@ class TestSchema2RoundTrip:
         truth = None
         if with_truth:
             positions = rng.uniform(-1.0, 1.0, (graph.num_nodes, graph.dim))
-            positions[graph.layout.anchor_idx] = graph.layout.anchor_pos
+            positions[graph.anchor_idx] = graph.anchor_pos
             truth = GroundTruth(positions)
         root = tmp_path_factory.mktemp("two")
         self.round_trip(root, graph, truth, meas if with_ranges else None)
@@ -1842,7 +1871,7 @@ class TestEdgeOrder:
         calls = self.count_orders(monkeypatch)
         _, _, loaded = load_network(path)
         # one sort of the 2E directed edges, in NetworkGraph.build, and none of the E edges
-        assert calls == [graph.layout.num_edges]
+        assert calls == [graph.sum_degree]
         assert loaded.d.tobytes() == meas.d.tobytes()
 
     @pytest.mark.parametrize("schema", [1, 2])
@@ -1859,7 +1888,7 @@ class TestEdgeOrder:
         path.write_text(json.dumps(doc))
         calls = self.count_orders(monkeypatch)
         _, _, loaded = load_network(path)
-        assert calls == [len(graph.edge_list), graph.layout.num_edges]
+        assert calls == [len(graph.edge_list), graph.sum_degree]
         assert loaded.d.tobytes() == meas.d.tobytes()
 
 
@@ -1919,11 +1948,10 @@ def range_files(draw):
     lead = draw(st.sampled_from(["", " ", "\n  "]))
     tail = " " if broken == "end" else ""
     d_text = lead + "[" + sep.join(spelled[k] for k in order) + "]" + tail
-    lay = graph.layout
     members = [
         ('"schema_version"', "2"), ('"dim"', str(graph.dim)), ('"num_nodes"', str(graph.num_nodes)),
-        ('"anchors"', json.dumps(lay.anchor_idx.tolist())),
-        ('"anchor_pos"', json.dumps(lay.anchor_pos.ravel().tolist())),
+        ('"anchors"', json.dumps(graph.anchor_idx.tolist())),
+        ('"anchor_pos"', json.dumps(graph.anchor_pos.ravel().tolist())),
         ('"i"', json.dumps(i)), ('"j"', json.dumps(j)),
     ]
     extra = draw(st.sampled_from(EXTRAS[3:] if broken == "last key" else EXTRAS[:3]))
@@ -1954,7 +1982,7 @@ def range_files(draw):
     )
     ranges = np.array([float(json.loads(s)) for s in spelled])
     positions = rng.uniform(-1.0, 1.0, (graph.num_nodes, graph.dim))
-    positions[lay.anchor_idx] = lay.anchor_pos
+    positions[graph.anchor_idx] = graph.anchor_pos
     return text, ranges, GroundTruth(positions), d_text if kept else None
 
 
@@ -1997,7 +2025,7 @@ class TestRangeText:
         truth = None
         if with_truth:
             positions = rng.uniform(-1.0, 1.0, (graph.num_nodes, graph.dim))
-            positions[graph.layout.anchor_idx] = graph.layout.anchor_pos
+            positions[graph.anchor_idx] = graph.anchor_pos
             truth = GroundTruth(positions)
         root = tmp_path_factory.mktemp("again")
         save_network(root / "net.json", graph, truth, MeasurementSet(graph, d))

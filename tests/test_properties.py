@@ -616,7 +616,7 @@ def grids(draw):
     ))
     if draw(st.booleans()):
         cells.insert(draw(st.integers(0, n)), (1e308, draw(values), draw(st.integers(0, 1000))))
-    budget = draw(st.sampled_from([1, 2 * graph.layout.num_edges, grid.GRID_ROWS]))
+    budget = draw(st.sampled_from([1, 2 * graph.sum_degree, grid.GRID_ROWS]))
     return graph, meas, spec, algo, cells, iters, budget
 
 
@@ -655,7 +655,7 @@ def test_grid_cells_are_their_own_runs(inst):
 
 def held(graph, meas, params):
     """The coefficients the solvers hold on ``meas`` at ``params``."""
-    return EdgeCoefficients.held(meas, graph.layout, meas.edge_ranges(graph), params.c, params.rho)
+    return EdgeCoefficients.held(meas, graph, meas.edge_ranges(graph), params.c, params.rho)
 
 
 def coefficient_arrays(coef):
@@ -720,7 +720,7 @@ def test_held_coefficients_are_read_only(inst):
         if isinstance(v, cached_property) and not name.startswith("_")
     } == set(COEFFICIENTS)
     stacked = EdgeCoefficients(
-        graph.layout.stack(2), np.tile(meas.edge_ranges(graph), 2),
+        graph.stack(2), np.tile(meas.edge_ranges(graph), 2),
         np.array([0.3, 0.5]), np.array([0.2, 0.1]),
     )
     for coef in (held(graph, meas, PenaltyParams(0.3, 0.2)), stacked):
@@ -756,9 +756,9 @@ def test_grid_batches_build_only_the_coefficients_their_solver_reads(inst, algo)
     name = f"{algo}_steps"
     steps, seen = getattr(grid, name), []
 
-    def spy(lay, coef, start, views):
+    def spy(stacked, coef, start, views):
         seen.append(coef)
-        return steps(lay, coef, start, views)
+        return steps(stacked, coef, start, views)
 
     setattr(grid, name, spy)
     try:
@@ -790,7 +790,7 @@ def planted_fields(draw):
     1e154 so that their squares overflow, with up to three NaN or infinite
     values planted, each at a random field, row and column."""
     graph, _, rng = draw(graphs(max_nodes=8))
-    n, e, dim = graph.num_nodes, graph.layout.num_edges, graph.dim
+    n, e, dim = graph.num_nodes, graph.sum_degree, graph.dim
     fields = {
         name: rng.standard_normal((n if name == "p" else e, dim))
         for name in ("p", "u", "lam", "alpha", "beta")
@@ -801,7 +801,7 @@ def planted_fields(draw):
     for bad in draw(st.lists(st.sampled_from([np.nan, np.inf, -np.inf]), max_size=3)):
         a = fields[draw(st.sampled_from(sorted(fields)))]
         a[draw(st.integers(0, a.shape[0] - 1)), draw(st.integers(0, dim - 1))] = bad
-    return graph.layout.src, fields, draw(st.sampled_from([1, 2, 3, 300]))
+    return graph.src, fields, draw(st.sampled_from([1, 2, 3, 300]))
 
 
 def reference_finite_message(t, src, fields):

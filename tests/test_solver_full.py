@@ -20,7 +20,6 @@ from locadmm.errors import (
 from locadmm.network import (
     GroundTruth,
     MeasurementSet,
-    NetworkGraph,
     NoiseModel,
     generate_rgg,
     measure,
@@ -776,13 +775,13 @@ class TestOneLoop:
         assert len(seen) == 6 and alive == [(False, False, True)] * 5
 
     def test_every_solve_requires_an_anchor(self, triangle):
-        # NetworkGraph.build refuses an empty anchor set; a graph built by
-        # hand on a layout without anchors reaches the solvers' own check
+        # NetworkGraph.build refuses an empty anchor set; a connected graph
+        # built by hand without anchors reaches the solvers' own check
         graph, _, meas = triangle
-        lay = dataclasses.replace(
-            graph.layout, anchor_idx=np.zeros(0, dtype=np.intp), anchor_pos=np.zeros((0, 2))
+        bare = dataclasses.replace(
+            graph, anchor_idx=np.zeros(0, dtype=np.intp), anchor_pos=np.zeros((0, 2))
         )
-        bare = NetworkGraph(lay, connected=True)
+        assert bare.connected
         meas, params = MeasurementSet(bare, meas.d), PenaltyParams(0.1, 0.1)
         solves = [
             lambda: run_full(bare, meas, params, InitSpec(), 3),
@@ -791,6 +790,20 @@ class TestOneLoop:
         ]
         for solve in solves:
             with pytest.raises(DisconnectedGraph, match="^solver requires at least one anchor$"):
+                solve()
+
+    def test_every_solve_refuses_a_stacked_graph(self):
+        # the copies a grid batch stacks are one graph, but not a connected one
+        graph, _, meas = self.instance()
+        stacked = graph.stack(2)
+        meas, params = MeasurementSet(stacked, np.tile(meas.d, 2)), PenaltyParams(0.1, 0.1)
+        solves = [
+            lambda: run_full(stacked, meas, params, InitSpec(), 3),
+            lambda: run_lite(stacked, meas, params, InitSpec(), 3),
+            lambda: grid.run_grid("full", stacked, meas, [(params, 0)], InitSpec(), 3),
+        ]
+        for solve in solves:
+            with pytest.raises(DisconnectedGraph, match="^solver requires a connected graph$"):
                 solve()
 
     @pytest.mark.parametrize("algo", ["Full", "bogus", ""])
@@ -815,6 +828,9 @@ class TestOneLoop:
             grid.run_grid(algo, apart, MeasurementSet(apart, [1.0, 1.0]), cells, InitSpec(), 3)
         with pytest.raises(InvalidParameter, match="iters must be >= 1, got 0"):
             grid.run_grid(algo, graph, meas, cells, InitSpec(), 0)
+        other, _ = generate_rgg(20, 3, 0.5, seed=2)
+        with pytest.raises(InvalidParameter, match="^measurements were taken on another graph$"):
+            grid.run_grid(algo, other, meas, cells, InitSpec(), 3)
         for spec, error, message in [
             (InitSpec(kind="from_positions"), InvalidInit, "needs a positions array"),
             (InitSpec(kind="from_positions", positions=np.zeros((3, 2))), InvalidInit,
@@ -907,15 +923,15 @@ class TestOneLoop:
         graph, _, meas = self.instance()
         start, built = grid.consensus_state, []
 
-        def spy(lay, positions, u_init):
+        def spy(stacked, positions, u_init):
             built.append(positions.tobytes())
-            return start(lay, positions, u_init)
+            return start(stacked, positions, u_init)
 
         def starts(group):
             return np.concatenate([start_positions(graph, spec, seed) for _, seed in group]).tobytes()
 
         monkeypatch.setattr(grid, "consensus_state", spy)
-        monkeypatch.setattr(grid, "GRID_ROWS", 2 * graph.layout.num_edges)  # two cells a batch
+        monkeypatch.setattr(grid, "GRID_ROWS", 2 * graph.sum_degree)  # two cells a batch
         cells = [(PenaltyParams(0.1 * (k + 1), 0.1), k) for k in range(5)]
         spec = InitSpec(kind="uniform", u_init="directions")
         runs = grid.run_grid(algo, graph, meas, cells, spec, 3)

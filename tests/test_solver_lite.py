@@ -272,17 +272,17 @@ class TestLiteStates:
         assert len(states) == graph.num_nodes
         assert states[-1].p is not None and states[-1].u.base is states.u
         for i, st in enumerate(states):
-            rows = slice(graph.layout.offsets[i], graph.layout.offsets[i + 1])
+            rows = slice(graph.offsets[i], graph.offsets[i + 1])
             assert st.alpha.tobytes() == states.alpha[rows].tobytes()
             assert st.p.tobytes() == states.p[i].tobytes()
         with pytest.raises(IndexError):
             states[graph.num_nodes]
-        assert LiteStates.of(states, graph.layout) is states
+        assert LiteStates.of(states, graph) is states
 
     def test_state_rows_must_match_degrees(self):
         graph, meas, params, spec = self.setup_instance()
         states = list(init_lite(graph, spec.positions, "half", params.c, meas))
-        k = graph.layout.degrees.argmax()
+        k = graph.degrees.argmax()
         states[k] = LiteNodeState(**{**vars(states[k]), "lam": states[k].lam[:1]})
         with pytest.raises(InvalidInit, match="^lam rows do not match the node degrees$"):
             run_lite(graph, meas, params, states, 1)
