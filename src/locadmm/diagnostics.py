@@ -24,6 +24,7 @@ import numpy as np
 
 from .engine import IterationEvent, quiet_fp
 from .errors import InvalidParameter, NonFiniteValue, check_numbers, check_penalty, check_real
+from .errors import check_type
 from .network import GroundTruth, MeasurementSet, NetworkGraph, check_truth, copy_rmse, write_text
 from .structured_ops import (
     EdgeBlocks,
@@ -323,6 +324,7 @@ def parameter_bounds(graph: NetworkGraph, measurements: MeasurementSet, c: float
     node without a neighbor makes ``tau_min`` zero and is refused.
     """
     check_penalty("c", c)
+    check_type("measurements", measurements, MeasurementSet)
     degrees = graph.degrees
     if not degrees.all():
         node = int(np.argmin(degrees))
@@ -500,6 +502,8 @@ class TraceRecorder:
             check_truth(truth, graph)
         if "potential" in self.metrics and potential_coeffs is None:
             raise InvalidParameter("potential metric needs potential_coeffs")
+        check_type("measurements", measurements, MeasurementSet)
+        check_type("params", params, PenaltyParams)
         self.graph = graph
         self.trace = IterationTrace(metadata=dict(metadata or {}))
         self._pass = MetricPass(

@@ -13,17 +13,27 @@ array handed out (to a hook, or in a :class:`RunResult`) or passed in as a
 start is never written afterwards, and a product one iteration carries into
 the next (the full solver's gathered ``p``, the low-storage solver's
 ``d u``) is read, never written. Each solver's iteration is one generator
-of iterates, its start first, which :func:`drive`, the one loop, runs under
-:func:`quiet_fp` for a single solve and a grid of stacked copies alike. It
+of iterates, its start first, built by :func:`iterate`, which :func:`drive`,
+the one loop, runs for a single solve and a grid of stacked copies alike. It
 hands on every iterate, the start included, and keeps none: each caller
 keeps what it reads of the previous one (:func:`hook_record` for hooks).
 
-Every iterate of every solve is checked for NaN and infinite values. The
-check first tests each field with :func:`all_finite`, one self-dot
-``a · a`` that is NaN or infinite whenever an entry is, and runs the exact
-per-entry scan only after a field fails it: the scan names the iteration,
-node and field of a divergence, or finds only finite entries beyond ~1e154,
-whose squares overflowed, and lets the iterate pass.
+Every iterate of every solve is guarded against NaN and infinite values,
+by NumPy's floating-point flags or by an exact scan. :func:`drive` runs the
+iterations with overflow, invalid operations and division by zero raising
+(:data:`TRAP`): under IEEE Std 754-2019 section 7, an operation on finite
+operands makes an infinity or a NaN only by raising one of those flags, so
+an iteration from finite inputs and finite coefficients that raises none
+makes only finite values (:func:`iterate` covers the one step that is not
+a ufunc). The scan runs where that does not hold: on a call's first
+iterate, whose start may hold a NaN; on every iterate when a coefficient is
+not finite; and on every iterate from the first iteration of the call that
+raises a flag, which is made again quietly. The scan first tests each
+field with :func:`all_finite`, one self-dot ``a · a`` that is NaN or
+infinite whenever an entry is, and runs the exact per-entry scan only after
+a field fails it: the scan names the iteration, node and field of a
+divergence, or finds only finite entries beyond ~1e154, whose squares
+overflowed, and lets the iterate pass.
 """
 
 from __future__ import annotations
@@ -114,24 +124,70 @@ def check_finite(t: int, src: np.ndarray, p: np.ndarray, **edge_fields: np.ndarr
     raise NonFiniteValue(f"non-finite {field} at node {node}, iteration {t}")
 
 
+# The floating-point state :func:`drive` runs the iterations in: an operation
+# that makes an infinity or a NaN of finite operands raises FloatingPointError.
+TRAP = {"over": "raise", "invalid": "raise", "divide": "raise", "under": "ignore"}
+
+
 def drive(steps: Iterator, iters: int, check: Callable, record: Optional[Callable]) -> dict:
     """The loop of every solve: take the start, t = 0, and ``iters`` iterates
-    from a solver's ``steps`` under :func:`quiet_fp`, holding none once the
-    next is made. Each yields the state fields by name (``p`` first, then the
-    edge fields in the order a divergence is reported in), passed from t = 1
-    on to ``check(t, fields)``, and the ``EdgeStates`` view and half-step
+    from a solver's ``steps`` (:func:`iterate`) under :data:`TRAP`, holding
+    none once the next is made. Each yields the state fields by name (``p``
+    first, then the edge fields in the order a divergence is reported in),
+    passed from t = 1 on to ``check(t, fields)`` under :func:`quiet_fp` when
+    the iterate is to be scanned; the ``EdgeStates`` view and half-step
     blocks (``None`` when the solver was asked for no views), passed to
-    ``record(t, view, half)`` unless it is None. Returns the last fields."""
-    with quiet_fp():
-        _, view, _ = next(steps)
+    ``record(t, view, half)`` unless it is None, which sets its own
+    floating-point state; and whether to scan. Returns the last fields."""
+    with np.errstate(**TRAP):
+        _, view, _, _ = next(steps)
         if record is not None:
             record(0, view, None)
         for t in range(1, iters + 1):
-            fields, view, half = next(steps)
-            check(t, fields)
+            fields, view, half, scan = next(steps)
+            if scan:
+                with quiet_fp():
+                    check(t, fields)
             if record is not None:
                 record(t, view, half)
     return fields
+
+
+def iterate(first, advance: Callable, carry: tuple, finite: bool) -> Iterator:
+    """A solver's iterates as :func:`drive` takes them: the start's view
+    ``first``, then one iterate per ``advance(*carry)``, which returns the
+    next ``carry``, the new fields by name, their view and the half-step
+    blocks. It writes no array of ``carry``, and what else it keeps for the
+    next iteration it drops when it starts one and can make again from
+    ``carry``, so an iteration can be made twice from the same ``carry``.
+
+    Each iterate comes with whether its fields are to be scanned. The first
+    is, since a start may hold a NaN, which spreads without raising a flag.
+    Every one is when ``finite`` is False (a coefficient holds a NaN or an
+    infinity); those are made under :func:`quiet_fp`. And every one is from
+    the first iteration that raises a flag on: that iteration is made again
+    from its ``carry`` under :func:`quiet_fp`, and so are the later ones.
+
+    The only step of either solver that can overflow without a flag is
+    ``np.bincount`` in :meth:`~locadmm.network.NetworkGraph.node_sum`, which
+    is not a ufunc. An infinite sum at a free node reaches the ball
+    projection's ``inf / inf`` (or ``0 * inf`` where the range is 0) in the
+    same iteration, and an anchor's is overwritten by its position.
+    """
+    yield None, first, None, False
+    del first  # held no longer than any later view
+    scan, quiet = True, not finite
+    while True:
+        if not quiet:
+            try:
+                carry, fields, view, half = advance(*carry)
+            except FloatingPointError:
+                quiet = True
+        if quiet:
+            with quiet_fp():
+                carry, fields, view, half = advance(*carry)
+        yield fields, view, half, scan or quiet
+        scan = False
 
 
 def hook_record(hook: Hook, comm_scalars: int) -> Callable:
@@ -161,7 +217,8 @@ def finite_copies(copies: int, arrays) -> np.ndarray:
 
 
 def quiet_fp() -> np.errstate:
-    """NumPy's floating-point warnings off. The solver updates and the trace
-    recorder run under it, so a divergence is reported once, by
+    """NumPy's floating-point warnings off. An iteration that raised a flag
+    runs again under it, as do the iterations after it, the finite scans
+    and the trace recorders, so a divergence is reported once, by
     :func:`check_finite` or the trace's own check, not at every overflow."""
     return np.errstate(over="ignore", invalid="ignore", divide="ignore")

@@ -63,8 +63,9 @@ class SingularSystem(LocadmmError):
     """A dense reference solve hit a singular KKT system."""
 
 
-# The argument contract: every public entry point checks its scalar arguments
-# here. NumPy scalars count as the Python type, a boolean is no number.
+# The argument contract: every public entry point checks its scalar and
+# object arguments here. NumPy scalars count as the Python type, a boolean is
+# no number.
 
 
 def is_integer(value) -> bool:
@@ -100,6 +101,14 @@ def check_choice(name: str, value, choices: tuple, error=InvalidParameter):
             return choice
     spelled = ", ".join(map(repr, choices[:-1])) + f" or {choices[-1]!r}"
     raise error(f"{name} must be {spelled}, got {value!r:.40}")
+
+
+def check_type(name: str, value, kind: type):
+    """``value``, an instance of ``kind``: an object argument of another
+    type, such as ``None``, is refused before any of its attributes is read."""
+    if not isinstance(value, kind):
+        raise InvalidParameter(f"{name} must be a {kind.__name__}, got {value!r:.40}")
+    return value
 
 
 def check_seed(seed) -> None:

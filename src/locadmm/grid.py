@@ -81,7 +81,7 @@ def run_grid(
     raises from it; a batch is built and run only when its first cell is
     drawn.
     """
-    check_run(graph, iters)
+    check_run(graph, measurements, iters)
     for k, cell in enumerate(cells):
         if not (isinstance(cell, tuple) and len(cell) == 2 and isinstance(cell[0], PenaltyParams)):
             raise InvalidParameter(f"cells[{k}] must be a (PenaltyParams, seed) pair, got {cell!r:.40}")
@@ -133,10 +133,10 @@ def _run_batch(algo, graph, d_one, cells, init, iters, truth, metrics):
         nonlocal prev
         with quiet_fp():
             values = measure(now, prev)
+            ok[~finite_copies(copies, values.values())] = False
         for k, trace in enumerate(traces):
             row = {name: float(v[k]) for name, v in values.items()}
             trace.rows.append(TraceRow(t, comm_scalars=comm_scalars if t else 0, **row))
-        ok[~finite_copies(copies, values.values())] = False
         prev = directions(now.u)
 
     fields = {name: stacked.by_copy(a) for name, a in drive(steps, iters, check, record).items()}

@@ -30,7 +30,8 @@ from .errors import (
     ParseError,
     SchemaVersionMismatch,
 )
-from .errors import check_choice, check_integer, check_numbers, check_real, check_seed, is_integer
+from .errors import check_choice, check_integer, check_numbers, check_real, check_seed, check_type
+from .errors import is_integer
 
 # the schema save_network writes; load_network also reads schema 1
 SCHEMA_VERSION = 2
@@ -401,7 +402,9 @@ class GroundTruth:
 
 
 def check_truth(truth: GroundTruth, graph: NetworkGraph) -> None:
-    """``InvalidParameter`` unless ``truth`` has a row per node of ``graph``, of its dim."""
+    """``InvalidParameter`` unless ``truth`` is a :class:`GroundTruth` with a
+    row per node of ``graph``, of its dim."""
+    check_type("truth", truth, GroundTruth)
     need = (graph.num_nodes, graph.dim)
     if truth.positions.shape != need:
         raise InvalidParameter(
@@ -640,6 +643,7 @@ def measure(
     fixed seed; edges are visited in sorted order, one normal draw each.
     """
     check_truth(truth, graph)
+    check_type("model", model, NoiseModel)
     check_seed(seed)
     rng = np.random.default_rng(seed)
     length = edge_lengths(graph, truth.positions)
@@ -762,7 +766,7 @@ def save_network(
     schema 2 cannot be read by locadmm versions that read only schema 1.
     """
     if measurements is not None:
-        measurements._check(graph)
+        check_type("measurements", measurements, MeasurementSet)._check(graph)
     n, dim = graph.num_nodes, graph.dim
     columns = {"anchors": graph.anchor_idx, "anchor_pos": graph.anchor_pos}
     if truth is not None:

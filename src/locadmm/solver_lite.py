@@ -16,8 +16,8 @@ from typing import Optional
 
 import numpy as np
 
-from .engine import RunResult, check_finite, drive, hook_record, quiet_fp
-from .errors import InvalidInit, MissingMessage, check_penalty
+from .engine import RunResult, check_finite, drive, hook_record, iterate, quiet_fp
+from .errors import InvalidInit, MissingMessage, check_penalty, check_type
 from .network import MeasurementSet, NetworkGraph
 from .solver_full import (
     InitSpec,
@@ -127,6 +127,7 @@ def init_lite(
     ``u_init`` is an init-spec keyword (``"zeros"``/``"half"``/
     ``"directions"``, the last along ``positions``)."""
     check_penalty("c", c)
+    check_type("measurements", measurements, MeasurementSet)
     view = consensus_state(graph, as_positions(positions, graph), u_init)
     return lite_start(graph, view, measurements.edge_ranges(graph), c)
 
@@ -267,7 +268,8 @@ def run_lite(
     (:meth:`~locadmm.structured_ops.EdgeCoefficients.held`), so a run made
     of short calls builds them once.
     """
-    check_run(graph, iters)
+    check_run(graph, measurements, iters)
+    check_type("params", params, PenaltyParams)
     c, rho = params.c, params.rho
     d = measurements.edge_ranges(graph)
     if isinstance(init, InitSpec):
@@ -301,16 +303,17 @@ def lite_steps(graph: NetworkGraph, coef: EdgeCoefficients, start, views: bool):
     :func:`start_view`; then one yield per iteration: the new fields by
     name, in that order; when ``views``, their full-state ``EdgeStates``
     view, whose ``p_src`` is the iteration's gathered ``p``, else ``None``
-    (the start's too); and ``None`` for the half-step blocks, which this
-    solver does not form.
+    (the start's too); ``None`` for the half-step blocks, which this
+    solver does not form; and whether to scan the fields
+    (:func:`~locadmm.engine.iterate`).
 
     ``graph`` may be a :meth:`~locadmm.network.NetworkGraph.stack` graph, with
     ``coef`` and ``start`` stacked to match: every copy then advances as it
     would alone. The iterates never write an array of ``start``, of
-    ``coef`` or one they have yielded. :func:`~locadmm.engine.drive` runs
-    it under :func:`~locadmm.engine.quiet_fp`, leaving a divergence to the
-    finite check; as :func:`~locadmm.solver_full.full_steps`, it reads
-    ``coef`` when called.
+    ``coef`` or one they have yielded, so :func:`~locadmm.engine.iterate`
+    can make an iteration that raised a floating-point flag again from its
+    inputs; as :func:`~locadmm.solver_full.full_steps`, it reads ``coef``
+    when called.
     """
     if isinstance(start, EdgeStates):
         first, start = (start if views else None), lite_start(graph, start, coef.ranges, coef.c)
@@ -320,62 +323,66 @@ def lite_steps(graph: NetworkGraph, coef: EdgeCoefficients, start, views: bool):
     d_u, d_rho, d_rho_scale, denom = coef.d, coef.d_rho, coef.d_rho_scale, coef.denom
     c_e, two_c, scale, c_scale = coef.c_e, coef.two_c, coef.scale, coef.c_scale
 
-    def iterates(first, p, u, lam, alpha, beta):
-        yield None, first, None
-        del first  # held no longer than any later view
-        # d u, read, never written; each iteration's beta step forms the next one
-        du = d_u * u
-        while True:
-            # _advance_node on every node, its exchange included, in place on
-            # arrays made this iteration and not yet handed out
-            # p = node_sum(2 d u - 2 lam + alpha + beta) / (scale k)
-            acc = du * 2.0
-            tmp = 2.0 * lam
-            acc -= tmp
-            acc += alpha
-            acc += beta
-            p = graph.node_sum(acc)
-            p /= denom
-            p[graph.anchor_idx] = graph.anchor_pos
-            p_src = p.take(src, axis=0)
-            # plus_sum = alpha_in + beta, and minus_sum = alpha + beta_in is its
-            # mirror row: row rev e of plus_sum adds the same two operands
-            plus_sum = alpha.take(rev, axis=0)
-            plus_sum += beta
-            minus_sum = plus_sum.take(rev, axis=0)
-            # u = proj(u + (d / rho) p - (d / (rho scale)) (beta + alpha_in))
-            u_t = np.multiply(d_rho, p_src, out=acc)
-            u_t += u
-            u_t -= np.multiply(d_rho_scale, plus_sum, out=tmp)
-            u = project_ball(u_t)
-            # the replicas of the full-state view, as full_view forms them:
-            # z^+ = (beta + alpha_in) / scale, z^- = (alpha + beta_in) / scale
-            z_plus = plus_sum
-            z_plus /= scale
-            if views:
-                z_minus = minus_sum / scale
-            # beta = -d u + p + z^+ (as p - d u + z^+, the same bits),
-            # alpha = lam + 2 c p, and
-            # lam = lam + c p - (c / scale) (alpha + beta_in), with the old alpha
-            du = np.multiply(d_u, u, out=tmp)
-            beta = p_src - du
-            beta += z_plus
-            alpha = p_src * two_c
-            alpha += lam
-            if views:
-                # the view keeps p_src, so lam cannot take its buffer
-                lam_new = p_src * c_e
-            else:
-                lam_new = p_src
-                lam_new *= c_e
-            lam_new += lam
-            minus_sum *= c_scale
-            lam_new -= minus_sum
-            lam = lam_new
-            fields = {"p": p, "u": u, "lam": lam, "alpha": alpha, "beta": beta}
-            view = None
-            if views:
-                view = EdgeStates(EdgeBlocks(graph.offsets, p, z_minus, z_plus, p_src), u, lam)
-            yield fields, view, None
+    du_next = None  # d u of the last iterate, formed by its beta step
 
-    return iterates(first, start.p, start.u, start.lam, start.alpha, start.beta)
+    def advance(u, lam, alpha, beta):
+        # _advance_node on every node, its exchange included, in place on
+        # arrays made this iteration and not yet handed out; d u is read,
+        # never written, and formed from u where no beta step left it: on a
+        # call's first iteration, and on an iteration made again
+        nonlocal du_next
+        du, du_next = du_next, None
+        if du is None:
+            du = d_u * u
+        # p = node_sum(2 d u - 2 lam + alpha + beta) / (scale k)
+        acc = du * 2.0
+        tmp = 2.0 * lam
+        acc -= tmp
+        acc += alpha
+        acc += beta
+        p = graph.node_sum(acc)
+        p /= denom
+        p[graph.anchor_idx] = graph.anchor_pos
+        p_src = p.take(src, axis=0)
+        # plus_sum = alpha_in + beta, and minus_sum = alpha + beta_in is its
+        # mirror row: row rev e of plus_sum adds the same two operands
+        plus_sum = alpha.take(rev, axis=0)
+        plus_sum += beta
+        minus_sum = plus_sum.take(rev, axis=0)
+        # u = proj(u + (d / rho) p - (d / (rho scale)) (beta + alpha_in))
+        u_t = np.multiply(d_rho, p_src, out=acc)
+        u_t += u
+        u_t -= np.multiply(d_rho_scale, plus_sum, out=tmp)
+        u = project_ball(u_t)
+        # the replicas of the full-state view, as full_view forms them:
+        # z^+ = (beta + alpha_in) / scale, z^- = (alpha + beta_in) / scale
+        z_plus = plus_sum
+        z_plus /= scale
+        if views:
+            z_minus = minus_sum / scale
+        # beta = -d u + p + z^+ (as p - d u + z^+, the same bits),
+        # alpha = lam + 2 c p, and
+        # lam = lam + c p - (c / scale) (alpha + beta_in), with the old alpha
+        du = np.multiply(d_u, u, out=tmp)
+        beta = p_src - du
+        beta += z_plus
+        alpha = p_src * two_c
+        alpha += lam
+        if views:
+            # the view keeps p_src, so lam cannot take its buffer
+            lam_new = p_src * c_e
+        else:
+            lam_new = p_src
+            lam_new *= c_e
+        lam_new += lam
+        minus_sum *= c_scale
+        lam_new -= minus_sum
+        lam = lam_new
+        fields = {"p": p, "u": u, "lam": lam, "alpha": alpha, "beta": beta}
+        view = None
+        if views:
+            view = EdgeStates(EdgeBlocks(graph.offsets, p, z_minus, z_plus, p_src), u, lam)
+        du_next = du
+        return (u, lam, alpha, beta), fields, view, None
+
+    return iterate(first, advance, (start.u, start.lam, start.alpha, start.beta), coef.finite)

@@ -317,11 +317,14 @@ def spread(col, dim: int):
 def _coefficient(column):
     """A cached property of :class:`EdgeCoefficients`: ``column(self, c,
     rho)`` of its ``_edge_penalties``, under :func:`~locadmm.engine.quiet_fp`,
-    spread to ``dim`` columns (:func:`spread`); an array comes out read-only."""
+    spread to ``dim`` columns (:func:`spread`); an array comes out read-only.
+    A column holding a NaN or an infinity sets ``finite`` to False."""
 
     def build(self):
         with quiet_fp():
-            out = spread(column(self, *self._edge_penalties), self.graph.dim)
+            col = column(self, *self._edge_penalties)
+        self.finite = self.finite and bool(np.isfinite(col).all())
+        out = spread(col, self.graph.dim)
         if isinstance(out, np.ndarray):
             out.flags.writeable = False
         return out
@@ -336,10 +339,14 @@ class EdgeCoefficients:
     Each is built on first read, so a solver builds only its own:
     ``lite_steps`` alone reads ``d_rho_scale``, ``scale`` and ``c_scale``,
     ``full_steps`` alone ``c1``. ``denom``, each node's ``p`` divisor
-    ``2 (c + 1) k``, has a row per node, the others a row per edge."""
+    ``2 (c + 1) k``, has a row per node, the others a row per edge.
+    ``finite`` is False once one built holds a NaN or an infinity (``c``
+    of 1e308 makes ``2 c`` infinite, a NaN range a NaN ``d``): the solvers
+    then scan every iterate (:func:`~locadmm.engine.iterate`)."""
 
     def __init__(self, graph: NetworkGraph, ranges: np.ndarray, c, rho):
         self.graph, self.ranges, self.c, self.rho = graph, ranges, c, rho
+        self.finite = True  # until a coefficient built holds a NaN or an infinity
         # c and rho on every edge row (numbers for one copy)
         self._edge_penalties = graph.edge_column(c), graph.edge_column(rho)
 

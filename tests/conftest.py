@@ -1,8 +1,15 @@
+import contextlib
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
+from locadmm import engine, solver_full, solver_lite
+from locadmm.errors import NonFiniteValue
 from locadmm.network import GroundTruth, MeasurementSet, NetworkGraph
+from locadmm.solver_lite import LiteStates
+from locadmm.structured_ops import EdgeStates
 
 
 def make_graph(dim, edges, anchors, num_nodes=None):
@@ -79,3 +86,55 @@ def triangle():
     )
     truth = GroundTruth(positions)
     return graph, truth, exact_measurements(graph, positions)
+
+
+@contextlib.contextmanager
+def scanning_every_iterate():
+    """Both solvers, grid batches included, making every iteration under
+    ``quiet_fp`` and scanning every iterate, as a table of non-finite
+    coefficients makes them: the reference the floating-point flags must
+    match."""
+
+    def scanning(first, advance, carry, finite):
+        return engine.iterate(first, advance, carry, False)
+
+    saved = solver_full.iterate, solver_lite.iterate
+    solver_full.iterate = solver_lite.iterate = scanning
+    try:
+        yield
+    finally:
+        solver_full.iterate, solver_lite.iterate = saved
+
+
+def state_fields(states) -> dict:
+    """The arrays of an ``EdgeStates`` or a ``LiteStates``, by name."""
+    if isinstance(states, LiteStates):
+        return {name: getattr(states, name) for name in ("p", "u", "lam", "alpha", "beta", "d")}
+    b = states.blocks
+    return {"p": b.p, "z_minus": b.z_minus, "z_plus": b.z_plus, "u": states.u, "lam": states.lam}
+
+
+def with_rows(states, rows, values: dict):
+    """``states`` with copies of the edge fields named in ``values``, each
+    with ``rows`` set to its value."""
+
+    def put(a, value):
+        a = a.copy()
+        a[rows] = value
+        return a
+
+    if isinstance(states, LiteStates):
+        return dataclasses.replace(states, **{k: put(getattr(states, k), v) for k, v in values.items()})
+    edge = {k: put(a, values[k]) if k in values else a for k, a in state_fields(states).items()}
+    blocks = dataclasses.replace(states.blocks, z_minus=edge["z_minus"], z_plus=edge["z_plus"])
+    return EdgeStates(blocks, edge["u"], edge["lam"])
+
+
+def outcome(solve):
+    """What ``solve()`` ends in: its ``NonFiniteValue`` message, or the bytes
+    of its final state, field by field."""
+    try:
+        result = solve()
+    except NonFiniteValue as err:
+        return str(err)
+    return {name: a.tobytes() for name, a in state_fields(result.states).items()}

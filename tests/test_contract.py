@@ -1,9 +1,11 @@
 """The argument contract of the public API.
 
 Every public entry point, given any value for one of its value arguments
-(a count, a number, a seed, a keyword, a collection of numbers or names),
-either returns or raises a :class:`~locadmm.errors.LocadmmError`, never a
-raw ``TypeError``, ``ValueError`` or ``AttributeError`` from deeper down.
+(a count, a number, a seed, a keyword, a collection of numbers or names)
+or its object arguments (a graph, a measurement set, penalties, a truth,
+a noise model), either returns or raises a
+:class:`~locadmm.errors.LocadmmError`, never a raw ``TypeError``,
+``ValueError`` or ``AttributeError`` from deeper down.
 Each row of :data:`ROWS` is one (entry point, argument) pair: a call with
 that argument replaced by the value under test and every other argument
 valid. A new entry point is one more row.
@@ -13,6 +15,7 @@ from __future__ import annotations
 
 import functools
 import math
+import os
 import re
 
 import numpy as np
@@ -35,6 +38,7 @@ from locadmm import (
     rmse,
     run_full,
     run_lite,
+    save_network,
     sublinear_envelope_check,
 )
 from locadmm.grid import run_grid
@@ -73,24 +77,41 @@ def instance():
     return graph, truth, meas, PenaltyParams(0.1, 0.1)
 
 
-def solve(runner, spec=InitSpec(), iters=2, seed=0):
-    graph, _, meas, params = instance()
-    return runner(graph, meas, params, spec, iters, seed=seed)
+# An object argument left at OK is the instance's own; another value replaces it.
+OK = object()
 
 
-def grid(algo="full", iters=2, seed=0, init=InitSpec(), params=PenaltyParams(0.1, 0.1)):
-    graph, _, meas, _ = instance()
-    return list(run_grid(algo, graph, meas, [(params, seed)], init, iters))
+def pick(value, own):
+    return own if value is OK else value
 
 
-def with_measure(seed):
+def solve(runner, spec=InitSpec(), iters=2, seed=0, graph=OK, meas=OK, params=OK):
+    own_graph, _, own_meas, own_params = instance()
+    return runner(pick(graph, own_graph), pick(meas, own_meas), pick(params, own_params),
+                  spec, iters, seed=seed)
+
+
+def grid(algo="full", iters=2, seed=0, init=InitSpec(), params=PenaltyParams(0.1, 0.1),
+         graph=OK, meas=OK):
+    own_graph, _, own_meas, _ = instance()
+    return list(run_grid(algo, pick(graph, own_graph), pick(meas, own_meas), [(params, seed)],
+                         init, iters))
+
+
+def with_measure(seed=0, truth=OK, model=NoiseModel("additive-white", 0.01)):
+    graph, own_truth, _, _ = instance()
+    return measure(pick(truth, own_truth), graph, model, seed=seed)
+
+
+def with_bounds(c=0.1, meas=OK):
+    graph, _, own_meas, _ = instance()
+    return parameter_bounds(graph, pick(meas, own_meas), c)
+
+
+def with_save(meas):
+    # None is taken: a file without ranges
     graph, truth, _, _ = instance()
-    return measure(truth, graph, NoiseModel("additive-white", 0.01), seed=seed)
-
-
-def with_bounds(c):
-    graph, _, meas, _ = instance()
-    return parameter_bounds(graph, meas, c)
+    return save_network(os.devnull, graph, truth, meas)
 
 
 def with_oracle(**kwargs):
@@ -98,9 +119,9 @@ def with_oracle(**kwargs):
     return oracle_check(graph, meas, **{"trials": 2, **kwargs})
 
 
-def with_init_lite(u_init="zeros", c=0.1):
-    graph, truth, meas, _ = instance()
-    return init_lite(graph, truth.positions, u_init, c, meas)
+def with_init_lite(u_init="zeros", c=0.1, meas=OK):
+    graph, truth, own_meas, _ = instance()
+    return init_lite(graph, truth.positions, u_init, c, pick(meas, own_meas))
 
 
 def with_ranges(d):
@@ -108,14 +129,15 @@ def with_ranges(d):
     return MeasurementSet(graph, d)
 
 
-def with_rmse(estimates):
-    graph, truth, _, _ = instance()
-    return rmse(estimates, truth, graph)
+def with_rmse(estimates=OK, truth=OK):
+    graph, own_truth, _, _ = instance()
+    own = pick(truth, own_truth)
+    return rmse(pick(estimates, own_truth.positions), own, graph)
 
 
-def with_recorder(metrics):
-    graph, _, meas, params = instance()
-    return TraceRecorder(graph, meas, params, metrics=metrics)
+def with_recorder(metrics=("F",), meas=OK, params=OK):
+    graph, _, own_meas, own_params = instance()
+    return TraceRecorder(graph, pick(meas, own_meas), pick(params, own_params), metrics=metrics)
 
 
 ROWS = {
@@ -149,9 +171,23 @@ ROWS = {
     "sublinear_envelope_check-gap_values": sublinear_envelope_check,
     "sublinear_envelope_check-tol": lambda v: sublinear_envelope_check([1.0, 0.5, 0.3, 0.2], v),
     "TraceRecorder-metrics": with_recorder,
+    # object arguments
+    "run_grid-graph": lambda v: grid(graph=v),
+    "run_grid-measurements": lambda v: grid(meas=v),
+    "parameter_bounds-measurements": lambda v: with_bounds(meas=v),
+    "TraceRecorder-measurements": lambda v: with_recorder(meas=v),
+    "TraceRecorder-params": lambda v: with_recorder(params=v),
+    "init_lite-measurements": lambda v: with_init_lite(meas=v),
+    "save_network-measurements": with_save,
+    "rmse-truth": lambda v: with_rmse(truth=v),
+    "measure-truth": lambda v: with_measure(truth=v),
+    "measure-model": lambda v: with_measure(model=v),
 }
 for _name, _runner in (("run_full", run_full), ("run_lite", run_lite)):
     ROWS |= {
+        f"{_name}-graph": lambda v, r=_runner: solve(r, graph=v),
+        f"{_name}-measurements": lambda v, r=_runner: solve(r, meas=v),
+        f"{_name}-params": lambda v, r=_runner: solve(r, params=v),
         f"{_name}-iters": lambda v, r=_runner: solve(r, iters=v),
         f"{_name}-seed": lambda v, r=_runner: solve(r, seed=v),
         f"{_name}-kind": lambda v, r=_runner: solve(r, InitSpec(kind=v)),
@@ -179,6 +215,9 @@ ARRAY_ROWS = {
 }
 HUGE = 10**400  # an integer no float holds
 
+# The rows whose argument may be None.
+NONE_TAKEN = {"save_network-measurements"}
+
 
 @pytest.mark.parametrize("value", JUNK.values(), ids=JUNK.keys())
 @pytest.mark.parametrize("call", ROWS.values(), ids=ROWS.keys())
@@ -190,11 +229,15 @@ def test_returns_or_raises_a_package_error(call, value):
 
 
 @pytest.mark.parametrize("value", [JUNK[name] for name in REFUSED], ids=REFUSED)
-@pytest.mark.parametrize("call", ROWS.values(), ids=ROWS.keys())
-def test_refuses_what_no_argument_takes(call, value):
-    # none of these is a count, a number, a seed, a keyword or a collection
+@pytest.mark.parametrize("row", ROWS)
+def test_refuses_what_no_argument_takes(row, value):
+    # none of these is a count, a number, a seed, a keyword, a collection or
+    # the object an argument is
+    if value is None and row in NONE_TAKEN:
+        ROWS[row](value)
+        return
     with pytest.raises(LocadmmError):
-        call(value)
+        ROWS[row](value)
 
 
 @pytest.mark.parametrize("row", REAL_ROWS)

@@ -21,8 +21,15 @@ solver or a grid batch yields carries the ``p`` its iteration gathered to
 the edges, bit-equal to ``p`` repeated by degree and never written, and a
 recorder reads it as it reads views that gather ``p`` themselves. The coefficients
 a measurement set holds for the solvers are never stale, never written,
-built only as a solver reads them, and go with the set. The finite checks name the same divergence as a per-entry
-scan, and pass finite fields whose squares overflow. On a one-node graph
+built only as a solver reads them, and go with the set; the set knows
+whether every coefficient it built is finite. The finite checks name the
+same divergence as a per-entry scan, and pass finite fields whose squares
+overflow. Runs guarded by floating-point flags, from starts holding values
+near the float max or not finite, and grids with cells whose coefficients
+are not finite or whose iterations raise flags, end as runs that scan every
+iterate end: the same divergence, the same masked cells, the same bits;
+an iterate is scanned when it is a call's first, when a coefficient is not
+finite, and from the first iteration that raises a flag on. On a one-node graph
 whose node is its anchor, with no edge to exchange on, every solver returns
 the anchor and follows its spec.
 """
@@ -39,7 +46,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from locadmm import diagnostics as dg
-from locadmm import grid, oracle
+from locadmm import engine, grid, oracle
 from locadmm.engine import IterationEvent, check_finite, finite_copies
 from locadmm.errors import NonFiniteValue
 from locadmm.harness import execute_run
@@ -73,7 +80,7 @@ from locadmm.structured_ops import (
     project_consensus,
 )
 
-from conftest import graphs
+from conftest import graphs, outcome, scanning_every_iterate, with_rows
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -841,3 +848,110 @@ def test_finite_checks_agree_with_per_entry_scan(inst, t):
     want_ok = np.ones(copies, dtype=bool)
     want_ok[holder] = want is None
     assert np.array_equal(finite_copies(copies, stacked.values()), want_ok)
+
+
+@st.composite
+def coefficient_tables(draw):
+    """A table of coefficients, possibly stacked, with penalties and ranges
+    that may make some of them NaN or infinite, and an order to read them in."""
+    graph, meas, rng = draw(graphs(max_nodes=8))
+    copies = draw(st.integers(1, 3))
+    d = np.tile(meas.edge_ranges(graph), copies)
+    if draw(st.booleans()) and d.size:
+        d[draw(st.integers(0, d.size - 1))] = draw(st.sampled_from([np.nan, np.inf]))
+    penalty = st.sampled_from([0.1, 2.0, 1e308, 1e-300, 5e-324])
+    c, rho = (np.array(draw(st.lists(penalty, min_size=copies, max_size=copies)))
+              for _ in range(2))
+    if copies == 1:
+        c, rho = float(c[0]), float(rho[0])
+    order = draw(st.permutations(COEFFICIENTS))
+    return EdgeCoefficients(graph.stack(copies), d, c, rho), order
+
+
+@PROPERTY_SETTINGS
+@given(coefficient_tables())
+def test_coefficients_know_whether_they_are_finite(inst):
+    coef, order = inst
+    assert coef.finite
+    every = True
+    for name in order:
+        every = every and bool(np.isfinite(getattr(coef, name)).all())
+        assert coef.finite == every
+
+
+@PROPERTY_SETTINGS
+@given(st.booleans(), st.lists(st.sampled_from(["clean", "flag", "silent"]), min_size=1, max_size=8))
+def test_iterate_scans_the_first_iterate_and_every_one_from_a_flag(finite, plan):
+    # a stand-in iteration: "flag" overflows in a ufunc, which raises under
+    # the trap and gives inf when made again quietly; "silent" makes an inf
+    # without a flag, which only a scan that runs anyway sees
+    made = []
+
+    def advance(k):
+        made.append(k)
+        x = np.array([1e308])
+        if plan[k] == "flag":
+            x = x * 10.0
+        elif plan[k] == "silent":
+            x = np.array([np.inf])
+        return (k + 1,), {"x": x}, None, None
+
+    steps = engine.iterate("start", advance, (0,), finite)
+    with np.errstate(**engine.TRAP):
+        assert next(steps) == (None, "start", None, False)
+        got = [next(steps) for _ in plan]
+    flagged = next((k for k, step in enumerate(plan) if step == "flag"), len(plan))
+    assert [scan for *_, scan in got] == [k == 0 or not finite or k >= flagged for k in range(len(plan))]
+    assert [fields["x"][0] for fields, *_ in got] == [
+        1e308 if step == "clean" else np.inf for step in plan
+    ]
+    # only the iteration that raised is made twice
+    assert made == sorted([*range(len(plan)), *([flagged] if finite and flagged < len(plan) else [])])
+
+
+@st.composite
+def resumed_near_max(draw):
+    """An instance, a solver, a length and a start resumed after 1-3
+    iterations with one node's rows of some fields set near the float max,
+    of either sign, or to a NaN or an infinity; rho may be large enough to
+    keep the directions' squares finite while those values grow."""
+    graph, meas, params, spec, seed, iters = draw(instances())
+    algo = draw(st.sampled_from(["full", "lite"]))
+    params = PenaltyParams(params.c, draw(st.sampled_from([params.rho, 1e100, 1e300])))
+    runner = run_full if algo == "full" else run_lite
+    states = runner(graph, meas, params, spec, draw(st.integers(1, 3)), seed=seed).states
+    node = draw(st.integers(0, graph.num_nodes - 1))
+    names = ("u", "lam") + (("z_minus", "z_plus") if algo == "full" else ("alpha", "beta"))
+    big = st.floats(0.05e308, 1.75e308) | st.sampled_from([np.nan, np.inf])
+    values = {
+        name: draw(st.sampled_from([1.0, -1.0])) * draw(big)
+        for name in draw(st.lists(st.sampled_from(names), min_size=1, max_size=3, unique=True))
+    }
+    start = with_rows(states, slice(*graph.offsets[node:node + 2]), values)
+    return lambda: runner(graph, meas, params, start, iters)
+
+
+@PROPERTY_SETTINGS
+@given(resumed_near_max())
+def test_flag_guard_reports_what_a_scan_of_every_iterate_reports(solve):
+    with scanning_every_iterate():
+        want = outcome(solve)
+    assert outcome(solve) == want
+
+
+@PROPERTY_SETTINGS
+@given(grids(), st.lists(st.sampled_from([1e-300, 1e300, None]), min_size=5, max_size=5))
+def test_flag_guard_masks_the_cells_a_scan_of_every_iterate_masks(inst, rhos):
+    # cells at c = 1e308 diverge; at rho = 1e-300 every iteration raises a
+    # flag, at 1e300 the directions barely move
+    graph, meas, spec, algo, cells, iters, _ = inst
+    cells = [(PenaltyParams(c, rho if new is None else new), seed)
+             for (c, rho, seed), new in zip(cells, rhos)]
+
+    def solve():
+        runs = grid.run_grid(algo, graph, meas, cells, spec, iters)
+        return [None if run.result is None else outcome(lambda: run.result) for run in runs]
+
+    with scanning_every_iterate():
+        want = solve()
+    assert solve() == want

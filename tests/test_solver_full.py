@@ -20,6 +20,7 @@ from locadmm.errors import (
 from locadmm.network import (
     GroundTruth,
     MeasurementSet,
+    NetworkGraph,
     NoiseModel,
     generate_rgg,
     measure,
@@ -40,9 +41,16 @@ from locadmm.solver_full import (
     update_u,
 )
 from locadmm.solver_lite import init_lite, run_lite
-from locadmm.structured_ops import NodeBlockVector, PenaltyParams
+from locadmm.structured_ops import EdgeCoefficients, NodeBlockVector, PenaltyParams
 
-from conftest import exact_measurements, make_graph, random_connected_graph
+from conftest import (
+    exact_measurements,
+    make_graph,
+    outcome,
+    random_connected_graph,
+    scanning_every_iterate,
+    with_rows,
+)
 
 
 def random_states(rng, graph):
@@ -947,6 +955,170 @@ class TestOneLoop:
             own = runner(graph, meas, params, spec, 3, seed=seed)
             assert (run.params, run.seed) == (params, seed)
             assert run.result.estimates.tobytes() == own.estimates.tobytes()
+
+
+def reference_instance():
+    """Criterion 6's instance, as ``solve-108`` of the benchmark runs it."""
+    graph, truth = generate_rgg(108, 8, 0.23, seed=28)
+    meas = measure(truth, graph, NoiseModel("additive-white", 0.02), seed=1)
+    return graph, meas, PenaltyParams(0.0265, 0.0265), InitSpec(u_init="half")
+
+
+# Resumed starts with one node's rows near the float max, made of the state
+# after 3 iterations of a 16-node network at c = 0.1 and rho = 1e300 (which
+# keeps the directions' squares from overflowing): (solver, dim, layout
+# seed, node, rows planted, the divergence, whether it starts as a sum of
+# finite rows that np.bincount overflows without a flag)
+LATE = {
+    "lite-2-node_sum": ("lite", 2, 0, 8, {"alpha": 0.85e308, "beta": -0.85e308},
+                        "non-finite p at node 8, iteration 2", True),
+    "lite-3-node_sum": ("lite", 3, 0, 2, {"alpha": 0.85e308, "beta": -0.85e308},
+                        "non-finite p at node 2, iteration 2", True),
+    "lite-3-ufunc": ("lite", 3, 1, 0, {"lam": 0.85e308},
+                     "non-finite p at node 0, iteration 3", False),
+    "full-2-node_sum": ("full", 2, 0, 8, {"lam": 3e307, "z_plus": 3e307},
+                        "non-finite p at node 8, iteration 3", True),
+    "full-3-node_sum": ("full", 3, 1, 15, {"lam": 3e307, "z_plus": 3e307},
+                        "non-finite p at node 15, iteration 2", True),
+}
+RUNNERS = {"full": run_full, "lite": run_lite}
+
+
+class TestFlagGuard:
+    """The iterations run with floating-point flags raising, and an iterate
+    is scanned only when it is a call's first, a coefficient is not finite,
+    or its call has raised a flag; every divergence is reported as a run
+    that scans every iterate reports it."""
+
+    @staticmethod
+    def late(case):
+        algo, dim, seed, node, values, want, _ = LATE[case]
+        graph, truth = generate_rgg(16, 3, 0.6, dim=dim, seed=seed)
+        meas = measure(truth, graph, NoiseModel("additive-white", 0.01), seed=seed)
+        params, runner = PenaltyParams(0.1, 1e300), RUNNERS[algo]
+        states = runner(graph, meas, params, InitSpec(u_init="half"), 3).states
+        start = with_rows(states, slice(*graph.offsets[node:node + 2]), values)
+        return lambda: runner(graph, meas, params, start, 10), graph, want
+
+    @staticmethod
+    def recording(monkeypatch):
+        """Per making of an iteration: whether it raised a flag, and whether
+        node_sum summed finite rows to a non-finite value in it."""
+        calls, node_sum = [], NetworkGraph.node_sum
+
+        def spied_sum(self, x):
+            out = node_sum(self, x)
+            if np.isfinite(x).all() and not np.isfinite(out).all():
+                calls[-1]["silent"] = True
+            return out
+
+        def spied_iterate(first, advance, carry, finite):
+            def spied(*carry):
+                calls.append({"raised": False, "silent": False})
+                try:
+                    return advance(*carry)
+                except FloatingPointError:
+                    calls[-1]["raised"] = True
+                    raise
+
+            return engine.iterate(first, spied, carry, finite)
+
+        monkeypatch.setattr(NetworkGraph, "node_sum", spied_sum)
+        for module in (solver_full, solver_lite):
+            monkeypatch.setattr(module, "iterate", spied_iterate)
+        return calls
+
+    @staticmethod
+    def counting(monkeypatch):
+        """The iterations the solvers scan, in order."""
+        scanned = []
+
+        def spy(t, *args, **fields):
+            scanned.append(t)
+            return check_finite(t, *args, **fields)
+
+        for module in (solver_full, solver_lite):
+            monkeypatch.setattr(module, "check_finite", spy)
+        return scanned
+
+    @pytest.mark.parametrize("case", LATE)
+    def test_late_overflow_caught_by_its_flag(self, monkeypatch, case):
+        # the flag raised in the divergence's own iteration, none before it,
+        # and the scan of its remade iterate names what a scan of every
+        # iterate names
+        solve, graph, want = self.late(case)
+        with scanning_every_iterate():
+            assert outcome(solve) == want
+        calls = self.recording(monkeypatch)
+        assert outcome(solve) == want
+        t = int(want.rsplit(" ", 1)[1])
+        assert [call["raised"] for call in calls] == [False] * (t - 1) + [True, False]
+        # np.bincount raises no flag: the sum's own overflow reaches the
+        # ball projection, which raises, in the same iteration
+        assert calls[t - 1]["silent"] == LATE[case][-1]
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("algo", ["full", "lite"])
+    def test_nonfinite_coefficients_scan_every_iterate(self, monkeypatch, algo, dim):
+        # c = 1e308 makes 2 c infinite: every iterate is made quietly and
+        # scanned, and the divergence is the reference's
+        graph, truth = generate_rgg(30, 4, 0.4, dim=dim, seed=5)
+        meas = measure(truth, graph, NoiseModel("additive-white", 0.01), seed=5)
+        params = PenaltyParams(1e308, 0.1)
+        solve = lambda: RUNNERS[algo](graph, meas, params, InitSpec("uniform", u_init="half"), 10)
+        with scanning_every_iterate():
+            want = outcome(solve)
+        assert isinstance(want, str)
+        scanned = self.counting(monkeypatch)
+        assert outcome(solve) == want
+        assert scanned == list(range(1, int(want.rsplit(" ", 1)[1]) + 1))
+        coef = EdgeCoefficients.held(meas, graph, meas.edge_ranges(graph), 1e308, 0.1)
+        assert not coef.finite
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("algo", ["full", "lite"])
+    def test_grid_masks_the_reference_cells(self, algo, dim):
+        # one batch of cells that converge, diverge (c = 1e308), and raise
+        # flags on every iteration without diverging (rho = 1e-300)
+        graph, truth = generate_rgg(30, 4, 0.4, dim=dim, seed=5)
+        meas = measure(truth, graph, NoiseModel("additive-white", 0.01), seed=5)
+        cells = [(PenaltyParams(c, rho), k) for k, (c, rho) in enumerate(
+            [(0.1, 0.1), (1e308, 0.1), (0.1, 1e-300), (0.05, 1e300)])]
+        spec = InitSpec("uniform", u_init="half")
+
+        def solve():
+            return [None if run.result is None else outcome(lambda: run.result)
+                    for run in grid.run_grid(algo, graph, meas, cells, spec, 10, truth=truth)]
+
+        with scanning_every_iterate():
+            want = solve()
+        assert [cell is None for cell in want] == [False, True, False, False]
+        assert solve() == want
+
+    def test_scans_once_per_call(self, monkeypatch):
+        # the guard's gain: 300 iterations as 60 calls of 5 scan 60 iterates,
+        # one call of 1000 scans 1
+        graph, meas, params, spec = reference_instance()
+        scanned = self.counting(monkeypatch)
+        for runner in (run_full, run_lite):
+            result = None
+            scanned.clear()
+            for _ in range(60):
+                result = runner(graph, meas, params, spec if result is None else result.states, 5)
+            assert scanned == [1] * 60
+            scanned.clear()
+            runner(graph, meas, params, spec, 1000)
+            assert scanned == [1]
+
+    def test_flags_without_divergence_scan_from_the_first(self, monkeypatch):
+        # at rho = 1e-300 the ball projection's squares overflow on every
+        # iteration: each iterate is scanned, none is refused
+        graph, meas, _, spec = reference_instance()
+        scanned = self.counting(monkeypatch)
+        for runner in (run_full, run_lite):
+            scanned.clear()
+            runner(graph, meas, PenaltyParams(0.0265, 1e-300), spec, 20)
+            assert scanned == list(range(1, 21))
 
 
 class TestAgainstDenseReference:
