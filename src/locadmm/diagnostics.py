@@ -324,6 +324,7 @@ def parameter_bounds(graph: NetworkGraph, measurements: MeasurementSet, c: float
     node without a neighbor makes ``tau_min`` zero and is refused.
     """
     check_penalty("c", c)
+    check_type("graph", graph, NetworkGraph)
     check_type("measurements", measurements, MeasurementSet)
     degrees = graph.degrees
     if not degrees.all():
@@ -489,6 +490,7 @@ class TraceRecorder:
         potential_coeffs: Optional[tuple[float, float]] = None,
         metadata: Optional[dict] = None,
     ):
+        check_type("graph", graph, NetworkGraph)
         try:
             self.metrics = tuple(metrics)  # read once: a generator is used up
             unknown = set(self.metrics) - {*METRICS, "wall"}

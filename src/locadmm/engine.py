@@ -13,23 +13,28 @@ array handed out (to a hook, or in a :class:`RunResult`) or passed in as a
 start is never written afterwards, and a product one iteration carries into
 the next (the full solver's gathered ``p``, the low-storage solver's
 ``d u``) is read, never written. Each solver's iteration is one generator
-of iterates, its start first, built by :func:`iterate`, which :func:`drive`,
-the one loop, runs for a single solve and a grid of stacked copies alike. It
-hands on every iterate, the start included, and keeps none: each caller
-keeps what it reads of the previous one (:func:`hook_record` for hooks).
+of iterates, its start first, which :func:`drive`, the one loop, runs for a
+single solve and a grid of stacked copies alike. It hands on every iterate,
+the start included, and keeps none: each caller keeps what it reads of the
+previous one (:func:`hook_record` for hooks).
 
 Every iterate of every solve is guarded against NaN and infinite values,
 by NumPy's floating-point flags or by an exact scan. :func:`drive` runs the
-iterations with overflow, invalid operations and division by zero raising
-(:data:`TRAP`): under IEEE Std 754-2019 section 7, an operation on finite
-operands makes an infinity or a NaN only by raising one of those flags, so
-an iteration from finite inputs and finite coefficients that raises none
-makes only finite values (:func:`iterate` covers the one step that is not
-a ufunc). The scan runs where that does not hold: on a call's first
-iterate, whose start may hold a NaN; on every iterate when a coefficient is
-not finite; and on every iterate from the first iteration of the call that
-raises a flag, which is made again quietly. The scan first tests each
-field with :func:`all_finite`, one self-dot ``a · a`` that is NaN or
+iterations with overflow, invalid operations and division by zero calling
+back (NumPy's ``"call"`` error mode, which changes no bit of a result):
+under IEEE Std 754-2019 section 7, an operation on finite operands makes an
+infinity or a NaN only by raising one of those flags, so an iteration from
+finite inputs and finite coefficients that raises none makes only finite
+values. The one step of either solver that is not a ufunc,
+``np.bincount`` in :meth:`~locadmm.network.NetworkGraph.node_sum`, can
+overflow without a flag; an infinite sum at a free node reaches the ball
+projection's ``inf / inf`` (or ``0 * inf`` where the range is 0) in the
+same iteration, and an anchor's is overwritten by its position. The scan
+runs where the flags cannot vouch: on a call's first iterate, whose start
+may hold a NaN, which spreads without a flag; on every iterate when a
+coefficient is not finite; and on every iterate from the first that raised
+a flag, the later ones made under :func:`quiet_fp`. The scan first tests
+each field with :func:`all_finite`, one self-dot ``a · a`` that is NaN or
 infinite whenever an entry is, and runs the exact per-entry scan only after
 a field fails it: the scan names the iteration, node and field of a
 divergence, or finds only finite entries beyond ~1e154, whose squares
@@ -44,7 +49,7 @@ from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .errors import NonFiniteValue
+from .errors import InvalidParameter, NonFiniteValue
 
 
 @dataclass(frozen=True)
@@ -124,28 +129,42 @@ def check_finite(t: int, src: np.ndarray, p: np.ndarray, **edge_fields: np.ndarr
     raise NonFiniteValue(f"non-finite {field} at node {node}, iteration {t}")
 
 
-# The floating-point state :func:`drive` runs the iterations in: an operation
-# that makes an infinity or a NaN of finite operands raises FloatingPointError.
-TRAP = {"over": "raise", "invalid": "raise", "divide": "raise", "under": "ignore"}
-
-
-def drive(steps: Iterator, iters: int, check: Callable, record: Optional[Callable]) -> dict:
+def drive(
+    steps: Iterator, iters: int, check: Callable, record: Optional[Callable], finite: bool
+) -> dict:
     """The loop of every solve: take the start, t = 0, and ``iters`` iterates
-    from a solver's ``steps`` (:func:`iterate`) under :data:`TRAP`, holding
-    none once the next is made. Each yields the state fields by name (``p``
-    first, then the edge fields in the order a divergence is reported in),
-    passed from t = 1 on to ``check(t, fields)`` under :func:`quiet_fp` when
-    the iterate is to be scanned; the ``EdgeStates`` view and half-step
-    blocks (``None`` when the solver was asked for no views), passed to
-    ``record(t, view, half)`` unless it is None, which sets its own
-    floating-point state; and whether to scan. Returns the last fields."""
-    with np.errstate(**TRAP):
-        _, view, _, _ = next(steps)
+    from a solver's ``steps``, holding none once the next is made. The start
+    comes as its ``EdgeStates`` view, each later iterate as the state fields
+    by name (``p`` first, then the edge fields in the order a divergence is
+    reported in), their view and the half-step blocks (both ``None`` when
+    the solver was asked for no views, the start's view too).
+
+    A view and its blocks go to ``record(t, view, half)`` unless it is None;
+    it sets its own floating-point state. The fields of iterate t go to
+    ``check(t, fields)``, under :func:`quiet_fp`, when the floating-point
+    flags cannot vouch for them: at t = 1, since a start may hold a NaN; at
+    every t when ``finite`` (whether every coefficient the steps read is
+    finite) is False; and at every t from the first iterate whose making
+    raised a flag. The iterates are made with overflow, invalid operations
+    and division by zero calling back until one does, and quietly after it
+    (from the first when ``finite`` is False). Returns the last fields."""
+    flagged = not finite
+
+    def flag(kind: str, code: int) -> None:
+        nonlocal flagged
+        flagged = True
+
+    with np.errstate(over="call", invalid="call", divide="call", under="ignore", call=flag):
+        view = next(steps)
         if record is not None:
             record(0, view, None)
         for t in range(1, iters + 1):
-            fields, view, half, scan = next(steps)
-            if scan:
+            if flagged:
+                with quiet_fp():
+                    fields, view, half = next(steps)
+            else:
+                fields, view, half = next(steps)
+            if flagged or t == 1:
                 with quiet_fp():
                     check(t, fields)
             if record is not None:
@@ -153,52 +172,19 @@ def drive(steps: Iterator, iters: int, check: Callable, record: Optional[Callabl
     return fields
 
 
-def iterate(first, advance: Callable, carry: tuple, finite: bool) -> Iterator:
-    """A solver's iterates as :func:`drive` takes them: the start's view
-    ``first``, then one iterate per ``advance(*carry)``, which returns the
-    next ``carry``, the new fields by name, their view and the half-step
-    blocks. It writes no array of ``carry``, and what else it keeps for the
-    next iteration it drops when it starts one and can make again from
-    ``carry``, so an iteration can be made twice from the same ``carry``.
-
-    Each iterate comes with whether its fields are to be scanned. The first
-    is, since a start may hold a NaN, which spreads without raising a flag.
-    Every one is when ``finite`` is False (a coefficient holds a NaN or an
-    infinity); those are made under :func:`quiet_fp`. And every one is from
-    the first iteration that raises a flag on: that iteration is made again
-    from its ``carry`` under :func:`quiet_fp`, and so are the later ones.
-
-    The only step of either solver that can overflow without a flag is
-    ``np.bincount`` in :meth:`~locadmm.network.NetworkGraph.node_sum`, which
-    is not a ufunc. An infinite sum at a free node reaches the ball
-    projection's ``inf / inf`` (or ``0 * inf`` where the range is 0) in the
-    same iteration, and an anchor's is overwritten by its position.
-    """
-    yield None, first, None, False
-    del first  # held no longer than any later view
-    scan, quiet = True, not finite
-    while True:
-        if not quiet:
-            try:
-                carry, fields, view, half = advance(*carry)
-            except FloatingPointError:
-                quiet = True
-        if quiet:
-            with quiet_fp():
-                carry, fields, view, half = advance(*carry)
-        yield fields, view, half, scan or quiet
-        scan = False
-
-
 def hook_record(hook: Hook, comm_scalars: int) -> Callable:
     """The ``record`` that hands a solve to ``hook``: one event per iterate,
     the start's included, ``states_prev`` the previous event's ``states``,
-    in this call's floating-point state."""
-    caller, view = np.geterr(), None
+    in this call's floating-point state, its error callback included, so a
+    flag a hook raises is the caller's, never :func:`drive`'s. A ``hook``
+    that is not callable is refused."""
+    if not callable(hook):
+        raise InvalidParameter(f"hook must be callable or None, got {hook!r:.40}")
+    caller, call, view = np.geterr(), np.geterrcall(), None
 
     def record(t: int, now, half) -> None:
         nonlocal view
-        with np.errstate(**caller):
+        with np.errstate(call=call, **caller):
             hook(IterationEvent(t, now, view, half, comm_scalars if t else 0))
         view = now
 
@@ -217,8 +203,8 @@ def finite_copies(copies: int, arrays) -> np.ndarray:
 
 
 def quiet_fp() -> np.errstate:
-    """NumPy's floating-point warnings off. An iteration that raised a flag
-    runs again under it, as do the iterations after it, the finite scans
-    and the trace recorders, so a divergence is reported once, by
-    :func:`check_finite` or the trace's own check, not at every overflow."""
+    """NumPy's floating-point warnings off. The iterations after one that
+    raised a flag run under it, as do the finite scans and the trace
+    recorders, so a divergence is reported once, by :func:`check_finite` or
+    the trace's own check, not at every overflow."""
     return np.errstate(over="ignore", invalid="ignore", divide="ignore")

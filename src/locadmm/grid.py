@@ -139,7 +139,8 @@ def _run_batch(algo, graph, d_one, cells, init, iters, truth, metrics):
             trace.rows.append(TraceRow(t, comm_scalars=comm_scalars if t else 0, **row))
         prev = directions(now.u)
 
-    fields = {name: stacked.by_copy(a) for name, a in drive(steps, iters, check, record).items()}
+    last = drive(steps, iters, check, record, coef.finite)
+    fields = {name: stacked.by_copy(a) for name, a in last.items()}
     for k, (params, seed) in enumerate(cells):
         result = None
         if ok[k]:

@@ -285,7 +285,10 @@ def _edge_pairs(edges, num_nodes: int) -> np.ndarray:
         Naming the first self-loop or out-of-range edge in input order, or
         when the ids are not integers.
     """
-    pairs = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges))
+    try:
+        pairs = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges))
+    except (TypeError, ValueError):  # not a collection, or pairs of unequal length
+        raise InvalidParameter("edges must be pairs of integer node ids") from None
     if pairs.size == 0:
         return np.zeros((0, 2), dtype=np.intp)
     if pairs.ndim != 2 or pairs.shape[1] != 2 or pairs.dtype.kind not in "iu":
@@ -403,7 +406,8 @@ class GroundTruth:
 
 def check_truth(truth: GroundTruth, graph: NetworkGraph) -> None:
     """``InvalidParameter`` unless ``truth`` is a :class:`GroundTruth` with a
-    row per node of ``graph``, of its dim."""
+    row per node of ``graph``, a :class:`NetworkGraph`, of its dim."""
+    check_type("graph", graph, NetworkGraph)
     check_type("truth", truth, GroundTruth)
     need = (graph.num_nodes, graph.dim)
     if truth.positions.shape != need:
@@ -450,6 +454,7 @@ class MeasurementSet:
     _d_text: str | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
+        check_type("graph", self.graph, NetworkGraph)
         d, edges = check_numbers("d", self.d), self.graph.forward.size
         if d.shape != (edges,):
             raise InvalidParameter(f"expected {edges} ranges, got {d.shape}")
@@ -765,6 +770,7 @@ def save_network(
     which for a file this function wrote is that same spelling. Files of
     schema 2 cannot be read by locadmm versions that read only schema 1.
     """
+    check_type("graph", graph, NetworkGraph)
     if measurements is not None:
         check_type("measurements", measurements, MeasurementSet)._check(graph)
     n, dim = graph.num_nodes, graph.dim

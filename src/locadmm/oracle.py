@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameter, SingularSystem, check_integer, check_penalty, check_seed
+from .errors import check_type
 from .network import MeasurementSet, NetworkGraph
 from .structured_ops import NodeBlockVector
 
@@ -254,6 +255,8 @@ def oracle_check(
     from . import structured_ops as ops
     from .solver_full import combine_z, gather_inbox, local_halfstep, FullNodeState
 
+    check_type("graph", graph, NetworkGraph)
+    check_type("measurements", measurements, MeasurementSet)
     if graph.num_nodes > 8:
         raise InvalidParameter(
             f"oracle check is for toy instances (N <= 8), got N={graph.num_nodes}"

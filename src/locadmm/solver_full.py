@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .engine import RunResult, check_finite, drive, hook_record, iterate
+from .engine import RunResult, check_finite, drive, hook_record
 from .errors import DisconnectedGraph, InvalidInit, InvalidInitSpec, MissingMessage
 from .errors import check_choice, check_integer, check_numbers, check_real, check_seed, check_type
 from .network import MeasurementSet, NetworkGraph, row_norms
@@ -132,6 +132,8 @@ def init_full(graph: NetworkGraph, config: InitSpec, seed: int = 0) -> EdgeState
     """Iteration-zero states for :func:`run_full`: the :func:`consensus_state`
     at :func:`start_positions`, as :func:`~locadmm.solver_lite.run_lite`
     starts from the same arguments."""
+    check_type("graph", graph, NetworkGraph)
+    check_type("config", config, InitSpec)
     return consensus_state(graph, start_positions(graph, config, seed), config.u_init)
 
 
@@ -280,9 +282,11 @@ def run_full(
     start = EdgeStates.of(init_full(graph, init, seed) if isinstance(init, InitSpec) else init, graph)
     c, rho, d = params.c, params.rho, measurements.edge_ranges(graph)
     coef = EdgeCoefficients.held(measurements, graph, d, c, rho)
-    steps = full_steps(graph, coef, start, views=hook is not None)
     record = None if hook is None else hook_record(hook, 2 * graph.dim * graph.sum_degree)
-    last = drive(steps, iters, lambda t, fields: check_finite(t, graph.src, **fields), record)
+    steps = full_steps(graph, coef, start, views=hook is not None)
+    last = drive(
+        steps, iters, lambda t, fields: check_finite(t, graph.src, **fields), record, coef.finite
+    )
     return RunResult(states=full_states(graph.offsets, last), estimates=last["p"].copy())
 
 
@@ -298,81 +302,73 @@ def full_steps(graph: NetworkGraph, coef: EdgeCoefficients, start: EdgeStates, v
     own view, then one yield per iteration: the new ``p``, ``z_minus``,
     ``z_plus``, ``u`` and ``lam`` by name, in that order; then, when
     ``views``, their ``EdgeStates`` and the half-step ``EdgeBlocks``, else
-    ``None`` twice (the start's view too); and whether to scan the fields
-    (:func:`~locadmm.engine.iterate`). Both views share the new ``p``, and
-    their ``p_src`` is the iteration's gathered ``p``, which the iterates
-    read but never write.
+    ``None`` twice (the start's view too). Both views share the new ``p``,
+    and their ``p_src`` is the iteration's gathered ``p``, which the
+    iterates read but never write.
 
     ``graph`` may be a :meth:`~locadmm.network.NetworkGraph.stack` graph, with
     ``coef`` and ``start`` stacked to match: every copy then advances as it
     would alone. The iterates never write an array of ``start``, of
-    ``coef`` or one they have yielded, so :func:`~locadmm.engine.iterate`
-    can make an iteration that raised a floating-point flag again from its
-    inputs. It reads ``coef`` when called: a solve builds its coefficients
-    as set-up, before its iteration-0 hook.
+    ``coef`` or one they have yielded. It reads ``coef`` when called: a
+    solve builds its coefficients as set-up, before its iteration-0 hook.
     """
     src, rev, offsets = graph.src, graph.rev, graph.offsets
     d_u, d_rho, denom = coef.d, coef.d_rho, coef.denom
     c_e, two_c, c1 = coef.c_e, coef.two_c, coef.c1
 
-    p_src_next = None  # p of the last iterate gathered to its edges, by its dual step
-
-    def advance(p, z_minus, z_plus, u, lam):
-        # half-step (local_halfstep), in place on arrays made this iteration
-        # and not yet handed out; p_src, p gathered to its edges, is read,
-        # never written, and gathered here where no dual step left it: on a
-        # call's first iteration, and on an iteration made again
-        nonlocal p_src_next
-        p_src, p_src_next = p_src_next, None
-        if p_src is None:
-            p_src = p.take(src, axis=0)
-        base_minus = p_src + z_minus
-        base_plus = p_src + z_plus
-        # p = node_sum(d u - lam + c base_minus + base_plus) / (2 (c+1) k)
-        du = d_u * u
-        acc = du - lam
-        tmp = base_minus * c_e
-        acc += tmp
-        acc += base_plus
-        p = graph.node_sum(acc)
-        p /= denom
-        p[graph.anchor_idx] = graph.anchor_pos
-        # zm_t = lam / (2 c) + base_minus / 2, zp_t = -d u / 2 + base_plus / 2
-        # (-d u * 0.5 rounds the same real number as -d u / 2)
-        zm_t = np.divide(lam, two_c, out=tmp)
-        base_minus /= 2.0
-        zm_t += base_minus
-        zp_t = du * -0.5
-        base_plus /= 2.0
-        zp_t += base_plus
-        # exchange and combine (gather_inbox, combine_z):
-        # z^-_e = (c zm_t[e] + zp_t[rev e]) / (c+1), and z^+_e is the mirror
-        # row z^-_{rev e} = (c zm_t[rev e] + zp_t[e]) / (c+1): the same
-        # operands, as combine_z forms z^+ at the edge's other end, and c
-        # is one number per copy, which rev never leaves
-        z_minus = np.multiply(zm_t, c_e, out=acc)
-        z_minus += zp_t.take(rev, axis=0)
-        z_minus /= c1
-        z_plus = z_minus.take(rev, axis=0)
-        # direction and dual steps (update_u, update_lambda):
-        # u = proj(u + (d / rho) (p - z^+)), lam = lam + c (p - z^-)
+    def iterates(first, p, z_minus, z_plus, u, lam):
+        yield first
+        del first  # held no longer than any later view
+        # p gathered to its edges; each iteration's dual step gathers the next one
         p_src = p.take(src, axis=0)
-        u_t = np.subtract(p_src, z_plus, out=base_minus)
-        u_t *= d_rho
-        u_t += u
-        u = project_ball(u_t)
-        lam_new = p_src - z_minus
-        lam_new *= c_e
-        lam_new += lam
-        lam = lam_new
-        fields = {"p": p, "z_minus": z_minus, "z_plus": z_plus, "u": u, "lam": lam}
-        now = half = None
-        if views:
-            now = full_states(offsets, fields, p_src)
-            half = EdgeBlocks(offsets, p, zm_t, zp_t, p_src)
-        p_src_next = p_src
-        return (p, z_minus, z_plus, u, lam), fields, now, half
+        while True:
+            # half-step (local_halfstep), in place on arrays made this iteration
+            # and not yet handed out; p_src is read, never written
+            base_minus = p_src + z_minus
+            base_plus = p_src + z_plus
+            # p = node_sum(d u - lam + c base_minus + base_plus) / (2 (c+1) k)
+            du = d_u * u
+            acc = du - lam
+            tmp = base_minus * c_e
+            acc += tmp
+            acc += base_plus
+            p = graph.node_sum(acc)
+            p /= denom
+            p[graph.anchor_idx] = graph.anchor_pos
+            # zm_t = lam / (2 c) + base_minus / 2, zp_t = -d u / 2 + base_plus / 2
+            # (-d u * 0.5 rounds the same real number as -d u / 2)
+            zm_t = np.divide(lam, two_c, out=tmp)
+            base_minus /= 2.0
+            zm_t += base_minus
+            zp_t = du * -0.5
+            base_plus /= 2.0
+            zp_t += base_plus
+            # exchange and combine (gather_inbox, combine_z):
+            # z^-_e = (c zm_t[e] + zp_t[rev e]) / (c+1), and z^+_e is the mirror
+            # row z^-_{rev e} = (c zm_t[rev e] + zp_t[e]) / (c+1): the same
+            # operands, as combine_z forms z^+ at the edge's other end, and c
+            # is one number per copy, which rev never leaves
+            z_minus = np.multiply(zm_t, c_e, out=acc)
+            z_minus += zp_t.take(rev, axis=0)
+            z_minus /= c1
+            z_plus = z_minus.take(rev, axis=0)
+            # direction and dual steps (update_u, update_lambda):
+            # u = proj(u + (d / rho) (p - z^+)), lam = lam + c (p - z^-)
+            p_src = p.take(src, axis=0)
+            u_t = np.subtract(p_src, z_plus, out=base_minus)
+            u_t *= d_rho
+            u_t += u
+            u = project_ball(u_t)
+            lam_new = p_src - z_minus
+            lam_new *= c_e
+            lam_new += lam
+            lam = lam_new
+            fields = {"p": p, "z_minus": z_minus, "z_plus": z_plus, "u": u, "lam": lam}
+            if views:
+                now = full_states(offsets, fields, p_src)
+                yield fields, now, EdgeBlocks(offsets, p, zm_t, zp_t, p_src)
+            else:
+                yield fields, None, None
 
     b = start.blocks
-    carry = (b.p, b.z_minus, b.z_plus, start.u, start.lam)
-    return iterate(start if views else None, advance, carry, coef.finite)
+    return iterates(start if views else None, b.p, b.z_minus, b.z_plus, start.u, start.lam)

@@ -342,7 +342,7 @@ class EdgeCoefficients:
     ``2 (c + 1) k``, has a row per node, the others a row per edge.
     ``finite`` is False once one built holds a NaN or an infinity (``c``
     of 1e308 makes ``2 c`` infinite, a NaN range a NaN ``d``): the solvers
-    then scan every iterate (:func:`~locadmm.engine.iterate`)."""
+    then scan every iterate (:func:`~locadmm.engine.drive`)."""
 
     def __init__(self, graph: NetworkGraph, ranges: np.ndarray, c, rho):
         self.graph, self.ranges, self.c, self.rho = graph, ranges, c, rho

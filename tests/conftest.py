@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from locadmm import engine, solver_full, solver_lite
+from locadmm import engine, grid, solver_full, solver_lite
 from locadmm.errors import NonFiniteValue
 from locadmm.network import GroundTruth, MeasurementSet, NetworkGraph
 from locadmm.solver_lite import LiteStates
@@ -95,15 +95,18 @@ def scanning_every_iterate():
     coefficients makes them: the reference the floating-point flags must
     match."""
 
-    def scanning(first, advance, carry, finite):
-        return engine.iterate(first, advance, carry, False)
+    def scanning(steps, iters, check, record, finite):
+        return engine.drive(steps, iters, check, record, False)
 
-    saved = solver_full.iterate, solver_lite.iterate
-    solver_full.iterate = solver_lite.iterate = scanning
+    modules = (solver_full, solver_lite, grid)
+    saved = [module.drive for module in modules]
+    for module in modules:
+        module.drive = scanning
     try:
         yield
     finally:
-        solver_full.iterate, solver_lite.iterate = saved
+        for module, drive in zip(modules, saved):
+            module.drive = drive
 
 
 def state_fields(states) -> dict:

@@ -1,9 +1,9 @@
 """The argument contract of the public API.
 
 Every public entry point, given any value for one of its value arguments
-(a count, a number, a seed, a keyword, a collection of numbers or names)
-or its object arguments (a graph, a measurement set, penalties, a truth,
-a noise model), either returns or raises a
+(a count, a number, a seed, a keyword, a collection of numbers, names or
+edges) or its object arguments (a graph, a measurement set, penalties, a
+truth, a noise model, an init spec, a hook), either returns or raises a
 :class:`~locadmm.errors.LocadmmError`, never a raw ``TypeError``,
 ``ValueError`` or ``AttributeError`` from deeper down.
 Each row of :data:`ROWS` is one (entry point, argument) pair: a call with
@@ -32,6 +32,7 @@ from locadmm import (
     PenaltyParams,
     TraceRecorder,
     generate_rgg,
+    init_full,
     init_lite,
     measure,
     parameter_bounds,
@@ -85,10 +86,10 @@ def pick(value, own):
     return own if value is OK else value
 
 
-def solve(runner, spec=InitSpec(), iters=2, seed=0, graph=OK, meas=OK, params=OK):
+def solve(runner, spec=InitSpec(), iters=2, seed=0, graph=OK, meas=OK, params=OK, hook=None):
     own_graph, _, own_meas, own_params = instance()
     return runner(pick(graph, own_graph), pick(meas, own_meas), pick(params, own_params),
-                  spec, iters, seed=seed)
+                  spec, iters, seed=seed, hook=hook)
 
 
 def grid(algo="full", iters=2, seed=0, init=InitSpec(), params=PenaltyParams(0.1, 0.1),
@@ -98,14 +99,14 @@ def grid(algo="full", iters=2, seed=0, init=InitSpec(), params=PenaltyParams(0.1
                          init, iters))
 
 
-def with_measure(seed=0, truth=OK, model=NoiseModel("additive-white", 0.01)):
-    graph, own_truth, _, _ = instance()
-    return measure(pick(truth, own_truth), graph, model, seed=seed)
+def with_measure(seed=0, truth=OK, model=NoiseModel("additive-white", 0.01), graph=OK):
+    own_graph, own_truth, _, _ = instance()
+    return measure(pick(truth, own_truth), pick(graph, own_graph), model, seed=seed)
 
 
-def with_bounds(c=0.1, meas=OK):
-    graph, _, own_meas, _ = instance()
-    return parameter_bounds(graph, pick(meas, own_meas), c)
+def with_bounds(c=0.1, meas=OK, graph=OK):
+    own_graph, _, own_meas, _ = instance()
+    return parameter_bounds(pick(graph, own_graph), pick(meas, own_meas), c)
 
 
 def with_save(meas):
@@ -114,30 +115,31 @@ def with_save(meas):
     return save_network(os.devnull, graph, truth, meas)
 
 
-def with_oracle(**kwargs):
-    graph, _, meas, _ = instance()
-    return oracle_check(graph, meas, **{"trials": 2, **kwargs})
+def with_oracle(graph=OK, meas=OK, **kwargs):
+    own_graph, _, own_meas, _ = instance()
+    return oracle_check(pick(graph, own_graph), pick(meas, own_meas), **{"trials": 2, **kwargs})
 
 
-def with_init_lite(u_init="zeros", c=0.1, meas=OK):
-    graph, truth, own_meas, _ = instance()
-    return init_lite(graph, truth.positions, u_init, c, pick(meas, own_meas))
+def with_init_lite(u_init="zeros", c=0.1, meas=OK, graph=OK):
+    own_graph, truth, own_meas, _ = instance()
+    return init_lite(pick(graph, own_graph), truth.positions, u_init, c, pick(meas, own_meas))
 
 
-def with_ranges(d):
-    graph, _, _, _ = instance()
-    return MeasurementSet(graph, d)
+def with_ranges(d=OK, graph=OK):
+    own_graph, _, own_meas, _ = instance()
+    return MeasurementSet(pick(graph, own_graph), pick(d, own_meas.d))
 
 
-def with_rmse(estimates=OK, truth=OK):
-    graph, own_truth, _, _ = instance()
+def with_rmse(estimates=OK, truth=OK, graph=OK):
+    own_graph, own_truth, _, _ = instance()
     own = pick(truth, own_truth)
-    return rmse(pick(estimates, own_truth.positions), own, graph)
+    return rmse(pick(estimates, own_truth.positions), own, pick(graph, own_graph))
 
 
-def with_recorder(metrics=("F",), meas=OK, params=OK):
-    graph, _, own_meas, own_params = instance()
-    return TraceRecorder(graph, pick(meas, own_meas), pick(params, own_params), metrics=metrics)
+def with_recorder(metrics=("F",), meas=OK, params=OK, graph=OK, truth=None):
+    own_graph, _, own_meas, own_params = instance()
+    return TraceRecorder(pick(graph, own_graph), pick(meas, own_meas), pick(params, own_params),
+                         truth=truth, metrics=metrics)
 
 
 ROWS = {
@@ -149,6 +151,7 @@ ROWS = {
     "generate_rgg-seed": lambda v: generate_rgg(6, 2, 0.8, seed=v),
     "build-dim": lambda v: NetworkGraph.build(v, 3, {0: [0.0, 0.0]}, [(0, 1), (1, 2)]),
     "build-num_nodes": lambda v: NetworkGraph.build(2, v, {0: [0.0, 0.0]}, [(0, 1), (1, 2)]),
+    "build-edges": lambda v: NetworkGraph.build(2, 3, {0: [0.0, 0.0]}, v),
     "NoiseModel-kind": lambda v: NoiseModel(v, 0.01),
     "NoiseModel-sigma_add": lambda v: NoiseModel("additive-white", v),
     "measure-seed": with_measure,
@@ -182,12 +185,24 @@ ROWS = {
     "rmse-truth": lambda v: with_rmse(truth=v),
     "measure-truth": lambda v: with_measure(truth=v),
     "measure-model": lambda v: with_measure(model=v),
+    "measure-graph": lambda v: with_measure(graph=v),
+    "rmse-graph": lambda v: with_rmse(graph=v),
+    "save_network-graph": lambda v: save_network(os.devnull, v),
+    "parameter_bounds-graph": lambda v: with_bounds(graph=v),
+    "init_full-graph": lambda v: init_full(v, InitSpec()),
+    "init_full-config": lambda v: init_full(instance()[0], v),
+    "init_lite-graph": lambda v: with_init_lite(graph=v),
+    "MeasurementSet-graph": lambda v: with_ranges(graph=v),
+    "oracle_check-graph": lambda v: with_oracle(graph=v),
+    "oracle_check-measurements": lambda v: with_oracle(meas=v),
+    "TraceRecorder-graph": lambda v: with_recorder(graph=v, truth=instance()[1]),
 }
 for _name, _runner in (("run_full", run_full), ("run_lite", run_lite)):
     ROWS |= {
         f"{_name}-graph": lambda v, r=_runner: solve(r, graph=v),
         f"{_name}-measurements": lambda v, r=_runner: solve(r, meas=v),
         f"{_name}-params": lambda v, r=_runner: solve(r, params=v),
+        f"{_name}-hook": lambda v, r=_runner: solve(r, hook=v),
         f"{_name}-iters": lambda v, r=_runner: solve(r, iters=v),
         f"{_name}-seed": lambda v, r=_runner: solve(r, seed=v),
         f"{_name}-kind": lambda v, r=_runner: solve(r, InitSpec(kind=v)),
@@ -216,7 +231,7 @@ ARRAY_ROWS = {
 HUGE = 10**400  # an integer no float holds
 
 # The rows whose argument may be None.
-NONE_TAKEN = {"save_network-measurements"}
+NONE_TAKEN = {"save_network-measurements", "run_full-hook", "run_lite-hook"}
 
 
 @pytest.mark.parametrize("value", JUNK.values(), ids=JUNK.keys())

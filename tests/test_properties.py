@@ -28,7 +28,8 @@ overflow. Runs guarded by floating-point flags, from starts holding values
 near the float max or not finite, and grids with cells whose coefficients
 are not finite or whose iterations raise flags, end as runs that scan every
 iterate end: the same divergence, the same masked cells, the same bits;
-an iterate is scanned when it is a call's first, when a coefficient is not
+some of those starts diverge only after iteration 1. An iterate is made
+once, and scanned when it is a call's first, when a coefficient is not
 finite, and from the first iteration that raises a flag on. On a one-node graph
 whose node is its anchor, with no edge to exchange on, every solver returns
 the anchor and follows its spec.
@@ -589,7 +590,7 @@ def test_grid_batch_views_carry_the_gathered_p(inst, algo, copies):
     cells = [(params, seed + k) for k in range(copies)]
     drive, seen = grid.drive, []
 
-    def spy(steps, iters, check, record):
+    def spy(steps, iters, check, record, finite):
         def checked(t, now, half):
             for blocks in [now.blocks] + ([half] if algo == "full" else []):
                 if t:  # the t = 0 view is the batch's consensus start, not a gather
@@ -597,7 +598,7 @@ def test_grid_batch_views_carry_the_gathered_p(inst, algo, copies):
             seen.append(t)
             record(t, now, half)
 
-        return drive(steps, iters, check, checked)
+        return drive(steps, iters, check, checked, finite)
 
     grid.drive = spy
     try:
@@ -881,32 +882,35 @@ def test_coefficients_know_whether_they_are_finite(inst):
 
 @PROPERTY_SETTINGS
 @given(st.booleans(), st.lists(st.sampled_from(["clean", "flag", "silent"]), min_size=1, max_size=8))
-def test_iterate_scans_the_first_iterate_and_every_one_from_a_flag(finite, plan):
-    # a stand-in iteration: "flag" overflows in a ufunc, which raises under
-    # the trap and gives inf when made again quietly; "silent" makes an inf
-    # without a flag, which only a scan that runs anyway sees
-    made = []
+def test_drive_scans_the_first_iterate_and_every_one_from_a_flag(finite, plan):
+    # a stand-in step generator: "flag" overflows in a ufunc, which calls
+    # drive's error callback and gives inf; "silent" makes an inf without a
+    # flag, which only a scan that runs anyway sees
+    made, scanned, recorded = [], [], []
 
-    def advance(k):
-        made.append(k)
-        x = np.array([1e308])
-        if plan[k] == "flag":
-            x = x * 10.0
-        elif plan[k] == "silent":
-            x = np.array([np.inf])
-        return (k + 1,), {"x": x}, None, None
+    def steps():
+        yield "start"
+        for k, step in enumerate(plan):
+            made.append(k)
+            x = np.array([1e308])
+            if step == "flag":
+                x = x * 10.0
+            elif step == "silent":
+                x = np.array([np.inf])
+            yield {"x": x}, x[0], None
 
-    steps = engine.iterate("start", advance, (0,), finite)
-    with np.errstate(**engine.TRAP):
-        assert next(steps) == (None, "start", None, False)
-        got = [next(steps) for _ in plan]
+    def check(t, fields):
+        scanned.append(t)
+
+    def record(t, view, half):
+        recorded.append(view)
+
+    engine.drive(steps(), len(plan), check, record, finite)
     flagged = next((k for k, step in enumerate(plan) if step == "flag"), len(plan))
-    assert [scan for *_, scan in got] == [k == 0 or not finite or k >= flagged for k in range(len(plan))]
-    assert [fields["x"][0] for fields, *_ in got] == [
-        1e308 if step == "clean" else np.inf for step in plan
-    ]
-    # only the iteration that raised is made twice
-    assert made == sorted([*range(len(plan)), *([flagged] if finite and flagged < len(plan) else [])])
+    assert scanned == [k + 1 for k in range(len(plan)) if k == 0 or not finite or k >= flagged]
+    assert recorded == ["start", *(1e308 if step == "clean" else np.inf for step in plan)]
+    # each iterate is made once
+    assert made == list(range(len(plan)))
 
 
 @st.composite
@@ -914,29 +918,56 @@ def resumed_near_max(draw):
     """An instance, a solver, a length and a start resumed after 1-3
     iterations with one node's rows of some fields set near the float max,
     of either sign, or to a NaN or an infinity; rho may be large enough to
-    keep the directions' squares finite while those values grow."""
+    keep the directions' squares finite while those values grow. Or, as the
+    ``LATE`` starts of the solver tests, with a pair of fields that cancel in
+    the node sums (``alpha`` and ``beta``, or ``lam`` and ``z_plus`` with
+    ``lam / (2 c)`` finite) set near the float max at the free node of most
+    neighbors, rho 1e100 or 1e300: such a start may stay finite for an
+    iteration or more before it diverges."""
     graph, meas, params, spec, seed, iters = draw(instances())
     algo = draw(st.sampled_from(["full", "lite"]))
-    params = PenaltyParams(params.c, draw(st.sampled_from([params.rho, 1e100, 1e300])))
+    cancelling = draw(st.booleans())
+    rhos = [1e100, 1e300] if cancelling else [params.rho, 1e100, 1e300]
+    params = PenaltyParams(params.c, draw(st.sampled_from(rhos)))
     runner = run_full if algo == "full" else run_lite
     states = runner(graph, meas, params, spec, draw(st.integers(1, 3)), seed=seed).states
-    node = draw(st.integers(0, graph.num_nodes - 1))
-    names = ("u", "lam") + (("z_minus", "z_plus") if algo == "full" else ("alpha", "beta"))
-    big = st.floats(0.05e308, 1.75e308) | st.sampled_from([np.nan, np.inf])
-    values = {
-        name: draw(st.sampled_from([1.0, -1.0])) * draw(big)
-        for name in draw(st.lists(st.sampled_from(names), min_size=1, max_size=3, unique=True))
-    }
+    if cancelling:
+        free = np.setdiff1d(np.arange(graph.num_nodes), graph.anchor_idx)
+        node = int(free[np.argmax(graph.degrees[free])])
+        if algo == "lite":
+            big = draw(st.floats(1.5e308, 1.79e308))
+            values = {"alpha": big, "beta": -big}
+        else:
+            big = draw(st.floats(0.5, 0.95)) * min(2.0 * params.c, 1.0) * 1.79e308
+            values = {"lam": big, "z_plus": big}
+    else:
+        node = draw(st.integers(0, graph.num_nodes - 1))
+        names = ("u", "lam") + (("z_minus", "z_plus") if algo == "full" else ("alpha", "beta"))
+        big = st.floats(0.05e308, 1.75e308) | st.sampled_from([np.nan, np.inf])
+        values = {
+            name: draw(st.sampled_from([1.0, -1.0])) * draw(big)
+            for name in draw(st.lists(st.sampled_from(names), min_size=1, max_size=3, unique=True))
+        }
     start = with_rows(states, slice(*graph.offsets[node:node + 2]), values)
     return lambda: runner(graph, meas, params, start, iters)
 
 
-@PROPERTY_SETTINGS
-@given(resumed_near_max())
-def test_flag_guard_reports_what_a_scan_of_every_iterate_reports(solve):
-    with scanning_every_iterate():
-        want = outcome(solve)
-    assert outcome(solve) == want
+def test_flag_guard_reports_what_a_scan_of_every_iterate_reports():
+    # the divergences the flags catch after iteration 1 are those no scan
+    # but the first of a call would see: at least one example must reach one
+    late = []
+
+    @PROPERTY_SETTINGS
+    @given(resumed_near_max())
+    def agrees(solve):
+        with scanning_every_iterate():
+            want = outcome(solve)
+        assert outcome(solve) == want
+        if isinstance(want, str) and int(want.rsplit(" ", 1)[1]) >= 2:
+            late.append(want)
+
+    agrees()
+    assert late
 
 
 @PROPERTY_SETTINGS

@@ -562,36 +562,55 @@ class TestRunFull:
 
     @pytest.mark.parametrize("c", [0.1, 1e308], ids=["converging", "diverging"])
     @pytest.mark.parametrize(
-        "state", [{}, {"over": "raise", "invalid": "raise", "divide": "raise"}],
-        ids=["default", "raising"],
+        "state", [{}, {"over": "raise", "invalid": "raise", "divide": "raise"}, {"all": "call"}],
+        ids=["default", "raising", "calling"],
     )
-    def test_runs_keep_the_callers_error_state(self, triangle, c, state):
+    def test_runs_keep_the_callers_error_state(self, monkeypatch, triangle, c, state):
         # The updates run with NumPy's warnings off, which pytest here turns
         # into errors, so a divergence must surface as NonFiniteValue alone;
-        # the caller's error state holds after every run and inside hooks.
+        # the caller's error state, its error callback included, holds after
+        # every run and inside hooks. A flag a hook raises is the caller's:
+        # it reaches the caller's callback, and the run scans no more
+        # iterates for it.
         graph, _, meas = triangle
         spec, params = InitSpec(kind="uniform", u_init="half"), PenaltyParams(c, 0.1)
-        in_hooks = []
+        calling = state == {"all": "call"}
+        in_hooks, flags, scanned = [], [], []
+
+        def callback(kind, code):
+            flags.append(kind)
 
         def hook(event):
-            in_hooks.append(np.geterr())
+            in_hooks.append((np.geterr(), np.geterrcall()))
+            if calling:
+                np.array([1e308]) * 10.0
 
-        with np.errstate(**state):
+        def counted(t, *args, **fields):
+            scanned.append(t)
+            return check_finite(t, *args, **fields)
+
+        for module in (solver_full, solver_lite):
+            monkeypatch.setattr(module, "check_finite", counted)
+        with np.errstate(call=callback, **state):
             outer = np.geterr()
             for runner in (run_full, run_lite):
                 for each in (None, hook):
+                    scanned.clear()
                     try:
                         runner(graph, meas, params, spec, 10, seed=0, hook=each)
                         diverged = False
                     except NonFiniteValue:
                         diverged = True
                     assert diverged == (c == 1e308)
-                    assert np.geterr() == outer
+                    assert np.geterr() == outer and np.geterrcall() is callback
+                    if not diverged:
+                        assert scanned == [1]
             for algo in ("full", "lite"):
                 (run,) = grid.run_grid(algo, graph, meas, [(params, 0)], spec, 10)
                 assert (run.result is None) == (c == 1e308)
-                assert np.geterr() == outer
-        assert in_hooks and all(seen == outer for seen in in_hooks)
+                assert np.geterr() == outer and np.geterrcall() is callback
+        assert in_hooks and all(seen == (outer, callback) for seen in in_hooks)
+        assert flags == ["overflow"] * (len(in_hooks) if calling else 0)
 
     def test_nonfinite_names_first_node_and_field(self):
         src = np.array([0, 1, 1, 2])
@@ -985,10 +1004,11 @@ RUNNERS = {"full": run_full, "lite": run_lite}
 
 
 class TestFlagGuard:
-    """The iterations run with floating-point flags raising, and an iterate
-    is scanned only when it is a call's first, a coefficient is not finite,
-    or its call has raised a flag; every divergence is reported as a run
-    that scans every iterate reports it."""
+    """The iterations run with floating-point flags calling back, and an
+    iterate is scanned only when it is a call's first, a coefficient is not
+    finite, or its call has raised a flag; every divergence is reported as
+    a run that scans every iterate reports it, and no iteration is made
+    twice."""
 
     @staticmethod
     def late(case):
@@ -1002,8 +1022,9 @@ class TestFlagGuard:
 
     @staticmethod
     def recording(monkeypatch):
-        """Per making of an iteration: whether it raised a flag, and whether
-        node_sum summed finite rows to a non-finite value in it."""
+        """Per iteration the solvers make: whether it raised a flag, seen by
+        the error callback it is made under, and whether node_sum summed
+        finite rows to a non-finite value in it."""
         calls, node_sum = [], NetworkGraph.node_sum
 
         def spied_sum(self, x):
@@ -1012,21 +1033,46 @@ class TestFlagGuard:
                 calls[-1]["silent"] = True
             return out
 
-        def spied_iterate(first, advance, carry, finite):
-            def spied(*carry):
-                calls.append({"raised": False, "silent": False})
-                try:
-                    return advance(*carry)
-                except FloatingPointError:
-                    calls[-1]["raised"] = True
-                    raise
+        def watched(steps):
+            yield next(steps)
+            while True:
+                call, callback = {"raised": False, "silent": False}, np.geterrcall()
+                calls.append(call)
 
-            return engine.iterate(first, spied, carry, finite)
+                def seen(kind, code):
+                    call["raised"] = True
+                    callback(kind, code)
+
+                with np.errstate(call=seen):
+                    made = next(steps)
+                yield made
+
+        def spied_drive(steps, *args):
+            return engine.drive(watched(steps), *args)
 
         monkeypatch.setattr(NetworkGraph, "node_sum", spied_sum)
         for module in (solver_full, solver_lite):
-            monkeypatch.setattr(module, "iterate", spied_iterate)
+            monkeypatch.setattr(module, "drive", spied_drive)
         return calls
+
+    @staticmethod
+    def making(monkeypatch):
+        """How many iterations the solvers make: each makes one ball
+        projection, and an iteration made twice would make two."""
+        made = []
+
+        def spy(module):
+            project = module.project_ball
+
+            def counted(f):
+                made.append(module.__name__)
+                return project(f)
+
+            monkeypatch.setattr(module, "project_ball", counted)
+
+        for module in (solver_full, solver_lite):
+            spy(module)
+        return made
 
     @staticmethod
     def counting(monkeypatch):
@@ -1043,16 +1089,16 @@ class TestFlagGuard:
 
     @pytest.mark.parametrize("case", LATE)
     def test_late_overflow_caught_by_its_flag(self, monkeypatch, case):
-        # the flag raised in the divergence's own iteration, none before it,
-        # and the scan of its remade iterate names what a scan of every
-        # iterate names
+        # the first flag fires in the divergence's own iteration, and the scan
+        # of that iterate, made once, names what a scan of every iterate names
         solve, graph, want = self.late(case)
         with scanning_every_iterate():
             assert outcome(solve) == want
-        calls = self.recording(monkeypatch)
+        calls, made = self.recording(monkeypatch), self.making(monkeypatch)
         assert outcome(solve) == want
         t = int(want.rsplit(" ", 1)[1])
-        assert [call["raised"] for call in calls] == [False] * (t - 1) + [True, False]
+        assert [call["raised"] for call in calls] == [False] * (t - 1) + [True]
+        assert len(made) == t
         # np.bincount raises no flag: the sum's own overflow reaches the
         # ball projection, which raises, in the same iteration
         assert calls[t - 1]["silent"] == LATE[case][-1]
@@ -1077,7 +1123,7 @@ class TestFlagGuard:
 
     @pytest.mark.parametrize("dim", [2, 3])
     @pytest.mark.parametrize("algo", ["full", "lite"])
-    def test_grid_masks_the_reference_cells(self, algo, dim):
+    def test_grid_masks_the_reference_cells(self, monkeypatch, algo, dim):
         # one batch of cells that converge, diverge (c = 1e308), and raise
         # flags on every iteration without diverging (rho = 1e-300)
         graph, truth = generate_rgg(30, 4, 0.4, dim=dim, seed=5)
@@ -1093,7 +1139,9 @@ class TestFlagGuard:
         with scanning_every_iterate():
             want = solve()
         assert [cell is None for cell in want] == [False, True, False, False]
+        made = self.making(monkeypatch)
         assert solve() == want
+        assert made == [f"locadmm.solver_{algo}"] * 10
 
     def test_scans_once_per_call(self, monkeypatch):
         # the guard's gain: 300 iterations as 60 calls of 5 scan 60 iterates,
@@ -1112,13 +1160,15 @@ class TestFlagGuard:
 
     def test_flags_without_divergence_scan_from_the_first(self, monkeypatch):
         # at rho = 1e-300 the ball projection's squares overflow on every
-        # iteration: each iterate is scanned, none is refused
+        # iteration: each iterate is made once and scanned, none is refused
         graph, meas, _, spec = reference_instance()
-        scanned = self.counting(monkeypatch)
+        scanned, made = self.counting(monkeypatch), self.making(monkeypatch)
         for runner in (run_full, run_lite):
             scanned.clear()
+            made.clear()
             runner(graph, meas, PenaltyParams(0.0265, 1e-300), spec, 20)
             assert scanned == list(range(1, 21))
+            assert len(made) == 20
 
 
 class TestAgainstDenseReference:
