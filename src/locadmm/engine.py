@@ -19,10 +19,10 @@ the start included, and keeps none: each caller keeps what it reads of the
 previous one (:func:`hook_record` for hooks).
 
 Every iterate of every solve is guarded against NaN and infinite values,
-by NumPy's floating-point flags or by an exact scan. :func:`drive` runs the
-iterations with overflow, invalid operations and division by zero calling
-back (NumPy's ``"call"`` error mode, which changes no bit of a result):
-under IEEE Std 754-2019 section 7, an operation on finite operands makes an
+by NumPy's floating-point flags or by a scan. :func:`drive` runs a whole
+call with overflow, invalid operations and division by zero calling back
+(NumPy's ``"call"`` error mode, which changes no bit of a result): under
+IEEE Std 754-2019 section 7, an operation on finite operands makes an
 infinity or a NaN only by raising one of those flags, so an iteration from
 finite inputs and finite coefficients that raises none makes only finite
 values. The one step of either solver that is not a ufunc,
@@ -33,17 +33,12 @@ same iteration, and an anchor's is overwritten by its position. The scan
 runs where the flags cannot vouch: on a call's first iterate, whose start
 may hold a NaN, which spreads without a flag; on every iterate when a
 coefficient is not finite; and on every iterate from the first that raised
-a flag, the later ones made under :func:`quiet_fp`. The scan first tests
-each field with :func:`all_finite`, one self-dot ``a · a`` that is NaN or
-infinite whenever an entry is, and runs the exact per-entry scan only after
-a field fails it: the scan names the iteration, node and field of a
-divergence, or finds only finite entries beyond ~1e154, whose squares
-overflowed, and lets the iterate pass.
+a flag. It tests each field with ``np.isfinite``, and scans a field row by
+row only when it failed, to name the iteration, node and field.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Sequence
 
@@ -85,48 +80,24 @@ class RunResult:
     trace: object = None
 
 
-# Largest field that all_finite hands to one BLAS call. OpenBLAS runs ddot
-# on several threads past 10 000 entries, and its helper threads spin, so a
-# whole-array dot over a 1000-node edge field burns about twice its wall time
-# in CPU; the check must stay on the calling thread.
-_BLAS_BLOCK = 8192
-
-
-def all_finite(a: np.ndarray) -> bool:
-    """True if every entry of ``a`` is finite; False if one may not be.
-
-    Up to ``_BLAS_BLOCK`` entries the test is one self-dot, which is not
-    finite whenever an entry is, but also when the squares of finite
-    entries beyond ~1e154 overflow, so a caller that must know runs the
-    exact scan after a False. Larger arrays get the exact test at once,
-    which costs the same there, as the pass is bound by memory bandwidth.
-    """
-    if a.size <= _BLAS_BLOCK:
-        return math.isfinite(np.vdot(a, a))
-    return bool(np.isfinite(a).all())
-
-
 def check_finite(t: int, src: np.ndarray, p: np.ndarray, **edge_fields: np.ndarray) -> None:
     """Raise :class:`NonFiniteValue` if any state coordinate is NaN or infinite.
 
     ``p`` holds one row per node and every edge field one row per directed
     edge, owned by node ``src[row]``. The message names iteration ``t``, the
     lowest node holding a bad value, and that node's first bad field in
-    argument order. Each field is tested by :func:`all_finite` first, and
-    only a field it flags is scanned entry by entry.
+    argument order. Only a field that holds a bad value is scanned row by
+    row, to find its lowest node.
     """
-    if all_finite(p) and all(map(all_finite, edge_fields.values())):
-        return
     first_bad = {}
     for name, a in {"p": p, **edge_fields}.items():
-        rows = np.flatnonzero(~np.isfinite(a).all(axis=1))
-        if rows.size:
+        if not np.isfinite(a).all():
+            rows = np.flatnonzero(~np.isfinite(a).all(axis=1))
             first_bad[name] = int(rows.min() if name == "p" else src[rows].min())
-    if not first_bad:
-        return  # the self-dot overflowed on finite entries
-    node = min(first_bad.values())
-    field = next(name for name, i in first_bad.items() if i == node)
-    raise NonFiniteValue(f"non-finite {field} at node {node}, iteration {t}")
+    if first_bad:
+        node = min(first_bad.values())
+        field = next(name for name, i in first_bad.items() if i == node)
+        raise NonFiniteValue(f"non-finite {field} at node {node}, iteration {t}")
 
 
 def drive(
@@ -140,14 +111,14 @@ def drive(
     the solver was asked for no views, the start's view too).
 
     A view and its blocks go to ``record(t, view, half)`` unless it is None;
-    it sets its own floating-point state. The fields of iterate t go to
-    ``check(t, fields)``, under :func:`quiet_fp`, when the floating-point
-    flags cannot vouch for them: at t = 1, since a start may hold a NaN; at
-    every t when ``finite`` (whether every coefficient the steps read is
-    finite) is False; and at every t from the first iterate whose making
-    raised a flag. The iterates are made with overflow, invalid operations
-    and division by zero calling back until one does, and quietly after it
-    (from the first when ``finite`` is False). Returns the last fields."""
+    it sets its own floating-point state. The whole call runs with
+    overflow, invalid operations and division by zero calling back into
+    ``drive``, which only notes that a flag fired. The fields of iterate t
+    go to ``check(t, fields)`` when the flags cannot vouch for them: at
+    t = 1, since a start may hold a NaN; at every t when ``finite``
+    (whether every coefficient the steps read is finite) is False; and at
+    every t from the first iterate whose making raised a flag. Returns the
+    last fields."""
     flagged = not finite
 
     def flag(kind: str, code: int) -> None:
@@ -159,14 +130,9 @@ def drive(
         if record is not None:
             record(0, view, None)
         for t in range(1, iters + 1):
-            if flagged:
-                with quiet_fp():
-                    fields, view, half = next(steps)
-            else:
-                fields, view, half = next(steps)
+            fields, view, half = next(steps)
             if flagged or t == 1:
-                with quiet_fp():
-                    check(t, fields)
+                check(t, fields)
             if record is not None:
                 record(t, view, half)
     return fields
@@ -197,14 +163,13 @@ def finite_copies(copies: int, arrays) -> np.ndarray:
     ``copies`` equal blocks of rows, one per copy, in order."""
     ok = np.ones(copies, dtype=bool)
     for a in arrays:
-        if not all_finite(a):
+        if not np.isfinite(a).all():
             ok &= np.isfinite(a).reshape(copies, -1).all(axis=1)
     return ok
 
 
 def quiet_fp() -> np.errstate:
-    """NumPy's floating-point warnings off. The iterations after one that
-    raised a flag run under it, as do the finite scans and the trace
-    recorders, so a divergence is reported once, by :func:`check_finite` or
-    the trace's own check, not at every overflow."""
+    """NumPy's floating-point warnings off. The solvers' set-up and the
+    trace recorders run under it, so a divergence is reported once, by
+    :func:`check_finite` or the trace's own check, not at every overflow."""
     return np.errstate(over="ignore", invalid="ignore", divide="ignore")

@@ -3,6 +3,7 @@ that raise them."""
 
 import math
 import numbers
+import os
 
 import numpy as np
 
@@ -109,6 +110,15 @@ def check_type(name: str, value, kind: type):
     if not isinstance(value, kind):
         raise InvalidParameter(f"{name} must be a {kind.__name__}, got {value!r:.40}")
     return value
+
+
+def check_path(path):
+    """``path``, a file path: a ``str``, ``bytes`` or ``os.PathLike``. Any
+    other value is refused, an integer above all, which ``open()`` would
+    take as a file descriptor to read and close."""
+    if not isinstance(path, (str, bytes, os.PathLike)):
+        raise InvalidParameter(f"path must be a str, bytes or os.PathLike, got {path!r:.40}")
+    return path
 
 
 def check_seed(seed) -> None:

@@ -31,7 +31,7 @@ from .errors import (
     SchemaVersionMismatch,
 )
 from .errors import check_choice, check_integer, check_numbers, check_real, check_seed, check_type
-from .errors import is_integer
+from .errors import check_path, is_integer
 
 # the schema save_network writes; load_network also reads schema 1
 SCHEMA_VERSION = 2
@@ -485,7 +485,8 @@ class MeasurementSet:
 
     def node_ranges(self, graph: NetworkGraph) -> list[np.ndarray]:
         """Per node, ranges to each neighbor in sorted-neighbor order."""
-        return graph.split(self.edge_ranges(graph))
+        d = self.edge_ranges(graph)  # checks graph before its split is read
+        return graph.split(d)
 
     def edge_ranges(self, graph: NetworkGraph) -> np.ndarray:
         """Ranges of every directed edge of ``graph`` (the set's own graph, or
@@ -495,6 +496,7 @@ class MeasurementSet:
         return self._edge_field
 
     def _check(self, graph: NetworkGraph) -> None:
+        check_type("graph", graph, NetworkGraph)
         mine = self.graph
         same = graph is mine or (
             np.array_equal(mine.src, graph.src) and np.array_equal(mine.dst, graph.dst)
@@ -790,7 +792,8 @@ def save_network(
 def write_text(path, text: str) -> None:
     """Write ``text`` to ``path`` as UTF-8, the way ``open(path, "w")``
     would: the same bytes, and the same ``OSError`` for a path that cannot
-    be opened or written.
+    be opened or written; ``InvalidParameter`` for a ``path`` that is no
+    path (:func:`~locadmm.errors.check_path`).
 
     The file is rewritten in place: it is opened without truncation, and a
     regular file is cut to the new length after the write, so an existing
@@ -803,7 +806,7 @@ def write_text(path, text: str) -> None:
     leaves the file's old bytes after the new ones.
     """
     data = memoryview(text.encode("utf-8"))
-    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    fd = os.open(check_path(path), os.O_WRONLY | os.O_CREAT, 0o666)
     try:
         regular = stat.S_ISREG(os.fstat(fd).st_mode)
         done = 0
@@ -839,9 +842,12 @@ def load_network(path):
         the field.
     SchemaVersionMismatch
         A ``schema_version`` other than 1 or 2.
+    InvalidParameter
+        A ``path`` that is no path, such as a file descriptor
+        (:func:`~locadmm.errors.check_path`).
     """
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(check_path(path), "r", encoding="utf-8") as fh:
             text = fh.read()
         doc = json.loads(text)
     except json.JSONDecodeError as exc:

@@ -265,11 +265,8 @@ def run_full(
     update. Every node advances at once on edge arrays (:func:`full_steps`),
     bit-identical to :func:`local_halfstep`, :func:`gather_inbox`,
     :func:`combine_z`, :func:`update_u` and :func:`update_lambda` applied
-    node by node. Deterministic for fixed inputs; ``threads`` is accepted
-    for compatibility and ignored. The per-edge coefficients are built once
-    per ``(measurements, c, rho)`` and held on ``measurements``
-    (:meth:`~locadmm.structured_ops.EdgeCoefficients.held`), so a run made
-    of short calls builds them once.
+    node by node, as :func:`run_steps` runs them. Deterministic for fixed
+    inputs; ``threads`` is accepted for compatibility and ignored.
 
     Raises
     ------
@@ -280,14 +277,28 @@ def run_full(
     check_run(graph, measurements, iters)
     check_type("params", params, PenaltyParams)
     start = EdgeStates.of(init_full(graph, init, seed) if isinstance(init, InitSpec) else init, graph)
-    c, rho, d = params.c, params.rho, measurements.edge_ranges(graph)
-    coef = EdgeCoefficients.held(measurements, graph, d, c, rho)
-    record = None if hook is None else hook_record(hook, 2 * graph.dim * graph.sum_degree)
-    steps = full_steps(graph, coef, start, views=hook is not None)
-    last = drive(
-        steps, iters, lambda t, fields: check_finite(t, graph.src, **fields), record, coef.finite
-    )
+    last = run_steps(full_steps, graph, measurements, params, start, iters, hook)
     return RunResult(states=full_states(graph.offsets, last), estimates=last["p"].copy())
+
+
+def run_steps(
+    steps, graph: NetworkGraph, measurements: MeasurementSet, params: PenaltyParams, start, iters, hook
+) -> dict:
+    """The last fields of ``iters`` iterations of a solver's ``steps``
+    (:func:`full_steps` or :func:`~locadmm.solver_lite.lite_steps`) from
+    ``start``, driven by :func:`~locadmm.engine.drive`, which hands every
+    iterate to ``hook`` (through :func:`~locadmm.engine.hook_record`) and
+    the ones the floating-point flags cannot vouch for to
+    :func:`~locadmm.engine.check_finite`. The per-edge coefficients are
+    built once per ``(measurements, c, rho)`` and held on ``measurements``
+    (:meth:`~locadmm.structured_ops.EdgeCoefficients.held`), so a run made
+    of short calls builds them once."""
+    coef = EdgeCoefficients.held(measurements, graph, params.c, params.rho)
+    record = None if hook is None else hook_record(hook, 2 * graph.dim * graph.sum_degree)
+    return drive(
+        steps(graph, coef, start, views=hook is not None), iters,
+        lambda t, fields: check_finite(t, graph.src, **fields), record, coef.finite,
+    )
 
 
 def full_states(offsets: np.ndarray, fields: dict, p_src=None) -> EdgeStates:

@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .engine import RunResult, check_finite, drive, hook_record, quiet_fp
+from .engine import RunResult, quiet_fp
 from .errors import InvalidInit, MissingMessage, check_penalty, check_type
 from .network import MeasurementSet, NetworkGraph
 from .solver_full import (
@@ -26,6 +26,7 @@ from .solver_full import (
     consensus_blocks,
     consensus_state,
     init_full,
+    run_steps,
 )
 from .structured_ops import (
     EdgeBlocks,
@@ -263,15 +264,12 @@ def run_lite(
     scratch is not reconstructed, so potential-function recording is
     unavailable here.
     Every node advances at once on edge arrays (:func:`lite_steps`),
-    bit-identical to :func:`step_lite` and :func:`full_view`; ``threads`` is
-    accepted for compatibility and ignored. The per-edge coefficients are
-    built once per ``(measurements, c, rho)`` and held on ``measurements``
-    (:meth:`~locadmm.structured_ops.EdgeCoefficients.held`), so a run made
-    of short calls builds them once.
+    bit-identical to :func:`step_lite` and :func:`full_view`, as
+    :func:`~locadmm.solver_full.run_steps` runs them; ``threads`` is
+    accepted for compatibility and ignored.
     """
     check_run(graph, measurements, iters)
     check_type("params", params, PenaltyParams)
-    c, rho = params.c, params.rho
     d = measurements.edge_ranges(graph)
     if isinstance(init, InitSpec):
         start = init_full(graph, init, seed)
@@ -279,12 +277,7 @@ def run_lite(
         start = LiteStates.of(init, graph)
         if start.d is not d and not np.array_equal(start.d, d):
             raise InvalidInit("start ranges do not match the measurements")
-    coef = EdgeCoefficients.held(measurements, graph, d, c, rho)
-    record = None if hook is None else hook_record(hook, 2 * graph.dim * graph.sum_degree)
-    steps = lite_steps(graph, coef, start, views=hook is not None)
-    last = drive(
-        steps, iters, lambda t, fields: check_finite(t, graph.src, **fields), record, coef.finite
-    )
+    last = run_steps(lite_steps, graph, measurements, params, start, iters, hook)
     return RunResult(states=LiteStates(graph.offsets, d=d, **last), estimates=last["p"].copy())
 
 

@@ -363,10 +363,13 @@ class EdgeCoefficients:
     c_scale = _coefficient(lambda self, c, rho: c / (2.0 * (c + 1.0)))
 
     @classmethod
-    def held(cls, measurements, graph: NetworkGraph, d: np.ndarray, c, rho):
-        """The coefficients kept on ``measurements`` (whose ranges on
-        ``graph`` are ``d``) for the latest ``(c, rho)`` asked of it:
-        both solvers read that one set, and other penalties replace it."""
+    def held(cls, measurements, graph: NetworkGraph, c, rho):
+        """The coefficients kept on ``measurements`` for the latest ``(c, rho)``
+        asked of it, of its ranges on ``graph``
+        (:meth:`~locadmm.network.MeasurementSet.edge_ranges`, which refuses
+        another graph): both solvers read that one set, and other penalties
+        replace it."""
+        d = measurements.edge_ranges(graph)
         memo, key = measurements._coefficients, (c, rho, graph.dim)
         if key not in memo:
             memo.clear()

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from locadmm import engine, grid, solver_full, solver_lite
+from locadmm import engine, grid, solver_full
 from locadmm.errors import NonFiniteValue
 from locadmm.network import GroundTruth, MeasurementSet, NetworkGraph
 from locadmm.solver_lite import LiteStates
@@ -90,15 +90,14 @@ def triangle():
 
 @contextlib.contextmanager
 def scanning_every_iterate():
-    """Both solvers, grid batches included, making every iteration under
-    ``quiet_fp`` and scanning every iterate, as a table of non-finite
-    coefficients makes them: the reference the floating-point flags must
-    match."""
+    """Both solvers (``solver_full.run_steps`` drives each) and grid
+    batches scanning every iterate, as a table of non-finite coefficients
+    makes them: the reference the floating-point flags must match."""
 
     def scanning(steps, iters, check, record, finite):
         return engine.drive(steps, iters, check, record, False)
 
-    modules = (solver_full, solver_lite, grid)
+    modules = (solver_full, grid)
     saved = [module.drive for module in modules]
     for module in modules:
         module.drive = scanning

@@ -25,6 +25,7 @@ from locadmm import (
     GroundTruth,
     InitSpec,
     InvalidParameter,
+    IterationTrace,
     LocadmmError,
     MeasurementSet,
     NetworkGraph,
@@ -34,6 +35,7 @@ from locadmm import (
     generate_rgg,
     init_full,
     init_lite,
+    load_network,
     measure,
     parameter_bounds,
     rmse,
@@ -193,6 +195,8 @@ ROWS = {
     "init_full-config": lambda v: init_full(instance()[0], v),
     "init_lite-graph": lambda v: with_init_lite(graph=v),
     "MeasurementSet-graph": lambda v: with_ranges(graph=v),
+    "MeasurementSet.edge_ranges-graph": lambda v: instance()[2].edge_ranges(v),
+    "MeasurementSet.node_ranges-graph": lambda v: instance()[2].node_ranges(v),
     "oracle_check-graph": lambda v: with_oracle(graph=v),
     "oracle_check-measurements": lambda v: with_oracle(meas=v),
     "TraceRecorder-graph": lambda v: with_recorder(graph=v, truth=instance()[1]),
@@ -253,6 +257,39 @@ def test_refuses_what_no_argument_takes(row, value):
         return
     with pytest.raises(LocadmmError):
         ROWS[row](value)
+
+
+# The entry points that take a file path: a string is a path, so these are
+# no ROWS, where "x" would be written.
+PATH_CALLS = {
+    "load_network": load_network,
+    "save_network": lambda v: save_network(v, instance()[0]),
+    "IterationTrace.to_csv": lambda v: IterationTrace().to_csv(v),
+}
+NO_PATHS = [name for name in JUNK if name != "str"]
+
+
+@pytest.mark.parametrize("value", [JUNK[name] for name in NO_PATHS], ids=NO_PATHS)
+@pytest.mark.parametrize("call", PATH_CALLS.values(), ids=PATH_CALLS.keys())
+def test_a_path_is_a_str_bytes_or_path_like(call, value):
+    # open() takes an integer, np.int64 or True as a file descriptor
+    with pytest.raises(InvalidParameter, match="^path must be a str, bytes or os.PathLike"):
+        call(value)
+
+
+@pytest.mark.parametrize("call", PATH_CALLS.values(), ids=PATH_CALLS.keys())
+def test_an_open_descriptor_is_refused_and_left_open(call, tmp_path):
+    # load_network read a network through it and then closed it
+    path = tmp_path / "net.json"
+    graph, truth, meas, _ = instance()
+    save_network(path, graph, truth, meas)
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        with pytest.raises(InvalidParameter):
+            call(fd)
+        os.fstat(fd)
+    finally:
+        os.close(fd)
 
 
 @pytest.mark.parametrize("row", REAL_ROWS)

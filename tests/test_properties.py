@@ -663,7 +663,7 @@ def test_grid_cells_are_their_own_runs(inst):
 
 def held(graph, meas, params):
     """The coefficients the solvers hold on ``meas`` at ``params``."""
-    return EdgeCoefficients.held(meas, graph, meas.edge_ranges(graph), params.c, params.rho)
+    return EdgeCoefficients.held(meas, graph, params.c, params.rho)
 
 
 def coefficient_arrays(coef):
@@ -886,12 +886,13 @@ def test_drive_scans_the_first_iterate_and_every_one_from_a_flag(finite, plan):
     # a stand-in step generator: "flag" overflows in a ufunc, which calls
     # drive's error callback and gives inf; "silent" makes an inf without a
     # flag, which only a scan that runs anyway sees
-    made, scanned, recorded = [], [], []
+    made, modes, scanned, recorded = [], [], [], []
 
     def steps():
         yield "start"
         for k, step in enumerate(plan):
             made.append(k)
+            modes.append(np.geterr()["over"])
             x = np.array([1e308])
             if step == "flag":
                 x = x * 10.0
@@ -909,8 +910,10 @@ def test_drive_scans_the_first_iterate_and_every_one_from_a_flag(finite, plan):
     flagged = next((k for k, step in enumerate(plan) if step == "flag"), len(plan))
     assert scanned == [k + 1 for k in range(len(plan)) if k == 0 or not finite or k >= flagged]
     assert recorded == ["start", *(1e308 if step == "clean" else np.inf for step in plan)]
-    # each iterate is made once
+    # each iterate is made once, and every one with overflow calling back,
+    # after a flag too
     assert made == list(range(len(plan)))
+    assert modes == ["call"] * len(plan)
 
 
 @st.composite
